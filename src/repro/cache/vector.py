@@ -29,15 +29,19 @@ segmented OR along each tag's access chain.  A lazily-created
 touch so per-set LRU order can be merged *across* slots when scalar
 semantics require a global view.
 
-Rows the capacity argument cannot describe — a partition occupying
-more ways than its current allotment (after ``set_partition``
-shrinks it), or a batch whose tag is resident in a *different* slot —
-are *replayed*: a stream-order interpreter (:class:`_SetReplay`)
-resolves just those sets with exact scalar semantics and writes the
-state back into the arrays.  Replay is self-draining: once the
-over-full partition evicts down to its allotment, subsequent batches
-take the kernel again.  No scalar delegate object exists any more;
-scalar ``access``/``fill`` calls are served natively from the arrays.
+A partition occupying more ways than its current allotment (after
+``set_partition`` shrinks it) stays on the kernel in the bank's staged
+path: the growing slots' fills drain the over-full slot's LRU lines
+one at a time, with the kernel run in passes between drains — in
+either direction of the two-stage phase split, the mirrored one via a
+fixed point (see :meth:`VectorBank._mirror_drains`).  What the drain
+model cannot describe — a batch whose tag is resident in a
+*different* slot, a zero-way over slot, and over-full rows of
+single-cache ``VectorCache.access_many`` batches — is *replayed*: a
+stream-order interpreter (:class:`_SetReplay`) resolves just those
+sets with exact scalar semantics and writes the state back into the
+arrays.  No scalar delegate object exists any more; scalar
+``access``/``fill`` calls are served natively from the arrays.
 
 How the kernel works (per set, over the batch's accesses in order):
 
@@ -878,6 +882,133 @@ def _replay_bucket(bk: _BucketEncoding, tags: np.ndarray,
     else:
         count[rows_abs[okg]] = (ninit + nreal)[okg]
 
+
+def _seg_rank(keys: np.ndarray) -> np.ndarray:
+    """Rank of each element among the earlier elements with its key."""
+    m = keys.size
+    if not m:
+        return np.zeros(0, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    ko = keys[order]
+    pos = np.arange(m, dtype=np.int64)
+    starts = np.where(np.r_[True, ko[1:] != ko[:-1]], pos, 0)
+    out = np.empty(m, dtype=np.int64)
+    out[order] = pos - np.maximum.accumulate(starts)
+    return out
+
+
+def _stack_depths(rows: np.ndarray, tg: np.ndarray, tags: np.ndarray,
+                  count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """LRU stack depth of every access of a (row, tag) stream.
+
+    Depth 0 is the MRU line.  A re-touch lies below the distinct tags
+    touched since its previous touch; a first touch of a line resident
+    at depth ``d`` lies below those ``d`` lines plus every deeper or
+    absent tag first-touched before it; an absent tag lies below the
+    associativity.  By the inclusion property an LRU holding the top
+    ``c`` lines of that stack hits exactly the accesses of depth below
+    ``c``, so one depth vector answers every capacity — including one
+    that shrinks mid-stream.  Also returns the pre-batch way of first
+    touches that find their tag resident (-1 elsewhere).
+    """
+    m = rows.size
+    A = tags.shape[1]
+    if not m:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    ro = rows[order]
+    new = np.r_[True, ro[1:] != ro[:-1]]
+    pos = np.arange(m, dtype=np.int64)
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = pos - np.maximum.accumulate(np.where(new, pos, 0))
+    gid = np.empty(m, dtype=np.int64)
+    gid[order] = np.cumsum(new) - 1
+    o2 = np.lexsort((tg, rows))
+    same = (rows[o2][1:] == rows[o2][:-1]) & (tg[o2][1:] == tg[o2][:-1])
+    pi = np.empty(m, dtype=np.int64)
+    first = np.ones(m, dtype=bool)
+    first[o2[1:][same]] = False
+    pi[o2[1:][same]] = rank[o2[:-1][same]]
+    fi = np.flatnonzero(first)
+    fr = rows[fi]
+    eq = (tags[fr] == tg[fi][:, None]) & \
+        (np.arange(A, dtype=np.int64)[None, :] < count[fr][:, None])
+    way = np.argmax(eq, axis=1)
+    found = eq[np.arange(fi.size, dtype=np.int64), way]
+    pi[fi] = np.where(found, way - count[fr], -(A + 1))
+    fway = np.full(m, -1, dtype=np.int64)
+    fway[fi[found]] = way[found]
+    # Same dominance count as the kernel's hit test: later accesses of
+    # the group whose link does not pass this access's own link.
+    W = int(rank.max()) + 1
+    tab = np.full((int(gid.max()) + 1, W), W, dtype=np.int64)
+    tab[gid, rank] = pi
+    cols = np.arange(W, dtype=np.int64)[None, :]
+    dom = np.empty(m, dtype=np.int64)
+    step = max(1, (1 << 22) // W)
+    for lo in range(0, m, step):
+        p = pi[lo:lo + step, None]
+        dom[lo:lo + step] = ((cols > p) & (cols < rank[lo:lo + step, None])
+                             & (tab[gid[lo:lo + step]] <= p)).sum(axis=1)
+    return np.maximum(-pi - 1, 0) + dom, fway
+
+
+class _MirrorDrains(NamedTuple):
+    """Phase-1 schedule of one plan's mirrored over-allotment drains.
+
+    ``cap`` is each access's stage-0 capacity: at a mirrored row, the
+    over slot's occupancy less the drains before the probe.  Rows where
+    a stage-0 probe follows a drain run in passes, one per drain count:
+    ``staged`` lists those rows' probes (stream positions) and
+    ``pass_of`` their drain counts; every other stage-0 probe takes the
+    ordinary phase-1 pass.  The drains themselves are the under slots'
+    growth fills past each row's free ways: stream position of the
+    draining phase-3 access, over-slot kernel row and drain index
+    within the row.
+    """
+
+    cap: np.ndarray       # int64 (n,)
+    staged: np.ndarray    # int64 (m,)
+    pass_of: np.ndarray   # int64 (m,)
+    pos: np.ndarray       # int64 (k,)
+    row: np.ndarray       # int64 (k,)
+    t: np.ndarray         # int64 (k,)
+
+
+class _StagedPlan(NamedTuple):
+    """One lane's staged epoch, decomposed into row-disjoint phases.
+
+    ``krow0``/``krow1`` are lane-local kernel rows (the lane's cache
+    offset applies as a row offset of ``lo * S``); ``idx0a``/``idx1a``
+    are absolute cache indices.  ``drains`` marks the (cache, set) rows
+    whose over slot is probed in phase 3 (drained by phase-1 growth
+    fills); ``mirror`` schedules the rows whose over slot is probed in
+    phase 1 (drained by phase-3 growth fills).
+    """
+
+    k: int
+    call: StagedLaneCall
+    ranges: Tuple[Tuple[int, int], ...]
+    lo: int
+    idx0a: np.ndarray
+    idx1a: np.ndarray
+    sets: np.ndarray
+    tg: np.ndarray
+    sec: Optional[np.ndarray]
+    cap0: np.ndarray
+    cap1: np.ndarray
+    krow0: np.ndarray
+    krow1: np.ndarray
+    replay: np.ndarray
+    drains: Optional[np.ndarray]
+    mirror: Optional[_MirrorDrains]
+
+    @property
+    def cap_p1(self) -> np.ndarray:
+        """Stage-0 capacities of the phase-1 probes."""
+        return self.mirror.cap if self.mirror is not None else self.cap0
+
+
 class _SlotStore:
     """Slot-major array state shared by a bank's caches.
 
@@ -981,9 +1112,10 @@ class _SetReplay:
     ``[tag, dirty, sector_mask, partition, stamp]`` entries merged
     across every slot (by stamp), replays accesses with exact scalar
     semantics (:class:`SetAssociativeCache`), and writes the state
-    back per slot.  Used for over-allotment partitions after a
-    repartition, cross-slot tag aliases, and scalar ``access``/``fill``
-    calls on multi-slot state.
+    back per slot.  Used for the rows the staged drain model rules out
+    (cross-slot tag aliases, zero-way over slots), over-allotment rows
+    of single-cache batches, and scalar ``access``/``fill`` calls on
+    multi-slot state.
     """
 
     def __init__(self, store: _SlotStore, geo: _Geometry) -> None:
@@ -1836,7 +1968,8 @@ class VectorBank:
     (static/dynamic/SAC's SM-side mode), which decomposes the epoch
     into three row-disjoint phases — stage-0 kernel, stream-order
     replay of flagged sets, then the stage-1 + single-stage kernel —
-    each exact because no row is touched by more than one phase.
+    each exact because no row is touched by more than one phase.  Rows
+    left over-allotted by a repartition drain inside those phases.
     """
 
     def __init__(self, config: CacheConfig, names: Sequence[str]) -> None:
@@ -2256,25 +2389,32 @@ class VectorBank:
     def _drain_viol(self, o_slot: np.ndarray, idx0: np.ndarray,
                     sets: np.ndarray, slot0: np.ndarray,
                     idx1: np.ndarray, slot1: np.ndarray,
-                    two_stage: np.ndarray) -> np.ndarray:
+                    two_stage: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
         """Stream-side drain disqualifications per (cache, set) row.
 
-        The drain model needs the phase split to mirror the interpreter
-        exactly: stage-0 probes of a drained row must target under
-        slots (they run in phase 1, before any drain) and later-phase
-        probes must target the over slot (they run in the multi-pass
-        phase 3, between drains).  Any probe on the wrong side marks
-        the row for the interpreter instead.
+        A drained row must put its over slot on one side of the phase
+        split and its under slots on the other.  In the *growth*
+        direction stage-0 probes target under slots (phase 1, whose
+        fills drain) and single-stage/stage-1 probes target the over
+        slot (phase 3, run in passes between drains).  The *mirrored*
+        direction swaps the sides: stage-0 probes target the over slot
+        (phase 1 in passes) and phase-3 probes the under slots.
+        Returns the rows each direction rules out.
         """
-        viol = np.zeros(o_slot.shape, dtype=bool)
-        o0 = o_slot[idx0, sets]
-        m = two_stage & (slot0 == o0)
-        viol[idx0[m], sets[m]] = True
-        m = ~two_stage & (slot0 != o0)
-        viol[idx0[m], sets[m]] = True
-        m = two_stage & (slot1 != o_slot[idx1, sets])
-        viol[idx1[m], sets[m]] = True
-        return viol
+        on0 = slot0 == o_slot[idx0, sets]
+        on1 = slot1 == o_slot[idx1, sets]
+        out: List[np.ndarray] = []
+        for over_in_phase1 in (False, True):
+            viol = np.zeros(o_slot.shape, dtype=bool)
+            m = two_stage & (on0 != over_in_phase1)
+            viol[idx0[m], sets[m]] = True
+            m = ~two_stage & (on0 == over_in_phase1)
+            viol[idx0[m], sets[m]] = True
+            m = two_stage & (on1 == over_in_phase1)
+            viol[idx1[m], sets[m]] = True
+            out.append(viol)
+        return out[0], out[1]
 
     def _drain_events(self, drains: np.ndarray, o_slot: np.ndarray,
                       count0: np.ndarray, cap0: np.ndarray,
@@ -2311,18 +2451,6 @@ class VectorBank:
         gf = np.flatnonzero(f0 & two_stage & ~replay & drains[idx0, sets])
         if not gf.size:
             return empty, empty, empty, empty, occ_over
-
-        def _seg_rank(keys: np.ndarray) -> np.ndarray:
-            # Rank of each element within its key group, stream order.
-            order = np.argsort(keys, kind="stable")
-            ko = keys[order]
-            m = ko.size
-            pos = np.arange(m, dtype=np.int64)
-            starts = np.where(np.r_[True, ko[1:] != ko[:-1]], pos, 0)
-            ranks = pos - np.maximum.accumulate(starts)
-            out = np.empty(m, dtype=np.int64)
-            out[order] = ranks
-            return out
 
         # Growth fills: the first (cap - occupancy) fills per under
         # kernel row raise its occupancy; later fills replace in-slot.
@@ -2482,6 +2610,148 @@ class VectorBank:
         ev_addrs = np.concatenate([ea0[ed0], ea1[ed1]])
         return StagedResult(hs, ev_cache, ev_addrs)
 
+    def _mirror_drains(self, plan: _StagedPlan, mir: np.ndarray,
+                       o_slot: np.ndarray, count0: np.ndarray
+                       ) -> _MirrorDrains:
+        """Schedule the mirrored drains of one plan.
+
+        At a mirrored row the over slot R is probed in phase 1 and the
+        under slots regain their ways in phase 3.  While below its
+        allotment an under slot never loses a line (R's misses replace
+        within R), so its growth fills are the first touches of tags it
+        does not hold, up to its headroom; past the row's free ways
+        each one drains R's LRU line.  R itself stays a full LRU that
+        shrinks by one line per drain, so by inclusion a stage-0 probe
+        hits iff its stack depth is below R's occupancy less the drains
+        before it.  Drains depend on which stage-0 probes miss (only
+        misses probe stage 1) and stage-0 verdicts on earlier drains;
+        the coupling is causal and monotone, so iterating from "no
+        drains" reaches the one fixed point, which is the scalar
+        outcome.  Only probes of depth in ``[cap_R, occ_R)`` can change
+        between rounds.  It runs before any phase touches state; the
+        ordinary rows feeding stage-1 probes into mirrored rows are
+        plain LRUs at their allotment, read off the same stack depths.
+        """
+        geo = self._geo
+        A = geo.associativity
+        S = geo.num_sets
+        CS = len(self.caches) * S
+        call = plan.call
+        two_stage = call.two_stage
+        sets = plan.sets
+        tg = plan.tg
+        sec = plan.sec
+        n = sets.size
+        off = np.int64(plan.lo * S)
+        krow0 = plan.krow0 + off
+        krow1 = plan.krow1 + off
+        rid0 = plan.idx0a * np.int64(S) + sets
+        rid1 = plan.idx1a * np.int64(S) + sets
+        mirf = mir.reshape(-1)
+        live = ~plan.replay
+        ftags, _, fcount, fsector, _ = self._store.flat()
+        ostf = o_slot.reshape(-1)
+        cnt = count0.reshape(count0.shape[0], CS)
+        rid_all = np.arange(CS, dtype=np.int64)
+        occ = cnt[ostf, rid_all]
+        free = A - cnt.sum(axis=0)
+
+        # Stage-0 probes of mirrored rows (capacity: R's occupancy less
+        # the drains before them) and of the ordinary rows feeding their
+        # stage 1 (capacity: the allotment), with their stack depths.
+        ph1 = two_stage & live
+        rows = mirf.copy()
+        rows[rid0[ph1 & mirf[rid1]]] = True
+        rp = np.flatnonzero(ph1 & rows[rid0])
+        depth, fway = _stack_depths(krow0[rp], tg[rp], ftags, fcount)
+        cap_r = np.where(mirf[rid0[rp]], occ[rid0[rp]], plan.cap0[rp])
+        # Phase-3 probes of the under slots at mirrored rows, in stream
+        # order: single-stage ones always probe, stage-1 ones only when
+        # their stage-0 probe misses.
+        cpos = np.flatnonzero(live & np.where(two_stage, mirf[rid1],
+                                              mirf[rid0]))
+        c1 = two_stage[cpos]
+        crow = np.where(c1, rid1[cpos], rid0[cpos])
+        ckrow = np.where(c1, krow1[cpos], krow0[cpos])
+        ctag = tg[cpos]
+        cres = ((ftags[ckrow] == ctag[:, None])
+                & (np.arange(A, dtype=np.int64)[None, :]
+                   < fcount[ckrow][:, None])).any(axis=1)
+        headroom = np.where(c1, plan.cap1[cpos], plan.cap0[cpos]) - \
+            fcount[ckrow]
+        po = np.lexsort((ctag, ckrow))
+        pnew = np.r_[True, (ckrow[po][1:] != ckrow[po][:-1])
+                     | (ctag[po][1:] != ctag[po][:-1])] if po.size else \
+            np.zeros(0, dtype=bool)
+        cpair = np.empty(cpos.size, dtype=np.int64)
+        cpair[po] = np.cumsum(pnew) - 1
+
+        hit = np.zeros(n, dtype=bool)
+
+        # Sectored caches: a tag hit is a hit only if the line instance
+        # (since the tag's last miss) already holds the sector — the
+        # kernel's segmented OR along each (row, tag) chain.
+        if fsector is not None and rp.size:
+            assert sec is not None
+            oc = np.lexsort((tg[rp], krow0[rp]))
+            kr = krow0[rp][oc]
+            tt = tg[rp][oc]
+            head = np.r_[True, (kr[1:] != kr[:-1]) | (tt[1:] != tt[:-1])]
+            fw = fway[oc]
+            seed = np.where(fw >= 0, fsector[kr, np.maximum(fw, 0)], 0)
+            sec_o = sec[rp][oc]
+
+        def stage0_hits(d: np.ndarray) -> np.ndarray:
+            th = depth < cap_r - d
+            if fsector is None or not rp.size:
+                return th
+            tho = th[oc]
+            start = head | ~tho
+            seg = np.cumsum(start, dtype=np.int64) * 2
+            sd = np.where(head & tho, seed, 0)
+            have = np.zeros(rp.size, dtype=bool)
+            sh = np.zeros(rp.size, dtype=np.int64)
+            for b in range(geo.sectors):
+                contrib = sec_o == np.int64(b)
+                sh[1:] = contrib[:-1]
+                sh[0] = 0
+                np.copyto(sh, (sd >> np.int64(b)) & np.int64(1),
+                          where=start)
+                have |= (np.maximum.accumulate(seg + sh) - seg >= 1) \
+                    & contrib
+            out = np.empty(rp.size, dtype=bool)
+            out[oc] = tho & have
+            return out
+
+        # A round only turns stage-0 hits into misses, each at most
+        # once, and a round that turns none is followed by the one that
+        # confirms the fixed point: rp.size + 2 rounds always suffice.
+        base = rid0[rp] * np.int64(n + 1)
+        d = np.zeros(rp.size, dtype=np.int64)
+        for _ in range(rp.size + 2):
+            hit[rp] = stage0_hits(d)
+            a = np.flatnonzero(~c1 | ~hit[cpos])
+            g = a[(_seg_rank(cpair[a]) == 0) & ~cres[a]]
+            g = g[_seg_rank(ckrow[g]) < headroom[g]]
+            t = _seg_rank(crow[g]) - free[crow[g]]
+            dr = g[t >= 0]
+            dkey = np.sort(crow[dr] * np.int64(n + 1) + cpos[dr])
+            d_next = np.searchsorted(dkey, base + rp) - \
+                np.searchsorted(dkey, base)
+            if np.array_equal(d_next, d):
+                break
+            d = d_next
+        else:
+            raise AssertionError("mirrored drain fixed point diverged")
+        cap = plan.cap0.copy()
+        cap[rp] = cap_r - d
+        split = np.zeros(CS, dtype=bool)
+        split[rid0[rp[d > 0]]] = True
+        staged = split[rid0[rp]]
+        drow = crow[dr]
+        return _MirrorDrains(cap, rp[staged], d[staged], cpos[dr],
+                             ostf[drow] * np.int64(CS) + drow, t[t >= 0])
+
     def access_many_staged(self, addrs: np.ndarray, writes: np.ndarray,
                            idx0: np.ndarray, part0: np.ndarray,
                            two_stage: np.ndarray, idx1: np.ndarray,
@@ -2503,9 +2773,12 @@ class VectorBank:
         replay closure only propagates through addressed (cache, set)
         pairs, so their flagged sets are inert.
         """
+        ranges = tuple(lanes) if lanes is not None else \
+            ((0, len(self.caches)),)
+        call = StagedLaneCall((0, len(self.caches)), addrs, writes, idx0,
+                              part0, two_stage, idx1, part1, stream=0)
         if not _sanitize.enabled():
-            return self._staged_epoch(addrs, writes, idx0, part0,
-                                      two_stage, idx1, part1, lanes)
+            return self._staged_lanes([call], [ranges])[0]
         site = "VectorBank.access_many_staged"
         n = addrs.shape[0]
         _sanitize.expect(site, "addrs", addrs, "int64", n)
@@ -2516,203 +2789,7 @@ class VectorBank:
         _sanitize.expect(site, "idx1", idx1, "int64", n)
         _sanitize.expect(site, "part1", part1, "int64", n)
         with _sanitize.guarded(site):
-            return self._staged_epoch(addrs, writes, idx0, part0,
-                                      two_stage, idx1, part1, lanes)
-
-    def _staged_epoch(self, addrs: np.ndarray, writes: np.ndarray,
-                      idx0: np.ndarray, part0: np.ndarray,
-                      two_stage: np.ndarray, idx1: np.ndarray,
-                      part1: np.ndarray,
-                      lanes: Optional[Sequence[Tuple[int, int]]]
-                      ) -> Optional[StagedResult]:
-        """Kernel body of :meth:`access_many_staged`."""
-        if not self.config.write_allocate or not self.caches:
-            return None
-        ranges = tuple(lanes) if lanes is not None else \
-            ((0, len(self.caches)),)
-        ways_list: List[Optional[Dict[int, int]]] = \
-            [None] * len(self.caches)
-        for lo, hi in ranges:
-            for ci in range(lo, hi):
-                w = self.caches[ci]._ways
-                if w is None:
-                    return None
-                ways_list[ci] = w
-        store = self._store
-        store.ensure_stamps()
-        geo = self._geo
-        C = len(self.caches)
-        S = geo.num_sets
-        n = addrs.shape[0]
-        cap_of = self._partition_caps(ways_list)
-        slot0 = self._slots_for(part0)
-        slot1 = self._slots_for(part1)
-        cap0 = np.where(slot0 >= 0, cap_of[idx0, np.maximum(slot0, 0)], 0)
-        cap1 = np.where(slot1 >= 0, cap_of[idx1, np.maximum(slot1, 0)], 0)
-        sets, tg = geo.split(addrs)
-        sec = geo.sector_of(addrs) if geo.sectored else None
-        clock0 = store.clock
-        sv = np.arange(clock0, clock0 + n, dtype=np.int64)
-
-        # Rows the capacity model cannot describe: cross-slot tag
-        # aliases, plus whatever over-allotment occupancy the drain
-        # model below cannot express.  Drain-eligible rows leave the
-        # flagged table *before* the replay closure — the closure can
-        # still pull one back (an access bridging it to a flagged row),
-        # and then the interpreter handles it exactly.
-        flagged = (store.count > cap_of.T[:, :, None]).any(axis=0)  # (C, S)
-        drains: Optional[np.ndarray] = None
-        count0 = o_slot = None
-        if flagged.any():
-            count0 = store.count.copy()
-            cand, o_slot = self._drain_rows_static(cap_of, count0)
-            cand &= ~self._drain_viol(o_slot, idx0, sets, slot0, idx1,
-                                      slot1, two_stage)
-            if cand.any():
-                drains = cand
-                flagged &= ~drains
-        flagged, replay = self._flag_replay_rows(
-            flagged, idx0, sets, tg, slot0, idx1, slot1, two_stage,
-            ranges)
-        if drains is not None:
-            drains &= ~flagged
-            if not drains.any():
-                drains = None
-
-        krow0 = (np.maximum(slot0, 0) * np.int64(C) + idx0) * \
-            np.int64(S) + sets
-        krow1 = (np.maximum(slot1, 0) * np.int64(C) + idx1) * \
-            np.int64(S) + sets
-        sel_a = two_stage & ~replay
-        sel_b0 = ~two_stage & ~replay
-        # Phase disjointness via a flat row-membership table — cheaper
-        # than sorting both phases' rows to uniques and intersecting.
-        in_a = np.zeros(store.num_slots * C * S, dtype=bool)
-        in_a[krow0[sel_a & (cap0 > 0)]] = True
-        if in_a[krow0[sel_b0 & (cap0 > 0)]].any() or \
-                in_a[krow1[sel_a & (cap1 > 0)]].any():
-            return None
-
-        h0 = np.zeros(n, dtype=bool)
-        sm0 = np.zeros(n, dtype=bool)
-        f0 = np.zeros(n, dtype=bool)
-        ea0 = np.full(n, -1, dtype=np.int64)
-        ed0 = np.zeros(n, dtype=bool)
-        h1 = np.zeros(n, dtype=bool)
-        sm1 = np.zeros(n, dtype=bool)
-        f1 = np.zeros(n, dtype=bool)
-        ea1 = np.full(n, -1, dtype=np.int64)
-        ed1 = np.zeros(n, dtype=bool)
-
-        def run_kernel(gidx: np.ndarray, krows_g: np.ndarray,
-                       caps_g: np.ndarray, hout: np.ndarray,
-                       smout: np.ndarray, fout: np.ndarray,
-                       eaout: np.ndarray, edout: np.ndarray) -> None:
-            # One kernel call resolves every capacity at once: the
-            # replay applies per-group caps natively, and zero-way
-            # partitions come back as fill-less misses (the vectorized
-            # PartitionFullError outcome) straight from the mask.
-            # Fresh views every call: replay/slot growth between
-            # phases can reallocate the store's arrays.
-            ftags, fdirty, fcount, fsector, fstamp = store.flat()
-            res = _batch_resolve(
-                ftags, fdirty, fcount, geo, krows_g, tg[gidx],
-                writes[gidx], cap=caps_g, sector=fsector,
-                sec=sec[gidx] if sec is not None else None,
-                stamp=fstamp, stamp_vals=sv[gidx])
-            pos = caps_g > 0
-            hout[gidx] = res.hits
-            eaout[gidx] = res.evicted_addr
-            edout[gidx] = res.evicted_dirty
-            if res.sector_miss is not None:
-                smout[gidx] = res.sector_miss
-                fout[gidx] = ~(res.hits | res.sector_miss) & pos
-            else:
-                fout[gidx] = ~res.hits & pos
-
-        # Phase 1: stage-0 probes of two-stage accesses.
-        ia = np.flatnonzero(sel_a)
-        if ia.size:
-            run_kernel(ia, krow0[ia], cap0[ia], h0, sm0, f0, ea0, ed0)
-
-        # Drained rows: phase 1 solved their under slots natively;
-        # derive which of those fills evict the over slot's LRU.
-        dr = None
-        if drains is not None:
-            assert count0 is not None and o_slot is not None
-            dr = self._drain_events(drains, o_slot, count0, cap0, idx0,
-                                    sets, two_stage, replay, f0, krow0)
-
-        # Phase 2: stream-order replay of flagged sets (both stages).
-        ir = np.flatnonzero(replay)
-        if ir.size:
-            self._replay_flagged(ir, idx0, idx1, sets, tg, writes, sec,
-                                 part0, part1, two_stage, ways_list,
-                                 clock0, h0, sm0, f0, ea0, ed0,
-                                 h1, sm1, f1, ea1, ed1)
-
-        # Phase 3: single-stage probes + stage-1 probes of stage-0
-        # misses, interleaved in stream order.  At drained rows the
-        # over slot behaves as a plain LRU of its current occupancy, so
-        # its probes run in passes between drain applications, each
-        # pass capped at the occupancy it observes.
-        p1k = two_stage & ~replay & ~h0
-        ib = np.flatnonzero(sel_b0 | p1k)
-        if ib.size or (dr is not None and dr[0].size):
-            use1 = p1k[ib]
-            krow_b = np.where(use1, krow1[ib], krow0[ib])
-            cap_b = np.where(use1, cap1[ib], cap0[ib])
-            h_t = np.zeros(n, dtype=bool)
-            sm_t = np.zeros(n, dtype=bool)
-            f_t = np.zeros(n, dtype=bool)
-            ea_t = np.full(n, -1, dtype=np.int64)
-            ed_t = np.zeros(n, dtype=bool)
-            if dr is None:
-                run_kernel(ib, krow_b, cap_b, h_t, sm_t, f_t, ea_t, ed_t)
-            else:
-                dr_pos, dr_row, dr_rid, dr_t, occ_over = dr
-                rid_b = np.where(use1, idx1[ib], idx0[ib]) * \
-                    np.int64(S) + sets[ib]
-                at_drain = drains.reshape(-1)[rid_b]
-                pass_of = np.zeros(ib.size, dtype=np.int64)
-                max_t = int(dr_t.max()) + 1 if dr_t.size else 0
-                for t in range(max_t):
-                    sel_t = dr_t == t
-                    pos_at = np.full(len(self.caches) * S, n,
-                                     dtype=np.int64)
-                    pos_at[dr_rid[sel_t]] = dr_pos[sel_t]
-                    pass_of[at_drain] += \
-                        ib[at_drain] > pos_at[rid_b[at_drain]]
-                cap_b = np.where(at_drain,
-                                 occ_over[rid_b] - pass_of, cap_b)
-                for t in range(max_t + 1):
-                    selp = (pass_of == t) if t else \
-                        (~at_drain | (pass_of == 0))
-                    sub = np.flatnonzero(selp)
-                    if sub.size:
-                        run_kernel(ib[sub], krow_b[sub], cap_b[sub],
-                                   h_t, sm_t, f_t, ea_t, ed_t)
-                    if t < max_t:
-                        sel_t = dr_t == t
-                        self._apply_drain(dr_row[sel_t], dr_pos[sel_t],
-                                          ea0, ed0)
-            b0 = ib[~use1]
-            h0[b0] = h_t[b0]
-            sm0[b0] = sm_t[b0]
-            f0[b0] = f_t[b0]
-            ea0[b0] = ea_t[b0]
-            ed0[b0] = ed_t[b0]
-            b1 = ib[use1]
-            h1[b1] = h_t[b1]
-            sm1[b1] = sm_t[b1]
-            f1[b1] = f_t[b1]
-            ea1[b1] = ea_t[b1]
-            ed1[b1] = ed_t[b1]
-
-        store.clock = clock0 + n
-        return self._staged_outcome(ranges, idx0, idx1, two_stage,
-                                    h0, sm0, f0, ea0, ed0,
-                                    h1, sm1, f1, ea1, ed1)
+            return self._staged_lanes([call], [ranges])[0]
 
     def access_many_staged_shared(
             self, calls: Sequence[StagedLaneCall]
@@ -2730,8 +2807,9 @@ class VectorBank:
         requirement come back as ``None`` (those lanes fall back; the
         rest still share).
         """
+        ranges = [(call.lane,) for call in calls]
         if not _sanitize.enabled():
-            return self._staged_shared_epochs(calls)
+            return self._staged_lanes(calls, ranges)
         site = "VectorBank.access_many_staged_shared"
         for call in calls:
             n = call.addrs.shape[0]
@@ -2743,19 +2821,22 @@ class VectorBank:
             _sanitize.expect(site, "idx1", call.idx1, "int64", n)
             _sanitize.expect(site, "part1", call.part1, "int64", n)
         with _sanitize.guarded(site):
-            return self._staged_shared_epochs(calls)
+            return self._staged_lanes(calls, ranges)
 
-    def _staged_shared_epochs(
-            self, calls: Sequence[StagedLaneCall]
-    ) -> List[Optional[StagedResult]]:
-        """Kernel body of :meth:`access_many_staged_shared`.
+    def _staged_lanes(self, calls: Sequence[StagedLaneCall],
+                      ranges_of: Sequence[Tuple[Tuple[int, int], ...]]
+                      ) -> List[Optional[StagedResult]]:
+        """Kernel body of both staged entry points.
 
-        Same-stream phase-1 replays are hoisted ahead of the per-plan
-        phase loop and fused lane-major (:func:`_replay_encoding_lanes`)
-        — exact because lanes own disjoint store rows, every stamp
-        window is explicit, and phase-1 ok-masks confine writes to
-        rows no other phase shares.  Post-repartition rows run the
-        vectorized over-allotment drain per plan, as in the solo path.
+        Each call's cache indices are relative to ``call.lane[0]``;
+        ``ranges_of`` holds the absolute cache ranges its gate, replay
+        closure and stats cover.  A standalone epoch is the one-call
+        case (offset zero, the caller's ranges).  Same-stream phase-1
+        replays are hoisted ahead of the per-plan phase loop and fused
+        lane-major (:func:`_replay_encoding_lanes`) — exact because
+        lanes own disjoint store rows, every stamp window is explicit,
+        and phase-1 ok-masks confine writes to rows no other phase
+        shares.
         """
         results: List[Optional[StagedResult]] = [None] * len(calls)
         if not self.config.write_allocate or not self.caches:
@@ -2767,12 +2848,13 @@ class VectorBank:
         # Per-lane partition gate; eligible lanes pool one cap table.
         ways_list: List[Optional[Dict[int, int]]] = [None] * C
         live: List[int] = []
-        for k, call in enumerate(calls):
-            lo, hi = call.lane
-            lane_ways = [self.caches[ci]._ways for ci in range(lo, hi)]
-            if any(w is None for w in lane_ways):
+        for k in range(len(calls)):
+            lane_ways = [(ci, self.caches[ci]._ways)
+                         for lo, hi in ranges_of[k] for ci in range(lo, hi)]
+            if any(w is None for _, w in lane_ways):
                 continue
-            ways_list[lo:hi] = lane_ways
+            for ci, w in lane_ways:
+                ways_list[ci] = w
             live.append(k)
         if not live:
             return results
@@ -2788,22 +2870,16 @@ class VectorBank:
             cand0, o_slot = self._drain_rows_static(cap_of, count0)
 
         # Stream-keyed pieces every same-trace lane reuses: the address
-        # split, the partition->slot maps and (lazily, at phase time)
-        # the phase-1 reuse encoding.
+        # split and the partition->slot maps.
         split_of: Dict[int, Tuple[np.ndarray, np.ndarray,
                                   Optional[np.ndarray]]] = {}
         slots_of: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        enc_of: Dict[int, _StreamEncoding] = {}
 
-        # Per-call setup runs before any phase touches state, exactly
-        # as the single-call path sequences it.
-        plans: List[Tuple[int, StagedLaneCall, int, np.ndarray,
-                          np.ndarray, np.ndarray, np.ndarray,
-                          Optional[np.ndarray], np.ndarray, np.ndarray,
-                          np.ndarray, np.ndarray, np.ndarray,
-                          np.ndarray, Optional[np.ndarray]]] = []
+        # Per-call setup runs before any phase touches state.
+        plans: List[_StagedPlan] = []
         for k in live:
             call = calls[k]
+            ranges = ranges_of[k]
             lo = call.lane[0]
             sid = call.stream
             if sid not in split_of:
@@ -2820,90 +2896,93 @@ class VectorBank:
                             cap_of[idx0a, np.maximum(slot0, 0)], 0)
             cap1 = np.where(slot1 >= 0,
                             cap_of[idx1a, np.maximum(slot1, 0)], 0)
-            # Drain-eligible rows of *this lane* leave the flagged
-            # table before the closure; the closure can pull one back
-            # (then the interpreter keeps it).  Other lanes' rows stay
+            # Drain-eligible rows of *this lane* leave the flagged table
+            # before the closure; the closure can pull one back (then
+            # the interpreter keeps it).  Other lanes' rows stay
             # untouched — their plans judge their own rows.
-            drains_k: Optional[np.ndarray] = None
+            grow: Optional[np.ndarray] = None
+            mir: Optional[np.ndarray] = None
             if cand0 is not None:
                 assert o_slot is not None
-                cand = cand0.copy()
-                cand[:lo] = False
-                cand[call.lane[1]:] = False
-                cand &= ~self._drain_viol(o_slot, idx0a, sets, slot0,
-                                          idx1a, slot1, call.two_stage)
-                if cand.any():
-                    drains_k = cand
-                    flagged &= ~drains_k
+                cand = np.zeros_like(cand0)
+                for a, b in ranges:
+                    cand[a:b] = cand0[a:b]
+                viol_g, viol_m = self._drain_viol(
+                    o_slot, idx0a, sets, slot0, idx1a, slot1,
+                    call.two_stage)
+                grow = cand & ~viol_g
+                mir = cand & ~viol_m & ~grow
+                flagged &= ~(grow | mir)
             flagged, replay = self._flag_replay_rows(
                 flagged, idx0a, sets, tg, slot0, idx1a, slot1,
-                call.two_stage, (call.lane,))
-            if drains_k is not None:
-                drains_k &= ~flagged
-                if not drains_k.any():
-                    drains_k = None
+                call.two_stage, ranges)
             # Lane-local kernel rows; the lane's cache offset is applied
             # as a row offset (a multiple of S) at replay time.
             krow0 = (np.maximum(slot0, 0) * np.int64(C) + call.idx0) * \
                 np.int64(S) + sets
             krow1 = (np.maximum(slot1, 0) * np.int64(C) + call.idx1) * \
                 np.int64(S) + sets
+            if grow is not None and mir is not None:
+                grow &= ~flagged
+                mir &= ~flagged
             sel_a = call.two_stage & ~replay
             sel_b0 = ~call.two_stage & ~replay
-            # Same flat membership test as the single-call path.
+            # Phase disjointness via a flat row-membership table — cheaper
+            # than sorting both phases' rows to uniques and intersecting.
             in_a = np.zeros(store.num_slots * C * S, dtype=bool)
             in_a[krow0[sel_a & (cap0 > 0)]] = True
             if in_a[krow0[sel_b0 & (cap0 > 0)]].any() or \
                     in_a[krow1[sel_a & (cap1 > 0)]].any():
                 continue
-            plans.append((k, call, lo, idx0a, idx1a, sets, tg, sec,
-                          cap0, cap1, krow0, krow1, replay, sel_b0,
-                          drains_k))
+            plan = _StagedPlan(
+                k, call, ranges, lo, idx0a, idx1a, sets, tg, sec, cap0,
+                cap1, krow0, krow1, replay,
+                grow if grow is not None and grow.any() else None, None)
+            if mir is not None and mir.any():
+                assert count0 is not None and o_slot is not None
+                plan = plan._replace(
+                    mirror=self._mirror_drains(plan, mir, o_slot, count0))
+            plans.append(plan)
 
-        # Per-plan clock windows, in plan order — identical to the
-        # sequential stamping the plan loop used to do.
+        # Per-plan clock windows, in plan order.
         bases: Dict[int, int] = {}
         clock = store.clock
         for p in plans:
-            bases[p[0]] = clock
-            clock += p[1].addrs.shape[0]
+            bases[p.k] = clock
+            clock += p.call.addrs.shape[0]
         store.clock = clock
 
         # Pre-pass: fuse same-stream phase-1 replays into one
-        # lane-major kernel call.  Plans whose phase 1 is fully masked
-        # (or whose stream appears once) keep the scalar replay below.
+        # lane-major kernel call (rows running in drain passes masked).
+        # Plans whose phase 1 is fully masked, or whose stream appears
+        # once, solve it in their own first drain pass instead.
         pre1: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray,
                               np.ndarray, np.ndarray,
                               Optional[np.ndarray]]] = {}
         by_sid: Dict[int, List[Tuple[int, np.ndarray, np.ndarray]]] = {}
         for i, p in enumerate(plans):
-            call, cap0, replay = p[1], p[8], p[12]
-            ia2 = np.flatnonzero(call.two_stage)
-            okv = (~replay & (cap0 > 0))[ia2]
+            ia2 = np.flatnonzero(p.call.two_stage)
+            okv = self._phase1_ok(p)[ia2]
             if ia2.size and bool(okv.any()):
-                by_sid.setdefault(call.stream, []).append((i, ia2, okv))
+                by_sid.setdefault(p.call.stream, []).append((i, ia2, okv))
         for sid, members in by_sid.items():
-            los = [plans[i][2] for i, _, _ in members]
+            los = [plans[i].lo for i, _, _ in members]
             if len(members) < 2 or len(set(los)) != len(los):
                 continue
             i0, ia2_0, _ = members[0]
             p0 = plans[i0]
-            call0, tg0, sec0, krow0_0 = p0[1], p0[6], p0[7], p0[10]
-            enc = enc_of.get(sid)
-            if enc is None:
-                enc = _encode_stream(
-                    krow0_0[ia2_0], tg0[ia2_0], call0.writes[ia2_0],
-                    store.num_slots * C * S,
-                    sec=sec0[ia2_0] if sec0 is not None else None)
-                enc_of[sid] = enc
-                self.shared_encodings += 1
+            enc = _encode_stream(
+                p0.krow0[ia2_0], p0.tg[ia2_0], p0.call.writes[ia2_0],
+                store.num_slots * C * S,
+                sec=p0.sec[ia2_0] if p0.sec is not None else None)
+            self.shared_encodings += 1
             m = ia2_0.size
             L = len(members)
             caps_v = np.concatenate(
-                [plans[i][8][ia2] for i, ia2, _ in members])
+                [plans[i].cap_p1[ia2] for i, ia2, _ in members])
             ok_v = np.concatenate([okv for _, _, okv in members])
             sv_v = np.concatenate(
-                [np.int64(bases[plans[i][0]]) + ia2
+                [np.int64(bases[plans[i].k]) + ia2
                  for i, ia2, _ in members])
             ftags, fdirty, fcount, fsector, fstamp = store.flat()
             h_v = np.zeros(L * m, dtype=bool)
@@ -2913,7 +2992,7 @@ class VectorBank:
                 else None
             t0 = time.perf_counter()
             lenc = _tile_encoding_lanes(
-                enc, [plans[i][2] * S for i, _, _ in members])
+                enc, [plans[i].lo * S for i, _, _ in members])
             _replay_encoding_lanes(lenc, ftags, fdirty, fcount, geo,
                                    caps_v, h_v, ea_v, ed_v, ok=ok_v,
                                    sector=fsector, stamp=fstamp,
@@ -2926,170 +3005,193 @@ class VectorBank:
                 pre1[i] = (ia2, okv, h_v[sl], ea_v[sl], ed_v[sl],
                            sm_v[sl] if sm_v is not None else None)
 
-        for i, (k, call, lo, idx0a, idx1a, sets, tg, sec, cap0, cap1,
-                krow0, krow1, replay, sel_b0,
-                drains_k) in enumerate(plans):
-            n = call.addrs.shape[0]
-            sid = call.stream
-            clock0 = bases[k]
-            sv = np.arange(clock0, clock0 + n, dtype=np.int64)
-            h0 = np.zeros(n, dtype=bool)
-            sm0 = np.zeros(n, dtype=bool)
-            f0 = np.zeros(n, dtype=bool)
-            ea0 = np.full(n, -1, dtype=np.int64)
-            ed0 = np.zeros(n, dtype=bool)
-            h1 = np.zeros(n, dtype=bool)
-            sm1 = np.zeros(n, dtype=bool)
-            f1 = np.zeros(n, dtype=bool)
-            ea1 = np.full(n, -1, dtype=np.int64)
-            ed1 = np.zeros(n, dtype=bool)
-
-            # Phase 1: stage-0 probes of two-stage accesses, replayed
-            # against the stream's shared encoding.  Flagged rows and
-            # zero-way partitions are whole-group masks: they produce
-            # default outcomes here (phase 2 overwrites the flagged
-            # ones) and no state writes.  Lane-batched rounds land the
-            # outcomes via the pre-pass; singleton streams replay here.
-            hoisted = pre1.get(i)
-            if hoisted is not None:
-                ia2, okv, h_t, ea_t, ed_t, sm_t = hoisted
-                h0[ia2] = h_t
-                ea0[ia2] = ea_t
-                ed0[ia2] = ed_t
-                if sm_t is not None:
-                    sm0[ia2] = sm_t
-                    f0[ia2] = ~(h_t | sm_t) & okv
-                else:
-                    f0[ia2] = ~h_t & okv
-            else:
-                ia2 = np.flatnonzero(call.two_stage)
-                okv = (~replay & (cap0 > 0))[ia2]
-                # Fully-masked lanes (e.g. every row flagged after a
-                # repartition) skip the kernel pass outright: a replay
-                # with an all-False ok-mask writes neither outputs nor
-                # state.
-                if ia2.size and bool(okv.any()):
-                    enc = enc_of.get(sid)
-                    if enc is None:
-                        enc = _encode_stream(
-                            krow0[ia2], tg[ia2], call.writes[ia2],
-                            store.num_slots * C * S,
-                            sec=sec[ia2] if sec is not None else None)
-                        enc_of[sid] = enc
-                        self.shared_encodings += 1
-                    m = ia2.size
-                    h_t = np.zeros(m, dtype=bool)
-                    ea_t = np.full(m, -1, dtype=np.int64)
-                    ed_t = np.zeros(m, dtype=bool)
-                    ftags, fdirty, fcount, fsector, fstamp = store.flat()
-                    sm_t = np.zeros(m, dtype=bool) \
-                        if fsector is not None else None
-                    t0 = time.perf_counter()
-                    _replay_encoding(enc, ftags, fdirty, fcount, geo,
-                                     lo * S, cap0[ia2], h_t, ea_t, ed_t,
-                                     ok=okv, sector=fsector, stamp=fstamp,
-                                     stamp_vals=sv[ia2], sm_out=sm_t)
-                    self.replay_seconds += time.perf_counter() - t0
-                    self.shared_replays += 1
-                    h0[ia2] = h_t
-                    ea0[ia2] = ea_t
-                    ed0[ia2] = ed_t
-                    if sm_t is not None:
-                        sm0[ia2] = sm_t
-                        f0[ia2] = ~(h_t | sm_t) & okv
-                    else:
-                        f0[ia2] = ~h_t & okv
-
-            # Drained rows: phase 1 solved their under slots natively;
-            # derive which of those fills evict the over slot's LRU.
-            dr = None
-            if drains_k is not None:
-                assert count0 is not None and o_slot is not None
-                dr = self._drain_events(drains_k, o_slot, count0, cap0,
-                                        idx0a, sets, call.two_stage,
-                                        replay, f0,
-                                        krow0 + np.int64(lo * S))
-
-            # Phase 2: stream-order replay of flagged sets.
-            ir = np.flatnonzero(replay)
-            if ir.size:
-                self._replay_flagged(ir, idx0a, idx1a, sets, tg,
-                                     call.writes, sec, call.part0,
-                                     call.part1, call.two_stage,
-                                     ways_list, clock0, h0, sm0, f0,
-                                     ea0, ed0, h1, sm1, f1, ea1, ed1)
-
-            # Phase 3: single-stage probes + stage-1 probes of stage-0
-            # misses, interleaved in stream order (per lane: the stream
-            # depends on this lane's stage-0 hits).  Drained rows run
-            # in passes between drain applications, exactly as in the
-            # solo staged path.
-            p1k = call.two_stage & ~replay & ~h0
-            ib = np.flatnonzero(sel_b0 | p1k)
-            if ib.size or (dr is not None and dr[0].size):
-                use1 = p1k[ib]
-                krow_b = np.where(use1, krow1[ib], krow0[ib]) + \
-                    np.int64(lo * S)
-                cap_b = np.where(use1, cap1[ib], cap0[ib])
-
-                def run_b(sub: np.ndarray) -> None:
-                    ftags, fdirty, fcount, fsector, fstamp = store.flat()
-                    bi = ib[sub]
-                    res = _batch_resolve(
-                        ftags, fdirty, fcount, geo, krow_b[sub], tg[bi],
-                        call.writes[bi], cap=cap_b[sub], sector=fsector,
-                        sec=sec[bi] if sec is not None else None,
-                        stamp=fstamp, stamp_vals=sv[bi])
-                    pos = cap_b[sub] > 0
-                    u1 = use1[sub]
-                    b0 = bi[~u1]
-                    b1 = bi[u1]
-                    if res.sector_miss is not None:
-                        fl_t = ~(res.hits | res.sector_miss) & pos
-                        sm0[b0] = res.sector_miss[~u1]
-                        sm1[b1] = res.sector_miss[u1]
-                    else:
-                        fl_t = ~res.hits & pos
-                    h0[b0] = res.hits[~u1]
-                    f0[b0] = fl_t[~u1]
-                    ea0[b0] = res.evicted_addr[~u1]
-                    ed0[b0] = res.evicted_dirty[~u1]
-                    h1[b1] = res.hits[u1]
-                    f1[b1] = fl_t[u1]
-                    ea1[b1] = res.evicted_addr[u1]
-                    ed1[b1] = res.evicted_dirty[u1]
-
-                if dr is None:
-                    if ib.size:
-                        run_b(np.arange(ib.size, dtype=np.int64))
-                else:
-                    assert drains_k is not None
-                    dr_pos, dr_row, dr_rid, dr_t, occ_over = dr
-                    rid_b = np.where(use1, idx1a[ib], idx0a[ib]) * \
-                        np.int64(S) + sets[ib]
-                    at_drain = drains_k.reshape(-1)[rid_b]
-                    pass_of = np.zeros(ib.size, dtype=np.int64)
-                    max_t = int(dr_t.max()) + 1 if dr_t.size else 0
-                    for t in range(max_t):
-                        sel_t = dr_t == t
-                        pos_at = np.full(C * S, n, dtype=np.int64)
-                        pos_at[dr_rid[sel_t]] = dr_pos[sel_t]
-                        pass_of[at_drain] += \
-                            ib[at_drain] > pos_at[rid_b[at_drain]]
-                    cap_b = np.where(at_drain,
-                                     occ_over[rid_b] - pass_of, cap_b)
-                    for t in range(max_t + 1):
-                        selp = (pass_of == t) if t else \
-                            (~at_drain | (pass_of == 0))
-                        sub = np.flatnonzero(selp)
-                        if sub.size:
-                            run_b(sub)
-                        if t < max_t:
-                            sel_t = dr_t == t
-                            self._apply_drain(dr_row[sel_t],
-                                              dr_pos[sel_t], ea0, ed0)
-
-            results[k] = self._staged_outcome(
-                [call.lane], idx0a, idx1a, call.two_stage, h0, sm0, f0,
-                ea0, ed0, h1, sm1, f1, ea1, ed1)
+        for i, p in enumerate(plans):
+            results[p.k] = self._staged_run(p, bases[p.k], pre1.get(i),
+                                            ways_list, count0, o_slot)
         return results
+
+    @staticmethod
+    def _phase1_ok(plan: _StagedPlan) -> np.ndarray:
+        """Stage-0 probes the single phase-1 kernel pass resolves."""
+        ok = plan.call.two_stage & ~plan.replay & (plan.cap_p1 > 0)
+        if plan.mirror is not None:
+            ok[plan.mirror.staged] = False
+        return ok
+
+    def _staged_run(self, plan: _StagedPlan, clock0: int,
+                    hoisted: Optional[Tuple[np.ndarray, np.ndarray,
+                                            np.ndarray, np.ndarray,
+                                            np.ndarray,
+                                            Optional[np.ndarray]]],
+                    ways_list: Sequence[Optional[Dict[int, int]]],
+                    count0: Optional[np.ndarray],
+                    o_slot: Optional[np.ndarray]) -> StagedResult:
+        """Run one plan's three phases and assemble its outcome."""
+        store = self._store
+        geo = self._geo
+        C = len(self.caches)
+        S = geo.num_sets
+        call = plan.call
+        sets, tg, sec = plan.sets, plan.tg, plan.sec
+        idx0a, idx1a = plan.idx0a, plan.idx1a
+        replay = plan.replay
+        two_stage = call.two_stage
+        writes = call.writes
+        n = call.addrs.shape[0]
+        off = np.int64(plan.lo * S)
+        sv = np.arange(clock0, clock0 + n, dtype=np.int64)
+        h0 = np.zeros(n, dtype=bool)
+        sm0 = np.zeros(n, dtype=bool)
+        f0 = np.zeros(n, dtype=bool)
+        ea0 = np.full(n, -1, dtype=np.int64)
+        ed0 = np.zeros(n, dtype=bool)
+        h1 = np.zeros(n, dtype=bool)
+        sm1 = np.zeros(n, dtype=bool)
+        f1 = np.zeros(n, dtype=bool)
+        ea1 = np.full(n, -1, dtype=np.int64)
+        ed1 = np.zeros(n, dtype=bool)
+
+        def solve(bi: np.ndarray, krows: np.ndarray, caps: np.ndarray,
+                  u1: np.ndarray) -> None:
+            # One kernel call over stream positions ``bi`` (``u1``
+            # marks stage-1 probes).  Zero-way partitions come back as
+            # fill-less misses (the vectorized PartitionFullError
+            # outcome) straight from the kernel's mask.  Fresh views
+            # every call: replay/slot growth can reallocate the arrays.
+            ftags, fdirty, fcount, fsector, fstamp = store.flat()
+            res = _batch_resolve(
+                ftags, fdirty, fcount, geo, krows, tg[bi], writes[bi],
+                cap=caps, sector=fsector,
+                sec=sec[bi] if sec is not None else None,
+                stamp=fstamp, stamp_vals=sv[bi])
+            fl = ~res.hits & (caps > 0)
+            b0 = bi[~u1]
+            b1 = bi[u1]
+            if res.sector_miss is not None:
+                fl &= ~res.sector_miss
+                sm0[b0] = res.sector_miss[~u1]
+                sm1[b1] = res.sector_miss[u1]
+            h0[b0] = res.hits[~u1]
+            f0[b0] = fl[~u1]
+            ea0[b0] = res.evicted_addr[~u1]
+            ed0[b0] = res.evicted_dirty[~u1]
+            h1[b1] = res.hits[u1]
+            f1[b1] = fl[u1]
+            ea1[b1] = res.evicted_addr[u1]
+            ed1[b1] = res.evicted_dirty[u1]
+
+        # Phase 1: stage-0 probes of two-stage accesses.  Lane-batched
+        # rounds land them via the pre-pass; otherwise they join the
+        # first drain pass below.
+        rest = np.zeros(0, dtype=np.int64)
+        if hoisted is not None:
+            ia2, okv, h_t, ea_t, ed_t, sm_t = hoisted
+            h0[ia2] = h_t
+            ea0[ia2] = ea_t
+            ed0[ia2] = ed_t
+            if sm_t is not None:
+                sm0[ia2] = sm_t
+                f0[ia2] = ~(h_t | sm_t) & okv
+            else:
+                f0[ia2] = ~h_t & okv
+        else:
+            rest = np.flatnonzero(self._phase1_ok(plan))
+
+        # Mirrored rows where a stage-0 probe follows a drain run in
+        # passes, each capped at the over slot's occupancy and followed
+        # by the next drain.  The drained lines are reported on the
+        # draining phase-3 accesses once phase 3 has written those.
+        mirror = plan.mirror
+        dea = np.full(n, -1, dtype=np.int64)
+        ded = np.zeros(n, dtype=bool)
+        npass = ndrain = 0
+        if mirror is not None:
+            npass = int(mirror.pass_of.max()) + 1 \
+                if mirror.pass_of.size else 0
+            ndrain = int(mirror.t.max()) + 1 if mirror.t.size else 0
+        for t in range(max(npass, ndrain, 1)):
+            bi = rest if t == 0 else np.zeros(0, dtype=np.int64)
+            if mirror is not None:
+                bi = np.sort(np.concatenate(
+                    (bi, mirror.staged[mirror.pass_of == t])))
+            if bi.size:
+                solve(bi, plan.krow0[bi] + off, plan.cap_p1[bi],
+                      np.zeros(bi.size, dtype=bool))
+            if mirror is not None:
+                sel_t = mirror.t == t
+                if sel_t.any():
+                    self._apply_drain(mirror.row[sel_t], mirror.pos[sel_t],
+                                      dea, ded)
+
+        # Growth-direction rows: phase 1 solved their under slots
+        # natively; derive which of those fills evict the over slot's
+        # LRU.
+        dr = None
+        if plan.drains is not None:
+            assert count0 is not None and o_slot is not None
+            dr = self._drain_events(plan.drains, o_slot, count0, plan.cap0,
+                                    idx0a, sets, two_stage, replay, f0,
+                                    plan.krow0 + off)
+
+        # Phase 2: stream-order replay of flagged sets (both stages).
+        ir = np.flatnonzero(replay)
+        if ir.size:
+            self._replay_flagged(ir, idx0a, idx1a, sets, tg, writes, sec,
+                                 call.part0, call.part1, two_stage,
+                                 ways_list, clock0, h0, sm0, f0, ea0, ed0,
+                                 h1, sm1, f1, ea1, ed1)
+
+        # Phase 3: single-stage probes + stage-1 probes of stage-0
+        # misses, interleaved in stream order (the stream depends on
+        # this plan's stage-0 hits).  At growth rows the over slot
+        # behaves as a plain LRU of its current occupancy, so its probes
+        # run in passes between drain applications, each pass capped at
+        # the occupancy it observes.
+        p1k = two_stage & ~replay & ~h0
+        ib = np.flatnonzero((~two_stage & ~replay) | p1k)
+        if ib.size or (dr is not None and dr[0].size):
+            use1 = p1k[ib]
+            krow_b = np.where(use1, plan.krow1[ib], plan.krow0[ib]) + off
+            cap_b = np.where(use1, plan.cap1[ib], plan.cap0[ib])
+            if dr is None:
+                if ib.size:
+                    solve(ib, krow_b, cap_b, use1)
+            else:
+                assert plan.drains is not None
+                dr_pos, dr_row, dr_rid, dr_t, occ_over = dr
+                rid_b = np.where(use1, idx1a[ib], idx0a[ib]) * \
+                    np.int64(S) + sets[ib]
+                at_drain = plan.drains.reshape(-1)[rid_b]
+                pass_of = np.zeros(ib.size, dtype=np.int64)
+                max_t = int(dr_t.max()) + 1 if dr_t.size else 0
+                for t in range(max_t):
+                    sel_t = dr_t == t
+                    pos_at = np.full(C * S, n, dtype=np.int64)
+                    pos_at[dr_rid[sel_t]] = dr_pos[sel_t]
+                    pass_of[at_drain] += \
+                        ib[at_drain] > pos_at[rid_b[at_drain]]
+                cap_b = np.where(at_drain, occ_over[rid_b] - pass_of, cap_b)
+                for t in range(max_t + 1):
+                    selp = (pass_of == t) if t else \
+                        (~at_drain | (pass_of == 0))
+                    if selp.any():
+                        solve(ib[selp], krow_b[selp], cap_b[selp],
+                              use1[selp])
+                    if t < max_t:
+                        sel_t = dr_t == t
+                        self._apply_drain(dr_row[sel_t], dr_pos[sel_t],
+                                          ea0, ed0)
+
+        if mirror is not None and mirror.pos.size:
+            # The draining fill's own verdict carries no eviction (the
+            # under slot grew within its allotment); it reports R's line.
+            dp = mirror.pos
+            s1 = two_stage[dp]
+            ea1[dp[s1]] = dea[dp[s1]]
+            ed1[dp[s1]] = ded[dp[s1]]
+            ea0[dp[~s1]] = dea[dp[~s1]]
+            ed0[dp[~s1]] = ded[dp[~s1]]
+
+        return self._staged_outcome(plan.ranges, idx0a, idx1a, two_stage,
+                                    h0, sm0, f0, ea0, ed0,
+                                    h1, sm1, f1, ea1, ed1)

@@ -151,8 +151,10 @@ class DynamicLLC(LLCOrganization):
 
     The per-epoch repartition is applied in place on the vectorized tag
     store (``VectorCache.set_partition``), so the two-stage epochs stay
-    on the staged kernel across reconfigurations: sets left over their
-    new allotment are replayed exactly until they drain back under it.
+    on the staged kernel across reconfigurations: in sets left over
+    their new allotment, the growing partition's fills evict the
+    shrinking partition's LRU lines until it is back under it, whichever
+    side shrank.
     """
 
     name = "dynamic"

@@ -444,7 +444,15 @@ def _staged_reference(refs, addrs, writes, idx0, part0, two_stage, idx1,
 @pytest.mark.parametrize("sectored", [False, True])
 def test_bank_staged_matches_probe_loop(sectored):
     """The three-phase staged solver == the scalar two-stage probe loop,
-    across repartitions (over-allotment replay) and a zero-way epoch."""
+    across repartitions in both directions and a zero-way epoch.
+
+    Growing the stage-1 (local) partition shrinks the stage-0 (remote)
+    one: full rows then carry a remote surplus ``e`` (2 after the
+    ``{0: 1, 1: 3} -> {0: 3, 1: 1}`` step, 1 after the one-way step)
+    that local growth fills drain.  Both shrink directions must stay on
+    the kernel; only the zero-way over slot of ``{0: 4, 1: 0}`` still
+    goes to the stream-order interpreter.
+    """
     rng = np.random.default_rng(47)
     num_caches = 4
     num_sets = 16
@@ -452,11 +460,17 @@ def test_bank_staged_matches_probe_loop(sectored):
     bank = VectorBank(config, [f"s{i}" for i in range(num_caches)])
     refs = [SetAssociativeCache(config, f"r{i}")
             for i in range(num_caches)]
-    for ways in ({0: 3, 1: 1}, {0: 1, 1: 3}, {0: 4, 1: 0}):
+    steps = ({0: 3, 1: 1}, {0: 1, 1: 3}, {0: 3, 1: 1}, {0: 2, 1: 2},
+             {0: 3, 1: 1}, {0: 4, 1: 0})
+    prev_remote = 0
+    for ways in steps:
         for cache in bank.caches:
             cache.set_partition(dict(ways))
         for ref in refs:
             ref.set_partition(dict(ways))
+        replays = bank.set_replay_batches
+        remote_before = sum(c.occupancy_by_partition().get(1, 0)
+                            for c in bank.caches)
         for _ in range(2):
             n = 600
             addrs, writes = random_stream(rng, num_sets, 4, n, 0.4,
@@ -464,8 +478,11 @@ def test_bank_staged_matches_probe_loop(sectored):
             # Static-LLC shape: home slice from the address, requester
             # random; local accesses take one stage in partition 0,
             # remote ones probe requester/partition-1 then
-            # home/partition-0.
-            home = ((addrs // LINE) % num_caches).astype(np.int64)
+            # home/partition-0.  The home comes from the tag bits, so
+            # every set holds both local and remote lines and a shrunk
+            # remote partition really drains.
+            home = ((addrs // LINE // num_sets) % num_caches
+                    ).astype(np.int64)
             req = rng.integers(0, num_caches, size=n).astype(np.int64)
             two_stage = req != home
             idx0 = np.where(two_stage, req, home)
@@ -483,6 +500,16 @@ def test_bank_staged_matches_probe_loop(sectored):
             for ref, cache in zip(refs, bank.caches):
                 assert ref.stats == cache.stats
                 assert final_state(ref) == final_state(cache)
+        remote_after = sum(c.occupancy_by_partition().get(1, 0)
+                           for c in bank.caches)
+        if ways[1] and ways[1] < prev_remote:
+            # A shrink: the remote surplus drained (remote lines only
+            # ever leave through a drain), all on the kernel.
+            assert remote_after < remote_before
+            assert bank.set_replay_batches == replays
+        prev_remote = ways[1]
+    # The zero-way over slot is the one step left to the interpreter.
+    assert bank.set_replay_batches > 0
 
 
 def test_no_write_allocate_uses_scalar_path():

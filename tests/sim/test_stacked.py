@@ -20,6 +20,7 @@ from repro.sim import (
 from repro.sim.run import scaled_config
 from repro.sim.stats import TELEMETRY_FIELDS
 from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
+from repro.workloads.suite import get
 
 SCALE = 1.0 / 64
 DENSITY = 512
@@ -238,7 +239,10 @@ class TestLaneBatchedReplay:
     the vectorized path — ``lane_batched_rounds`` counts fused kernel
     passes and ``set_replay_batches`` stays zero because the
     occupancy-surplus drain absorbs the over-allotment that used to
-    demote whole rows to the ``_SetReplay`` interpreter.
+    demote whole rows to the ``_SetReplay`` interpreter.  ``tiny_spec``
+    traffic only ever *grows* the dynamic remote partition (the local
+    slot drains); DWT shrinks it (8 -> 7 -> ... -> 2), which drains the
+    remote slot through the mirrored fixed point instead.
     """
 
     def test_repartition_with_shared_and_sectored_lanes_in_one_round(self):
@@ -295,6 +299,36 @@ class TestLaneBatchedReplay:
         assert stats.set_replay_batches == 0
         assert stats.scalar_epochs == 0
         assert stats.demotions == 0
+
+    def test_shrinking_remote_partition_avoids_the_interpreter(self):
+        spec = get("DWT")
+        config = scaled_config(baseline(), SCALE)
+        org = make_organization("dynamic", config)
+        stats = standalone(spec, org)
+        assert org.remote_ways < config.chip.llc_slice.associativity // 2
+        assert stats.set_replay_batches == 0
+        assert stats.scalar_epochs == 0
+        oracle = standalone(spec, "dynamic", params=EngineParams(
+            batched=False, vectorized=False))
+        assert stats.comparable_dict() == oracle.comparable_dict()
+
+    def test_shrinking_remote_partition_in_a_stacked_sweep(self):
+        spec = get("DWT")
+        config = scaled_config(baseline(), SCALE)
+        dynamic = make_organization("dynamic", config)
+        result = simulate_stacked(
+            spec, ["memory-side", "sm-side", dynamic, "static", "sac"],
+            scale=SCALE, accesses_per_epoch=DENSITY)
+        tele = result.telemetry
+        assert dynamic.remote_ways < \
+            config.chip.llc_slice.associativity // 2
+        assert tele.stacked_lanes == 5
+        assert tele.solo_lanes == 0
+        assert tele.set_replay_batches == 0
+        oracle = standalone(spec, "dynamic", params=EngineParams(
+            batched=False, vectorized=False))
+        assert result.stats[2].comparable_dict() == \
+            oracle.comparable_dict()
 
     def test_lane_kernel_fields_are_registered_telemetry(self):
         assert "lane_batched_rounds" in TELEMETRY_FIELDS
