@@ -1,14 +1,17 @@
 """Vectorized set-associative cache backend (structure-of-arrays).
 
-:class:`VectorCache` keeps the functional LRU tag state of one cache in
-numpy arrays and resolves whole batches of accesses at once with an LRU
-stack-distance computation instead of one Python probe per access.
-:class:`VectorBank` stacks many slices into one shared array store so
-the simulation engine can resolve an entire epoch across every (chip,
-slice) pair with a single kernel invocation
+:class:`VectorBank` keeps the functional LRU tag state of many cache
+slices in one shared set of numpy arrays and resolves whole batches of
+accesses at once with an LRU stack-distance computation instead of one
+Python probe per access, so the simulation engine resolves an entire
+epoch across every (chip, slice) pair with a single kernel invocation
 (:meth:`VectorBank.access_many_grouped` for uniform single-stage
 epochs, :meth:`VectorBank.access_many_staged` for the partitioned
-two-stage lookup plans of the static/dynamic/SAC organizations).
+two-stage lookup plans of the static/dynamic/SAC organizations).  Each
+slice is a :class:`VectorCache`: a drop-in
+:class:`SetAssociativeCache` view of its rows that serves the scalar
+operations (``access``/``fill``, flushes, invalidations, queries) the
+serial engine and the organizations use.
 
 The batch kernel is *bit-identical* to :class:`SetAssociativeCache`
 for every configuration it covers — true-LRU, write-allocate,
@@ -36,12 +39,11 @@ one at a time, with the kernel run in passes between drains — in
 either direction of the two-stage phase split, the mirrored one via a
 fixed point (see :meth:`VectorBank._mirror_drains`).  What the drain
 model cannot describe — a batch whose tag is resident in a
-*different* slot, a zero-way over slot, and over-full rows of
-single-cache ``VectorCache.access_many`` batches — is *replayed*: a
+*different* slot, a zero-way over slot — is *replayed*: a
 stream-order interpreter (:class:`_SetReplay`) resolves just those
 sets with exact scalar semantics and writes the state back into the
-arrays.  No scalar delegate object exists any more; scalar
-``access``/``fill`` calls are served natively from the arrays.
+arrays.  No scalar delegate object exists; scalar ``access``/``fill``
+calls are served natively from the arrays.
 
 How the kernel works (per set, over the batch's accesses in order):
 
@@ -1113,9 +1115,8 @@ class _SetReplay:
     across every slot (by stamp), replays accesses with exact scalar
     semantics (:class:`SetAssociativeCache`), and writes the state
     back per slot.  Used for the rows the staged drain model rules out
-    (cross-slot tag aliases, zero-way over slots), over-allotment rows
-    of single-cache batches, and scalar ``access``/``fill`` calls on
-    multi-slot state.
+    (cross-slot tag aliases, zero-way over slots) and for scalar
+    ``access``/``fill`` calls on multi-slot state.
     """
 
     def __init__(self, store: _SlotStore, geo: _Geometry) -> None:
@@ -1301,12 +1302,12 @@ class _SetReplay:
 class VectorCache:
     """Drop-in :class:`SetAssociativeCache` backed by slot-major arrays.
 
-    All operations — batched and scalar, partitioned and sectored — are
-    served natively from the array state; there is no scalar delegate.
-    Batches take the stack-distance kernel whenever every touched row's
-    state is describable by a single logical capacity; everything else
-    (over-allotment rows after a repartition, cross-slot tag aliases)
-    is replayed per set in stream order with exact scalar semantics.
+    One slice of a :class:`VectorBank` (a standalone instance owns a
+    one-cache store).  Its scalar operations — partitioned and
+    sectored included — are served natively from the array state:
+    single-slot sets straight on the arrays, multi-slot sets through
+    the :class:`_SetReplay` interpreter.  Batches go through the
+    bank's entry points.
     """
 
     def __init__(self, config: CacheConfig, name: str = "cache",
@@ -1338,14 +1339,6 @@ class VectorCache:
         if geo.sets_pow2:
             return line & geo.set_mask, line >> geo.index_bits
         return line % geo.num_sets, line // geo.num_sets
-
-    # -- Mode predicates -------------------------------------------------
-
-    def _foreign_free(self) -> bool:
-        """No resident line outside slot 0 anywhere in this cache."""
-        store = self._store
-        return store.num_slots == 1 or \
-            not store.count[1:, self._index].any()
 
     # -- Scalar operations -----------------------------------------------
 
@@ -1514,217 +1507,6 @@ class VectorCache:
                     stats.dirty_evictions += 1
         return AccessResult(hit=False, evicted_dirty=bool(ev_dirty),
                             evicted_addr=ev_addr if evicted else None)
-
-    # -- Batch operations -------------------------------------------------
-
-    def access_many(self, addrs: Sequence[int], writes: Sequence[bool],
-                    partition: int = UNPARTITIONED,
-                    allocate_on_miss: bool = True) -> BatchResult:
-        """Resolve a whole access stream; outcomes are in stream order.
-
-        Equivalent to calling :meth:`access` per element (a raised
-        ``PartitionFullError`` records a miss with no eviction, as the
-        engine's probe loop does).
-        """
-        addrs_np = np.ascontiguousarray(addrs, dtype=np.int64)
-        writes_np = np.ascontiguousarray(writes, dtype=bool)
-        if not (allocate_on_miss and self.config.write_allocate):
-            return self._access_many_scalar(addrs_np, writes_np, partition,
-                                            allocate_on_miss)
-        if (self._ways is None and partition == UNPARTITIONED
-                and self._foreign_free()):
-            return self._batch_fast(addrs_np, writes_np)
-        return self._batch_slotted(addrs_np, writes_np, partition)
-
-    def _batch_fast(self, addrs: np.ndarray,
-                    writes: np.ndarray) -> BatchResult:
-        """Single-slot, uncapped batch: one kernel call, no replay."""
-        geo = self._geo
-        store = self._store
-        n = addrs.shape[0]
-        sets, tg = geo.split(addrs)
-        rows = np.int64(store.row_base(0, self._index)) + sets
-        ftags, fdirty, fcount, fsector, fstamp = store.flat()
-        sec = geo.sector_of(addrs) if geo.sectored else None
-        stamp_vals = None
-        if fstamp is not None:
-            stamp_vals = np.arange(store.clock, store.clock + n,
-                                   dtype=np.int64)
-        result = _batch_resolve(ftags, fdirty, fcount, geo, rows, tg,
-                                writes, sector=fsector, sec=sec,
-                                stamp=fstamp, stamp_vals=stamp_vals)
-        if fstamp is not None:
-            store.clock += n
-        nhits = int(result.hits.sum())
-        nsm = int(result.sector_miss.sum()) \
-            if result.sector_miss is not None else 0
-        stats = self.stats
-        stats.accesses += n
-        stats.hits += nhits
-        stats.misses += n - nhits
-        stats.sector_misses += nsm
-        stats.fills += n - nhits - nsm
-        stats.evictions += int((result.evicted_addr >= 0).sum())
-        stats.dirty_evictions += int(result.evicted_dirty.sum())
-        return result
-
-    def _batch_slotted(self, addrs: np.ndarray, writes: np.ndarray,
-                       partition: int) -> BatchResult:
-        """Partitioned (or multi-slot) batch: capped kernel + replay.
-
-        Sets whose per-slot occupancy exceeds the partition's current
-        allotment, and sets where the batch's tags alias a line resident
-        in a *different* slot (the scalar lookup is global across
-        partitions), are replayed in stream order; every other set takes
-        the kernel over the partition's slot block with ``cap`` set to
-        its way allotment.
-        """
-        geo = self._geo
-        store = self._store
-        store.ensure_stamps()
-        n = addrs.shape[0]
-        ci = self._index
-        A = geo.associativity
-        ways = self._ways
-        if ways is not None:
-            cap = int(ways.get(partition, 0))
-            slot = store.ensure_slot(partition) if cap > 0 \
-                else store.slot_of.get(partition, -1)
-        elif partition == UNPARTITIONED:
-            cap, slot = A, 0
-        else:
-            cap, slot = -1, -1  # foreign partition: replay everything
-        sets, tg = geo.split(addrs)
-        sec = geo.sector_of(addrs) if geo.sectored else None
-        clock0 = store.clock
-
-        counts = store.count[:, ci, :]          # (P, S)
-        caps_vec = np.zeros(store.num_slots, dtype=np.int64)
-        if ways is not None:
-            for pid, w in ways.items():
-                sl = store.slot_of.get(pid, -1)
-                if sl >= 0:
-                    caps_vec[sl] = w
-        else:
-            caps_vec[0] = A
-        row_flag = (counts > caps_vec[:, None]).any(axis=0)  # (S,)
-        replay_sel = row_flag[sets]
-        if cap < 0:
-            replay_sel = np.ones(n, dtype=bool)
-        else:
-            # Cross-slot tag aliases: route the whole set to replay so
-            # intra-set ordering survives.
-            for q in range(store.num_slots):
-                if q == slot:
-                    continue
-                cq = counts[q]
-                if not cq.any():
-                    continue
-                tq = store.tags[q, ci]
-                live = np.arange(A, dtype=np.int64)[None, :] < \
-                    cq[sets][:, None]
-                conflict = ((tq[sets] == tg[:, None]) & live).any(axis=1)
-                if conflict.any():
-                    badsets = np.zeros(geo.num_sets, dtype=bool)
-                    badsets[sets[conflict]] = True
-                    replay_sel |= badsets[sets]
-
-        hits = np.zeros(n, dtype=bool)
-        ev_addr = np.full(n, -1, dtype=np.int64)
-        ev_dirty = np.zeros(n, dtype=bool)
-        sm = np.zeros(n, dtype=bool) if geo.sectored else None
-        fills = 0
-
-        iv = np.flatnonzero(~replay_sel)
-        if iv.size and cap > 0:
-            ftags, fdirty, fcount, fsector, fstamp = store.flat()
-            krows = np.int64(store.row_base(slot, ci)) + sets[iv]
-            sv = np.arange(clock0, clock0 + n, dtype=np.int64)
-            res = _batch_resolve(
-                ftags, fdirty, fcount, geo, krows, tg[iv], writes[iv],
-                cap=cap, sector=fsector,
-                sec=sec[iv] if sec is not None else None,
-                stamp=fstamp, stamp_vals=sv[iv])
-            hits[iv] = res.hits
-            ev_addr[iv] = res.evicted_addr
-            ev_dirty[iv] = res.evicted_dirty
-            ksm = 0
-            if sm is not None and res.sector_miss is not None:
-                sm[iv] = res.sector_miss
-                ksm = int(res.sector_miss.sum())
-            fills += iv.size - int(res.hits.sum()) - ksm
-        # cap == 0: every non-replayed access misses without filling
-        # (the scalar model raises PartitionFullError after counting
-        # the access and the miss); cap < 0 leaves nothing here.
-
-        ir = np.flatnonzero(replay_sel)
-        if ir.size:
-            store.set_replay_batches += 1
-            rep = _SetReplay(store, geo)
-            sets_l = sets[ir].tolist()
-            tg_l = tg[ir].tolist()
-            wr_l = writes[ir].tolist()
-            sec_l = sec[ir].tolist() if sec is not None else None
-            for k in range(ir.size):
-                j = int(ir[k])
-                try:
-                    h, smiss, filled, ea, ed = rep.touch(
-                        ci, sets_l[k], tg_l[k], wr_l[k], partition, True,
-                        sec_l[k] if sec_l is not None else 0,
-                        ways, clock0 + j)
-                except PartitionFullError:
-                    continue
-                hits[j] = h
-                if sm is not None and smiss:
-                    sm[j] = True
-                if filled:
-                    fills += 1
-                if ea >= 0:
-                    ev_addr[j] = ea
-                    ev_dirty[j] = bool(ed)
-            rep.flush_back()
-
-        store.clock = clock0 + n
-        nh = int(hits.sum())
-        nsm = int(sm.sum()) if sm is not None else 0
-        stats = self.stats
-        stats.accesses += n
-        stats.hits += nh
-        stats.misses += n - nh
-        stats.sector_misses += nsm
-        stats.fills += fills
-        stats.evictions += int((ev_addr >= 0).sum())
-        stats.dirty_evictions += int(ev_dirty.sum())
-        return BatchResult(hits, ev_addr, ev_dirty, sm)
-
-    def _access_many_scalar(self, addrs: np.ndarray, writes: np.ndarray,
-                            partition: int,
-                            allocate_on_miss: bool) -> BatchResult:
-        n = addrs.shape[0]
-        hits = np.zeros(n, dtype=bool)
-        ev_addr = np.full(n, -1, dtype=np.int64)
-        ev_dirty = np.zeros(n, dtype=bool)
-        addrs_l = addrs.tolist()
-        writes_l = writes.tolist()
-        # Scalar fallback for streams the batch paths do not cover
-        # (no-allocate probes, no-write-allocate configs); semantics are
-        # the scalar model's, one probe at a time by design.
-        for i in range(n):  # repro: noqa(hot-loop)
-            try:
-                result = self.access(addrs_l[i], writes_l[i],
-                                     partition=partition,
-                                     allocate_on_miss=allocate_on_miss)
-            except PartitionFullError:
-                # A full partition is a miss that cannot fill; the
-                # access itself is already counted (accesses/misses)
-                # before the raise, so record the outcome explicitly.
-                hits[i] = False
-                continue
-            hits[i] = result.hit
-            if result.evicted_addr is not None:
-                ev_addr[i] = result.evicted_addr
-                ev_dirty[i] = result.evicted_dirty
-        return BatchResult(hits, ev_addr, ev_dirty)
 
     # -- Partitioning ----------------------------------------------------
 
@@ -1970,6 +1752,10 @@ class VectorBank:
     replay of flagged sets, then the stage-1 + single-stage kernel —
     each exact because no row is touched by more than one phase.  Rows
     left over-allotted by a repartition drain inside those phases.
+    Each entry point is the one-call case of the body its ``*_shared``
+    twin runs with one call per stacked lane.  An epoch either entry
+    point declines comes back ``None``; the engine resolves it
+    serially.
     """
 
     def __init__(self, config: CacheConfig, names: Sequence[str]) -> None:
@@ -2001,10 +1787,10 @@ class VectorBank:
         """Resolve one uniform epoch across every cache of the bank.
 
         ``cache_idx`` maps each access to its flat cache index.  Returns
-        None (caller falls back) when any cache cannot take the plain
-        batch path — partitioned ways, foreign-slot residents,
-        no-write-allocate configs — so behaviour always matches the
-        scalar model.
+        None (the caller resolves the epoch serially) when any cache
+        cannot take the plain batch path — partitioned ways,
+        foreign-slot residents, no-write-allocate configs — so
+        behaviour always matches the scalar model.
 
         ``lanes`` restricts the eligibility gate (and the per-cache
         stats update) to the given ``[lo, hi)`` cache ranges — the lanes
@@ -2013,72 +1799,19 @@ class VectorBank:
         must not force *this* lane off the kernel.  Omitted, the whole
         bank is one lane (the single-engine behaviour).
         """
+        ranges = tuple(lanes) if lanes is not None else \
+            ((0, len(self.caches)),)
+        call = GroupedLaneCall((0, len(self.caches)), cache_idx, addrs,
+                               writes, stream=0)
         if not _sanitize.enabled():
-            return self._grouped_epoch(cache_idx, addrs, writes, lanes)
+            return self._grouped_lanes([call], [ranges])[0]
         site = "VectorBank.access_many_grouped"
         n = addrs.shape[0]
         _sanitize.expect(site, "addrs", addrs, "int64", n)
         _sanitize.expect(site, "writes", writes, "bool", n)
         _sanitize.expect(site, "cache_idx", cache_idx, "int64", n)
         with _sanitize.guarded(site):
-            return self._grouped_epoch(cache_idx, addrs, writes, lanes)
-
-    def _grouped_epoch(self, cache_idx: np.ndarray, addrs: np.ndarray,
-                       writes: np.ndarray,
-                       lanes: Optional[Sequence[Tuple[int, int]]]
-                       ) -> Optional[BatchResult]:
-        """Kernel body of :meth:`access_many_grouped`."""
-        geo = self._geo
-        store = self._store
-        if not geo.write_allocate:
-            return None
-        ranges = tuple(lanes) if lanes is not None else \
-            ((0, len(self.caches)),)
-        # Per-lane gate: each probed lane's caches must be unpartitioned
-        # and foreign-free (no resident line outside slot 0).
-        for lo, hi in ranges:
-            if any(c._ways is not None for c in self.caches[lo:hi]):
-                return None
-            if store.num_slots > 1 and store.count[1:, lo:hi].any():
-                return None
-        sets, tg = geo.split(addrs)
-        rows = cache_idx * np.int64(geo.num_sets) + sets
-        n = addrs.shape[0]
-        ftags, fdirty, fcount, fsector, fstamp = store.flat()
-        sec = geo.sector_of(addrs) if geo.sectored else None
-        stamp_vals = None
-        if fstamp is not None:
-            stamp_vals = np.arange(store.clock, store.clock + n,
-                                   dtype=np.int64)
-        result = _batch_resolve(ftags, fdirty, fcount, geo, rows, tg,
-                                writes, sector=fsector, sec=sec,
-                                stamp=fstamp, stamp_vals=stamp_vals)
-        if fstamp is not None:
-            store.clock += n
-        num = len(self.caches)
-        acc = np.bincount(cache_idx, minlength=num)
-        hit = np.bincount(cache_idx[result.hits], minlength=num)
-        ev = np.bincount(cache_idx[result.evicted_addr >= 0],
-                         minlength=num)
-        dev = np.bincount(cache_idx[result.evicted_dirty], minlength=num)
-        if result.sector_miss is not None:
-            smc = np.bincount(cache_idx[result.sector_miss], minlength=num)
-        else:
-            smc = np.zeros(num, dtype=np.int64)
-        for lo, hi in ranges:
-            for i in range(lo, hi):
-                stats = self.caches[i].stats
-                ni = int(acc[i])
-                nhits = int(hit[i])
-                nsm = int(smc[i])
-                stats.accesses += ni
-                stats.hits += nhits
-                stats.misses += ni - nhits
-                stats.sector_misses += nsm
-                stats.fills += ni - nhits - nsm
-                stats.evictions += int(ev[i])
-                stats.dirty_evictions += int(dev[i])
-        return result
+            return self._grouped_lanes([call], [ranges])[0]
 
     def access_many_grouped_shared(
             self, calls: Sequence[GroupedLaneCall]
@@ -2092,8 +1825,9 @@ class VectorBank:
         ``None`` (the caller falls back for those lanes only); the
         other lanes still share.
         """
+        ranges = [(call.lane,) for call in calls]
         if not _sanitize.enabled():
-            return self._grouped_shared_epochs(calls)
+            return self._grouped_lanes(calls, ranges)
         site = "VectorBank.access_many_grouped_shared"
         for call in calls:
             n = call.addrs.shape[0]
@@ -2101,19 +1835,23 @@ class VectorBank:
             _sanitize.expect(site, "writes", call.writes, "bool", n)
             _sanitize.expect(site, "cache_idx", call.cache_idx, "int64", n)
         with _sanitize.guarded(site):
-            return self._grouped_shared_epochs(calls)
+            return self._grouped_lanes(calls, ranges)
 
-    def _grouped_shared_epochs(
-            self, calls: Sequence[GroupedLaneCall]
-    ) -> List[Optional[BatchResult]]:
-        """Kernel body of :meth:`access_many_grouped_shared`.
+    def _grouped_lanes(self, calls: Sequence[GroupedLaneCall],
+                       ranges_of: Sequence[Tuple[Tuple[int, int], ...]]
+                       ) -> List[Optional[BatchResult]]:
+        """Kernel body of both grouped entry points.
 
-        Same-stream lanes are folded into one lane-major replay
-        (:func:`_replay_encoding_lanes`): per round the encoding pass
-        runs once per unique stream and the replay pass once per
-        *stream group*, not once per lane.  Per-lane clock bases follow
-        call order, exactly as the sequential path stamps them — lanes
-        own disjoint store rows, so batched state writes commute.
+        Each call's cache indices are relative to ``call.lane[0]``;
+        ``ranges_of`` holds the absolute cache ranges its gate and stats
+        cover.  A standalone epoch is the one-call case (offset zero,
+        the caller's ranges).  Same-stream lanes are folded into one
+        lane-major replay (:func:`_replay_encoding_lanes`): per round
+        the encoding pass runs once per unique stream and the replay
+        pass once per *stream group*, not once per lane.  Per-lane
+        clock bases follow call order, exactly as the sequential path
+        stamps them — lanes own disjoint store rows, so batched state
+        writes commute.
         """
         geo = self._geo
         store = self._store
@@ -2121,15 +1859,9 @@ class VectorBank:
         if not geo.write_allocate:
             return results
         S = geo.num_sets
-        # Per-lane eligibility gate, then stream grouping of survivors.
-        eligible: List[int] = []
-        for k, call in enumerate(calls):
-            lo, hi = call.lane
-            if any(c._ways is not None for c in self.caches[lo:hi]):
-                continue
-            if store.num_slots > 1 and store.count[1:, lo:hi].any():
-                continue
-            eligible.append(k)
+        # Per-call eligibility gate, then stream grouping of survivors.
+        eligible = [k for k in range(len(calls))
+                    if all(self._plain(lo, hi) for lo, hi in ranges_of[k])]
         if not eligible:
             return results
         groups: Dict[int, List[int]] = {}
@@ -2215,18 +1947,29 @@ class VectorBank:
                                              sm_out)
             self.replay_seconds += time.perf_counter() - t0
             for k in members:
-                self._charge_lane_stats(calls[k].lane, calls[k].cache_idx,
-                                        results[k])
+                self._charge_lane_stats(ranges_of[k], calls[k].lane[0],
+                                        calls[k].cache_idx, results[k])
         return results
 
-    def _charge_lane_stats(self, lane: Tuple[int, int],
-                           cache_idx: np.ndarray,
+    def _plain(self, lo: int, hi: int) -> bool:
+        """Caches ``[lo, hi)`` are unpartitioned and foreign-free (no
+        resident line outside slot 0): the grouped kernel's gate."""
+        if any(c._ways is not None for c in self.caches[lo:hi]):
+            return False
+        store = self._store
+        return store.num_slots == 1 or not store.count[1:, lo:hi].any()
+
+    def _charge_lane_stats(self, ranges: Sequence[Tuple[int, int]],
+                           lo: int, cache_idx: np.ndarray,
                            result: Optional[BatchResult]) -> None:
-        """Fold one lane's batch outcome into its per-cache stats."""
+        """Fold one call's batch outcome into its per-cache stats.
+
+        ``cache_idx`` is relative to cache ``lo``; only the caches of
+        the absolute ``ranges`` are charged.
+        """
         if result is None:
             return
-        lo, hi = lane
-        width = hi - lo
+        width = max(hi for _, hi in ranges) - lo
         acc = np.bincount(cache_idx, minlength=width)
         hit = np.bincount(cache_idx[result.hits], minlength=width)
         ev = np.bincount(cache_idx[result.evicted_addr >= 0],
@@ -2238,18 +1981,19 @@ class VectorBank:
                               minlength=width)
         else:
             smc = np.zeros(width, dtype=np.int64)
-        for i in range(lo, hi):
-            stats = self.caches[i].stats
-            ni = int(acc[i - lo])
-            nhits = int(hit[i - lo])
-            nsm = int(smc[i - lo])
-            stats.accesses += ni
-            stats.hits += nhits
-            stats.misses += ni - nhits
-            stats.sector_misses += nsm
-            stats.fills += ni - nhits - nsm
-            stats.evictions += int(ev[i - lo])
-            stats.dirty_evictions += int(dev[i - lo])
+        for a, b in ranges:
+            for i in range(a, b):
+                stats = self.caches[i].stats
+                ni = int(acc[i - lo])
+                nhits = int(hit[i - lo])
+                nsm = int(smc[i - lo])
+                stats.accesses += ni
+                stats.hits += nhits
+                stats.misses += ni - nhits
+                stats.sector_misses += nsm
+                stats.fills += ni - nhits - nsm
+                stats.evictions += int(ev[i - lo])
+                stats.dirty_evictions += int(dev[i - lo])
 
     def _partition_caps(self, ways_list: Sequence[Optional[Dict[int, int]]]
                         ) -> np.ndarray:
@@ -2764,7 +2508,7 @@ class VectorBank:
         where ``two_stage`` and the first probe misses, it then probes
         ``idx1`` with ``part1``.  All caches must be way-partitioned.
         Returns None when the epoch cannot be decomposed into
-        row-disjoint phases (the engine's probe loop handles it).
+        row-disjoint phases (the engine then resolves it serially).
 
         ``lanes`` narrows the all-partitioned requirement (and the stats
         update) to the probed ``[lo, hi)`` cache ranges of a stacked

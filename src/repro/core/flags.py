@@ -59,13 +59,13 @@ FLAGS: Tuple[EnvFlag, ...] = (
     EnvFlag(
         "REPRO_BENCH_SMOKE", "",
         "Truthy: `benchmarks/test_throughput.py` asserts only "
-        "machine-independent floors (same-run speedups, zero demotions) "
-        "and skips the absolute reference-machine rate comparisons."),
+        "machine-independent checks (oracle equality, zero scalar "
+        "epochs, the stacked sweep's invocation and fallback gates) and "
+        "skips every rate floor."),
     EnvFlag(
         "REPRO_CACHE_DIR", ".repro_cache",
-        "Directory of the on-disk result cache (and the lint finding "
-        "cache under `<dir>/lint/`); the CLI's `--cache-dir` overrides "
-        "it per invocation."),
+        "Directory of the on-disk result cache; the CLI's `--cache-dir` "
+        "overrides it per invocation."),
     EnvFlag(
         "REPRO_FAULTS", "",
         "Comma-separated fault-injection entries "

@@ -6,9 +6,6 @@ errors), 1 when new findings exist, 2 on usage errors.  Baselined and
 are reported (and removed by ``--prune-baseline``) so the committed
 file shrinks over time.
 
-Findings are cached under ``$REPRO_CACHE_DIR/lint`` (default
-``.repro_cache/lint``) keyed by file content hash, so re-runs over an
-unchanged tree re-analyze nothing; ``--no-cache`` disables it.
 ``--format github`` emits workflow-command annotations for CI,
 ``--format json`` a stable machine-readable document.
 """
@@ -20,7 +17,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from ..core import flags as _flags
 from . import rules as _rules  # noqa: F401  (imports populate REGISTRY)
 from .baseline import Baseline
 from .core import REGISTRY
@@ -37,10 +33,6 @@ def _default_paths() -> List[Path]:
     if candidate.is_dir():
         return [candidate]
     return [Path(__file__).resolve().parent.parent]
-
-
-def _default_cache_dir() -> Path:
-    return Path(_flags.read("REPRO_CACHE_DIR")) / "lint"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,15 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "--update-baseline")
     parser.add_argument(
         "--select", action="append", default=None, metavar="RULE",
-        help="run only this rule (repeatable; disables the cache)")
+        help="run only this rule (repeatable)")
     parser.add_argument(
         "--format", choices=FORMATS, default="text", dest="fmt",
         help="output format (default: text; github emits ::error "
              "workflow annotations for CI)")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk finding cache "
-             "($REPRO_CACHE_DIR/lint)")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="describe every registered rule and exit")
@@ -131,11 +119,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"repro.lint: {exc}", file=sys.stderr)
             return 2
 
-    cache_dir = None if args.no_cache else _default_cache_dir()
     paths = list(args.paths) if args.paths else _default_paths()
     try:
         report = run(paths, baseline=baseline, rules=selected,
-                     root=Path.cwd(), cache_dir=cache_dir)
+                     root=Path.cwd())
     except FileNotFoundError as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return 2

@@ -24,14 +24,8 @@ FORMATS = ("text", "json", "github")
 
 
 def summary_line(report: Report) -> str:
-    cached = ""
-    if report.files_from_cache or report.project_from_cache:
-        parts = [f"{report.files_from_cache} from cache"]
-        if report.project_from_cache:
-            parts.append("project tier cached")
-        cached = f" ({', '.join(parts)})"
     return (
-        f"repro.lint: {report.files_checked} files{cached}, "
+        f"repro.lint: {report.files_checked} files, "
         f"{len(report.new)} new finding(s), "
         f"{len(report.baselined)} baselined, "
         f"{len(report.suppressed)} suppressed, "
@@ -77,8 +71,6 @@ def render_json(report: Report) -> str:
         "failed": report.failed,
         "files_checked": report.files_checked,
         "files_analyzed": report.files_analyzed,
-        "files_from_cache": report.files_from_cache,
-        "project_from_cache": report.project_from_cache,
         "new": [_finding_payload(f) for f in report.new],
         "baselined": [_finding_payload(f) for f in report.baselined],
         "suppressed": [_finding_payload(f) for f in report.suppressed],

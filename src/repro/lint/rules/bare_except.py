@@ -1,12 +1,12 @@
 """Rule ``bare-except`` — no silent swallowing of exceptions.
 
 The engine's batched path falls back from the vectorized tag-store
-kernel to the per-access probe loop when an epoch's shape demands it;
-a ``try: ... except: pass`` around a kernel call would turn a genuine
-kernel bug into a silent (and slow, and possibly wrong) fallback that
-no differential test can distinguish from a legitimate decline — the
-``RunStats.demotions`` counter exists precisely so fallbacks are never
-silent.  Flags, anywhere in ``src/repro``:
+kernel to the serial per-access engine when the bank declines an
+epoch; a ``try: ... except: pass`` around a kernel call would turn a
+genuine kernel bug into a silent (and slow, and possibly wrong)
+fallback that no differential test can distinguish from a legitimate
+decline — the ``RunStats.scalar_epochs`` counter exists precisely so
+fallbacks are never silent.  Flags, anywhere in ``src/repro``:
 
 * bare ``except:`` handlers (they also swallow ``KeyboardInterrupt``);
 * ``except Exception``/``except BaseException`` handlers whose body
@@ -62,7 +62,7 @@ class BareExceptRule(Rule):
                    "silently discards the error")
     contract = ("a kernel bug must surface as a failure, never as a "
                 "silent fallback from the vectorized kernel to the "
-                "probe loop")
+                "serial engine")
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         for node in source.walk():

@@ -11,10 +11,10 @@ or the conventional batch length ``n``/``range(len(...))`` forms.
 
 Loops over *grouped* quantities (unique pages, nonzero bincount bins,
 chips, slices) are inherently bounded by the machine geometry, not the
-access count, and are not flagged.  The deliberate per-access loops —
-the serial reference path, the sequential probe loop, the scalar
-fallback — carry inline ``# repro: noqa(hot-loop)`` suppressions with
-their justification.
+access count, and are not flagged.  The one deliberate per-access
+loop left in these modules — the engine's serial reference path, the
+oracle every batched epoch must reproduce — carries an inline
+``# repro: noqa(hot-loop)`` suppression with its justification.
 
 The rule also covers *cooperative drivers* (``_drive``-style generator
 pumps, PR 5/6): in the designated driver modules, any loop nested

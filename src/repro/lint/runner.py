@@ -7,12 +7,6 @@ A run has two analysis tiers.  Per-file rules check each parsed
 yield findings anchored to concrete locations, so suppression and
 baselining treat both tiers identically.
 
-With a ``cache_dir`` the runner persists findings keyed by content
-hash (per file) and tree token (project tier) — see
-:mod:`repro.lint.cache`.  A fully unchanged tree re-parses nothing:
-files are read and hashed, every finding is served from the cache, and
-:attr:`Report.files_analyzed` stays at zero.
-
 Full-registry runs also emit ``unused-suppression`` warnings for
 ``# repro: noqa`` comments that suppressed no finding in either tier,
 so dead suppressions are flushed out instead of accreting.
@@ -22,25 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from .baseline import Baseline
-from .cache import (
-    FileEntry,
-    LintCache,
-    ProjectEntry,
-    content_hash,
-    tree_token,
-)
 from .core import REGISTRY, Finding, ProjectRule, Rule, Severity
 from .graph import build_graph
 from .source import SourceFile, relpath_of
@@ -77,10 +55,6 @@ class Report:
     files_checked: int = 0
     #: Files whose per-file rules actually executed this run.
     files_analyzed: int = 0
-    #: Files whose findings were served from the on-disk cache.
-    files_from_cache: int = 0
-    #: Whether the project tier was served from the cache.
-    project_from_cache: bool = False
     parse_errors: List[str] = field(default_factory=list)
 
     @property
@@ -115,19 +89,15 @@ def check_source(source: SourceFile,
 
 
 class _Run:
-    """State of one analyzer pass (file IO, caching, classification)."""
+    """State of one analyzer pass (file IO and classification)."""
 
-    def __init__(self, rule_list: List[Rule], root: Optional[Path],
-                 cache: Optional[LintCache]) -> None:
+    def __init__(self, rule_list: List[Rule], root: Optional[Path]) -> None:
         self.per_file_rules = [r for r in rule_list
                                if not isinstance(r, ProjectRule)]
         self.project_rules = [r for r in rule_list
                               if isinstance(r, ProjectRule)]
         self.root = root
-        self.cache = cache
         self.report = Report()
-        #: (path, relpath, text, content hash) of every discovered file.
-        self.texts: List[Tuple[Path, str, str, str]] = []
         self.findings: List[Finding] = []  # unsuppressed, pre-baseline
         self.sources: Dict[str, SourceFile] = {}
         #: relpath -> noqa comment line -> rule names (as written).
@@ -137,80 +107,39 @@ class _Run:
 
     # -- Per-file tier ---------------------------------------------------
 
-    def scan(self, paths: Sequence[Path]) -> str:
-        """Read + hash every file; returns the tree token."""
+    def per_file(self, paths: Sequence[Path]) -> None:
         for path in iter_python_files(paths):
-            text = path.read_text(encoding="utf-8")
-            relpath = relpath_of(path, self.root)
-            self.texts.append((path, relpath, text, content_hash(text)))
-        return tree_token((r, s) for _, r, _, s in self.texts)
-
-    def per_file(self, need_parse_all: bool) -> None:
-        for path, relpath, text, sha in self.texts:
             self.report.files_checked += 1
-            cached = self.cache.file_entry(relpath, sha) \
-                if self.cache is not None else None
-            source: Optional[SourceFile] = None
-            if cached is None or need_parse_all:
-                try:
-                    source = SourceFile.from_text(text, path,
-                                                  root=self.root)
-                except SyntaxError as exc:
-                    self.report.parse_errors.append(f"{path}: {exc}")
-                    continue
-                self.sources[relpath] = source
-            if cached is not None:
-                self.report.files_from_cache += 1
-                self.findings.extend(cached.kept)
-                self.report.suppressed.extend(cached.suppressed)
-                self.noqa_lines[relpath] = dict(cached.noqa_lines)
-                self.used_lines.setdefault(relpath, set()).update(
-                    cached.used_lines)
+            text = path.read_text(encoding="utf-8")
+            try:
+                source = SourceFile.from_text(text, path, root=self.root)
+            except SyntaxError as exc:
+                self.report.parse_errors.append(f"{path}: {exc}")
                 continue
-            assert source is not None
+            relpath = relpath_of(path, self.root)
+            self.sources[relpath] = source
             self.report.files_analyzed += 1
-            self._analyze(relpath, sha, source)
+            self._analyze(relpath, source)
 
-    def _analyze(self, relpath: str, sha: str,
-                 source: SourceFile) -> None:
-        kept: List[Finding] = []
-        suppressed: List[Finding] = []
+    def _analyze(self, relpath: str, source: SourceFile) -> None:
         used: Set[int] = set()
         for finding in check_source(source, self.per_file_rules):
             if source.is_suppressed(finding.rule, finding.line):
-                suppressed.append(finding)
+                self.report.suppressed.append(finding)
                 used |= _suppressors(source, finding)
             else:
-                kept.append(finding)
-        self.findings.extend(kept)
-        self.report.suppressed.extend(suppressed)
+                self.findings.append(finding)
         self.noqa_lines[relpath] = {
             line: sorted(names)
             for line, names in source.noqa_comments.items()}
         self.used_lines.setdefault(relpath, set()).update(used)
-        if self.cache is not None:
-            self.cache.store_file(relpath, FileEntry(
-                sha=sha, kept=kept, suppressed=suppressed,
-                noqa_lines={line: sorted(names) for line, names
-                            in source.noqa_comments.items()},
-                used_lines=sorted(used)))
 
     # -- Project tier ----------------------------------------------------
 
-    def project(self, tree: str, cached: Optional[ProjectEntry]) -> None:
+    def project(self) -> None:
         if not self.project_rules:
             return
-        if cached is not None:
-            self.report.project_from_cache = True
-            self.findings.extend(cached.kept)
-            self.report.suppressed.extend(cached.suppressed)
-            for relpath, lines in cached.used_lines.items():
-                self.used_lines.setdefault(relpath, set()).update(lines)
-            return
         graph = build_graph(list(self.sources.values()))
-        kept: List[Finding] = []
-        suppressed: List[Finding] = []
-        used: Dict[str, Set[int]] = {}
         raw: List[Finding] = []
         for rule in self.project_rules:
             raw.extend(rule.check_project(graph))
@@ -219,19 +148,11 @@ class _Run:
             source = self.sources.get(finding.path)
             if source is not None and \
                     source.is_suppressed(finding.rule, finding.line):
-                suppressed.append(finding)
-                used.setdefault(finding.path, set()).update(
+                self.report.suppressed.append(finding)
+                self.used_lines.setdefault(finding.path, set()).update(
                     _suppressors(source, finding))
             else:
-                kept.append(finding)
-        self.findings.extend(kept)
-        self.report.suppressed.extend(suppressed)
-        for relpath, lines in used.items():
-            self.used_lines.setdefault(relpath, set()).update(lines)
-        if self.cache is not None:
-            self.cache.store_project(ProjectEntry(
-                tree=tree, kept=kept, suppressed=suppressed,
-                used_lines={k: sorted(v) for k, v in used.items()}))
+                self.findings.append(finding)
 
     # -- Dead suppressions -----------------------------------------------
 
@@ -265,32 +186,22 @@ def _suppressors(source: SourceFile, finding: Finding) -> Set[int]:
 
 def run(paths: Sequence[Path], baseline: Optional[Baseline] = None,
         rules: Optional[Iterable[Rule]] = None,
-        root: Optional[Path] = None,
-        cache_dir: Optional[Path] = None) -> Report:
+        root: Optional[Path] = None) -> Report:
     """Analyze every python file under ``paths`` and classify findings.
 
     Each finding lands in exactly one bucket: ``suppressed`` (an inline
     ``noqa`` covers it), ``baselined`` (its fingerprint is in the
     committed baseline) or ``new`` (fails the run when of error
-    severity).  ``cache_dir`` enables the on-disk finding cache; it only
-    engages for full-registry runs (``rules`` left to the default).
+    severity).
     """
     full_registry = rules is None
     rule_list = list(rules) if rules is not None \
         else REGISTRY.instantiate()
     baseline = baseline if baseline is not None else Baseline()
-    cache = LintCache.load(cache_dir) \
-        if cache_dir is not None and full_registry else None
 
-    state = _Run(rule_list, root, cache)
-    tree = state.scan(paths)
-    project_cached = cache.project_entry(tree) \
-        if cache is not None else None
-    # Project rules need every file parsed — unless the whole tier is a
-    # cache hit, in which case unchanged files skip parsing entirely.
-    need_parse_all = bool(state.project_rules) and project_cached is None
-    state.per_file(need_parse_all)
-    state.project(tree, project_cached)
+    state = _Run(rule_list, root)
+    state.per_file(paths)
+    state.project()
     if full_registry:
         state.unused_suppressions()
 
@@ -303,7 +214,4 @@ def run(paths: Sequence[Path], baseline: Optional[Baseline] = None,
     report.new.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
     report.baselined.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
     report.stale_baseline = baseline.stale_fingerprints(state.findings)
-    if cache is not None:
-        cache.prune(relpath for _, relpath, _, _ in state.texts)
-        cache.save()
     return report

@@ -96,14 +96,15 @@ class EngineParams:
     # Enable dominant-accessor page migration (related-work baseline:
     # a beyond-LLC optimization the paper argues is insufficient).
     page_migration: bool = False
-    # Use the batched epoch fast path when the run has no per-access
-    # side effects (no hardware coherence, migration or profiling); the
-    # engine transparently falls back to the per-access path otherwise.
+    # Resolve each epoch with one vector-bank call when the run allows
+    # it (a bank, no L1s, write-allocate LLC, no coherence directory,
+    # migration or per-access observer); every other epoch, and any
+    # epoch the bank declines, runs on the serial per-access engine.
     batched: bool = True
-    # Back the LLC with the vectorized tag store so uniform batched
-    # epochs resolve every probe with one stack-distance kernel call;
-    # partitioned/sectored/scalar paths transparently use the
-    # OrderedDict model either way.
+    # Back the LLC with the vectorized tag store (VectorBank).  False
+    # keeps SetAssociativeCache slices and leaves no bank for the
+    # batched path, so every epoch runs serially: with batched=False
+    # this is the serial oracle.
     vectorized: bool = True
 
     def __post_init__(self) -> None:
@@ -130,8 +131,8 @@ class EngineParams:
 
 
 #: What the driver answers a :class:`BankProbe` with: the bank call's
-#: result, or ``None`` when the bank declined (caller falls back to the
-#: per-access probe loop).
+#: result, or ``None`` when the bank declined (the engine then resolves
+#: the epoch on its serial per-access path).
 ProbeOutcome = Union[BatchResult, StagedResult, None]
 
 #: The cooperative epoch protocol: :meth:`SimulationEngine.run_steps`
@@ -475,8 +476,8 @@ class SimulationEngine:
 
         Yields a :class:`BankProbe` for each batched epoch's pending
         vector-bank invocation and expects the outcome back via
-        ``send`` (``None`` means the bank declined and the engine falls
-        back to its per-access probe loop).  A stacked driver
+        ``send`` (``None`` means the bank declined and the engine
+        resolves that epoch serially).  A stacked driver
         multiplexes many engines' generators over shared banks; the
         control flow is byte-for-byte the one a standalone :meth:`run`
         executes, which is what keeps stacked lanes bit-identical.
@@ -659,15 +660,22 @@ class SimulationEngine:
         """Whether the current epoch can take the batched fast path.
 
         The fast path precomputes homes, route plans and traffic totals
-        with numpy; it is only safe when no component needs a per-access
-        side effect beyond the functional cache probes themselves:
-        hardware coherence (directory/MESI actions per write), page
-        migration (per-access observation), profiling organizations
-        without a batched observer and insertion-policy organizations
-        (LADM's per-access ``remote_allocate``) all force the serial
-        per-access path.
+        with numpy and resolves every probe with one vector-bank call.
+        It needs a bank that can host the probe stream — none exists
+        with ``vectorized=False`` or non-LRU replacement, L1s filter
+        the stream per access, and the bank does not model
+        no-write-allocate caches — and it is only safe when no component
+        needs a per-access side effect beyond the functional cache
+        probes themselves: hardware coherence (directory/MESI actions
+        per write), page migration (per-access observation), profiling
+        organizations without a batched observer and insertion-policy
+        organizations (LADM's per-access ``remote_allocate``) all force
+        the serial per-access path.
         """
-        if not self.params.batched:
+        if not self.params.batched or self._llc_bank is None:
+            return False
+        if self.l1 is not None or \
+                not self.config.chip.llc_slice.write_allocate:
             return False
         if self.migration is not None:
             return False
@@ -706,14 +714,15 @@ class SimulationEngine:
                            ) -> ProbeGen:
         """Batched epoch execution.
 
-        Functionally identical to :meth:`_run_epoch_serial`: the same L1
-        and LLC probes run in the same order (the caches are the only
-        sequential state), while page-home resolution, route planning and
-        every resource charge are precomputed or aggregated with numpy.
-        All aggregated quantities are integer byte counts or sums of
-        exactly-representable latencies, so the resulting ``RunStats``
-        are bit-identical to the per-access path for the default
-        parameters (and agree to float round-off for any others).
+        Functionally identical to :meth:`_run_epoch_serial`: one
+        vector-bank call resolves the same LLC probes in the same order
+        (the caches are the only sequential state), while page-home
+        resolution, route planning and every resource charge are
+        precomputed or aggregated with numpy.  All aggregated quantities
+        are integer byte counts or sums of exactly-representable
+        latencies, so the resulting ``RunStats`` are bit-identical to
+        the per-access path for the default parameters (and agree to
+        float round-off for any others).
 
         The bank invocations themselves are *yielded* as
         :class:`BankProbe` requests rather than called inline, so the
@@ -722,8 +731,15 @@ class SimulationEngine:
         (the driver batches co-resident lanes into one call).
         ``probe_seconds`` here covers only this engine's local prep; the
         driver adds the invocation time it attributes to this lane.
+
+        An epoch the bank declines runs on :meth:`_run_epoch_serial`
+        instead.  Nothing is charged before the bank call, and the page
+        homes resolved here were allocated in first-touch order, so the
+        serial rerun finds the same homes and counts nothing twice.
         """
         prep_start = perf_counter()
+        bank = self._llc_bank
+        assert bank is not None
         params = self.params
         config = self.config
         num_chips = config.num_chips
@@ -750,14 +766,12 @@ class SimulationEngine:
                for plan in plans]
 
         # Cache probes: the only sequentially-stateful work in the epoch.
-        # Uniform single-stage epochs over the vectorized tag store are
-        # resolved with one grouped stack-distance kernel call; everything
-        # else runs the per-access loop over a flat bound-method table.
-        llc = self.llc
+        # Uniform single-stage epochs are resolved with one grouped
+        # stack-distance kernel call, partitioned plans of up to two
+        # allocate-on-miss stages with one staged call.
         llc_slices = config.chip.llc_slices
         serve0_np = np.array(st0_chip, dtype=np.int64)[pair_np]
         idx0_np = serve0_np * llc_slices + slices_np
-        l1 = self.l1
         uniform = (all(s is None for s in st1)
                    and len(set(st0_part)) == 1 and len(set(st0_alloc)) == 1)
         two_stage = np.array([s is not None for s in st1],
@@ -772,10 +786,9 @@ class SimulationEngine:
         # under other_seconds so the breakdown stays near-exhaustive.
         self.stats.other_seconds += perf_counter() - prep_start
         probe_start = perf_counter()
-        if (uniform and l1 is None and self._llc_bank is not None
-                and st0_part[0] == UNPARTITIONED and st0_alloc[0]):
+        if uniform and st0_part[0] == UNPARTITIONED and st0_alloc[0]:
             probe = BankProbe(
-                bank=self._llc_bank, kind="grouped", base=base, lane=lane,
+                bank=bank, kind="grouped", base=base, lane=lane,
                 addrs=addrs_np, writes=writes_np, idx0=idx0_np,
                 fault_key=org.name)
             if org.profiling:
@@ -791,17 +804,15 @@ class SimulationEngine:
             probe_start = perf_counter()
         if batch is not None:
             hs = np.where(batch.hits, np.int64(0), np.int64(-1))
-            self.stats.vector_epochs += 1
         else:
-            if (l1 is None and self._llc_bank is not None
-                    and self._staged_shape_ok(plans)):
+            if self._staged_shape_ok(plans):
                 part0_np = np.array(st0_part, dtype=np.int64)[pair_np]
                 part1_np = np.array(
                     [s[1] if s is not None else 0 for s in st1],
                     dtype=np.int64)[pair_np]
                 idx1_np = serve1 * llc_slices + slices_np
                 probe = BankProbe(
-                    bank=self._llc_bank, kind="staged", base=base,
+                    bank=bank, kind="staged", base=base,
                     lane=lane, addrs=addrs_np, writes=writes_np,
                     idx0=idx0_np, part0=part0_np, two_stage=two_stage,
                     idx1=idx1_np, part1=part1_np, fault_key=org.name)
@@ -814,25 +825,23 @@ class SimulationEngine:
                     self.stats.probe_seconds += perf_counter() - probe_start
                     staged = cast(Optional[StagedResult], (yield probe))
                 probe_start = perf_counter()
-            if staged is not None:
-                hs = staged.hit_stage
-                self.stats.vector_epochs += 1
-            else:
-                hs, ev_serves, ev_addrs = self._probe_loop(
-                    epoch, uniform, idx0_np, serve0_np, addrs_np,
-                    writes_np, chips_np, slices_np, pair_np, st0_part,
-                    st0_alloc, st1)
+            if staged is None:
+                # The bank declined: resolve the whole epoch serially.
+                self.stats.probe_seconds += perf_counter() - probe_start
                 self.stats.scalar_epochs += 1
-                if self._llc_bank is not None:
-                    # A vector bank exists but this epoch fell off it.
-                    self.stats.demotions += 1
+                self.stats.demotions += 1
+                self._run_epoch_serial(epoch, kstats)
+                return
+            hs = staged.hit_stage
+        self.stats.vector_epochs += 1
         self.stats.probe_seconds += perf_counter() - probe_start
 
         # Everything below is pure accounting over the recorded outcomes.
         charge_start = perf_counter()
-        probed0 = hs != -2
+        # Every access probes its stage-0 slice.
+        probed0 = np.ones(n, dtype=bool)
         kstats.accesses += n
-        kstats.llc_lookups += int(probed0.sum())
+        kstats.llc_lookups += n
         kstats.llc_hits += int((hs >= 0).sum())
         req_np = params.request_bytes + \
             params.write_data_bytes * writes_np.astype(np.int64)
@@ -894,12 +903,9 @@ class SimulationEngine:
             if dirty_sel.any():
                 self._charge_eviction_writebacks(
                     serve0_np[dirty_sel], batch.evicted_addr[dirty_sel])
-        elif staged is not None:
-            if staged.evicted_addr.size:
-                self._charge_eviction_writebacks(
-                    staged.evicted_cache // llc_slices, staged.evicted_addr)
-        elif ev_addrs:
-            self._charge_eviction_writebacks(ev_serves, ev_addrs)
+        elif staged is not None and staged.evicted_addr.size:
+            self._charge_eviction_writebacks(
+                staged.evicted_cache // llc_slices, staged.evicted_addr)
 
         # Response origins (relative to the requesting chip).
         hits = hs >= 0
@@ -926,117 +932,16 @@ class SimulationEngine:
         self._settle_epoch(epoch, kstats)
         self.stats.charge_seconds += perf_counter() - charge_start
 
-    def _probe_loop(self, epoch: EpochTrace, uniform: bool,
-                    idx0_np: np.ndarray, serve0_np: np.ndarray,
-                    addrs_np: np.ndarray, writes_np: np.ndarray,
-                    chips_np: np.ndarray, slices_np: np.ndarray,
-                    pair_np: np.ndarray, st0_part: List[int],
-                    st0_alloc: List[bool], st1: List
-                    ) -> Tuple[np.ndarray, List[int], List[int]]:
-        """Per-access probe loop of the batched path.
-
-        The probe target (chip, slice) pair is precomputed as an index
-        into a flat bound-method table.  Returns the per-access hit
-        stage (-2: L1 read hit, -1: full miss, 0/1: LLC stage) plus the
-        (serving chip, address) pairs of every dirty eviction.
-        """
-        llc = self.llc
-        num_chips = self.config.num_chips
-        llc_slices = self.config.chip.llc_slices
-        n = len(epoch)
-        probe_fns = [llc[c][s].access for c in range(num_chips)
-                     for s in range(llc_slices)]
-        idx0_l = idx0_np.tolist()
-        chips_l = chips_np.tolist()
-        addrs_l = addrs_np.tolist()
-        writes_l = writes_np.tolist()
-        serve0_l = serve0_np.tolist()
-        l1 = self.l1
-        clusters_l = epoch.clusters.tolist() if l1 is not None else None
-        hit_stage = [-1] * n
-        ev_serves: List[int] = []
-        ev_addrs: List[int] = []
-        if uniform:
-            # Single-stage organizations with one partition/allocation
-            # policy (memory-side, sm-side): the tightest possible loop.
-            part0 = st0_part[0]
-            alloc0 = st0_alloc[0]
-            # Cache probes are the one sequentially-stateful phase; this
-            # loop only runs when the vectorized tag store cannot (L1s,
-            # partitions, no-allocate stages).
-            for i in range(n):  # repro: noqa(hot-loop)
-                addr = addrs_l[i]
-                w = writes_l[i]
-                if l1 is not None:
-                    l1_result = l1[chips_l[i]][clusters_l[i]].access(addr, w)
-                    if l1_result.hit and not w:
-                        hit_stage[i] = -2
-                        continue
-                try:
-                    result = probe_fns[idx0_l[i]](
-                        addr, w, partition=part0, allocate_on_miss=alloc0)
-                except PartitionFullError:
-                    continue
-                if result.hit:
-                    hit_stage[i] = 0
-                elif result.evicted_dirty:
-                    ev_serves.append(serve0_l[i])
-                    ev_addrs.append(result.evicted_addr)
-        else:
-            slices_l = slices_np.tolist()
-            pairs_l = pair_np.tolist()
-            # Two-stage/partitioned probes stay sequential for the same
-            # reason as the uniform branch above.
-            for i in range(n):  # repro: noqa(hot-loop)
-                chip = chips_l[i]
-                addr = addrs_l[i]
-                w = writes_l[i]
-                if l1 is not None:
-                    l1_result = l1[chip][clusters_l[i]].access(addr, w)
-                    if l1_result.hit and not w:
-                        hit_stage[i] = -2
-                        continue
-                sl = slices_l[i]
-                pid = pairs_l[i]
-                try:
-                    result = probe_fns[idx0_l[i]](
-                        addr, w, partition=st0_part[pid],
-                        allocate_on_miss=st0_alloc[pid])
-                except PartitionFullError:
-                    result = None
-                if result is not None:
-                    if result.hit:
-                        hit_stage[i] = 0
-                        continue
-                    if result.evicted_dirty:
-                        ev_serves.append(serve0_l[i])
-                        ev_addrs.append(result.evicted_addr)
-                second = st1[pid]
-                if second is None:
-                    continue
-                serve, part, alloc = second
-                try:
-                    result = llc[serve][sl].access(addr, w, partition=part,
-                                                   allocate_on_miss=alloc)
-                except PartitionFullError:
-                    continue
-                if result.hit:
-                    hit_stage[i] = 1
-                elif result.evicted_dirty:
-                    ev_serves.append(serve)
-                    ev_addrs.append(result.evicted_addr)
-
-        return np.array(hit_stage, dtype=np.int64), ev_serves, ev_addrs
-
     @staticmethod
     def _staged_shape_ok(plans: List[RoutePlan]) -> bool:
         """Whether the epoch's route plans fit the staged vector solver.
 
         The three-phase decomposition in
-        :meth:`VectorBank.access_many_staged` reproduces the probe loop
-        exactly for plans of at most two allocate-on-miss stages; the
-        solver itself verifies the runtime row-disjointness condition
-        and declines (returning ``None``) when it does not hold.
+        :meth:`VectorBank.access_many_staged` reproduces the serial
+        probe order exactly for plans of at most two allocate-on-miss
+        stages; the solver itself verifies the runtime row-disjointness
+        condition and declines (returning ``None``) when it does not
+        hold.
         """
         for plan in plans:
             if len(plan.stages) > 2:
@@ -1206,13 +1111,15 @@ class SimulationEngine:
             self._charge_xbar_ports(side_r * ip + links, ip, True,
                                     req_r, rsp)
 
-    def _charge_eviction_writebacks(self, serves: List[int],
-                                    addrs: List[int]) -> None:
-        """Aggregate dirty-eviction write-backs collected by the fast path."""
+    def _charge_eviction_writebacks(self, serves_np: np.ndarray,
+                                    addrs_np: np.ndarray) -> None:
+        """Aggregate dirty-eviction write-backs collected by the fast path.
+
+        ``serves_np``/``addrs_np`` give each dirty eviction's serving
+        chip and line address.
+        """
         num_chips = self.config.num_chips
         wb = self.line_size + self.params.response_header_bytes
-        serves_np = np.asarray(serves, dtype=np.int64)
-        addrs_np = np.asarray(addrs, dtype=np.int64)
         channels = self._vectorized_channels(addrs_np)
         home_of = self.page_table._home.get
         shift = self.page_table._page_shift
@@ -1231,7 +1138,7 @@ class SimulationEngine:
             self.dram[g // channels_per_chip].charge_bulk(
                 g % channels_per_chip, wb * int(counts[g]), int(counts[g]),
                 is_write=True)
-        self.stats.dram_bytes += wb * len(addrs)
+        self.stats.dram_bytes += wb * len(addrs_np)
         remote = homes_np != serves_np
         if not remote.any():
             return

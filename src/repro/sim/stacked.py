@@ -29,7 +29,7 @@ armed ``lane.raise``/``kernel.solve_error`` fault site, see
 :mod:`repro.resilience.faults`) *quarantines* that lane instead of
 killing the co-run — the surviving lanes finish the shared drive with
 their physics untouched, and each quarantined lane is then re-run solo
-through the ordinary ``simulate()`` path (demoted to the scalar engine
+through the ordinary ``simulate()`` path (demoted to the serial engine
 when the vector kernel itself faulted), so one bad config degrades a
 group instead of aborting it.
 """
@@ -100,7 +100,7 @@ class StackedTelemetry:
     replay_seconds: float = 0.0
     set_replay_batches: int = 0
     #: Lane indices that faulted mid-drive and were re-run solo, and the
-    #: subset whose re-run was demoted to the scalar engine because the
+    #: subset whose re-run was demoted to the serial engine because the
     #: vector kernel itself faulted.
     quarantined_lanes: List[int] = field(default_factory=list)
     demoted_lanes: List[int] = field(default_factory=list)
@@ -268,9 +268,9 @@ def simulate_stacked(spec: BenchmarkSpec,
     # Quarantined lanes re-run solo through the ordinary simulate()
     # path — same spec, config, scale and density — so their stats are
     # bit-identical to a standalone run by construction.  A lane whose
-    # fault came from the vector kernel is demoted to the scalar engine
-    # (the per-access probe loop), since its vector path is the thing
-    # that faulted.
+    # fault came from the vector kernel is demoted to the serial engine
+    # (vectorized=False leaves it no bank, so every epoch runs serially),
+    # since its vector path is the thing that faulted.
     rerun_stats: Dict[int, RunStats] = {}
     for pos in sorted(faulted):
         p = primaries[pos]
@@ -516,7 +516,7 @@ def _invoke_group(probes: List[BankProbe]
     element-identical lane-local streams) and handed to the bank's
     shared entry point, which encodes each unique stream once and
     replays it per lane.  Per-lane ``None`` outcomes send just those
-    lanes to their per-access fallback.  Returns the per-probe stream
+    lanes' epochs to the serial engine.  Returns the per-probe stream
     ids alongside the outcomes (``None`` for single-probe rounds).
     """
     started = perf_counter()

@@ -134,9 +134,10 @@ class RunStats:
     solve_seconds: float = 0.0
     charge_seconds: float = 0.0
     vector_epochs: int = 0
-    # Batched epochs that ran the per-access probe loop instead, and the
-    # subset that did so despite a vector bank being attached (a config
-    # silently falling off the vector path shows up here).
+    # Batched epochs the bank declined, resolved on the serial path
+    # instead (fast_epochs == vector_epochs + scalar_epochs), so a config
+    # silently falling off the vector path shows up here.  ``demotions``
+    # counts the same epochs.
     scalar_epochs: int = 0
     demotions: int = 0
     # Stacked-run telemetry: how many lanes shared this run's tag store
@@ -151,7 +152,7 @@ class RunStats:
     stacked_shared_streams: int = 0
     # Resilience telemetry: 1 when this lane faulted inside a stacked
     # drive and these stats come from its solo re-run; ``lane_demoted``
-    # additionally marks that the re-run fell back to the scalar engine
+    # additionally marks that the re-run fell back to the serial engine
     # because the vector kernel itself faulted.
     lane_quarantined: int = 0
     lane_demoted: int = 0

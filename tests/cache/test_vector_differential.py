@@ -1,11 +1,15 @@
-"""Differential tests: VectorCache vs the OrderedDict reference model.
+"""Differential tests: the vectorized backend vs the OrderedDict model.
 
 Random address streams over a matrix of geometries (pow2 and non-pow2
 set counts, associativities, write mixes, write-back and write-through)
 run through both :class:`SetAssociativeCache` and the vectorized
 backend; every per-access outcome (hit/miss, eviction address, eviction
 dirty bit), the final ``CacheStats`` and the final resident state
-(including LRU order) must be identical.
+(including LRU order) must be identical.  Single-cache batches run on a
+one-cache :class:`VectorBank`, as the engine drives it: the grouped
+kernel when unpartitioned, a single-stage staged call when partitioned.
+Streams the bank declines run through the scalar ``VectorCache.access``
+loop, which is what the serial engine executes for them.
 """
 
 import numpy as np
@@ -21,6 +25,7 @@ from repro.cache.vector import (
     BatchResult,
     GroupedLaneCall,
     StagedLaneCall,
+    StagedResult,
     VectorBank,
     VectorCache,
 )
@@ -77,14 +82,47 @@ def final_state(cache):
             for addr, line in cache.resident_lines()]
 
 
+def one_cache_bank(config):
+    """A one-cache bank and its cache (the unit under test)."""
+    bank = VectorBank(config, ["vec"])
+    return bank, bank.caches[0]
+
+
+def bank_batch(bank, addrs, writes, partition=UNPARTITIONED):
+    """Resolve one batch on a one-cache bank the way the engine does.
+
+    Unpartitioned caches take the grouped kernel; partitioned ones a
+    single-stage staged call probing ``partition``.  ``None`` means the
+    bank declined.
+    """
+    n = len(addrs)
+    idx = np.zeros(n, dtype=np.int64)
+    if bank.caches[0].partition_ways is None:
+        return bank.access_many_grouped(idx, addrs, writes)
+    return bank.access_many_staged(
+        addrs, writes, idx, np.full(n, partition, dtype=np.int64),
+        np.zeros(n, dtype=bool), idx, np.zeros(n, dtype=np.int64))
+
+
 def assert_identical(ref_out, vec_out, ref_cache, vec_cache):
-    np.testing.assert_array_equal(ref_out.hits, vec_out.hits)
-    np.testing.assert_array_equal(ref_out.evicted_addr, vec_out.evicted_addr)
-    np.testing.assert_array_equal(ref_out.evicted_dirty,
-                                  vec_out.evicted_dirty)
-    if vec_out.sector_miss is not None:
-        np.testing.assert_array_equal(ref_out.sector_miss,
-                                      vec_out.sector_miss)
+    assert vec_out is not None
+    if isinstance(vec_out, StagedResult):
+        # Staged results carry hit stages plus the dirty evictions in
+        # stream order; clean evictions show in the stats and state.
+        np.testing.assert_array_equal(ref_out.hits, vec_out.hit_stage == 0)
+        dirty = ref_out.evicted_dirty
+        np.testing.assert_array_equal(ref_out.evicted_addr[dirty],
+                                      vec_out.evicted_addr)
+        assert (vec_out.evicted_cache == 0).all()
+    else:
+        np.testing.assert_array_equal(ref_out.hits, vec_out.hits)
+        np.testing.assert_array_equal(ref_out.evicted_addr,
+                                      vec_out.evicted_addr)
+        np.testing.assert_array_equal(ref_out.evicted_dirty,
+                                      vec_out.evicted_dirty)
+        if vec_out.sector_miss is not None:
+            np.testing.assert_array_equal(ref_out.sector_miss,
+                                          vec_out.sector_miss)
     assert ref_cache.stats == vec_cache.stats
     assert final_state(ref_cache) == final_state(vec_cache)
 
@@ -96,12 +134,12 @@ def test_vector_matches_reference(num_sets, assoc, write_frac):
                                 + int(write_frac * 10))
     config = make_config(num_sets, assoc)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache_bank(config)
     # Several batches so later ones start from warm pre-batch state.
     for n in (257, 64, 1, 503, 1024):
         addrs, writes = random_stream(rng, num_sets, assoc, n, write_frac)
         ref_out = reference_outcomes(ref, addrs, writes)
-        vec_out = vec.access_many(addrs, writes)
+        vec_out = bank_batch(bank, addrs, writes)
         assert_identical(ref_out, vec_out, ref, vec)
 
 
@@ -109,11 +147,11 @@ def test_vector_matches_reference_write_through():
     rng = np.random.default_rng(7)
     config = make_config(48, 8, write_back=False)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache_bank(config)
     for n in (300, 300):
         addrs, writes = random_stream(rng, 48, 8, n, 0.5)
         assert_identical(reference_outcomes(ref, addrs, writes),
-                         vec.access_many(addrs, writes), ref, vec)
+                         bank_batch(bank, addrs, writes), ref, vec)
 
 
 def test_single_set_chunked_groups():
@@ -121,10 +159,10 @@ def test_single_set_chunked_groups():
     rng = np.random.default_rng(11)
     config = make_config(1, 8)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache_bank(config)
     addrs, writes = random_stream(rng, 1, 8, 700, 0.4)
     assert_identical(reference_outcomes(ref, addrs, writes),
-                     vec.access_many(addrs, writes), ref, vec)
+                     bank_batch(bank, addrs, writes), ref, vec)
 
 
 def test_huge_tags_use_lexsort_path():
@@ -132,10 +170,10 @@ def test_huge_tags_use_lexsort_path():
     rng = np.random.default_rng(13)
     config = make_config(64, 4)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache_bank(config)
     addrs, writes = random_stream(rng, 64, 4, 400, 0.3, base=1 << 58)
     assert_identical(reference_outcomes(ref, addrs, writes),
-                     vec.access_many(addrs, writes), ref, vec)
+                     bank_batch(bank, addrs, writes), ref, vec)
 
 
 def test_scalar_interludes_stay_bit_identical():
@@ -143,11 +181,11 @@ def test_scalar_interludes_stay_bit_identical():
     rng = np.random.default_rng(17)
     config = make_config(16, 4)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache_bank(config)
     for round_ in range(4):
         addrs, writes = random_stream(rng, 16, 4, 200, 0.3)
         assert_identical(reference_outcomes(ref, addrs, writes),
-                         vec.access_many(addrs, writes), ref, vec)
+                         bank_batch(bank, addrs, writes), ref, vec)
         # Scalar interlude mid-stream.
         addrs, writes = random_stream(rng, 16, 4, 50, 0.3)
         for i in range(len(addrs)):
@@ -166,7 +204,7 @@ def test_partitioned_batches_match_reference():
     rng = np.random.default_rng(19)
     config = make_config(16, 4)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache_bank(config)
     for ways in ({0: 2, 1: 2}, {0: 1, 1: 3}, {0: 3, 1: 1}):
         ref.set_partition(ways)
         vec.set_partition(ways)
@@ -175,16 +213,23 @@ def test_partitioned_batches_match_reference():
             addrs, writes = random_stream(rng, 16, 4, 150, 0.4)
             assert_identical(
                 reference_outcomes(ref, addrs, writes, partition=partition),
-                vec.access_many(addrs, writes, partition=partition),
+                bank_batch(bank, addrs, writes, partition=partition),
                 ref, vec)
-    # Unpartitioning: resident lines keep their partition ids, and the
-    # batch path must keep honouring them until those lines drain.
+    # Unpartitioning: resident lines keep their partition ids.  The
+    # bank declines batches over those foreign-partition residents, so
+    # the serial engine's scalar loop must honour them until they drain.
     ref.set_partition(None)
     vec.set_partition(None)
+    declined = 0
     for _ in range(3):
         addrs, writes = random_stream(rng, 16, 4, 150, 0.4)
-        assert_identical(reference_outcomes(ref, addrs, writes),
-                         vec.access_many(addrs, writes), ref, vec)
+        ref_out = reference_outcomes(ref, addrs, writes)
+        vec_out = bank_batch(bank, addrs, writes)
+        if vec_out is None:
+            declined += 1
+            vec_out = reference_outcomes(vec, addrs, writes)
+        assert_identical(ref_out, vec_out, ref, vec)
+    assert declined >= 1
 
 
 def test_partitioned_batch_scalar_interleaved():
@@ -192,7 +237,7 @@ def test_partitioned_batch_scalar_interleaved():
     rng = np.random.default_rng(37)
     config = make_config(12, 3)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache_bank(config)
     ref.set_partition({0: 2, 1: 1})
     vec.set_partition({0: 2, 1: 1})
     for round_ in range(3):
@@ -200,7 +245,7 @@ def test_partitioned_batch_scalar_interleaved():
             addrs, writes = random_stream(rng, 12, 3, 120, 0.4)
             assert_identical(
                 reference_outcomes(ref, addrs, writes, partition=partition),
-                vec.access_many(addrs, writes, partition=partition),
+                bank_batch(bank, addrs, writes, partition=partition),
                 ref, vec)
         addrs, writes = random_stream(rng, 12, 3, 40, 0.4)
         for i in range(len(addrs)):
@@ -220,7 +265,7 @@ def test_partition_full_batches_match_reference():
     rng = np.random.default_rng(41)
     config = make_config(16, 4)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache_bank(config)
     ways = {0: 3, 1: 1, 2: 0}
     ref.set_partition(ways)
     vec.set_partition(ways)
@@ -228,7 +273,7 @@ def test_partition_full_batches_match_reference():
         addrs, writes = random_stream(rng, 16, 4, 100, 0.4)
         assert_identical(
             reference_outcomes(ref, addrs, writes, partition=partition),
-            vec.access_many(addrs, writes, partition=partition),
+            bank_batch(bank, addrs, writes, partition=partition),
             ref, vec)
     # A partition id absent from the map also raises in both models.
     with pytest.raises(PartitionFullError):
@@ -240,12 +285,13 @@ def test_partition_full_batches_match_reference():
 
 def test_zero_way_partition_records_miss_without_eviction():
     config = make_config(8, 2)
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache_bank(config)
     vec.set_partition({0: 2, 7: 0})
-    out = vec.access_many(np.arange(4, dtype=np.int64) * LINE,
-                          np.zeros(4, dtype=bool), partition=7)
-    assert not out.hits.any()
-    assert (out.evicted_addr == -1).all()
+    out = bank_batch(bank, np.arange(4, dtype=np.int64) * LINE,
+                     np.zeros(4, dtype=bool), partition=7)
+    assert out is not None
+    assert (out.hit_stage == -1).all()
+    assert out.evicted_addr.size == 0
     assert vec.stats.accesses == 4
     assert vec.stats.fills == 0
 
@@ -287,14 +333,42 @@ def test_bank_grouped_declines_when_partitioned():
                                     np.zeros(4, dtype=bool)) is None
 
 
+def test_bank_grouped_lane_gate_covers_only_its_lanes():
+    """A standalone grouped call on a stacked bank gates (and charges)
+    only the lanes it names: a partitioned lane elsewhere in the bank
+    neither declines it nor sees stats."""
+    rng = np.random.default_rng(53)
+    spl = 2
+    config = make_config(16, 4)
+    bank = VectorBank(config, [f"l{i}.s{s}" for i in range(2)
+                               for s in range(spl)])
+    solo = VectorBank(config, [f"r.s{s}" for s in range(spl)])
+    for cache in bank.caches[:spl]:
+        cache.set_partition({0: 2, 1: 2})
+    addrs, writes = random_stream(rng, 16, 4, 300, 0.4)
+    idx = rng.integers(0, spl, size=300).astype(np.int64)
+    assert bank.access_many_grouped(idx + spl, addrs, writes) is None
+    out = bank.access_many_grouped(idx + spl, addrs, writes,
+                                   lanes=[(spl, 2 * spl)])
+    ref_out = solo.access_many_grouped(idx, addrs, writes)
+    assert out is not None and ref_out is not None
+    np.testing.assert_array_equal(ref_out.hits, out.hits)
+    np.testing.assert_array_equal(ref_out.evicted_addr, out.evicted_addr)
+    for s in range(spl):
+        assert bank.caches[s].stats.accesses == 0
+        assert solo.caches[s].stats == bank.caches[spl + s].stats
+        assert final_state(solo.caches[s]) == \
+            final_state(bank.caches[spl + s])
+
+
 def test_flush_invalidate_probe_native_paths():
     rng = np.random.default_rng(29)
     config = make_config(12, 3)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache_bank(config)
     addrs, writes = random_stream(rng, 12, 3, 200, 0.5)
     reference_outcomes(ref, addrs, writes)
-    vec.access_many(addrs, writes)
+    bank_batch(bank, addrs, writes)
     for addr in addrs[:40]:
         assert ref.probe(int(addr)) == vec.probe(int(addr))
     assert ref.occupancy() == vec.occupancy()
@@ -317,11 +391,11 @@ def test_sectored_batches_match_reference(num_sets, assoc, write_frac):
     rng = np.random.default_rng(num_sets * 100 + assoc + int(write_frac * 10))
     config = make_config(num_sets, assoc, sectored=True, sectors_per_line=4)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache_bank(config)
     for n in (257, 64, 503):
         addrs, writes = random_stream(rng, num_sets, assoc, n, write_frac)
         ref_out = reference_outcomes(ref, addrs, writes)
-        vec_out = vec.access_many(addrs, writes)
+        vec_out = bank_batch(bank, addrs, writes)
         assert vec_out.sector_miss is not None
         assert_identical(ref_out, vec_out, ref, vec)
     assert ref.stats.sector_misses == vec.stats.sector_misses
@@ -343,10 +417,10 @@ def test_sector_miss_on_tag_hit():
         assert cache.stats.sector_misses == 1
         assert cache.stats.fills == 1  # sector miss does not refill
     # And the same sequence through the batch path.
-    vec = VectorCache(config, "vec2")
-    out = vec.access_many(np.array([0, 0, 2 * sector], dtype=np.int64),
-                          np.array([False, True, False]))
-    assert out.sector_miss is not None
+    bank, vec = one_cache_bank(config)
+    out = bank_batch(bank, np.array([0, 0, 2 * sector], dtype=np.int64),
+                     np.array([False, True, False]))
+    assert out is not None and out.sector_miss is not None
     np.testing.assert_array_equal(out.hits, [False, True, False])
     np.testing.assert_array_equal(out.sector_miss, [False, False, True])
     assert vec.stats.sector_misses == 1 and vec.stats.fills == 1
@@ -357,7 +431,7 @@ def test_sectored_partitioned_with_scalar_interludes():
     rng = np.random.default_rng(43)
     config = make_config(16, 4, sectored=True, sectors_per_line=2)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache_bank(config)
     ref.set_partition({0: 3, 1: 1})
     vec.set_partition({0: 3, 1: 1})
     for round_ in range(3):
@@ -365,7 +439,7 @@ def test_sectored_partitioned_with_scalar_interludes():
             addrs, writes = random_stream(rng, 16, 4, 150, 0.3)
             assert_identical(
                 reference_outcomes(ref, addrs, writes, partition=partition),
-                vec.access_many(addrs, writes, partition=partition),
+                bank_batch(bank, addrs, writes, partition=partition),
                 ref, vec)
         addrs, writes = random_stream(rng, 16, 4, 30, 0.3)
         for i in range(len(addrs)):
@@ -378,19 +452,22 @@ def test_sectored_partitioned_with_scalar_interludes():
 
 
 def test_scalar_fallback_counts_partition_full_misses():
-    """Regression: `_access_many_scalar` must count PartitionFullError
-    accesses as misses without fills, exactly like the scalar model."""
+    """Regression: the scalar loop the serial engine runs for a stream
+    the bank declines must count PartitionFullError accesses as misses
+    without fills, exactly like the scalar model."""
     config = make_config(8, 2, write_allocate=False)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache_bank(config)
     ref.set_partition({0: 2, 1: 0})
     vec.set_partition({0: 2, 1: 0})
     addrs = np.arange(6, dtype=np.int64) * LINE
     writes = np.zeros(6, dtype=bool)
-    # write_allocate=False routes access_many through the scalar fallback;
-    # reads to the zero-way partition raise PartitionFullError inside it.
+    # The bank declines no-write-allocate caches, so the stream takes
+    # the scalar loop; reads to the zero-way partition raise
+    # PartitionFullError inside it.
+    assert bank_batch(bank, addrs, writes, partition=1) is None
     ref_out = reference_outcomes(ref, addrs, writes, partition=1)
-    vec_out = vec.access_many(addrs, writes, partition=1)
+    vec_out = reference_outcomes(vec, addrs, writes, partition=1)
     np.testing.assert_array_equal(ref_out.hits, vec_out.hits)
     np.testing.assert_array_equal(ref_out.evicted_addr, vec_out.evicted_addr)
     assert not vec_out.hits.any()
@@ -516,10 +593,13 @@ def test_no_write_allocate_uses_scalar_path():
     rng = np.random.default_rng(31)
     config = make_config(16, 4, write_allocate=False)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache_bank(config)
     addrs, writes = random_stream(rng, 16, 4, 300, 0.6)
+    # The bank declines no-write-allocate caches; the serial engine's
+    # scalar loop resolves the stream instead.
+    assert bank_batch(bank, addrs, writes) is None
     assert_identical(reference_outcomes(ref, addrs, writes),
-                     vec.access_many(addrs, writes), ref, vec)
+                     reference_outcomes(vec, addrs, writes), ref, vec)
 
 
 # -- Shared reuse encodings (stacked lanes over one stream) -------------------

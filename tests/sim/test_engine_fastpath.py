@@ -4,15 +4,18 @@ The batched path must be *bit-identical* to the per-access path: same
 functional cache decisions, same resource charges, same latencies.  The
 tests compare ``RunStats.comparable_dict()`` (which excludes host-side
 telemetry such as wall clock and path counters) across several specs and
-every organization, and pin the fallback rules for configurations that
-need per-access side effects.
+every organization, and pin the fallback rules: runs the vector bank
+cannot host, and epochs it declines, take the serial engine.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.arch import baseline, with_coherence
+from repro.cache.vector import VectorBank
 from repro.sim import EngineParams
-from repro.sim.run import simulate
+from repro.sim.run import simulate, simulate_stacked
 from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
 
 SCALE = 1.0 / 64
@@ -38,6 +41,21 @@ SPECS = (
     spec("private-heavy", 0.1, 0.1, 0.8, preference="memory-side", seed=5),
     spec("false-sharing", 0.2, 0.6, 0.2, write_fraction=0.4, seed=23),
 )
+
+
+def oracle(bench, organization, config=None, params_kwargs=None):
+    """The serial engine over ``SetAssociativeCache`` slices."""
+    kwargs = dict(params_kwargs or {}, batched=False, vectorized=False)
+    return simulate(bench, organization, config=config, scale=SCALE,
+                    accesses_per_epoch=DENSITY, params=EngineParams(**kwargs))
+
+
+def llc_variant(**changes):
+    """The baseline system with ``changes`` applied to its LLC slices."""
+    config = baseline()
+    llc = dataclasses.replace(config.chip.llc_slice, **changes)
+    return config.with_updates(
+        chip=dataclasses.replace(config.chip, llc_slice=llc))
 
 
 def both_paths(bench, organization, config=None, params_kwargs=None):
@@ -69,14 +87,20 @@ class TestBitIdentical:
         assert serial.slow_epochs > 0
 
     def test_with_l1_modeled(self):
+        # L1s filter the probe stream per access, so both legs run the
+        # serial engine (over the vector bank's scalar operations); the
+        # oracle runs it over SetAssociativeCache.
         serial, batched = both_paths(SPECS[0], "memory-side",
                                      params_kwargs={"model_l1": True})
-        assert batched.fast_epochs > 0
+        assert batched.fast_epochs == 0
         assert batched.comparable_dict() == serial.comparable_dict()
+        assert batched.comparable_dict() == oracle(
+            SPECS[0], "memory-side",
+            params_kwargs={"model_l1": True}).comparable_dict()
 
 
 class TestVectorizedProbe:
-    """The vectorized tag-store kernel vs the bound-method probe loop."""
+    """The vectorized tag-store kernel vs the serial oracle."""
 
     @pytest.mark.parametrize("bench", SPECS, ids=lambda s: s.name)
     @pytest.mark.parametrize("organization", ("memory-side", "sm-side"))
@@ -85,6 +109,8 @@ class TestVectorizedProbe:
         serial = simulate(bench, organization, scale=SCALE,
                           accesses_per_epoch=DENSITY,
                           params=EngineParams(batched=False))
+        # batched=True, vectorized=False leaves no bank: the serial
+        # engine over SetAssociativeCache, i.e. the oracle.
         loop = simulate(bench, organization, scale=SCALE,
                         accesses_per_epoch=DENSITY,
                         params=EngineParams(batched=True, vectorized=False))
@@ -94,7 +120,7 @@ class TestVectorizedProbe:
         # Uniform single-stage organizations resolve every batched epoch
         # through the grouped stack-distance kernel.
         assert vec.vector_epochs > 0
-        assert loop.vector_epochs == 0
+        assert loop.fast_epochs == 0
         assert vec.comparable_dict() == loop.comparable_dict()
         assert vec.comparable_dict() == serial.comparable_dict()
 
@@ -103,7 +129,8 @@ class TestVectorizedProbe:
     def test_partitioned_orgs_stay_on_the_kernel(self, bench, organization):
         # Way-partitioned organizations resolve their two-stage epochs
         # through the staged vector solver; results stay identical to
-        # vectorized=False and no epoch demotes to the probe loop.
+        # the oracle (batched=True, vectorized=False: no bank, serial)
+        # and no epoch falls off the kernel.
         loop = simulate(bench, organization, scale=SCALE,
                         accesses_per_epoch=DENSITY,
                         params=EngineParams(batched=True, vectorized=False))
@@ -111,22 +138,24 @@ class TestVectorizedProbe:
                        accesses_per_epoch=DENSITY,
                        params=EngineParams(batched=True, vectorized=True))
         assert vec.vector_epochs > 0
+        assert vec.scalar_epochs == 0
         assert vec.demotions == 0
-        assert loop.scalar_epochs == loop.fast_epochs
-        assert loop.demotions == 0  # no bank attached -> not a demotion
+        assert loop.fast_epochs == 0
+        assert loop.demotions == 0
         assert vec.comparable_dict() == loop.comparable_dict()
 
-    def test_l1_modeling_takes_probe_loop(self):
-        # An L1 between the SMs and the LLC serializes the probe order,
-        # so the batch path declines and the loop runs instead.
+    def test_l1_modeling_takes_serial_path(self):
+        # An L1 between the SMs and the LLC filters the probe stream per
+        # access, so the run goes to the serial engine before any prep.
         vec = simulate(SPECS[0], "memory-side", scale=SCALE,
                        accesses_per_epoch=DENSITY,
                        params=EngineParams(batched=True, vectorized=True,
                                            model_l1=True))
-        assert vec.fast_epochs > 0
+        assert vec.fast_epochs == 0
+        assert vec.slow_epochs > 0
         assert vec.vector_epochs == 0
-        assert vec.scalar_epochs == vec.fast_epochs
-        assert vec.demotions == vec.fast_epochs
+        assert vec.scalar_epochs == 0
+        assert vec.demotions == 0
 
     def test_probe_seconds_recorded(self):
         vec = simulate(SPECS[0], "memory-side", scale=SCALE,
@@ -159,3 +188,93 @@ class TestFallbacks:
         serial, batched = both_paths(SPECS[0], "ladm")
         assert batched.fast_epochs == 0
         assert batched.comparable_dict() == serial.comparable_dict()
+
+
+def _declining(original, nth):
+    """Wrap a bank entry point so its ``nth`` call declines (``None``)
+    without touching the bank."""
+    seen = []
+
+    def entry(self, *args, **kwargs):
+        seen.append(None)
+        if len(seen) == nth:
+            return None
+        return original(self, *args, **kwargs)
+    return entry
+
+
+class TestBankDeclines:
+    """Every batched epoch goes to the vector bank or the serial oracle:
+    runs the bank cannot host take the serial engine outright, and an
+    epoch it declines at run time is resolved serially."""
+
+    @pytest.mark.parametrize("config,params_kwargs", [
+        (None, {"model_l1": True}),
+        (None, {"vectorized": False}),
+        (llc_variant(replacement="tree-plru"), {}),
+        (llc_variant(write_allocate=False), {}),
+    ], ids=["model-l1", "unvectorized", "tree-plru", "no-write-allocate"])
+    def test_unhostable_runs_take_the_serial_engine(self, config,
+                                                    params_kwargs):
+        stats = simulate(SPECS[0], "sac", config=config, scale=SCALE,
+                         accesses_per_epoch=DENSITY,
+                         params=EngineParams(batched=True, **params_kwargs))
+        assert stats.fast_epochs == 0
+        assert stats.slow_epochs > 0
+        assert stats.comparable_dict() == oracle(
+            SPECS[0], "sac", config=config,
+            params_kwargs=params_kwargs).comparable_dict()
+
+    @pytest.mark.parametrize("organization,entry,nth", [
+        # The second staged epoch of a partitioned run.
+        ("dynamic", "access_many_staged", 2),
+        # SAC's first profiling head, resolved inline on the grouped path.
+        ("sac", "access_many_grouped", 1),
+    ])
+    def test_declined_epoch_runs_serially(self, monkeypatch, organization,
+                                          entry, nth):
+        monkeypatch.setattr(VectorBank, entry,
+                            _declining(getattr(VectorBank, entry), nth))
+        stats = simulate(SPECS[0], organization, scale=SCALE,
+                         accesses_per_epoch=DENSITY,
+                         params=EngineParams())
+        assert stats.scalar_epochs == 1
+        assert stats.demotions == 1
+        assert stats.vector_epochs > 0
+        assert stats.fast_epochs == stats.vector_epochs + stats.scalar_epochs
+        assert stats.comparable_dict() == \
+            oracle(SPECS[0], organization).comparable_dict()
+
+    def test_declined_lane_of_a_stacked_sweep_runs_serially(self,
+                                                            monkeypatch):
+        orgs = list(ORGS)
+        lane = orgs.index("dynamic")
+        original = VectorBank.access_many_staged_shared
+        rounds = []
+
+        def declining(self, calls):
+            # Decline the dynamic lane's second shared staged round as
+            # the bank's gate would: that lane's call is never solved.
+            width = len(self.caches) // len(orgs)
+            target = [c.lane[0] == lane * width for c in calls]
+            if any(target):
+                rounds.append(None)
+                if len(rounds) == 2:
+                    kept = iter(original(self, [
+                        c for c, t in zip(calls, target) if not t]))
+                    return [None if t else next(kept) for t in target]
+            return original(self, calls)
+
+        monkeypatch.setattr(VectorBank, "access_many_staged_shared",
+                            declining)
+        result = simulate_stacked(SPECS[0], orgs, scale=SCALE,
+                                  accesses_per_epoch=DENSITY)
+        assert len(rounds) >= 2
+        assert result.telemetry.stacked_lanes == len(orgs)
+        for org, stats in zip(orgs, result.stats):
+            declined = 1 if org == "dynamic" else 0
+            assert stats.scalar_epochs == declined
+            assert stats.fast_epochs == \
+                stats.vector_epochs + stats.scalar_epochs
+            assert stats.comparable_dict() == \
+                oracle(SPECS[0], org).comparable_dict()
