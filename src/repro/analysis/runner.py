@@ -63,18 +63,13 @@ class RunnerTelemetry:
     memo_hits: int = 0
     disk_hits: int = 0
     disk_stores: int = 0
-    #: Batched epochs (summed over fresh simulations) that fell off the
-    #: vectorized probe kernel onto the per-access loop.
-    demotions: int = 0
+    #: Batched epochs (summed over fresh simulations) that the vector
+    #: bank declined and the serial engine resolved instead (see
+    #: ``RunStats.scalar_epochs``).
+    scalar_epochs: int = 0
     #: Wall seconds spent *inside* ``simulate``/``simulate_stacked``
     #: (per-lane simulator time, summed over fresh results).
     sim_seconds: float = 0.0
-    #: Phase breakdown of the fresh-simulation wall clock, summed over
-    #: the per-run ``RunStats`` buckets: tag-store solves vs the
-    #: accounting tail of batched epochs (see ``RunStats.solve_seconds``
-    #: / ``charge_seconds``).
-    solve_seconds: float = 0.0
-    charge_seconds: float = 0.0
     #: Whole-matrix wall clock of every ``run_matrix`` call, including
     #: cache-hit resolution and dispatch overhead.  Kept separate from
     #: ``sim_seconds`` because the two measure different things (the
@@ -112,16 +107,13 @@ class RunnerTelemetry:
                 f"{self.disk_hits} disk hits, {self.disk_stores} disk "
                 f"stores in {self.sim_seconds:.1f}s sim "
                 f"({self.matrix_seconds:.1f}s matrix)")
-        if self.solve_seconds or self.charge_seconds:
-            line += (f", {self.solve_seconds:.1f}s solve + "
-                     f"{self.charge_seconds:.1f}s charge")
         if self.stacked_groups:
             line += (f", {self.stacked_lanes} lanes stacked in "
                      f"{self.stacked_groups} groups")
             if self.stacked_fallbacks:
                 line += f" ({self.stacked_fallbacks} unstacked)"
-        if self.demotions:
-            line += f", {self.demotions} vector demotions"
+        if self.scalar_epochs:
+            line += f", {self.scalar_epochs} scalar epochs"
         if self.retries or self.timeouts or self.respawns:
             line += (f", {self.retries} retries / {self.timeouts} timeouts"
                      f" / {self.respawns} pool respawns")
@@ -264,7 +256,7 @@ def run(spec: BenchmarkSpec, organization: str,
                      accesses_per_epoch=accesses_per_epoch,
                      params=resolved_params)
     _TELEMETRY.simulated += 1
-    _TELEMETRY.demotions += stats.demotions
+    _TELEMETRY.scalar_epochs += stats.scalar_epochs
     _TELEMETRY.sim_seconds += time.perf_counter() - started
     if use_cache:
         _CACHE[key] = stats
@@ -477,10 +469,8 @@ def _install_single(spec: BenchmarkSpec, organization: str, stats: RunStats,
                     ) -> None:
     """Record one fresh per-pair result (telemetry + caches + results)."""
     _TELEMETRY.simulated += 1
-    _TELEMETRY.demotions += stats.demotions
+    _TELEMETRY.scalar_epochs += stats.scalar_epochs
     _TELEMETRY.sim_seconds += stats.wall_seconds
-    _TELEMETRY.solve_seconds += stats.solve_seconds
-    _TELEMETRY.charge_seconds += stats.charge_seconds
     _finish_pair(spec, organization, stats, config, scale,
                  accesses_per_epoch, params, disk_cache)
     results[(spec.name, organization)] = stats
@@ -507,9 +497,7 @@ def _install_stacked(spec: BenchmarkSpec, organizations: List[str],
     _TELEMETRY.sim_seconds += stacked.telemetry.wall_seconds
     for organization, stats in zip(organizations, stacked.stats):
         _TELEMETRY.simulated += 1
-        _TELEMETRY.demotions += stats.demotions
-        _TELEMETRY.solve_seconds += stats.solve_seconds
-        _TELEMETRY.charge_seconds += stats.charge_seconds
+        _TELEMETRY.scalar_epochs += stats.scalar_epochs
         _finish_pair(spec, organization, stats, config, scale,
                      accesses_per_epoch, params, disk_cache)
         results[(spec.name, organization)] = stats

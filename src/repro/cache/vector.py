@@ -76,7 +76,6 @@ exactly because the kernel is equivalent to replaying the chunk.
 
 from __future__ import annotations
 
-import time
 from typing import (
     Dict,
     Iterator,
@@ -1770,10 +1769,8 @@ class VectorBank:
         self.shared_encodings = 0
         self.shared_replays = 0
         #: Rounds resolved by one lane-major batched replay call (>= 2
-        #: lanes folded into a single kernel pass) and the wall seconds
-        #: spent inside replay kernel passes (host telemetry).
+        #: lanes folded into a single kernel pass; host telemetry).
         self.lane_batched_rounds = 0
-        self.replay_seconds = 0.0
 
     @property
     def set_replay_batches(self) -> int:
@@ -1895,7 +1892,6 @@ class VectorBank:
             batched = n > 0 and len(members) > 1 and \
                 len(set(lanes_lo)) == len(lanes_lo)
             ftags, fdirty, fcount, fsector, fstamp = store.flat()
-            t0 = time.perf_counter()
             if batched:
                 L = len(members)
                 lenc = _tile_encoding_lanes(enc, [lo * S
@@ -1945,7 +1941,6 @@ class VectorBank:
                     self.shared_replays += 1
                     results[k] = BatchResult(hits, ev_addr, ev_dirty,
                                              sm_out)
-            self.replay_seconds += time.perf_counter() - t0
             for k in members:
                 self._charge_lane_stats(ranges_of[k], calls[k].lane[0],
                                         calls[k].cache_idx, results[k])
@@ -2734,14 +2729,12 @@ class VectorBank:
             ed_v = np.zeros(L * m, dtype=bool)
             sm_v = np.zeros(L * m, dtype=bool) if fsector is not None \
                 else None
-            t0 = time.perf_counter()
             lenc = _tile_encoding_lanes(
                 enc, [plans[i].lo * S for i, _, _ in members])
             _replay_encoding_lanes(lenc, ftags, fdirty, fcount, geo,
                                    caps_v, h_v, ea_v, ed_v, ok=ok_v,
                                    sector=fsector, stamp=fstamp,
                                    stamp_vals=sv_v, sm_out=sm_v)
-            self.replay_seconds += time.perf_counter() - t0
             self.lane_batched_rounds += 1
             self.shared_replays += L
             for j, (i, ia2, okv) in enumerate(members):

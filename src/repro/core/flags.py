@@ -57,12 +57,6 @@ class EnvFlag:
 #: Every environment flag the package reads, alphabetical by name.
 FLAGS: Tuple[EnvFlag, ...] = (
     EnvFlag(
-        "REPRO_BENCH_SMOKE", "",
-        "Truthy: `benchmarks/test_throughput.py` asserts only "
-        "machine-independent checks (oracle equality, zero scalar "
-        "epochs, the stacked sweep's invocation and fallback gates) and "
-        "skips every rate floor."),
-    EnvFlag(
         "REPRO_CACHE_DIR", ".repro_cache",
         "Directory of the on-disk result cache; the CLI's `--cache-dir` "
         "overrides it per invocation."),

@@ -25,7 +25,6 @@ sharers in a directory and invalidates replicas on writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -464,11 +463,7 @@ class SimulationEngine:
                 probe = steps.send(outcome)
             except StopIteration:
                 return self.stats
-            started = perf_counter()
             outcome = probe.invoke()
-            elapsed = perf_counter() - started
-            self.stats.probe_seconds += elapsed
-            self.stats.solve_seconds += elapsed
 
     def run_steps(self, kernels: Iterable[KernelTrace],
                   benchmark: str = "") -> ProbeGen:
@@ -484,23 +479,16 @@ class SimulationEngine:
         """
         self.stats.benchmark = benchmark
         base_violations = _sanitize.report().count
+        # Only a bank holding exactly this engine's slices gives an
+        # interpreter-batch window that is this run's alone.  Lanes of a
+        # stacked driver interleave on one shared bank, so they report 0
+        # and the sweep total lives in StackedTelemetry.
         bank = self._llc_bank
-        if bank is not None:
-            base_rounds = bank.lane_batched_rounds
-            base_replay = bank.replay_seconds
-            base_set_replay = bank.set_replay_batches
-        # Trace synthesis happens lazily while this loop pulls kernels
-        # from the generator; bracket it so the probe/charge/other
-        # breakdown covers the full run wall time.
-        kernel_iter = iter(kernels)
-        while True:
-            pull_start = perf_counter()
-            try:
-                kernel = next(kernel_iter)
-            except StopIteration:
-                self.stats.other_seconds += perf_counter() - pull_start
-                break
-            self.stats.other_seconds += perf_counter() - pull_start
+        if bank is not None and \
+                len(bank.caches) != self.config.total_llc_slices:
+            bank = None
+        base_set_replay = bank.set_replay_batches if bank is not None else 0
+        for kernel in kernels:
             yield from self._run_kernel(kernel)
         self._finalize_allocation_stats()
         # Violations recorded while this lane ran (0 unless
@@ -509,41 +497,22 @@ class SimulationEngine:
         self.stats.sanitizer_violations = \
             _sanitize.report().count - base_violations
         if bank is not None:
-            # Kernel telemetry accrued while this lane ran.  On a
-            # standalone engine the bank is private so the deltas are
-            # exactly this run's; a stacked driver's lanes interleave on
-            # one shared bank, so there the per-lane windows overlap and
-            # the sweep-level truth lives in StackedTelemetry instead.
-            self.stats.lane_batched_rounds = \
-                bank.lane_batched_rounds - base_rounds
-            self.stats.replay_seconds = bank.replay_seconds - base_replay
             self.stats.set_replay_batches = \
                 bank.set_replay_batches - base_set_replay
 
     def _run_kernel(self, kernel: KernelTrace) -> ProbeGen:
-        # Organization hooks (begin/end epoch can repartition, the
-        # kernel tail flushes) are neither probes nor charges; bracket
-        # the segments between epoch bodies into other_seconds so the
-        # timing breakdown stays near-exhaustive.
-        seg_start = perf_counter()
         kstats = KernelStats(name=kernel.name)
         self.organization.begin_kernel(self, kernel.name)
         for index, epoch in enumerate(kernel.epochs):
             self.organization.begin_epoch(self, index)
             if self.organization.profiling:
                 head, tail = self._split_profile_window(epoch)
-                self.stats.other_seconds += perf_counter() - seg_start
                 yield from self._run_epoch(head, kstats)
-                seg_start = perf_counter()
                 self.organization.profile_boundary(self)
                 if tail is not None:
-                    self.stats.other_seconds += perf_counter() - seg_start
                     yield from self._run_epoch(tail, kstats)
-                    seg_start = perf_counter()
             else:
-                self.stats.other_seconds += perf_counter() - seg_start
                 yield from self._run_epoch(epoch, kstats)
-                seg_start = perf_counter()
             self.organization.end_epoch(self, index)
         self._sample_allocation(kstats.cycles)
         # Capture the mode the kernel actually ran in (and the coherence
@@ -560,7 +529,6 @@ class SimulationEngine:
             self._pending_cycles = 0.0
         kstats.reconfigured = kstats.reconfig_cycles > 0
         self.stats.merge_kernel(kstats)
-        self.stats.other_seconds += perf_counter() - seg_start
 
     def _split_profile_window(self, epoch: EpochTrace
                               ) -> Tuple[EpochTrace, Optional[EpochTrace]]:
@@ -729,15 +697,12 @@ class SimulationEngine:
         same code path serves both standalone runs (the driver in
         :meth:`run` invokes each probe immediately) and stacked runs
         (the driver batches co-resident lanes into one call).
-        ``probe_seconds`` here covers only this engine's local prep; the
-        driver adds the invocation time it attributes to this lane.
 
         An epoch the bank declines runs on :meth:`_run_epoch_serial`
         instead.  Nothing is charged before the bank call, and the page
         homes resolved here were allocated in first-touch order, so the
         serial rerun finds the same homes and counts nothing twice.
         """
-        prep_start = perf_counter()
         bank = self._llc_bank
         assert bank is not None
         params = self.params
@@ -782,10 +747,6 @@ class SimulationEngine:
         staged: Optional[StagedResult] = None
         base = self._bank_base
         lane = (base, base + config.total_llc_slices)
-        # Route/plan prep above is neither a probe nor a charge; book it
-        # under other_seconds so the breakdown stays near-exhaustive.
-        self.stats.other_seconds += perf_counter() - prep_start
-        probe_start = perf_counter()
         if uniform and st0_part[0] == UNPARTITIONED and st0_alloc[0]:
             probe = BankProbe(
                 bank=bank, kind="grouped", base=base, lane=lane,
@@ -797,11 +758,8 @@ class SimulationEngine:
                 # inline keeps the stacked driver's round alignment (and
                 # hence stream sharing) intact for the shared epochs.
                 batch = cast(Optional[BatchResult], probe.invoke())
-                self.stats.probe_seconds += perf_counter() - probe_start
             else:
-                self.stats.probe_seconds += perf_counter() - probe_start
                 batch = cast(Optional[BatchResult], (yield probe))
-            probe_start = perf_counter()
         if batch is not None:
             hs = np.where(batch.hits, np.int64(0), np.int64(-1))
         else:
@@ -820,24 +778,17 @@ class SimulationEngine:
                     # Same round-alignment rationale as the grouped
                     # branch above.
                     staged = cast(Optional[StagedResult], probe.invoke())
-                    self.stats.probe_seconds += perf_counter() - probe_start
                 else:
-                    self.stats.probe_seconds += perf_counter() - probe_start
                     staged = cast(Optional[StagedResult], (yield probe))
-                probe_start = perf_counter()
             if staged is None:
                 # The bank declined: resolve the whole epoch serially.
-                self.stats.probe_seconds += perf_counter() - probe_start
                 self.stats.scalar_epochs += 1
-                self.stats.demotions += 1
                 self._run_epoch_serial(epoch, kstats)
                 return
             hs = staged.hit_stage
         self.stats.vector_epochs += 1
-        self.stats.probe_seconds += perf_counter() - probe_start
 
         # Everything below is pure accounting over the recorded outcomes.
-        charge_start = perf_counter()
         # Every access probes its stage-0 slice.
         probed0 = np.ones(n, dtype=bool)
         kstats.accesses += n
@@ -930,7 +881,6 @@ class SimulationEngine:
             org.observe_batch(self, chips_np, addrs_np, homes_np,
                               slices_np, hs)
         self._settle_epoch(epoch, kstats)
-        self.stats.charge_seconds += perf_counter() - charge_start
 
     @staticmethod
     def _staged_shape_ok(plans: List[RoutePlan]) -> bool:

@@ -18,11 +18,11 @@ The engines expose their epochs through the
 :meth:`~repro.sim.engine.SimulationEngine.run_steps` generator — the
 exact control flow a standalone ``run()`` drives — so each lane's
 ``RunStats`` physics fields are bit-identical to its standalone
-``simulate()`` run; only host telemetry (wall clock, probe timing,
-stacked counters) differs.  Lanes the stacked path cannot host in a
-shared bank (mismatched geometry, non-LRU replacement, unvectorized
-params) still run in the same cooperative drive with their own bank and
-are counted as ``solo_lanes``.
+``simulate()`` run; only host telemetry (wall clock, stacked counters)
+differs.  Lanes the stacked path cannot host in a shared bank
+(mismatched geometry, non-LRU replacement, unvectorized params) still
+run in the same cooperative drive with their own bank and are counted
+as ``solo_lanes``.
 
 Fault containment: an exception raised by one lane mid-drive (or an
 armed ``lane.raise``/``kernel.solve_error`` fault site, see
@@ -81,8 +81,6 @@ class StackedTelemetry:
     banks: int = 0
     #: Successful vector-kernel calls issued by the driver.
     bank_invocations: int = 0
-    #: Wall seconds spent inside those calls.
-    probe_seconds: float = 0.0
     #: Whole co-run wall clock.
     wall_seconds: float = 0.0
     #: Reuse encodings built by shared bank calls (one per unique
@@ -91,13 +89,11 @@ class StackedTelemetry:
     shared_encodings: int = 0
     shared_replays: int = 0
     #: Rounds the shared banks resolved with one lane-major batched
-    #: replay call (>= 2 lanes folded into a single kernel pass), the
-    #: wall seconds spent inside replay kernel passes, and how many
-    #: times a bank fell back to the stream-order ``_SetReplay``
-    #: interpreter (0 when the vectorized drain covers every
-    #: repartition epoch).
+    #: replay call (>= 2 lanes folded into a single kernel pass), and
+    #: how many times any bank of the sweep (shared, or a solo lane's
+    #: own) fell back to the stream-order ``_SetReplay`` interpreter (0
+    #: when the vectorized drain covers every repartition epoch).
     lane_batched_rounds: int = 0
-    replay_seconds: float = 0.0
     set_replay_batches: int = 0
     #: Lane indices that faulted mid-drive and were re-run solo, and the
     #: subset whose re-run was demoted to the serial engine because the
@@ -298,8 +294,12 @@ def simulate_stacked(spec: BenchmarkSpec,
         telemetry.shared_encodings += bank.shared_encodings
         telemetry.shared_replays += bank.shared_replays
         telemetry.lane_batched_rounds += bank.lane_batched_rounds
-        telemetry.replay_seconds += bank.replay_seconds
         telemetry.set_replay_batches += bank.set_replay_batches
+    # Solo lanes own their bank and report their interpreter batches in
+    # their own stats; the sweep total counts them too.
+    telemetry.set_replay_batches += sum(
+        engine_of[i].stats.set_replay_batches
+        for i in primaries if i not in lane_bank)
 
     # Host wall clock is a co-run quantity; attribute it evenly across
     # all lanes (duplicates included — they ride the same wall) so the
@@ -386,7 +386,7 @@ def _drive(engines: Sequence[SimulationEngine],
             _retire(step)
         probes.append(probe)
     # The per-lane loops below are deliberate round bookkeeping —
-    # regrouping probe handles, charging stats, pumping generators —
+    # regrouping probe handles, counting stats, pumping generators —
     # a few dict/attr operations per lane per round.  The per-access
     # work all happens inside _invoke_group's one shared bank call.
     while True:
@@ -405,30 +405,24 @@ def _drive(engines: Sequence[SimulationEngine],
                 member_probes.append(probe)
             failed: Dict[int, BaseException] = {}
             try:
-                outcomes, elapsed, sids = _invoke_group(member_probes)
+                outcomes, sids = _invoke_group(member_probes)
             except Exception as group_error:
                 # The shared path faulted before touching bank state
                 # (the injected site fires pre-dispatch; a real fault
                 # mid-solve is raised by the kernel before results are
                 # committed).  Re-resolve each member alone to pin the
                 # failure on specific lanes; the rest keep their round.
-                outcomes, elapsed, failed = _solo_fallback(
+                outcomes, failed = _solo_fallback(
                     member_probes, group_error)
                 sids = None
-            # Lane-major round accounting: the per-lane charge shares
-            # and shared-stream verdicts are computed as vector gathers
-            # over the member axis, so the pump loop below only scatters
-            # precomputed scalars into each lane's RunStats.
+            # Lane-major round accounting: the shared-stream verdicts
+            # are computed as vector gathers over the member axis, so
+            # the pump loop below only scatters them into each lane's
+            # RunStats.
             resolved = np.array([o is not None  # repro: noqa(hot-loop)
                                  for o in outcomes], dtype=bool)
             if resolved.any():
                 telemetry.bank_invocations += 1
-            telemetry.probe_seconds += elapsed
-            sizes = np.array([p.addrs.shape[0]  # repro: noqa(hot-loop)
-                              for p in member_probes], dtype=np.int64)
-            total = int(sizes.sum())
-            shares = elapsed * sizes / total if total \
-                else np.zeros(len(members))
             shared = np.zeros(len(members), dtype=bool)
             if sids is not None:
                 sid_np = np.array(sids, dtype=np.int64)
@@ -446,9 +440,6 @@ def _drive(engines: Sequence[SimulationEngine],
                 stats.stacked_probe_calls += 1
                 if shared[pos]:
                     stats.stacked_shared_streams += 1
-                if total:
-                    stats.probe_seconds += float(shares[pos])
-                    stats.solve_seconds += float(shares[pos])
                 next_probe, error = _pump(
                     steps[i], outcome, engines[i].organization.name)
                 if error is not None:
@@ -459,8 +450,7 @@ def _drive(engines: Sequence[SimulationEngine],
 
 
 def _solo_fallback(probes: List[BankProbe], group_error: BaseException
-                   ) -> Tuple[List[ProbeOutcome], float,
-                              Dict[int, BaseException]]:
+                   ) -> Tuple[List[ProbeOutcome], Dict[int, BaseException]]:
     """Re-resolve each probe of a failed group call individually.
 
     Probes that still fail are reported (position -> error, with the
@@ -470,7 +460,6 @@ def _solo_fallback(probes: List[BankProbe], group_error: BaseException
     """
     outcomes: List[ProbeOutcome] = []
     failed: Dict[int, BaseException] = {}
-    started = perf_counter()
     for pos, probe in enumerate(probes):
         try:
             outcomes.append(probe.invoke())
@@ -478,7 +467,7 @@ def _solo_fallback(probes: List[BankProbe], group_error: BaseException
             error.__context__ = group_error
             outcomes.append(None)
             failed[pos] = error
-    return outcomes, perf_counter() - started, failed
+    return outcomes, failed
 
 
 def _arrays_equal(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
@@ -508,8 +497,7 @@ def _same_stream(a: BankProbe, b: BankProbe) -> bool:
 
 
 def _invoke_group(probes: List[BankProbe]
-                  ) -> Tuple[List[ProbeOutcome], float,
-                             Optional[List[int]]]:
+                  ) -> Tuple[List[ProbeOutcome], Optional[List[int]]]:
     """Resolve one (bank, kind) group with one shared-stream bank call.
 
     Member probes are labelled with stream ids (equal ids <=>
@@ -519,10 +507,8 @@ def _invoke_group(probes: List[BankProbe]
     lanes' epochs to the serial engine.  Returns the per-probe stream
     ids alongside the outcomes (``None`` for single-probe rounds).
     """
-    started = perf_counter()
     if len(probes) == 1:
-        outcome = probes[0].invoke()
-        return [outcome], perf_counter() - started, None
+        return [probes[0].invoke()], None
     # Armed kernel.solve_error sites fire here, *before* any bank call
     # touches shared state, so the driver's solo fallback can replay the
     # round from scratch.  (Single-probe rounds hit the same site inside
@@ -547,7 +533,7 @@ def _invoke_group(probes: List[BankProbe]
         gcalls = [GroupedLaneCall(p.lane, p.idx0, p.addrs, p.writes, sid)
                   for p, sid in zip(probes, sids)]
         outcomes = list(bank.access_many_grouped_shared(gcalls))
-        return outcomes, perf_counter() - started, sids
+        return outcomes, sids
     scalls: List[StagedLaneCall] = []
     for p, sid in zip(probes, sids):
         assert p.part0 is not None and p.two_stage is not None \
@@ -558,4 +544,4 @@ def _invoke_group(probes: List[BankProbe]
     staged_list = bank.access_many_staged_shared(scalls)
     outcomes = [p.localize(res)
                 for p, res in zip(probes, staged_list)]
-    return outcomes, perf_counter() - started, sids
+    return outcomes, sids

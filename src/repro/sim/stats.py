@@ -35,21 +35,14 @@ TELEMETRY_FIELDS = frozenset({
     "wall_seconds",
     "fast_epochs",
     "slow_epochs",
-    "probe_seconds",
-    "solve_seconds",
-    "charge_seconds",
     "vector_epochs",
     "scalar_epochs",
-    "demotions",
     "stacked_lanes",
     "stacked_probe_calls",
     "stacked_shared_streams",
     "lane_quarantined",
     "lane_demoted",
     "sanitizer_violations",
-    "lane_batched_rounds",
-    "replay_seconds",
-    "other_seconds",
     "set_replay_batches",
     # StackedTelemetry counters (repro/sim/stacked.py).
     "lanes",
@@ -59,6 +52,7 @@ TELEMETRY_FIELDS = frozenset({
     "bank_invocations",
     "shared_encodings",
     "shared_replays",
+    "lane_batched_rounds",
     "quarantined_lanes",
     "demoted_lanes",
 })
@@ -123,23 +117,12 @@ class RunStats:
     wall_seconds: float = 0.0
     fast_epochs: int = 0
     slow_epochs: int = 0
-    # Wall-clock spent in the cache-probe phase of batched epochs and how
-    # many of those epochs resolved via the vectorized tag-store kernel.
-    probe_seconds: float = 0.0
-    # Breakdown of the batched-epoch wall clock: ``solve_seconds`` is the
-    # subset of ``probe_seconds`` spent inside tag-store bank solves (the
-    # stack-distance kernel), ``charge_seconds`` is the accounting tail of
-    # each batched epoch (traffic/latency charging after the probe phase).
-    # Serial epochs sit outside both buckets.
-    solve_seconds: float = 0.0
-    charge_seconds: float = 0.0
+    # Batched epochs resolved via the vectorized tag-store kernel.
     vector_epochs: int = 0
     # Batched epochs the bank declined, resolved on the serial path
     # instead (fast_epochs == vector_epochs + scalar_epochs), so a config
-    # silently falling off the vector path shows up here.  ``demotions``
-    # counts the same epochs.
+    # silently falling off the vector path shows up here.
     scalar_epochs: int = 0
-    demotions: int = 0
     # Stacked-run telemetry: how many lanes shared this run's tag store
     # (0 for standalone runs and for lanes the stacked driver hosted in
     # their own bank), and how many driver-side bank invocations this
@@ -161,20 +144,11 @@ class RunStats:
     # ``repro.core.sanitize``).  A nonzero count survives even when the
     # raising ``SanitizerError`` was absorbed by a containment layer.
     sanitizer_violations: int = 0
-    # Lane-batched replay telemetry: rounds in which this lane's replay
-    # was fused into one lane-major kernel call with other same-stream
-    # lanes, and wall-clock spent inside replay kernel passes this run
-    # attributed to this lane (a subset of ``solve_seconds``).
-    lane_batched_rounds: int = 0
-    replay_seconds: float = 0.0
-    # Wall-clock of the batched-epoch pipeline that the
-    # probe/solve/charge brackets did not capture (directly measured,
-    # not a computed residual) — the timing-breakdown invariant bounds
-    # this at 5% of the run.
-    other_seconds: float = 0.0
     # Epochs (or row batches) that demoted rows to the stream-order
     # ``_SetReplay`` interpreter; stays 0 when the vectorized
-    # over-allotment drain covers every repartition epoch.
+    # over-allotment drain covers every repartition epoch.  Counted only
+    # when this run owned its bank: lanes sharing a stacked bank report
+    # 0 and the sweep total is ``StackedTelemetry.set_replay_batches``.
     set_replay_batches: int = 0
 
     @property
@@ -260,19 +234,12 @@ class RunStats:
             "slow_epochs": self.slow_epochs,
             "vector_epochs": self.vector_epochs,
             "scalar_epochs": self.scalar_epochs,
-            "demotions": self.demotions,
-            "probe_seconds": self.probe_seconds,
-            "solve_seconds": self.solve_seconds,
-            "charge_seconds": self.charge_seconds,
             "stacked_lanes": self.stacked_lanes,
             "stacked_probe_calls": self.stacked_probe_calls,
             "stacked_shared_streams": self.stacked_shared_streams,
             "lane_quarantined": self.lane_quarantined,
             "lane_demoted": self.lane_demoted,
             "sanitizer_violations": self.sanitizer_violations,
-            "lane_batched_rounds": self.lane_batched_rounds,
-            "replay_seconds": self.replay_seconds,
-            "other_seconds": self.other_seconds,
             "set_replay_batches": self.set_replay_batches,
         }
 

@@ -17,6 +17,7 @@ from repro.cache.vector import VectorBank
 from repro.sim import EngineParams
 from repro.sim.run import simulate, simulate_stacked
 from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
+from repro.workloads.suite import get
 
 SCALE = 1.0 / 64
 DENSITY = 512
@@ -41,6 +42,10 @@ SPECS = (
     spec("private-heavy", 0.1, 0.1, 0.8, preference="memory-side", seed=5),
     spec("false-sharing", 0.2, 0.6, 0.2, write_fraction=0.4, seed=23),
 )
+
+#: The synthetic specs plus the paper's first benchmark, so the
+#: five-organization vector-vs-oracle check also covers a suite input.
+KERNEL_SPECS = SPECS + (get("RN"),)
 
 
 def oracle(bench, organization, config=None, params_kwargs=None):
@@ -102,7 +107,7 @@ class TestBitIdentical:
 class TestVectorizedProbe:
     """The vectorized tag-store kernel vs the serial oracle."""
 
-    @pytest.mark.parametrize("bench", SPECS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("bench", KERNEL_SPECS, ids=lambda s: s.name)
     @pytest.mark.parametrize("organization", ("memory-side", "sm-side"))
     def test_vector_kernel_matches_loop_and_serial(self, bench,
                                                    organization):
@@ -120,11 +125,12 @@ class TestVectorizedProbe:
         # Uniform single-stage organizations resolve every batched epoch
         # through the grouped stack-distance kernel.
         assert vec.vector_epochs > 0
+        assert vec.scalar_epochs == 0
         assert loop.fast_epochs == 0
         assert vec.comparable_dict() == loop.comparable_dict()
         assert vec.comparable_dict() == serial.comparable_dict()
 
-    @pytest.mark.parametrize("bench", SPECS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("bench", KERNEL_SPECS, ids=lambda s: s.name)
     @pytest.mark.parametrize("organization", ("static", "dynamic", "sac"))
     def test_partitioned_orgs_stay_on_the_kernel(self, bench, organization):
         # Way-partitioned organizations resolve their two-stage epochs
@@ -139,9 +145,7 @@ class TestVectorizedProbe:
                        params=EngineParams(batched=True, vectorized=True))
         assert vec.vector_epochs > 0
         assert vec.scalar_epochs == 0
-        assert vec.demotions == 0
         assert loop.fast_epochs == 0
-        assert loop.demotions == 0
         assert vec.comparable_dict() == loop.comparable_dict()
 
     def test_l1_modeling_takes_serial_path(self):
@@ -155,14 +159,6 @@ class TestVectorizedProbe:
         assert vec.slow_epochs > 0
         assert vec.vector_epochs == 0
         assert vec.scalar_epochs == 0
-        assert vec.demotions == 0
-
-    def test_probe_seconds_recorded(self):
-        vec = simulate(SPECS[0], "memory-side", scale=SCALE,
-                       accesses_per_epoch=DENSITY,
-                       params=EngineParams(batched=True, vectorized=True))
-        assert vec.probe_seconds > 0.0
-        assert "probe_seconds" not in vec.comparable_dict()
 
 
 class TestFallbacks:
@@ -239,7 +235,6 @@ class TestBankDeclines:
                          accesses_per_epoch=DENSITY,
                          params=EngineParams())
         assert stats.scalar_epochs == 1
-        assert stats.demotions == 1
         assert stats.vector_epochs > 0
         assert stats.fast_epochs == stats.vector_epochs + stats.scalar_epochs
         assert stats.comparable_dict() == \
