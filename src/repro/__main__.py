@@ -15,6 +15,7 @@ import sys
 from typing import List, Optional
 import time
 
+from .analysis.diskcache import DEFAULT_CACHE_DIR
 from .experiments import REGISTRY
 
 
@@ -33,9 +34,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="simulate matrix pairs across N worker "
                              "processes (default: REPRO_JOBS env, else 1)")
     parser.add_argument("--cache-dir", metavar="PATH", nargs="?",
-                        const=".repro_cache", default=None,
+                        const=DEFAULT_CACHE_DIR, default=None,
                         help="persist results under PATH so repeated runs "
-                             "skip simulation (default path: .repro_cache)")
+                             "skip simulation (default path: "
+                             f"{DEFAULT_CACHE_DIR})")
     parser.add_argument("--task-timeout", type=float, metavar="SECONDS",
                         help="wall-clock ceiling per matrix worker task "
                              "(default: REPRO_TASK_TIMEOUT env, else none)")

@@ -64,13 +64,9 @@ def schema_token() -> str:
     return hashlib.sha256(
         ";".join(parts).encode("utf-8")).hexdigest()[:16]
 
-#: Default cache root (relative to the working directory), overridable
-#: with the ``REPRO_CACHE_DIR`` environment variable.
+#: Cache root (relative to the working directory) of the CLI's bare
+#: ``--cache-dir``.
 DEFAULT_CACHE_DIR = ".repro_cache"
-
-
-def default_cache_root() -> Path:
-    return Path(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
 
 
 def _encode(value: object) -> object:
@@ -119,8 +115,8 @@ def content_key(**parts: object) -> str:
 class ResultCache:
     """Content-addressed on-disk store for :class:`RunStats` payloads."""
 
-    def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
-        self.root = Path(root) if root is not None else default_cache_root()
+    def __init__(self, root: Union[str, Path]) -> None:
+        self.root = Path(root)
         self.version_dir = self.root / f"v{SCHEMA_VERSION}"
         # Quarantine lives beside (not under) the version dir so stale
         # schema eviction and ``clear()`` leave the forensics alone.

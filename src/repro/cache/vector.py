@@ -8,10 +8,12 @@ epoch across every (chip, slice) pair with a single kernel invocation
 (:meth:`VectorBank.access_many_grouped` for uniform single-stage
 epochs, :meth:`VectorBank.access_many_staged` for the partitioned
 two-stage lookup plans of the static/dynamic/SAC organizations).  Each
-slice is a :class:`VectorCache`: a drop-in
-:class:`SetAssociativeCache` view of its rows that serves the scalar
-operations (``access``/``fill``, flushes, invalidations, queries) the
-serial engine and the organizations use.
+slice is a :class:`VectorCache`: the state view of its rows that the
+organizations repartition, the engine drains at kernel boundaries and
+the differential tests compare against :class:`SetAssociativeCache`,
+plus the scalar ``access``/``fill`` the serial engine runs for an
+epoch the bank declines.  A run that cannot take the vector path never
+builds a bank: it runs on :class:`SetAssociativeCache` slices.
 
 The batch kernel is *bit-identical* to :class:`SetAssociativeCache`
 for every configuration it covers — true-LRU, write-allocate,
@@ -37,13 +39,12 @@ A partition occupying more ways than its current allotment (after
 path: the growing slots' fills drain the over-full slot's LRU lines
 one at a time, with the kernel run in passes between drains — in
 either direction of the two-stage phase split, the mirrored one via a
-fixed point (see :meth:`VectorBank._mirror_drains`).  What the drain
-model cannot describe — a batch whose tag is resident in a
-*different* slot, a zero-way over slot — is *replayed*: a
-stream-order interpreter (:class:`_SetReplay`) resolves just those
-sets with exact scalar semantics and writes the state back into the
-arrays.  No scalar delegate object exists; scalar ``access``/``fill``
-calls are served natively from the arrays.
+fixed point (see :meth:`VectorBank._mirror_drains`).  An epoch that
+probes a row the drain model cannot describe — a tag resident in a
+*different* slot, a zero-way over slot — is declined whole, before
+any state changes, and the engine reruns it serially.  Scalar
+``access``/``fill`` calls apply exact scalar semantics to one set at a
+time (:class:`_SetReplay`) and write it back into the arrays.
 
 How the kernel works (per set, over the batch's accesses in order):
 
@@ -446,8 +447,9 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
     return BatchResult(hits, ev_addr, ev_dirty, sm_out)
 
 
-def _replay_encoding(enc: _StreamEncoding, tags: np.ndarray,
-                     dirty: np.ndarray, count: np.ndarray, geo: _Geometry,
+def _replay_encoding(enc: Union[_StreamEncoding, _LaneEncoding],
+                     tags: np.ndarray, dirty: np.ndarray,
+                     count: np.ndarray, geo: _Geometry,
                      row_offset: int, caps: Union[int, np.ndarray],
                      hits: np.ndarray, ev_addr: np.ndarray,
                      ev_dirty: np.ndarray,
@@ -462,10 +464,13 @@ def _replay_encoding(enc: _StreamEncoding, tags: np.ndarray,
     encoding's stream-local rows into the lane's rows of the state
     arrays.  ``caps`` is a scalar or per-access capacity vector
     (constant within each row); ``ok`` optionally masks accesses whose
-    rows this lane must not resolve (flagged sets routed to replay,
+    rows this pass must not resolve (rows running in drain passes,
     zero-way partitions) — masked groups produce no output and no
     state writes.  Outputs land in ``hits``/``ev_addr``/``ev_dirty``
-    (and ``sm_out``) at the encoding's stream positions.
+    (and ``sm_out``) at the encoding's stream positions.  A tiled
+    :class:`_LaneEncoding` replays every lane at once at offset zero
+    (its rows carry the lane offsets); its per-access inputs and
+    outputs are lane-major.
     """
     for bk in enc.buckets:
         ngroups = bk.rows_l.size
@@ -490,11 +495,11 @@ class _LaneEncoding(NamedTuple):
     per-group table gains ``lanes`` copies whose group ids, bucket
     positions and stream positions are offset per lane, and whose rows
     carry each lane's absolute row offset baked in.  One
-    :func:`_replay_encoding_lanes` call over the folded buckets then
-    resolves all lanes' verdicts and state writes at once —
-    bit-identical to ``lanes`` sequential :func:`_replay_encoding`
-    calls, because the kernel's histograms, chains and verdicts are
-    strictly per-group and lanes own disjoint store rows.
+    :func:`_replay_encoding` call over the folded buckets (at row
+    offset zero) then resolves all lanes' verdicts and state writes at
+    once — bit-identical to ``lanes`` sequential per-lane calls,
+    because the kernel's histograms, chains and verdicts are strictly
+    per-group and lanes own disjoint store rows.
     """
 
     lanes: int
@@ -548,41 +553,6 @@ def _tile_encoding_lanes(enc: _StreamEncoding,
         # per-stream encoding the tiling derives from.
         _sanitize.freeze(lenc)
     return lenc
-
-
-def _replay_encoding_lanes(lenc: _LaneEncoding, tags: np.ndarray,
-                           dirty: np.ndarray, count: np.ndarray,
-                           geo: _Geometry,
-                           caps: Union[int, np.ndarray],
-                           hits: np.ndarray, ev_addr: np.ndarray,
-                           ev_dirty: np.ndarray,
-                           ok: Optional[np.ndarray] = None,
-                           sector: Optional[np.ndarray] = None,
-                           stamp: Optional[np.ndarray] = None,
-                           stamp_vals: Optional[np.ndarray] = None,
-                           sm_out: Optional[np.ndarray] = None) -> None:
-    """Replay all lanes of a tiled encoding in one batched kernel pass.
-
-    ``caps``/``ok``/``stamp_vals`` and the output arrays are lane-major
-    (``lanes * n`` long, lane ``k`` at ``[k * n, (k + 1) * n)``); row
-    offsets are already baked into the tiled buckets, so the replay
-    runs at offset zero.  Bit-identical per lane to ``lanes``
-    sequential :func:`_replay_encoding` calls.
-    """
-    for bk in lenc.buckets:
-        ngroups = bk.rows_l.size
-        if isinstance(caps, np.ndarray):
-            capg = np.zeros(ngroups, dtype=np.int64)
-            capg[bk.gl] = caps[bk.idx]
-        else:
-            capg = np.full(ngroups, int(caps), dtype=np.int64)
-        okg: Optional[np.ndarray] = None
-        if ok is not None:
-            okg = np.zeros(ngroups, dtype=bool)
-            okg[bk.gl] = ok[bk.idx]
-        _replay_bucket(bk, tags, dirty, count, geo, 0, capg,
-                       okg, hits, ev_addr, ev_dirty, sector, stamp,
-                       stamp_vals, sm_out)
 
 
 def _replay_bucket(bk: _BucketEncoding, tags: np.ndarray,
@@ -964,7 +934,7 @@ class _MirrorDrains(NamedTuple):
     ``pass_of`` their drain counts; every other stage-0 probe takes the
     ordinary phase-1 pass.  The drains themselves are the under slots'
     growth fills past each row's free ways: stream position of the
-    draining phase-3 access, over-slot kernel row and drain index
+    draining phase-2 access, over-slot kernel row and drain index
     within the row.
     """
 
@@ -977,14 +947,14 @@ class _MirrorDrains(NamedTuple):
 
 
 class _StagedPlan(NamedTuple):
-    """One lane's staged epoch, decomposed into row-disjoint phases.
+    """One lane's staged epoch, decomposed into two row-disjoint phases.
 
     ``krow0``/``krow1`` are lane-local kernel rows (the lane's cache
     offset applies as a row offset of ``lo * S``); ``idx0a``/``idx1a``
     are absolute cache indices.  ``drains`` marks the (cache, set) rows
-    whose over slot is probed in phase 3 (drained by phase-1 growth
+    whose over slot is probed in phase 2 (drained by phase-1 growth
     fills); ``mirror`` schedules the rows whose over slot is probed in
-    phase 1 (drained by phase-3 growth fills).
+    phase 1 (drained by phase-2 growth fills).
     """
 
     k: int
@@ -1000,7 +970,6 @@ class _StagedPlan(NamedTuple):
     cap1: np.ndarray
     krow0: np.ndarray
     krow1: np.ndarray
-    replay: np.ndarray
     drains: Optional[np.ndarray]
     mirror: Optional[_MirrorDrains]
 
@@ -1036,10 +1005,6 @@ class _SlotStore:
         #: first time multi-slot state needs a cross-slot LRU order.
         self.stamp: Optional[np.ndarray] = None
         self.clock = 0
-        #: Batch-path uses of the :class:`_SetReplay` interpreter
-        #: (scalar ``access``/``fill`` calls are not counted: they are
-        #: legitimate single-probe uses, not kernel demotions).
-        self.set_replay_batches = 0
         #: slot index -> partition id (slot 0 is always UNPARTITIONED).
         self.slot_ids: List[int] = [UNPARTITIONED]
         #: partition id -> slot index.
@@ -1107,44 +1072,30 @@ class _SlotStore:
 
 
 class _SetReplay:
-    """Stream-order interpreter for sets the kernel cannot solve.
+    """Exact scalar semantics for one set of one bank slice.
 
-    Materializes each touched set as one LRU -> MRU list of
+    Materializes the set as one LRU -> MRU list of
     ``[tag, dirty, sector_mask, partition, stamp]`` entries merged
-    across every slot (by stamp), replays accesses with exact scalar
-    semantics (:class:`SetAssociativeCache`), and writes the state
-    back per slot.  Used for the rows the staged drain model rules out
-    (cross-slot tag aliases, zero-way over slots) and for scalar
-    ``access``/``fill`` calls on multi-slot state.
+    across every slot (by stamp), applies one scalar access or fill
+    exactly as :class:`SetAssociativeCache` would, and writes the set
+    back per slot.  It serves :meth:`VectorCache.access` and
+    :meth:`VectorCache.fill`.
     """
 
-    def __init__(self, store: _SlotStore, geo: _Geometry) -> None:
-        assert store.stamp is not None
-        self._store = store
-        self._geo = geo
-        self._rows: Dict[Tuple[int, int], List[List[int]]] = {}
-        # Per-row lookup accelerators kept in lockstep with the LRU
-        # list: tag -> entries in LRU order (cross-slot aliases give a
-        # tag more than one entry) and partition -> resident count.
-        self._by_tag: Dict[Tuple[int, int], Dict[int, List[List[int]]]] = {}
-        self._occ: Dict[Tuple[int, int], Dict[int, int]] = {}
-
-    def _load(self, ci: int, index: int
-              ) -> Tuple[List[List[int]], Dict[int, List[List[int]]],
-                         Dict[int, int]]:
-        key = (ci, index)
-        entries = self._rows.get(key)
-        if entries is not None:
-            return entries, self._by_tag[key], self._occ[key]
-        store = self._store
-        sector = store.sector
+    def __init__(self, store: _SlotStore, geo: _Geometry, ci: int,
+                 index: int) -> None:
+        store.ensure_stamps()
         stamp = store.stamp
         assert stamp is not None
-        entries = []
+        sector = store.sector
+        self._store = store
+        self._geo = geo
+        self._ci = ci
+        self._index = index
+        entries: List[List[int]] = []
         for s in range(store.num_slots):
-            cnt = int(store.count[s, ci, index])
             pid = store.slot_ids[s]
-            for k in range(cnt):
+            for k in range(int(store.count[s, ci, index])):
                 entries.append([
                     int(store.tags[s, ci, index, k]),
                     int(store.dirty[s, ci, index, k]),
@@ -1153,160 +1104,123 @@ class _SetReplay:
                     pid,
                     int(stamp[s, ci, index, k])])
         entries.sort(key=lambda e: e[4])
-        by_tag: Dict[int, List[List[int]]] = {}
-        occ: Dict[int, int] = {}
-        for e in entries:
-            by_tag.setdefault(e[0], []).append(e)
-            occ[e[3]] = occ.get(e[3], 0) + 1
-        self._rows[key] = entries
-        self._by_tag[key] = by_tag
-        self._occ[key] = occ
-        return entries, by_tag, occ
+        self._entries = entries
 
-    def touch(self, ci: int, index: int, tag: int, is_write: bool,
-              partition: int, allocate: bool, sector_idx: int,
+    def _find(self, tag: int) -> Optional[List[int]]:
+        # A tag resident in several slots matches its LRU-most entry.
+        return next((e for e in self._entries if e[0] == tag), None)
+
+    def _touch_line(self, e: List[int], is_write: bool, stamp: int) -> None:
+        if is_write and self._geo.write_back:
+            e[1] = 1
+        e[4] = stamp
+        self._entries.remove(e)
+        self._entries.append(e)
+
+    def touch(self, tag: int, is_write: bool, partition: int,
+              allocate: bool, sector_idx: int,
               ways: Optional[Dict[int, int]], stamp: int
               ) -> Tuple[bool, bool, bool, int, int]:
         """One scalar access; returns (hit, sector_miss, filled,
         evicted_addr or -1, evicted_dirty)."""
         geo = self._geo
-        entries, by_tag, occ = self._load(ci, index)
-        bucket = by_tag.get(tag)
-        if bucket:
-            # Aliased tags keep one entry per slot; the match is the
-            # LRU-most (bucket order mirrors the LRU list).
-            e = bucket[0]
+        e = self._find(tag)
+        if e is not None:
             sector_miss = False
             if geo.sectored and not e[2] >> sector_idx & 1:
                 sector_miss = True
                 e[2] |= 1 << sector_idx
-            if is_write and geo.write_back:
-                e[1] = 1
-            e[4] = stamp
-            entries.remove(e)
-            entries.append(e)
-            if len(bucket) > 1:
-                del bucket[0]
-                bucket.append(e)
+            self._touch_line(e, is_write, stamp)
             return (not sector_miss, sector_miss, False, -1, 0)
         if not allocate or (is_write and not geo.write_allocate):
             return (False, False, False, -1, 0)
-        return self._fill(entries, by_tag, occ, index, tag, is_write,
-                          partition, sector_idx, ways, stamp)
+        ev_addr, ev_dirty = self._fill(tag, is_write, partition,
+                                       sector_idx, ways, stamp)
+        return (False, False, True, ev_addr, ev_dirty)
 
-    def fill_touch(self, ci: int, index: int, tag: int, is_write: bool,
-                   partition: int, sector_idx: int,
-                   ways: Optional[Dict[int, int]], stamp: int
-                   ) -> Tuple[bool, bool, int, int]:
-        """Scalar ``fill`` semantics; returns (hit, filled,
-        evicted_addr or -1, evicted_dirty)."""
-        geo = self._geo
-        entries, by_tag, occ = self._load(ci, index)
-        bucket = by_tag.get(tag)
-        if bucket:
-            e = bucket[0]
-            if geo.sectored:
+    def fill_touch(self, tag: int, is_write: bool, partition: int,
+                   sector_idx: int, ways: Optional[Dict[int, int]],
+                   stamp: int) -> Tuple[bool, int, int]:
+        """Scalar ``fill`` semantics; returns (hit, evicted_addr or -1,
+        evicted_dirty)."""
+        e = self._find(tag)
+        if e is not None:
+            if self._geo.sectored:
                 e[2] |= 1 << sector_idx
-            if is_write and geo.write_back:
-                e[1] = 1
-            e[4] = stamp
-            entries.remove(e)
-            entries.append(e)
-            if len(bucket) > 1:
-                del bucket[0]
-                bucket.append(e)
-            return (True, False, -1, 0)
-        _, _, filled, ev_addr, ev_dirty = self._fill(
-            entries, by_tag, occ, index, tag, is_write, partition,
-            sector_idx, ways, stamp)
-        return (False, filled, ev_addr, ev_dirty)
+            self._touch_line(e, is_write, stamp)
+            return (True, -1, 0)
+        ev_addr, ev_dirty = self._fill(tag, is_write, partition,
+                                       sector_idx, ways, stamp)
+        return (False, ev_addr, ev_dirty)
 
-    def _fill(self, entries: List[List[int]],
-              by_tag: Dict[int, List[List[int]]], occ: Dict[int, int],
-              index: int, tag: int, is_write: bool, partition: int,
+    def _fill(self, tag: int, is_write: bool, partition: int,
               sector_idx: int, ways: Optional[Dict[int, int]], stamp: int
-              ) -> Tuple[bool, bool, bool, int, int]:
+              ) -> Tuple[int, int]:
         geo = self._geo
-        A = geo.associativity
+        entries = self._entries
         victim: Optional[int] = None
         if ways is None:
-            if len(entries) >= A:
+            if len(entries) >= geo.associativity:
                 victim = 0
         else:
             limit = ways.get(partition, 0)
             if limit == 0:
                 raise PartitionFullError(partition)
+            occ: Dict[int, int] = {}
+            for e in entries:
+                occ[e[3]] = occ.get(e[3], 0) + 1
             occupancy = occ.get(partition, 0)
-            if occupancy >= limit or len(entries) >= A:
-                if occupancy >= limit:
-                    victim = next(k for k, e in enumerate(entries)
-                                  if e[3] == partition)
-                else:
-                    over = {p for p, o in occ.items()
-                            if o > ways.get(p, 0)}
-                    victim = next(
-                        (k for k, e in enumerate(entries)
-                         if e[3] in over), 0)
+            if occupancy >= limit:
+                victim = next(k for k, e in enumerate(entries)
+                              if e[3] == partition)
+            elif len(entries) >= geo.associativity:
+                over = {p for p, o in occ.items() if o > ways.get(p, 0)}
+                victim = next((k for k, e in enumerate(entries)
+                               if e[3] in over), 0)
         ev_addr = -1
         ev_dirty = 0
         if victim is not None:
             ve = entries.pop(victim)
-            vb = by_tag[ve[0]]
-            vb.remove(ve)
-            if not vb:
-                del by_tag[ve[0]]
-            occ[ve[3]] -= 1
-            ev_addr = self._geo.rebuild_one(index, ve[0])
+            ev_addr = geo.rebuild_one(self._index, ve[0])
             ev_dirty = ve[1]
-        ne = [tag, int(is_write and geo.write_back),
-              1 << sector_idx if geo.sectored else 0, partition, stamp]
-        entries.append(ne)
-        by_tag.setdefault(tag, []).append(ne)
-        occ[partition] = occ.get(partition, 0) + 1
-        return (False, False, True, ev_addr, ev_dirty)
+        entries.append([tag, int(is_write and geo.write_back),
+                        1 << sector_idx if geo.sectored else 0, partition,
+                        stamp])
+        return ev_addr, ev_dirty
 
     def flush_back(self) -> None:
-        """Write every touched set back into the slot arrays."""
+        """Write the set back into the slot arrays."""
         store = self._store
-        for entries in self._rows.values():
-            for e in entries:
-                store.ensure_slot(e[3])
-        tags = store.tags
-        dirty = store.dirty
-        count = store.count
-        sector = store.sector
+        for e in self._entries:
+            store.ensure_slot(e[3])
+        ci, index = self._ci, self._index
         stamp = store.stamp
         assert stamp is not None
-        num_slots = store.num_slots
-        for (ci, index), entries in self._rows.items():
-            per: Dict[int, List[List[int]]] = {}
-            for e in entries:
-                per.setdefault(store.slot_of[e[3]], []).append(e)
-            for s in range(num_slots):
-                lst = per.get(s)
-                if lst is None:
-                    count[s, ci, index] = 0
-                    continue
-                count[s, ci, index] = len(lst)
-                for k, e in enumerate(lst):
-                    tags[s, ci, index, k] = e[0]
-                    dirty[s, ci, index, k] = bool(e[1])
-                    if sector is not None:
-                        sector[s, ci, index, k] = e[2]
-                    stamp[s, ci, index, k] = e[4]
-        self._rows.clear()
-        self._by_tag.clear()
-        self._occ.clear()
+        per: Dict[int, List[List[int]]] = {}
+        for e in self._entries:
+            per.setdefault(store.slot_of[e[3]], []).append(e)
+        for s in range(store.num_slots):
+            lst = per.get(s, [])
+            store.count[s, ci, index] = len(lst)
+            for k, e in enumerate(lst):
+                store.tags[s, ci, index, k] = e[0]
+                store.dirty[s, ci, index, k] = bool(e[1])
+                if store.sector is not None:
+                    store.sector[s, ci, index, k] = e[2]
+                stamp[s, ci, index, k] = e[4]
+
 
 class VectorCache:
-    """Drop-in :class:`SetAssociativeCache` backed by slot-major arrays.
+    """One slice of a :class:`VectorBank`: a view of its rows.
 
-    One slice of a :class:`VectorBank` (a standalone instance owns a
-    one-cache store).  Its scalar operations — partitioned and
-    sectored included — are served natively from the array state:
-    single-slot sets straight on the arrays, multi-slot sets through
-    the :class:`_SetReplay` interpreter.  Batches go through the
-    bank's entry points.
+    The bank's kernel calls resolve its batches.  The slice itself
+    holds the way allotment (:meth:`set_partition`), the state view the
+    differential tests compare against :class:`SetAssociativeCache`
+    (``stats``, :meth:`resident_lines`, :meth:`resident_addrs`,
+    occupancy), :meth:`drain` for kernel-boundary flushes, and scalar
+    :meth:`access`/:meth:`fill` with exact scalar semantics — what the
+    serial engine runs for an epoch the bank declines.  A standalone
+    instance owns a one-cache store.
     """
 
     def __init__(self, config: CacheConfig, name: str = "cache",
@@ -1327,136 +1241,32 @@ class VectorCache:
         self._index = _index
         self._ways: Optional[Dict[int, int]] = None
 
-    # -- Address helpers -------------------------------------------------
-
-    def line_addr(self, addr: int) -> int:
-        return addr >> self._geo.line_shift << self._geo.line_shift
-
-    def _index_tag(self, addr: int) -> Tuple[int, int]:
+    def _set_of(self, addr: int) -> Tuple[_SetReplay, int, int]:
+        """The set ``addr`` maps to, its tag and sector index."""
         geo = self._geo
         line = addr >> geo.line_shift
         if geo.sets_pow2:
-            return line & geo.set_mask, line >> geo.index_bits
-        return line % geo.num_sets, line // geo.num_sets
+            index, tag = line & geo.set_mask, line >> geo.index_bits
+        else:
+            index, tag = line % geo.num_sets, line // geo.num_sets
+        sec_idx = geo.sector_of_one(addr) if geo.sectored else 0
+        rep = _SetReplay(self._store, geo, self._index, index)
+        return rep, tag, sec_idx
 
     # -- Scalar operations -----------------------------------------------
 
     def access(self, addr: int, is_write: bool = False,
                partition: int = UNPARTITIONED,
                allocate_on_miss: bool = True) -> AccessResult:
+        """Access byte ``addr`` with :class:`SetAssociativeCache`
+        semantics; fill on miss unless ``allocate_on_miss`` is False."""
         stats = self.stats
         stats.accesses += 1
-        geo = self._geo
         store = self._store
-        line = addr >> geo.line_shift
-        if geo.sets_pow2:
-            index = line & geo.set_mask
-            tag = line >> geo.index_bits
-        else:
-            index = line % geo.num_sets
-            tag = line // geo.num_sets
-        ci = self._index
-        if (self._ways is None and partition == UNPARTITIONED
-                and (store.num_slots == 1
-                     or not store.count[1:, ci, index].any())):
-            return self._access_direct(ci, index, tag, addr, is_write,
-                                       allocate_on_miss)
-        return self._access_interp(ci, index, tag, is_write, partition,
-                                   allocate_on_miss, addr)
-
-    def _access_direct(self, ci: int, index: int, tag: int, addr: int,
-                       is_write: bool, allocate: bool) -> AccessResult:
-        """Scalar probe of a slot-0-only set, straight on the arrays."""
-        geo = self._geo
-        store = self._store
-        stats = self.stats
-        trow = store.tags[0, ci, index]
-        drow = store.dirty[0, ci, index]
-        cnt = int(store.count[0, ci, index])
-        stamp = store.stamp
-        sector = store.sector
-        resident: List[int] = trow[:cnt].tolist()
-        try:
-            slot = resident.index(tag)
-        except ValueError:
-            slot = -1
-        if slot >= 0:
-            d = bool(drow[slot]) or (is_write and geo.write_back)
-            smask = int(sector[0, ci, index, slot]) \
-                if sector is not None else 0
-            if slot != cnt - 1:
-                trow[slot:cnt - 1] = trow[slot + 1:cnt].copy()
-                trow[cnt - 1] = tag
-                drow[slot:cnt - 1] = drow[slot + 1:cnt].copy()
-                if sector is not None:
-                    srow = sector[0, ci, index]
-                    srow[slot:cnt - 1] = srow[slot + 1:cnt].copy()
-                if stamp is not None:
-                    strow = stamp[0, ci, index]
-                    strow[slot:cnt - 1] = strow[slot + 1:cnt].copy()
-            drow[cnt - 1] = d
-            if stamp is not None:
-                stamp[0, ci, index, cnt - 1] = store.clock
-                store.clock += 1
-            if sector is not None:
-                sec_idx = geo.sector_of_one(addr)
-                if not smask >> sec_idx & 1:
-                    sector[0, ci, index, cnt - 1] = smask | (1 << sec_idx)
-                    stats.misses += 1
-                    stats.sector_misses += 1
-                    return _SECTOR_MISS
-                sector[0, ci, index, cnt - 1] = smask
-            stats.hits += 1
-            return _HIT
-        stats.misses += 1
-        if not allocate or (is_write and not geo.write_allocate):
-            return _MISS
-        ev_addr = -1
-        ev_dirty = False
-        if cnt < geo.associativity:
-            slot = cnt
-            store.count[0, ci, index] = cnt + 1
-        else:
-            ev_addr = geo.rebuild_one(index, int(trow[0]))
-            ev_dirty = bool(drow[0])
-            trow[0:cnt - 1] = trow[1:cnt].copy()
-            drow[0:cnt - 1] = drow[1:cnt].copy()
-            if sector is not None:
-                srow = sector[0, ci, index]
-                srow[0:cnt - 1] = srow[1:cnt].copy()
-            if stamp is not None:
-                strow = stamp[0, ci, index]
-                strow[0:cnt - 1] = strow[1:cnt].copy()
-            slot = cnt - 1
-        trow[slot] = tag
-        drow[slot] = is_write and geo.write_back
-        if sector is not None:
-            sector[0, ci, index, slot] = 1 << geo.sector_of_one(addr)
-        if stamp is not None:
-            stamp[0, ci, index, slot] = store.clock
-            store.clock += 1
-        stats.fills += 1
-        if ev_addr < 0:
-            return _MISS
-        stats.evictions += 1
-        if ev_dirty:
-            stats.dirty_evictions += 1
-        return AccessResult(hit=False, evicted_dirty=ev_dirty,
-                            evicted_addr=ev_addr)
-
-    def _access_interp(self, ci: int, index: int, tag: int,
-                       is_write: bool, partition: int, allocate: bool,
-                       addr: int) -> AccessResult:
-        """Scalar probe through the replay interpreter (multi-slot)."""
-        geo = self._geo
-        store = self._store
-        store.ensure_stamps()
-        stats = self.stats
-        rep = _SetReplay(store, geo)
-        sec_idx = geo.sector_of_one(addr) if geo.sectored else 0
+        rep, tag, sec_idx = self._set_of(addr)
         try:
             hit, sector_miss, filled, ev_addr, ev_dirty = rep.touch(
-                ci, index, tag, is_write, partition, allocate, sec_idx,
+                tag, is_write, partition, allocate_on_miss, sec_idx,
                 self._ways, store.clock)
         except PartitionFullError:
             stats.misses += 1
@@ -1483,27 +1293,21 @@ class VectorCache:
     def fill(self, addr: int, is_write: bool = False,
              partition: int = UNPARTITIONED) -> AccessResult:
         """Insert a line without counting a lookup (response-path fill)."""
-        geo = self._geo
-        store = self._store
-        store.ensure_stamps()
         stats = self.stats
-        index, tag = self._index_tag(addr)
-        rep = _SetReplay(store, geo)
-        sec_idx = geo.sector_of_one(addr) if geo.sectored else 0
-        hit, filled, ev_addr, ev_dirty = rep.fill_touch(
-            self._index, index, tag, is_write, partition, sec_idx,
-            self._ways, store.clock)
+        store = self._store
+        rep, tag, sec_idx = self._set_of(addr)
+        hit, ev_addr, ev_dirty = rep.fill_touch(
+            tag, is_write, partition, sec_idx, self._ways, store.clock)
         rep.flush_back()
         store.clock += 1
         if hit:
             return AccessResult(hit=True)
         evicted = ev_addr >= 0
-        if filled:
-            stats.fills += 1
-            if evicted:
-                stats.evictions += 1
-                if ev_dirty:
-                    stats.dirty_evictions += 1
+        stats.fills += 1
+        if evicted:
+            stats.evictions += 1
+            if ev_dirty:
+                stats.dirty_evictions += 1
         return AccessResult(hit=False, evicted_dirty=bool(ev_dirty),
                             evicted_addr=ev_addr if evicted else None)
 
@@ -1512,7 +1316,7 @@ class VectorCache:
     def set_partition(self, ways_by_partition: Optional[Dict[int, int]]
                       ) -> None:
         """Repartition in place: array state is untouched, over-full
-        partitions drain lazily through the replay path."""
+        partitions drain lazily as later fills evict their lines."""
         if ways_by_partition is None:
             self._ways = None
             return
@@ -1531,28 +1335,7 @@ class VectorCache:
             return None
         return dict(self._ways)
 
-    # -- Core queries ------------------------------------------------------
-
-    def probe(self, addr: int) -> bool:
-        """Check residency without updating LRU or stats."""
-        geo = self._geo
-        store = self._store
-        index, tag = self._index_tag(addr)
-        ci = self._index
-        for s in range(store.num_slots):
-            cnt = int(store.count[s, ci, index])
-            if not cnt:
-                continue
-            matches = np.flatnonzero(store.tags[s, ci, index, :cnt] == tag)
-            if matches.size:
-                if geo.sectored:
-                    assert store.sector is not None
-                    mask = int(store.sector[s, ci, index, int(matches[0])])
-                    return bool(mask >> geo.sector_of_one(addr) & 1)
-                return True
-        return False
-
-    # -- Flush / invalidate ----------------------------------------------
+    # -- Flush ------------------------------------------------------------
 
     def drain(self, partition: Optional[int] = None,
               dirty_only: bool = False) -> Tuple[np.ndarray, int, int]:
@@ -1615,40 +1398,6 @@ class VectorCache:
             dirty_addrs = np.empty(0, dtype=np.int64)
         return dirty_addrs, invalidated, ndirty
 
-    def flush(self) -> Tuple[int, int]:
-        _, invalidated, ndirty = self.drain()
-        return invalidated, ndirty
-
-    def invalidate(self, addr: int) -> bool:
-        store = self._store
-        index, tag = self._index_tag(addr)
-        ci = self._index
-        for s in range(store.num_slots):
-            cnt = int(store.count[s, ci, index])
-            if not cnt:
-                continue
-            matches = np.flatnonzero(store.tags[s, ci, index, :cnt] == tag)
-            if not matches.size:
-                continue
-            k = int(matches[0])
-            trow = store.tags[s, ci, index]
-            drow = store.dirty[s, ci, index]
-            trow[k:cnt - 1] = trow[k + 1:cnt].copy()
-            drow[k:cnt - 1] = drow[k + 1:cnt].copy()
-            if store.sector is not None:
-                srow = store.sector[s, ci, index]
-                srow[k:cnt - 1] = srow[k + 1:cnt].copy()
-            if store.stamp is not None:
-                strow = store.stamp[s, ci, index]
-                strow[k:cnt - 1] = strow[k + 1:cnt].copy()
-            store.count[s, ci, index] = cnt - 1
-            return True
-        return False
-
-    def invalidate_partition(self, partition: int) -> Tuple[int, int]:
-        _, invalidated, ndirty = self.drain(partition=partition)
-        return invalidated, ndirty
-
     # -- Introspection ----------------------------------------------------
 
     def occupancy(self) -> int:
@@ -1688,26 +1437,6 @@ class VectorCache:
                     sector_valid=int(sector[s, ci, index, k])
                     if sector is not None else 0)
 
-    def dirty_addrs(self) -> np.ndarray:
-        """Line addresses of every dirty resident line."""
-        geo = self._geo
-        store = self._store
-        ci = self._index
-        A = geo.associativity
-        parts: List[np.ndarray] = []
-        for s in range(store.num_slots):
-            cnt = store.count[s, ci]
-            if not cnt.any():
-                continue
-            live = np.arange(A, dtype=np.int64)[None, :] < cnt[:, None]
-            rows, slots = np.nonzero(store.dirty[s, ci] & live)
-            if rows.size:
-                parts.append(geo.rebuild(
-                    rows, store.tags[s, ci][rows, slots]))
-        if parts:
-            return np.concatenate(parts)
-        return np.empty(0, dtype=np.int64)
-
     def resident_addrs(self) -> np.ndarray:
         """Line addresses of every resident line."""
         geo = self._geo
@@ -1728,10 +1457,6 @@ class VectorCache:
             return np.concatenate(parts)
         return np.empty(0, dtype=np.int64)
 
-    def reset(self) -> None:
-        self._store.count[:, self._index] = 0
-        self.stats.reset()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"VectorCache(name={self.name!r}, "
                 f"size={self.config.size_bytes}, "
@@ -1739,22 +1464,24 @@ class VectorCache:
                 f"occupancy={self.occupancy()}, "
                 f"partitioned={self._ways is not None})")
 
+
 class VectorBank:
     """A stack of :class:`VectorCache` slices sharing one slot store.
 
-    The engine groups an epoch's accesses by flat cache index and
-    resolves them against the shared arrays in one kernel invocation:
+    The engine builds a bank only for runs that take the vector path;
+    it groups an epoch's accesses by flat cache index and resolves them
+    against the shared arrays in one kernel invocation:
     :meth:`access_many_grouped` for uniform single-stage epochs, and
     :meth:`access_many_staged` for partitioned two-stage route plans
     (static/dynamic/SAC's SM-side mode), which decomposes the epoch
-    into three row-disjoint phases — stage-0 kernel, stream-order
-    replay of flagged sets, then the stage-1 + single-stage kernel —
-    each exact because no row is touched by more than one phase.  Rows
-    left over-allotted by a repartition drain inside those phases.
-    Each entry point is the one-call case of the body its ``*_shared``
-    twin runs with one call per stacked lane.  An epoch either entry
-    point declines comes back ``None``; the engine resolves it
-    serially.
+    into two row-disjoint phases — the stage-0 kernel, then the
+    stage-1 + single-stage kernel — each exact because no row is
+    touched by both.  Rows left over-allotted by a repartition drain
+    inside those phases.  Each entry point is the one-call case of the
+    body its ``*_shared`` twin runs with one call per stacked lane.  An
+    epoch either entry point declines — including a staged epoch that
+    probes a row the drain model cannot describe — comes back ``None``
+    before any state changes; the engine resolves it serially.
     """
 
     def __init__(self, config: CacheConfig, names: Sequence[str]) -> None:
@@ -1771,11 +1498,6 @@ class VectorBank:
         #: Rounds resolved by one lane-major batched replay call (>= 2
         #: lanes folded into a single kernel pass; host telemetry).
         self.lane_batched_rounds = 0
-
-    @property
-    def set_replay_batches(self) -> int:
-        """Stream-order interpreter batches the shared store resolved."""
-        return self._store.set_replay_batches
 
     def access_many_grouped(self, cache_idx: np.ndarray, addrs: np.ndarray,
                             writes: np.ndarray,
@@ -1843,12 +1565,12 @@ class VectorBank:
         ``ranges_of`` holds the absolute cache ranges its gate and stats
         cover.  A standalone epoch is the one-call case (offset zero,
         the caller's ranges).  Same-stream lanes are folded into one
-        lane-major replay (:func:`_replay_encoding_lanes`): per round
-        the encoding pass runs once per unique stream and the replay
-        pass once per *stream group*, not once per lane.  Per-lane
-        clock bases follow call order, exactly as the sequential path
-        stamps them — lanes own disjoint store rows, so batched state
-        writes commute.
+        lane-major replay (one :func:`_replay_encoding` call over a
+        :class:`_LaneEncoding`): per round the encoding pass runs once
+        per unique stream and the replay pass once per *stream group*,
+        not once per lane.  Per-lane clock bases follow call order,
+        exactly as the sequential path stamps them — lanes own disjoint
+        store rows, so batched state writes commute.
         """
         geo = self._geo
         store = self._store
@@ -1906,12 +1628,10 @@ class VectorBank:
                 ev_dirty = np.zeros(L * n, dtype=bool)
                 sm_out = np.zeros(L * n, dtype=bool) \
                     if fsector is not None else None
-                _replay_encoding_lanes(lenc, ftags, fdirty, fcount, geo,
-                                       geo.associativity, hits, ev_addr,
-                                       ev_dirty, sector=fsector,
-                                       stamp=fstamp,
-                                       stamp_vals=stamp_vals,
-                                       sm_out=sm_out)
+                _replay_encoding(lenc, ftags, fdirty, fcount, geo, 0,
+                                 geo.associativity, hits, ev_addr,
+                                 ev_dirty, sector=fsector, stamp=fstamp,
+                                 stamp_vals=stamp_vals, sm_out=sm_out)
                 self.shared_replays += L
                 self.lane_batched_rounds += 1
                 for j, k in enumerate(members):
@@ -2020,22 +1740,18 @@ class VectorBank:
             out[parts == pid] = slot
         return out
 
-    def _flag_replay_rows(self, flagged: np.ndarray, idx0: np.ndarray,
-                          sets: np.ndarray, tg: np.ndarray,
-                          slot0: np.ndarray, idx1: np.ndarray,
-                          slot1: np.ndarray, two_stage: np.ndarray,
-                          ranges: Sequence[Tuple[int, int]]
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-        """Cross-slot alias scan plus replay-set closure for one epoch.
+    def _probes_alias(self, idx0: np.ndarray, sets: np.ndarray,
+                      tg: np.ndarray, slot0: np.ndarray, idx1: np.ndarray,
+                      slot1: np.ndarray, two_stage: np.ndarray,
+                      ranges: Sequence[Tuple[int, int]]) -> bool:
+        """Whether any probe's tag is resident in a slot other than its
+        own (a cross-slot alias).
 
-        Extends ``flagged`` (rows the capacity model cannot describe)
-        with (cache, set) pairs holding a cross-slot alias of a probed
-        tag, then closes the set: a replayed access claims *all* rows
-        of the (cache, set) pairs it touches, so kernel phases and the
-        replay interpreter never share a row.  Returns the closed table
-        and the per-access replay mask.  Cache indices are absolute;
-        ``ranges`` are the probed cache ranges — slots with no occupancy
-        inside them cannot alias any probed tag and are skipped.
+        The scalar lookup is global across slots while the kernel
+        solves each slot's rows alone, so an epoch with an alias is
+        declined.  Cache indices are absolute; ``ranges`` are the probed
+        cache ranges — slots with no occupancy inside them cannot alias
+        any probed tag and are skipped.
         """
         store = self._store
         A = self._geo.associativity
@@ -2087,22 +1803,8 @@ class VectorBank:
                            np.int64(1) << np.maximum(slots_all, 0),
                            np.int64(0))
             alias = (hit_mask[inv] & ~own) != 0
-            if alias.any():
-                flagged[rows_all[alias], sets_all[alias]] = True
-        replay = np.zeros(n, dtype=bool)
-        for _ in range(n + 1):
-            r0 = flagged[idx0, sets]
-            r1 = np.zeros(n, dtype=bool)
-            r1[two_stage] = flagged[idx1[two_stage], sets[two_stage]]
-            replay = r0 | r1
-            nf = flagged.copy()
-            nf[idx0[replay], sets[replay]] = True
-            ts_r = replay & two_stage
-            nf[idx1[ts_r], sets[ts_r]] = True
-            if np.array_equal(nf, flagged):
-                break
-            flagged = nf
-        return flagged, replay
+            return bool(alias.any())
+        return False
 
     def _drain_rows_static(self, cap_of: np.ndarray, count0: np.ndarray
                            ) -> Tuple[np.ndarray, np.ndarray]:
@@ -2136,9 +1838,9 @@ class VectorBank:
         split and its under slots on the other.  In the *growth*
         direction stage-0 probes target under slots (phase 1, whose
         fills drain) and single-stage/stage-1 probes target the over
-        slot (phase 3, run in passes between drains).  The *mirrored*
+        slot (phase 2, run in passes between drains).  The *mirrored*
         direction swaps the sides: stage-0 probes target the over slot
-        (phase 1 in passes) and phase-3 probes the under slots.
+        (phase 1 in passes) and phase-2 probes the under slots.
         Returns the rows each direction rules out.
         """
         on0 = slot0 == o_slot[idx0, sets]
@@ -2158,22 +1860,22 @@ class VectorBank:
     def _drain_events(self, drains: np.ndarray, o_slot: np.ndarray,
                       count0: np.ndarray, cap0: np.ndarray,
                       idx0: np.ndarray, sets: np.ndarray,
-                      two_stage: np.ndarray, replay: np.ndarray,
-                      f0: np.ndarray, krow0_abs: np.ndarray
+                      two_stage: np.ndarray, f0: np.ndarray,
+                      krow0_abs: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                  np.ndarray, np.ndarray]:
         """Order one epoch's over-slot drains from phase-1 growth fills.
 
         An under-slot fill that lands in a *full* row (total occupancy
         at the associativity) evicts the over slot's LRU line instead
-        of appending — the scalar interpreter's over-eviction.  Phase 1
+        of appending — the scalar model's over-eviction.  Phase 1
         has already solved the under slots natively; this derives, per
         drained row, which of its fills grew occupancy (rank among the
         row's fills below the allotment headroom), splits them into
         free appends and drains at the row's free-slot cutoff, and
         returns the drain events as (stream position, over kernel row,
         row id, drain index) plus the per-row over-slot occupancy
-        snapshot that phase 3 uses as its pass-0 capacity.
+        snapshot that phase 2 uses as its pass-0 capacity.
         """
         geo = self._geo
         S = geo.num_sets
@@ -2187,7 +1889,7 @@ class VectorBank:
             o_slot.reshape(1, C * S), axis=0)[0]
         over_krow = o_slot.reshape(-1) * np.int64(C * S) + rid_all
         empty = np.zeros(0, dtype=np.int64)
-        gf = np.flatnonzero(f0 & two_stage & ~replay & drains[idx0, sets])
+        gf = np.flatnonzero(f0 & two_stage & drains[idx0, sets])
         if not gf.size:
             return empty, empty, empty, empty, occ_over
 
@@ -2229,78 +1931,6 @@ class VectorBank:
         if fstamp is not None:
             fstamp[rows_d, :-1] = fstamp[rows_d, 1:]
         fcount[rows_d] -= 1
-
-    def _replay_flagged(self, ir: np.ndarray, idx0: np.ndarray,
-                        idx1: np.ndarray, sets: np.ndarray,
-                        tg: np.ndarray, writes: np.ndarray,
-                        sec: Optional[np.ndarray], part0: np.ndarray,
-                        part1: np.ndarray, two_stage: np.ndarray,
-                        ways_list: Sequence[Optional[Dict[int, int]]],
-                        clock0: int, h0: np.ndarray, sm0: np.ndarray,
-                        f0: np.ndarray, ea0: np.ndarray, ed0: np.ndarray,
-                        h1: np.ndarray, sm1: np.ndarray, f1: np.ndarray,
-                        ea1: np.ndarray, ed1: np.ndarray) -> None:
-        """Stream-order replay of flagged sets (both stages)."""
-        self._store.set_replay_batches += 1
-        rep = _SetReplay(self._store, self._geo)
-        touch = rep.touch
-        # Gather the replayed subset into plain lists once; per-access
-        # numpy scalar reads/writes dominate this loop otherwise.
-        ir_l = ir.tolist()
-        i0_l = idx0.take(ir).tolist()
-        i1_l = idx1.take(ir).tolist()
-        st_l = sets.take(ir).tolist()
-        tg_l = tg.take(ir).tolist()
-        w_l = writes.take(ir).tolist()
-        sx_l = sec.take(ir).tolist() if sec is not None else None
-        p0_l = part0.take(ir).tolist()
-        p1_l = part1.take(ir).tolist()
-        ts_l = two_stage.take(ir).tolist()
-        out0: List[Tuple[bool, bool, bool, int, int]] = []
-        j1: List[int] = []
-        out1: List[Tuple[bool, bool, bool, int, int]] = []
-        for k in range(len(ir_l)):
-            j = ir_l[k]
-            st_i = st_l[k]
-            t_i = tg_l[k]
-            w_i = bool(w_l[k])
-            sx = sx_l[k] if sx_l is not None else 0
-            ci0 = i0_l[k]
-            w0 = ways_list[ci0]
-            assert w0 is not None  # addressed caches are in-lane
-            try:
-                r = touch(ci0, st_i, t_i, w_i, p0_l[k], True, sx,
-                          w0, clock0 + j)
-            except PartitionFullError:
-                r = (False, False, False, -1, 0)
-            out0.append(r)
-            if ts_l[k] and not r[0]:
-                ci1 = i1_l[k]
-                w1 = ways_list[ci1]
-                assert w1 is not None  # addressed caches are in-lane
-                try:
-                    r = touch(ci1, st_i, t_i, w_i, p1_l[k], True, sx,
-                              w1, clock0 + j)
-                except PartitionFullError:
-                    r = (False, False, False, -1, 0)
-                j1.append(j)
-                out1.append(r)
-        rep.flush_back()
-        if out0:
-            a0 = np.array(out0, dtype=np.int64)
-            h0[ir] = a0[:, 0].astype(bool)
-            sm0[ir] = a0[:, 1].astype(bool)
-            f0[ir] = a0[:, 2].astype(bool)
-            ea0[ir] = a0[:, 3]
-            ed0[ir] = a0[:, 4].astype(bool)
-        if out1:
-            a1 = np.array(out1, dtype=np.int64)
-            jj = np.array(j1, dtype=np.int64)
-            h1[jj] = a1[:, 0].astype(bool)
-            sm1[jj] = a1[:, 1].astype(bool)
-            f1[jj] = a1[:, 2].astype(bool)
-            ea1[jj] = a1[:, 3]
-            ed1[jj] = a1[:, 4].astype(bool)
 
     def _staged_outcome(self, ranges: Sequence[Tuple[int, int]],
                         idx0: np.ndarray, idx1: np.ndarray,
@@ -2355,7 +1985,7 @@ class VectorBank:
         """Schedule the mirrored drains of one plan.
 
         At a mirrored row the over slot R is probed in phase 1 and the
-        under slots regain their ways in phase 3.  While below its
+        under slots regain their ways in phase 2.  While below its
         allotment an under slot never loses a line (R's misses replace
         within R), so its growth fills are the first touches of tags it
         does not hold, up to its headroom; past the row's free ways
@@ -2387,7 +2017,6 @@ class VectorBank:
         rid0 = plan.idx0a * np.int64(S) + sets
         rid1 = plan.idx1a * np.int64(S) + sets
         mirf = mir.reshape(-1)
-        live = ~plan.replay
         ftags, _, fcount, fsector, _ = self._store.flat()
         ostf = o_slot.reshape(-1)
         cnt = count0.reshape(count0.shape[0], CS)
@@ -2398,17 +2027,15 @@ class VectorBank:
         # Stage-0 probes of mirrored rows (capacity: R's occupancy less
         # the drains before them) and of the ordinary rows feeding their
         # stage 1 (capacity: the allotment), with their stack depths.
-        ph1 = two_stage & live
         rows = mirf.copy()
-        rows[rid0[ph1 & mirf[rid1]]] = True
-        rp = np.flatnonzero(ph1 & rows[rid0])
+        rows[rid0[two_stage & mirf[rid1]]] = True
+        rp = np.flatnonzero(two_stage & rows[rid0])
         depth, fway = _stack_depths(krow0[rp], tg[rp], ftags, fcount)
         cap_r = np.where(mirf[rid0[rp]], occ[rid0[rp]], plan.cap0[rp])
-        # Phase-3 probes of the under slots at mirrored rows, in stream
+        # Phase-2 probes of the under slots at mirrored rows, in stream
         # order: single-stage ones always probe, stage-1 ones only when
         # their stage-0 probe misses.
-        cpos = np.flatnonzero(live & np.where(two_stage, mirf[rid1],
-                                              mirf[rid0]))
+        cpos = np.flatnonzero(np.where(two_stage, mirf[rid1], mirf[rid0]))
         c1 = two_stage[cpos]
         crow = np.where(c1, rid1[cpos], rid0[cpos])
         ckrow = np.where(c1, krow1[cpos], krow0[cpos])
@@ -2502,15 +2129,18 @@ class VectorBank:
         Every access probes cache ``idx0`` with partition ``part0``;
         where ``two_stage`` and the first probe misses, it then probes
         ``idx1`` with ``part1``.  All caches must be way-partitioned.
-        Returns None when the epoch cannot be decomposed into
-        row-disjoint phases (the engine then resolves it serially).
+        Returns None when the epoch cannot be decomposed into two
+        row-disjoint phases, or when it probes a row the drain model
+        cannot describe (a cross-slot alias of a probed tag, or an
+        over-allotted row whose over slot has no ways, whose allotments
+        do not sum to the associativity or whose probes straddle the
+        phase split); the engine then resolves it serially.
 
         ``lanes`` narrows the all-partitioned requirement (and the stats
         update) to the probed ``[lo, hi)`` cache ranges of a stacked
         bank.  Out-of-lane caches keep a zero way allotment in the
-        capacity table; ``idx0``/``idx1`` never address them, and the
-        replay closure only propagates through addressed (cache, set)
-        pairs, so their flagged sets are inert.
+        capacity table; ``idx0``/``idx1`` never address them, so their
+        rows never decline the call.
         """
         ranges = tuple(lanes) if lanes is not None else \
             ((0, len(self.caches)),)
@@ -2536,15 +2166,15 @@ class VectorBank:
         """Resolve several lanes' two-stage epochs with shared encodings.
 
         The phase-1 stream — stage-0 probes of two-stage accesses — is
-        a function of the shared trace alone (replay-set closure makes
-        flagging whole-row, so per-lane eligibility is a group mask,
-        not a different stream).  Calls with equal ``stream`` ids
-        therefore replay one reuse encoding with per-lane capacity
-        vectors and ok-masks; the flagged-set interpreter and the
-        stream-order phase-3 kernel stay per-lane.  Entries whose lane
-        fails the all-partitioned gate or the row-disjointness
-        requirement come back as ``None`` (those lanes fall back; the
-        rest still share).
+        a function of the shared trace alone (a lane either resolves
+        its whole epoch on the kernel or declines it, so per-lane
+        eligibility is a group mask, not a different stream).  Calls
+        with equal ``stream`` ids therefore replay one reuse encoding
+        with per-lane capacity vectors and ok-masks; the drain passes
+        and the stream-order phase-2 kernel stay per-lane.  Entries
+        whose lane fails the all-partitioned gate, the drain model or
+        the row-disjointness requirement come back as ``None`` (those
+        lanes fall back; the rest still share).
         """
         ranges = [(call.lane,) for call in calls]
         if not _sanitize.enabled():
@@ -2568,14 +2198,17 @@ class VectorBank:
         """Kernel body of both staged entry points.
 
         Each call's cache indices are relative to ``call.lane[0]``;
-        ``ranges_of`` holds the absolute cache ranges its gate, replay
-        closure and stats cover.  A standalone epoch is the one-call
-        case (offset zero, the caller's ranges).  Same-stream phase-1
-        replays are hoisted ahead of the per-plan phase loop and fused
-        lane-major (:func:`_replay_encoding_lanes`) — exact because
-        lanes own disjoint store rows, every stamp window is explicit,
-        and phase-1 ok-masks confine writes to rows no other phase
-        shares.
+        ``ranges_of`` holds the absolute cache ranges its gate, alias
+        scan and stats cover.  A standalone epoch is the one-call case
+        (offset zero, the caller's ranges).  A call that probes a row
+        the drain model cannot describe, or whose phases would share a
+        row, comes back ``None`` before any phase touches state.
+        Same-stream phase-1 replays are hoisted ahead of the per-plan
+        phase loop and fused lane-major (one :func:`_replay_encoding`
+        over a :class:`_LaneEncoding`) — exact because lanes own
+        disjoint store rows, every stamp window is explicit, and
+        phase-1 ok-masks confine writes to rows phase 2 does not
+        share.
         """
         results: List[Optional[StagedResult]] = [None] * len(calls)
         if not self.config.write_allocate or not self.caches:
@@ -2635,10 +2268,10 @@ class VectorBank:
                             cap_of[idx0a, np.maximum(slot0, 0)], 0)
             cap1 = np.where(slot1 >= 0,
                             cap_of[idx1a, np.maximum(slot1, 0)], 0)
-            # Drain-eligible rows of *this lane* leave the flagged table
-            # before the closure; the closure can pull one back (then
-            # the interpreter keeps it).  Other lanes' rows stay
-            # untouched — their plans judge their own rows.
+            # Drain-eligible rows of *this lane* leave the flagged
+            # table; a probe of a row still flagged, or of a tag
+            # resident in another slot, declines the call.  Other
+            # lanes' rows stay untouched — their plans judge their own.
             grow: Optional[np.ndarray] = None
             mir: Optional[np.ndarray] = None
             if cand0 is not None:
@@ -2652,30 +2285,28 @@ class VectorBank:
                 grow = cand & ~viol_g
                 mir = cand & ~viol_m & ~grow
                 flagged &= ~(grow | mir)
-            flagged, replay = self._flag_replay_rows(
-                flagged, idx0a, sets, tg, slot0, idx1a, slot1,
-                call.two_stage, ranges)
+            ts = call.two_stage
+            if flagged[idx0a, sets].any() or \
+                    flagged[idx1a[ts], sets[ts]].any() or \
+                    self._probes_alias(idx0a, sets, tg, slot0, idx1a,
+                                       slot1, ts, ranges):
+                continue
             # Lane-local kernel rows; the lane's cache offset is applied
             # as a row offset (a multiple of S) at replay time.
             krow0 = (np.maximum(slot0, 0) * np.int64(C) + call.idx0) * \
                 np.int64(S) + sets
             krow1 = (np.maximum(slot1, 0) * np.int64(C) + call.idx1) * \
                 np.int64(S) + sets
-            if grow is not None and mir is not None:
-                grow &= ~flagged
-                mir &= ~flagged
-            sel_a = call.two_stage & ~replay
-            sel_b0 = ~call.two_stage & ~replay
             # Phase disjointness via a flat row-membership table — cheaper
             # than sorting both phases' rows to uniques and intersecting.
             in_a = np.zeros(store.num_slots * C * S, dtype=bool)
-            in_a[krow0[sel_a & (cap0 > 0)]] = True
-            if in_a[krow0[sel_b0 & (cap0 > 0)]].any() or \
-                    in_a[krow1[sel_a & (cap1 > 0)]].any():
+            in_a[krow0[ts & (cap0 > 0)]] = True
+            if in_a[krow0[~ts & (cap0 > 0)]].any() or \
+                    in_a[krow1[ts & (cap1 > 0)]].any():
                 continue
             plan = _StagedPlan(
                 k, call, ranges, lo, idx0a, idx1a, sets, tg, sec, cap0,
-                cap1, krow0, krow1, replay,
+                cap1, krow0, krow1,
                 grow if grow is not None and grow.any() else None, None)
             if mir is not None and mir.any():
                 assert count0 is not None and o_slot is not None
@@ -2731,10 +2362,9 @@ class VectorBank:
                 else None
             lenc = _tile_encoding_lanes(
                 enc, [plans[i].lo * S for i, _, _ in members])
-            _replay_encoding_lanes(lenc, ftags, fdirty, fcount, geo,
-                                   caps_v, h_v, ea_v, ed_v, ok=ok_v,
-                                   sector=fsector, stamp=fstamp,
-                                   stamp_vals=sv_v, sm_out=sm_v)
+            _replay_encoding(lenc, ftags, fdirty, fcount, geo, 0, caps_v,
+                             h_v, ea_v, ed_v, ok=ok_v, sector=fsector,
+                             stamp=fstamp, stamp_vals=sv_v, sm_out=sm_v)
             self.lane_batched_rounds += 1
             self.shared_replays += L
             for j, (i, ia2, okv) in enumerate(members):
@@ -2744,13 +2374,13 @@ class VectorBank:
 
         for i, p in enumerate(plans):
             results[p.k] = self._staged_run(p, bases[p.k], pre1.get(i),
-                                            ways_list, count0, o_slot)
+                                            count0, o_slot)
         return results
 
     @staticmethod
     def _phase1_ok(plan: _StagedPlan) -> np.ndarray:
         """Stage-0 probes the single phase-1 kernel pass resolves."""
-        ok = plan.call.two_stage & ~plan.replay & (plan.cap_p1 > 0)
+        ok = plan.call.two_stage & (plan.cap_p1 > 0)
         if plan.mirror is not None:
             ok[plan.mirror.staged] = False
         return ok
@@ -2760,10 +2390,9 @@ class VectorBank:
                                             np.ndarray, np.ndarray,
                                             np.ndarray,
                                             Optional[np.ndarray]]],
-                    ways_list: Sequence[Optional[Dict[int, int]]],
                     count0: Optional[np.ndarray],
                     o_slot: Optional[np.ndarray]) -> StagedResult:
-        """Run one plan's three phases and assemble its outcome."""
+        """Run one plan's two phases and assemble its outcome."""
         store = self._store
         geo = self._geo
         C = len(self.caches)
@@ -2771,7 +2400,6 @@ class VectorBank:
         call = plan.call
         sets, tg, sec = plan.sets, plan.tg, plan.sec
         idx0a, idx1a = plan.idx0a, plan.idx1a
-        replay = plan.replay
         two_stage = call.two_stage
         writes = call.writes
         n = call.addrs.shape[0]
@@ -2794,7 +2422,7 @@ class VectorBank:
             # marks stage-1 probes).  Zero-way partitions come back as
             # fill-less misses (the vectorized PartitionFullError
             # outcome) straight from the kernel's mask.  Fresh views
-            # every call: replay/slot growth can reallocate the arrays.
+            # every call: slot growth can reallocate the arrays.
             ftags, fdirty, fcount, fsector, fstamp = store.flat()
             res = _batch_resolve(
                 ftags, fdirty, fcount, geo, krows, tg[bi], writes[bi],
@@ -2837,7 +2465,7 @@ class VectorBank:
         # Mirrored rows where a stage-0 probe follows a drain run in
         # passes, each capped at the over slot's occupancy and followed
         # by the next drain.  The drained lines are reported on the
-        # draining phase-3 accesses once phase 3 has written those.
+        # draining phase-2 accesses once phase 2 has written those.
         mirror = plan.mirror
         dea = np.full(n, -1, dtype=np.int64)
         ded = np.zeros(n, dtype=bool)
@@ -2867,25 +2495,17 @@ class VectorBank:
         if plan.drains is not None:
             assert count0 is not None and o_slot is not None
             dr = self._drain_events(plan.drains, o_slot, count0, plan.cap0,
-                                    idx0a, sets, two_stage, replay, f0,
+                                    idx0a, sets, two_stage, f0,
                                     plan.krow0 + off)
 
-        # Phase 2: stream-order replay of flagged sets (both stages).
-        ir = np.flatnonzero(replay)
-        if ir.size:
-            self._replay_flagged(ir, idx0a, idx1a, sets, tg, writes, sec,
-                                 call.part0, call.part1, two_stage,
-                                 ways_list, clock0, h0, sm0, f0, ea0, ed0,
-                                 h1, sm1, f1, ea1, ed1)
-
-        # Phase 3: single-stage probes + stage-1 probes of stage-0
+        # Phase 2: single-stage probes + stage-1 probes of stage-0
         # misses, interleaved in stream order (the stream depends on
         # this plan's stage-0 hits).  At growth rows the over slot
         # behaves as a plain LRU of its current occupancy, so its probes
         # run in passes between drain applications, each pass capped at
         # the occupancy it observes.
-        p1k = two_stage & ~replay & ~h0
-        ib = np.flatnonzero((~two_stage & ~replay) | p1k)
+        p1k = two_stage & ~h0
+        ib = np.flatnonzero(~two_stage | p1k)
         if ib.size or (dr is not None and dr[0].size):
             use1 = p1k[ib]
             krow_b = np.where(use1, plan.krow1[ib], plan.krow0[ib]) + off

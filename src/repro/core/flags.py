@@ -57,10 +57,6 @@ class EnvFlag:
 #: Every environment flag the package reads, alphabetical by name.
 FLAGS: Tuple[EnvFlag, ...] = (
     EnvFlag(
-        "REPRO_CACHE_DIR", ".repro_cache",
-        "Directory of the on-disk result cache; the CLI's `--cache-dir` "
-        "overrides it per invocation."),
-    EnvFlag(
         "REPRO_FAULTS", "",
         "Comma-separated fault-injection entries "
         "(`site[:key][@nth][*count][=value]`) arming deterministic "
@@ -74,7 +70,7 @@ FLAGS: Tuple[EnvFlag, ...] = (
         "Worker-process count for parallel matrices (`run_matrix`); the "
         "CLI's `--jobs` overrides it. Unset or empty runs serial."),
     EnvFlag(
-        "REPRO_RETRIES", "1",
+        "REPRO_RETRIES", "2",
         "How many times the supervised runner re-queues a task whose "
         "worker crashed or timed out before quarantining it."),
     EnvFlag(

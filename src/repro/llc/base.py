@@ -114,11 +114,14 @@ class LLCOrganization(abc.ABC):
     def observe_is_passive(self) -> bool:
         """True when :meth:`observe_access` is currently a no-op.
 
-        The engine's batched epoch fast path skips the per-access
-        ``observe_access`` callback entirely, so it may only run while
-        this is True.  Organizations that override ``observe_access``
-        but only act during certain windows (e.g. SAC while profiling)
-        should override this to reflect the current state.
+        The engine's vector path skips the per-access ``observe_access``
+        callback entirely, so a run takes it only when the class keeps
+        the base no-op or provides an ``observe_batch`` that reproduces
+        it (see :func:`repro.sim.engine.takes_vector_path`); the engine
+        calls ``observe_batch`` on the epochs where this is False.
+        Organizations that override ``observe_access`` but only act
+        during certain windows (e.g. SAC while profiling) should
+        override this to reflect the current state.
         """
         return type(self).observe_access is LLCOrganization.observe_access
 

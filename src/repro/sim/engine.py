@@ -33,6 +33,7 @@ from typing import (
     List,
     Optional,
     Tuple,
+    Type,
     Union,
     cast,
 )
@@ -46,7 +47,7 @@ from ..cache.cache import (
     PartitionFullError,
     SetAssociativeCache,
 )
-from ..cache.vector import BatchResult, StagedResult, VectorBank
+from ..cache.vector import BatchResult, StagedResult, VectorBank, VectorCache
 from ..cache.waycache import make_cache
 from ..coherence.hardware import HardwareCoherence
 from ..coherence.software import SoftwareCoherence
@@ -95,15 +96,13 @@ class EngineParams:
     # Enable dominant-accessor page migration (related-work baseline:
     # a beyond-LLC optimization the paper argues is insufficient).
     page_migration: bool = False
-    # Resolve each epoch with one vector-bank call when the run allows
-    # it (a bank, no L1s, write-allocate LLC, no coherence directory,
-    # migration or per-access observer); every other epoch, and any
-    # epoch the bank declines, runs on the serial per-access engine.
+    # ``batched`` and ``vectorized`` together let a run take the vector
+    # path (see ``takes_vector_path``): its LLC slices live in one
+    # VectorBank and each epoch is one bank call, with any epoch the
+    # bank declines rerun on the serial per-access engine.  Either one
+    # False runs the serial engine over SetAssociativeCache slices —
+    # the oracle — so three of the four combinations are the same run.
     batched: bool = True
-    # Back the LLC with the vectorized tag store (VectorBank).  False
-    # keeps SetAssociativeCache slices and leaves no bank for the
-    # batched path, so every epoch runs serially: with batched=False
-    # this is the serial oracle.
     vectorized: bool = True
 
     def __post_init__(self) -> None:
@@ -127,6 +126,33 @@ class EngineParams:
             if not value >= 0.0:  # rejects negatives and NaN
                 raise ValueError(
                     f"{leg} must be non-negative, got {value}")
+
+
+def takes_vector_path(config: SystemConfig, params: EngineParams,
+                      org_class: Type[LLCOrganization]) -> bool:
+    """Whether a run resolves its epochs on the vector bank.
+
+    Decided once, when the engine is built, from the config, the params
+    and the organization's class.  The vector path precomputes homes,
+    route plans and traffic totals with numpy and resolves every probe
+    with one bank call, so it needs a bank that can host the probe
+    stream — ``batched`` and ``vectorized``, an LRU write-allocate LLC
+    and no L1s filtering the stream per access — and no component that
+    needs a per-access side effect beyond the cache probes themselves:
+    no page migration, no coherence directory, no per-access insertion
+    filter (LADM's ``remote_allocate``), and an ``observe_access`` that
+    is either the base no-op or reproduced by an ``observe_batch``
+    (SAC's profiling counters).  Every other run builds ``make_cache``
+    slices and runs the serial engine, the oracle.
+    """
+    llc = config.chip.llc_slice
+    return (params.batched and params.vectorized
+            and llc.replacement == "lru" and llc.write_allocate
+            and not params.model_l1 and not params.page_migration
+            and config.coherence.protocol == "software"
+            and not hasattr(org_class, "remote_allocate")
+            and (org_class.observe_access is LLCOrganization.observe_access
+                 or hasattr(org_class, "observe_batch")))
 
 
 #: What the driver answers a :class:`BankProbe` with: the bank call's
@@ -206,11 +232,14 @@ class SimulationEngine:
     """Runs one benchmark trace under one LLC organization.
 
     An engine owns the full per-lane state of one run — crossbars, ring,
-    DRAM, page table and :class:`RunStats` accumulators.  By default it
-    also owns its LLC tag store; pass ``llc_bank``/``llc_bank_base`` to
-    mount the engine's LLC slices as one *lane* of a shared stacked
-    :class:`VectorBank` (see :mod:`repro.sim.stacked`), which changes
-    where the tag rows live but not a single simulated outcome.
+    DRAM, page table and :class:`RunStats` accumulators.  A run that
+    takes the vector path (:func:`takes_vector_path`) keeps its LLC
+    slices in a :class:`VectorBank`, by default its own; pass
+    ``llc_bank``/``llc_bank_base`` to mount them as one *lane* of a
+    shared stacked bank (see :mod:`repro.sim.stacked`), which changes
+    where the tag rows live but not a single simulated outcome.  Every
+    other run keeps ``make_cache`` slices and mounting a bank on it
+    raises ``ValueError``.
     """
 
     def __init__(self, config: SystemConfig, organization: LLCOrganization,
@@ -233,41 +262,36 @@ class SimulationEngine:
         llc_cfg = chip_cfg.llc_slice
         self._llc_bank: Optional[VectorBank] = None
         self._bank_base = 0
-        if llc_bank is not None:
-            # Mount this engine's LLC as one lane of a shared bank.
-            if not (self.params.vectorized
-                    and llc_cfg.replacement == "lru"):
+        if not takes_vector_path(config, self.params, type(organization)):
+            if llc_bank is not None:
                 raise ValueError(
-                    "a shared llc_bank requires vectorized=True and LRU "
-                    "replacement")
-            if llc_bank.config != llc_cfg:
-                raise ValueError(
-                    "shared llc_bank geometry does not match this "
-                    "engine's LLC slice config")
-            total = config.total_llc_slices
-            if not 0 <= llc_bank_base <= len(llc_bank.caches) - total:
-                raise ValueError(
-                    f"llc_bank_base {llc_bank_base} leaves no room for "
-                    f"{total} slices in a bank of {len(llc_bank.caches)}")
-            self._llc_bank = llc_bank
-            self._bank_base = llc_bank_base
-            flat = llc_bank.caches[llc_bank_base:llc_bank_base + total]
-            self.llc = [flat[c * chip_cfg.llc_slices:
-                             (c + 1) * chip_cfg.llc_slices]
-                        for c in range(config.num_chips)]
-        elif self.params.vectorized and llc_cfg.replacement == "lru":
-            self._llc_bank = VectorBank(
-                llc_cfg, [f"llc{c}.{s}" for c in range(config.num_chips)
-                          for s in range(chip_cfg.llc_slices)])
-            flat = self._llc_bank.caches
-            self.llc = [flat[c * chip_cfg.llc_slices:
-                             (c + 1) * chip_cfg.llc_slices]
-                        for c in range(config.num_chips)]
-        else:
+                    "a shared llc_bank requires a run that takes the "
+                    "vector path (see takes_vector_path)")
             self.llc = [
                 [make_cache(llc_cfg, name=f"llc{c}.{s}")
                  for s in range(chip_cfg.llc_slices)]
                 for c in range(config.num_chips)]
+        else:
+            total = config.total_llc_slices
+            if llc_bank is None:
+                llc_bank = VectorBank(
+                    llc_cfg, [f"llc{c}.{s}" for c in range(config.num_chips)
+                              for s in range(chip_cfg.llc_slices)])
+                llc_bank_base = 0
+            elif llc_bank.config != llc_cfg:
+                raise ValueError(
+                    "shared llc_bank geometry does not match this "
+                    "engine's LLC slice config")
+            elif not 0 <= llc_bank_base <= len(llc_bank.caches) - total:
+                raise ValueError(
+                    f"llc_bank_base {llc_bank_base} leaves no room for "
+                    f"{total} slices in a bank of {len(llc_bank.caches)}")
+            # This engine's LLC is one lane of the bank (all of it when
+            # the engine built the bank itself).
+            self._llc_bank = llc_bank
+            self._bank_base = llc_bank_base
+            self.llc = [self._bank_slices(llc_bank, c)
+                        for c in range(config.num_chips)]
         self.crossbars = [Crossbar(chip_cfg.noc, chip=c)
                           for c in range(config.num_chips)]
         self.ring = InterChipRing(config.inter_chip, config.num_chips)
@@ -325,6 +349,12 @@ class SimulationEngine:
         """LLC slice index (within a chip) that serves ``addr``."""
         return self.mapping.llc_slice_of(addr)
 
+    def _bank_slices(self, bank: VectorBank, chip: int) -> List[VectorCache]:
+        """Chip ``chip``'s LLC slices: views of this engine's bank lane."""
+        per_chip = self.config.chip.llc_slices
+        lo = self._bank_base + chip * per_chip
+        return bank.caches[lo:lo + per_chip]
+
     def set_llc_partitioning(self, ways: Optional[Dict[int, int]]) -> None:
         """Apply way partitioning to every LLC slice in the system."""
         for chip_slices in self.llc:
@@ -356,62 +386,27 @@ class SimulationEngine:
         dram_bw = self.config.chip.memory.chip_bw()
         home_of = self.page_table._home.get
         shift = self.page_table._page_shift
-        # A flush with no coherence directory to notify can drain
-        # array-backed caches wholesale (any partition/dirty_only mode):
-        # home the dirty lines by unique page (pages interleave across a
-        # chip's slices, so uniquing at the chip level collapses the
-        # per-slice duplicates too).
-        batch_ok = (self.hardware_coherence is None
-                    and self.mesi is None)
+        bank = self._llc_bank
         # Chips flush concurrently: the run is delayed by the slowest one.
         worst_cycles = 0.0
         for chip in chip_list:
             dirty_bytes_by_home: Dict[int, int] = {}
             invalidated = 0
             dirty = 0
-            drained_chip = []
-            for cache in self.llc[chip]:
-                drained = None
-                if batch_ok:
-                    drain = getattr(cache, "drain", None)
-                    if drain is not None:
-                        drained, lines, dirties = drain(
-                            partition=partition, dirty_only=dirty_only)
-                if drained is not None:
+            if bank is not None:
+                # A vector-path run has no coherence directory to
+                # notify, so its bank drains wholesale (any
+                # partition/dirty_only mode) and the dirty lines are
+                # homed by unique page (pages interleave across a chip's
+                # slices, so uniquing at the chip level collapses the
+                # per-slice duplicates too).
+                drained_chip = []
+                for vcache in self._bank_slices(bank, chip):
+                    drained, lines, dirties = vcache.drain(
+                        partition=partition, dirty_only=dirty_only)
                     drained_chip.append(drained)
                     invalidated += lines
                     dirty += dirties
-                    continue
-                victims = []
-                for line_addr, line in list(cache.resident_lines()):
-                    if partition is not None and line.partition != partition:
-                        continue
-                    if dirty_only and not line.dirty:
-                        continue
-                    if line.dirty:
-                        home = self.page_table.lookup(line_addr)
-                        if home is None:
-                            home = chip
-                        dirty_bytes_by_home[home] = \
-                            dirty_bytes_by_home.get(home, 0) + self.line_size
-                    if self.hardware_coherence is not None:
-                        self.hardware_coherence.on_evict(
-                            line_addr & self._line_mask, chip)
-                    if self.mesi is not None:
-                        self.mesi.evict(line_addr & self._line_mask, chip)
-                    victims.append((line_addr, line.dirty))
-                if dirty_only:
-                    for line_addr, was_dirty in victims:
-                        cache.invalidate(line_addr)
-                    lines = len(victims)
-                    dirties = sum(1 for _a, d in victims if d)
-                elif partition is None:
-                    lines, dirties = cache.flush()
-                else:
-                    lines, dirties = cache.invalidate_partition(partition)
-                invalidated += lines
-                dirty += dirties
-            if drained_chip:
                 all_dirty = np.concatenate(drained_chip)
                 if all_dirty.size:
                     pages, counts = np.unique(all_dirty >> shift,
@@ -423,6 +418,40 @@ class SimulationEngine:
                         dirty_bytes_by_home[home] = \
                             dirty_bytes_by_home.get(home, 0) \
                             + self.line_size * n
+            else:
+                for cache in self.llc[chip]:
+                    victims = []
+                    for line_addr, line in list(cache.resident_lines()):
+                        if partition is not None and \
+                                line.partition != partition:
+                            continue
+                        if dirty_only and not line.dirty:
+                            continue
+                        if line.dirty:
+                            home = self.page_table.lookup(line_addr)
+                            if home is None:
+                                home = chip
+                            dirty_bytes_by_home[home] = \
+                                dirty_bytes_by_home.get(home, 0) \
+                                + self.line_size
+                        if self.hardware_coherence is not None:
+                            self.hardware_coherence.on_evict(
+                                line_addr & self._line_mask, chip)
+                        if self.mesi is not None:
+                            self.mesi.evict(line_addr & self._line_mask,
+                                            chip)
+                        victims.append((line_addr, line.dirty))
+                    if dirty_only:
+                        for line_addr, was_dirty in victims:
+                            cache.invalidate(line_addr)
+                        lines = len(victims)
+                        dirties = sum(1 for _a, d in victims if d)
+                    elif partition is None:
+                        lines, dirties = cache.flush()
+                    else:
+                        lines, dirties = cache.invalidate_partition(partition)
+                    invalidated += lines
+                    dirty += dirties
             writeback = sum(dirty_bytes_by_home.values())
             remote_wb = sum(b for home, b in dirty_bytes_by_home.items()
                             if home != chip)
@@ -479,15 +508,6 @@ class SimulationEngine:
         """
         self.stats.benchmark = benchmark
         base_violations = _sanitize.report().count
-        # Only a bank holding exactly this engine's slices gives an
-        # interpreter-batch window that is this run's alone.  Lanes of a
-        # stacked driver interleave on one shared bank, so they report 0
-        # and the sweep total lives in StackedTelemetry.
-        bank = self._llc_bank
-        if bank is not None and \
-                len(bank.caches) != self.config.total_llc_slices:
-            bank = None
-        base_set_replay = bank.set_replay_batches if bank is not None else 0
         for kernel in kernels:
             yield from self._run_kernel(kernel)
         self._finalize_allocation_stats()
@@ -496,9 +516,6 @@ class SimulationEngine:
         # raising error was contained upstream).
         self.stats.sanitizer_violations = \
             _sanitize.report().count - base_violations
-        if bank is not None:
-            self.stats.set_replay_batches = \
-                bank.set_replay_batches - base_set_replay
 
     def _run_kernel(self, kernel: KernelTrace) -> ProbeGen:
         kstats = KernelStats(name=kernel.name)
@@ -617,48 +634,11 @@ class SimulationEngine:
     # ------------------------------------------------------------------
 
     def _run_epoch(self, epoch: EpochTrace, kstats: KernelStats) -> ProbeGen:
-        if self._fast_path_eligible():
+        if self._llc_bank is not None:
             yield from self._run_epoch_batched(epoch, kstats)
-            self.stats.fast_epochs += 1
         else:
             self._run_epoch_serial(epoch, kstats)
             self.stats.slow_epochs += 1
-
-    def _fast_path_eligible(self) -> bool:
-        """Whether the current epoch can take the batched fast path.
-
-        The fast path precomputes homes, route plans and traffic totals
-        with numpy and resolves every probe with one vector-bank call.
-        It needs a bank that can host the probe stream — none exists
-        with ``vectorized=False`` or non-LRU replacement, L1s filter
-        the stream per access, and the bank does not model
-        no-write-allocate caches — and it is only safe when no component
-        needs a per-access side effect beyond the functional cache
-        probes themselves: hardware coherence (directory/MESI actions
-        per write), page migration (per-access observation), profiling
-        organizations without a batched observer and insertion-policy
-        organizations (LADM's per-access ``remote_allocate``) all force
-        the serial per-access path.
-        """
-        if not self.params.batched or self._llc_bank is None:
-            return False
-        if self.l1 is not None or \
-                not self.config.chip.llc_slice.write_allocate:
-            return False
-        if self.migration is not None:
-            return False
-        if self.hardware_coherence is not None or self.mesi is not None:
-            return False
-        org = self.organization
-        if org.profiling or not org.observe_is_passive:
-            # A profiling organization may opt back into the fast path
-            # by providing a batched observer that reproduces the
-            # per-access observe_access state exactly (SAC does).
-            if getattr(org, "observe_batch", None) is None:
-                return False
-        if hasattr(org, "remote_allocate"):
-            return False
-        return True
 
     def _run_epoch_serial(self, epoch: EpochTrace, kstats: KernelStats
                           ) -> None:
@@ -886,12 +866,12 @@ class SimulationEngine:
     def _staged_shape_ok(plans: List[RoutePlan]) -> bool:
         """Whether the epoch's route plans fit the staged vector solver.
 
-        The three-phase decomposition in
+        The two-phase decomposition in
         :meth:`VectorBank.access_many_staged` reproduces the serial
         probe order exactly for plans of at most two allocate-on-miss
-        stages; the solver itself verifies the runtime row-disjointness
-        condition and declines (returning ``None``) when it does not
-        hold.
+        stages; the solver itself verifies at runtime that the phases
+        share no row and that every probed row fits its drain model,
+        and declines (returning ``None``) when either does not hold.
         """
         for plan in plans:
             if len(plan.stages) > 2:
@@ -1503,47 +1483,48 @@ class SimulationEngine:
         """Sample the local/remote composition of the LLC (Figure 9)."""
         local = 0
         remote = 0
-        lookup = self.page_table.lookup
-        shift = self.page_table._page_shift
-        # Sorted snapshot of the page table for vectorized lookups on
-        # the native path; unallocated pages count as local (same as
-        # the scalar path's None).
-        ptab = self.page_table._home
-        pt_pages = np.fromiter(ptab.keys(), dtype=np.int64,
-                               count=len(ptab))
-        pt_homes = np.fromiter(ptab.values(), dtype=np.int64,
-                               count=len(ptab))
-        psort = np.argsort(pt_pages)
-        pt_pages = pt_pages[psort]
-        pt_homes = pt_homes[psort]
-        for chip in range(self.config.num_chips):
-            for cache in self.llc[chip]:
-                addrs = None
-                native = getattr(cache, "resident_addrs", None)
-                if native is not None:
-                    addrs = native()
-                if addrs is None:
+        bank = self._llc_bank
+        if bank is None:
+            lookup = self.page_table.lookup
+            for chip in range(self.config.num_chips):
+                for cache in self.llc[chip]:
                     for line_addr, _line in cache.resident_lines():
                         home = lookup(line_addr)
                         if home is None or home == chip:
                             local += 1
                         else:
                             remote += 1
-                    continue
-                if not len(addrs):
-                    continue
-                pages, counts = np.unique(addrs >> shift,
-                                          return_counts=True)
-                pos = np.searchsorted(pt_pages, pages)
-                pos = np.minimum(pos, max(pt_pages.size - 1, 0))
-                known = pt_pages.size > 0
-                found = (pt_pages[pos] == pages) if known else \
-                    np.zeros(pages.shape, dtype=bool)
-                homes = np.where(found, pt_homes[pos] if known else 0,
-                                 chip)
-                rem = int(counts[homes != chip].sum())
-                remote += rem
-                local += int(counts.sum()) - rem
+        else:
+            # Vector path: the bank lists resident lines as arrays, so
+            # they are homed against a sorted snapshot of the page
+            # table; unallocated pages count as local (as the serial
+            # path's None does).
+            shift = self.page_table._page_shift
+            ptab = self.page_table._home
+            pt_pages = np.fromiter(ptab.keys(), dtype=np.int64,
+                                   count=len(ptab))
+            pt_homes = np.fromiter(ptab.values(), dtype=np.int64,
+                                   count=len(ptab))
+            psort = np.argsort(pt_pages)
+            pt_pages = pt_pages[psort]
+            pt_homes = pt_homes[psort]
+            for chip in range(self.config.num_chips):
+                for vcache in self._bank_slices(bank, chip):
+                    addrs = vcache.resident_addrs()
+                    if not len(addrs):
+                        continue
+                    pages, counts = np.unique(addrs >> shift,
+                                              return_counts=True)
+                    pos = np.searchsorted(pt_pages, pages)
+                    pos = np.minimum(pos, max(pt_pages.size - 1, 0))
+                    known = pt_pages.size > 0
+                    found = (pt_pages[pos] == pages) if known else \
+                        np.zeros(pages.shape, dtype=bool)
+                    homes = np.where(found, pt_homes[pos] if known else 0,
+                                     chip)
+                    rem = int(counts[homes != chip].sum())
+                    remote += rem
+                    local += int(counts.sum()) - rem
         total = local + remote
         if total == 0 or weight <= 0:
             return

@@ -19,10 +19,12 @@ The engines expose their epochs through the
 exact control flow a standalone ``run()`` drives — so each lane's
 ``RunStats`` physics fields are bit-identical to its standalone
 ``simulate()`` run; only host telemetry (wall clock, stacked counters)
-differs.  Lanes the stacked path cannot host in a shared bank
-(mismatched geometry, non-LRU replacement, unvectorized params) still
-run in the same cooperative drive with their own bank and are counted
-as ``solo_lanes``.
+differs.  Lanes the stacked path cannot host in a shared bank still run
+in the same cooperative drive and are counted as ``solo_lanes``: a
+vector-path lane with no geometry match gets its own bank, and a lane
+that does not take the vector path at all (see
+:func:`~repro.sim.engine.takes_vector_path`) runs the serial engine on
+its own caches.
 
 Fault containment: an exception raised by one lane mid-drive (or an
 armed ``lane.raise``/``kernel.solve_error`` fault site, see
@@ -59,6 +61,7 @@ from .engine import (
     ProbeGen,
     ProbeOutcome,
     SimulationEngine,
+    takes_vector_path,
 )
 from .stats import RunStats
 
@@ -71,8 +74,8 @@ class StackedTelemetry:
     lanes: int = 0
     #: Lanes co-resident in a shared tag store (groups of >= 2).
     stacked_lanes: int = 0
-    #: Lanes that could not share a bank (geometry mismatch, non-LRU,
-    #: unvectorized, or a singleton group) and ran on their own store.
+    #: Lanes that could not share a bank (no vector path, or a
+    #: singleton geometry group) and ran on their own caches.
     solo_lanes: int = 0
     #: Lanes that duplicated an earlier (organization, config) lane and
     #: copied its stats instead of simulating (no engine, no probes).
@@ -89,12 +92,8 @@ class StackedTelemetry:
     shared_encodings: int = 0
     shared_replays: int = 0
     #: Rounds the shared banks resolved with one lane-major batched
-    #: replay call (>= 2 lanes folded into a single kernel pass), and
-    #: how many times any bank of the sweep (shared, or a solo lane's
-    #: own) fell back to the stream-order ``_SetReplay`` interpreter (0
-    #: when the vectorized drain covers every repartition epoch).
+    #: replay call (>= 2 lanes folded into a single kernel pass).
     lane_batched_rounds: int = 0
-    set_replay_batches: int = 0
     #: Lane indices that faulted mid-drive and were re-run solo, and the
     #: subset whose re-run was demoted to the serial engine because the
     #: vector kernel itself faulted.
@@ -194,15 +193,30 @@ def simulate_stacked(spec: BenchmarkSpec,
             primary_of.append(match)
             telemetry.duplicate_lanes += 1
 
-    # Group bank-eligible lanes by scaled tag-store geometry.  Groups of
-    # one (and ineligible lanes) run with their own store.
+    # What a quarantined lane's solo re-run simulates: the original name
+    # for string lanes, a pristine pre-drive snapshot for organization
+    # instances (the attached instance accumulates drive state).
+    rerun_org: Dict[int, Union[str, LLCOrganization]] = {}
+    org_of: Dict[int, LLCOrganization] = {}
+    for i in primaries:
+        organization = organizations[i]
+        if isinstance(organization, str):
+            org_of[i] = make_organization(organization, run_cfgs[i],
+                                          **(org_kwargs or {}))
+            rerun_org[i] = organization
+        else:
+            org_of[i] = organization
+            rerun_org[i] = deepcopy(organization)
+
+    # Group vector-path lanes by scaled tag-store geometry.  Groups of
+    # one run with their own bank; lanes that do not take the vector
+    # path run the serial engine on their own caches.
     groups: Dict[object, List[int]] = {}
     for i in primaries:
         rc = run_cfgs[i]
-        llc_cfg = rc.chip.llc_slice
-        if (resolved_params.vectorized and resolved_params.batched
-                and llc_cfg.replacement == "lru"):
-            key: object = (llc_cfg, rc.num_chips, rc.chip.llc_slices)
+        if takes_vector_path(rc, resolved_params, type(org_of[i])):
+            key: object = (rc.chip.llc_slice, rc.num_chips,
+                           rc.chip.llc_slices)
         else:
             key = ("solo", i)
         groups.setdefault(key, []).append(i)
@@ -227,22 +241,10 @@ def simulate_stacked(spec: BenchmarkSpec,
                             - telemetry.duplicate_lanes)
 
     engine_of: Dict[int, SimulationEngine] = {}
-    # What a quarantined lane's solo re-run simulates: the original name
-    # for string lanes, a pristine pre-drive snapshot for organization
-    # instances (the attached instance accumulates drive state).
-    rerun_org: Dict[int, Union[str, LLCOrganization]] = {}
     for i in primaries:
-        organization = organizations[i]
-        rc = run_cfgs[i]
-        if isinstance(organization, str):
-            org = make_organization(organization, rc, **(org_kwargs or {}))
-            rerun_org[i] = organization
-        else:
-            org = organization
-            rerun_org[i] = deepcopy(org)
         bank, bank_base = lane_bank.get(i, (None, 0))
         engine_of[i] = SimulationEngine(
-            rc, org, params=resolved_params,
+            run_cfgs[i], org_of[i], params=resolved_params,
             llc_bank=bank, llc_bank_base=bank_base)
     engines = [engine_of[i] for i in primaries]
 
@@ -294,12 +296,6 @@ def simulate_stacked(spec: BenchmarkSpec,
         telemetry.shared_encodings += bank.shared_encodings
         telemetry.shared_replays += bank.shared_replays
         telemetry.lane_batched_rounds += bank.lane_batched_rounds
-        telemetry.set_replay_batches += bank.set_replay_batches
-    # Solo lanes own their bank and report their interpreter batches in
-    # their own stats; the sweep total counts them too.
-    telemetry.set_replay_batches += sum(
-        engine_of[i].stats.set_replay_batches
-        for i in primaries if i not in lane_bank)
 
     # Host wall clock is a co-run quantity; attribute it evenly across
     # all lanes (duplicates included — they ride the same wall) so the

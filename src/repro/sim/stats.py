@@ -33,7 +33,6 @@ ORIGINS = (ORIGIN_LOCAL_LLC, ORIGIN_REMOTE_LLC,
 #: listed too.
 TELEMETRY_FIELDS = frozenset({
     "wall_seconds",
-    "fast_epochs",
     "slow_epochs",
     "vector_epochs",
     "scalar_epochs",
@@ -43,7 +42,6 @@ TELEMETRY_FIELDS = frozenset({
     "lane_quarantined",
     "lane_demoted",
     "sanitizer_violations",
-    "set_replay_batches",
     # StackedTelemetry counters (repro/sim/stacked.py).
     "lanes",
     "solo_lanes",
@@ -112,16 +110,15 @@ class RunStats:
     bottleneck_cycles: Dict[str, float] = field(default_factory=dict)
     kernels: List[KernelStats] = field(default_factory=list)
     # -- Run telemetry (excluded from comparable_dict): -------------------
-    # Host wall-clock of the simulation (set by ``repro.sim.run.simulate``)
-    # and how many epochs took the batched vs the per-access path.
+    # Host wall-clock of the simulation (set by ``repro.sim.run.simulate``).
     wall_seconds: float = 0.0
-    fast_epochs: int = 0
+    # Epochs of a run without a vector bank (the serial engine).
     slow_epochs: int = 0
-    # Batched epochs resolved via the vectorized tag-store kernel.
+    # Epochs of a vector-path run resolved by the tag-store kernel.
     vector_epochs: int = 0
-    # Batched epochs the bank declined, resolved on the serial path
-    # instead (fast_epochs == vector_epochs + scalar_epochs), so a config
-    # silently falling off the vector path shows up here.
+    # Epochs of a vector-path run the bank declined, resolved on the
+    # serial path instead, so a config silently falling off the kernel
+    # shows up here.
     scalar_epochs: int = 0
     # Stacked-run telemetry: how many lanes shared this run's tag store
     # (0 for standalone runs and for lanes the stacked driver hosted in
@@ -144,12 +141,6 @@ class RunStats:
     # ``repro.core.sanitize``).  A nonzero count survives even when the
     # raising ``SanitizerError`` was absorbed by a containment layer.
     sanitizer_violations: int = 0
-    # Epochs (or row batches) that demoted rows to the stream-order
-    # ``_SetReplay`` interpreter; stays 0 when the vectorized
-    # over-allotment drain covers every repartition epoch.  Counted only
-    # when this run owned its bank: lanes sharing a stacked bank report
-    # 0 and the sweep total is ``StackedTelemetry.set_replay_batches``.
-    set_replay_batches: int = 0
 
     @property
     def llc_hit_rate(self) -> float:
@@ -230,7 +221,6 @@ class RunStats:
             "kernels": len(self.kernels),
             "wall_seconds": self.wall_seconds,
             "accesses_per_second": self.accesses_per_second,
-            "fast_epochs": self.fast_epochs,
             "slow_epochs": self.slow_epochs,
             "vector_epochs": self.vector_epochs,
             "scalar_epochs": self.scalar_epochs,
@@ -240,7 +230,6 @@ class RunStats:
             "lane_quarantined": self.lane_quarantined,
             "lane_demoted": self.lane_demoted,
             "sanitizer_violations": self.sanitizer_violations,
-            "set_replay_batches": self.set_replay_batches,
         }
 
     def comparable_dict(self) -> Dict[str, object]:

@@ -7,6 +7,9 @@ one-way and multi-way shrinks, sectored caches on and off — and checks
 ``access_many_staged_shared`` (one stream, different allotments per
 lane) against the ``SetAssociativeCache`` two-stage probe loop: every
 hit stage, dirty eviction, ``CacheStats`` field and final LRU state.
+A call the bank declines is resolved by the bank caches' scalar
+``access`` loop, as the engine resolves a declined epoch; calls may
+decline only at steps where a partition has zero ways.
 """
 
 import numpy as np
@@ -73,11 +76,17 @@ def _state(cache):
             for addr, line in cache.resident_lines()]
 
 
-def _check(out, refs, caches, hs, ev, base=0):
-    assert out is not None
-    np.testing.assert_array_equal(out.hit_stage, hs)
-    got = list(zip((out.evicted_cache - base).tolist(),
-                   out.evicted_addr.tolist()))
+def _check(out, refs, caches, hs, ev, ways, probe, base=0):
+    """Compare one call with the reference; a declined call (``None``)
+    is first resolved by ``probe`` over the bank caches."""
+    if out is None:
+        assert 0 in ways.values(), f"declined at {ways}"
+        got_hs, got = probe(caches)
+    else:
+        got_hs = out.hit_stage
+        got = list(zip((out.evicted_cache - base).tolist(),
+                       out.evicted_addr.tolist()))
+    np.testing.assert_array_equal(got_hs, hs)
     assert got == ev
     for ref, cache in zip(refs, caches):
         assert ref.stats == cache.stats
@@ -105,9 +114,11 @@ def test_staged_matches_probe_loop(seed, steps, sectored, num_sets, n):
         out = bank.access_many_staged(addrs, writes, idx0, part0,
                                       two_stage, home,
                                       np.zeros(n, dtype=np.int64))
-        hs, ev = _probe_loop(refs, addrs, writes, idx0, part0, two_stage,
-                             home)
-        _check(out, refs, bank.caches, hs, ev)
+        def probe(caches):
+            return _probe_loop(caches, addrs, writes, idx0, part0,
+                               two_stage, home)
+        hs, ev = probe(refs)
+        _check(out, refs, bank.caches, hs, ev, ways, probe)
 
 
 @given(seed=st.integers(0, 2**32 - 1), steps=remote_steps,
@@ -126,8 +137,8 @@ def test_two_lane_shared_matches_probe_loop(seed, steps, other, sectored,
     # Lane 1 walks its own allotment sequence over the same stream.
     other = (other * len(steps))[:len(steps)]
     for remotes in zip(steps, other):
-        for k, remote in enumerate(remotes):
-            ways = {0: assoc - remote, 1: remote}
+        lane_ways = [{0: assoc - remote, 1: remote} for remote in remotes]
+        for k, ways in enumerate(lane_ways):
             for i in range(CACHES):
                 bank.caches[k * CACHES + i].set_partition(dict(ways))
                 refs[k][i].set_partition(dict(ways))
@@ -138,9 +149,12 @@ def test_two_lane_shared_matches_probe_loop(seed, steps, other, sectored,
                                 np.zeros(n, dtype=np.int64), stream=0)
                  for k in range(2)]
         outs = bank.access_many_staged_shared(calls)
+
+        def probe(caches):
+            return _probe_loop(caches, addrs, writes, idx0, part0,
+                               two_stage, home)
         for k in range(2):
-            hs, ev = _probe_loop(refs[k], addrs, writes, idx0, part0,
-                                 two_stage, home)
+            hs, ev = probe(refs[k])
             _check(outs[k], refs[k],
                    bank.caches[k * CACHES:(k + 1) * CACHES], hs, ev,
-                   base=k * CACHES)
+                   lane_ways[k], probe, base=k * CACHES)

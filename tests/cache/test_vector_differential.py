@@ -8,8 +8,10 @@ dirty bit), the final ``CacheStats`` and the final resident state
 (including LRU order) must be identical.  Single-cache batches run on a
 one-cache :class:`VectorBank`, as the engine drives it: the grouped
 kernel when unpartitioned, a single-stage staged call when partitioned.
-Streams the bank declines run through the scalar ``VectorCache.access``
-loop, which is what the serial engine executes for them.
+Streams the bank declines (foreign-partition residents, a tag resident
+in another partition's ways, a zero-way partition still holding lines)
+run through the scalar ``VectorCache.access`` loop, which is what the
+serial engine executes for them.
 """
 
 import numpy as np
@@ -102,6 +104,17 @@ def bank_batch(bank, addrs, writes, partition=UNPARTITIONED):
     return bank.access_many_staged(
         addrs, writes, idx, np.full(n, partition, dtype=np.int64),
         np.zeros(n, dtype=bool), idx, np.zeros(n, dtype=np.int64))
+
+
+def engine_batch(bank, addrs, writes, partition=UNPARTITIONED):
+    """``bank_batch`` resolved as the engine resolves an epoch: a batch
+    the bank declines runs through the cache's scalar ``access`` loop.
+    Returns the outcome and whether the bank declined."""
+    out = bank_batch(bank, addrs, writes, partition=partition)
+    if out is not None:
+        return out, False
+    return reference_outcomes(bank.caches[0], addrs, writes,
+                              partition=partition), True
 
 
 def assert_identical(ref_out, vec_out, ref_cache, vec_cache):
@@ -200,21 +213,28 @@ def test_scalar_interludes_stay_bit_identical():
 
 def test_partitioned_batches_match_reference():
     """Way-partitioned batches resolve natively, including repartition
-    mid-stream and a final ``set_partition(None)`` round."""
+    mid-stream and a final ``set_partition(None)`` round.  Both
+    partitions draw from one address range, so later batches probe tags
+    resident in the other partition's ways: the bank declines those and
+    the scalar loop resolves them."""
     rng = np.random.default_rng(19)
     config = make_config(16, 4)
     ref = SetAssociativeCache(config, "ref")
     bank, vec = one_cache_bank(config)
+    on_kernel = 0
     for ways in ({0: 2, 1: 2}, {0: 1, 1: 3}, {0: 3, 1: 1}):
         ref.set_partition(ways)
         vec.set_partition(ways)
         assert vec.partition_ways == ref.partition_ways == ways
         for partition in (0, 1, 0):
             addrs, writes = random_stream(rng, 16, 4, 150, 0.4)
+            vec_out, declined = engine_batch(bank, addrs, writes,
+                                             partition=partition)
+            on_kernel += not declined
             assert_identical(
                 reference_outcomes(ref, addrs, writes, partition=partition),
-                bank_batch(bank, addrs, writes, partition=partition),
-                ref, vec)
+                vec_out, ref, vec)
+    assert on_kernel >= 1
     # Unpartitioning: resident lines keep their partition ids.  The
     # bank declines batches over those foreign-partition residents, so
     # the serial engine's scalar loop must honour them until they drain.
@@ -245,7 +265,7 @@ def test_partitioned_batch_scalar_interleaved():
             addrs, writes = random_stream(rng, 12, 3, 120, 0.4)
             assert_identical(
                 reference_outcomes(ref, addrs, writes, partition=partition),
-                bank_batch(bank, addrs, writes, partition=partition),
+                engine_batch(bank, addrs, writes, partition=partition)[0],
                 ref, vec)
         addrs, writes = random_stream(rng, 12, 3, 40, 0.4)
         for i in range(len(addrs)):
@@ -273,7 +293,7 @@ def test_partition_full_batches_match_reference():
         addrs, writes = random_stream(rng, 16, 4, 100, 0.4)
         assert_identical(
             reference_outcomes(ref, addrs, writes, partition=partition),
-            bank_batch(bank, addrs, writes, partition=partition),
+            engine_batch(bank, addrs, writes, partition=partition)[0],
             ref, vec)
     # A partition id absent from the map also raises in both models.
     with pytest.raises(PartitionFullError):
@@ -361,7 +381,7 @@ def test_bank_grouped_lane_gate_covers_only_its_lanes():
             final_state(bank.caches[spl + s])
 
 
-def test_flush_invalidate_probe_native_paths():
+def test_drain_and_residency_native_paths():
     rng = np.random.default_rng(29)
     config = make_config(12, 3)
     ref = SetAssociativeCache(config, "ref")
@@ -369,17 +389,15 @@ def test_flush_invalidate_probe_native_paths():
     addrs, writes = random_stream(rng, 12, 3, 200, 0.5)
     reference_outcomes(ref, addrs, writes)
     bank_batch(bank, addrs, writes)
-    for addr in addrs[:40]:
-        assert ref.probe(int(addr)) == vec.probe(int(addr))
     assert ref.occupancy() == vec.occupancy()
-    for addr in addrs[:20]:
-        assert ref.invalidate(int(addr)) == vec.invalidate(int(addr))
     assert final_state(ref) == final_state(vec)
-    ref_addrs = sorted(entry[0] for entry in final_state(vec))
-    got = vec.resident_addrs()
-    assert got is not None
-    assert sorted(got.tolist()) == ref_addrs
-    assert ref.flush() == vec.flush()
+    ref_addrs = sorted(entry[0] for entry in final_state(ref))
+    assert sorted(vec.resident_addrs().tolist()) == ref_addrs
+    ref_dirty = sorted(addr for addr, line in ref.resident_lines()
+                       if line.dirty)
+    dirty_addrs, lines, dirty = vec.drain()
+    assert sorted(dirty_addrs.tolist()) == ref_dirty
+    assert ref.flush() == (lines, dirty)
     assert ref.occupancy() == vec.occupancy() == 0
 
 
@@ -439,7 +457,7 @@ def test_sectored_partitioned_with_scalar_interludes():
             addrs, writes = random_stream(rng, 16, 4, 150, 0.3)
             assert_identical(
                 reference_outcomes(ref, addrs, writes, partition=partition),
-                bank_batch(bank, addrs, writes, partition=partition),
+                engine_batch(bank, addrs, writes, partition=partition)[0],
                 ref, vec)
         addrs, writes = random_stream(rng, 16, 4, 30, 0.3)
         for i in range(len(addrs)):
@@ -520,15 +538,16 @@ def _staged_reference(refs, addrs, writes, idx0, part0, two_stage, idx1,
 
 @pytest.mark.parametrize("sectored", [False, True])
 def test_bank_staged_matches_probe_loop(sectored):
-    """The three-phase staged solver == the scalar two-stage probe loop,
+    """The two-phase staged solver == the scalar two-stage probe loop,
     across repartitions in both directions and a zero-way epoch.
 
     Growing the stage-1 (local) partition shrinks the stage-0 (remote)
     one: full rows then carry a remote surplus ``e`` (2 after the
     ``{0: 1, 1: 3} -> {0: 3, 1: 1}`` step, 1 after the one-way step)
     that local growth fills drain.  Both shrink directions must stay on
-    the kernel; only the zero-way over slot of ``{0: 4, 1: 0}`` still
-    goes to the stream-order interpreter.
+    the kernel; only the zero-way over slot of ``{0: 4, 1: 0}`` is
+    beyond the drain model, so a call probing it is declined and
+    resolved by the caches' scalar ``access``, as the engine does.
     """
     rng = np.random.default_rng(47)
     num_caches = 4
@@ -540,12 +559,12 @@ def test_bank_staged_matches_probe_loop(sectored):
     steps = ({0: 3, 1: 1}, {0: 1, 1: 3}, {0: 3, 1: 1}, {0: 2, 1: 2},
              {0: 3, 1: 1}, {0: 4, 1: 0})
     prev_remote = 0
+    declined_steps = []
     for ways in steps:
         for cache in bank.caches:
             cache.set_partition(dict(ways))
         for ref in refs:
             ref.set_partition(dict(ways))
-        replays = bank.set_replay_batches
         remote_before = sum(c.occupancy_by_partition().get(1, 0)
                             for c in bank.caches)
         for _ in range(2):
@@ -568,7 +587,11 @@ def test_bank_staged_matches_probe_loop(sectored):
             part1 = np.zeros(n, dtype=np.int64)
             out = bank.access_many_staged(addrs, writes, idx0, part0,
                                           two_stage, idx1, part1)
-            assert out is not None
+            if out is None:
+                declined_steps.append(ways)
+                out = StagedResult(*_staged_reference(
+                    bank.caches, addrs, writes, idx0, part0, two_stage,
+                    idx1, part1))
             hs, ev_cache, ev_addr = _staged_reference(
                 refs, addrs, writes, idx0, part0, two_stage, idx1, part1)
             np.testing.assert_array_equal(out.hit_stage, hs)
@@ -583,10 +606,11 @@ def test_bank_staged_matches_probe_loop(sectored):
             # A shrink: the remote surplus drained (remote lines only
             # ever leave through a drain), all on the kernel.
             assert remote_after < remote_before
-            assert bank.set_replay_batches == replays
         prev_remote = ways[1]
-    # The zero-way over slot is the one step left to the interpreter.
-    assert bank.set_replay_batches > 0
+    # Calls decline only where a partition has zero ways, and the
+    # zero-way over slot does decline.
+    assert declined_steps
+    assert all(0 in ways.values() for ways in declined_steps)
 
 
 def test_no_write_allocate_uses_scalar_path():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import flags
+from repro.resilience import supervisor
 
 README = Path(__file__).resolve().parents[2] / "README.md"
 
@@ -32,9 +33,15 @@ class TestRegistry:
 
     def test_read_applies_the_declared_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_RETRIES", raising=False)
-        assert flags.read("REPRO_RETRIES") == "1"
+        assert flags.read("REPRO_RETRIES") == \
+            flags.declared("REPRO_RETRIES").default
         monkeypatch.setenv("REPRO_RETRIES", "7")
         assert flags.read("REPRO_RETRIES") == "7"
+
+    def test_retries_default_matches_the_supervisor(self, monkeypatch):
+        monkeypatch.delenv("REPRO_RETRIES", raising=False)
+        assert flags.declared("REPRO_RETRIES").default == \
+            str(supervisor.default_retries())
 
     def test_read_rejects_undeclared_names(self):
         with pytest.raises(KeyError):

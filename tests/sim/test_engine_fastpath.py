@@ -4,8 +4,10 @@ The batched path must be *bit-identical* to the per-access path: same
 functional cache decisions, same resource charges, same latencies.  The
 tests compare ``RunStats.comparable_dict()`` (which excludes host-side
 telemetry such as wall clock and path counters) across several specs and
-every organization, and pin the fallback rules: runs the vector bank
-cannot host, and epochs it declines, take the serial engine.
+every organization, and pin the fallback rules: runs that do not take
+the vector path build no bank and run the serial engine over
+``SetAssociativeCache`` slices, and epochs the bank declines take the
+serial engine too.
 """
 
 import dataclasses
@@ -13,9 +15,10 @@ import dataclasses
 import pytest
 
 from repro.arch import baseline, with_coherence
+from repro.cache.cache import SetAssociativeCache
 from repro.cache.vector import VectorBank
-from repro.sim import EngineParams
-from repro.sim.run import simulate, simulate_stacked
+from repro.sim import EngineParams, SimulationEngine, make_organization
+from repro.sim.run import scaled_config, simulate, simulate_stacked
 from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
 from repro.workloads.suite import get
 
@@ -48,11 +51,13 @@ SPECS = (
 KERNEL_SPECS = SPECS + (get("RN"),)
 
 
-def oracle(bench, organization, config=None, params_kwargs=None):
+def oracle(bench, organization, config=None, params_kwargs=None,
+           org_kwargs=None):
     """The serial engine over ``SetAssociativeCache`` slices."""
     kwargs = dict(params_kwargs or {}, batched=False, vectorized=False)
     return simulate(bench, organization, config=config, scale=SCALE,
-                    accesses_per_epoch=DENSITY, params=EngineParams(**kwargs))
+                    accesses_per_epoch=DENSITY, params=EngineParams(**kwargs),
+                    org_kwargs=org_kwargs)
 
 
 def llc_variant(**changes):
@@ -83,21 +88,21 @@ class TestBitIdentical:
 
     def test_batched_path_actually_ran(self):
         _, batched = both_paths(SPECS[0], "memory-side")
-        assert batched.fast_epochs > 0
+        assert batched.vector_epochs > 0
         assert batched.slow_epochs == 0
 
     def test_serial_flag_forces_slow_path(self):
         serial, _ = both_paths(SPECS[0], "memory-side")
-        assert serial.fast_epochs == 0
+        assert serial.vector_epochs == serial.scalar_epochs == 0
         assert serial.slow_epochs > 0
 
     def test_with_l1_modeled(self):
         # L1s filter the probe stream per access, so both legs run the
-        # serial engine (over the vector bank's scalar operations); the
-        # oracle runs it over SetAssociativeCache.
+        # serial engine over SetAssociativeCache slices, as the oracle
+        # does.
         serial, batched = both_paths(SPECS[0], "memory-side",
                                      params_kwargs={"model_l1": True})
-        assert batched.fast_epochs == 0
+        assert batched.vector_epochs == batched.scalar_epochs == 0
         assert batched.comparable_dict() == serial.comparable_dict()
         assert batched.comparable_dict() == oracle(
             SPECS[0], "memory-side",
@@ -126,7 +131,7 @@ class TestVectorizedProbe:
         # through the grouped stack-distance kernel.
         assert vec.vector_epochs > 0
         assert vec.scalar_epochs == 0
-        assert loop.fast_epochs == 0
+        assert loop.vector_epochs == loop.scalar_epochs == 0
         assert vec.comparable_dict() == loop.comparable_dict()
         assert vec.comparable_dict() == serial.comparable_dict()
 
@@ -145,7 +150,7 @@ class TestVectorizedProbe:
                        params=EngineParams(batched=True, vectorized=True))
         assert vec.vector_epochs > 0
         assert vec.scalar_epochs == 0
-        assert loop.fast_epochs == 0
+        assert loop.vector_epochs == loop.scalar_epochs == 0
         assert vec.comparable_dict() == loop.comparable_dict()
 
     def test_l1_modeling_takes_serial_path(self):
@@ -155,7 +160,6 @@ class TestVectorizedProbe:
                        accesses_per_epoch=DENSITY,
                        params=EngineParams(batched=True, vectorized=True,
                                            model_l1=True))
-        assert vec.fast_epochs == 0
         assert vec.slow_epochs > 0
         assert vec.vector_epochs == 0
         assert vec.scalar_epochs == 0
@@ -169,20 +173,20 @@ class TestFallbacks:
         # must match the serial reference bit-for-bit.
         serial, batched = both_paths(SPECS[0], "sac")
         assert batched.slow_epochs == 0
-        assert batched.fast_epochs > 0
+        assert batched.vector_epochs > 0
         assert batched.comparable_dict() == serial.comparable_dict()
 
     def test_hardware_coherence_falls_back(self):
         config = with_coherence(baseline(), "hardware")
         serial, batched = both_paths(SPECS[0], "sm-side", config=config)
-        assert batched.fast_epochs == 0
+        assert batched.vector_epochs == batched.scalar_epochs == 0
         assert batched.slow_epochs > 0
         assert batched.comparable_dict() == serial.comparable_dict()
 
     def test_ladm_falls_back(self):
         # LADM's second-touch insertion filter is per-access state.
         serial, batched = both_paths(SPECS[0], "ladm")
-        assert batched.fast_epochs == 0
+        assert batched.vector_epochs == batched.scalar_epochs == 0
         assert batched.comparable_dict() == serial.comparable_dict()
 
 
@@ -215,7 +219,7 @@ class TestBankDeclines:
         stats = simulate(SPECS[0], "sac", config=config, scale=SCALE,
                          accesses_per_epoch=DENSITY,
                          params=EngineParams(batched=True, **params_kwargs))
-        assert stats.fast_epochs == 0
+        assert stats.vector_epochs == stats.scalar_epochs == 0
         assert stats.slow_epochs > 0
         assert stats.comparable_dict() == oracle(
             SPECS[0], "sac", config=config,
@@ -236,7 +240,6 @@ class TestBankDeclines:
                          params=EngineParams())
         assert stats.scalar_epochs == 1
         assert stats.vector_epochs > 0
-        assert stats.fast_epochs == stats.vector_epochs + stats.scalar_epochs
         assert stats.comparable_dict() == \
             oracle(SPECS[0], organization).comparable_dict()
 
@@ -269,7 +272,84 @@ class TestBankDeclines:
         for org, stats in zip(orgs, result.stats):
             declined = 1 if org == "dynamic" else 0
             assert stats.scalar_epochs == declined
-            assert stats.fast_epochs == \
-                stats.vector_epochs + stats.scalar_epochs
             assert stats.comparable_dict() == \
                 oracle(SPECS[0], org).comparable_dict()
+
+    @pytest.mark.parametrize("name,declined", [
+        ("SRAD", 2), ("NN", 3), ("BFS", 9)])
+    def test_undrainable_rows_decline_to_the_serial_engine(self, name,
+                                                           declined):
+        # With no floor on the remote allotment, DynamicLLC shrinks the
+        # remote partition to zero ways while it still holds lines: the
+        # drain model cannot describe that over slot, so every staged
+        # epoch probing one of its rows is declined whole and rerun on
+        # the serial engine — standalone and as a lane of a stacked
+        # sweep alike.
+        kwargs = {"min_remote_ways": 0}
+        bench = get(name)
+        expected = oracle(bench, "dynamic",
+                          org_kwargs=kwargs).comparable_dict()
+        solo = simulate(bench, "dynamic", scale=SCALE,
+                        accesses_per_epoch=DENSITY, org_kwargs=kwargs)
+        assert solo.scalar_epochs == declined
+        assert solo.vector_epochs > 0
+        assert solo.comparable_dict() == expected
+        config = scaled_config(baseline(), SCALE)
+        lane = make_organization("dynamic", config, **kwargs)
+        result = simulate_stacked(bench, ["memory-side", "static", lane],
+                                  scale=SCALE, accesses_per_epoch=DENSITY)
+        assert result.telemetry.stacked_lanes == 3
+        assert [s.scalar_epochs for s in result.stats] == [0, 0, declined]
+        assert result.stats[2].comparable_dict() == expected
+
+
+class TestVectorPathDecision:
+    """Whether a run takes the vector path is decided once, when the
+    engine is built: a run that cannot take it builds the oracle's
+    ``SetAssociativeCache`` slices and no ``VectorBank`` at all."""
+
+    @pytest.mark.parametrize("organization,config,params_kwargs", [
+        ("ladm", None, {}),
+        ("memory-side", None, {"page_migration": True}),
+        ("sm-side", with_coherence(baseline(), "hardware"), {}),
+        ("sac", None, {"model_l1": True}),
+        ("sac", None, {"batched": False}),
+        ("sac", None, {"vectorized": False}),
+    ], ids=["ladm", "page-migration", "hardware-coherence", "model-l1",
+            "unbatched", "unvectorized"])
+    def test_serial_runs_build_no_bank(self, monkeypatch, organization,
+                                       config, params_kwargs):
+        built = []
+        original = VectorBank.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(None)
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(VectorBank, "__init__", counting)
+        run_cfg = scaled_config(config or baseline(), SCALE)
+        engine = SimulationEngine(run_cfg,
+                                  make_organization(organization, run_cfg),
+                                  params=EngineParams(**params_kwargs))
+        assert built == []
+        assert all(type(cache) is SetAssociativeCache
+                   for chip in engine.llc for cache in chip)
+
+    @pytest.mark.parametrize("organization,wider_slices,extra_base,match", [
+        ("ladm", False, 0, "vector path"),
+        ("memory-side", True, 0, "geometry"),
+        ("memory-side", False, 1, "leaves no room"),
+    ], ids=["unhostable-run", "slice-geometry", "bank-base"])
+    def test_shared_bank_mount_guards(self, organization, wider_slices,
+                                      extra_base, match):
+        run_cfg = scaled_config(baseline(), SCALE)
+        llc_cfg = run_cfg.chip.llc_slice
+        if wider_slices:
+            llc_cfg = dataclasses.replace(
+                llc_cfg, associativity=2 * llc_cfg.associativity,
+                size_bytes=2 * llc_cfg.size_bytes)
+        total = run_cfg.total_llc_slices
+        bank = VectorBank(llc_cfg, [f"s{i}" for i in range(2 * total)])
+        with pytest.raises(ValueError, match=match):
+            SimulationEngine(run_cfg,
+                             make_organization(organization, run_cfg),
+                             llc_bank=bank, llc_bank_base=total + extra_base)

@@ -9,7 +9,6 @@ per-lane charge accumulators are pure execution-path changes.
 import pytest
 
 from repro.arch import baseline, presets
-from repro.cache.vector import VectorBank
 from repro.resilience import faults
 from repro.sim import (
     ORGANIZATIONS,
@@ -133,7 +132,7 @@ class TestStackedTelemetry:
         # lane shares one bank and stays bit-identical to its standalone
         # run, the shared bank needs at most half the kernel calls the
         # standalone runs make, reuse encodings and the lane-major replay
-        # engage, and no row falls back to the stream-order interpreter.
+        # engage, and no lane's epoch falls back to the serial engine.
         spec = get("RN")
         result = simulate_stacked(spec, list(ORGANIZATIONS), scale=SCALE,
                                   accesses_per_epoch=DENSITY)
@@ -150,37 +149,8 @@ class TestStackedTelemetry:
         assert tele.shared_replays > tele.shared_encodings
         assert sum(s.stacked_shared_streams > 0 for s in result.stats) >= 2
         assert tele.lane_batched_rounds > 0
-        assert tele.set_replay_batches == 0
+        assert [s.scalar_epochs for s in result.stats] == [0] * 5
         assert tele.wall_seconds > 0.0
-
-    def test_interpreter_batches_are_counted_once(self, monkeypatch):
-        # Make every staged bank call book one interpreter batch.  A lane
-        # of a shared bank cannot tell its batches from its neighbours',
-        # so it reports 0; a solo lane (its own geometry, so its own
-        # bank) and a standalone run report their own count; the sweep
-        # total in the telemetry counts every bank.
-        calls = []
-        for entry in ("access_many_staged", "access_many_staged_shared"):
-            def counting(self, *args, _original=getattr(VectorBank, entry),
-                         **kwargs):
-                self._store.set_replay_batches += 1
-                calls.append(None)
-                return _original(self, *args, **kwargs)
-            monkeypatch.setattr(VectorBank, entry, counting)
-        spec = tiny_spec(name="stacked-interp")
-        big = presets.with_llc_capacity_scale(baseline(), 2.0)
-        result = simulate_stacked(spec, ["static", "dynamic", "dynamic"],
-                                  configs=[baseline(), baseline(), big],
-                                  scale=SCALE, accesses_per_epoch=DENSITY)
-        assert result.telemetry.solo_lanes == 1
-        assert len(calls) > 0
-        assert result.telemetry.set_replay_batches == len(calls)
-        assert [s.set_replay_batches for s in result.stats[:2]] == [0, 0]
-        assert 0 < result.stats[2].set_replay_batches < len(calls)
-        calls.clear()
-        solo = standalone(spec, "dynamic")
-        assert len(calls) > 0
-        assert solo.set_replay_batches == len(calls)
 
     def test_per_lane_stats_carry_stacked_counters(self):
         spec = tiny_spec(name="stacked-lane-tele")
@@ -254,8 +224,8 @@ class TestSharedEncodings:
 
     def test_fallback_lane_rides_with_shared_lanes(self):
         # A lane whose config forces the per-access path (hardware
-        # coherence) joins the drive without disturbing the other
-        # lanes' stream sharing.
+        # coherence) builds no bank: it rides the drive as a solo lane
+        # without disturbing the other lanes' stream sharing.
         spec = tiny_spec(name="stacked-fallback")
         hw = presets.with_coherence(baseline(), "hardware")
         configs = [baseline(), baseline(), hw]
@@ -263,7 +233,12 @@ class TestSharedEncodings:
         result = simulate_stacked(spec, orgs, configs=configs, scale=SCALE,
                                   accesses_per_epoch=DENSITY)
         assert result.telemetry.shared_encodings > 0
-        assert result.stats[2].fast_epochs == 0
+        assert result.telemetry.stacked_lanes == 2
+        assert result.telemetry.solo_lanes == 1
+        assert result.stats[2].stacked_lanes == 0
+        assert result.stats[2].vector_epochs == 0
+        assert result.stats[2].scalar_epochs == 0
+        assert result.stats[2].slow_epochs > 0
         for org, config, stats in zip(orgs, configs, result.stats):
             solo = standalone(spec, org, config=config)
             assert stats.comparable_dict() == solo.comparable_dict()
@@ -276,11 +251,11 @@ class TestLaneBatchedReplay:
     shared encodings and sectored lanes separately; this class stacks
     all three into the *same* rounds and asserts the sweep never leaves
     the vectorized path — ``lane_batched_rounds`` counts fused kernel
-    passes and ``set_replay_batches`` stays zero because the
-    occupancy-surplus drain absorbs the over-allotment that used to
-    demote whole rows to the ``_SetReplay`` interpreter.  ``tiny_spec``
-    traffic only ever *grows* the dynamic remote partition (the local
-    slot drains); DWT shrinks it (8 -> 7 -> ... -> 2), which drains the
+    passes and every lane's ``scalar_epochs`` stays zero because the
+    occupancy-surplus drain absorbs the over-allotment of a
+    repartition, so the bank declines no epoch.  ``tiny_spec`` traffic
+    only ever *grows* the dynamic remote partition (the local slot
+    drains); DWT shrinks it (8 -> 7 -> ... -> 2), which drains the
     remote slot through the mirrored fixed point instead.
     """
 
@@ -311,9 +286,9 @@ class TestLaneBatchedReplay:
         initial = config.chip.llc_slice.associativity // 2
         assert stacked_org.remote_ways != initial
         # ...and the whole sweep still resolved on fused kernel passes:
-        # lane-batched rounds fired, the stream-order interpreter never.
+        # lane-batched rounds fired, and no lane declined an epoch.
         assert tele.lane_batched_rounds > 0
-        assert tele.set_replay_batches == 0
+        assert [s.scalar_epochs for s in result.stats] == [0] * 7
         assert tele.shared_encodings > 0
         solo_orgs = ["memory-side", "sm-side",
                      make_organization("dynamic", config), "static", "sac",
@@ -331,7 +306,7 @@ class TestLaneBatchedReplay:
         # run's post-repartition epochs must also stay vectorized.
         spec = tiny_spec(name="solo-drain", epochs=8, iterations=2)
         stats = standalone(spec, "dynamic")
-        assert stats.set_replay_batches == 0
+        assert stats.vector_epochs > 0
         assert stats.scalar_epochs == 0
 
     def test_shrinking_remote_partition_avoids_the_interpreter(self):
@@ -340,7 +315,6 @@ class TestLaneBatchedReplay:
         org = make_organization("dynamic", config)
         stats = standalone(spec, org)
         assert org.remote_ways < config.chip.llc_slice.associativity // 2
-        assert stats.set_replay_batches == 0
         assert stats.scalar_epochs == 0
         oracle = standalone(spec, "dynamic", params=EngineParams(
             batched=False, vectorized=False))
@@ -358,7 +332,7 @@ class TestLaneBatchedReplay:
             config.chip.llc_slice.associativity // 2
         assert tele.stacked_lanes == 5
         assert tele.solo_lanes == 0
-        assert tele.set_replay_batches == 0
+        assert [s.scalar_epochs for s in result.stats] == [0] * 5
         oracle = standalone(spec, "dynamic", params=EngineParams(
             batched=False, vectorized=False))
         assert result.stats[2].comparable_dict() == \
@@ -366,7 +340,6 @@ class TestLaneBatchedReplay:
 
     def test_lane_kernel_fields_are_registered_telemetry(self):
         assert "lane_batched_rounds" in TELEMETRY_FIELDS
-        assert "set_replay_batches" in TELEMETRY_FIELDS
 
 
 class TestDuplicateLanes:
