@@ -30,7 +30,6 @@ from what it already finished instead of restarting.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +37,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple, Union, cast
 
 from ..arch.config import SystemConfig
 from ..arch.presets import baseline
+from ..core import flags
 from ..resilience.manifest import SweepManifest
 from ..resilience.supervisor import SupervisedTask, Supervisor
 from ..sim.engine import EngineParams
@@ -155,7 +155,7 @@ def cache_size() -> int:
 def default_jobs() -> int:
     """Worker count used when ``n_jobs`` is not given (env ``REPRO_JOBS``)."""
     try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
+        return max(1, int(flags.read("REPRO_JOBS")))
     except ValueError:
         return 1
 
@@ -221,7 +221,7 @@ def _simulate_stacked_task(spec: BenchmarkSpec, organizations: List[str],
 def _stacked_enabled() -> bool:
     """Whether ``run_matrix`` stacks same-trace pending groups into one
     ``simulate_stacked`` dispatch (disable with ``REPRO_STACKED=0``)."""
-    return os.environ.get("REPRO_STACKED", "1") != "0"
+    return flags.read("REPRO_STACKED") != "0"
 
 
 def run(spec: BenchmarkSpec, organization: str,

@@ -1,19 +1,13 @@
 """Registry of every ``REPRO_*`` environment flag the package reads.
 
-Environment flags used to be scattered string literals — each module
-invented its own ``os.environ.get("REPRO_...")`` call and nothing
-guaranteed the name was spelled once, documented anywhere, or listed in
-the README.  This module is the single source of truth: every flag the
-package consumes is declared here as an :class:`EnvFlag` with its
-default and a one-line contract, the ``env-flag-registry`` lint rule
-fails the build when a ``REPRO_*`` read appears anywhere under
-``src/repro`` without a declaration, and the README's flag table is
-generated from :func:`markdown_table` (``python -m repro.core.flags``)
-and kept in sync by a test.
-
-Reading a flag stays ordinary ``os.environ`` access at the call site —
-the registry constrains *names*, not access style — but :func:`read`
-is available when a caller wants the declared default applied.
+Every flag the package consumes is declared here once, as an
+:class:`EnvFlag` with its default and a one-line contract, and every
+read goes through :func:`read`, which applies that default.  No other
+module under ``src/repro`` touches ``os.environ`` except to store a
+CLI option for worker processes (``tests/core/test_flags.py`` checks
+this), so a flag's name and default live in exactly one place.  The
+README's flag table is generated from :func:`markdown_table`
+(``python -m repro.core.flags``) and kept in sync by a test.
 """
 
 from __future__ import annotations

@@ -25,12 +25,13 @@ unsanitized one (freezing and error traps only *observe*).
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, List, NamedTuple, Optional
 
 import numpy as np
+
+from . import flags
 
 __all__ = [
     "SanitizerError",
@@ -51,7 +52,7 @@ def enabled() -> bool:
     per-epoch, so the lookup is negligible, and tests can flip the flag
     without re-importing anything.
     """
-    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
+    return flags.read("REPRO_SANITIZE") not in ("", "0")
 
 
 class Violation(NamedTuple):

@@ -1,13 +1,10 @@
 """``python -m repro.lint`` — the analyzer's command-line front end.
 
 Exit status: 0 when no new error-severity findings (and no parse
-errors), 1 when new findings exist, 2 on usage errors.  Baselined and
-``noqa``-suppressed findings never fail the run; stale baseline entries
-are reported (and removed by ``--prune-baseline``) so the committed
-file shrinks over time.
+errors), 1 when new findings exist, 2 on usage errors.
+``noqa``-suppressed findings never fail the run.
 
-``--format github`` emits workflow-command annotations for CI,
-``--format json`` a stable machine-readable document.
+``--format github`` emits workflow-command annotations for CI.
 """
 
 from __future__ import annotations
@@ -18,14 +15,9 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import rules as _rules  # noqa: F401  (imports populate REGISTRY)
-from .baseline import Baseline
 from .core import REGISTRY
 from .formats import FORMATS, render
 from .runner import run
-
-#: Default baseline filename, looked up in the current directory.
-DEFAULT_BASELINE = "lint_baseline.json"
-
 
 def _default_paths() -> List[Path]:
     """``src/repro`` when run from the repo root, else the package dir."""
@@ -43,24 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths", nargs="*", type=Path,
         help="files or directories to analyze (default: src/repro)")
-    parser.add_argument(
-        "--baseline", type=Path, default=None, metavar="FILE",
-        help=f"baseline file of grandfathered findings (default: "
-             f"./{DEFAULT_BASELINE} when present)")
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file; report every finding as new")
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0")
-    parser.add_argument(
-        "--prune-baseline", action="store_true",
-        help="rewrite the baseline file without its stale entries "
-             "(fingerprints that no longer match any finding)")
-    parser.add_argument(
-        "--justification", default="grandfathered", metavar="TEXT",
-        help="justification recorded for entries written by "
-             "--update-baseline")
     parser.add_argument(
         "--select", action="append", default=None, metavar="RULE",
         help="run only this rule (repeatable)")
@@ -106,48 +80,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         selected = [cls() for name, cls in sorted(REGISTRY.rules.items())
                     if name in set(args.select)]
 
-    baseline_path = args.baseline
-    if baseline_path is None:
-        default = Path(DEFAULT_BASELINE)
-        baseline_path = default if default.is_file() else None
-    baseline = Baseline()
-    if baseline_path is not None and not args.no_baseline \
-            and not args.update_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"repro.lint: {exc}", file=sys.stderr)
-            return 2
-
     paths = list(args.paths) if args.paths else _default_paths()
     try:
-        report = run(paths, baseline=baseline, rules=selected,
-                     root=Path.cwd())
+        report = run(paths, rules=selected, root=Path.cwd())
     except FileNotFoundError as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.update_baseline:
-        target = args.baseline if args.baseline is not None \
-            else Path(DEFAULT_BASELINE)
-        Baseline.from_findings(report.new + report.baselined,
-                               args.justification).save(target)
-        print(f"repro.lint: wrote {len(report.new) + len(report.baselined)} "
-              f"finding(s) to {target}")
-        return 0
-
-    if args.prune_baseline:
-        if baseline_path is None:
-            print("repro.lint: --prune-baseline needs a baseline file",
-                  file=sys.stderr)
-            return 2
-        for fp in report.stale_baseline:
-            baseline.entries.pop(fp, None)
-        baseline.save(baseline_path)
-        print(f"repro.lint: pruned {len(report.stale_baseline)} stale "
-              f"entr{'y' if len(report.stale_baseline) == 1 else 'ies'} "
-              f"from {baseline_path}")
-        report.stale_baseline = []
 
     print(render(report, args.fmt, show_suppressed=args.show_suppressed,
                  quiet=args.quiet))

@@ -4,19 +4,12 @@ A :class:`Rule` inspects one parsed source file and yields
 :class:`Finding` objects.  Rules self-register into :data:`REGISTRY`
 via the :func:`register` decorator so that importing
 :mod:`repro.lint.rules` is enough to make every project rule available
-to the runner and the CLI.
-
-Each finding carries the rule name, severity, location and a stable
-*fingerprint* (derived from the rule, the file and the offending source
-line's content, not its line number) used by the baseline mechanism:
-grandfathered findings survive unrelated edits that merely shift line
-numbers, but any change to the offending line itself re-surfaces the
-finding.
+to the runner and the CLI.  Each finding carries the rule name,
+severity and location.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterator, List, Type, TYPE_CHECKING
@@ -46,13 +39,6 @@ class Finding:
     line: int          # 1-based
     column: int        # 0-based
     message: str
-    source_line: str = ""
-
-    def fingerprint(self) -> str:
-        """Content-addressed identity used by the baseline mechanism."""
-        payload = "\x1f".join(
-            (self.rule, self.path, self.source_line.strip(), self.message))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.column + 1}: "
@@ -63,7 +49,7 @@ class Rule:
     """Base class for all lint rules.
 
     Subclasses set :attr:`name` (the id used in ``noqa`` comments and
-    baselines), :attr:`severity`, :attr:`description` (one line) and
+    ``--select``), :attr:`severity`, :attr:`description` (one line) and
     :attr:`contract` (the invariant the rule protects, shown by
     ``--list-rules``), and implement :meth:`check`.
     """
@@ -81,8 +67,7 @@ class Rule:
         """Build a finding anchored at ``line`` of ``source``."""
         return Finding(
             rule=self.name, severity=self.severity, path=source.relpath,
-            line=line, column=column, message=message,
-            source_line=source.line_text(line))
+            line=line, column=column, message=message)
 
 
 class ProjectRule(Rule):
@@ -95,7 +80,7 @@ class ProjectRule(Rule):
     :meth:`check` is inert (project rules yield nothing under
     single-file harnesses); the runner calls :meth:`check_project` once
     per run, and findings still anchor to concrete file locations, so
-    ``noqa`` suppression and baselining work unchanged.
+    ``noqa`` suppression works unchanged.
     """
 
     def check(self, source: "SourceFile") -> Iterator[Finding]:

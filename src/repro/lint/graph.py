@@ -3,9 +3,9 @@
 Per-file rules see one AST at a time; the contracts added by the
 shared-encoding work (PR 6) span modules — the producer of a reuse
 encoding lives in ``cache/vector.py`` while its consumers live in the
-stacked driver, and the telemetry registry lives in ``sim/stats.py``
-while stats attributes are written everywhere.  :class:`ProjectGraph`
-parses the *whole analyzed file set* once and gives rules:
+stacked driver, and a helper three imports away can run inside the
+epoch loop.  :class:`ProjectGraph` parses the *whole analyzed file
+set* once and gives rules:
 
 * module resolution — every file is named by its dotted module path
   (``repro/sim/engine.py`` -> ``repro.sim.engine``) and its imports are
@@ -595,25 +595,6 @@ class ProjectGraph:
 def build_graph(sources: Sequence[SourceFile]) -> ProjectGraph:
     """Build the project graph over ``sources``."""
     return ProjectGraph(sources)
-
-
-def iter_attribute_writes(
-        func: FunctionInfo) -> Iterator[Tuple[ast.Attribute, ast.AST]]:
-    """(attribute target, statement) pairs written inside ``func``.
-
-    Covers plain assignment, augmented assignment and annotated
-    assignment whose target is an ``obj.attr`` expression.
-    """
-    for node in ast.walk(func.node):
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        for target in targets:
-            for leaf in _unpack_targets(target):
-                if isinstance(leaf, ast.Attribute):
-                    yield leaf, node
 
 
 def _unpack_targets(target: ast.expr) -> Iterator[ast.expr]:

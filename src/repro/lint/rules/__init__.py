@@ -2,7 +2,7 @@
 
 Each module defines one rule (or one tightly-related family) and
 documents the contract it protects.  See ``docs/static_analysis.md``
-for the rule catalogue and suppression/baseline workflow.
+for the rule catalogue and the suppression syntax.
 """
 
 from __future__ import annotations
@@ -10,12 +10,9 @@ from __future__ import annotations
 from . import bare_except      # noqa: F401
 from . import config_validation  # noqa: F401
 from . import dtype_discipline   # noqa: F401
-from . import env_flag_registry  # noqa: F401
 from . import float_eq           # noqa: F401
 from . import hot_loop           # noqa: F401
 from . import mutable_default    # noqa: F401
 from . import nondeterminism     # noqa: F401
 from . import reachable_hot_loop  # noqa: F401
 from . import shared_encoding_alias  # noqa: F401
-from . import stats_drift        # noqa: F401
-from . import telemetry_registry  # noqa: F401

@@ -4,8 +4,8 @@ A run has two analysis tiers.  Per-file rules check each parsed
 :class:`SourceFile` independently; *project* rules
 (:class:`repro.lint.core.ProjectRule`) run once against the
 :class:`repro.lint.graph.ProjectGraph` built over every parsed file and
-yield findings anchored to concrete locations, so suppression and
-baselining treat both tiers identically.
+yield findings anchored to concrete locations, so suppression treats
+both tiers identically.
 
 Full-registry runs also emit ``unused-suppression`` warnings for
 ``# repro: noqa`` comments that suppressed no finding in either tier,
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
-from .baseline import Baseline
 from .core import REGISTRY, Finding, ProjectRule, Rule, Severity
 from .graph import build_graph
 from .source import SourceFile, relpath_of
@@ -49,12 +48,8 @@ class Report:
     """Outcome of one analyzer run."""
 
     new: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    stale_baseline: List[str] = field(default_factory=list)
     files_checked: int = 0
-    #: Files whose per-file rules actually executed this run.
-    files_analyzed: int = 0
     parse_errors: List[str] = field(default_factory=list)
 
     @property
@@ -64,9 +59,6 @@ class Report:
     @property
     def failed(self) -> bool:
         return bool(self.new_errors) or bool(self.parse_errors)
-
-    def all_findings(self) -> List[Finding]:
-        return self.new + self.baselined
 
 
 def check_source(source: SourceFile,
@@ -98,7 +90,6 @@ class _Run:
                               if isinstance(r, ProjectRule)]
         self.root = root
         self.report = Report()
-        self.findings: List[Finding] = []  # unsuppressed, pre-baseline
         self.sources: Dict[str, SourceFile] = {}
         #: relpath -> noqa comment line -> rule names (as written).
         self.noqa_lines: Dict[str, Dict[int, List[str]]] = {}
@@ -118,7 +109,6 @@ class _Run:
                 continue
             relpath = relpath_of(path, self.root)
             self.sources[relpath] = source
-            self.report.files_analyzed += 1
             self._analyze(relpath, source)
 
     def _analyze(self, relpath: str, source: SourceFile) -> None:
@@ -128,7 +118,7 @@ class _Run:
                 self.report.suppressed.append(finding)
                 used |= _suppressors(source, finding)
             else:
-                self.findings.append(finding)
+                self.report.new.append(finding)
         self.noqa_lines[relpath] = {
             line: sorted(names)
             for line, names in source.noqa_comments.items()}
@@ -152,7 +142,7 @@ class _Run:
                 self.used_lines.setdefault(finding.path, set()).update(
                     _suppressors(source, finding))
             else:
-                self.findings.append(finding)
+                self.report.new.append(finding)
 
     # -- Dead suppressions -----------------------------------------------
 
@@ -163,15 +153,12 @@ class _Run:
                 if line in used:
                     continue
                 listed = ", ".join(sorted(names))
-                source = self.sources.get(relpath)
-                self.findings.append(Finding(
+                self.report.new.append(Finding(
                     rule=UNUSED_SUPPRESSION, severity=Severity.WARNING,
                     path=relpath, line=line, column=0,
                     message=(f"noqa comment suppresses nothing "
                              f"(names: {listed}); remove it or fix the "
-                             f"rule name"),
-                    source_line=source.line_text(line)
-                    if source is not None else ""))
+                             f"rule name")))
 
 
 def _suppressors(source: SourceFile, finding: Finding) -> Set[int]:
@@ -184,20 +171,17 @@ def _suppressors(source: SourceFile, finding: Finding) -> Set[int]:
     return lines
 
 
-def run(paths: Sequence[Path], baseline: Optional[Baseline] = None,
-        rules: Optional[Iterable[Rule]] = None,
+def run(paths: Sequence[Path], rules: Optional[Iterable[Rule]] = None,
         root: Optional[Path] = None) -> Report:
     """Analyze every python file under ``paths`` and classify findings.
 
     Each finding lands in exactly one bucket: ``suppressed`` (an inline
-    ``noqa`` covers it), ``baselined`` (its fingerprint is in the
-    committed baseline) or ``new`` (fails the run when of error
+    ``noqa`` covers it) or ``new`` (fails the run when of error
     severity).
     """
     full_registry = rules is None
     rule_list = list(rules) if rules is not None \
         else REGISTRY.instantiate()
-    baseline = baseline if baseline is not None else Baseline()
 
     state = _Run(rule_list, root)
     state.per_file(paths)
@@ -206,12 +190,5 @@ def run(paths: Sequence[Path], baseline: Optional[Baseline] = None,
         state.unused_suppressions()
 
     report = state.report
-    for finding in state.findings:
-        if finding in baseline:
-            report.baselined.append(finding)
-        else:
-            report.new.append(finding)
     report.new.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
-    report.baselined.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
-    report.stale_baseline = baseline.stale_fingerprints(state.findings)
     return report

@@ -1,9 +1,9 @@
 """Parsed source files and inline ``noqa`` suppressions.
 
 A :class:`SourceFile` bundles everything a rule needs: the raw text,
-the split lines, the parsed AST with parent links, the repo-relative
-path used in reports/baselines, and the per-line suppression map parsed
-from ``# repro: noqa(rule-a, rule-b)`` comments (a bare
+the parsed AST with parent links, the repo-relative path used in
+reports, and the per-line suppression map parsed from
+``# repro: noqa(rule-a, rule-b)`` comments (a bare
 ``# repro: noqa`` suppresses every rule on that line).  Suppressions
 are matched against the line a finding is anchored to, so a noqa on a
 ``for`` statement suppresses the hot-loop finding it would raise.
@@ -68,7 +68,7 @@ def _parse_noqa(text: str) -> Dict[int, FrozenSet[str]]:
 
 
 def relpath_of(path: Path, root: Optional[Path] = None) -> str:
-    """Repo-relative posix path used in reports, baselines and caches."""
+    """Repo-relative posix path used in reports."""
     relpath = path.as_posix()
     if root is not None:
         try:
@@ -121,7 +121,6 @@ class SourceFile:
     relpath: str
     text: str
     tree: ast.AST
-    lines: List[str]
     #: anchor line -> suppressed rule names (statement spans expanded).
     noqa: Dict[int, FrozenSet[str]]
     #: physical comment line -> rule names, exactly as written.
@@ -144,7 +143,7 @@ class SourceFile:
                         noqa[anchor] = noqa.get(anchor, frozenset()) | names
                         sources.setdefault(anchor, []).append(line)
         source = cls(path=path, relpath=relpath_of(path, root), text=text,
-                     tree=tree, lines=text.splitlines(), noqa=noqa,
+                     tree=tree, noqa=noqa,
                      noqa_comments=comments, noqa_sources=sources)
         for parent in ast.walk(tree):
             for child in ast.iter_child_nodes(parent):
@@ -157,11 +156,6 @@ class SourceFile:
                              root=root)
 
     # -- Queries ---------------------------------------------------------
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
 
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
         return self._parents.get(id(node))

@@ -58,11 +58,12 @@ worker re-running the same task does not crash again forever.
 from __future__ import annotations
 
 import hashlib
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
+
+from ..core import flags
 
 #: Every site a :class:`FaultPlan` may arm.
 SITES = frozenset({
@@ -241,10 +242,10 @@ def active() -> Optional[FaultPlan]:
     """The armed plan: installed programmatically, else ``REPRO_FAULTS``."""
     if _ACTIVE is not None:
         return _ACTIVE
-    spec = os.environ.get("REPRO_FAULTS", "")
+    spec = flags.read("REPRO_FAULTS")
     if not spec:
         return None
-    state = os.environ.get("REPRO_FAULT_STATE", "")
+    state = flags.read("REPRO_FAULT_STATE")
     global _ENV_CACHE
     if _ENV_CACHE[0] != (spec, state):
         _ENV_CACHE = ((spec, state),

@@ -43,25 +43,23 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from ..core import flags
 from .faults import fire
-
-#: Default number of re-dispatches after a task's first failed attempt.
-DEFAULT_RETRIES = 2
 
 
 def default_retries() -> int:
-    """Retry budget per task (env ``REPRO_RETRIES``, default 2)."""
+    """Retry budget per task (env ``REPRO_RETRIES``); a malformed value
+    falls back to the flag's declared default."""
     try:
-        return max(0, int(os.environ.get("REPRO_RETRIES",
-                                         str(DEFAULT_RETRIES))))
+        return max(0, int(flags.read("REPRO_RETRIES")))
     except ValueError:
-        return DEFAULT_RETRIES
+        return int(flags.declared("REPRO_RETRIES").default)
 
 
 def default_task_timeout() -> Optional[float]:
     """Per-task wall-clock ceiling in seconds (env ``REPRO_TASK_TIMEOUT``,
     unset/non-positive disables timeouts)."""
-    raw = os.environ.get("REPRO_TASK_TIMEOUT", "")
+    raw = flags.read("REPRO_TASK_TIMEOUT")
     if not raw:
         return None
     try:

@@ -66,7 +66,7 @@ from .engine import (
 from .stats import RunStats
 
 
-@dataclass
+@dataclass(slots=True)
 class StackedTelemetry:
     """How one stacked run dispatched its lanes (host telemetry)."""
 

@@ -23,14 +23,9 @@ ORIGINS = (ORIGIN_LOCAL_LLC, ORIGIN_REMOTE_LLC,
 #: Host-side telemetry fields — wall-clock timings and execution-path
 #: counters that legitimately differ between two runs of the same
 #: workload, and are therefore excluded from
-#: :meth:`RunStats.comparable_dict`.  Every ``RunStats`` field must be in
-#: exactly one of ``comparable_dict()`` or this registry (enforced by the
-#: ``stats-drift`` lint rule), and every attribute *write* to a
-#: ``RunStats``/``KernelStats``/``StackedTelemetry`` object anywhere
-#: under ``src/repro`` must target a name registered here or in
-#: ``comparable_dict()`` (the cross-module ``telemetry-registry`` rule);
-#: the ``repro.sim.stacked.StackedTelemetry`` counters are therefore
-#: listed too.
+#: :meth:`RunStats.comparable_dict`.  Every ``RunStats`` field is in
+#: exactly one of ``comparable_dict()`` or this set
+#: (``tests/sim/test_stats.py`` checks the split on live objects).
 TELEMETRY_FIELDS = frozenset({
     "wall_seconds",
     "slow_epochs",
@@ -42,21 +37,10 @@ TELEMETRY_FIELDS = frozenset({
     "lane_quarantined",
     "lane_demoted",
     "sanitizer_violations",
-    # StackedTelemetry counters (repro/sim/stacked.py).
-    "lanes",
-    "solo_lanes",
-    "duplicate_lanes",
-    "banks",
-    "bank_invocations",
-    "shared_encodings",
-    "shared_replays",
-    "lane_batched_rounds",
-    "quarantined_lanes",
-    "demoted_lanes",
 })
 
 
-@dataclass
+@dataclass(slots=True)
 class KernelStats:
     """Per-kernel-launch record."""
 
@@ -80,9 +64,13 @@ class KernelStats:
         return self.llc_hits / self.llc_lookups
 
 
-@dataclass
+@dataclass(slots=True)
 class RunStats:
-    """Aggregate statistics for one benchmark under one LLC organization."""
+    """Aggregate statistics for one benchmark under one LLC organization.
+
+    Slotted, like :class:`KernelStats`: writing an undeclared attribute
+    raises ``AttributeError``, so no caller can grow unclassified state.
+    """
 
     benchmark: str = ""
     organization: str = ""

@@ -1,5 +1,6 @@
 """The environment-flag registry and its generated README table."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -9,6 +10,10 @@ from repro.core import flags
 from repro.resilience import supervisor
 
 README = Path(__file__).resolve().parents[2] / "README.md"
+PACKAGE = Path(flags.__file__).resolve().parents[1]
+
+#: ``os`` attributes that read the process environment.
+_ENV_READERS = frozenset({"environ", "environb", "getenv", "getenvb"})
 
 _TABLE_RE = re.compile(
     r"<!-- env-flags:begin[^>]*-->\n(.*?)\n<!-- env-flags:end -->",
@@ -66,3 +71,41 @@ class TestReadmeTable:
         table = flags.markdown_table()
         for name in flags.declared_names():
             assert table.count(f"| `{name}` |") == 1
+
+
+def _environment_reads(tree):
+    """Lines of ``tree`` that read the process environment directly.
+
+    Any use of ``os.environ``/``os.getenv`` (under any alias of ``os``)
+    counts, except as the target of an item store
+    (``os.environ[name] = value``); so does any ``from os import
+    environ``/``getenv``, whatever it is bound to.
+    """
+    os_names = {"os"} | {
+        alias.asname for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "os" and alias.asname}
+    stores = {id(node.value) for node in ast.walk(tree)
+              if isinstance(node, ast.Subscript)
+              and isinstance(node.ctx, ast.Store)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os" and \
+                any(alias.name in _ENV_READERS for alias in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and \
+                node.attr in _ENV_READERS and \
+                isinstance(node.value, ast.Name) and \
+                node.value.id in os_names and id(node) not in stores:
+            yield node.lineno
+
+
+def test_only_the_registry_reads_the_environment():
+    offenders = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path != PACKAGE / "core" / "flags.py"
+        for line in _environment_reads(
+            ast.parse(path.read_text(encoding="utf-8")))]
+    assert offenders == [], (
+        "read REPRO_* flags with repro.core.flags.read(), which applies "
+        "the declared default: " + ", ".join(offenders))

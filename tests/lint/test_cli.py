@@ -1,6 +1,5 @@
-"""Exit codes and baseline workflow of ``python -m repro.lint``."""
+"""Exit codes and options of ``python -m repro.lint``."""
 
-import json
 import textwrap
 
 import pytest
@@ -59,33 +58,6 @@ def test_select_limits_the_rules(tree, capsys):
     assert main([str(tree.parents[1]), "--select", "hot-loop"]) == 1
 
 
-def test_update_baseline_then_pass(tree, tmp_path, capsys):
-    tree.write_text(_BAD)
-    root = str(tree.parents[1])
-    assert main([root, "--update-baseline",
-                 "--justification", "legacy loop"]) == 0
-    payload = json.loads((tmp_path / "lint_baseline.json").read_text())
-    assert len(payload["findings"]) == 1
-    entry = next(iter(payload["findings"].values()))
-    assert entry["justification"] == "legacy loop"
-    capsys.readouterr()
-    # The grandfathered finding no longer fails the run...
-    assert main([root]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-    # ...and --no-baseline surfaces it again.
-    assert main([root, "--no-baseline"]) == 1
-
-
-def test_stale_baseline_entries_do_not_fail(tree, tmp_path, capsys):
-    tree.write_text(_BAD)
-    root = str(tree.parents[1])
-    assert main([root, "--update-baseline"]) == 0
-    tree.write_text(_CLEAN)
-    capsys.readouterr()
-    assert main([root]) == 0
-    assert "1 stale baseline entry" in capsys.readouterr().out
-
-
 def test_parse_error_fails_the_run(tree, capsys):
     tree.write_text("def broken(:\n")
     assert main([str(tree.parents[1])]) == 1
@@ -95,9 +67,9 @@ def test_parse_error_fails_the_run(tree, capsys):
 def test_list_rules_names_every_rule(tree, capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for name in ("hot-loop", "dtype-discipline", "stats-drift",
-                 "config-validation", "float-eq", "nondeterminism",
-                 "mutable-default", "bare-except"):
+    for name in ("hot-loop", "dtype-discipline", "config-validation",
+                 "float-eq", "nondeterminism", "mutable-default",
+                 "bare-except"):
         assert name in out
 
 

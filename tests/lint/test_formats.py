@@ -1,6 +1,5 @@
-"""Output formats (--format json/github) and --prune-baseline."""
+"""Output formats (--format text/github)."""
 
-import json
 import textwrap
 
 import pytest
@@ -14,11 +13,6 @@ _BAD = textwrap.dedent("""\
             touch(addrs[i])
     """)
 
-_CLEAN = textwrap.dedent("""\
-    def serve(addrs):
-        return vector_probe(addrs)
-    """)
-
 
 @pytest.fixture
 def tree(tmp_path, monkeypatch):
@@ -26,30 +20,6 @@ def tree(tmp_path, monkeypatch):
     target = tmp_path / "repro" / "sim" / "engine.py"
     target.parent.mkdir(parents=True)
     return target
-
-
-class TestJsonFormat:
-    def test_document_shape(self, tree, capsys):
-        tree.write_text(_BAD)
-        assert main([str(tree.parents[1]), "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["format"] == "repro.lint-report/1"
-        assert payload["failed"] is True
-        assert payload["files_checked"] == 1
-        [finding] = payload["new"]
-        assert finding["rule"] == "hot-loop"
-        assert finding["path"].endswith("repro/sim/engine.py")
-        assert finding["line"] == 2
-        assert len(finding["fingerprint"]) == 16
-        assert payload["baselined"] == []
-        assert payload["parse_errors"] == []
-
-    def test_clean_tree_document(self, tree, capsys):
-        tree.write_text(_CLEAN)
-        assert main([str(tree.parents[1]), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["failed"] is False
-        assert payload["new"] == []
 
 
 class TestGithubFormat:
@@ -74,7 +44,7 @@ class TestGithubFormat:
         report.new = [Finding(
             rule="hot-loop", severity=Severity.ERROR,
             path="a,b.py", line=1, column=0,
-            message="bad: 50%\nreally", source_line="x")]
+            message="bad: 50%\nreally")]
         out = render(report, "github")
         [annotation] = [l for l in out.splitlines()
                         if l.startswith("::error ")]
@@ -86,34 +56,3 @@ class TestGithubFormat:
         from repro.lint.runner import Report
         with pytest.raises(ValueError):
             render(Report(), "yaml")
-
-
-class TestPruneBaseline:
-    def test_prunes_stale_entries(self, tree, tmp_path, capsys):
-        tree.write_text(_BAD)
-        root = str(tree.parents[1])
-        assert main([root, "--update-baseline"]) == 0
-        # The finding disappears; its baseline entry goes stale.
-        tree.write_text(_CLEAN)
-        capsys.readouterr()
-        assert main([root, "--prune-baseline"]) == 0
-        out = capsys.readouterr().out
-        assert "pruned 1 stale entry" in out
-        assert "0 stale baseline entries" in out
-        payload = json.loads((tmp_path / "lint_baseline.json").read_text())
-        assert payload["findings"] == {}
-
-    def test_keeps_live_entries(self, tree, tmp_path, capsys):
-        tree.write_text(_BAD)
-        root = str(tree.parents[1])
-        assert main([root, "--update-baseline"]) == 0
-        capsys.readouterr()
-        assert main([root, "--prune-baseline"]) == 0
-        assert "pruned 0 stale entries" in capsys.readouterr().out
-        payload = json.loads((tmp_path / "lint_baseline.json").read_text())
-        assert len(payload["findings"]) == 1
-
-    def test_without_baseline_file_exits_two(self, tree, capsys):
-        tree.write_text(_CLEAN)
-        assert main([str(tree.parents[1]), "--prune-baseline"]) == 2
-        assert "needs a baseline file" in capsys.readouterr().err

@@ -1,140 +1,15 @@
-"""Good/bad fixture pairs for the four cross-module project rules."""
+"""Good/bad fixture pairs for the two cross-module project rules."""
 
 import textwrap
 
-from repro.lint.rules.env_flag_registry import EnvFlagRegistryRule
 from repro.lint.rules.reachable_hot_loop import ReachableHotLoopRule
 from repro.lint.rules.shared_encoding_alias import SharedEncodingAliasRule
-from repro.lint.rules.telemetry_registry import TelemetryRegistryRule
 
 from .conftest import project_graph
 
 
 def findings_of(rule, files):
     return list(rule.check_project(project_graph(files)))
-
-
-STATS_MODULE = textwrap.dedent("""\
-    TELEMETRY_FIELDS = frozenset({"wall_seconds", "lanes"})
-    class RunStats:
-        cycles: int = 0
-        wall_seconds: float = 0.0
-        def comparable_dict(self):
-            return {"cycles": self.cycles}
-    class StackedTelemetry:
-        lanes: int = 0
-    """)
-
-
-class TestTelemetryRegistry:
-    def test_bad_unregistered_write_is_flagged(self):
-        findings = findings_of(TelemetryRegistryRule(), {
-            "src/repro/sim/stats.py": STATS_MODULE,
-            "src/repro/sim/driver.py": """\
-                from .stats import RunStats
-                def go():
-                    s = RunStats()
-                    s.new_counter = 3
-                """,
-        })
-        assert [f.rule for f in findings] == ["telemetry-registry"]
-        assert "RunStats.new_counter" in findings[0].message
-        assert findings[0].path == "src/repro/sim/driver.py"
-
-    def test_good_registered_writes_pass(self):
-        findings = findings_of(TelemetryRegistryRule(), {
-            "src/repro/sim/stats.py": STATS_MODULE,
-            "src/repro/sim/driver.py": """\
-                from .stats import RunStats, StackedTelemetry
-                def go(t: StackedTelemetry):
-                    s = RunStats()
-                    s.wall_seconds = 1.0
-                    s.cycles += 5
-                    t.lanes += 1
-                """,
-        })
-        assert findings == []
-
-    def test_untracked_receiver_is_not_flagged(self):
-        # A write through an unknown type must stay a false negative,
-        # never a false positive.
-        findings = findings_of(TelemetryRegistryRule(), {
-            "src/repro/sim/stats.py": STATS_MODULE,
-            "src/repro/sim/driver.py": """\
-                def go(mystery):
-                    mystery.new_counter = 3
-                """,
-        })
-        assert findings == []
-
-    def test_silent_without_stats_module(self):
-        findings = findings_of(TelemetryRegistryRule(), {
-            "src/repro/sim/driver.py": """\
-                class RunStats:
-                    pass
-                def go():
-                    s = RunStats()
-                    s.anything = 1
-                """,
-        })
-        assert findings == []
-
-
-FLAGS_MODULE = textwrap.dedent("""\
-    class EnvFlag:
-        def __init__(self, name, default, description):
-            pass
-    FLAGS = (
-        EnvFlag("REPRO_JOBS", "", description="worker count"),
-    )
-    """)
-
-
-class TestEnvFlagRegistry:
-    def test_bad_undeclared_read_is_flagged(self):
-        findings = findings_of(EnvFlagRegistryRule(), {
-            "src/repro/core/flags.py": FLAGS_MODULE,
-            "src/repro/sim/run.py": """\
-                import os
-                A = os.environ.get("REPRO_SECRET", "")
-                B = os.environ["REPRO_OTHER"]
-                C = "REPRO_THIRD" in os.environ
-                """,
-        })
-        assert sorted(f.message.split()[2] for f in findings) == \
-            ["REPRO_OTHER", "REPRO_SECRET", "REPRO_THIRD"]
-
-    def test_good_declared_reads_pass(self):
-        findings = findings_of(EnvFlagRegistryRule(), {
-            "src/repro/core/flags.py": FLAGS_MODULE,
-            "src/repro/sim/run.py": """\
-                import os
-                A = os.environ.get("REPRO_JOBS", "")
-                B = "REPRO_JOBS" in os.environ
-                """,
-        })
-        assert findings == []
-
-    def test_empty_description_is_flagged(self):
-        findings = findings_of(EnvFlagRegistryRule(), {
-            "src/repro/core/flags.py": """\
-                class EnvFlag:
-                    def __init__(self, name, default, description):
-                        pass
-                FLAGS = (EnvFlag("REPRO_X", "", description=""),)
-                """,
-        })
-        assert len(findings) == 1
-        assert "empty description" in findings[0].message
-
-    def test_silent_without_flags_module(self):
-        findings = findings_of(EnvFlagRegistryRule(), {
-            "src/repro/sim/run.py": """\
-                import os
-                A = os.environ.get("REPRO_ANYTHING", "")
-                """,
-        })
-        assert findings == []
 
 
 ENCODING_MODULE = textwrap.dedent("""\

@@ -5,7 +5,6 @@ from .conftest import lint_text
 
 ENGINE = "repro/sim/engine.py"
 VECTOR = "repro/cache/vector.py"
-STATS = "repro/sim/stats.py"
 CONFIG = "repro/arch/config.py"
 QUEUEING = "repro/sim/queueing.py"
 DISKCACHE = "repro/analysis/diskcache.py"
@@ -133,61 +132,6 @@ def test_dtype_silent_outside_designated_modules():
         import numpy as np
         rows = np.arange(8)
         """, ELSEWHERE, rule="dtype-discipline")
-    assert findings == []
-
-
-# -- stats-drift ------------------------------------------------------------
-
-_STATS_TEMPLATE = """\
-    from dataclasses import dataclass
-
-    TELEMETRY_FIELDS = frozenset({{"wall_seconds"}})
-
-    @dataclass
-    class RunStats:
-        cycles: float = 0.0
-        wall_seconds: float = 0.0
-        {extra}
-
-        def comparable_dict(self):
-            return {{"cycles": self.cycles}}
-    """
-
-
-def test_stats_drift_fires_on_unclassified_field():
-    findings = lint_text(_STATS_TEMPLATE.format(extra="mystery: int = 0"),
-                         STATS, rule="stats-drift")
-    assert len(findings) == 1
-    assert "mystery" in findings[0].message
-
-
-def test_stats_drift_fires_on_field_in_both_places():
-    findings = lint_text(
-        _STATS_TEMPLATE.format(extra="").replace(
-            '{"cycles": self.cycles}',
-            '{"cycles": self.cycles, "wall_seconds": self.wall_seconds}'),
-        STATS, rule="stats-drift")
-    assert len(findings) == 1
-    assert "both" in findings[0].message
-
-
-def test_stats_drift_fires_when_registry_missing():
-    findings = lint_text("""\
-        from dataclasses import dataclass
-
-        @dataclass
-        class RunStats:
-            cycles: float = 0.0
-
-            def comparable_dict(self):
-                return {"cycles": self.cycles}
-        """, STATS, rule="stats-drift")
-    assert any("TELEMETRY_FIELDS" in f.message for f in findings)
-
-
-def test_stats_drift_silent_when_every_field_classified():
-    findings = lint_text(_STATS_TEMPLATE.format(extra=""),
-                         STATS, rule="stats-drift")
     assert findings == []
 
 

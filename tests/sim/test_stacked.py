@@ -338,9 +338,6 @@ class TestLaneBatchedReplay:
         assert result.stats[2].comparable_dict() == \
             oracle.comparable_dict()
 
-    def test_lane_kernel_fields_are_registered_telemetry(self):
-        assert "lane_batched_rounds" in TELEMETRY_FIELDS
-
 
 class TestDuplicateLanes:
     def test_duplicate_lane_copies_stats_without_simulating(self):

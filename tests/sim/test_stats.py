@@ -1,9 +1,12 @@
 """Unit tests for run statistics and aggregation helpers."""
 
+import dataclasses
+
 import pytest
 
-from repro.sim import KernelStats, RunStats, harmonic_mean, speedup
-from repro.sim.stats import ORIGINS
+from repro.sim import KernelStats, RunStats, StackedTelemetry, \
+    harmonic_mean, speedup
+from repro.sim.stats import ORIGINS, TELEMETRY_FIELDS
 
 
 class TestRunStats:
@@ -36,6 +39,28 @@ class TestRunStats:
         assert stats.cycles == 30
         assert stats.llc_hit_rate == pytest.approx(0.4)
         assert [k.name for k in stats.kernels] == ["a", "b"]
+
+
+class TestFieldContract:
+    def test_every_field_is_physics_or_telemetry(self):
+        # comparable_dict() is what the differential tests and the paper
+        # figures compare; TELEMETRY_FIELDS is what they may ignore.  A
+        # new field has to be put in exactly one of the two.
+        stats = RunStats()
+        stats.merge_kernel(KernelStats(name="k"))
+        physics = stats.comparable_dict()
+        assert not set(physics) & TELEMETRY_FIELDS
+        assert set(physics) | TELEMETRY_FIELDS == {
+            f.name for f in dataclasses.fields(RunStats)}
+        assert set(physics["kernels"][0]) == {
+            f.name for f in dataclasses.fields(KernelStats)}
+
+    @pytest.mark.parametrize("cls", [RunStats, KernelStats,
+                                     StackedTelemetry])
+    def test_undeclared_attributes_cannot_be_written(self, cls):
+        record = cls(name="k") if cls is KernelStats else cls()
+        with pytest.raises(AttributeError):
+            record.new_counter = 3
 
 
 class TestKernelStats:
