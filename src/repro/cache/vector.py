@@ -317,11 +317,10 @@ def _encode_stream(rows: np.ndarray, tg: np.ndarray, wr: np.ndarray,
                 buckets.append(_encode_bucket(
                     rows, tg, wr, sec, rank, sub, start, nrows))
     enc = _StreamEncoding(m, nrows, tuple(buckets))
-    if _sanitize.enabled():
-        # Every array in the encoding is freshly allocated above, so
-        # freezing cannot alias caller-owned state; replay reads the
-        # encoding only (its sole derived mutable is a .copy()).
-        _sanitize.freeze(enc)
+    # Every array in the encoding is freshly allocated above, so
+    # freezing cannot alias caller-owned state; replay reads the
+    # encoding only (its sole derived mutable is a .copy()).
+    _sanitize.freeze(enc)
     return enc
 
 
@@ -547,11 +546,10 @@ def _tile_encoding_lanes(enc: _StreamEncoding,
             mwidth=bk.mwidth,
             sec_l=np.tile(bk.sec_l, L) if bk.sec_l is not None else None))
     lenc = _LaneEncoding(L, n, tuple(buckets))
-    if _sanitize.enabled():
-        # Tiled arrays are freshly allocated above; freezing them makes
-        # any cross-lane in-place write raise, exactly as for the
-        # per-stream encoding the tiling derives from.
-        _sanitize.freeze(lenc)
+    # Tiled arrays are freshly allocated above; freezing them makes any
+    # cross-lane in-place write raise, exactly as for the per-stream
+    # encoding the tiling derives from.
+    _sanitize.freeze(lenc)
     return lenc
 
 
@@ -1522,8 +1520,6 @@ class VectorBank:
             ((0, len(self.caches)),)
         call = GroupedLaneCall((0, len(self.caches)), cache_idx, addrs,
                                writes, stream=0)
-        if not _sanitize.enabled():
-            return self._grouped_lanes([call], [ranges])[0]
         site = "VectorBank.access_many_grouped"
         n = addrs.shape[0]
         _sanitize.expect(site, "addrs", addrs, "int64", n)
@@ -1545,8 +1541,6 @@ class VectorBank:
         other lanes still share.
         """
         ranges = [(call.lane,) for call in calls]
-        if not _sanitize.enabled():
-            return self._grouped_lanes(calls, ranges)
         site = "VectorBank.access_many_grouped_shared"
         for call in calls:
             n = call.addrs.shape[0]
@@ -2146,8 +2140,6 @@ class VectorBank:
             ((0, len(self.caches)),)
         call = StagedLaneCall((0, len(self.caches)), addrs, writes, idx0,
                               part0, two_stage, idx1, part1, stream=0)
-        if not _sanitize.enabled():
-            return self._staged_lanes([call], [ranges])[0]
         site = "VectorBank.access_many_staged"
         n = addrs.shape[0]
         _sanitize.expect(site, "addrs", addrs, "int64", n)
@@ -2177,8 +2169,6 @@ class VectorBank:
         lanes fall back; the rest still share).
         """
         ranges = [(call.lane,) for call in calls]
-        if not _sanitize.enabled():
-            return self._staged_lanes(calls, ranges)
         site = "VectorBank.access_many_staged_shared"
         for call in calls:
             n = call.addrs.shape[0]

@@ -153,7 +153,7 @@ class ProfilingCounters:
             # Each home chip's CRD is independent sequential state, so
             # feeding the sampled subset in global access order
             # preserves every CRD's own observation order.
-            for h, c, a in zip(homes_l, chips_l, addrs_l):  # repro: noqa(reachable-hot-loop)
+            for h, c, a in zip(homes_l, chips_l, addrs_l):  # repro: noqa(hot-loop)
                 crds[h].observe(c, a)
 
     # -- EAB input extraction -------------------------------------------------

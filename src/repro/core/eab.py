@@ -180,18 +180,19 @@ def architecture_bandwidths(config: SystemConfig) -> Dict[str, float]:
     * ``b_llc`` — aggregate raw LLC slice bandwidth.
     * ``b_mem`` — aggregate DRAM bandwidth.
     """
-    chips = config.num_chips
-    b_intra = chips * config.chip.noc.bisection_bw_bytes_per_cycle / 2
-    if chips > 1:
+    num_chips = config.num_chips
+    b_intra = num_chips * config.chip.noc.bisection_bw_bytes_per_cycle / 2
+    if num_chips > 1:
         ring = config.inter_chip
         # Average hop count between distinct chips on a ring.
-        pairs = [(s, d) for s in range(chips) for d in range(chips) if s != d]
-        mean_hops = sum(min((d - s) % chips, (s - d) % chips)
-                        for s, d in pairs) / len(pairs)
-        b_inter = chips * ring.chip_egress_bw() / mean_hops
+        routes = [(s, d) for s in range(num_chips)
+                  for d in range(num_chips) if s != d]
+        mean_hops = sum(min((d - s) % num_chips, (s - d) % num_chips)
+                        for s, d in routes) / len(routes)
+        b_inter = num_chips * ring.chip_egress_bw() / mean_hops
     else:
         b_inter = math.inf
-    b_llc = chips * config.chip.llc_bw_bytes_per_cycle
+    b_llc = num_chips * config.chip.llc_bw_bytes_per_cycle
     b_mem = config.total_memory_bw
     return {"b_intra": b_intra, "b_inter": b_inter,
             "b_llc": b_llc, "b_mem": b_mem}

@@ -68,14 +68,6 @@ FLAGS: Tuple[EnvFlag, ...] = (
         "How many times the supervised runner re-queues a task whose "
         "worker crashed or timed out before quarantining it."),
     EnvFlag(
-        "REPRO_SANITIZE", "",
-        "Truthy: the runtime sanitizer freezes shared reuse encodings "
-        "(`writeable=False`) for the duration of replay, asserts "
-        "dtype/shape contracts at the vector-kernel entry points, runs "
-        "solves under `np.errstate(all=\"raise\")`, and records "
-        "violations in a `SanitizerReport` surfaced via "
-        "`RunStats.sanitizer_violations`."),
-    EnvFlag(
         "REPRO_STACKED", "1",
         "Set to `0` to disable stacked multi-config dispatch in "
         "`run_matrix` (every pending pair then simulates standalone)."),

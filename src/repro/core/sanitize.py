@@ -1,13 +1,12 @@
-"""Runtime kernel-contract sanitizer (``REPRO_SANITIZE=1``).
+"""Runtime kernel-contract sanitizer (always on).
 
-The static half of the encoding-aliasing defence is the
-``shared-encoding-alias`` lint rule; this module is the dynamic half.
-With ``REPRO_SANITIZE=1`` in the environment:
+Every vector-bank call runs under three checks:
 
 * every reuse encoding built by ``repro.cache.vector._encode_stream``
-  is frozen (:func:`freeze` marks its arrays ``writeable=False``), so
-  a replay or driver that mutates shared encoding state raises
-  immediately instead of corrupting every later lane bit-for-bit;
+  (and every lane tiling of one) is frozen when it is built
+  (:func:`freeze` marks its arrays ``writeable=False``), so a replay or
+  driver that mutates shared encoding state raises immediately instead
+  of corrupting every later lane bit-for-bit;
 * the vector-bank entry points assert their dtype/shape contracts
   (:func:`expect`) before touching state — a float address array or a
   mismatched lane batch fails loudly at the boundary, not as a silently
@@ -18,9 +17,11 @@ With ``REPRO_SANITIZE=1`` in the environment:
   recording a :class:`Violation` in the process-wide
   :func:`report` (surfaced per run as ``RunStats.sanitizer_violations``).
 
-The sanitizer never changes verdicts: with the flag unset every helper
-is a cheap no-op, and with it set a clean run is bit-identical to an
-unsanitized one (freezing and error traps only *observe*).
+The sanitizer never changes verdicts: freezing and error traps only
+*observe*, so a clean run computes exactly what the unchecked kernel
+would.  The one write a read-only array cannot refuse — being made
+writeable again — is ruled out by an AST scan of the package
+(``tests/core/test_sanitize.py``).
 """
 
 from __future__ import annotations
@@ -31,28 +32,15 @@ from typing import Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
-from . import flags
-
 __all__ = [
     "SanitizerError",
     "SanitizerReport",
     "Violation",
-    "enabled",
     "expect",
     "freeze",
     "guarded",
     "report",
 ]
-
-
-def enabled() -> bool:
-    """Whether ``REPRO_SANITIZE`` is set (and not ``0``) right now.
-
-    Read from the environment on every call — entry points are
-    per-epoch, so the lookup is negligible, and tests can flip the flag
-    without re-importing anything.
-    """
-    return flags.read("REPRO_SANITIZE") not in ("", "0")
 
 
 class Violation(NamedTuple):
@@ -64,7 +52,7 @@ class Violation(NamedTuple):
 
 
 class SanitizerError(RuntimeError):
-    """A kernel contract was violated while ``REPRO_SANITIZE`` was active."""
+    """A vector-kernel contract was violated."""
 
 
 @dataclass
@@ -133,8 +121,7 @@ def expect(site: str, name: str, value: object, dtype: str,
     """Assert one entry-point array contract (1-D, exact dtype, length).
 
     Raises :class:`SanitizerError` (after recording the violation) on
-    the first mismatch.  Callers gate on :func:`enabled` themselves so
-    the disabled path pays nothing.
+    the first mismatch.
     """
     if not isinstance(value, np.ndarray):
         raise _fail("contract", site,

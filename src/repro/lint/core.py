@@ -1,11 +1,11 @@
 """Core abstractions of the ``repro.lint`` static analyzer.
 
-A :class:`Rule` inspects one parsed source file and yields
+A :class:`Rule` inspects one parsed source file at a time and yields
 :class:`Finding` objects.  Rules self-register into :data:`REGISTRY`
 via the :func:`register` decorator so that importing
-:mod:`repro.lint.rules` is enough to make every project rule available
-to the runner and the CLI.  Each finding carries the rule name,
-severity and location.
+:mod:`repro.lint.rules` is enough to make every rule available to the
+runner and the CLI.  Each finding carries the rule name, severity and
+location.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Dict, Iterator, List, Type, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .graph import ProjectGraph
     from .source import SourceFile
 
 
@@ -68,33 +67,6 @@ class Rule:
         return Finding(
             rule=self.name, severity=self.severity, path=source.relpath,
             line=line, column=column, message=message)
-
-
-class ProjectRule(Rule):
-    """Rule that inspects the whole analyzed file set at once.
-
-    Per-file rules see one AST; a project rule queries the
-    :class:`repro.lint.graph.ProjectGraph` the runner builds over every
-    parsed file — import resolution, call edges, class attribute types —
-    so it can relate a producer in one module to consumers in another.
-    :meth:`check` is inert (project rules yield nothing under
-    single-file harnesses); the runner calls :meth:`check_project` once
-    per run, and findings still anchor to concrete file locations, so
-    ``noqa`` suppression works unchanged.
-    """
-
-    def check(self, source: "SourceFile") -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, graph: "ProjectGraph") -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding_at(self, source: "SourceFile", node: "object",
-                   message: str) -> Finding:
-        """Build a finding anchored at an AST node of ``source``."""
-        line = getattr(node, "lineno", 1)
-        column = getattr(node, "col_offset", 0)
-        return self.finding(source, line, column, message)
 
 
 @dataclass

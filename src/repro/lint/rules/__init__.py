@@ -14,5 +14,3 @@ from . import float_eq           # noqa: F401
 from . import hot_loop           # noqa: F401
 from . import mutable_default    # noqa: F401
 from . import nondeterminism     # noqa: F401
-from . import reachable_hot_loop  # noqa: F401
-from . import shared_encoding_alias  # noqa: F401

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Sequence, Set
+from typing import Optional, Sequence
 
 from ..source import SourceFile
 
@@ -18,17 +18,6 @@ def module_matches(source: SourceFile, suffixes: Sequence[str]) -> bool:
     rel = source.relpath
     return any(rel == suffix or rel.endswith("/" + suffix)
                for suffix in suffixes)
-
-
-def collect_names(node: ast.AST) -> Set[str]:
-    """Every bare identifier and attribute name appearing under ``node``."""
-    names: Set[str] = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name):
-            names.add(child.id)
-        elif isinstance(child, ast.Attribute):
-            names.add(child.attr)
-    return names
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -48,19 +37,3 @@ def call_name(node: ast.Call) -> Optional[str]:
     """Dotted name of a call's target, e.g. ``np.zeros``."""
     return dotted_name(node.func)
 
-
-def enclosing_functions(source: SourceFile,
-                        node: ast.AST) -> Iterator[ast.FunctionDef]:
-    """Innermost-first chain of function defs containing ``node``."""
-    for ancestor in source.ancestors(node):
-        if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield ancestor  # type: ignore[misc]
-
-
-def enclosing_class(source: SourceFile,
-                    node: ast.AST) -> Optional[ast.ClassDef]:
-    """Nearest class definition containing ``node``, if any."""
-    for ancestor in source.ancestors(node):
-        if isinstance(ancestor, ast.ClassDef):
-            return ancestor
-    return None

@@ -1,30 +1,35 @@
-"""Rule ``hot-loop`` — no per-access Python loops in hot-path modules.
+"""Rule ``hot-loop`` — no per-access Python loops on the vector path.
 
-PR 1/PR 2 replaced per-access Python loops in the engine and the LLC
-probe path with numpy kernels; simulation throughput depends on those
-loops never creeping back.  This rule flags ``for``/``while`` loops in
-the designated hot-path modules whose iterable (or loop condition)
-mentions a per-access trace array — ``addrs``/``writes``/``chips``/
-``clusters``/``slices``/``channels``/``homes``/``pairs`` and their
-``_np``/``_l``/``_s``/``_r`` spellings, ``epoch.<field>`` attributes,
-or the conventional batch length ``n``/``range(len(...))`` forms.
+Simulation throughput depends on the vector path resolving whole epochs
+with numpy kernels, so per-access Python loops must never creep back
+into it.  This rule flags ``for``/``while`` loops in every module the
+vector path executes (:data:`HOT_MODULES`) whose iterable (or loop
+condition) mentions a per-access trace array —
+``addrs``/``writes``/``chips``/``clusters``/``slices``/``channels``/
+``homes``/``pairs`` and their ``_np``/``_l``/``_s``/``_r`` spellings,
+``epoch.<field>`` attributes, or the conventional batch length
+``n``/``range(len(...))`` forms.  ``tests/lint/test_hot_modules.py``
+runs vector-path simulations under a profiler and fails if a module
+they execute is missing from the list, so a loop moved into a helper
+module cannot escape the rule.
 
 Loops over *grouped* quantities (unique pages, nonzero bincount bins,
 chips, slices) are inherently bounded by the machine geometry, not the
-access count, and are not flagged.  The one deliberate per-access
-loop left in these modules — the engine's serial reference path, the
-oracle every batched epoch must reproduce — carries an inline
-``# repro: noqa(hot-loop)`` suppression with its justification.
+access count, and are not flagged.  The deliberate per-access loops
+left in these modules — the engine's serial reference path, the oracle
+every batched epoch must reproduce, and the SAC counters' sampled
+scalar update — carry an inline ``# repro: noqa(hot-loop)``
+suppression with their justification.
 
 The rule also covers *cooperative drivers* (``_drive``-style generator
-pumps, PR 5/6): in the designated driver modules, any loop nested
-inside a pump's round loop (a ``while``) whose iterable mentions a
-per-lane collection — ``probes``/``members``/``outcomes``/``sids``
-and friends — runs O(rounds x lanes) times and is flagged.  Cheap
-deliberate bookkeeping loops (stats charging, probe regrouping) carry
-the same inline suppressions; anything that does real per-lane *work*
-there belongs in the bank's shared entry points, which encode each
-unique stream once and replay it per lane.
+pumps): in the designated driver modules, any loop nested inside a
+pump's round loop (a ``while``) whose iterable mentions a per-lane
+collection — ``probes``/``members``/``outcomes``/``sids`` and friends —
+runs O(rounds x lanes) times and is flagged.  Cheap deliberate
+bookkeeping loops (stats charging, probe regrouping) carry the same
+inline suppressions; anything that does real per-lane *work* there
+belongs in the bank's shared entry points, which encode each unique
+stream once and replay it per lane.
 """
 
 from __future__ import annotations
@@ -37,11 +42,30 @@ from ..core import Finding, Rule, Severity, register
 from ..source import SourceFile
 from ._common import module_matches
 
-#: Modules whose loops are subject to this rule.
+#: Modules whose loops are subject to this rule: every module the
+#: vector path executes (``tests/lint/test_hot_modules.py`` keeps this
+#: list complete).
 HOT_MODULES = (
-    "repro/sim/engine.py",
-    "repro/cache/vector.py",
+    "repro/arch/config.py",
     "repro/cache/cache.py",
+    "repro/cache/vector.py",
+    "repro/core/counters.py",
+    "repro/core/crd.py",
+    "repro/core/eab.py",
+    "repro/core/flags.py",
+    "repro/core/sac.py",
+    "repro/core/sanitize.py",
+    "repro/llc/base.py",
+    "repro/llc/organizations.py",
+    "repro/memory/dram.py",
+    "repro/memory/mapping.py",
+    "repro/memory/pages.py",
+    "repro/noc/crossbar.py",
+    "repro/noc/ring.py",
+    "repro/resilience/faults.py",
+    "repro/sim/engine.py",
+    "repro/sim/stats.py",
+    "repro/workloads/generator.py",
 )
 
 #: Modules hosting cooperative drivers (generator pumps that resolve
@@ -119,7 +143,7 @@ class HotLoopRule(Rule):
     name = "hot-loop"
     severity = Severity.ERROR
     description = ("Python for/while loop over a per-access trace array "
-                   "in a hot-path module")
+                   "in a module the vector path executes")
     contract = ("the engine's batched path and the vectorized LLC probe "
                 "kernel resolve whole epochs with numpy; per-access "
                 "Python loops belong only to the serial reference path "

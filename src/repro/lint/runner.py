@@ -1,15 +1,9 @@
 """Running the rule set over a file tree and classifying the results.
 
-A run has two analysis tiers.  Per-file rules check each parsed
-:class:`SourceFile` independently; *project* rules
-(:class:`repro.lint.core.ProjectRule`) run once against the
-:class:`repro.lint.graph.ProjectGraph` built over every parsed file and
-yield findings anchored to concrete locations, so suppression treats
-both tiers identically.
-
+Every rule checks each parsed :class:`SourceFile` independently.
 Full-registry runs also emit ``unused-suppression`` warnings for
-``# repro: noqa`` comments that suppressed no finding in either tier,
-so dead suppressions are flushed out instead of accreting.
+``# repro: noqa`` comments that suppressed no finding, so dead
+suppressions are flushed out instead of accreting.
 """
 
 from __future__ import annotations
@@ -18,8 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
-from .core import REGISTRY, Finding, ProjectRule, Rule, Severity
-from .graph import build_graph
+from .core import REGISTRY, Finding, Rule, Severity
 from .source import SourceFile, relpath_of
 
 #: Directories never descended into.
@@ -63,11 +56,9 @@ class Report:
 
 def check_source(source: SourceFile,
                  rules: Optional[Iterable[Rule]] = None) -> List[Finding]:
-    """Run per-file ``rules`` (default: every registered rule) over one
-    file.
+    """Run ``rules`` (default: every registered rule) over one file.
 
-    Project rules contribute nothing here (their ``check`` is inert);
-    findings suppressed by inline ``noqa`` comments are *not* filtered —
+    Findings suppressed by inline ``noqa`` comments are *not* filtered —
     :func:`run` classifies them so reports can show what a suppression
     is hiding.
     """
@@ -84,21 +75,15 @@ class _Run:
     """State of one analyzer pass (file IO and classification)."""
 
     def __init__(self, rule_list: List[Rule], root: Optional[Path]) -> None:
-        self.per_file_rules = [r for r in rule_list
-                               if not isinstance(r, ProjectRule)]
-        self.project_rules = [r for r in rule_list
-                              if isinstance(r, ProjectRule)]
+        self.rules = rule_list
         self.root = root
         self.report = Report()
-        self.sources: Dict[str, SourceFile] = {}
         #: relpath -> noqa comment line -> rule names (as written).
         self.noqa_lines: Dict[str, Dict[int, List[str]]] = {}
         #: relpath -> comment lines that suppressed something.
         self.used_lines: Dict[str, Set[int]] = {}
 
-    # -- Per-file tier ---------------------------------------------------
-
-    def per_file(self, paths: Sequence[Path]) -> None:
+    def check_files(self, paths: Sequence[Path]) -> None:
         for path in iter_python_files(paths):
             self.report.files_checked += 1
             text = path.read_text(encoding="utf-8")
@@ -107,13 +92,11 @@ class _Run:
             except SyntaxError as exc:
                 self.report.parse_errors.append(f"{path}: {exc}")
                 continue
-            relpath = relpath_of(path, self.root)
-            self.sources[relpath] = source
-            self._analyze(relpath, source)
+            self._analyze(relpath_of(path, self.root), source)
 
     def _analyze(self, relpath: str, source: SourceFile) -> None:
         used: Set[int] = set()
-        for finding in check_source(source, self.per_file_rules):
+        for finding in check_source(source, self.rules):
             if source.is_suppressed(finding.rule, finding.line):
                 self.report.suppressed.append(finding)
                 used |= _suppressors(source, finding)
@@ -123,28 +106,6 @@ class _Run:
             line: sorted(names)
             for line, names in source.noqa_comments.items()}
         self.used_lines.setdefault(relpath, set()).update(used)
-
-    # -- Project tier ----------------------------------------------------
-
-    def project(self) -> None:
-        if not self.project_rules:
-            return
-        graph = build_graph(list(self.sources.values()))
-        raw: List[Finding] = []
-        for rule in self.project_rules:
-            raw.extend(rule.check_project(graph))
-        raw.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
-        for finding in raw:
-            source = self.sources.get(finding.path)
-            if source is not None and \
-                    source.is_suppressed(finding.rule, finding.line):
-                self.report.suppressed.append(finding)
-                self.used_lines.setdefault(finding.path, set()).update(
-                    _suppressors(source, finding))
-            else:
-                self.report.new.append(finding)
-
-    # -- Dead suppressions -----------------------------------------------
 
     def unused_suppressions(self) -> None:
         for relpath in sorted(self.noqa_lines):
@@ -184,8 +145,7 @@ def run(paths: Sequence[Path], rules: Optional[Iterable[Rule]] = None,
         else REGISTRY.instantiate()
 
     state = _Run(rule_list, root)
-    state.per_file(paths)
-    state.project()
+    state.check_files(paths)
     if full_registry:
         state.unused_suppressions()
 

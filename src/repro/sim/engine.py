@@ -511,9 +511,8 @@ class SimulationEngine:
         for kernel in kernels:
             yield from self._run_kernel(kernel)
         self._finalize_allocation_stats()
-        # Violations recorded while this lane ran (0 unless
-        # REPRO_SANITIZE was active and a kernel contract broke but the
-        # raising error was contained upstream).
+        # Violations recorded while this lane ran (0 unless a kernel
+        # contract broke and the raising error was contained upstream).
         self.stats.sanitizer_violations = \
             _sanitize.report().count - base_violations
 

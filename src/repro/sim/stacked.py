@@ -402,12 +402,13 @@ def _drive(engines: Sequence[SimulationEngine],
             failed: Dict[int, BaseException] = {}
             try:
                 outcomes, sids = _invoke_group(member_probes)
-            except Exception as group_error:
-                # The shared path faulted before touching bank state
-                # (the injected site fires pre-dispatch; a real fault
-                # mid-solve is raised by the kernel before results are
-                # committed).  Re-resolve each member alone to pin the
-                # failure on specific lanes; the rest keep their round.
+            except KernelSolveError as group_error:
+                # The solve fault fires before the group's bank call
+                # touches any state, so re-resolving each member alone
+                # pins it on specific lanes; the rest keep their round.
+                # Any other error escapes: the bank commits one stream
+                # group at a time, so a member resolved before a
+                # mid-solve failure would apply its epoch twice.
                 outcomes, failed = _solo_fallback(
                     member_probes, group_error)
                 sids = None

@@ -124,10 +124,10 @@ class RunStats:
     # because the vector kernel itself faulted.
     lane_quarantined: int = 0
     lane_demoted: int = 0
-    # Kernel-contract violations the runtime sanitizer recorded during
-    # this run (always 0 unless ``REPRO_SANITIZE=1``; see
-    # ``repro.core.sanitize``).  A nonzero count survives even when the
-    # raising ``SanitizerError`` was absorbed by a containment layer.
+    # Kernel-contract violations the always-on runtime sanitizer
+    # recorded during this run (see ``repro.core.sanitize``).  A nonzero
+    # count survives even when the raising ``SanitizerError`` was
+    # absorbed by a containment layer.
     sanitizer_violations: int = 0
 
     @property

@@ -53,7 +53,7 @@ class TestRegistry:
             flags.read("REPRO_TYPO")
 
     def test_declared_lookup(self):
-        assert flags.declared("REPRO_SANITIZE").name == "REPRO_SANITIZE"
+        assert flags.declared("REPRO_JOBS").name == "REPRO_JOBS"
         with pytest.raises(KeyError):
             flags.declared("REPRO_TYPO")
 

@@ -1,4 +1,7 @@
-"""The runtime kernel-contract sanitizer (``REPRO_SANITIZE=1``)."""
+"""The runtime kernel-contract sanitizer (always on)."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from repro.cache.vector import VectorBank, _encode_stream
 from repro.core import sanitize
 
 LINE = 128
+PACKAGE = Path(sanitize.__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -15,11 +19,6 @@ def clean_report():
     sanitize.report().clear()
     yield
     sanitize.report().clear()
-
-
-@pytest.fixture
-def on(monkeypatch):
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
 
 
 def small_bank():
@@ -34,19 +33,6 @@ def batch(n=32, seed=5):
     writes = rng.random(n) < 0.3
     cache_idx = rng.integers(0, 2, size=n).astype(np.int64)
     return cache_idx, addrs, writes
-
-
-class TestEnabled:
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        assert not sanitize.enabled()
-
-    def test_zero_is_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "0")
-        assert not sanitize.enabled()
-
-    def test_one_is_on(self, on):
-        assert sanitize.enabled()
 
 
 class TestFreeze:
@@ -123,18 +109,13 @@ def encode_small_stream():
 
 
 class TestEncodingFreeze:
-    def test_sanitized_encodings_are_read_only(self, on):
+    def test_sanitized_encodings_are_read_only(self):
         enc = encode_small_stream()
         for bucket in enc.buckets:
             assert not bucket.idx.flags.writeable
             assert not bucket.pi_chain.flags.writeable
 
-    def test_unsanitized_encodings_stay_writeable(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        enc = encode_small_stream()
-        assert enc.buckets[0].idx.flags.writeable
-
-    def test_seeded_replay_side_mutation_is_detected(self, on):
+    def test_seeded_replay_side_mutation_is_detected(self):
         # Regression: a deliberately injected write to a shared
         # encoding buffer during replay must surface as a recorded
         # encoding-write violation, not silently corrupt later lanes.
@@ -151,21 +132,7 @@ class TestEncodingFreeze:
 
 
 class TestEntryPointContracts:
-    def test_clean_batch_is_identical_to_unsanitized(self, monkeypatch):
-        cache_idx, addrs, writes = batch()
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        plain = small_bank().access_many_grouped(cache_idx, addrs, writes)
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        guarded = small_bank().access_many_grouped(cache_idx, addrs, writes)
-        assert plain is not None and guarded is not None
-        np.testing.assert_array_equal(plain.hits, guarded.hits)
-        np.testing.assert_array_equal(plain.evicted_addr,
-                                      guarded.evicted_addr)
-        np.testing.assert_array_equal(plain.evicted_dirty,
-                                      guarded.evicted_dirty)
-        assert sanitize.report().count == 0
-
-    def test_float_addresses_fail_the_contract(self, on):
+    def test_float_addresses_fail_the_contract(self):
         cache_idx, addrs, writes = batch()
         with pytest.raises(sanitize.SanitizerError):
             small_bank().access_many_grouped(
@@ -174,21 +141,65 @@ class TestEntryPointContracts:
         assert violation.kind == "contract"
         assert violation.site == "VectorBank.access_many_grouped"
 
-    def test_mismatched_lengths_fail_the_contract(self, on):
+    def test_mismatched_lengths_fail_the_contract(self):
         cache_idx, addrs, writes = batch()
         with pytest.raises(sanitize.SanitizerError):
             small_bank().access_many_grouped(cache_idx, addrs, writes[:-1])
         [violation] = sanitize.report().violations
         assert violation.kind == "contract"
 
-    def test_disabled_sanitizer_skips_the_contract(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        cache_idx, addrs, writes = batch()
-        # Wrong dtype goes straight to the kernel (and blows up there
-        # or not) without a recorded violation — the sanitizer is off.
-        try:
-            small_bank().access_many_grouped(
-                cache_idx, addrs.astype(np.float64), writes)
-        except Exception:
-            pass
-        assert sanitize.report().count == 0
+
+def _unfreezes(tree):
+    """Lines of ``tree`` that may make an array writeable again.
+
+    A frozen encoding refuses every in-place write except this one, so
+    the scan allows ``arr.flags.writeable = False``,
+    ``arr.flags["WRITEABLE"] = False`` and ``arr.setflags(write=False)``
+    and flags any other value, including a computed one.
+    """
+    def is_false(node):
+        return isinstance(node, ast.Constant) and node.value is False
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                flag = isinstance(target, ast.Attribute) and \
+                    target.attr == "writeable"
+                flag |= isinstance(target, ast.Subscript) and \
+                    isinstance(target.value, ast.Attribute) and \
+                    target.value.attr == "flags" and \
+                    isinstance(target.slice, ast.Constant) and \
+                    str(target.slice.value).upper() in ("W", "WRITEABLE")
+                if flag and not is_false(node.value):
+                    yield node.lineno
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "setflags":
+            write = [kw.value for kw in node.keywords if kw.arg == "write"]
+            write += node.args[:1]
+            if any(not is_false(value) for value in write):
+                yield node.lineno
+
+
+def test_nothing_makes_an_array_writeable_again():
+    offenders = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line in _unfreezes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert offenders == [], (
+        f"these lines may re-enable writes to a frozen array: "
+        f"{offenders}")
+
+
+@pytest.mark.parametrize("code, flagged", [
+    ("bk.idx.flags.writeable = True", True),
+    ("bk.idx.flags.writeable = flag", True),
+    ("bk.idx.flags['WRITEABLE'] = 1", True),
+    ("bk.idx.setflags(write=True)", True),
+    ("bk.idx.setflags(True)", True),
+    ("arr.flags.writeable = False", False),
+    ("arr.setflags(write=False)", False),
+    ("arr.setflags(align=True)", False),
+])
+def test_the_unfreeze_scan(code, flagged):
+    assert list(_unfreezes(ast.parse(code))) == ([1] if flagged else [])

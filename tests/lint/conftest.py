@@ -7,7 +7,6 @@ from typing import Dict, List, Optional
 import pytest
 
 from repro.lint import Finding, SourceFile, check_source, run
-from repro.lint.graph import ProjectGraph, build_graph
 from repro.lint.runner import Report
 
 
@@ -39,15 +38,6 @@ def lint_tree(root: Path, files: Dict[str, str], **kwargs) -> Report:
     """Write ``files`` under ``root`` and run the full analyzer."""
     write_tree(root, files)
     return run([root], root=root, **kwargs)
-
-
-def project_graph(files: Dict[str, str]) -> ProjectGraph:
-    """Build a ProjectGraph over in-memory sources (no filesystem)."""
-    sources = [
-        SourceFile.from_text(textwrap.dedent(code), Path(relpath))
-        for relpath, code in files.items()
-    ]
-    return build_graph(sources)
 
 
 @pytest.fixture

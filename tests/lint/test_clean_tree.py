@@ -7,7 +7,7 @@ def test_registry_has_all_project_rules():
     assert set(REGISTRY.names()) == {
         "bare-except", "broad-except", "config-validation",
         "dtype-discipline", "float-eq", "hot-loop", "mutable-default",
-        "nondeterminism", "reachable-hot-loop", "shared-encoding-alias"}
+        "nondeterminism"}
 
 
 def test_src_repro_is_clean(repo_root):

@@ -8,7 +8,7 @@ VECTOR = "repro/cache/vector.py"
 CONFIG = "repro/arch/config.py"
 QUEUEING = "repro/sim/queueing.py"
 DISKCACHE = "repro/analysis/diskcache.py"
-ELSEWHERE = "repro/workloads/generator.py"
+ELSEWHERE = "repro/workloads/programs.py"
 
 
 # -- hot-loop ---------------------------------------------------------------

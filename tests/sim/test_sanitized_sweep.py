@@ -1,10 +1,10 @@
-"""REPRO_SANITIZE=1 stacked sweeps: clean, bit-identical, violation-free.
+"""Sanitized stacked sweeps: clean, bit-identical, violation-free.
 
-The sanitizer's contract is that it only *observes*: with the flag set,
+The sanitizer is always on and its contract is that it only *observes*:
 the five-organization stacked sweep must produce the exact bits of the
-unsanitized standalone runs, with zero recorded violations in every
-lane.  (The detection half — that a seeded encoding write IS caught —
-lives in ``tests/core/test_sanitize.py``.)
+standalone runs, with zero recorded violations in every lane.  (The
+detection half — that a seeded encoding write IS caught — lives in
+``tests/core/test_sanitize.py``.)
 """
 
 import pytest
@@ -34,35 +34,30 @@ def tiny_spec(name="sanitized-tiny", epochs=4):
         iterations=1, seed=11)
 
 
-def test_sanitized_five_org_sweep_is_bit_identical(monkeypatch):
+def test_sanitized_five_org_sweep_is_bit_identical():
     spec = tiny_spec()
-    # Unsanitized standalone baselines first...
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     solo = {org: simulate(spec, org, scale=SCALE,
                           accesses_per_epoch=DENSITY)
             for org in ORGANIZATIONS}
-    # ...then the stacked sweep with the sanitizer armed.
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
     result = simulate_stacked(spec, list(ORGANIZATIONS), scale=SCALE,
                               accesses_per_epoch=DENSITY)
     assert sanitize.report().count == 0
     for org, stats in zip(ORGANIZATIONS, result.stats):
+        # The shared encodings were frozen and nothing wrote to them.
         assert stats.sanitizer_violations == 0, org
         assert stats.comparable_dict() == solo[org].comparable_dict(), org
 
 
-def test_sanitized_standalone_runs_are_clean(monkeypatch):
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
+def test_sanitized_standalone_runs_are_clean():
     spec = tiny_spec(name="sanitized-solo")
     stats = simulate(spec, "sac", scale=SCALE, accesses_per_epoch=DENSITY)
     assert stats.sanitizer_violations == 0
     assert sanitize.report().count == 0
 
 
-def test_violation_delta_lands_in_run_stats(monkeypatch):
+def test_violation_delta_lands_in_run_stats():
     # Violations recorded before a run must not leak into its stats —
     # the engine stores the per-run delta, not the process total.
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
     sanitize.report().record("contract", "earlier-run", "stale")
     spec = tiny_spec(name="sanitized-delta", epochs=2)
     stats = simulate(spec, "memory-side", scale=SCALE,

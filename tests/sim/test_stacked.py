@@ -9,6 +9,8 @@ per-lane charge accumulators are pure execution-path changes.
 import pytest
 
 from repro.arch import baseline, presets
+from repro.cache import vector
+from repro.core import sanitize
 from repro.resilience import faults
 from repro.sim import (
     ORGANIZATIONS,
@@ -454,6 +456,33 @@ class TestLaneQuarantine:
             solo = standalone(spec, org)
             assert result.stats[i].comparable_dict() == \
                 solo.comparable_dict(), org
+
+    def test_mid_solve_group_failure_escapes_the_sweep(self, monkeypatch):
+        # The bank commits a group call one stream group at a time, so a
+        # call that fails mid-solve may already have applied some
+        # members' epochs; retrying those members solo would apply them
+        # twice.  Only a KernelSolveError, which fires before the bank
+        # is touched, goes to the solo fallback.  Here a value-preserving
+        # write into a frozen lane tiling fails the group mid-solve.
+        original = vector._tile_encoding_lanes
+
+        def writing_tiler(enc, row_offsets):
+            lenc = original(enc, row_offsets)
+            idx = lenc.buckets[0].idx
+            idx[0] = idx[0]
+            return lenc
+
+        monkeypatch.setattr(vector, "_tile_encoding_lanes", writing_tiler)
+        sanitize.report().clear()
+        try:
+            with pytest.raises(sanitize.SanitizerError):
+                simulate_stacked(tiny_spec(name="stacked-mid-solve"),
+                                 list(ORGANIZATIONS), scale=SCALE,
+                                 accesses_per_epoch=DENSITY)
+            [violation] = sanitize.report().violations
+            assert violation.kind == "encoding-write"
+        finally:
+            sanitize.report().clear()
 
     def test_quarantine_fields_are_telemetry_not_physics(self):
         assert "lane_quarantined" in TELEMETRY_FIELDS
