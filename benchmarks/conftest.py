@@ -6,8 +6,7 @@ simulation runs are memoized per process (``repro.analysis.runner``), so
 figures that share runs (1, 8, 9, 10) only simulate once per session.
 
 Benches run with a single benchmark round: the timed quantity is the
-experiment itself, and the printed report is the artifact of record
-(captured into ``bench_output.txt`` by the top-level run command).
+experiment itself, and the printed report is the artifact of record.
 """
 
 import pytest

@@ -32,8 +32,9 @@ def _require(condition: bool, message: str) -> None:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Geometry and policy of one cache (an L1 or an LLC slice).
+    """Geometry of one LLC slice.
 
+    Every cache is true-LRU, write-back and write-allocate.
     ``line_size`` is in bytes.  ``sectored`` enables sector caches in which
     ``sectors_per_line`` sectors share one tag; hit/miss is then tracked at
     sector granularity (paper Section 3.6 / 5.6).
@@ -44,13 +45,8 @@ class CacheConfig:
     line_size: int = 128
     sectored: bool = False
     sectors_per_line: int = 4
-    write_back: bool = True
-    write_allocate: bool = True
-    replacement: str = "lru"  # "lru" | "tree-plru" | "srrip"
 
     def __post_init__(self) -> None:
-        _require(self.replacement in ("lru", "tree-plru", "srrip"),
-                 f"unknown replacement policy: {self.replacement!r}")
         _require(self.size_bytes > 0, "cache size must be positive")
         _require(self.associativity > 0, "associativity must be positive")
         _require(self.line_size > 0 and (self.line_size & (self.line_size - 1)) == 0,
@@ -190,11 +186,10 @@ class CoherenceConfig:
     """Coherence protocol selection (paper Sections 2, 5.6).
 
     ``"software"`` — flush-based (the commercial default); ``"hardware"``
-    — the paper's write-invalidate directory; ``"hardware-mesi"`` — the
-    full four-state MESI protocol (extension, see repro.coherence.mesi).
+    — the paper's write-invalidate directory.
     """
 
-    protocol: str = "software"  # "software" | "hardware" | "hardware-mesi"
+    protocol: str = "software"  # "software" | "hardware"
     # Cycles charged to write back + invalidate one dirty LLC line during a
     # software-coherence flush (amortized; the traffic itself is also
     # charged to DRAM bandwidth).
@@ -203,7 +198,7 @@ class CoherenceConfig:
     invalidation_message_bytes: int = 16
 
     def __post_init__(self) -> None:
-        _require(self.protocol in ("software", "hardware", "hardware-mesi"),
+        _require(self.protocol in ("software", "hardware"),
                  f"unsupported coherence protocol: {self.protocol!r}")
         _require(self.flush_cycles_per_line >= 0,
                  "flush cost per line cannot be negative")
@@ -238,12 +233,14 @@ class SACConfig:
 
 @dataclass(frozen=True)
 class ChipConfig:
-    """One GPU chip: SMs, L1s, LLC slices, NoC and memory partition."""
+    """One GPU chip: SMs, LLC slices, NoC and memory partition.
+
+    The SMs' private L1s are not modelled: the workload traces are
+    already the post-L1 access stream.
+    """
 
     num_sms: int = 64
     sms_per_cluster: int = 2
-    l1: CacheConfig = field(default_factory=lambda: CacheConfig(
-        size_bytes=128 * KB, associativity=8, line_size=128))
     llc_slice: CacheConfig = field(default_factory=lambda: CacheConfig(
         size_bytes=256 * KB, associativity=16, line_size=128))
     llc_slices: int = 16
@@ -259,8 +256,6 @@ class ChipConfig:
         _require(self.llc_slices > 0, "need at least one LLC slice")
         _require(self.llc_slice_bw_bytes_per_cycle > 0,
                  "LLC slice bandwidth must be positive")
-        _require(self.llc_slice.line_size == self.l1.line_size,
-                 "L1 and LLC must share a line size")
         _require(self.noc.sm_ports == self.num_sms // self.sms_per_cluster,
                  "NoC SM ports must match the number of SM clusters")
         _require(self.noc.llc_ports == self.llc_slices,

@@ -8,16 +8,7 @@ from .cache import (
     PartitionFullError,
     SetAssociativeCache,
 )
-from .replacement import (
-    POLICIES,
-    LRUPolicy,
-    ReplacementPolicy,
-    SRRIPPolicy,
-    TreePLRUPolicy,
-    make_policy,
-)
 from .vector import BatchResult, VectorBank, VectorCache
-from .waycache import WayOrganizedCache, make_cache
 
 __all__ = [
     "BatchResult",
@@ -29,12 +20,4 @@ __all__ = [
     "CacheStats",
     "PartitionFullError",
     "SetAssociativeCache",
-    "POLICIES",
-    "LRUPolicy",
-    "ReplacementPolicy",
-    "SRRIPPolicy",
-    "TreePLRUPolicy",
-    "make_policy",
-    "WayOrganizedCache",
-    "make_cache",
 ]

@@ -112,7 +112,8 @@ class CacheStats:
 
 
 class SetAssociativeCache:
-    """A set-associative cache with true LRU replacement.
+    """A set-associative, write-back, write-allocate cache with true LRU
+    replacement.
 
     Addresses are byte addresses; the cache derives line, set and tag
     internally.  ``access`` performs lookup + fill + LRU update in one
@@ -142,8 +143,6 @@ class SetAssociativeCache:
         self._index_bits = config.num_sets.bit_length() - 1
         self._associativity = config.associativity
         self._sectored = config.sectored
-        self._write_back = config.write_back
-        self._write_allocate = config.write_allocate
         if config.sectored:
             self._sector_shift = config.sector_size.bit_length() - 1
 
@@ -241,7 +240,7 @@ class SetAssociativeCache:
                     sector_miss = True
                     line.sector_valid |= 1 << sector
             cache_set.move_to_end(tag)
-            if is_write and self._write_back:
+            if is_write:
                 line.dirty = True
             if sector_miss:
                 # A sector miss costs a memory fetch but not a tag fill.
@@ -252,7 +251,7 @@ class SetAssociativeCache:
             return _HIT
 
         stats.misses += 1
-        if not allocate_on_miss or (is_write and not self._write_allocate):
+        if not allocate_on_miss:
             return _MISS
         evicted_dirty, evicted_addr = self._fill(index, tag, is_write, partition,
                                                  addr)
@@ -269,7 +268,7 @@ class SetAssociativeCache:
             line = self._sets[index][tag]
             if self._sectored:
                 line.sector_valid |= 1 << self._sector_of(addr)
-            if is_write and self._write_back:
+            if is_write:
                 line.dirty = True
             self._sets[index].move_to_end(tag)
             return AccessResult(hit=True)
@@ -299,7 +298,7 @@ class SetAssociativeCache:
             sector_valid = 1 << self._sector_of(addr)
         cache_set[tag] = CacheLine(
             tag=tag,
-            dirty=is_write and self._write_back,
+            dirty=is_write,
             partition=partition,
             sector_valid=sector_valid)
         if self._part_occ is not None:

@@ -16,10 +16,10 @@ epoch the bank declines.  A run that cannot take the vector path never
 builds a bank: it runs on :class:`SetAssociativeCache` slices.
 
 The batch kernel is *bit-identical* to :class:`SetAssociativeCache`
-for every configuration it covers — true-LRU, write-allocate,
-**including way-partitioned and sectored caches**: same per-access
-hit/miss/sector-miss outcomes, same eviction addresses and dirty bits,
-same ``CacheStats``, same final state.
+for every cache configuration, **including way-partitioned and
+sectored caches**: same per-access hit/miss/sector-miss outcomes, same
+eviction addresses and dirty bits, same ``CacheStats``, same final
+state.
 
 State layout (the *slot store*): one ``(C, S, A)`` block of
 tags/dirty bits per *partition slot*, where a line's slot is its
@@ -170,8 +170,6 @@ class _Geometry(NamedTuple):
     sets_pow2: bool
     index_bits: int
     set_mask: int
-    write_back: bool
-    write_allocate: bool = True
     sectored: bool = False
     sector_shift: int = 0
     sectors: int = 1
@@ -218,8 +216,6 @@ def _geometry_of(config: CacheConfig) -> _Geometry:
         sets_pow2=(num_sets & (num_sets - 1)) == 0,
         index_bits=num_sets.bit_length() - 1,
         set_mask=num_sets - 1,
-        write_back=config.write_back,
-        write_allocate=config.write_allocate,
         sectored=sectored,
         sector_shift=sector_shift,
         sectors=1 << (line_shift - sector_shift) if sectored else 1)
@@ -695,8 +691,7 @@ def _replay_bucket(bk: _BucketEncoding, tags: np.ndarray,
     # Dirty bits travel along each tag's chain of consecutive touches of
     # one instance: segment boundaries at first touches and at (tag)
     # misses; first-touch *hits* inherit the pre-batch line's dirty bit.
-    w_eff = bk.wl & geo.write_back
-    wseed = w_eff.copy()
+    wseed = bk.wl.copy()
     wseed[first] |= init_dirty & hitb[first]
     seg_start = chain_head[o2] | ~hitb[o2]
     seg = np.cumsum(seg_start, dtype=np.int32)
@@ -1109,7 +1104,7 @@ class _SetReplay:
         return next((e for e in self._entries if e[0] == tag), None)
 
     def _touch_line(self, e: List[int], is_write: bool, stamp: int) -> None:
-        if is_write and self._geo.write_back:
+        if is_write:
             e[1] = 1
         e[4] = stamp
         self._entries.remove(e)
@@ -1130,7 +1125,7 @@ class _SetReplay:
                 e[2] |= 1 << sector_idx
             self._touch_line(e, is_write, stamp)
             return (not sector_miss, sector_miss, False, -1, 0)
-        if not allocate or (is_write and not geo.write_allocate):
+        if not allocate:
             return (False, False, False, -1, 0)
         ev_addr, ev_dirty = self._fill(tag, is_write, partition,
                                        sector_idx, ways, stamp)
@@ -1181,7 +1176,7 @@ class _SetReplay:
             ve = entries.pop(victim)
             ev_addr = geo.rebuild_one(self._index, ve[0])
             ev_dirty = ve[1]
-        entries.append([tag, int(is_write and geo.write_back),
+        entries.append([tag, int(is_write),
                         1 << sector_idx if geo.sectored else 0, partition,
                         stamp])
         return ev_addr, ev_dirty
@@ -1224,10 +1219,6 @@ class VectorCache:
     def __init__(self, config: CacheConfig, name: str = "cache",
                  _store: Optional[_SlotStore] = None,
                  _index: int = 0) -> None:
-        if config.replacement != "lru":
-            raise ValueError(
-                f"VectorCache requires LRU replacement, "
-                f"got {config.replacement!r}")
         self.config = config
         self.name = name
         self.stats = CacheStats()
@@ -1505,9 +1496,9 @@ class VectorBank:
 
         ``cache_idx`` maps each access to its flat cache index.  Returns
         None (the caller resolves the epoch serially) when any cache
-        cannot take the plain batch path — partitioned ways,
-        foreign-slot residents, no-write-allocate configs — so
-        behaviour always matches the scalar model.
+        cannot take the plain batch path — partitioned ways or
+        foreign-slot residents — so behaviour always matches the scalar
+        model.
 
         ``lanes`` restricts the eligibility gate (and the per-cache
         stats update) to the given ``[lo, hi)`` cache ranges — the lanes
@@ -1569,8 +1560,6 @@ class VectorBank:
         geo = self._geo
         store = self._store
         results: List[Optional[BatchResult]] = [None] * len(calls)
-        if not geo.write_allocate:
-            return results
         S = geo.num_sets
         # Per-call eligibility gate, then stream grouping of survivors.
         eligible = [k for k in range(len(calls))
@@ -2201,7 +2190,7 @@ class VectorBank:
         share.
         """
         results: List[Optional[StagedResult]] = [None] * len(calls)
-        if not self.config.write_allocate or not self.caches:
+        if not self.caches:
             return results
         store = self._store
         geo = self._geo

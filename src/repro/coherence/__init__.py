@@ -1,7 +1,6 @@
 """Coherence substrate: software flush-based and hardware directory protocols."""
 
 from .hardware import DirectoryEntry, DirectoryStats, HardwareCoherence
-from .mesi import ActionKind, CoherenceAction, MESIDirectory, MESIStats, State
 from .software import FlushCost, SoftwareCoherence
 
 __all__ = [
@@ -10,9 +9,4 @@ __all__ = [
     "FlushCost",
     "HardwareCoherence",
     "SoftwareCoherence",
-    "ActionKind",
-    "CoherenceAction",
-    "MESIDirectory",
-    "MESIStats",
-    "State",
 ]

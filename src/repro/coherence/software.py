@@ -2,11 +2,12 @@
 
 Commercial GPUs keep caches coherent in software: dirty lines are written
 back and caches invalidated at synchronization points — in our model, at
-kernel boundaries (paper Sections 2, 4).  The private L1s are flushed at
-every kernel boundary under every organization; the LLC additionally
-needs flushing whenever it may hold remote data (SM-side mode, and the
-remote partitions of the Static/Dynamic organizations), because the next
+kernel boundaries (paper Sections 2, 4).  The LLC needs flushing
+whenever it may hold remote data (SM-side mode, and the remote
+partitions of the Static/Dynamic organizations), because the next
 kernel's first-touch placement must see memory, not a stale replica.
+The SMs' private L1s are not modelled: the traces are the post-L1
+stream.
 
 ``FlushCost`` carries both the cycle overhead (drain + write-back
 serialization) and the write-back bytes the engine charges to DRAM and,

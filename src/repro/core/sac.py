@@ -190,21 +190,12 @@ class SharingAwareCaching(LLCOrganization):
         The engine calls this once per batched epoch instead of the
         per-access hook; the final counter state is identical because
         every chip counter is an order-independent sum and the CRDs
-        still see their sampled addresses in access order.  Accesses
-        with ``hit_stage == -2`` (L1 read hits) never reach
-        :meth:`observe_access` on the serial path and are excluded.
+        still see their sampled addresses in access order.
         """
         if not self._profiling:
             return
         counters = self._counters
         assert counters is not None
-        observed = hit_stages != -2
-        if not bool(observed.all()):
-            chips = chips[observed]
-            addrs = addrs[observed]
-            homes = homes[observed]
-            slices = slices[observed]
-            hit_stages = hit_stages[observed]
         if not len(addrs):
             return
         # Same global set index the ``attach`` closure computes per

@@ -7,7 +7,7 @@ for the rule catalogue and the suppression syntax.
 
 from __future__ import annotations
 
-from . import bare_except      # noqa: F401
+from . import broad_except     # noqa: F401
 from . import config_validation  # noqa: F401
 from . import dtype_discipline   # noqa: F401
 from . import float_eq           # noqa: F401

@@ -23,7 +23,6 @@ from ._common import module_matches
 #: Timing/EAB-model modules subject to the rule.
 TIMING_MODULES = (
     "repro/sim/engine.py",
-    "repro/sim/queueing.py",
     "repro/sim/run.py",
     "repro/sim/eventsim.py",
     "repro/core/eab.py",

@@ -3,7 +3,6 @@
 from .cta import DistributedCTAScheduler, RoundRobinCTAScheduler
 from .engine import EngineContext, EngineParams, SimulationEngine
 from .eventsim import EventDrivenEngine, validate_against_epoch_model
-from .queueing import QueueModel, md1_wait
 from .run import (
     DEFAULT_ACCESSES_PER_EPOCH,
     DEFAULT_SCALE,
@@ -35,8 +34,6 @@ __all__ = [
     "SimulationEngine",
     "EventDrivenEngine",
     "validate_against_epoch_model",
-    "QueueModel",
-    "md1_wait",
     "DEFAULT_ACCESSES_PER_EPOCH",
     "DEFAULT_SCALE",
     "ORGANIZATIONS",

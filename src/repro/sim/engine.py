@@ -1,15 +1,15 @@
 """The trace-driven, epoch-based multi-chip GPU simulation engine.
 
 The engine consumes :class:`~repro.workloads.generator.KernelTrace`
-epochs and models the full request path of Figure 6 under a pluggable
-:class:`~repro.llc.base.LLCOrganization`:
+epochs — the post-L1 access stream — and models the request path of
+Figure 6 under a pluggable :class:`~repro.llc.base.LLCOrganization`:
 
-1. (optionally) the requesting cluster's private L1;
-2. the organization's :class:`~repro.llc.base.RoutePlan` — one or two
+1. the organization's :class:`~repro.llc.base.RoutePlan` — one or two
    LLC slice probes across chips;
-3. on a full miss, the home chip's DRAM partition.
+2. on a full miss, the home chip's DRAM partition.
 
-Caches are functional (exact hit/miss for the access stream).  Timing is
+Caches are functional (exact hit/miss for the access stream); every LLC
+slice is true-LRU, write-back and write-allocate.  Timing is
 epoch-based: every traversed resource (crossbar ports, ring segments,
 LLC slices, DRAM channels) is charged bytes, and the epoch's duration is
 the bottleneck resource's service time, floored by the workload's
@@ -17,16 +17,15 @@ compute time and by an MLP-limited latency bound.  This models the
 paper's central quantity — *effective bandwidth ahead of the LLC* —
 without cycle-level simulation.
 
-Software coherence flushes the L1s (and, for organizations that cache
-remote data, the LLC) at kernel boundaries; hardware coherence tracks
-sharers in a directory and invalidates replicas on writes.
+Software coherence flushes the LLC of organizations that cache remote
+data at kernel boundaries; hardware coherence tracks sharers in a
+directory and invalidates replicas on writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Generator,
     Iterable,
@@ -48,7 +47,6 @@ from ..cache.cache import (
     SetAssociativeCache,
 )
 from ..cache.vector import BatchResult, StagedResult, VectorBank, VectorCache
-from ..cache.waycache import make_cache
 from ..coherence.hardware import HardwareCoherence
 from ..coherence.software import SoftwareCoherence
 from ..core import sanitize as _sanitize
@@ -70,13 +68,10 @@ from .stats import (
     RunStats,
 )
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..coherence.mesi import CoherenceAction
-
 
 @dataclass(frozen=True)
 class EngineParams:
-    """Engine tuning knobs (message sizes, latencies, optional L1s)."""
+    """Engine tuning knobs (message sizes, latencies, execution path)."""
 
     request_bytes: int = 32
     response_header_bytes: int = 16
@@ -89,10 +84,6 @@ class EngineParams:
     latency_llc: float = 40.0
     latency_ring_hop: float = 120.0
     latency_dram: float = 200.0
-    model_l1: bool = False
-    # Add M/D/1 queue waits at the DRAM controllers and inter-chip links
-    # to the latency bound (paper Section 3.1 queueing delays).
-    model_queueing: bool = False
     # Enable dominant-accessor page migration (related-work baseline:
     # a beyond-LLC optimization the paper argues is insufficient).
     page_migration: bool = False
@@ -135,20 +126,17 @@ def takes_vector_path(config: SystemConfig, params: EngineParams,
     Decided once, when the engine is built, from the config, the params
     and the organization's class.  The vector path precomputes homes,
     route plans and traffic totals with numpy and resolves every probe
-    with one bank call, so it needs a bank that can host the probe
-    stream — ``batched`` and ``vectorized``, an LRU write-allocate LLC
-    and no L1s filtering the stream per access — and no component that
-    needs a per-access side effect beyond the cache probes themselves:
-    no page migration, no coherence directory, no per-access insertion
-    filter (LADM's ``remote_allocate``), and an ``observe_access`` that
-    is either the base no-op or reproduced by an ``observe_batch``
-    (SAC's profiling counters).  Every other run builds ``make_cache``
-    slices and runs the serial engine, the oracle.
+    with one bank call, so it needs ``batched`` and ``vectorized`` and
+    no component that needs a per-access side effect beyond the cache
+    probes themselves: no page migration, no coherence directory, no
+    per-access insertion filter (LADM's ``remote_allocate``), and an
+    ``observe_access`` that is either the base no-op or reproduced by
+    an ``observe_batch`` (SAC's profiling counters).  Every other run
+    builds ``SetAssociativeCache`` slices and runs the serial engine,
+    the oracle.
     """
-    llc = config.chip.llc_slice
     return (params.batched and params.vectorized
-            and llc.replacement == "lru" and llc.write_allocate
-            and not params.model_l1 and not params.page_migration
+            and not params.page_migration
             and config.coherence.protocol == "software"
             and not hasattr(org_class, "remote_allocate")
             and (org_class.observe_access is LLCOrganization.observe_access
@@ -238,8 +226,8 @@ class SimulationEngine:
     ``llc_bank``/``llc_bank_base`` to mount them as one *lane* of a
     shared stacked bank (see :mod:`repro.sim.stacked`), which changes
     where the tag rows live but not a single simulated outcome.  Every
-    other run keeps ``make_cache`` slices and mounting a bank on it
-    raises ``ValueError``.
+    other run keeps ``SetAssociativeCache`` slices and mounting a bank
+    on it raises ``ValueError``.
     """
 
     def __init__(self, config: SystemConfig, organization: LLCOrganization,
@@ -268,7 +256,7 @@ class SimulationEngine:
                     "a shared llc_bank requires a run that takes the "
                     "vector path (see takes_vector_path)")
             self.llc = [
-                [make_cache(llc_cfg, name=f"llc{c}.{s}")
+                [SetAssociativeCache(llc_cfg, name=f"llc{c}.{s}")
                  for s in range(chip_cfg.llc_slices)]
                 for c in range(config.num_chips)]
         else:
@@ -296,21 +284,11 @@ class SimulationEngine:
                           for c in range(config.num_chips)]
         self.ring = InterChipRing(config.inter_chip, config.num_chips)
         self.dram = DramSystem(chip_cfg.memory, config.num_chips)
-        self.l1: Optional[List[List[SetAssociativeCache]]] = None
-        if self.params.model_l1:
-            self.l1 = [
-                [make_cache(chip_cfg.l1, name=f"l1.{c}.{cl}")
-                 for cl in range(chip_cfg.num_clusters)]
-                for c in range(config.num_chips)]
         self.software_coherence: Optional[SoftwareCoherence] = None
         self.hardware_coherence: Optional[HardwareCoherence] = None
-        self.mesi = None
         if config.coherence.protocol == "software":
             self.software_coherence = SoftwareCoherence(
                 config.coherence, self.line_size)
-        elif config.coherence.protocol == "hardware-mesi":
-            from ..coherence.mesi import MESIDirectory
-            self.mesi = MESIDirectory(config.num_chips)
         else:
             self.hardware_coherence = HardwareCoherence(
                 config.coherence, config.num_chips)
@@ -437,9 +415,6 @@ class SimulationEngine:
                         if self.hardware_coherence is not None:
                             self.hardware_coherence.on_evict(
                                 line_addr & self._line_mask, chip)
-                        if self.mesi is not None:
-                            self.mesi.evict(line_addr & self._line_mask,
-                                            chip)
                         victims.append((line_addr, line.dirty))
                     if dirty_only:
                         for line_addr, was_dirty in victims:
@@ -574,17 +549,13 @@ class SimulationEngine:
     def _kernel_boundary_flush(
             self, flush_partitions: List[Tuple[Optional[int], int]],
             cached_remote_data: bool) -> None:
-        """Software coherence: flush L1s and remote-caching LLC partitions.
+        """Kernel-boundary coherence flush of remote-caching LLC partitions.
 
         ``flush_partitions`` and ``cached_remote_data`` are captured from
         the organization *before* its ``end_kernel`` hook so that SAC's
         revert-to-memory-side does not erase the coherence obligations of
         the mode the kernel actually ran in.
         """
-        if self.l1 is not None:
-            for chip_l1s in self.l1:
-                for cache in chip_l1s:
-                    cache.flush()  # write-through L1s: invalidate only
         if self.software_coherence is not None:
             for chip, partition in flush_partitions:
                 chips = None if chip is None else [chip]
@@ -593,8 +564,7 @@ class SimulationEngine:
                     self.flush_llc(partition=partition, chips=chips)
                 else:
                     self.flush_llc(partition=None, chips=chips)
-        elif (self.hardware_coherence is not None
-              or self.mesi is not None) and cached_remote_data:
+        elif self.hardware_coherence is not None and cached_remote_data:
             # Hardware coherence keeps data consistent during execution,
             # but remote replicas must still be written back before the
             # next kernel's placement decisions (cheaper than a full
@@ -617,8 +587,6 @@ class SimulationEngine:
                     if self.hardware_coherence is not None:
                         self.hardware_coherence.on_evict(
                             line_addr & self._line_mask, chip)
-                    if self.mesi is not None:
-                        self.mesi.evict(line_addr & self._line_mask, chip)
                     if dirty:
                         writeback += self.line_size
             if writeback:
@@ -642,7 +610,6 @@ class SimulationEngine:
     def _run_epoch_serial(self, epoch: EpochTrace, kstats: KernelStats
                           ) -> None:
         chips = epoch.chips.tolist()
-        clusters = epoch.clusters.tolist()
         addrs = epoch.addrs.tolist()
         writes = epoch.writes.tolist()
         slices = self._vectorized_slices(epoch.addrs, epoch.derived).tolist()
@@ -651,8 +618,8 @@ class SimulationEngine:
         # The serial reference path IS the per-access loop: it defines
         # the semantics the batched/vectorized paths must reproduce.
         for i in range(len(addrs)):  # repro: noqa(hot-loop)
-            self._access(chips[i], clusters[i], addrs[i], writes[i],
-                         slices[i], channels[i], kstats)
+            self._access(chips[i], addrs[i], writes[i], slices[i],
+                         channels[i], kstats)
         self._settle_epoch(epoch, kstats)
 
     # -- Batched epoch fast path -------------------------------------------
@@ -1171,15 +1138,10 @@ class SimulationEngine:
             memo[key] = out
         return out
 
-    def _access(self, chip: int, cluster: int, addr: int, is_write: bool,
+    def _access(self, chip: int, addr: int, is_write: bool,
                 slice_index: int, channel: int, kstats: KernelStats) -> None:
         params = self.params
         kstats.accesses += 1
-        if self.l1 is not None:
-            l1_result = self.l1[chip][cluster].access(addr, is_write)
-            if l1_result.hit and not is_write:
-                # Write-through L1: writes always propagate to the LLC.
-                return
         home = self.page_table.home_chip(addr, chip)
         if self.migration is not None:
             self.migration.observe(addr >> self._page_shift, chip)
@@ -1211,8 +1173,7 @@ class SimulationEngine:
                 # whether a remote line may enter the remote partition.
                 allocate = self.organization.remote_allocate(chip, addr)
             result = self._llc_access(cache, serve, addr, line_addr, is_write,
-                                      stage.partition, allocate,
-                                      slice_index)
+                                      stage.partition, allocate)
             latency += params.latency_llc
             if result:
                 hit_stage = stage_index
@@ -1239,66 +1200,25 @@ class SimulationEngine:
 
     def _llc_access(self, cache: SetAssociativeCache, serve: int, addr: int,
                     line_addr: int, is_write: bool, partition: int,
-                    allocate: bool, slice_index: int) -> bool:
+                    allocate: bool) -> bool:
         """Probe (and fill) one LLC slice; returns True on a hit."""
-        remote_capable = self.organization.caches_remote_data
-        track = self.hardware_coherence is not None and remote_capable
-        track_mesi = self.mesi is not None and remote_capable
+        directory = self.hardware_coherence \
+            if self.organization.caches_remote_data else None
         try:
             result = cache.access(addr, is_write, partition=partition,
                                   allocate_on_miss=allocate)
         except PartitionFullError:
             return False
         if result.hit:
-            if track_mesi and is_write:
-                self._apply_mesi_actions(
-                    serve, line_addr, slice_index,
-                    self.mesi.write(line_addr, serve))
             return True
         if result.evicted_addr is not None:
             self._writeback_eviction(serve, result)
-            evicted_line = result.evicted_addr & self._line_mask
-            if track:
-                self.hardware_coherence.on_evict(evicted_line, serve)
-            if track_mesi:
-                self.mesi.evict(evicted_line, serve)
-        if allocate and track:
-            self.hardware_coherence.on_fill(line_addr, serve)
-        if allocate and track_mesi:
-            transition = self.mesi.write if is_write else self.mesi.read
-            self._apply_mesi_actions(serve, line_addr, slice_index,
-                                     transition(line_addr, serve))
+            if directory is not None:
+                directory.on_evict(result.evicted_addr & self._line_mask,
+                                   serve)
+        if allocate and directory is not None:
+            directory.on_fill(line_addr, serve)
         return False
-
-    def _apply_mesi_actions(self, serve: int, line_addr: int,
-                            slice_index: int,
-                            actions: "List[CoherenceAction]") -> None:
-        """Charge MESI protocol messages and apply invalidations."""
-        from ..coherence.mesi import ActionKind
-        ctrl = self.config.coherence.invalidation_message_bytes
-        wb_bytes = self.line_size + self.params.response_header_bytes
-        for action in actions:
-            self.ring.charge(serve, action.chip, ctrl)
-            self.stats.coherence_bytes += ctrl
-            self.stats.inter_chip_bytes += ctrl
-            if action.kind is ActionKind.INVALIDATE:
-                self.llc[action.chip][slice_index].invalidate(line_addr)
-                self.stats.coherence_invalidations += 1
-            if action.kind is ActionKind.TRANSFER:
-                self.ring.charge(action.chip, serve, wb_bytes)
-                self.stats.coherence_bytes += wb_bytes
-                self.stats.inter_chip_bytes += wb_bytes
-            if action.writeback:
-                home = self.page_table.lookup(line_addr)
-                if home is None:
-                    home = action.chip
-                self.dram[home].charge(
-                    self.mapping.channel_of(line_addr), wb_bytes,
-                    is_write=True)
-                self.stats.dram_bytes += wb_bytes
-                if home != action.chip:
-                    self.ring.charge(action.chip, home, wb_bytes)
-                    self.stats.inter_chip_bytes += wb_bytes
 
     def _writeback_eviction(self, chip: int,
                             result: AccessResult) -> None:
@@ -1419,8 +1339,6 @@ class SimulationEngine:
         dram_cycles = max(p.epoch_cycles() for p in self.dram)
         latency_cycles = max(self._latency_sum) / \
             self.params.max_outstanding_per_chip
-        if self.params.model_queueing:
-            latency_cycles += self._queueing_latency(epoch.compute_cycles)
         candidates = {
             "compute": epoch.compute_cycles,
             "llc_slice": slice_cycles,
@@ -1446,35 +1364,6 @@ class SimulationEngine:
             xbar.end_epoch()
         self.ring.end_epoch()
         self.dram.end_epoch()
-
-    def _queueing_latency(self, nominal_cycles: float) -> float:
-        """Mean M/D/1 queue delay per chip for this epoch's load.
-
-        Evaluated against the epoch's nominal (compute-floor) duration:
-        the queue term covers the sub-saturation region, the throughput
-        model covers saturation.
-        """
-        from .queueing import QueueModel
-        rsp = self.line_size + self.params.response_header_bytes
-        extra = 0.0
-        dram_model = QueueModel(
-            capacity=self.config.chip.memory.channel_bw_bytes_per_cycle,
-            request_bytes=rsp)
-        for partition in self.dram:
-            per_channel = partition.epoch_bytes() / \
-                self.config.chip.memory.channels_per_chip
-            wait = dram_model.wait(per_channel, nominal_cycles)
-            requests = per_channel / rsp * \
-                self.config.chip.memory.channels_per_chip
-            extra = max(extra, wait * requests)
-        ring_model = QueueModel(
-            capacity=self.ring.config.pair_bw(self.config.num_chips)
-            if self.config.num_chips > 1 else 1.0,
-            request_bytes=rsp)
-        for load in self.ring.segment_loads().values():
-            wait = ring_model.wait(load, nominal_cycles)
-            extra = max(extra, wait * load / rsp)
-        return extra / self.params.max_outstanding_per_chip
 
     # -- Figure 9 sampling ---------------------------------------------------------
 

@@ -40,8 +40,7 @@ from typing import (
 )
 
 from ..arch.config import SystemConfig
-from ..cache.cache import PartitionFullError
-from ..cache.waycache import make_cache
+from ..cache.cache import PartitionFullError, SetAssociativeCache
 from ..llc.base import LLCOrganization
 from ..memory.mapping import AddressMapping
 from ..memory.pages import PageTable
@@ -107,7 +106,7 @@ class EventDrivenEngine:
         self.mapping = AddressMapping(
             line_size=self.line_size, slices_per_chip=chip.llc_slices,
             channels_per_chip=chip.memory.channels_per_chip)
-        self.llc = [[make_cache(chip.llc_slice, name=f"ev{c}.{s}")
+        self.llc = [[SetAssociativeCache(chip.llc_slice, name=f"ev{c}.{s}")
                      for s in range(chip.llc_slices)]
                     for c in range(config.num_chips)]
         # Resource servers.

@@ -99,13 +99,11 @@ def scaled_config(config: SystemConfig, scale: float) -> SystemConfig:
     if scale == 1.0:  # repro: noqa(float-eq)
         return config
     scaled = with_llc_capacity_scale(config, scale)
-    l1 = config.chip.l1.scaled(scale)
     # Note: the page size deliberately does NOT scale.  Scaling it keeps
     # the page count per MB constant (smoothing first-touch placement at
     # tiny inputs) but changes the false-sharing granularity and the
     # per-page reuse the sharing profiles were calibrated against; the
     # 4 KB granularity is part of the workload definition (Table 3).
-    chip = dataclasses.replace(scaled.chip, l1=l1)
     # Floor at 500 cycles: below that the sampled CRD sees too few
     # requests to estimate the SM-side hit rate reliably.  The decision
     # threshold theta widens a little for the same reason — the shorter
@@ -117,7 +115,7 @@ def scaled_config(config: SystemConfig, scale: float) -> SystemConfig:
             500, round(config.sac.profile_window_cycles * scale)),
         theta=max(config.sac.theta, 0.08),
         drain_cycles=max(50, round(config.sac.drain_cycles * scale)))
-    return scaled.with_updates(chip=chip, sac=sac)
+    return scaled.with_updates(sac=sac)
 
 
 def simulate(spec: BenchmarkSpec,

@@ -117,11 +117,6 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             ChipConfig(noc=NoCConfig(sm_ports=10))
 
-    def test_llc_and_l1_line_sizes_must_match(self):
-        with pytest.raises(ConfigError):
-            ChipConfig(l1=CacheConfig(size_bytes=128 * 1024,
-                                      associativity=8, line_size=64))
-
 
 class TestSACConfig:
     def test_defaults_match_paper(self):
@@ -139,7 +134,7 @@ class TestSACConfig:
 class TestCoherenceConfig:
     def test_rejects_unknown_protocol(self):
         with pytest.raises(ConfigError):
-            CoherenceConfig(protocol="mesi")
+            CoherenceConfig(protocol="hardware-mesi")
 
     def test_memory_config_chip_bandwidth(self):
         memory = MemoryConfig()

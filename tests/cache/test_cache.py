@@ -79,12 +79,6 @@ class TestWriteback:
         assert result.evicted_addr == 0
         assert cache.stats.dirty_evictions == 1
 
-    def test_write_through_cache_never_marks_dirty(self):
-        cache = make_cache(write_back=False)
-        cache.access(0, is_write=True)
-        lines = dict(cache.resident_lines())
-        assert not lines[0].dirty
-
     def test_flush_reports_lines_and_dirty(self):
         cache = make_cache()
         cache.access(0, is_write=True)
@@ -92,11 +86,6 @@ class TestWriteback:
         invalidated, dirty = cache.flush()
         assert invalidated == 2
         assert dirty == 1
-        assert cache.occupancy() == 0
-
-    def test_no_write_allocate_bypasses_fill(self):
-        cache = make_cache(write_allocate=False)
-        cache.access(0, is_write=True)
         assert cache.occupancy() == 0
 
 

@@ -1,7 +1,7 @@
 """Differential tests: the vectorized backend vs the OrderedDict model.
 
 Random address streams over a matrix of geometries (pow2 and non-pow2
-set counts, associativities, write mixes, write-back and write-through)
+set counts, associativities, write mixes)
 run through both :class:`SetAssociativeCache` and the vectorized
 backend; every per-access outcome (hit/miss, eviction address, eviction
 dirty bit), the final ``CacheStats`` and the final resident state
@@ -154,17 +154,6 @@ def test_vector_matches_reference(num_sets, assoc, write_frac):
         ref_out = reference_outcomes(ref, addrs, writes)
         vec_out = bank_batch(bank, addrs, writes)
         assert_identical(ref_out, vec_out, ref, vec)
-
-
-def test_vector_matches_reference_write_through():
-    rng = np.random.default_rng(7)
-    config = make_config(48, 8, write_back=False)
-    ref = SetAssociativeCache(config, "ref")
-    bank, vec = one_cache_bank(config)
-    for n in (300, 300):
-        addrs, writes = random_stream(rng, 48, 8, n, 0.5)
-        assert_identical(reference_outcomes(ref, addrs, writes),
-                         bank_batch(bank, addrs, writes), ref, vec)
 
 
 def test_single_set_chunked_groups():
@@ -473,17 +462,15 @@ def test_scalar_fallback_counts_partition_full_misses():
     """Regression: the scalar loop the serial engine runs for a stream
     the bank declines must count PartitionFullError accesses as misses
     without fills, exactly like the scalar model."""
-    config = make_config(8, 2, write_allocate=False)
+    config = make_config(8, 2)
     ref = SetAssociativeCache(config, "ref")
-    bank, vec = one_cache_bank(config)
+    _bank, vec = one_cache_bank(config)
     ref.set_partition({0: 2, 1: 0})
     vec.set_partition({0: 2, 1: 0})
     addrs = np.arange(6, dtype=np.int64) * LINE
     writes = np.zeros(6, dtype=bool)
-    # The bank declines no-write-allocate caches, so the stream takes
-    # the scalar loop; reads to the zero-way partition raise
-    # PartitionFullError inside it.
-    assert bank_batch(bank, addrs, writes, partition=1) is None
+    # Reads to the zero-way partition raise PartitionFullError inside
+    # the scalar loop.
     ref_out = reference_outcomes(ref, addrs, writes, partition=1)
     vec_out = reference_outcomes(vec, addrs, writes, partition=1)
     np.testing.assert_array_equal(ref_out.hits, vec_out.hits)
@@ -493,14 +480,6 @@ def test_scalar_fallback_counts_partition_full_misses():
     assert vec.stats.accesses == 6
     assert vec.stats.misses == 6
     assert vec.stats.fills == 0
-
-
-def test_vector_cache_rejects_unsupported_configs():
-    # Sectored configs are natively supported now; only non-LRU
-    # replacement still refuses to construct.
-    VectorCache(make_config(16, 4, sectored=True))
-    with pytest.raises(ValueError):
-        VectorCache(make_config(16, 4, replacement="srrip"))
 
 
 def _staged_reference(refs, addrs, writes, idx0, part0, two_stage, idx1,
@@ -611,19 +590,6 @@ def test_bank_staged_matches_probe_loop(sectored):
     # zero-way over slot does decline.
     assert declined_steps
     assert all(0 in ways.values() for ways in declined_steps)
-
-
-def test_no_write_allocate_uses_scalar_path():
-    rng = np.random.default_rng(31)
-    config = make_config(16, 4, write_allocate=False)
-    ref = SetAssociativeCache(config, "ref")
-    bank, vec = one_cache_bank(config)
-    addrs, writes = random_stream(rng, 16, 4, 300, 0.6)
-    # The bank declines no-write-allocate caches; the serial engine's
-    # scalar loop resolves the stream instead.
-    assert bank_batch(bank, addrs, writes) is None
-    assert_identical(reference_outcomes(ref, addrs, writes),
-                     reference_outcomes(vec, addrs, writes), ref, vec)
 
 
 # -- Shared reuse encodings (stacked lanes over one stream) -------------------

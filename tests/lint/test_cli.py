@@ -69,7 +69,7 @@ def test_list_rules_names_every_rule(tree, capsys):
     out = capsys.readouterr().out
     for name in ("hot-loop", "dtype-discipline", "config-validation",
                  "float-eq", "nondeterminism", "mutable-default",
-                 "bare-except"):
+                 "broad-except"):
         assert name in out
 
 

@@ -138,23 +138,6 @@ class TestPartitionedOrganizations:
             <= total - org.min_local_ways
 
 
-class TestL1Modelling:
-    def test_l1_filters_llc_traffic(self):
-        params = EngineParams(model_l1=True)
-        spec = tiny_spec(hot_fraction=0.05, hot_weight=0.95)
-        _engine, with_l1 = run_engine("memory-side", spec=spec,
-                                      params=params)
-        _engine, without = run_engine("memory-side", spec=spec)
-        assert with_l1.llc_lookups < without.llc_lookups
-
-    def test_writes_are_write_through(self):
-        params = EngineParams(model_l1=True)
-        spec = tiny_spec(write_fraction=1.0)
-        _engine, stats = run_engine("memory-side", spec=spec, params=params)
-        # All writes reach the LLC despite the L1.
-        assert stats.llc_lookups == stats.accesses
-
-
 class TestEngineContext:
     def test_charge_cycles_lands_in_kernel_stats(self):
         engine, _stats = run_engine()

@@ -60,14 +60,6 @@ def oracle(bench, organization, config=None, params_kwargs=None,
                     org_kwargs=org_kwargs)
 
 
-def llc_variant(**changes):
-    """The baseline system with ``changes`` applied to its LLC slices."""
-    config = baseline()
-    llc = dataclasses.replace(config.chip.llc_slice, **changes)
-    return config.with_updates(
-        chip=dataclasses.replace(config.chip, llc_slice=llc))
-
-
 def both_paths(bench, organization, config=None, params_kwargs=None):
     kwargs = params_kwargs or {}
     serial = simulate(bench, organization, config=config, scale=SCALE,
@@ -95,18 +87,6 @@ class TestBitIdentical:
         serial, _ = both_paths(SPECS[0], "memory-side")
         assert serial.vector_epochs == serial.scalar_epochs == 0
         assert serial.slow_epochs > 0
-
-    def test_with_l1_modeled(self):
-        # L1s filter the probe stream per access, so both legs run the
-        # serial engine over SetAssociativeCache slices, as the oracle
-        # does.
-        serial, batched = both_paths(SPECS[0], "memory-side",
-                                     params_kwargs={"model_l1": True})
-        assert batched.vector_epochs == batched.scalar_epochs == 0
-        assert batched.comparable_dict() == serial.comparable_dict()
-        assert batched.comparable_dict() == oracle(
-            SPECS[0], "memory-side",
-            params_kwargs={"model_l1": True}).comparable_dict()
 
 
 class TestVectorizedProbe:
@@ -153,17 +133,6 @@ class TestVectorizedProbe:
         assert loop.vector_epochs == loop.scalar_epochs == 0
         assert vec.comparable_dict() == loop.comparable_dict()
 
-    def test_l1_modeling_takes_serial_path(self):
-        # An L1 between the SMs and the LLC filters the probe stream per
-        # access, so the run goes to the serial engine before any prep.
-        vec = simulate(SPECS[0], "memory-side", scale=SCALE,
-                       accesses_per_epoch=DENSITY,
-                       params=EngineParams(batched=True, vectorized=True,
-                                           model_l1=True))
-        assert vec.slow_epochs > 0
-        assert vec.vector_epochs == 0
-        assert vec.scalar_epochs == 0
-
 
 class TestFallbacks:
     def test_sac_profiling_epochs_batch(self):
@@ -208,22 +177,16 @@ class TestBankDeclines:
     runs the bank cannot host take the serial engine outright, and an
     epoch it declines at run time is resolved serially."""
 
-    @pytest.mark.parametrize("config,params_kwargs", [
-        (None, {"model_l1": True}),
-        (None, {"vectorized": False}),
-        (llc_variant(replacement="tree-plru"), {}),
-        (llc_variant(write_allocate=False), {}),
-    ], ids=["model-l1", "unvectorized", "tree-plru", "no-write-allocate"])
-    def test_unhostable_runs_take_the_serial_engine(self, config,
-                                                    params_kwargs):
-        stats = simulate(SPECS[0], "sac", config=config, scale=SCALE,
+    @pytest.mark.parametrize("params_kwargs", [{"vectorized": False}],
+                             ids=["unvectorized"])
+    def test_unhostable_runs_take_the_serial_engine(self, params_kwargs):
+        stats = simulate(SPECS[0], "sac", scale=SCALE,
                          accesses_per_epoch=DENSITY,
                          params=EngineParams(batched=True, **params_kwargs))
         assert stats.vector_epochs == stats.scalar_epochs == 0
         assert stats.slow_epochs > 0
         assert stats.comparable_dict() == oracle(
-            SPECS[0], "sac", config=config,
-            params_kwargs=params_kwargs).comparable_dict()
+            SPECS[0], "sac", params_kwargs=params_kwargs).comparable_dict()
 
     @pytest.mark.parametrize("organization,entry,nth", [
         # The second staged epoch of a partitioned run.
@@ -312,11 +275,10 @@ class TestVectorPathDecision:
         ("ladm", None, {}),
         ("memory-side", None, {"page_migration": True}),
         ("sm-side", with_coherence(baseline(), "hardware"), {}),
-        ("sac", None, {"model_l1": True}),
         ("sac", None, {"batched": False}),
         ("sac", None, {"vectorized": False}),
-    ], ids=["ladm", "page-migration", "hardware-coherence", "model-l1",
-            "unbatched", "unvectorized"])
+    ], ids=["ladm", "page-migration", "hardware-coherence", "unbatched",
+            "unvectorized"])
     def test_serial_runs_build_no_bank(self, monkeypatch, organization,
                                        config, params_kwargs):
         built = []

@@ -2,24 +2,48 @@
 
 Small random workload specs run through every organization; the
 invariants checked are the accounting identities every figure relies
-on, so this acts as a catch-all harness for the whole stack.
+on, so this acts as a catch-all harness for the whole stack.  The
+vector path is also checked against the serial oracle on random draws
+from its domain.
 """
 
 import dataclasses
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.arch import baseline, with_coherence
-from repro.sim import simulate
+from repro.arch import (
+    baseline,
+    with_chip_count,
+    with_coherence,
+    with_page_size,
+    with_sectored_llc,
+)
+from repro.sim import EngineParams, simulate
 from repro.sim.run import ORGANIZATIONS
 from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
 
 SCALE = 1.0 / 64
 
+#: Configurations that keep a run on the vector path.
+VECTOR_CONFIGS = {
+    "baseline": baseline(),
+    "sectored": with_sectored_llc(baseline()),
+    "2-chip": with_chip_count(baseline(), 2),
+    "64k-pages": with_page_size(baseline(), 65536),
+}
+
+#: ``(organization, org_kwargs, max_epochs)`` draws.  ``dynamic`` with no
+#: floor on its remote allotment can shrink that partition to zero ways
+#: while it still holds lines, and the bank declines the epochs that
+#: probe it.  From the half/half start that takes eight one-way shrinks,
+#: so those draws run longer kernels.
+VECTOR_ORGS = [(org, {}, 3) for org in ORGANIZATIONS] + [
+    ("dynamic", {"min_remote_ways": 0}, 16)]
+
 
 @st.composite
-def workload_specs(draw):
+def workload_specs(draw, max_epochs=3):
     wt = draw(st.floats(0.0, 1.0))
     wf = draw(st.floats(0.0, 1.0 - wt))
     wp = 1.0 - wt - wf
@@ -39,7 +63,7 @@ def workload_specs(draw):
         true_shared_mb=true_mb, false_shared_mb=false_mb,
         preference="sm-side",
         kernels=(KernelSpec(name="k", phase=phase,
-                            epochs=draw(st.integers(1, 3))),),
+                            epochs=draw(st.integers(1, max_epochs))),),
         iterations=draw(st.integers(1, 2)),
         seed=draw(st.integers(0, 2 ** 31 - 1)))
 
@@ -105,3 +129,44 @@ def test_hardware_coherence_accounting(spec):
     assert stats.coherence_invalidations >= 0
     assert stats.coherence_bytes >= 0
     assert sum(stats.responses_by_origin.values()) == stats.accesses
+
+
+@st.composite
+def vector_runs(draw):
+    organization, org_kwargs, max_epochs = draw(st.sampled_from(VECTOR_ORGS))
+    spec = draw(workload_specs(max_epochs))
+    config_name = draw(st.sampled_from(sorted(VECTOR_CONFIGS)))
+    return spec, organization, org_kwargs, config_name
+
+
+#: A draw that declines 8 of its 16 epochs, pinned so that every run
+#: checks a decline.
+DECLINING_RUN = (
+    BenchmarkSpec(
+        name="fuzz", suite="test", num_ctas=16, footprint_mb=5.0,
+        true_shared_mb=1.0, false_shared_mb=1.0, preference="sm-side",
+        kernels=(KernelSpec(name="k", epochs=8, phase=PhaseSpec(
+            weight_true=0.0, weight_false=0.5, weight_private=0.5,
+            hot_fraction=1.0, hot_weight=0.0, write_fraction=0.0,
+            intensity=500.0)),),
+        iterations=2, seed=0),
+    "dynamic", {"min_remote_ways": 0}, "2-chip")
+
+
+@given(vector_runs())
+@example(DECLINING_RUN)
+@settings(max_examples=100, deadline=None)
+def test_vector_path_matches_serial_oracle(run_args):
+    spec, organization, org_kwargs, config_name = run_args
+
+    def run(params):
+        return simulate(spec, organization,
+                        config=VECTOR_CONFIGS[config_name], scale=SCALE,
+                        accesses_per_epoch=256, params=params,
+                        org_kwargs=org_kwargs)
+    vector = run(EngineParams())
+    oracle = run(EngineParams(vectorized=False))
+    assert vector.slow_epochs == 0
+    assert vector.comparable_dict() == oracle.comparable_dict()
+    if not org_kwargs:
+        assert vector.scalar_epochs == 0

@@ -46,10 +46,9 @@ class TestScaledConfig:
         config = baseline()
         assert scaled_config(config, 1.0) is config
 
-    def test_scales_llc_and_l1(self):
+    def test_scales_llc(self):
         config = scaled_config(baseline(), 0.25)
         assert config.chip.llc_slice.size_bytes == 64 * 1024
-        assert config.chip.l1.size_bytes == 32 * 1024
 
     def test_scales_profiling_window_with_floor(self):
         config = scaled_config(baseline(), 1.0 / 16)
