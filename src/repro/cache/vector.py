@@ -2,18 +2,19 @@
 
 :class:`VectorBank` keeps the functional LRU tag state of many cache
 slices in one shared set of numpy arrays and resolves whole batches of
-accesses at once with an LRU stack-distance computation instead of one
-Python probe per access, so the simulation engine resolves an entire
-epoch across every (chip, slice) pair with a single kernel invocation
-(:meth:`VectorBank.access_many_grouped` for uniform single-stage
-epochs, :meth:`VectorBank.access_many_staged` for the partitioned
-two-stage lookup plans of the static/dynamic/SAC organizations).  Each
-slice is a :class:`VectorCache`: the state view of its rows that the
-organizations repartition, the engine drains at kernel boundaries and
-the differential tests compare against :class:`SetAssociativeCache`,
-plus the scalar ``access``/``fill`` the serial engine runs for an
-epoch the bank declines.  A run that cannot take the vector path never
-builds a bank: it runs on :class:`SetAssociativeCache` slices.
+accesses at once, advancing every touched set in numpy steps instead
+of one Python probe per access, so the simulation engine resolves an
+entire epoch across every (chip, slice) pair with a single kernel
+invocation (:meth:`VectorBank.access_many_grouped` for uniform
+single-stage epochs, :meth:`VectorBank.access_many_staged` for the
+partitioned two-stage lookup plans of the static/dynamic/SAC
+organizations).  Each slice is a :class:`VectorCache`: the state view
+of its rows that the organizations repartition, the engine drains at
+kernel boundaries and the differential tests compare against
+:class:`SetAssociativeCache`, plus the scalar ``access``/``fill`` the
+serial engine runs for an epoch the bank declines.  A run that cannot
+take the vector path never builds a bank: it runs on
+:class:`SetAssociativeCache` slices.
 
 The batch kernel is *bit-identical* to :class:`SetAssociativeCache`
 for every cache configuration, **including way-partitioned and
@@ -27,12 +28,10 @@ partition id for its whole lifetime (slot 0 is ``UNPARTITIONED`` ==
 ``PARTITION_LOCAL``).  A way-partitioned lookup with ``ways[p] = k``
 is then an ordinary LRU solve over slot ``p``'s rows with a *logical
 capacity* ``cap = k`` instead of the physical associativity — the
-same stack-distance kernel, parameterized.  Sectored caches add a
-sector-valid bitmask column; per-access sector verdicts come from a
-segmented OR along each tag's access chain.  A lazily-created
-``stamp`` column (global access counter) records every line's last
-touch so per-set LRU order can be merged *across* slots when scalar
-semantics require a global view.
+same kernel, parameterized.  Sectored caches add a sector-valid
+bitmask column.  A lazily-created ``stamp`` column (global access
+counter) records every line's last touch so per-set LRU order can be
+merged *across* slots when scalar semantics require a global view.
 
 A partition occupying more ways than its current allotment (after
 ``set_partition`` shrinks it) stays on the kernel in the bank's staged
@@ -46,33 +45,29 @@ any state changes, and the engine reruns it serially.  Scalar
 ``access``/``fill`` calls apply exact scalar semantics to one set at a
 time (:class:`_SetReplay`) and write it back into the arrays.
 
-How the kernel works (per set, over the batch's accesses in order):
+How the kernel works (:func:`_batch_resolve`): an exact LRU whose
+touched rows advance in lockstep, one access per row per numpy step.
 
-* Every access ``j`` gets a link ``pi_j``: the within-set rank of the
-  previous access to the same tag, or ``-(depth+1)`` if the tag's first
-  touch finds it resident at LRU-depth ``depth`` (0 = MRU) in the
-  pre-batch state, or ``-(cap+1)`` if it is absent.  An access is the
-  *first touch since* rank ``r`` of its tag exactly when ``pi_j <= r``.
-* LRU depth of a line last touched at rank ``r`` equals the number of
-  distinct tags touched since ``r`` — i.e. the number of later accesses
-  with ``pi_j <= r``.  Hence access ``j`` hits iff
-  ``max(0, -pi_j - 1) + #{i in (pi_j, j) : pi_i <= pi_j} < cap``.
-* A line last touched at rank ``r`` (and not re-touched, or whose next
-  touch misses) is evicted by the access at which the running count of
-  ``pi_i <= r`` (``i > r``) reaches ``cap``; pre-batch lines at depth
-  ``d`` are evicted when the count of ``pi_i < -(d+1)`` reaches
-  ``cap - d``, unless their first touch happens earlier.  The evicting
-  access is always a miss, and the evicted line's dirty bit follows the
-  write history of its tag's access chain (seeded from the pre-batch
-  dirty bit when the first touch hits).
-* Survivors — untouched pre-batch lines below every touched line, then
-  tag chains ordered by last-touch rank — are packed back into the
-  arrays in LRU -> MRU order.
+* *Schedule* (stream only): the touched rows are sorted busiest first,
+  so the rows still active at within-row rank ``r`` are a prefix, and
+  the accesses are ordered rank-major.
+* *State block*: the touched rows' tags are gathered once and every
+  slot is keyed ``(last touch << 1) | dirty``.  Resident lines keep
+  their LRU order below every in-batch touch; free slots under the
+  row's cap take the lowest key, so they fill first; slots at or above
+  the cap are never chosen.
+* *Step* ``r``: over the live prefix, one ``argmin`` over the keys,
+  with a matching tag outranking every key, gives the hit way or else
+  the LRU victim.  The old tag and key are the eviction report; the
+  new key is ``(r << 1) | write``, keeping the old dirty bit on a hit.
+  Sector masks and stamps ride along.
+* *Write-back*: one ``argsort`` per touched row by key restores the
+  packed LRU -> MRU layout that :meth:`VectorCache.drain`,
+  :meth:`VectorBank._apply_drain`, :func:`_stack_depths` and
+  :class:`_SetReplay` read.
 
-Groups are bucketed by size so the ``O(m * M)`` dominance windows pay
-for the bucket's maximum group size ``M`` rather than the batch's; very
-large groups are resolved in sequential rank chunks, which composes
-exactly because the kernel is equivalent to replaying the chunk.
+A batch costs one step per access of its busiest row, each a handful
+of numpy calls over the rows still live.
 """
 
 from __future__ import annotations
@@ -104,11 +99,6 @@ from .cache import (
     validate_partition_ways,
 )
 
-#: Group-size bucket upper bounds for the stack-distance kernel; groups
-#: larger than the last edge are resolved in rank chunks of that size.
-_BUCKET_EDGES = (2, 4, 8, 16, 48)
-
-
 class BatchResult(NamedTuple):
     """Per-access outcomes of one batch, in stream order."""
 
@@ -127,12 +117,13 @@ class StagedResult(NamedTuple):
 
 
 class GroupedLaneCall(NamedTuple):
-    """One lane's uniform epoch in a shared-stream bank call.
+    """One lane's uniform epoch in a shared bank call.
 
-    ``stream`` labels the lane's (cache_idx, addrs, writes) arrays:
-    calls carrying equal ids hold element-identical arrays, so the bank
-    encodes that stream once and replays it per lane.  ``cache_idx`` is
-    lane-local; ``lane`` is the absolute ``[lo, hi)`` cache range.
+    ``cache_idx`` is lane-local; ``lane`` is the absolute ``[lo, hi)``
+    cache range.  ``stream`` labels the lane's (cache_idx, addrs,
+    writes) arrays: calls carrying equal ids hold element-identical
+    arrays.  The bank does not read it; ``simulate_stacked`` counts it
+    in ``RunStats.stacked_shared_streams``.
     """
 
     lane: Tuple[int, int]
@@ -143,7 +134,7 @@ class GroupedLaneCall(NamedTuple):
 
 
 class StagedLaneCall(NamedTuple):
-    """One lane's two-stage epoch in a shared-stream bank call.
+    """One lane's two-stage epoch in a shared bank call.
 
     ``stream`` ids follow the same contract as
     :class:`GroupedLaneCall`, over all seven per-access arrays.
@@ -221,179 +212,23 @@ def _geometry_of(config: CacheConfig) -> _Geometry:
         sectors=1 << (line_shift - sector_shift) if sectored else 1)
 
 
-class _BucketEncoding(NamedTuple):
-    """Config-independent reuse encoding of one bucket of set groups.
+#: Tag of an empty slot in the kernel's working block.  Line addresses,
+#: hence tags, are non-negative, so no access can match it.
+_FREE = -1
+#: Key of a slot at or above its row's capacity: above every other key,
+#: so it is never the LRU choice.  Even, so it reads as clean.
+_NEVER = 1 << 62
 
-    Every field is a function of the access stream alone — rows, tags,
-    write flags — never of cache state, associativity or partition
-    caps: the stream-local group layout, within-group ranks, same-tag
-    chains and the rank-indexed lookup tables.  One encoding can
-    therefore be *replayed* against any lane's state and capacity
-    vector (see :func:`_replay_encoding`).
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of non-negative ``keys`` that stay below ``bound``.
+
+    Keys that fit int16 take numpy's radix sort, about 8x faster than
+    the int64 mergesort.
     """
-
-    idx: np.ndarray         # int64 (ml,): stream positions, stream order
-    rows_l: np.ndarray      # int64 (G,): stream-local row id per group
-    gl: np.ndarray          # int64 (ml,): local group id per access
-    rl: np.ndarray          # int64 (ml,): window-relative rank
-    stg: np.ndarray         # int64 (ml,): tag per access
-    wl: np.ndarray          # bool (ml,): write flag per access
-    o2: np.ndarray          # int64 (ml,): stable (group, tag) order
-    nxt: np.ndarray         # int64 (ml,): next same-tag access, or -1
-    first: np.ndarray       # int64: chain-first accesses (no pred)
-    chain_head: np.ndarray  # bool (ml,): True at chain firsts
-    pi_chain: np.ndarray    # int64 (ml,): rank links; -1 at firsts
-    acc_tab: np.ndarray     # int64 (G, mwidth): stream position by rank
-    gro: np.ndarray         # int64 (ml,): bucket positions, (group, rank)
-    first_gro: np.ndarray   # int64: chain firsts, (group, rank) order
-    mwidth: int
-    sec_l: Optional[np.ndarray] = None  # int64 (ml,): sector indices
-
-
-class _StreamEncoding(NamedTuple):
-    """Reuse encoding of one (row, tag) access stream (all buckets)."""
-
-    n: int                  # stream length
-    nrows: int              # stream-local row-id space
-    buckets: Tuple[_BucketEncoding, ...]
-
-
-def _encode_stream(rows: np.ndarray, tg: np.ndarray, wr: np.ndarray,
-                   nrows: int, sec: Optional[np.ndarray] = None
-                   ) -> _StreamEncoding:
-    """Encode a (row, tag) access stream independent of cache state.
-
-    ``rows``/``tg``/``wr`` give each access's row, tag and write flag
-    in stream order; ``rows`` may be *stream-local* (a lane's row
-    offset — any multiple of the set count — is applied at replay
-    time) and ``nrows`` bounds the row-id space.  The encoding carries
-    the expensive stream-only work — group layout, within-row ranks,
-    the same-tag chain sorts and lookup tables — so replaying it
-    against a lane's arrays costs only the state-dependent verdicts.
-    """
-    m = rows.shape[0]
-    if m == 0:
-        return _StreamEncoding(0, nrows, ())
-
-    # Per-row access counts -> within-row rank of every access.
-    row_counts = np.bincount(rows, minlength=nrows)
-    active = np.flatnonzero(row_counts)
-    lut = np.zeros(nrows, dtype=np.int64)
-    lut[active] = np.arange(active.size, dtype=np.int64)
-    g = lut[rows]
-    counts = row_counts[active]
-    # Group ids almost always fit int16, where numpy's stable sort is a
-    # radix sort (~8x faster than the int64 mergesort).
-    if active.size <= 32767:
-        order = np.argsort(g.astype(np.int16), kind="stable")
-    else:
-        order = np.argsort(g, kind="stable")
-    starts = np.zeros(active.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    rank = np.empty(m, dtype=np.int64)
-    rank[order] = np.arange(m, dtype=np.int64) - np.repeat(starts, counts)
-
-    buckets: List[_BucketEncoding] = []
-    gsize = counts[g]
-    lo = 0
-    for hi in _BUCKET_EDGES:
-        sel = (gsize > lo) & (gsize <= hi)
-        lo = hi
-        if sel.any():
-            buckets.append(_encode_bucket(
-                rows, tg, wr, sec, rank, np.flatnonzero(sel), 0, nrows))
-    chunk = _BUCKET_EDGES[-1]
-    big = gsize > chunk
-    if big.any():
-        idx_big = np.flatnonzero(big)
-        rank_big = rank[idx_big]
-        for start in range(0, int(rank_big.max()) + 1, chunk):
-            sub = idx_big[(rank_big >= start) & (rank_big < start + chunk)]
-            if sub.size:
-                buckets.append(_encode_bucket(
-                    rows, tg, wr, sec, rank, sub, start, nrows))
-    enc = _StreamEncoding(m, nrows, tuple(buckets))
-    # Every array in the encoding is freshly allocated above, so
-    # freezing cannot alias caller-owned state; replay reads the
-    # encoding only (its sole derived mutable is a .copy()).
-    _sanitize.freeze(enc)
-    return enc
-
-
-def _encode_bucket(rows: np.ndarray, tg: np.ndarray, wr: np.ndarray,
-                   sec: Optional[np.ndarray], rank: np.ndarray,
-                   idx: np.ndarray, rank_offset: int,
-                   nrows: int) -> _BucketEncoding:
-    """Encode one bucket of set groups (config-independent half).
-
-    ``idx`` selects the bucket's accesses (in stream order); every
-    group touched by ``idx`` must appear with *all* of its accesses of
-    rank ``rank_offset`` onward that fall in this call (chunked
-    callers pass consecutive rank windows in order).
-    """
-    srows = rows[idx]
-    row_hits = np.bincount(srows, minlength=nrows)
-    rows_l = np.flatnonzero(row_hits)          # row id per local group
-    gcount = row_hits[rows_l]                  # real accesses per group
-    lut = np.zeros(nrows, dtype=np.int64)
-    lut[rows_l] = np.arange(rows_l.size, dtype=np.int64)
-    gl = lut[srows]
-    ngroups = rows_l.size
-    mwidth = int(gcount.max())
-    rl = rank[idx] - rank_offset
-    ml = idx.size
-    stg = tg[idx]
-
-    # Same-tag chains: previous/next access of each tag, via a stable
-    # sort on (group, tag).  Small keys take two int16 radix passes
-    # (LSD: sort by tag, then stably by group); larger tags fall back to
-    # one composite-key mergesort or a full lexsort.
-    tmax = int(stg.max())
-    if tmax <= 32767 and ngroups <= 32767:
-        s16 = stg.astype(np.int16)
-        g16 = gl.astype(np.int16)
-        p1 = np.argsort(s16, kind="stable")
-        o2 = p1[np.argsort(g16[p1], kind="stable")]
-        g2 = g16[o2]
-        t2 = s16[o2]
-    else:
-        if tmax < (1 << 44) and ngroups < (1 << 19):
-            o2 = np.argsort((gl << np.int64(44)) | stg, kind="stable")
-        else:
-            o2 = np.lexsort((stg, gl))
-        g2 = gl[o2]
-        t2 = stg[o2]
-    same = (g2[1:] == g2[:-1]) & (t2[1:] == t2[:-1])
-    succ = o2[1:][same]
-    pred = o2[:-1][same]
-    pi_chain = np.full(ml, -1, dtype=np.int64)
-    pi_chain[succ] = rl[pred]
-    nxt = np.full(ml, -1, dtype=np.int64)
-    nxt[pred] = succ
-    chain_head = np.ones(ml, dtype=bool)
-    chain_head[succ] = False
-    first = np.flatnonzero(chain_head)
-
-    # Rank-indexed stream-position tables per group (state-independent;
-    # the replay's pi table is rebuilt per lane, these are not).
-    acc_tab = np.zeros((ngroups, mwidth), dtype=np.int64)
-    acc_tab[gl, rl] = idx
-    # (group, rank)-major orders (bucket positions are stream-ordered,
-    # so a stable sort by group alone yields rank order within groups);
-    # the replay uses these instead of row-major table scans.
-    if ngroups <= 32767:
-        gro = np.argsort(gl.astype(np.int16), kind="stable")
-        first_gro = first[np.argsort(gl[first].astype(np.int16),
-                                     kind="stable")]
-    else:
-        gro = np.argsort(gl, kind="stable")
-        first_gro = first[np.argsort(gl[first], kind="stable")]
-    return _BucketEncoding(
-        idx=idx, rows_l=rows_l, gl=gl, rl=rl, stg=stg, wl=wr[idx],
-        o2=o2, nxt=nxt, first=first, chain_head=chain_head,
-        pi_chain=pi_chain, acc_tab=acc_tab, gro=gro,
-        first_gro=first_gro, mwidth=mwidth,
-        sec_l=sec[idx] if sec is not None else None)
+    if bound <= 32767:
+        return np.argsort(keys.astype(np.int16), kind="stable")
+    return np.argsort(keys, kind="stable")
 
 
 def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
@@ -421,430 +256,150 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
     ``stamp_vals``) is an optional last-touch column, maintained but
     never read by the kernel.
 
-    This is the encode-then-replay pipeline in one call: the stream's
-    reuse encoding (:func:`_encode_stream`) followed by one replay of
-    it against the given state (:func:`_replay_encoding`).  Stacked
-    lanes sharing an identical stream skip straight to the replay.
+    The touched rows advance in lockstep, one access per row per step
+    (see the module docstring).
     """
     m = rows.shape[0]
     hits = np.zeros(m, dtype=bool)
     ev_addr = np.full(m, -1, dtype=np.int64)
     ev_dirty = np.zeros(m, dtype=bool)
     sm_out = np.zeros(m, dtype=bool) if sector is not None else None
-    if m == 0:
-        return BatchResult(hits, ev_addr, ev_dirty, sm_out)
     if cap is None:
         cap = geo.associativity
-    enc = _encode_stream(rows, tg, wr, tags.shape[0], sec=sec)
-    _replay_encoding(enc, tags, dirty, count, geo, 0, cap,
-                     hits, ev_addr, ev_dirty, sector=sector,
-                     stamp=stamp, stamp_vals=stamp_vals, sm_out=sm_out)
-    return BatchResult(hits, ev_addr, ev_dirty, sm_out)
-
-
-def _replay_encoding(enc: Union[_StreamEncoding, _LaneEncoding],
-                     tags: np.ndarray, dirty: np.ndarray,
-                     count: np.ndarray, geo: _Geometry,
-                     row_offset: int, caps: Union[int, np.ndarray],
-                     hits: np.ndarray, ev_addr: np.ndarray,
-                     ev_dirty: np.ndarray,
-                     ok: Optional[np.ndarray] = None,
-                     sector: Optional[np.ndarray] = None,
-                     stamp: Optional[np.ndarray] = None,
-                     stamp_vals: Optional[np.ndarray] = None,
-                     sm_out: Optional[np.ndarray] = None) -> None:
-    """Replay one lane's state through a stream encoding (cheap half).
-
-    ``row_offset`` (a multiple of the set count) relocates the
-    encoding's stream-local rows into the lane's rows of the state
-    arrays.  ``caps`` is a scalar or per-access capacity vector
-    (constant within each row); ``ok`` optionally masks accesses whose
-    rows this pass must not resolve (rows running in drain passes,
-    zero-way partitions) — masked groups produce no output and no
-    state writes.  Outputs land in ``hits``/``ev_addr``/``ev_dirty``
-    (and ``sm_out``) at the encoding's stream positions.  A tiled
-    :class:`_LaneEncoding` replays every lane at once at offset zero
-    (its rows carry the lane offsets); its per-access inputs and
-    outputs are lane-major.
-    """
-    for bk in enc.buckets:
-        ngroups = bk.rows_l.size
-        if isinstance(caps, np.ndarray):
-            capg = np.zeros(ngroups, dtype=np.int64)
-            capg[bk.gl] = caps[bk.idx]
-        else:
-            capg = np.full(ngroups, int(caps), dtype=np.int64)
-        okg: Optional[np.ndarray] = None
-        if ok is not None:
-            okg = np.zeros(ngroups, dtype=bool)
-            okg[bk.gl] = ok[bk.idx]
-        _replay_bucket(bk, tags, dirty, count, geo, row_offset, capg,
-                       okg, hits, ev_addr, ev_dirty, sector, stamp,
-                       stamp_vals, sm_out)
-
-
-class _LaneEncoding(NamedTuple):
-    """Lane-major tiling of one stream encoding across ``lanes`` lanes.
-
-    The tiling folds the lane axis into the kernel's group axis: every
-    per-group table gains ``lanes`` copies whose group ids, bucket
-    positions and stream positions are offset per lane, and whose rows
-    carry each lane's absolute row offset baked in.  One
-    :func:`_replay_encoding` call over the folded buckets (at row
-    offset zero) then resolves all lanes' verdicts and state writes at
-    once — bit-identical to ``lanes`` sequential per-lane calls,
-    because the kernel's histograms, chains and verdicts are strictly
-    per-group and lanes own disjoint store rows.
-    """
-
-    lanes: int
-    n: int                  # per-lane stream length
-    buckets: Tuple[_BucketEncoding, ...]
-
-
-def _tile_encoding_lanes(enc: _StreamEncoding,
-                         row_offsets: Sequence[int]) -> _LaneEncoding:
-    """Fold a stream encoding across lanes at the given row offsets.
-
-    ``row_offsets`` (multiples of the set count, one per lane) relocate
-    the encoding's stream-local rows into each lane's rows of the state
-    arrays; outputs of a replay over the tiled encoding are lane-major,
-    ``lanes * n`` long, lane ``k`` owning ``[k * n, (k + 1) * n)``.
-    """
-    L = len(row_offsets)
-    n = enc.n
-    offs = np.asarray(row_offsets, dtype=np.int64)[:, None]
-    lane_idx = (np.arange(L, dtype=np.int64) * n)[:, None]
-    buckets: List[_BucketEncoding] = []
-    for bk in enc.buckets:
-        ml = bk.idx.size
-        G = bk.rows_l.size
-        pos = (np.arange(L, dtype=np.int64) * ml)[:, None]
-        grp = (np.arange(L, dtype=np.int64) * G)[:, None]
-        nxt = np.where(bk.nxt[None, :] >= 0,
-                       bk.nxt[None, :] + pos, -1).reshape(-1)
-        buckets.append(_BucketEncoding(
-            idx=(bk.idx[None, :] + lane_idx).reshape(-1),
-            rows_l=(bk.rows_l[None, :] + offs).reshape(-1),
-            gl=(bk.gl[None, :] + grp).reshape(-1),
-            rl=np.tile(bk.rl, L),
-            stg=np.tile(bk.stg, L),
-            wl=np.tile(bk.wl, L),
-            o2=(bk.o2[None, :] + pos).reshape(-1),
-            nxt=nxt,
-            first=(bk.first[None, :] + pos).reshape(-1),
-            chain_head=np.tile(bk.chain_head, L),
-            pi_chain=np.tile(bk.pi_chain, L),
-            acc_tab=(bk.acc_tab[None, :, :]
-                     + lane_idx[:, :, None]).reshape(L * G, bk.mwidth),
-            gro=(bk.gro[None, :] + pos).reshape(-1),
-            first_gro=(bk.first_gro[None, :] + pos).reshape(-1),
-            mwidth=bk.mwidth,
-            sec_l=np.tile(bk.sec_l, L) if bk.sec_l is not None else None))
-    lenc = _LaneEncoding(L, n, tuple(buckets))
-    # Tiled arrays are freshly allocated above; freezing them makes any
-    # cross-lane in-place write raise, exactly as for the per-stream
-    # encoding the tiling derives from.
-    _sanitize.freeze(lenc)
-    return lenc
-
-
-def _replay_bucket(bk: _BucketEncoding, tags: np.ndarray,
-                   dirty: np.ndarray, count: np.ndarray, geo: _Geometry,
-                   row_offset: int, capg: np.ndarray,
-                   okg: Optional[np.ndarray], hits: np.ndarray,
-                   ev_addr: np.ndarray, ev_dirty: np.ndarray,
-                   sector: Optional[np.ndarray],
-                   stamp: Optional[np.ndarray],
-                   stamp_vals: Optional[np.ndarray],
-                   sm_out: Optional[np.ndarray]) -> None:
-    """Stack-distance verdicts for one bucket encoding (state half).
-
-    ``capg`` is the per-group logical capacity; groups masked by
-    ``okg`` (or holding zero capacity) have their verdicts computed on
-    garbage first-touch state but written to *neither* the outputs nor
-    the arrays — safe because histograms, chains and verdicts are
-    strictly per-group, so masked groups cannot contaminate live ones.
-    """
+    # Accesses to zero-cap rows never enter the schedule.
+    if isinstance(cap, np.ndarray):
+        pos = np.flatnonzero(cap > 0)
+    else:
+        pos = np.arange(m if cap > 0 else 0, dtype=np.int64)
+    n = pos.size
+    if not n:
+        return BatchResult(hits, ev_addr, ev_dirty, sm_out)
     A = geo.associativity
-    idx = bk.idx
-    gl = bk.gl
-    rl = bk.rl
-    stg = bk.stg
-    o2 = bk.o2
-    nxt = bk.nxt
-    first = bk.first
-    chain_head = bk.chain_head
-    acc_tab = bk.acc_tab
-    ml = idx.size
-    ngroups = bk.rows_l.size
-    mwidth = bk.mwidth
-    rows_abs = bk.rows_l + np.int64(row_offset)
-    # Zero-cap groups resolve as fill-less misses: fold them into the
-    # mask so their (garbage) verdicts are dropped with the others.
-    if okg is not None:
-        okg = okg & (capg > 0)
-    elif bool((capg <= 0).any()):
-        okg = capg > 0
 
-    # First touches: find the tag in the pre-batch state; depth d (0 =
-    # MRU) encodes as pi = -(d+1), absence as pi = -(cap+1).
-    pi = bk.pi_chain.copy()
-    frows = rows_abs[gl[first]]
-    fcount = count[frows]
-    slot_ok = np.arange(A, dtype=np.int64)[None, :] < fcount[:, None]
-    eq = (tags[frows] == stg[first][:, None]) & slot_ok
-    way = np.argmax(eq, axis=1)
-    found = eq[np.arange(first.size, dtype=np.int64), way]
-    capf = capg[gl[first]]
-    if okg is not None:
-        # Masked groups read garbage state; force "absent" so their pi
-        # codes stay within this replay's capacity range.
-        found = found & okg[gl[first]]
-    depth = fcount - 1 - way
-    pi[first] = np.where(found, -(depth + 1), -(capf + 1))
-    init_dirty = dirty[frows, way] & found
-    if sector is not None:
-        init_sec = np.where(found, sector[frows, way], 0)
+    # Schedule (stream only): touched rows busiest first, so the rows
+    # still active at within-row rank r are a prefix; accesses
+    # rank-major, in that row order within each rank.
+    prow = rows[pos]
+    per_row = np.bincount(prow, minlength=tags.shape[0])
+    touched = np.flatnonzero(per_row)
+    cnt = per_row[touched]
+    steps = int(cnt.max())
+    trow = touched[_stable_order(steps - cnt, steps + 1)]
+    cnt = per_row[trow]
+    G = trow.size
+    lut = np.empty(tags.shape[0], dtype=np.int64)
+    lut[trow] = np.arange(G, dtype=np.int64)
+    grp = lut[prow]
+    by_row = _stable_order(grp, G)
+    starts = np.zeros(G, dtype=np.int64)
+    np.cumsum(cnt[:-1], out=starts[1:])
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_row] = np.arange(n, dtype=np.int64) - np.repeat(starts, cnt)
+    sched = by_row[_stable_order(rank[by_row], steps)]
+    live = G - np.cumsum(np.bincount(cnt, minlength=steps + 1))[:steps]
+    acc = pos[sched]
+    t_s = tg[acc]
+    # Step r stamps its touches (A + 1 + r) << 1 | write: above every
+    # resident line's key, in rank order.
+    code = (np.repeat(np.arange(A + 1, A + 1 + steps, dtype=np.int64),
+                      live) << np.int64(1)) | wr[acc]
 
-    # First-touch rank per pre-batch (group, way); sentinel = untouched.
-    untouched_rank = mwidth + 1
-    first_rank = np.full((ngroups, A), untouched_rank, dtype=np.int64)
-    ffi = first[found]
-    first_rank[gl[ffi], way[found]] = rl[ffi]
-
-    # Rank-indexed pi table per group (padded columns get a pi larger
-    # than any comparison bound, so they never contribute).  The pi
-    # values span [-(capmax+1), mwidth), so the dominance windows run
-    # on the narrowest integer type that holds the pad sentinel: the
-    # windows are pure memory traffic and shrink 8x vs int64.
-    capmax = int(capg.max())
-    pad = mwidth + capmax + 2
-    if pad <= 127:
-        dt = np.int8
-    elif pad <= 32767:
-        dt = np.int16
+    # State block: the touched rows' lines keyed (last touch << 1) |
+    # dirty.  Resident lines keep their LRU order below every in-batch
+    # touch; free slots under the cap take the lowest key (they fill
+    # first, in slot order); slots at or above it never get chosen.
+    blk_t = tags[trow]
+    c0 = count[trow]
+    slot = np.arange(A, dtype=np.int64)
+    resident = slot[None, :] < c0[:, None]
+    if isinstance(cap, np.ndarray):
+        capg = np.empty(G, dtype=np.int64)
+        capg[grp] = cap[pos]
+        below = slot[None, :] < capg[:, None]
     else:
-        dt = np.int64
-    pi_s = pi.astype(dt)
-    rl_s = rl.astype(dt)
-    pi_tab = np.full((ngroups, mwidth), pad, dtype=dt)
-    pi_tab[gl, rl] = pi_s
-    cols = np.arange(mwidth, dtype=dt)
-
-    # Tag hits: stack depth at access j = base(pi_j) + dominance count,
-    # but the count is bounded by the reuse window, so most accesses are
-    # decided by inspection: a window shorter than cap - base always
-    # hits (absent tags, base = cap, always miss).  Only the remainder
-    # pays for a dominance window.
-    cap_acc = capg[gl]
-    oka = okg[gl] if okg is not None else None
-    base = np.maximum(-pi - 1, 0)
-    width = rl - np.maximum(pi + 1, 0)
-    hitb = base < cap_acc
-    needb = hitb & (base + width >= cap_acc)
-    if oka is not None:
-        needb &= oka
-    need = np.flatnonzero(needb)
-    if need.size:
-        pic = pi_s[need][:, None]
-        dom = ((cols > pic) & (cols < rl_s[need][:, None])
-               & (pi_tab[gl[need]] <= pic)).sum(axis=1)
-        hitb[need] = base[need] + dom < cap_acc[need]
-    if sector is None:
-        hits[idx] = hitb if oka is None else hitb & oka
-
-    # Chain-final instances: last touch of a tag, or a touch whose next
-    # same-tag access misses (a fresh instance is filled at that point).
-    nxt_hit = np.zeros(ml, dtype=bool)
-    has_nxt = nxt >= 0
-    nxt_hit[has_nxt] = hitb[nxt[has_nxt]]
-    final = np.flatnonzero(~nxt_hit)
-    gfin = gl[final]
-    rfin = rl[final]
-    # Per-group cumulative histogram of pi values: H[g, t + capmax + 1]
-    # = #{i in g : pi_i <= t}.  Because pi_i < i always, exactly r + 1
-    # accesses at ranks <= r satisfy pi_i <= r, so the count of distinct
-    # tags touched *after* rank r is H[g, r + capmax + 1] - (r + 1):
-    # every eviction verdict is an O(1) lookup, and the rank scan that
-    # places the eviction runs only over lines that really go.  The
-    # histogram offset uses capmax for a shared layout; each verdict
-    # still compares against its own group's cap.
-    W = mwidth + capmax + 1
-    H = np.bincount(gl * W + (pi + (capmax + 1)),
-                    minlength=ngroups * W).reshape(ngroups, W)
-    np.cumsum(H, axis=1, out=H)
-    evicted = H[gfin, rfin + capmax + 1] - (rfin + 1) >= capg[gfin]
-    if okg is not None:
-        evicted &= okg[gfin]
-    when = np.zeros(final.size, dtype=np.int64)
-    scan = np.flatnonzero(evicted)
-    if scan.size:
-        fsc = final[scan]
-        rfs = rl_s[fsc][:, None]
-        distinct = (cols > rfs) & (pi_tab[gl[fsc]] <= rfs)
-        reached = np.cumsum(distinct, axis=1, dtype=dt) >= \
-            capg[gl[fsc]].astype(dt)[:, None]
-        when[scan] = np.argmax(reached, axis=1)
-    evr = final[evicted]
-
-    # Dirty bits travel along each tag's chain of consecutive touches of
-    # one instance: segment boundaries at first touches and at (tag)
-    # misses; first-touch *hits* inherit the pre-batch line's dirty bit.
-    wseed = bk.wl.copy()
-    wseed[first] |= init_dirty & hitb[first]
-    seg_start = chain_head[o2] | ~hitb[o2]
-    seg = np.cumsum(seg_start, dtype=np.int32)
-    running = np.maximum.accumulate(seg * 2 + wseed[o2])
-    dirty_at = np.empty(ml, dtype=bool)
-    dirty_at[o2] = running - seg * 2 >= 1
-
-    # Sector verdicts ride the same instance segments: for each sector
-    # bit, "present before access j" is a segmented OR of the bits
-    # contributed by earlier touches of the same instance (seeded from
-    # the pre-batch mask when the first touch tag-hits); an access's own
-    # bit joins the running mask from the next touch on.  A tag hit
-    # whose sector is absent is a sector miss (no refill), exactly the
-    # scalar model's verdict.
+        below = np.broadcast_to(slot < cap, (G, A))
+    key = np.where(resident, ((slot + 1) << np.int64(1)) | dirty[trow],
+                   np.where(below, np.int64(0), np.int64(_NEVER)))
+    blk_t[~resident] = _FREE
+    flat_t = blk_t.reshape(-1)
+    flat_k = key.reshape(-1)
+    base = np.arange(0, G * A, A, dtype=np.int64)
+    old_t = np.empty(n, dtype=np.int64)
+    old_k = np.empty(n, dtype=np.int64)
+    # Ride-along columns: the sector masks, with each access's bit and
+    # room for the old masks the verdicts read, and the stamps.
+    sect: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     if sector is not None:
-        assert bk.sec_l is not None and sm_out is not None
-        sec_l = bk.sec_l
-        seed_acc = np.zeros(ml, dtype=np.int64)
-        fh = found & hitb[first]
-        seed_acc[first[fh]] = init_sec[fh]
-        sec_chain = sec_l[o2]
-        seed_chain = seed_acc[o2]
-        own_chain = np.zeros(ml, dtype=bool)
-        incl_chain = np.zeros(ml, dtype=np.int64)
-        sh = np.zeros(ml, dtype=np.int32)
-        for b in range(geo.sectors):
-            contrib = sec_chain == np.int64(b)
-            sh[1:] = contrib[:-1]
-            if ml:
-                sh[0] = 0
-            np.copyto(sh, (seed_chain >> np.int64(b)) & np.int64(1),
-                      where=seg_start, casting="unsafe")
-            run_b = np.maximum.accumulate(seg * 2 + sh)
-            excl = run_b - seg * 2 >= 1
-            np.copyto(own_chain, excl, where=contrib)
-            incl_chain |= np.where(excl | contrib, np.int64(1 << b),
-                                   np.int64(0))
-        own_ok = np.zeros(ml, dtype=bool)
-        own_ok[o2] = own_chain
-        incl = np.zeros(ml, dtype=np.int64)
-        incl[o2] = incl_chain
-        if oka is None:
-            hits[idx] = hitb & own_ok
-            sm_out[idx] = hitb & ~own_ok
-        else:
-            hits[idx] = hitb & own_ok & oka
-            sm_out[idx] = hitb & ~own_ok & oka
-
-    if evr.size:
-        targets = acc_tab[gfin[evicted], when[evicted]]
-        sets_e = rows_abs[gfin[evicted]] % np.int64(geo.num_sets)
-        ev_addr[targets] = geo.rebuild(sets_e, stg[evr])
-        ev_dirty[targets] = dirty_at[evr]
-
-    # Pre-batch lines: line at depth d is evicted when the count of
-    # accesses with pi < -(d+1) (first touches of deeper-or-absent tags)
-    # reaches cap - d, unless its own first touch comes earlier.  The
-    # histogram answers "does the count get there at all" for every
-    # (group, slot) at once; only lines that really go pay a rank scan.
-    cnt0 = count[rows_abs]
-    slots_a = np.arange(A, dtype=np.int64)
-    depth_tab = cnt0[:, None] - 1 - slots_a[None, :]
-    live = slots_a[None, :] < cnt0[:, None]
-    if okg is not None:
-        live = live & okg[:, None]
-    # Column for "#accesses with pi <= -(d+2)" under the shared
-    # capmax-based layout; the *threshold* below still uses each
-    # group's own cap.
-    vq = np.where(live, capmax - depth_tab - 1, 0)
-    pot = live & (H[np.arange(ngroups, dtype=np.int64)[:, None], vq]
-                  >= capg[:, None] - depth_tab)
-    init_evicted = np.zeros((ngroups, A), dtype=bool)
-    gp, sp = np.nonzero(pot)
-    if gp.size:
-        depth_p = cnt0[gp] - 1 - sp
-        # Only accesses with pi <= -2 (first touches of deeper-or-absent
-        # tags) can push an init line out, so the rank scan runs over a
-        # per-group table compacted to just those columns: code -pi at
-        # column j, with the rank remembered for the answer.
-        fneg = bk.first_gro[pi[bk.first_gro] <= -2]
-        gn = gl[fneg]
-        rn = rl[fneg]
-        nneg = np.bincount(gn, minlength=ngroups)
-        nwidth = int(nneg.max()) if gn.size else 1
-        offs_n = np.zeros(ngroups, dtype=np.int64)
-        np.cumsum(nneg[:-1], out=offs_n[1:])
-        jn = np.arange(gn.size, dtype=np.int64) - offs_n[gn]
-        code_tab = np.zeros((ngroups, nwidth), dtype=dt)
-        code_tab[gn, jn] = -pi_s[fneg]
-        rank_n = np.zeros((ngroups, nwidth), dtype=np.int64)
-        rank_n[gn, jn] = rn
-        deeper = code_tab[gp] >= (depth_p + 2).astype(dt)[:, None]
-        reached4 = np.cumsum(deeper, axis=1, dtype=dt) >= \
-            (capg[gp] - depth_p).astype(dt)[:, None]
-        when4 = rank_n[gp, np.argmax(reached4, axis=1)]
-        gone = when4 < first_rank[gp, sp]
-        if gone.any():
-            gp_e = gp[gone]
-            sp_e = sp[gone]
-            targets = acc_tab[gp_e, when4[gone]]
-            rows_e = rows_abs[gp_e]
-            ev_addr[targets] = geo.rebuild(
-                rows_e % np.int64(geo.num_sets), tags[rows_e, sp_e])
-            ev_dirty[targets] = dirty[rows_e, sp_e]
-            init_evicted[gp_e, sp_e] = True
-
-    # Survivors: untouched, un-evicted pre-batch lines (still below all
-    # touched lines, in their original depth order), then chain-final
-    # instances without an eviction, ordered by last-touch rank.  Both
-    # partial orders fall out of row-major ``np.nonzero`` scans over
-    # (group, slot) / (group, rank) tables, so no sort is needed.
-    keep = live & (first_rank > mwidth) & ~init_evicted
-    gi, si = np.nonzero(keep)
-    if okg is None:
-        fin_keep = final[~evicted]
-    else:
-        fin_keep = final[~evicted & okg[gfin]]
-    fmask = np.zeros(ml, dtype=bool)
-    fmask[fin_keep] = True
-    loc_f = bk.gro[fmask[bk.gro]]
-    gi2 = gl[loc_f]
-    ninit = np.bincount(gi, minlength=ngroups)
-    nreal = np.bincount(gi2, minlength=ngroups)
-    offs_i = np.zeros(ngroups, dtype=np.int64)
-    np.cumsum(ninit[:-1], out=offs_i[1:])
-    offs_r = np.zeros(ngroups, dtype=np.int64)
-    np.cumsum(nreal[:-1], out=offs_r[1:])
-    rows_i = rows_abs[gi]
-    slot_i = np.arange(gi.size, dtype=np.int64) - offs_i[gi]
-    t_init = tags[rows_i, si]          # advanced indexing copies, so the
-    d_init = dirty[rows_i, si]         # compacting writes cannot alias
-    s_init = sector[rows_i, si] if sector is not None else None
-    st_init = stamp[rows_i, si] if stamp is not None else None
-    tags[rows_i, slot_i] = t_init
-    dirty[rows_i, slot_i] = d_init
-    if sector is not None:
-        sector[rows_i, slot_i] = s_init
-    if stamp is not None:
-        stamp[rows_i, slot_i] = st_init
-    rows_r = rows_abs[gi2]
-    slot_r = ninit[gi2] + np.arange(gi2.size, dtype=np.int64) - offs_r[gi2]
-    tags[rows_r, slot_r] = stg[loc_f]
-    dirty[rows_r, slot_r] = dirty_at[loc_f]
-    if sector is not None:
-        sector[rows_r, slot_r] = incl[loc_f]
+        assert sec is not None
+        sect = (sector[trow].reshape(-1), np.int64(1) << sec[acc],
+                np.empty(n, dtype=np.int64))
+    stamps: Optional[Tuple[np.ndarray, np.ndarray]] = None
     if stamp is not None:
         assert stamp_vals is not None
-        sv_l = stamp_vals[idx]
-        stamp[rows_r, slot_r] = sv_l[loc_f]
-    if okg is None:
-        count[rows_abs] = ninit + nreal
+        stamps = (stamp[trow].reshape(-1), stamp_vals[acc])
+
+    # Step r: one access per live row.  A matching tag outranks every
+    # key, so one argmin finds the hit way or else the LRU victim; a
+    # hit keeps its dirty bit, a fill replaces the line.
+    widths = live.tolist()
+    lo = 0
+    for r in range(steps):
+        width = widths[r]
+        hi = lo + width
+        t = t_s[lo:hi]
+        way = np.argmin(np.where(blk_t[:width] == t[:, None], np.int64(-1),
+                                 key[:width]), axis=1)
+        f = base[:width] + way
+        ot = flat_t[f]
+        ok = flat_k[f]
+        old_t[lo:hi] = ot
+        old_k[lo:hi] = ok
+        hit = ot == t
+        flat_t[f] = t
+        flat_k[f] = code[lo:hi] | (ok & hit)
+        if sect is not None:
+            flat_s, bit, old_s = sect
+            os_ = flat_s[f]
+            old_s[lo:hi] = os_
+            flat_s[f] = bit[lo:hi] | (os_ * hit)
+        if stamps is not None:
+            stamps[0][f] = stamps[1][lo:hi]
+        lo = hi
+
+    # Verdicts: a tag hit whose sector bit was clear is a sector miss
+    # (the step above set the bit); a miss that replaced a line evicts
+    # it with the line's dirty bit.
+    tag_hit = old_t == t_s
+    if sect is not None:
+        assert sm_out is not None
+        present = (sect[2] & sect[1]) != 0
+        hits[acc] = tag_hit & present
+        sm_out[acc] = tag_hit & ~present
     else:
-        count[rows_abs[okg]] = (ninit + nreal)[okg]
+        hits[acc] = tag_hit
+    ev = np.flatnonzero(~tag_hit & (old_k != 0))
+    if ev.size:
+        ea = acc[ev]
+        ev_addr[ea] = geo.rebuild(rows[ea] % np.int64(geo.num_sets),
+                                  old_t[ev])
+        ev_dirty[ea] = (old_k[ev] & 1) != 0
+
+    # Write-back: sorting each row by key restores the packed LRU ->
+    # MRU layout, free slots last.
+    occupied = blk_t != _FREE
+    order = np.argsort(np.where(occupied, key, np.int64(_NEVER)), axis=1)
+    tags[trow] = np.take_along_axis(blk_t, order, axis=1)
+    dirty[trow] = (np.take_along_axis(key, order, axis=1) & 1) != 0
+    if sector is not None:
+        assert sect is not None
+        sector[trow] = np.take_along_axis(sect[0].reshape(G, A), order,
+                                          axis=1)
+    if stamp is not None:
+        assert stamps is not None
+        stamp[trow] = np.take_along_axis(stamps[0].reshape(G, A), order,
+                                         axis=1)
+    count[trow] = occupied.sum(axis=1)
+    return BatchResult(hits, ev_addr, ev_dirty, sm_out)
 
 
 def _seg_rank(keys: np.ndarray) -> np.ndarray:
@@ -1209,8 +764,7 @@ class VectorCache:
     The bank's kernel calls resolve its batches.  The slice itself
     holds the way allotment (:meth:`set_partition`), the state view the
     differential tests compare against :class:`SetAssociativeCache`
-    (``stats``, :meth:`resident_lines`, :meth:`resident_addrs`,
-    occupancy), :meth:`drain` for kernel-boundary flushes, and scalar
+    (``stats``, :meth:`resident_lines`, occupancy), :meth:`drain` for kernel-boundary flushes, and scalar
     :meth:`access`/:meth:`fill` with exact scalar semantics — what the
     serial engine runs for an epoch the bank declines.  A standalone
     instance owns a one-cache store.
@@ -1426,26 +980,6 @@ class VectorCache:
                     sector_valid=int(sector[s, ci, index, k])
                     if sector is not None else 0)
 
-    def resident_addrs(self) -> np.ndarray:
-        """Line addresses of every resident line."""
-        geo = self._geo
-        store = self._store
-        ci = self._index
-        parts: List[np.ndarray] = []
-        for s in range(store.num_slots):
-            cnt = store.count[s, ci]
-            total = int(cnt.sum())
-            if not total:
-                continue
-            sets = np.repeat(np.arange(geo.num_sets, dtype=np.int64), cnt)
-            offs = np.zeros(geo.num_sets, dtype=np.int64)
-            np.cumsum(cnt[:-1], out=offs[1:])
-            slots = np.arange(total, dtype=np.int64) - offs[sets]
-            parts.append(geo.rebuild(sets, store.tags[s, ci][sets, slots]))
-        if parts:
-            return np.concatenate(parts)
-        return np.empty(0, dtype=np.int64)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"VectorCache(name={self.name!r}, "
                 f"size={self.config.size_bytes}, "
@@ -1480,13 +1014,6 @@ class VectorBank:
             VectorCache(config, name, _store=self._store, _index=i)
             for i, name in enumerate(names)]
         self._geo = _geometry_of(config)
-        #: Reuse encodings built and lane replays resolved against them
-        #: by the shared-stream entry points (host telemetry).
-        self.shared_encodings = 0
-        self.shared_replays = 0
-        #: Rounds resolved by one lane-major batched replay call (>= 2
-        #: lanes folded into a single kernel pass; host telemetry).
-        self.lane_batched_rounds = 0
 
     def access_many_grouped(self, cache_idx: np.ndarray, addrs: np.ndarray,
                             writes: np.ndarray,
@@ -1522,14 +1049,12 @@ class VectorBank:
     def access_many_grouped_shared(
             self, calls: Sequence[GroupedLaneCall]
     ) -> List[Optional[BatchResult]]:
-        """Resolve several lanes' uniform epochs, encoding once per stream.
+        """Resolve several lanes' uniform epochs in one bank call.
 
-        Calls carrying equal ``stream`` ids replay one shared reuse
-        encoding at their own row offsets, so a round over L lanes
-        sharing a trace costs O(unique streams) encoding work plus O(L)
-        replays.  Entries that fail the plain-batch gate come back as
-        ``None`` (the caller falls back for those lanes only); the
-        other lanes still share.
+        Each lane is one kernel call at its own row offset.  Entries
+        that fail the plain-batch gate come back as ``None`` (the
+        caller falls back for those lanes only); the other lanes still
+        resolve.
         """
         ranges = [(call.lane,) for call in calls]
         site = "VectorBank.access_many_grouped_shared"
@@ -1549,105 +1074,54 @@ class VectorBank:
         Each call's cache indices are relative to ``call.lane[0]``;
         ``ranges_of`` holds the absolute cache ranges its gate and stats
         cover.  A standalone epoch is the one-call case (offset zero,
-        the caller's ranges).  Same-stream lanes are folded into one
-        lane-major replay (one :func:`_replay_encoding` call over a
-        :class:`_LaneEncoding`): per round the encoding pass runs once
-        per unique stream and the replay pass once per *stream group*,
-        not once per lane.  Per-lane clock bases follow call order,
-        exactly as the sequential path stamps them — lanes own disjoint
-        store rows, so batched state writes commute.
+        the caller's ranges).  Every call that passes its gate is one
+        kernel call; stamp windows follow call order.
         """
         geo = self._geo
         store = self._store
+        S = np.int64(geo.num_sets)
         results: List[Optional[BatchResult]] = [None] * len(calls)
-        S = geo.num_sets
-        # Per-call eligibility gate, then stream grouping of survivors.
-        eligible = [k for k in range(len(calls))
-                    if all(self._plain(lo, hi) for lo, hi in ranges_of[k])]
-        if not eligible:
-            return results
-        groups: Dict[int, List[int]] = {}
-        for k in eligible:
-            groups.setdefault(calls[k].stream, []).append(k)
-        bases: Dict[int, int] = {}
-        clock = store.clock
-        if store.stamp is not None:
-            for k in eligible:
-                bases[k] = clock
-                clock += calls[k].addrs.shape[0]
-            store.clock = clock
-        encodings: Dict[int, Tuple[_StreamEncoding, np.ndarray,
-                                   Optional[np.ndarray]]] = {}
-        for sid, members in groups.items():
-            first_call = calls[members[0]]
-            cached = encodings.get(sid)
-            if cached is None:
-                sets, tg = geo.split(first_call.addrs)
-                rows = first_call.cache_idx * np.int64(S) + sets
-                sec = geo.sector_of(first_call.addrs) if geo.sectored \
-                    else None
-                cached = (_encode_stream(rows, tg, first_call.writes,
-                                         len(self.caches) * S, sec=sec),
-                          tg, sec)
-                encodings[sid] = cached
-                self.shared_encodings += 1
-            enc, tg, sec = cached
-            n = first_call.addrs.shape[0]
-            lanes_lo = [calls[k].lane[0] for k in members]
-            batched = n > 0 and len(members) > 1 and \
-                len(set(lanes_lo)) == len(lanes_lo)
+        for k, call in enumerate(calls):
+            if not all(self._plain(lo, hi) for lo, hi in ranges_of[k]):
+                continue
+            n = call.addrs.shape[0]
             ftags, fdirty, fcount, fsector, fstamp = store.flat()
-            if batched:
-                L = len(members)
-                lenc = _tile_encoding_lanes(enc, [lo * S
-                                                  for lo in lanes_lo])
-                stamp_vals = None
-                if fstamp is not None:
-                    stamp_vals = np.concatenate(
-                        [np.arange(bases[k], bases[k] + n,
-                                   dtype=np.int64) for k in members])
-                hits = np.zeros(L * n, dtype=bool)
-                ev_addr = np.full(L * n, -1, dtype=np.int64)
-                ev_dirty = np.zeros(L * n, dtype=bool)
-                sm_out = np.zeros(L * n, dtype=bool) \
-                    if fsector is not None else None
-                _replay_encoding(lenc, ftags, fdirty, fcount, geo, 0,
-                                 geo.associativity, hits, ev_addr,
-                                 ev_dirty, sector=fsector, stamp=fstamp,
-                                 stamp_vals=stamp_vals, sm_out=sm_out)
-                self.shared_replays += L
-                self.lane_batched_rounds += 1
-                for j, k in enumerate(members):
-                    sl = slice(j * n, (j + 1) * n)
-                    results[k] = BatchResult(
-                        hits[sl], ev_addr[sl], ev_dirty[sl],
-                        sm_out[sl] if sm_out is not None else None)
-            else:
-                for k in members:
-                    ftags, fdirty, fcount, fsector, fstamp = store.flat()
-                    stamp_vals = None
-                    if fstamp is not None:
-                        stamp_vals = np.arange(bases[k], bases[k] + n,
-                                               dtype=np.int64)
-                    hits = np.zeros(n, dtype=bool)
-                    ev_addr = np.full(n, -1, dtype=np.int64)
-                    ev_dirty = np.zeros(n, dtype=bool)
-                    sm_out = np.zeros(n, dtype=bool) \
-                        if fsector is not None else None
-                    if n:
-                        _replay_encoding(
-                            enc, ftags, fdirty, fcount, geo,
-                            calls[k].lane[0] * S, geo.associativity,
-                            hits, ev_addr, ev_dirty, sector=fsector,
-                            stamp=fstamp, stamp_vals=stamp_vals,
-                            sm_out=sm_out)
-                    self.shared_replays += 1
-                    results[k] = BatchResult(hits, ev_addr, ev_dirty,
-                                             sm_out)
-            for k in members:
-                self._charge_lane_stats(ranges_of[k], calls[k].lane[0],
-                                        calls[k].cache_idx, results[k])
+            stamp_vals = None
+            if fstamp is not None:
+                stamp_vals = np.arange(store.clock, store.clock + n,
+                                       dtype=np.int64)
+                store.clock += n
+            sets, tg = geo.split(call.addrs)
+            rows = (call.cache_idx + np.int64(call.lane[0])) * S + sets
+            result = _batch_resolve(
+                ftags, fdirty, fcount, geo, rows, tg, call.writes,
+                sector=fsector,
+                sec=geo.sector_of(call.addrs) if geo.sectored else None,
+                stamp=fstamp, stamp_vals=stamp_vals)
+            self._charge_lane_stats(ranges_of[k], call.lane[0],
+                                    call.cache_idx, result)
+            results[k] = result
         return results
+
+    def resident_addrs(self, lo: int, hi: int
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """(cache index, line address) of every line resident in caches
+        ``[lo, hi)``, in no particular order."""
+        store = self._store
+        geo = self._geo
+        C, S = len(self.caches), np.int64(geo.num_sets)
+        ftags, _, fcount, _, _ = store.flat()
+        caches = np.arange(lo, hi, dtype=np.int64)
+        slots = np.arange(store.num_slots, dtype=np.int64)
+        rows = ((slots[:, None] * np.int64(C) + caches[None, :])[:, :, None]
+                * S + np.arange(S, dtype=np.int64)).reshape(-1)
+        cnt = fcount[rows]
+        line_rows = np.repeat(rows, cnt)
+        offs = np.cumsum(cnt) - cnt
+        ways = np.arange(line_rows.size, dtype=np.int64) - \
+            np.repeat(offs, cnt)
+        addrs = geo.rebuild(line_rows % S, ftags[line_rows, ways])
+        return (line_rows // S) % np.int64(C), addrs
 
     def _plain(self, lo: int, hi: int) -> bool:
         """Caches ``[lo, hi)`` are unpartitioned and foreign-free (no
@@ -1659,14 +1133,12 @@ class VectorBank:
 
     def _charge_lane_stats(self, ranges: Sequence[Tuple[int, int]],
                            lo: int, cache_idx: np.ndarray,
-                           result: Optional[BatchResult]) -> None:
+                           result: BatchResult) -> None:
         """Fold one call's batch outcome into its per-cache stats.
 
         ``cache_idx`` is relative to cache ``lo``; only the caches of
         the absolute ``ranges`` are charged.
         """
-        if result is None:
-            return
         width = max(hi for _, hi in ranges) - lo
         acc = np.bincount(cache_idx, minlength=width)
         hit = np.bincount(cache_idx[result.hits], minlength=width)
@@ -2144,18 +1616,12 @@ class VectorBank:
     def access_many_staged_shared(
             self, calls: Sequence[StagedLaneCall]
     ) -> List[Optional[StagedResult]]:
-        """Resolve several lanes' two-stage epochs with shared encodings.
+        """Resolve several lanes' two-stage epochs in one bank call.
 
-        The phase-1 stream — stage-0 probes of two-stage accesses — is
-        a function of the shared trace alone (a lane either resolves
-        its whole epoch on the kernel or declines it, so per-lane
-        eligibility is a group mask, not a different stream).  Calls
-        with equal ``stream`` ids therefore replay one reuse encoding
-        with per-lane capacity vectors and ok-masks; the drain passes
-        and the stream-order phase-2 kernel stay per-lane.  Entries
-        whose lane fails the all-partitioned gate, the drain model or
-        the row-disjointness requirement come back as ``None`` (those
-        lanes fall back; the rest still share).
+        Each lane runs its own phases and kernel calls.  Entries whose
+        lane fails the all-partitioned gate, the drain model or the
+        row-disjointness requirement come back as ``None`` (those lanes
+        fall back; the others still resolve).
         """
         ranges = [(call.lane,) for call in calls]
         site = "VectorBank.access_many_staged_shared"
@@ -2182,12 +1648,6 @@ class VectorBank:
         (offset zero, the caller's ranges).  A call that probes a row
         the drain model cannot describe, or whose phases would share a
         row, comes back ``None`` before any phase touches state.
-        Same-stream phase-1 replays are hoisted ahead of the per-plan
-        phase loop and fused lane-major (one :func:`_replay_encoding`
-        over a :class:`_LaneEncoding`) — exact because lanes own
-        disjoint store rows, every stamp window is explicit, and
-        phase-1 ok-masks confine writes to rows phase 2 does not
-        share.
         """
         results: List[Optional[StagedResult]] = [None] * len(calls)
         if not self.caches:
@@ -2220,27 +1680,16 @@ class VectorBank:
             count0 = store.count.copy()
             cand0, o_slot = self._drain_rows_static(cap_of, count0)
 
-        # Stream-keyed pieces every same-trace lane reuses: the address
-        # split and the partition->slot maps.
-        split_of: Dict[int, Tuple[np.ndarray, np.ndarray,
-                                  Optional[np.ndarray]]] = {}
-        slots_of: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
         # Per-call setup runs before any phase touches state.
         plans: List[_StagedPlan] = []
         for k in live:
             call = calls[k]
             ranges = ranges_of[k]
             lo = call.lane[0]
-            sid = call.stream
-            if sid not in split_of:
-                sets, tg = geo.split(call.addrs)
-                sec = geo.sector_of(call.addrs) if geo.sectored else None
-                split_of[sid] = (sets, tg, sec)
-                slots_of[sid] = (self._slots_for(call.part0),
-                                 self._slots_for(call.part1))
-            sets, tg, sec = split_of[sid]
-            slot0, slot1 = slots_of[sid]
+            sets, tg = geo.split(call.addrs)
+            sec = geo.sector_of(call.addrs) if geo.sectored else None
+            slot0 = self._slots_for(call.part0)
+            slot1 = self._slots_for(call.part1)
             idx0a = call.idx0 + lo
             idx1a = call.idx1 + lo
             cap0 = np.where(slot0 >= 0,
@@ -2271,7 +1720,7 @@ class VectorBank:
                                        slot1, ts, ranges):
                 continue
             # Lane-local kernel rows; the lane's cache offset is applied
-            # as a row offset (a multiple of S) at replay time.
+            # as a row offset (a multiple of S) at solve time.
             krow0 = (np.maximum(slot0, 0) * np.int64(C) + call.idx0) * \
                 np.int64(S) + sets
             krow1 = (np.maximum(slot1, 0) * np.int64(C) + call.idx1) * \
@@ -2294,81 +1743,13 @@ class VectorBank:
             plans.append(plan)
 
         # Per-plan clock windows, in plan order.
-        bases: Dict[int, int] = {}
-        clock = store.clock
         for p in plans:
-            bases[p.k] = clock
-            clock += p.call.addrs.shape[0]
-        store.clock = clock
-
-        # Pre-pass: fuse same-stream phase-1 replays into one
-        # lane-major kernel call (rows running in drain passes masked).
-        # Plans whose phase 1 is fully masked, or whose stream appears
-        # once, solve it in their own first drain pass instead.
-        pre1: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray,
-                              np.ndarray, np.ndarray,
-                              Optional[np.ndarray]]] = {}
-        by_sid: Dict[int, List[Tuple[int, np.ndarray, np.ndarray]]] = {}
-        for i, p in enumerate(plans):
-            ia2 = np.flatnonzero(p.call.two_stage)
-            okv = self._phase1_ok(p)[ia2]
-            if ia2.size and bool(okv.any()):
-                by_sid.setdefault(p.call.stream, []).append((i, ia2, okv))
-        for sid, members in by_sid.items():
-            los = [plans[i].lo for i, _, _ in members]
-            if len(members) < 2 or len(set(los)) != len(los):
-                continue
-            i0, ia2_0, _ = members[0]
-            p0 = plans[i0]
-            enc = _encode_stream(
-                p0.krow0[ia2_0], p0.tg[ia2_0], p0.call.writes[ia2_0],
-                store.num_slots * C * S,
-                sec=p0.sec[ia2_0] if p0.sec is not None else None)
-            self.shared_encodings += 1
-            m = ia2_0.size
-            L = len(members)
-            caps_v = np.concatenate(
-                [plans[i].cap_p1[ia2] for i, ia2, _ in members])
-            ok_v = np.concatenate([okv for _, _, okv in members])
-            sv_v = np.concatenate(
-                [np.int64(bases[plans[i].k]) + ia2
-                 for i, ia2, _ in members])
-            ftags, fdirty, fcount, fsector, fstamp = store.flat()
-            h_v = np.zeros(L * m, dtype=bool)
-            ea_v = np.full(L * m, -1, dtype=np.int64)
-            ed_v = np.zeros(L * m, dtype=bool)
-            sm_v = np.zeros(L * m, dtype=bool) if fsector is not None \
-                else None
-            lenc = _tile_encoding_lanes(
-                enc, [plans[i].lo * S for i, _, _ in members])
-            _replay_encoding(lenc, ftags, fdirty, fcount, geo, 0, caps_v,
-                             h_v, ea_v, ed_v, ok=ok_v, sector=fsector,
-                             stamp=fstamp, stamp_vals=sv_v, sm_out=sm_v)
-            self.lane_batched_rounds += 1
-            self.shared_replays += L
-            for j, (i, ia2, okv) in enumerate(members):
-                sl = slice(j * m, (j + 1) * m)
-                pre1[i] = (ia2, okv, h_v[sl], ea_v[sl], ed_v[sl],
-                           sm_v[sl] if sm_v is not None else None)
-
-        for i, p in enumerate(plans):
-            results[p.k] = self._staged_run(p, bases[p.k], pre1.get(i),
-                                            count0, o_slot)
+            clock0 = store.clock
+            store.clock += p.call.addrs.shape[0]
+            results[p.k] = self._staged_run(p, clock0, count0, o_slot)
         return results
 
-    @staticmethod
-    def _phase1_ok(plan: _StagedPlan) -> np.ndarray:
-        """Stage-0 probes the single phase-1 kernel pass resolves."""
-        ok = plan.call.two_stage & (plan.cap_p1 > 0)
-        if plan.mirror is not None:
-            ok[plan.mirror.staged] = False
-        return ok
-
     def _staged_run(self, plan: _StagedPlan, clock0: int,
-                    hoisted: Optional[Tuple[np.ndarray, np.ndarray,
-                                            np.ndarray, np.ndarray,
-                                            np.ndarray,
-                                            Optional[np.ndarray]]],
                     count0: Optional[np.ndarray],
                     o_slot: Optional[np.ndarray]) -> StagedResult:
         """Run one plan's two phases and assemble its outcome."""
@@ -2424,28 +1805,17 @@ class VectorBank:
             ea1[b1] = res.evicted_addr[u1]
             ed1[b1] = res.evicted_dirty[u1]
 
-        # Phase 1: stage-0 probes of two-stage accesses.  Lane-batched
-        # rounds land them via the pre-pass; otherwise they join the
-        # first drain pass below.
-        rest = np.zeros(0, dtype=np.int64)
-        if hoisted is not None:
-            ia2, okv, h_t, ea_t, ed_t, sm_t = hoisted
-            h0[ia2] = h_t
-            ea0[ia2] = ea_t
-            ed0[ia2] = ed_t
-            if sm_t is not None:
-                sm0[ia2] = sm_t
-                f0[ia2] = ~(h_t | sm_t) & okv
-            else:
-                f0[ia2] = ~h_t & okv
-        else:
-            rest = np.flatnonzero(self._phase1_ok(plan))
-
-        # Mirrored rows where a stage-0 probe follows a drain run in
-        # passes, each capped at the over slot's occupancy and followed
-        # by the next drain.  The drained lines are reported on the
-        # draining phase-2 accesses once phase 2 has written those.
+        # Phase 1: stage-0 probes of two-stage accesses, in the first
+        # drain pass below.  Mirrored rows where a stage-0 probe follows
+        # a drain run in passes, each capped at the over slot's
+        # occupancy and followed by the next drain.  The drained lines
+        # are reported on the draining phase-2 accesses once phase 2
+        # has written those.
         mirror = plan.mirror
+        ok = two_stage & (plan.cap_p1 > 0)
+        if mirror is not None:
+            ok[mirror.staged] = False
+        rest = np.flatnonzero(ok)
         dea = np.full(n, -1, dtype=np.int64)
         ded = np.zeros(n, dtype=bool)
         npass = ndrain = 0

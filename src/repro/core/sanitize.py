@@ -2,11 +2,11 @@
 
 Every vector-bank call runs under three checks:
 
-* every reuse encoding built by ``repro.cache.vector._encode_stream``
-  (and every lane tiling of one) is frozen when it is built
-  (:func:`freeze` marks its arrays ``writeable=False``), so a replay or
-  driver that mutates shared encoding state raises immediately instead
-  of corrupting every later lane bit-for-bit;
+* arrays shared across runs are read-only: the trace generator marks
+  its memoized trace arrays, and the engine its per-epoch memos,
+  ``writeable=False`` when it builds them, so a write into one inside
+  a kernel body raises (see :func:`guarded`) instead of corrupting
+  every later run that reads it;
 * the vector-bank entry points assert their dtype/shape contracts
   (:func:`expect`) before touching state — a float address array or a
   mismatched lane batch fails loudly at the boundary, not as a silently
@@ -17,10 +17,10 @@ Every vector-bank call runs under three checks:
   recording a :class:`Violation` in the process-wide
   :func:`report` (surfaced per run as ``RunStats.sanitizer_violations``).
 
-The sanitizer never changes verdicts: freezing and error traps only
-*observe*, so a clean run computes exactly what the unchecked kernel
-would.  The one write a read-only array cannot refuse — being made
-writeable again — is ruled out by an AST scan of the package
+The sanitizer never changes verdicts: read-only flags and error traps
+only *observe*, so a clean run computes exactly what the unchecked
+kernel would.  The one write a read-only array cannot refuse — being
+made writeable again — is ruled out by an AST scan of the package
 (``tests/core/test_sanitize.py``).
 """
 
@@ -37,7 +37,6 @@ __all__ = [
     "SanitizerReport",
     "Violation",
     "expect",
-    "freeze",
     "guarded",
     "report",
 ]
@@ -96,21 +95,6 @@ def report() -> SanitizerReport:
     return _REPORT
 
 
-def freeze(obj: object) -> None:
-    """Recursively mark every ndarray inside ``obj`` read-only.
-
-    Encodings are NamedTuples of arrays (nesting more tuples), so a
-    tuple walk covers them; non-array leaves pass through untouched.
-    Safe only for freshly-allocated arrays the producer owns — callers
-    must never hand it a view of caller-owned state.
-    """
-    if isinstance(obj, np.ndarray):
-        obj.setflags(write=False)
-    elif isinstance(obj, tuple):
-        for item in obj:
-            freeze(item)
-
-
 def _fail(kind: str, site: str, detail: str) -> "SanitizerError":
     _REPORT.record(kind, site, detail)
     return SanitizerError(f"{site}: {detail}")
@@ -144,8 +128,8 @@ def guarded(site: str) -> Iterator[None]:
     """Run a kernel body under the sanitizer's error traps.
 
     Inside the block numpy floating-point anomalies raise
-    (``np.errstate(all="raise")``), and both those and writes to frozen
-    encoding arrays (numpy's read-only ``ValueError``) are re-raised as
+    (``np.errstate(all="raise")``), and both those and writes to
+    read-only arrays (numpy's read-only ``ValueError``) are re-raised as
     :class:`SanitizerError` after being recorded.  Unrelated
     ``ValueError``\\ s propagate untouched.
     """

@@ -15,7 +15,13 @@ module cannot escape the rule.
 
 Loops over *grouped* quantities (unique pages, nonzero bincount bins,
 chips, slices) are inherently bounded by the machine geometry, not the
-access count, and are not flagged.  The deliberate per-access loops
+access count, and are not flagged.  Neither are *rank loops* such as
+the LRU kernel's ``for r in range(steps)``: each iteration advances
+every live set by one access in a few numpy calls, so the loop runs
+once per access of the busiest set (tens per epoch), not once per
+access, and the work per iteration is vectorized over the sets.  A
+rank loop's bound must stay a per-set access count; ``range(n)`` over
+the batch length is still flagged.  The deliberate per-access loops
 left in these modules — the engine's serial reference path, the oracle
 every batched epoch must reproduce, and the SAC counters' sampled
 scalar update — carry an inline ``# repro: noqa(hot-loop)``
@@ -28,8 +34,7 @@ collection — ``probes``/``members``/``outcomes``/``sids`` and friends —
 runs O(rounds x lanes) times and is flagged.  Cheap deliberate
 bookkeeping loops (stats charging, probe regrouping) carry the same
 inline suppressions; anything that does real per-lane *work* there
-belongs in the bank's shared entry points, which encode each unique
-stream once and replay it per lane.
+belongs in the bank's shared entry points.
 """
 
 from __future__ import annotations

@@ -678,7 +678,7 @@ class SimulationEngine:
 
         # Cache probes: the only sequentially-stateful work in the epoch.
         # Uniform single-stage epochs are resolved with one grouped
-        # stack-distance kernel call, partitioned plans of up to two
+        # kernel call, partitioned plans of up to two
         # allocate-on-miss stages with one staged call.
         llc_slices = config.chip.llc_slices
         serve0_np = np.array(st0_chip, dtype=np.int64)[pair_np]
@@ -1383,36 +1383,33 @@ class SimulationEngine:
                         else:
                             remote += 1
         else:
-            # Vector path: the bank lists resident lines as arrays, so
-            # they are homed against a sorted snapshot of the page
-            # table; unallocated pages count as local (as the serial
-            # path's None does).
-            shift = self.page_table._page_shift
-            ptab = self.page_table._home
-            pt_pages = np.fromiter(ptab.keys(), dtype=np.int64,
-                                   count=len(ptab))
-            pt_homes = np.fromiter(ptab.values(), dtype=np.int64,
-                                   count=len(ptab))
-            psort = np.argsort(pt_pages)
-            pt_pages = pt_pages[psort]
-            pt_homes = pt_homes[psort]
-            for chip in range(self.config.num_chips):
-                for vcache in self._bank_slices(bank, chip):
-                    addrs = vcache.resident_addrs()
-                    if not len(addrs):
-                        continue
-                    pages, counts = np.unique(addrs >> shift,
-                                              return_counts=True)
-                    pos = np.searchsorted(pt_pages, pages)
-                    pos = np.minimum(pos, max(pt_pages.size - 1, 0))
-                    known = pt_pages.size > 0
-                    found = (pt_pages[pos] == pages) if known else \
-                        np.zeros(pages.shape, dtype=bool)
-                    homes = np.where(found, pt_homes[pos] if known else 0,
-                                     chip)
-                    rem = int(counts[homes != chip].sum())
-                    remote += rem
-                    local += int(counts.sum()) - rem
+            # Vector path: one bank-wide listing of the lane's resident
+            # lines, homed against a sorted snapshot of the page table
+            # in one searchsorted; unallocated pages count as local (as
+            # the serial path's None does).
+            per_chip = self.config.chip.llc_slices
+            lo = self._bank_base
+            cache_idx, addrs = bank.resident_addrs(
+                lo, lo + self.config.num_chips * per_chip)
+            if addrs.size:
+                ptab = self.page_table._home
+                pt_pages = np.fromiter(ptab.keys(), dtype=np.int64,
+                                       count=len(ptab))
+                pt_homes = np.fromiter(ptab.values(), dtype=np.int64,
+                                       count=len(ptab))
+                psort = np.argsort(pt_pages)
+                pt_pages = pt_pages[psort]
+                pt_homes = pt_homes[psort]
+                owner = (cache_idx - np.int64(lo)) // np.int64(per_chip)
+                homes = owner
+                if pt_pages.size:
+                    pages = addrs >> np.int64(self.page_table._page_shift)
+                    pos = np.minimum(np.searchsorted(pt_pages, pages),
+                                     pt_pages.size - 1)
+                    homes = np.where(pt_pages[pos] == pages, pt_homes[pos],
+                                     owner)
+                remote = int(np.count_nonzero(homes != owner))
+                local = int(addrs.size) - remote
         total = local + remote
         if total == 0 or weight <= 0:
             return

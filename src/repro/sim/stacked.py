@@ -9,8 +9,8 @@
 * lanes whose scaled LLC slice geometry matches share one stacked
   :class:`~repro.cache.vector.VectorBank`: their tag rows sit side by
   side on the ``caches`` axis of the SoA slot store, and one grouped
-  (or staged) stack-distance solve resolves every lane's epoch probes
-  in a single kernel invocation instead of one call per lane;
+  (or staged) bank call per round resolves every lane's epoch probes,
+  each lane with its own kernel call;
 * the trace is generated (and memoized) once and replayed by every
   lane, so trace generation is also O(1) in the number of lanes.
 
@@ -86,14 +86,6 @@ class StackedTelemetry:
     bank_invocations: int = 0
     #: Whole co-run wall clock.
     wall_seconds: float = 0.0
-    #: Reuse encodings built by shared bank calls (one per unique
-    #: (set, tag) stream per round) and lane replays resolved against
-    #: them; replays exceeding encodings is the shared path paying off.
-    shared_encodings: int = 0
-    shared_replays: int = 0
-    #: Rounds the shared banks resolved with one lane-major batched
-    #: replay call (>= 2 lanes folded into a single kernel pass).
-    lane_batched_rounds: int = 0
     #: Lane indices that faulted mid-drive and were re-run solo, and the
     #: subset whose re-run was demoted to the serial engine because the
     #: vector kernel itself faulted.
@@ -172,8 +164,8 @@ def simulate_stacked(spec: BenchmarkSpec,
     # Duplicate-lane fast path: lanes naming the same organization under
     # an equal config replay identical physics over the one shared
     # trace, so a single engine serves all of them — the duplicates
-    # copy its stats after the drive (no engine, no probes, no extra
-    # encoding or replay).  Organization *instances* may carry state and
+    # copy its stats after the drive (no engine, no probes, no kernel
+    # call).  Organization *instances* may carry state and
     # are never deduplicated.
     primaries: List[int] = []
     primary_of: List[int] = []
@@ -288,15 +280,6 @@ def simulate_stacked(spec: BenchmarkSpec,
         rerun_stats[p] = stats
     telemetry.wall_seconds = perf_counter() - started
 
-    seen_banks = set()
-    for bank, _ in lane_bank.values():
-        if id(bank) in seen_banks:
-            continue
-        seen_banks.add(id(bank))
-        telemetry.shared_encodings += bank.shared_encodings
-        telemetry.shared_replays += bank.shared_replays
-        telemetry.lane_batched_rounds += bank.lane_batched_rounds
-
     # Host wall clock is a co-run quantity; attribute it evenly across
     # all lanes (duplicates included — they ride the same wall) so the
     # per-lane throughput numbers stay meaningful.
@@ -406,9 +389,9 @@ def _drive(engines: Sequence[SimulationEngine],
                 # The solve fault fires before the group's bank call
                 # touches any state, so re-resolving each member alone
                 # pins it on specific lanes; the rest keep their round.
-                # Any other error escapes: the bank commits one stream
-                # group at a time, so a member resolved before a
-                # mid-solve failure would apply its epoch twice.
+                # Any other error escapes: the bank commits one lane at
+                # a time, so a member resolved before a mid-solve
+                # failure would apply its epoch twice.
                 outcomes, failed = _solo_fallback(
                     member_probes, group_error)
                 sids = None
@@ -495,14 +478,15 @@ def _same_stream(a: BankProbe, b: BankProbe) -> bool:
 
 def _invoke_group(probes: List[BankProbe]
                   ) -> Tuple[List[ProbeOutcome], Optional[List[int]]]:
-    """Resolve one (bank, kind) group with one shared-stream bank call.
+    """Resolve one (bank, kind) group with one shared bank call.
 
-    Member probes are labelled with stream ids (equal ids <=>
-    element-identical lane-local streams) and handed to the bank's
-    shared entry point, which encodes each unique stream once and
-    replays it per lane.  Per-lane ``None`` outcomes send just those
-    lanes' epochs to the serial engine.  Returns the per-probe stream
-    ids alongside the outcomes (``None`` for single-probe rounds).
+    Member probes are handed to the bank's shared entry point, which
+    resolves each lane with its own kernel call.  Per-lane ``None``
+    outcomes send just those lanes' epochs to the serial engine.  The
+    probes are also labelled with stream ids (equal ids <=>
+    element-identical lane-local streams), returned alongside the
+    outcomes (``None`` for single-probe rounds) for the lanes'
+    ``stacked_shared_streams`` counters.
     """
     if len(probes) == 1:
         return [probes[0].invoke()], None

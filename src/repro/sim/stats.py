@@ -114,9 +114,8 @@ class RunStats:
     # lane's epochs participated in.
     stacked_lanes: int = 0
     stacked_probe_calls: int = 0
-    # Stacked rounds in which this lane's probe was resolved against a
-    # reuse encoding shared with at least one other lane (the lane either
-    # contributed the encoding or replayed another lane's).
+    # Stacked rounds in which this lane's probe carried a stream
+    # element-identical to another resolved lane's in the same bank call.
     stacked_shared_streams: int = 0
     # Resilience telemetry: 1 when this lane faulted inside a stacked
     # drive and these stats come from its solo re-run; ``lane_demoted``

@@ -156,8 +156,8 @@ def test_vector_matches_reference(num_sets, assoc, write_frac):
         assert_identical(ref_out, vec_out, ref, vec)
 
 
-def test_single_set_chunked_groups():
-    """One set forces every access into one group -> rank-chunked path."""
+def test_one_set_stream_matches_reference():
+    """One set puts every access of a long stream into one row."""
     rng = np.random.default_rng(11)
     config = make_config(1, 8)
     ref = SetAssociativeCache(config, "ref")
@@ -167,8 +167,8 @@ def test_single_set_chunked_groups():
                      bank_batch(bank, addrs, writes), ref, vec)
 
 
-def test_huge_tags_use_lexsort_path():
-    """Tags above the composite-key range still resolve identically."""
+def test_huge_tags_match_reference():
+    """Tags above 2**44 resolve identically."""
     rng = np.random.default_rng(13)
     config = make_config(64, 4)
     ref = SetAssociativeCache(config, "ref")
@@ -381,7 +381,9 @@ def test_drain_and_residency_native_paths():
     assert ref.occupancy() == vec.occupancy()
     assert final_state(ref) == final_state(vec)
     ref_addrs = sorted(entry[0] for entry in final_state(ref))
-    assert sorted(vec.resident_addrs().tolist()) == ref_addrs
+    cache_idx, resident = bank.resident_addrs(0, 1)
+    assert (cache_idx == 0).all()
+    assert sorted(resident.tolist()) == ref_addrs
     ref_dirty = sorted(addr for addr, line in ref.resident_lines()
                        if line.dirty)
     dirty_addrs, lines, dirty = vec.drain()
@@ -592,7 +594,7 @@ def test_bank_staged_matches_probe_loop(sectored):
     assert all(0 in ways.values() for ways in declined_steps)
 
 
-# -- Shared reuse encodings (stacked lanes over one stream) -------------------
+# -- Shared bank calls (stacked lanes over one stream) ------------------------
 
 
 def _stacked_bank(config, num_lanes, slices_per_lane):
@@ -602,9 +604,9 @@ def _stacked_bank(config, num_lanes, slices_per_lane):
 
 
 @pytest.mark.parametrize("sectored", [False, True])
-def test_grouped_shared_one_encoding_per_stream(sectored):
-    """Lanes sharing a stream solve once and replay per lane, and each
-    lane's verdicts/state equal its own per-lane grouped call."""
+def test_grouped_shared_lanes_match_their_own_calls(sectored):
+    """Lanes carrying one stream in a shared call each get the verdicts
+    and state of their own per-lane grouped call."""
     rng = np.random.default_rng(61)
     num_lanes, spl = 3, 4
     config = make_config(48, 8, sectored=sectored)
@@ -618,9 +620,7 @@ def test_grouped_shared_one_encoding_per_stream(sectored):
         calls = [GroupedLaneCall((i * spl, (i + 1) * spl), cache_idx,
                                  addrs, writes, stream=0)
                  for i in range(num_lanes)]
-        enc0 = bank.shared_encodings
         outs = bank.access_many_grouped_shared(calls)
-        assert bank.shared_encodings == enc0 + 1
         for i, out in enumerate(outs):
             assert out is not None
             ref_out = solo[i].access_many_grouped(cache_idx, addrs, writes)
@@ -633,12 +633,11 @@ def test_grouped_shared_one_encoding_per_stream(sectored):
         for s in range(spl):
             assert final_state(solo[i].caches[s]) == \
                 final_state(bank.caches[i * spl + s])
-    assert bank.shared_replays > bank.shared_encodings
 
 
 def test_grouped_shared_distinct_streams_stay_isolated():
-    """Different stream ids produce independent encodings: a lane fed a
-    different trace must not inherit another stream's verdicts."""
+    """A lane fed a different trace must not inherit another lane's
+    verdicts."""
     rng = np.random.default_rng(67)
     spl = 2
     config = make_config(16, 4)
@@ -662,9 +661,9 @@ def test_grouped_shared_distinct_streams_stay_isolated():
 
 
 def test_staged_shared_mixed_partition_caps_over_one_stream():
-    """One stream, per-lane way splits: the shared encoding is replayed
-    with each lane's capacity vector and stays bit-identical to the
-    per-lane staged path (which is itself pinned to the probe loop)."""
+    """One stream, per-lane way splits: each lane resolves against its
+    own capacity vector and stays bit-identical to the per-lane staged
+    path (which is itself pinned to the probe loop)."""
     rng = np.random.default_rng(71)
     num_lanes, spl, num_sets = 3, 4, 16
     config = make_config(num_sets, 4)
@@ -690,9 +689,7 @@ def test_staged_shared_mixed_partition_caps_over_one_stream():
                                 idx0, part0, two_stage, idx1, part1,
                                 stream=0)
                  for i in range(num_lanes)]
-        enc0 = bank.shared_encodings
         outs = bank.access_many_staged_shared(calls)
-        assert bank.shared_encodings == enc0 + 1
         for i, out in enumerate(outs):
             assert out is not None
             ref = solo[i].access_many_staged(addrs, writes, idx0, part0,
@@ -708,12 +705,11 @@ def test_staged_shared_mixed_partition_caps_over_one_stream():
         for s in range(spl):
             assert final_state(solo[i].caches[s]) == \
                 final_state(bank.caches[i * spl + s])
-    assert bank.shared_replays > bank.shared_encodings
 
 
 def test_staged_shared_unpartitioned_lane_falls_back_alone():
     """A lane failing the all-partitioned gate comes back None while the
-    remaining lanes still share the stream's encoding."""
+    remaining lanes still resolve."""
     rng = np.random.default_rng(73)
     spl, num_sets = 2, 16
     config = make_config(num_sets, 4)
@@ -736,4 +732,3 @@ def test_staged_shared_unpartitioned_lane_falls_back_alone():
     outs = bank.access_many_staged_shared(calls)
     assert outs[0] is not None and outs[1] is not None
     assert outs[2] is None
-    assert bank.shared_encodings >= 1

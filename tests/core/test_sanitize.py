@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.arch.config import CacheConfig
-from repro.cache.vector import VectorBank, _encode_stream
+from repro.cache.vector import VectorBank
 from repro.core import sanitize
 
 LINE = 128
@@ -33,18 +33,6 @@ def batch(n=32, seed=5):
     writes = rng.random(n) < 0.3
     cache_idx = rng.integers(0, 2, size=n).astype(np.int64)
     return cache_idx, addrs, writes
-
-
-class TestFreeze:
-    def test_freezes_arrays_in_nested_tuples(self):
-        inner = np.arange(3)
-        obj = (1, (inner, "x"), np.zeros(2))
-        sanitize.freeze(obj)
-        assert not inner.flags.writeable
-        assert not obj[2].flags.writeable
-
-    def test_non_arrays_pass_through(self):
-        sanitize.freeze(("a", 3, None))  # must not raise
 
 
 class TestExpect:
@@ -101,36 +89,6 @@ class TestReport:
         assert "[contract] site: boom" in report.summary()
 
 
-def encode_small_stream():
-    rows = np.array([0, 1, 0, 1, 0], dtype=np.int64)
-    tg = np.array([10, 20, 10, 30, 40], dtype=np.int64)
-    wr = np.array([False, True, False, False, True])
-    return _encode_stream(rows, tg, wr, 2)
-
-
-class TestEncodingFreeze:
-    def test_sanitized_encodings_are_read_only(self):
-        enc = encode_small_stream()
-        for bucket in enc.buckets:
-            assert not bucket.idx.flags.writeable
-            assert not bucket.pi_chain.flags.writeable
-
-    def test_seeded_replay_side_mutation_is_detected(self):
-        # Regression: a deliberately injected write to a shared
-        # encoding buffer during replay must surface as a recorded
-        # encoding-write violation, not silently corrupt later lanes.
-        enc = encode_small_stream()
-        bucket = enc.buckets[0]
-        with pytest.raises(sanitize.SanitizerError):
-            with sanitize.guarded("_replay_encoding"):
-                bucket.pi_chain[0] = 99
-        [violation] = sanitize.report().violations
-        assert violation.kind == "encoding-write"
-        assert violation.site == "_replay_encoding"
-        # The frozen buffer really was protected.
-        assert bucket.pi_chain[0] != 99
-
-
 class TestEntryPointContracts:
     def test_float_addresses_fail_the_contract(self):
         cache_idx, addrs, writes = batch()
@@ -152,7 +110,7 @@ class TestEntryPointContracts:
 def _unfreezes(tree):
     """Lines of ``tree`` that may make an array writeable again.
 
-    A frozen encoding refuses every in-place write except this one, so
+    A read-only array refuses every in-place write except this one, so
     the scan allows ``arr.flags.writeable = False``,
     ``arr.flags["WRITEABLE"] = False`` and ``arr.setflags(write=False)``
     and flags any other value, including a computed one.

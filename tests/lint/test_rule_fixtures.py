@@ -46,6 +46,33 @@ def test_hot_loop_silent_on_geometry_bounded_loops():
     assert findings == []
 
 
+def test_hot_loop_silent_on_rank_loops():
+    # One iteration per within-set rank, each vectorized over the live
+    # sets: bounded by the busiest set's access count, not the batch's.
+    findings = lint_text("""\
+        def resolve(live, t_s):
+            steps = live.size
+            widths = live.tolist()
+            lo = 0
+            for r in range(steps):
+                hi = lo + widths[r]
+                step(t_s[lo:hi])
+                lo = hi
+        """, VECTOR, rule="hot-loop")
+    assert findings == []
+
+
+def test_hot_loop_fires_on_batch_length_loop_in_the_kernel():
+    findings = lint_text("""\
+        def resolve(rows):
+            n = rows.shape[0]
+            for i in range(n):
+                step(rows[i])
+        """, VECTOR, rule="hot-loop")
+    assert len(findings) == 1
+    assert findings[0].line == 3
+
+
 def test_hot_loop_silent_outside_hot_modules():
     findings = lint_text("""\
         def build(addrs):

@@ -108,7 +108,7 @@ class TestVectorizedProbe:
                        accesses_per_epoch=DENSITY,
                        params=EngineParams(batched=True, vectorized=True))
         # Uniform single-stage organizations resolve every batched epoch
-        # through the grouped stack-distance kernel.
+        # through the grouped kernel.
         assert vec.vector_epochs > 0
         assert vec.scalar_epochs == 0
         assert loop.vector_epochs == loop.scalar_epochs == 0

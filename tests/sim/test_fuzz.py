@@ -16,6 +16,7 @@ from repro.arch import (
     baseline,
     with_chip_count,
     with_coherence,
+    with_llc_capacity_scale,
     with_page_size,
     with_sectored_llc,
 )
@@ -25,12 +26,16 @@ from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
 
 SCALE = 1.0 / 64
 
-#: Configurations that keep a run on the vector path.
+#: Configurations that keep a run on the vector path.  At ``SCALE`` the
+#: half-capacity LLC has one set per slice, so every access to a slice
+#: lands in one kernel row.
 VECTOR_CONFIGS = {
     "baseline": baseline(),
     "sectored": with_sectored_llc(baseline()),
     "2-chip": with_chip_count(baseline(), 2),
     "64k-pages": with_page_size(baseline(), 65536),
+    "half-llc": with_llc_capacity_scale(baseline(), 0.5),
+    "sectored-2-chip": with_sectored_llc(with_chip_count(baseline(), 2)),
 }
 
 #: ``(organization, org_kwargs, max_epochs)`` draws.  ``dynamic`` with no

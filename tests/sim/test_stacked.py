@@ -6,6 +6,7 @@ bit-identical (``RunStats.comparable_dict``) to its standalone
 per-lane charge accumulators are pure execution-path changes.
 """
 
+import numpy as np
 import pytest
 
 from repro.arch import baseline, presets
@@ -132,9 +133,9 @@ class TestStackedTelemetry:
     def test_counters_describe_the_dispatch(self):
         # The paper's first benchmark as a five-organization sweep: every
         # lane shares one bank and stays bit-identical to its standalone
-        # run, the shared bank needs at most half the kernel calls the
-        # standalone runs make, reuse encodings and the lane-major replay
-        # engage, and no lane's epoch falls back to the serial engine.
+        # run, the shared bank needs at most half the bank calls the
+        # standalone runs make, lanes carrying one stream are counted,
+        # and no lane's epoch falls back to the serial engine.
         spec = get("RN")
         result = simulate_stacked(spec, list(ORGANIZATIONS), scale=SCALE,
                                   accesses_per_epoch=DENSITY)
@@ -148,9 +149,7 @@ class TestStackedTelemetry:
         assert tele.banks == 1
         assert 2 * tele.bank_invocations <= sum(
             solo.vector_epochs for solo in solos)
-        assert tele.shared_replays > tele.shared_encodings
         assert sum(s.stacked_shared_streams > 0 for s in result.stats) >= 2
-        assert tele.lane_batched_rounds > 0
         assert [s.scalar_epochs for s in result.stats] == [0] * 5
         assert tele.wall_seconds > 0.0
 
@@ -171,24 +170,22 @@ class TestStackedTelemetry:
         assert "stacked_shared_streams" in TELEMETRY_FIELDS
 
 
-class TestSharedEncodings:
+class TestSharedStreamLanes:
+    """Lanes carrying one trace stream in the same bank calls."""
+
     def test_five_org_sweep_shares_streams(self):
-        # The tentpole contract: one encoding per unique (set, tag)
-        # stream per round, replayed per lane — so replays must exceed
-        # encodings, and lanes must see shared-stream rounds.
+        # Lanes see shared-stream rounds and each still equals its
+        # standalone run.
         spec = tiny_spec(name="stacked-share")
         result = simulate_stacked(spec, list(ORGANIZATIONS), scale=SCALE,
                                   accesses_per_epoch=DENSITY)
-        tele = result.telemetry
-        assert tele.shared_encodings > 0
-        assert tele.shared_replays > tele.shared_encodings
         assert sum(s.stacked_shared_streams > 0 for s in result.stats) >= 2
         for org, stats in zip(ORGANIZATIONS, result.stats):
             solo = standalone(spec, org)
             assert stats.comparable_dict() == solo.comparable_dict(), org
 
     def test_mixed_partition_caps_share_one_stream(self):
-        # Two static lanes with different way splits replay the same
+        # Two static lanes with different way splits resolve the same
         # stream against different capacity vectors.
         spec = tiny_spec(name="stacked-caps")
         config = scaled_config(baseline(), SCALE)
@@ -199,17 +196,14 @@ class TestSharedEncodings:
         result = simulate_stacked(spec, orgs, scale=SCALE,
                                   accesses_per_epoch=DENSITY)
         assert result.telemetry.duplicate_lanes == 0
-        assert result.telemetry.shared_encodings > 0
-        assert result.telemetry.shared_replays > \
-            result.telemetry.shared_encodings
         for f, stats in zip(fractions, result.stats):
             solo = standalone(spec, make_organization(
                 "static", config, remote_way_fraction=f))
             assert stats.comparable_dict() == solo.comparable_dict()
 
     def test_sectored_lanes_share_while_plain_runs_apart(self):
-        # Sectored lanes share one sectored bank (sector verdicts ride
-        # the shared encoding); the plain lane keeps its own geometry.
+        # Sectored lanes share one sectored bank; the plain lane keeps
+        # its own geometry.
         spec = tiny_spec(name="stacked-sector")
         sectored = presets.with_sectored_llc(baseline())
         configs = [sectored, sectored, baseline()]
@@ -219,7 +213,6 @@ class TestSharedEncodings:
         assert result.telemetry.banks == 1
         assert result.telemetry.stacked_lanes == 2
         assert result.telemetry.solo_lanes == 1
-        assert result.telemetry.shared_encodings > 0
         for org, config, stats in zip(orgs, configs, result.stats):
             solo = standalone(spec, org, config=config)
             assert stats.comparable_dict() == solo.comparable_dict()
@@ -227,14 +220,13 @@ class TestSharedEncodings:
     def test_fallback_lane_rides_with_shared_lanes(self):
         # A lane whose config forces the per-access path (hardware
         # coherence) builds no bank: it rides the drive as a solo lane
-        # without disturbing the other lanes' stream sharing.
+        # without disturbing the other lanes.
         spec = tiny_spec(name="stacked-fallback")
         hw = presets.with_coherence(baseline(), "hardware")
         configs = [baseline(), baseline(), hw]
         orgs = ["memory-side", "sm-side", "sm-side"]
         result = simulate_stacked(spec, orgs, configs=configs, scale=SCALE,
                                   accesses_per_epoch=DENSITY)
-        assert result.telemetry.shared_encodings > 0
         assert result.telemetry.stacked_lanes == 2
         assert result.telemetry.solo_lanes == 1
         assert result.stats[2].stacked_lanes == 0
@@ -247,15 +239,14 @@ class TestSharedEncodings:
 
 
 class TestLaneBatchedReplay:
-    """The lane-major replay kernel and the vectorized repartition drain.
+    """Stacked rounds and the vectorized repartition drain.
 
     The differential matrix above exercises mid-stream repartitions,
-    shared encodings and sectored lanes separately; this class stacks
-    all three into the *same* rounds and asserts the sweep never leaves
-    the vectorized path — ``lane_batched_rounds`` counts fused kernel
-    passes and every lane's ``scalar_epochs`` stays zero because the
-    occupancy-surplus drain absorbs the over-allotment of a
-    repartition, so the bank declines no epoch.  ``tiny_spec`` traffic
+    shared-stream lanes and sectored lanes separately; this class
+    stacks all three into the *same* rounds and asserts the sweep never
+    leaves the vectorized path: every lane's ``scalar_epochs`` stays
+    zero because the occupancy-surplus drain absorbs the over-allotment
+    of a repartition, so the bank declines no epoch.  ``tiny_spec`` traffic
     only ever *grows* the dynamic remote partition (the local slot
     drains); DWT shrinks it (8 -> 7 -> ... -> 2), which drains the
     remote slot through the mirrored fixed point instead.
@@ -268,8 +259,8 @@ class TestLaneBatchedReplay:
         config = scaled_config(base, SCALE)
         sconfig = scaled_config(sectored, SCALE)
         # The repartitioning dynamic lane shares its staged stream with
-        # the static lane (lane-batched rounds spanning the repartition
-        # epochs), the sm-side/sac pair shares grouped rounds, and two
+        # the static lane (rounds spanning the repartition epochs), the
+        # sm-side/sac pair shares grouped rounds, and two
         # differently-partitioned static instances share the sectored
         # bank's staged stream — all in the same driver rounds.
         stacked_org = make_organization("dynamic", config)
@@ -287,11 +278,8 @@ class TestLaneBatchedReplay:
         # The repartition genuinely happened mid-stream...
         initial = config.chip.llc_slice.associativity // 2
         assert stacked_org.remote_ways != initial
-        # ...and the whole sweep still resolved on fused kernel passes:
-        # lane-batched rounds fired, and no lane declined an epoch.
-        assert tele.lane_batched_rounds > 0
+        # ...and no lane declined an epoch.
         assert [s.scalar_epochs for s in result.stats] == [0] * 7
-        assert tele.shared_encodings > 0
         solo_orgs = ["memory-side", "sm-side",
                      make_organization("dynamic", config), "static", "sac",
                      make_organization("static", sconfig,
@@ -354,13 +342,11 @@ class TestDuplicateLanes:
         solo = standalone(spec, "memory-side")
         assert result.stats[0].comparable_dict() == solo.comparable_dict()
         assert result.stats[2].comparable_dict() == solo.comparable_dict()
-        # The duplicate shares one replay: the bank sees exactly the
+        # The duplicate is never simulated: the bank sees exactly the
         # probe calls of the two distinct lanes, not a third stream.
         dedup = simulate_stacked(spec, ["memory-side", "sm-side"],
                                  scale=SCALE, accesses_per_epoch=DENSITY)
         assert tele.bank_invocations == dedup.telemetry.bank_invocations
-        assert tele.shared_encodings == dedup.telemetry.shared_encodings
-        assert tele.shared_replays == dedup.telemetry.shared_replays
         assert result.stats[2].stacked_probe_calls == \
             result.stats[0].stacked_probe_calls
 
@@ -458,21 +444,36 @@ class TestLaneQuarantine:
                 solo.comparable_dict(), org
 
     def test_mid_solve_group_failure_escapes_the_sweep(self, monkeypatch):
-        # The bank commits a group call one stream group at a time, so a
-        # call that fails mid-solve may already have applied some
-        # members' epochs; retrying those members solo would apply them
-        # twice.  Only a KernelSolveError, which fires before the bank
-        # is touched, goes to the solo fallback.  Here a value-preserving
-        # write into a frozen lane tiling fails the group mid-solve.
-        original = vector._tile_encoding_lanes
+        # The bank commits a group call one lane at a time, so a call
+        # that fails mid-solve may already have applied some members'
+        # epochs; retrying those members solo would apply them twice.
+        # Only a KernelSolveError, which fires before the bank is
+        # touched, goes to the solo fallback.  Here the second lane's
+        # kernel call inside a shared grouped call writes into a
+        # read-only array, after the first lane's epoch is committed.
+        resolve = vector._batch_resolve
+        shared = vector.VectorBank.access_many_grouped_shared
+        lane_calls = []
 
-        def writing_tiler(enc, row_offsets):
-            lenc = original(enc, row_offsets)
-            idx = lenc.buckets[0].idx
-            idx[0] = idx[0]
-            return lenc
+        def second_lane_writes(*args, **kwargs):
+            if lane_calls:
+                lane_calls[-1] += 1
+                if lane_calls[-1] == 2:
+                    read_only = np.zeros(1, dtype=np.int64)
+                    read_only.setflags(write=False)
+                    read_only[0] = 0
+            return resolve(*args, **kwargs)
 
-        monkeypatch.setattr(vector, "_tile_encoding_lanes", writing_tiler)
+        def counting_shared(bank, calls):
+            lane_calls.append(0)
+            try:
+                return shared(bank, calls)
+            finally:
+                lane_calls.pop()
+
+        monkeypatch.setattr(vector, "_batch_resolve", second_lane_writes)
+        monkeypatch.setattr(vector.VectorBank, "access_many_grouped_shared",
+                            counting_shared)
         sanitize.report().clear()
         try:
             with pytest.raises(sanitize.SanitizerError):
@@ -481,6 +482,7 @@ class TestLaneQuarantine:
                                  accesses_per_epoch=DENSITY)
             [violation] = sanitize.report().violations
             assert violation.kind == "encoding-write"
+            assert violation.site == "VectorBank.access_many_grouped_shared"
         finally:
             sanitize.report().clear()
 
