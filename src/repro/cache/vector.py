@@ -38,12 +38,21 @@ A partition occupying more ways than its current allotment (after
 path: the growing slots' fills drain the over-full slot's LRU lines
 one at a time, with the kernel run in passes between drains — in
 either direction of the two-stage phase split, the mirrored one via a
-fixed point (see :meth:`VectorBank._mirror_drains`).  An epoch that
-probes a row the drain model cannot describe — a tag resident in a
-*different* slot, a zero-way over slot — is declined whole, before
-any state changes, and the engine reruns it serially.  Scalar
-``access``/``fill`` calls apply exact scalar semantics to one set at a
-time (:class:`_SetReplay`) and write it back into the arrays.
+fixed point (see :meth:`VectorBank._mirror_drains`).  The staged path
+relies on its callers' domain: a line is only ever probed under one
+partition per cache, and no row is probed in both phases (see
+:meth:`VectorBank.access_many_staged`).  An epoch that probes an
+over-allotted row the drain model cannot describe (a zero-way over
+slot, allotments that do not sum to the associativity, probes on both
+sides of the phase split) is declined whole, before any state
+changes, and the engine reruns it serially.  Scalar ``access``/``fill``
+calls apply exact scalar semantics to one set at a time
+(:class:`_SetReplay`) and write it back into the arrays.
+
+Per-slice ``CacheStats`` live in one ``(C, 7)`` counter block on the
+slot store, in ``CacheStats`` field order: a bank call charges it with
+one ``bincount`` over (cache, outcome class) per stage, and
+:attr:`VectorCache.stats` reads its row.
 
 How the kernel works (:func:`_batch_resolve`): an exact LRU whose
 touched rows advance in lockstep, one access per row per numpy step.
@@ -72,6 +81,7 @@ of numpy calls over the rows still live.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import (
     Dict,
     Iterator,
@@ -219,6 +229,46 @@ _FREE = -1
 #: so it is never the LRU choice.  Even, so it reads as clean.
 _NEVER = 1 << 62
 
+#: Counter-block columns, one per ``CacheStats`` field, in field order.
+_STAT_NAMES = tuple(f.name for f in dataclasses.fields(CacheStats))
+#: The ``CacheStats`` fields one probe of each outcome class counts
+#: (see :func:`_outcome_class`).
+_CLASS_FIELDS = (
+    # 0: a miss that cannot fill (zero-way partition, or no allocation).
+    ("accesses", "misses"),
+    # 1: a hit.
+    ("accesses", "hits"),
+    # 2: a sector miss.
+    ("accesses", "misses", "sector_misses"),
+    # 3/4/5: a fill evicting nothing, a clean line or a dirty line.
+    ("accesses", "misses", "fills"),
+    ("accesses", "misses", "fills", "evictions"),
+    ("accesses", "misses", "fills", "evictions", "dirty_evictions"),
+)
+#: Row k: what one probe of outcome class k adds to the counter block.
+_CLASS_STATS = np.array([[name in fields for name in _STAT_NAMES]
+                         for fields in _CLASS_FIELDS], dtype=np.int64)
+_CLASSES = _CLASS_STATS.shape[0]
+#: Counter-block columns a response-path fill charges.
+_EVICTIONS, _DIRTY_EVICTIONS, _FILLS = (
+    _STAT_NAMES.index(name)
+    for name in ("evictions", "dirty_evictions", "fills"))
+
+
+def _outcome_class(hits: np.ndarray, sector_miss: Optional[np.ndarray],
+                   filled: np.ndarray, ev_addr: np.ndarray,
+                   ev_dirty: np.ndarray) -> np.ndarray:
+    """Each probe's outcome class (a row of :data:`_CLASS_STATS`).
+
+    ``hits``, ``sector_miss`` and ``filled`` are mutually exclusive; an
+    eviction only ever rides on a fill.
+    """
+    cls = hits.astype(np.int64)
+    if sector_miss is not None:
+        cls += sector_miss * np.int64(2)
+    cls += filled * (np.int64(3) + (ev_addr >= 0) + ev_dirty)
+    return cls
+
 
 def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
     """Stable argsort of non-negative ``keys`` that stay below ``bound``.
@@ -308,22 +358,28 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
     # dirty.  Resident lines keep their LRU order below every in-batch
     # touch; free slots under the cap take the lowest key (they fill
     # first, in slot order); slots at or above it never get chosen.
-    blk_t = tags[trow]
+    # The block is W columns wide, W the widest cap (or fill) among the
+    # touched rows: the columns past it are free and never chosen.
     c0 = count[trow]
-    slot = np.arange(A, dtype=np.int64)
-    resident = slot[None, :] < c0[:, None]
     if isinstance(cap, np.ndarray):
         capg = np.empty(G, dtype=np.int64)
         capg[grp] = cap[pos]
+        W = min(A, max(int(capg.max()), int(c0.max())))
+    else:
+        W = min(A, max(cap, int(c0.max())))
+    slot = np.arange(W, dtype=np.int64)
+    blk_t = tags[trow, :W]
+    resident = slot[None, :] < c0[:, None]
+    if isinstance(cap, np.ndarray):
         below = slot[None, :] < capg[:, None]
     else:
-        below = np.broadcast_to(slot < cap, (G, A))
-    key = np.where(resident, ((slot + 1) << np.int64(1)) | dirty[trow],
+        below = np.broadcast_to(slot < cap, (G, W))
+    key = np.where(resident, ((slot + 1) << np.int64(1)) | dirty[trow, :W],
                    np.where(below, np.int64(0), np.int64(_NEVER)))
     blk_t[~resident] = _FREE
     flat_t = blk_t.reshape(-1)
     flat_k = key.reshape(-1)
-    base = np.arange(0, G * A, A, dtype=np.int64)
+    base = np.arange(0, G * W, W, dtype=np.int64)
     old_t = np.empty(n, dtype=np.int64)
     old_k = np.empty(n, dtype=np.int64)
     # Ride-along columns: the sector masks, with each access's bit and
@@ -331,12 +387,12 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
     sect: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     if sector is not None:
         assert sec is not None
-        sect = (sector[trow].reshape(-1), np.int64(1) << sec[acc],
+        sect = (sector[trow, :W].reshape(-1), np.int64(1) << sec[acc],
                 np.empty(n, dtype=np.int64))
     stamps: Optional[Tuple[np.ndarray, np.ndarray]] = None
     if stamp is not None:
         assert stamp_vals is not None
-        stamps = (stamp[trow].reshape(-1), stamp_vals[acc])
+        stamps = (stamp[trow, :W].reshape(-1), stamp_vals[acc])
 
     # Step r: one access per live row.  A matching tag outranks every
     # key, so one argmin finds the hit way or else the LRU victim; a
@@ -388,26 +444,27 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
     # MRU layout, free slots last.
     occupied = blk_t != _FREE
     order = np.argsort(np.where(occupied, key, np.int64(_NEVER)), axis=1)
-    tags[trow] = np.take_along_axis(blk_t, order, axis=1)
-    dirty[trow] = (np.take_along_axis(key, order, axis=1) & 1) != 0
+    tags[trow, :W] = np.take_along_axis(blk_t, order, axis=1)
+    dirty[trow, :W] = (np.take_along_axis(key, order, axis=1) & 1) != 0
     if sector is not None:
         assert sect is not None
-        sector[trow] = np.take_along_axis(sect[0].reshape(G, A), order,
-                                          axis=1)
+        sector[trow, :W] = np.take_along_axis(sect[0].reshape(G, W), order,
+                                              axis=1)
     if stamp is not None:
         assert stamps is not None
-        stamp[trow] = np.take_along_axis(stamps[0].reshape(G, A), order,
-                                         axis=1)
+        stamp[trow, :W] = np.take_along_axis(stamps[0].reshape(G, W),
+                                             order, axis=1)
     count[trow] = occupied.sum(axis=1)
     return BatchResult(hits, ev_addr, ev_dirty, sm_out)
 
 
 def _seg_rank(keys: np.ndarray) -> np.ndarray:
-    """Rank of each element among the earlier elements with its key."""
+    """Rank of each element among the earlier elements with its key
+    (non-negative ids: rows, row pairs)."""
     m = keys.size
     if not m:
         return np.zeros(0, dtype=np.int64)
-    order = np.argsort(keys, kind="stable")
+    order = _stable_order(keys, int(keys.max()) + 1)
     ko = keys[order]
     pos = np.arange(m, dtype=np.int64)
     starts = np.where(np.r_[True, ko[1:] != ko[:-1]], pos, 0)
@@ -434,7 +491,7 @@ def _stack_depths(rows: np.ndarray, tg: np.ndarray, tags: np.ndarray,
     A = tags.shape[1]
     if not m:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    order = np.argsort(rows, kind="stable")
+    order = _stable_order(rows, int(rows.max()) + 1)
     ro = rows[order]
     new = np.r_[True, ro[1:] != ro[:-1]]
     pos = np.arange(m, dtype=np.int64)
@@ -553,6 +610,9 @@ class _SlotStore:
         #: first time multi-slot state needs a cross-slot LRU order.
         self.stamp: Optional[np.ndarray] = None
         self.clock = 0
+        #: Per-cache counters, one row per cache in ``CacheStats`` field
+        #: order (see :data:`_STAT_NAMES`).
+        self.stats = np.zeros((C, len(_STAT_NAMES)), dtype=np.int64)
         #: slot index -> partition id (slot 0 is always UNPARTITIONED).
         self.slot_ids: List[int] = [UNPARTITIONED]
         #: partition id -> slot index.
@@ -617,6 +677,60 @@ class _SlotStore:
 
     def row_base(self, slot: int, cache_idx: int) -> int:
         return (slot * self.num_caches + cache_idx) * self.num_sets
+
+
+def _drain(store: _SlotStore, geo: _Geometry, lo: int, hi: int,
+           partition: Optional[int], dirty_only: bool
+           ) -> Tuple[np.ndarray, int, int]:
+    """Invalidate caches ``[lo, hi)`` of ``store`` in one pass per slot
+    over their (cache, set) rows; see :meth:`VectorBank.drain`."""
+    A = geo.associativity
+    if partition is None:
+        slots: Sequence[int] = range(store.num_slots)
+    else:
+        s = store.slot_of.get(partition, -1)
+        if s < 0:
+            return np.empty(0, dtype=np.int64), 0, 0
+        slots = (s,)
+    S = np.int64(geo.num_sets)
+    addr_parts: List[np.ndarray] = []
+    invalidated = 0
+    ndirty = 0
+    for s in slots:
+        # Views of the slot's rows: writes land in the store.
+        cnt = store.count[s, lo:hi].reshape(-1)
+        if not cnt.any():
+            continue
+        tags = store.tags[s, lo:hi].reshape(-1, A)
+        dirty = store.dirty[s, lo:hi].reshape(-1, A)
+        live = np.arange(A, dtype=np.int64)[None, :] < cnt[:, None]
+        dsel = dirty & live
+        drows, dslots = np.nonzero(dsel)
+        if drows.size:
+            addr_parts.append(geo.rebuild(drows % S, tags[drows, dslots]))
+        ndirty += int(drows.size)
+        if not dirty_only:
+            invalidated += int(cnt.sum())
+            cnt[:] = 0
+            continue
+        invalidated += int(drows.size)
+        # Clean lines slide down over the dirty ones, keeping LRU order.
+        krows, kslots = np.nonzero(live & ~dsel)
+        nkeep = np.bincount(krows, minlength=cnt.size)
+        offs = np.cumsum(nkeep) - nkeep
+        newslot = np.arange(krows.size, dtype=np.int64) - offs[krows]
+        tags[krows, newslot] = tags[krows, kslots]
+        dirty[krows, newslot] = False
+        for column in (store.sector, store.stamp):
+            if column is not None:
+                col = column[s, lo:hi].reshape(-1, A)
+                col[krows, newslot] = col[krows, kslots]
+        cnt[:] = nkeep
+    if addr_parts:
+        dirty_addrs = np.concatenate(addr_parts)
+    else:
+        dirty_addrs = np.empty(0, dtype=np.int64)
+    return dirty_addrs, invalidated, ndirty
 
 
 class _SetReplay:
@@ -764,10 +878,12 @@ class VectorCache:
     The bank's kernel calls resolve its batches.  The slice itself
     holds the way allotment (:meth:`set_partition`), the state view the
     differential tests compare against :class:`SetAssociativeCache`
-    (``stats``, :meth:`resident_lines`, occupancy), :meth:`drain` for kernel-boundary flushes, and scalar
+    (``stats``, a row of the store's counter block;
+    :meth:`resident_lines`; occupancy), :meth:`drain`, and scalar
     :meth:`access`/:meth:`fill` with exact scalar semantics — what the
-    serial engine runs for an epoch the bank declines.  A standalone
-    instance owns a one-cache store.
+    serial engine runs for an epoch the bank declines or the engine
+    keeps off the kernel.  A standalone instance owns a one-cache
+    store.
     """
 
     def __init__(self, config: CacheConfig, name: str = "cache",
@@ -775,7 +891,6 @@ class VectorCache:
                  _index: int = 0) -> None:
         self.config = config
         self.name = name
-        self.stats = CacheStats()
         self._geo = _geometry_of(config)
         if _store is None:
             _store = _SlotStore(config, 1)
@@ -796,6 +911,12 @@ class VectorCache:
         rep = _SetReplay(self._store, geo, self._index, index)
         return rep, tag, sec_idx
 
+    @property
+    def stats(self) -> CacheStats:
+        """This slice's counters, read from the store's counter block."""
+        row = self._store.stats[self._index].tolist()
+        return CacheStats(**dict(zip(_STAT_NAMES, row)))
+
     # -- Scalar operations -----------------------------------------------
 
     def access(self, addr: int, is_write: bool = False,
@@ -803,8 +924,7 @@ class VectorCache:
                allocate_on_miss: bool = True) -> AccessResult:
         """Access byte ``addr`` with :class:`SetAssociativeCache`
         semantics; fill on miss unless ``allocate_on_miss`` is False."""
-        stats = self.stats
-        stats.accesses += 1
+        row = self._store.stats[self._index]
         store = self._store
         rep, tag, sec_idx = self._set_of(addr)
         try:
@@ -812,31 +932,29 @@ class VectorCache:
                 tag, is_write, partition, allocate_on_miss, sec_idx,
                 self._ways, store.clock)
         except PartitionFullError:
-            stats.misses += 1
+            row += _CLASS_STATS[0]
             raise
         rep.flush_back()
         store.clock += 1
         if hit:
-            stats.hits += 1
+            row += _CLASS_STATS[1]
             return _HIT
-        stats.misses += 1
         if sector_miss:
-            stats.sector_misses += 1
+            row += _CLASS_STATS[2]
             return _SECTOR_MISS
-        if filled:
-            stats.fills += 1
-            if ev_addr >= 0:
-                stats.evictions += 1
-                if ev_dirty:
-                    stats.dirty_evictions += 1
-                return AccessResult(hit=False, evicted_dirty=bool(ev_dirty),
-                                    evicted_addr=ev_addr)
+        if not filled:
+            row += _CLASS_STATS[0]
+            return _MISS
+        row += _CLASS_STATS[3 + (ev_addr >= 0) + ev_dirty]
+        if ev_addr >= 0:
+            return AccessResult(hit=False, evicted_dirty=bool(ev_dirty),
+                                evicted_addr=ev_addr)
         return _MISS
 
     def fill(self, addr: int, is_write: bool = False,
              partition: int = UNPARTITIONED) -> AccessResult:
         """Insert a line without counting a lookup (response-path fill)."""
-        stats = self.stats
+        row = self._store.stats[self._index]
         store = self._store
         rep, tag, sec_idx = self._set_of(addr)
         hit, ev_addr, ev_dirty = rep.fill_touch(
@@ -846,11 +964,10 @@ class VectorCache:
         if hit:
             return AccessResult(hit=True)
         evicted = ev_addr >= 0
-        stats.fills += 1
+        row[_FILLS] += 1
         if evicted:
-            stats.evictions += 1
-            if ev_dirty:
-                stats.dirty_evictions += 1
+            row[_EVICTIONS] += 1
+            row[_DIRTY_EVICTIONS] += ev_dirty
         return AccessResult(hit=False, evicted_dirty=bool(ev_dirty),
                             evicted_addr=ev_addr if evicted else None)
 
@@ -887,59 +1004,11 @@ class VectorCache:
 
         ``partition`` restricts to one partition's lines (its slot),
         ``dirty_only`` writes back and removes only dirty lines, keeping
-        clean lines resident in LRU order.
+        clean lines resident in LRU order.  The one-cache case of
+        :meth:`VectorBank.drain`.
         """
-        geo = self._geo
-        store = self._store
-        ci = self._index
-        A = geo.associativity
-        if partition is None:
-            slots = list(range(store.num_slots))
-        else:
-            s = store.slot_of.get(partition, -1)
-            if s < 0:
-                return np.empty(0, dtype=np.int64), 0, 0
-            slots = [s]
-        addr_parts: List[np.ndarray] = []
-        invalidated = 0
-        ndirty = 0
-        for s in slots:
-            cnt = store.count[s, ci]
-            if not cnt.any():
-                continue
-            live = np.arange(A, dtype=np.int64)[None, :] < cnt[:, None]
-            dsel = store.dirty[s, ci] & live
-            drows, dslots = np.nonzero(dsel)
-            if drows.size:
-                addr_parts.append(geo.rebuild(
-                    drows, store.tags[s, ci][drows, dslots]))
-            ndirty += int(drows.size)
-            if not dirty_only:
-                invalidated += int(cnt.sum())
-                cnt[:] = 0
-                continue
-            invalidated += int(drows.size)
-            keep = live & ~dsel
-            krows, kslots = np.nonzero(keep)
-            nkeep = np.bincount(krows, minlength=geo.num_sets)
-            offs = np.zeros(geo.num_sets, dtype=np.int64)
-            np.cumsum(nkeep[:-1], out=offs[1:])
-            newslot = np.arange(krows.size, dtype=np.int64) - offs[krows]
-            kt = store.tags[s, ci][krows, kslots]
-            store.tags[s, ci][krows, newslot] = kt
-            store.dirty[s, ci][krows, newslot] = False
-            if store.sector is not None:
-                ks = store.sector[s, ci][krows, kslots]
-                store.sector[s, ci][krows, newslot] = ks
-            if store.stamp is not None:
-                kst = store.stamp[s, ci][krows, kslots]
-                store.stamp[s, ci][krows, newslot] = kst
-            cnt[:] = nkeep
-        if addr_parts:
-            dirty_addrs = np.concatenate(addr_parts)
-        else:
-            dirty_addrs = np.empty(0, dtype=np.int64)
-        return dirty_addrs, invalidated, ndirty
+        return _drain(self._store, self._geo, self._index, self._index + 1,
+                      partition, dirty_only)
 
     # -- Introspection ----------------------------------------------------
 
@@ -995,16 +1064,18 @@ class VectorBank:
     it groups an epoch's accesses by flat cache index and resolves them
     against the shared arrays in one kernel invocation:
     :meth:`access_many_grouped` for uniform single-stage epochs, and
-    :meth:`access_many_staged` for partitioned two-stage route plans
-    (static/dynamic/SAC's SM-side mode), which decomposes the epoch
-    into two row-disjoint phases — the stage-0 kernel, then the
-    stage-1 + single-stage kernel — each exact because no row is
-    touched by both.  Rows left over-allotted by a repartition drain
-    inside those phases.  Each entry point is the one-call case of the
-    body its ``*_shared`` twin runs with one call per stacked lane.  An
-    epoch either entry point declines — including a staged epoch that
-    probes a row the drain model cannot describe — comes back ``None``
-    before any state changes; the engine resolves it serially.
+    :meth:`access_many_staged` for the L1.5 two-stage plan table
+    (static, dynamic), which decomposes the epoch into two row-disjoint
+    phases — the stage-0 kernel, then the stage-1 + single-stage
+    kernel — each exact because, on that table, no row is touched by
+    both (see its precondition).  Rows left over-allotted by a
+    repartition drain inside those phases.  Each entry point is the
+    one-call case of the body its ``*_shared`` twin runs with one call
+    per stacked lane.  An epoch either entry point declines — a gate,
+    or a staged epoch that probes an over-allotted row the drain model
+    cannot describe — comes back ``None`` before any state changes;
+    the engine resolves it serially.  :meth:`drain` invalidates a
+    range of caches in one pass.
     """
 
     def __init__(self, config: CacheConfig, names: Sequence[str]) -> None:
@@ -1123,6 +1194,16 @@ class VectorBank:
         addrs = geo.rebuild(line_rows % S, ftags[line_rows, ways])
         return (line_rows // S) % np.int64(C), addrs
 
+    def drain(self, lo: int, hi: int, partition: Optional[int] = None,
+              dirty_only: bool = False) -> Tuple[np.ndarray, int, int]:
+        """Invalidate caches ``[lo, hi)`` in one pass; returns (dirty
+        line addrs, lines invalidated, dirty lines) over the range.
+
+        ``partition`` and ``dirty_only`` act as in
+        :meth:`VectorCache.drain`, which is the one-cache case.
+        """
+        return _drain(self._store, self._geo, lo, hi, partition, dirty_only)
+
     def _plain(self, lo: int, hi: int) -> bool:
         """Caches ``[lo, hi)`` are unpartitioned and foreign-free (no
         resident line outside slot 0): the grouped kernel's gate."""
@@ -1134,55 +1215,56 @@ class VectorBank:
     def _charge_lane_stats(self, ranges: Sequence[Tuple[int, int]],
                            lo: int, cache_idx: np.ndarray,
                            result: BatchResult) -> None:
-        """Fold one call's batch outcome into its per-cache stats.
+        """Fold one call's batch outcome into the counter block.
 
         ``cache_idx`` is relative to cache ``lo``; only the caches of
         the absolute ``ranges`` are charged.
         """
-        width = max(hi for _, hi in ranges) - lo
-        acc = np.bincount(cache_idx, minlength=width)
-        hit = np.bincount(cache_idx[result.hits], minlength=width)
-        ev = np.bincount(cache_idx[result.evicted_addr >= 0],
-                         minlength=width)
-        dev = np.bincount(cache_idx[result.evicted_dirty],
-                          minlength=width)
+        filled = ~result.hits
         if result.sector_miss is not None:
-            smc = np.bincount(cache_idx[result.sector_miss],
-                              minlength=width)
-        else:
-            smc = np.zeros(width, dtype=np.int64)
+            filled &= ~result.sector_miss
+        self._charge_classes(ranges, cache_idx + np.int64(lo), _outcome_class(
+            result.hits, result.sector_miss, filled, result.evicted_addr,
+            result.evicted_dirty))
+
+    def _charge_classes(self, ranges: Sequence[Tuple[int, int]],
+                        keys: np.ndarray, cls: np.ndarray) -> None:
+        """Charge probes of absolute caches ``keys`` with outcome classes
+        ``cls``: one ``bincount`` and one product with
+        :data:`_CLASS_STATS`, added to the rows of ``ranges``."""
+        C = len(self.caches)
+        per = np.bincount(keys * np.int64(_CLASSES) + cls,
+                          minlength=C * _CLASSES)[:C * _CLASSES]
+        add = per.reshape(C, _CLASSES) @ _CLASS_STATS
+        block = self._store.stats
         for a, b in ranges:
-            for i in range(a, b):
-                stats = self.caches[i].stats
-                ni = int(acc[i - lo])
-                nhits = int(hit[i - lo])
-                nsm = int(smc[i - lo])
-                stats.accesses += ni
-                stats.hits += nhits
-                stats.misses += ni - nhits
-                stats.sector_misses += nsm
-                stats.fills += ni - nhits - nsm
-                stats.evictions += int(ev[i - lo])
-                stats.dirty_evictions += int(dev[i - lo])
+            block[a:b] += add[a:b]
 
-    def _partition_caps(self, ways_list: Sequence[Optional[Dict[int, int]]]
-                        ) -> np.ndarray:
-        """(cache, slot) way-allotment table for the given lane caches.
+    def _lane_caps(self, ranges_of: Sequence[Tuple[Tuple[int, int], ...]]
+                   ) -> Tuple[List[int], np.ndarray]:
+        """The lanes whose caches are all way-partitioned, and their
+        pooled (cache, slot) way-allotment table.
 
-        Out-of-lane caches (``None`` entries) keep zero capacity: they
-        are never addressed by the call building the table.
+        Out-of-lane caches keep zero capacity: they are never addressed
+        by the call building the table.
         """
         store = self._store
         cap_of = np.zeros((len(self.caches), store.num_slots),
                           dtype=np.int64)
-        for ci, w in enumerate(ways_list):
-            if w is None:
+        live: List[int] = []
+        for k, ranges in enumerate(ranges_of):
+            lane = [ci for lo, hi in ranges for ci in range(lo, hi)]
+            if any(self.caches[ci]._ways is None for ci in lane):
                 continue
-            for pid, ww in w.items():
-                sl = store.slot_of.get(pid, -1)
-                if sl >= 0:
-                    cap_of[ci, sl] = ww
-        return cap_of
+            for ci in lane:
+                ways = self.caches[ci]._ways
+                assert ways is not None
+                for pid, ww in ways.items():
+                    sl = store.slot_of.get(pid, -1)
+                    if sl >= 0:
+                        cap_of[ci, sl] = ww
+            live.append(k)
+        return live, cap_of
 
     def _slots_for(self, parts: np.ndarray) -> np.ndarray:
         """Map per-access partition ids to store slot indices (-1: none).
@@ -1194,72 +1276,6 @@ class VectorBank:
         for pid, slot in self._store.slot_of.items():
             out[parts == pid] = slot
         return out
-
-    def _probes_alias(self, idx0: np.ndarray, sets: np.ndarray,
-                      tg: np.ndarray, slot0: np.ndarray, idx1: np.ndarray,
-                      slot1: np.ndarray, two_stage: np.ndarray,
-                      ranges: Sequence[Tuple[int, int]]) -> bool:
-        """Whether any probe's tag is resident in a slot other than its
-        own (a cross-slot alias).
-
-        The scalar lookup is global across slots while the kernel
-        solves each slot's rows alone, so an epoch with an alias is
-        declined.  Cache indices are absolute; ``ranges`` are the probed
-        cache ranges — slots with no occupancy inside them cannot alias
-        any probed tag and are skipped.
-        """
-        store = self._store
-        A = self._geo.associativity
-        n = idx0.shape[0]
-        active = []
-        for q in range(store.num_slots):
-            if any(store.count[q][lo:hi].any() for lo, hi in ranges):
-                active.append(q)
-        if active and n:
-            # Streams reuse lines heavily, so the per-slot tag scans run
-            # over the unique (cache, set, tag) probes — typically far
-            # fewer than the accesses — and both probe stages share one
-            # pass.  Residency per slot lands in a bitmask; an access
-            # aliases when any slot other than its own holds its tag.
-            ts = np.flatnonzero(two_stage)
-            rows_all = np.concatenate((idx0, idx1[ts]))
-            sets_all = np.concatenate((sets, sets[ts]))
-            tg_all = np.concatenate((tg, tg[ts]))
-            slots_all = np.concatenate((slot0, slot1[ts]))
-            num_sets = store.count.shape[-1]
-            key_rs = rows_all * num_sets + sets_all
-            # A single packed sort key beats a two-key lexsort ~5x;
-            # fall back only when the tag span cannot pack exactly.
-            tmin = int(tg_all.min())
-            span = int(tg_all.max()) - tmin + 1
-            if span <= (1 << 62) // (int(key_rs.max()) + 1):
-                key = key_rs * np.int64(span) + (tg_all - np.int64(tmin))
-                order = np.argsort(key)
-                ks = key[order]
-                head = np.ones(ks.shape[0], dtype=bool)
-                head[1:] = ks[1:] != ks[:-1]
-            else:
-                order = np.lexsort((tg_all, key_rs))
-                ko, to = key_rs[order], tg_all[order]
-                head = np.ones(ko.shape[0], dtype=bool)
-                head[1:] = (ko[1:] != ko[:-1]) | (to[1:] != to[:-1])
-            uniq = order[head]
-            inv = np.empty(order.shape[0], dtype=np.int64)
-            inv[order] = np.cumsum(head) - 1
-            ur, us, ut = rows_all[uniq], sets_all[uniq], tg_all[uniq]
-            ar = np.arange(A, dtype=np.int64)[None, :]
-            hit_mask = np.zeros(ur.shape[0], dtype=np.int64)
-            for q in active:
-                live = ar < store.count[q][ur, us][:, None]
-                hit = ((store.tags[q][ur, us] == ut[:, None])
-                       & live).any(axis=1)
-                hit_mask[hit] |= np.int64(1) << q
-            own = np.where(slots_all >= 0,
-                           np.int64(1) << np.maximum(slots_all, 0),
-                           np.int64(0))
-            alias = (hit_mask[inv] & ~own) != 0
-            return bool(alias.any())
-        return False
 
     def _drain_rows_static(self, cap_of: np.ndarray, count0: np.ndarray
                            ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1298,19 +1314,25 @@ class VectorBank:
         (phase 1 in passes) and phase-2 probes the under slots.
         Returns the rows each direction rules out.
         """
-        on0 = slot0 == o_slot[idx0, sets]
-        on1 = slot1 == o_slot[idx1, sets]
-        out: List[np.ndarray] = []
-        for over_in_phase1 in (False, True):
-            viol = np.zeros(o_slot.shape, dtype=bool)
-            m = two_stage & (on0 != over_in_phase1)
-            viol[idx0[m], sets[m]] = True
-            m = ~two_stage & (on0 == over_in_phase1)
-            viol[idx0[m], sets[m]] = True
-            m = two_stage & (on1 == over_in_phase1)
-            viol[idx1[m], sets[m]] = True
-            out.append(viol)
-        return out[0], out[1]
+        S = np.int64(o_slot.shape[1])
+        over = o_slot.reshape(-1)
+        rid0 = idx0 * S + sets
+        rid1 = idx1[two_stage] * S + sets[two_stage]
+        on1 = slot1[two_stage] == over[rid1]
+        # A stage-0 probe runs in phase 1 iff its access is two-stage.
+        # Growth wants the over slot in phase 2, so it rules out a probe
+        # that is in phase 1 iff it is on the over slot; the mirrored
+        # direction rules out every other stage-0 probe.  Stage-1 probes
+        # run in phase 2: growth rules out the under slots', mirrored
+        # the over slot's.
+        phase_is_side = two_stage == (slot0 == over[rid0])
+        viol_g = np.zeros(over.size, dtype=bool)
+        viol_m = np.zeros(over.size, dtype=bool)
+        viol_g[rid0[phase_is_side]] = True
+        viol_m[rid0[~phase_is_side]] = True
+        viol_g[rid1[~on1]] = True
+        viol_m[rid1[on1]] = True
+        return viol_g.reshape(o_slot.shape), viol_m.reshape(o_slot.shape)
 
     def _drain_events(self, drains: np.ndarray, o_slot: np.ndarray,
                       count0: np.ndarray, cap0: np.ndarray,
@@ -1389,50 +1411,30 @@ class VectorBank:
 
     def _staged_outcome(self, ranges: Sequence[Tuple[int, int]],
                         idx0: np.ndarray, idx1: np.ndarray,
-                        two_stage: np.ndarray, h0: np.ndarray,
-                        sm0: np.ndarray, f0: np.ndarray, ea0: np.ndarray,
-                        ed0: np.ndarray, h1: np.ndarray, sm1: np.ndarray,
-                        f1: np.ndarray, ea1: np.ndarray, ed1: np.ndarray
-                        ) -> StagedResult:
-        """Charge per-cache stats and assemble one epoch's outcome.
+                        two_stage: np.ndarray, hit: np.ndarray,
+                        smiss: np.ndarray, fill: np.ndarray,
+                        ev_a: np.ndarray, ev_d: np.ndarray) -> StagedResult:
+        """Charge the counter block and assemble one epoch's outcome.
 
-        Stage 0 probes every access at ``idx0``; stage 1 probes
-        two-stage accesses whose stage-0 probe missed.  Cache indices
-        are absolute; the returned eviction indices are too.
+        The outcome arrays are stage-major (entry ``n + i`` is access
+        i's stage-1 probe).  Stage 0 probes every access at ``idx0``;
+        stage 1 probes two-stage accesses whose stage-0 probe missed.
+        Cache indices are absolute; the returned eviction indices are
+        too.
         """
-        C = len(self.caches)
         n = idx0.shape[0]
-        p1 = two_stage & ~h0
-        acc0 = np.bincount(idx0, minlength=C)
-        hit0 = np.bincount(idx0[h0], minlength=C)
-        smc0 = np.bincount(idx0[sm0], minlength=C)
-        fil0 = np.bincount(idx0[f0], minlength=C)
-        ev0 = np.bincount(idx0[ea0 >= 0], minlength=C)
-        dev0 = np.bincount(idx0[ed0], minlength=C)
-        acc1 = np.bincount(idx1[p1], minlength=C)
-        hit1 = np.bincount(idx1[p1 & h1], minlength=C)
-        smc1 = np.bincount(idx1[sm1], minlength=C)
-        fil1 = np.bincount(idx1[f1], minlength=C)
-        ev1 = np.bincount(idx1[ea1 >= 0], minlength=C)
-        dev1 = np.bincount(idx1[ed1], minlength=C)
-        for lo, hi in ranges:
-            for ci in range(lo, hi):
-                st = self.caches[ci].stats
-                a = int(acc0[ci] + acc1[ci])
-                h = int(hit0[ci] + hit1[ci])
-                st.accesses += a
-                st.hits += h
-                st.misses += a - h
-                st.sector_misses += int(smc0[ci] + smc1[ci])
-                st.fills += int(fil0[ci] + fil1[ci])
-                st.evictions += int(ev0[ci] + ev1[ci])
-                st.dirty_evictions += int(dev0[ci] + dev1[ci])
-        hs = np.full(n, -1, dtype=np.int64)
-        hs[p1 & h1] = 1
+        C = len(self.caches)
+        h0 = hit[:n]
+        # Unprobed stage-1 entries land in cache C, which is never
+        # charged.
+        keys = np.concatenate(
+            (idx0, np.where(two_stage & ~h0, idx1, np.int64(C))))
+        self._charge_classes(ranges, keys, _outcome_class(
+            hit, smiss if self._geo.sectored else None, fill, ev_a, ev_d))
+        hs = hit[n:] * np.int64(2) - np.int64(1)
         hs[h0] = 0
-        ev_cache = np.concatenate([idx0[ed0], idx1[ed1]])
-        ev_addrs = np.concatenate([ea0[ed0], ea1[ed1]])
-        return StagedResult(hs, ev_cache, ev_addrs)
+        ev = np.flatnonzero(ev_d)
+        return StagedResult(hs, keys[ev], ev_a[ev])
 
     def _mirror_drains(self, plan: _StagedPlan, mir: np.ndarray,
                        o_slot: np.ndarray, count0: np.ndarray
@@ -1584,12 +1586,21 @@ class VectorBank:
         Every access probes cache ``idx0`` with partition ``part0``;
         where ``two_stage`` and the first probe misses, it then probes
         ``idx1`` with ``part1``.  All caches must be way-partitioned.
-        Returns None when the epoch cannot be decomposed into two
-        row-disjoint phases, or when it probes a row the drain model
-        cannot describe (a cross-slot alias of a probed tag, or an
-        over-allotted row whose over slot has no ways, whose allotments
-        do not sum to the associativity or whose probes straddle the
-        phase split); the engine then resolves it serially.
+
+        Precondition (not checked): within each cache, a line is only
+        ever probed under one partition, so no probe finds its tag in
+        another slot; and no (slot, cache, set) row is probed both by a
+        stage-0 probe of a two-stage access (phase 1) and by a
+        single-stage or stage-1 probe (phase 2).  The engine calls it
+        only on the L1.5 plan table (``StaticLLC._build``) without page
+        migration: a line's slot is then LOCAL exactly where the cache's
+        chip is the line's home, so phase 1 touches only REMOTE rows and
+        phase 2 only LOCAL rows.
+
+        Returns None when the epoch probes an over-allotted row the
+        drain model cannot describe (an over slot with no ways,
+        allotments that do not sum to the associativity, or probes that
+        straddle the phase split); the engine then resolves it serially.
 
         ``lanes`` narrows the all-partitioned requirement (and the stats
         update) to the probed ``[lo, hi)`` cache ranges of a stacked
@@ -1618,10 +1629,13 @@ class VectorBank:
     ) -> List[Optional[StagedResult]]:
         """Resolve several lanes' two-stage epochs in one bank call.
 
-        Each lane runs its own phases and kernel calls.  Entries whose
-        lane fails the all-partitioned gate, the drain model or the
-        row-disjointness requirement come back as ``None`` (those lanes
-        fall back; the others still resolve).
+        Each lane runs its own phases and kernel calls, under the same
+        unchecked precondition as :meth:`access_many_staged` (one
+        partition per line within a cache, no row probed in both
+        phases); a lane that breaks it resolves wrongly, not ``None``.
+        Only the all-partitioned gate and the drain model decline: such
+        lanes come back as ``None`` and fall back, the others still
+        resolve.
         """
         ranges = [(call.lane,) for call in calls]
         site = "VectorBank.access_many_staged_shared"
@@ -1643,11 +1657,11 @@ class VectorBank:
         """Kernel body of both staged entry points.
 
         Each call's cache indices are relative to ``call.lane[0]``;
-        ``ranges_of`` holds the absolute cache ranges its gate, alias
-        scan and stats cover.  A standalone epoch is the one-call case
-        (offset zero, the caller's ranges).  A call that probes a row
-        the drain model cannot describe, or whose phases would share a
-        row, comes back ``None`` before any phase touches state.
+        ``ranges_of`` holds the absolute cache ranges its gate and stats
+        cover.  A standalone epoch is the one-call case (offset zero,
+        the caller's ranges).  A call that probes an over-allotted row
+        the drain model cannot describe comes back ``None`` before any
+        phase touches state.
         """
         results: List[Optional[StagedResult]] = [None] * len(calls)
         if not self.caches:
@@ -1656,21 +1670,10 @@ class VectorBank:
         geo = self._geo
         C = len(self.caches)
         S = geo.num_sets
-        # Per-lane partition gate; eligible lanes pool one cap table.
-        ways_list: List[Optional[Dict[int, int]]] = [None] * C
-        live: List[int] = []
-        for k in range(len(calls)):
-            lane_ways = [(ci, self.caches[ci]._ways)
-                         for lo, hi in ranges_of[k] for ci in range(lo, hi)]
-            if any(w is None for _, w in lane_ways):
-                continue
-            for ci, w in lane_ways:
-                ways_list[ci] = w
-            live.append(k)
+        live, cap_of = self._lane_caps(ranges_of)
         if not live:
             return results
         store.ensure_stamps()
-        cap_of = self._partition_caps(ways_list)
         flagged = (store.count > cap_of.T[:, :, None]).any(axis=0)
         count0: Optional[np.ndarray] = None
         cand0 = o_slot = None
@@ -1697,9 +1700,9 @@ class VectorBank:
             cap1 = np.where(slot1 >= 0,
                             cap_of[idx1a, np.maximum(slot1, 0)], 0)
             # Drain-eligible rows of *this lane* leave the flagged
-            # table; a probe of a row still flagged, or of a tag
-            # resident in another slot, declines the call.  Other
-            # lanes' rows stay untouched — their plans judge their own.
+            # table; a probe of a row still flagged declines the call.
+            # Other lanes' rows stay untouched — their plans judge their
+            # own.
             grow: Optional[np.ndarray] = None
             mir: Optional[np.ndarray] = None
             if cand0 is not None:
@@ -1713,25 +1716,16 @@ class VectorBank:
                 grow = cand & ~viol_g
                 mir = cand & ~viol_m & ~grow
                 flagged &= ~(grow | mir)
-            ts = call.two_stage
-            if flagged[idx0a, sets].any() or \
-                    flagged[idx1a[ts], sets[ts]].any() or \
-                    self._probes_alias(idx0a, sets, tg, slot0, idx1a,
-                                       slot1, ts, ranges):
-                continue
+                ts = call.two_stage
+                if flagged[idx0a, sets].any() or \
+                        flagged[idx1a[ts], sets[ts]].any():
+                    continue
             # Lane-local kernel rows; the lane's cache offset is applied
             # as a row offset (a multiple of S) at solve time.
             krow0 = (np.maximum(slot0, 0) * np.int64(C) + call.idx0) * \
                 np.int64(S) + sets
             krow1 = (np.maximum(slot1, 0) * np.int64(C) + call.idx1) * \
                 np.int64(S) + sets
-            # Phase disjointness via a flat row-membership table — cheaper
-            # than sorting both phases' rows to uniques and intersecting.
-            in_a = np.zeros(store.num_slots * C * S, dtype=bool)
-            in_a[krow0[ts & (cap0 > 0)]] = True
-            if in_a[krow0[~ts & (cap0 > 0)]].any() or \
-                    in_a[krow1[ts & (cap1 > 0)]].any():
-                continue
             plan = _StagedPlan(
                 k, call, ranges, lo, idx0a, idx1a, sets, tg, sec, cap0,
                 cap1, krow0, krow1,
@@ -1765,16 +1759,17 @@ class VectorBank:
         n = call.addrs.shape[0]
         off = np.int64(plan.lo * S)
         sv = np.arange(clock0, clock0 + n, dtype=np.int64)
-        h0 = np.zeros(n, dtype=bool)
-        sm0 = np.zeros(n, dtype=bool)
-        f0 = np.zeros(n, dtype=bool)
-        ea0 = np.full(n, -1, dtype=np.int64)
-        ed0 = np.zeros(n, dtype=bool)
-        h1 = np.zeros(n, dtype=bool)
-        sm1 = np.zeros(n, dtype=bool)
-        f1 = np.zeros(n, dtype=bool)
-        ea1 = np.full(n, -1, dtype=np.int64)
-        ed1 = np.zeros(n, dtype=bool)
+        # Stage-major outcomes: entry ``i`` is access i's stage-0 probe,
+        # entry ``n + i`` its stage-1 probe.
+        hit = np.zeros(2 * n, dtype=bool)
+        smiss = np.zeros(2 * n, dtype=bool)
+        fill = np.zeros(2 * n, dtype=bool)
+        ev_a = np.full(2 * n, -1, dtype=np.int64)
+        ev_d = np.zeros(2 * n, dtype=bool)
+        h0 = hit[:n]
+        f0 = fill[:n]
+        ea0, ea1 = ev_a[:n], ev_a[n:]
+        ed0, ed1 = ev_d[:n], ev_d[n:]
 
         def solve(bi: np.ndarray, krows: np.ndarray, caps: np.ndarray,
                   u1: np.ndarray) -> None:
@@ -1789,21 +1784,15 @@ class VectorBank:
                 cap=caps, sector=fsector,
                 sec=sec[bi] if sec is not None else None,
                 stamp=fstamp, stamp_vals=sv[bi])
+            at = bi + u1 * np.int64(n)
             fl = ~res.hits & (caps > 0)
-            b0 = bi[~u1]
-            b1 = bi[u1]
             if res.sector_miss is not None:
                 fl &= ~res.sector_miss
-                sm0[b0] = res.sector_miss[~u1]
-                sm1[b1] = res.sector_miss[u1]
-            h0[b0] = res.hits[~u1]
-            f0[b0] = fl[~u1]
-            ea0[b0] = res.evicted_addr[~u1]
-            ed0[b0] = res.evicted_dirty[~u1]
-            h1[b1] = res.hits[u1]
-            f1[b1] = fl[u1]
-            ea1[b1] = res.evicted_addr[u1]
-            ed1[b1] = res.evicted_dirty[u1]
+                smiss[at] = res.sector_miss
+            hit[at] = res.hits
+            fill[at] = fl
+            ev_a[at] = res.evicted_addr
+            ev_d[at] = res.evicted_dirty
 
         # Phase 1: stage-0 probes of two-stage accesses, in the first
         # drain pass below.  Mirrored rows where a stage-0 probe follows
@@ -1899,5 +1888,4 @@ class VectorBank:
             ed0[dp[~s1]] = ded[dp[~s1]]
 
         return self._staged_outcome(plan.ranges, idx0a, idx1a, two_stage,
-                                    h0, sm0, f0, ea0, ed0,
-                                    h1, sm1, f1, ea1, ed1)
+                                    hit, smiss, fill, ev_a, ev_d)

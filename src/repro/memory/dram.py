@@ -13,7 +13,7 @@ channel bandwidth is the binding constraint (paper Section 3.3, B_mem).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Sequence
 
 from ..arch.config import MemoryConfig
 
@@ -56,24 +56,30 @@ class DramPartition:
             self.stats.reads += 1
             self.stats.read_bytes += num_bytes
 
-    def charge_bulk(self, channel: int, num_bytes: int, count: int,
-                    is_write: bool) -> None:
-        """Account ``count`` requests totalling ``num_bytes`` on ``channel``.
+    def charge_channels(self, read_bytes: Sequence[int],
+                        read_count: Sequence[int],
+                        write_bytes: Sequence[int],
+                        write_count: Sequence[int]) -> None:
+        """Account per-channel read and write traffic in one call.
 
-        Equivalent to ``count`` individual :meth:`charge` calls (used by
-        the engine's batched epoch fast path).
+        Each argument holds one integer per channel: the bytes and the
+        request count of that channel's reads and writes.  Equivalent
+        to one :meth:`charge` per request.
         """
-        if not 0 <= channel < self.config.channels_per_chip:
-            raise IndexError(f"channel {channel} out of range")
-        if num_bytes < 0 or count < 0:
+        rb = [int(b) for b in read_bytes]
+        wb = [int(b) for b in write_bytes]
+        nr = sum(int(c) for c in read_count)
+        nw = sum(int(c) for c in write_count)
+        if not len(rb) == len(wb) == len(self._epoch_channel_bytes):
+            raise IndexError("need one entry per channel")
+        if min(rb + wb) < 0 or nr < 0 or nw < 0:
             raise ValueError("cannot charge negative bytes or counts")
-        self._epoch_channel_bytes[channel] += num_bytes
-        if is_write:
-            self.stats.writes += count
-            self.stats.write_bytes += num_bytes
-        else:
-            self.stats.reads += count
-            self.stats.read_bytes += num_bytes
+        self._epoch_channel_bytes = [
+            a + r + w for a, r, w in zip(self._epoch_channel_bytes, rb, wb)]
+        self.stats.reads += nr
+        self.stats.read_bytes += sum(rb)
+        self.stats.writes += nw
+        self.stats.write_bytes += sum(wb)
 
     def epoch_cycles(self) -> float:
         """Cycles needed to drain this epoch's traffic (bottleneck channel)."""

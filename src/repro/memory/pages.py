@@ -9,7 +9,9 @@ round-robin policy is provided for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Tuple
+
+import numpy as np
 
 
 @dataclass
@@ -23,12 +25,26 @@ class PageTableStats:
         self.pages_allocated += 1
         self.pages_per_chip[chip] = self.pages_per_chip.get(chip, 0) + 1
 
+    def record_many(self, owners: np.ndarray) -> None:
+        """``record`` each of ``owners``; keys enter in first-seen order."""
+        counts = np.bincount(owners).tolist()
+        self.pages_allocated += int(owners.size)
+        per = self.pages_per_chip
+        # One iteration per distinct chip.
+        for chip in dict.fromkeys(owners.tolist()):
+            per[chip] = per.get(chip, 0) + counts[chip]
+
 
 class PageTable:
     """Maps pages to home memory partitions.
 
     ``policy`` is ``"first-touch"`` (default) or ``"round-robin"``.  Pages
     are identified by page number (``addr >> page_shift``).
+
+    The ``(page -> home)`` dict serves per-access lookups.  Beside it the
+    table keeps a sorted (page, home) array index for the bulk calls
+    (:meth:`bulk_home`, :meth:`homes_of`); scalar allocations,
+    migrations and resets drop it, and the next bulk call rebuilds it.
     """
 
     def __init__(self, page_size: int, num_chips: int,
@@ -46,6 +62,8 @@ class PageTable:
         self._page_shift = page_size.bit_length() - 1
         self._home: Dict[int, int] = {}
         self._next_rr = 0
+        #: Sorted page numbers and their homes, or None when stale.
+        self._index: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def page_of(self, addr: int) -> int:
         return addr >> self._page_shift
@@ -62,24 +80,66 @@ class PageTable:
         """Home partition of ``addr`` if allocated, else None (no side effects)."""
         return self._home.get(addr >> self._page_shift)
 
-    def bulk_home(self, pages: Sequence[int],
-                  touch_chips: Sequence[int]) -> List[int]:
+    def bulk_home(self, pages: np.ndarray,
+                  touch_chips: np.ndarray) -> np.ndarray:
         """Resolve many pages at once, allocating unknown ones.
 
-        ``pages`` are page numbers paired with the chip that (first)
-        touches each; they must be given in first-touch order so that
-        order-sensitive policies (round-robin) allocate exactly as the
-        per-access path would.  Returns the home chip per page.
+        ``pages`` are distinct page numbers paired with the chip that
+        (first) touches each, both int64 arrays; they must be given in
+        first-touch order so that order-sensitive policies (round-robin)
+        allocate exactly as the per-access path would.  Returns the home
+        chip per page.
         """
-        homes: List[int] = []
-        get = self._home.get
-        allocate = self._allocate
-        for page, chip in zip(pages, touch_chips):
-            home = get(page)
-            if home is None:
-                home = allocate(page, chip)
-            homes.append(home)
+        homes = self.homes_of(pages)
+        new = np.flatnonzero(homes < 0)
+        if not new.size:
+            return homes
+        new_pages = pages[new]
+        if self.policy == "first-touch":
+            new_homes = touch_chips[new].astype(np.int64)
+        else:
+            new_homes = (self._next_rr + np.arange(new.size, dtype=np.int64)
+                         ) % np.int64(self.num_chips)
+            self._next_rr = (self._next_rr + int(new.size)) % self.num_chips
+        homes[new] = new_homes
+        # Dict and stats in first-touch order, as per-access allocation
+        # would leave them; the index is re-sorted with the new pages.
+        self._home.update(zip(new_pages.tolist(), new_homes.tolist()))
+        self.stats.record_many(new_homes)
+        idx_pages, idx_homes = self._sorted_index()
+        all_pages = np.concatenate((idx_pages, new_pages))
+        order = np.argsort(all_pages)
+        self._index = (all_pages[order],
+                       np.concatenate((idx_homes, new_homes))[order])
         return homes
+
+    def homes_of(self, pages: np.ndarray) -> np.ndarray:
+        """Home chip of each page number, -1 where unallocated (no side
+        effects)."""
+        idx_pages, idx_homes = self._sorted_index()
+        if not idx_pages.size:
+            return np.full(pages.shape, -1, dtype=np.int64)
+        # Binary search runs about 5x faster over sorted needles.
+        order = np.argsort(pages)
+        needles = pages[order]
+        pos = np.minimum(np.searchsorted(idx_pages, needles),
+                         idx_pages.size - 1)
+        out = np.empty(pages.shape, dtype=np.int64)
+        out[order] = np.where(idx_pages[pos] == needles, idx_homes[pos],
+                              np.int64(-1))
+        return out
+
+    def _sorted_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The sorted (page, home) arrays, rebuilt from the dict when a
+        scalar change dropped them."""
+        if self._index is None:
+            home = self._home
+            pages = np.fromiter(home.keys(), dtype=np.int64, count=len(home))
+            homes = np.fromiter(home.values(), dtype=np.int64,
+                                count=len(home))
+            order = np.argsort(pages)
+            self._index = (pages[order], homes[order])
+        return self._index
 
     def _allocate(self, page: int, requesting_chip: int) -> int:
         if self.policy == "first-touch":
@@ -88,6 +148,7 @@ class PageTable:
             home = self._next_rr
             self._next_rr = (self._next_rr + 1) % self.num_chips
         self._home[page] = home
+        self._index = None
         self.stats.record(home)
         return home
 
@@ -99,6 +160,7 @@ class PageTable:
             raise KeyError(f"page {page} is not allocated")
         old_home = self._home[page]
         self._home[page] = new_home
+        self._index = None
         return old_home
 
     def __len__(self) -> int:
@@ -114,5 +176,6 @@ class PageTable:
 
     def reset(self) -> None:
         self._home.clear()
+        self._index = None
         self._next_rr = 0
         self.stats = PageTableStats()

@@ -14,7 +14,7 @@ bisection bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from ..arch.config import NoCConfig
 
@@ -74,6 +74,26 @@ class Crossbar:
         self._epoch_rsp[port] += num_bytes
         self._epoch_rsp_total += num_bytes
         self.stats.response_bytes += int(num_bytes)
+
+    def charge_ports(self, req: Sequence[int], rsp: Sequence[int]) -> None:
+        """Charge request/response bytes to every output port at once.
+
+        ``req`` and ``rsp`` hold integer byte counts per output port
+        (LLC ports, then inter-chip ports); equivalent to one
+        :meth:`charge_request`/:meth:`charge_response` per port.
+        """
+        req_l = [int(b) for b in req]
+        rsp_l = [int(b) for b in rsp]
+        if not len(req_l) == len(rsp_l) == len(self._epoch_req):
+            raise IndexError("need one entry per output port")
+        self._epoch_req = [a + b for a, b in zip(self._epoch_req, req_l)]
+        self._epoch_rsp = [a + b for a, b in zip(self._epoch_rsp, rsp_l)]
+        req_total = sum(req_l)
+        rsp_total = sum(rsp_l)
+        self._epoch_req_total += req_total
+        self._epoch_rsp_total += rsp_total
+        self.stats.request_bytes += req_total
+        self.stats.response_bytes += rsp_total
 
     def epoch_cycles(self) -> float:
         """Cycles to drain this epoch's traffic through this crossbar.

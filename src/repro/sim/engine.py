@@ -46,11 +46,18 @@ from ..cache.cache import (
     PartitionFullError,
     SetAssociativeCache,
 )
-from ..cache.vector import BatchResult, StagedResult, VectorBank, VectorCache
+from ..cache.vector import (
+    BatchResult,
+    StagedResult,
+    VectorBank,
+    VectorCache,
+    _stable_order,
+)
 from ..coherence.hardware import HardwareCoherence
 from ..coherence.software import SoftwareCoherence
 from ..core import sanitize as _sanitize
 from ..llc.base import LLCOrganization, RoutePlan
+from ..llc.organizations import StaticLLC
 from ..memory.dram import DramSystem
 from ..memory.mapping import AddressMapping
 from ..memory.pages import PageTable
@@ -216,6 +223,138 @@ class BankProbe:
         return self.localize(staged)
 
 
+class _PlanTable:
+    """One plan table as per-(requester, home) pair arrays.
+
+    Pair ``p`` is ``requester * K + home`` for ``K`` chips.  Besides each
+    pair's stages (serving chips, partitions, whether a second stage
+    exists) the table holds the maps a vector epoch settles with: one
+    row per chip (or per directed chip pair) and one column per pair,
+    so a per-pair count vector becomes per-chip slice, crossbar-port,
+    ring and DRAM charges with one product each.  The engine builds one
+    per distinct plan table (SAC alternates between two).
+    """
+
+    def __init__(self, plans: Tuple[RoutePlan, ...], dedicated: bool,
+                 engine: "SimulationEngine") -> None:
+        config = engine.config
+        params = engine.params
+        K = config.num_chips
+        P = K * K
+        ip = config.chip.noc.inter_chip_ports
+        hops = engine.ring.hops
+        #: Kept alive so the engine's cache key (their ids) stays unique.
+        self.plans = plans
+        cols = np.arange(P, dtype=np.int64)
+        req = cols // K
+        home = cols % K
+        first = [plan.stages[0] for plan in plans]
+        second = [plan.stages[1] if len(plan.stages) > 1 else None
+                  for plan in plans]
+        self.serve0 = np.array([s.chip for s in first], dtype=np.int64)
+        self.part0 = np.array([s.partition for s in first], dtype=np.int64)
+        self.two = np.array([s is not None for s in second], dtype=bool)
+        self.serve1 = np.array([s.chip if s is not None else 0
+                                for s in second], dtype=np.int64)
+        self.part1 = np.array([s.partition if s is not None else 0
+                               for s in second], dtype=np.int64)
+        last = np.array([plan.stages[-1].chip for plan in plans],
+                        dtype=np.int64)
+        #: One unpartitioned allocate-on-miss probe per access: the
+        #: grouped kernel's shape.
+        self.grouped = not self.two.any() and all(
+            s.partition == UNPARTITIONED and s.allocate for s in first)
+        #: The L1.5 table, the staged kernel's domain (see
+        #: ``VectorBank.access_many_staged``).
+        self.l15 = all(plan == StaticLLC._build(int(c), int(h))
+                       for plan, c, h in zip(plans, req, home))
+
+        # Per-access latency by (pair, hit stage), summed in the serial
+        # path's order: each probed stage's leg, then the LLC latency,
+        # then the memory leg on a full miss.
+        def leg(src: int, dst: int) -> float:
+            if src == dst:
+                return 2 * params.latency_noc
+            return 2 * params.latency_noc + \
+                hops(src, dst) * params.latency_ring_hop
+
+        latency: List[float] = []
+        for p, plan in enumerate(plans):
+            c, h = divmod(p, K)
+            t0 = leg(c, plan.stages[0].chip) + params.latency_llc
+            t1 = t0
+            if len(plan.stages) > 1:
+                t1 = t0 + leg(c, plan.stages[1].chip)
+                t1 += params.latency_llc
+            mem = params.latency_dram
+            if plan.stages[-1].chip != h:
+                mem += 2 * params.latency_noc + \
+                    hops(plan.stages[-1].chip, h) * params.latency_ring_hop
+            latency.extend((t1 + mem, t0, t1))
+        #: Indexed ``pair * 3 + hit_stage + 1`` (0 is a full miss).
+        self.latency = np.array(latency, dtype=np.float64)
+
+        def by_chip(chip: np.ndarray, mask: np.ndarray) -> np.ndarray:
+            out = np.zeros((K, P), dtype=np.int64)
+            out[chip, cols] = mask
+            return out
+
+        def by_route(src: np.ndarray, dst: np.ndarray,
+                     mask: np.ndarray) -> np.ndarray:
+            out = np.zeros((P, P), dtype=np.int64)
+            out[src * K + dst, cols] = mask
+            return out
+
+        ones = np.ones(P, dtype=bool)
+        remote0 = self.serve0 != req
+        local1 = self.two & (self.serve1 == req)
+        remote1 = self.two & (self.serve1 != req)
+        mem_remote = last != home
+        # SM-side's dedicated network carries remote stage-1 legs past
+        # both crossbars and remote memory legs past the crossbars.
+        xbar = not dedicated
+        #: Slice requests (and LLC-port traffic) of each stage's probes.
+        self.slice0 = by_chip(self.serve0, ones)
+        self.slice1 = by_chip(self.serve1, self.two)
+        self.llc1 = by_chip(self.serve1, local1 | (remote1 & xbar))
+        #: Requester-side inter-chip ports of remote stage legs, and both
+        #: ends' ports of remote memory legs.
+        self.ic0 = by_chip(req, remote0)
+        self.ic1 = by_chip(req, remote1 & xbar)
+        self.icm = by_chip(last, mem_remote & xbar) + \
+            by_chip(home, mem_remote & xbar)
+        if not ip and (self.ic0.any() or self.ic1.any() or self.icm.any()):
+            # As the serial path's port lookup would.
+            raise IndexError("a remote leg needs an inter-chip port")
+        self.dram = by_chip(home, ones)
+        #: Requests (forward) and responses (backward) on the ring.
+        self.fwd0 = by_route(req, self.serve0, remote0)
+        self.bwd0 = by_route(self.serve0, req, remote0)
+        self.fwd1 = by_route(req, self.serve1, remote1)
+        self.bwd1 = by_route(self.serve1, req, remote1)
+        self.fwdm = by_route(last, home, mem_remote)
+        self.bwdm = by_route(home, last, mem_remote)
+        self.off_diagonal = (req != home).astype(np.int64)
+        #: Response origins: which hits and misses stay on the requester.
+        self.local0 = (~remote0).astype(np.int64)
+        self.local1 = local1.astype(np.int64)
+        self.home_local = (home == req).astype(np.int64)
+        #: Inter-chip port folds: slice % ports for stage legs, channel
+        #: % ports for memory legs.
+        self.fold_slices = self._fold(config.chip.llc_slices, ip)
+        self.fold_channels = self._fold(
+            config.chip.memory.channels_per_chip, ip)
+
+    @staticmethod
+    def _fold(width: int, ports: int) -> np.ndarray:
+        """Map ``width`` slices or channels onto ``ports`` ports."""
+        out = np.zeros((width, ports), dtype=np.int64)
+        if ports:
+            i = np.arange(width, dtype=np.int64)
+            out[i, i % ports] = 1
+        return out
+
+
 class SimulationEngine:
     """Runs one benchmark trace under one LLC organization.
 
@@ -301,6 +440,8 @@ class SimulationEngine:
         self._pending_cycles = 0.0
         self.last_epoch_cycles = 0.0
         self.stats.slice_requests = [0] * config.total_llc_slices
+        # Vector-path plan tables, keyed by their plans.
+        self._plan_tables: Dict[tuple, _PlanTable] = {}
         # Figure 9 sampling accumulators (cycle-weighted).
         self._alloc_weight = 0.0
         self._alloc_local = 0.0
@@ -362,40 +503,32 @@ class SimulationEngine:
             list(range(self.config.num_chips))
         coherence_cfg = self.config.coherence
         dram_bw = self.config.chip.memory.chip_bw()
-        home_of = self.page_table._home.get
-        shift = self.page_table._page_shift
+        shift = np.int64(self.page_table._page_shift)
         bank = self._llc_bank
+        per_chip = self.config.chip.llc_slices
         # Chips flush concurrently: the run is delayed by the slowest one.
         worst_cycles = 0.0
         for chip in chip_list:
-            dirty_bytes_by_home: Dict[int, int] = {}
+            # Dirty lines written back, and those homed on another chip
+            # (an unallocated page counts as the chip's own).
+            wb_lines = 0
+            remote_lines = 0
             invalidated = 0
             dirty = 0
             if bank is not None:
                 # A vector-path run has no coherence directory to
-                # notify, so its bank drains wholesale (any
-                # partition/dirty_only mode) and the dirty lines are
-                # homed by unique page (pages interleave across a chip's
-                # slices, so uniquing at the chip level collapses the
-                # per-slice duplicates too).
-                drained_chip = []
-                for vcache in self._bank_slices(bank, chip):
-                    drained, lines, dirties = vcache.drain(
-                        partition=partition, dirty_only=dirty_only)
-                    drained_chip.append(drained)
-                    invalidated += lines
-                    dirty += dirties
-                all_dirty = np.concatenate(drained_chip)
-                if all_dirty.size:
-                    pages, counts = np.unique(all_dirty >> shift,
-                                              return_counts=True)
-                    for page, n in zip(pages.tolist(), counts.tolist()):
-                        home = home_of(page)
-                        if home is None:
-                            home = chip
-                        dirty_bytes_by_home[home] = \
-                            dirty_bytes_by_home.get(home, 0) \
-                            + self.line_size * n
+                # notify, so the bank drains the chip's slices in one
+                # pass (any partition/dirty_only mode) and the dirty
+                # lines are homed in bulk.
+                lo = self._bank_base + chip * per_chip
+                drained, invalidated, dirty = bank.drain(
+                    lo, lo + per_chip, partition=partition,
+                    dirty_only=dirty_only)
+                if drained.size:
+                    homes = self.page_table.homes_of(drained >> shift)
+                    wb_lines = int(drained.size)
+                    remote_lines = int(np.count_nonzero(
+                        (homes >= 0) & (homes != chip)))
             else:
                 for cache in self.llc[chip]:
                     victims = []
@@ -407,11 +540,9 @@ class SimulationEngine:
                             continue
                         if line.dirty:
                             home = self.page_table.lookup(line_addr)
-                            if home is None:
-                                home = chip
-                            dirty_bytes_by_home[home] = \
-                                dirty_bytes_by_home.get(home, 0) \
-                                + self.line_size
+                            wb_lines += 1
+                            remote_lines += home is not None and \
+                                home != chip
                         if self.hardware_coherence is not None:
                             self.hardware_coherence.on_evict(
                                 line_addr & self._line_mask, chip)
@@ -427,9 +558,8 @@ class SimulationEngine:
                         lines, dirties = cache.invalidate_partition(partition)
                     invalidated += lines
                     dirty += dirties
-            writeback = sum(dirty_bytes_by_home.values())
-            remote_wb = sum(b for home, b in dirty_bytes_by_home.items()
-                            if home != chip)
+            writeback = self.line_size * wb_lines
+            remote_wb = self.line_size * remote_lines
             cycles = (dirty * coherence_cfg.flush_cycles_per_line
                       + writeback / dram_bw)
             if remote_wb and self.config.num_chips > 1:
@@ -630,13 +760,13 @@ class SimulationEngine:
 
         Functionally identical to :meth:`_run_epoch_serial`: one
         vector-bank call resolves the same LLC probes in the same order
-        (the caches are the only sequential state), while page-home
-        resolution, route planning and every resource charge are
-        precomputed or aggregated with numpy.  All aggregated quantities
-        are integer byte counts or sums of exactly-representable
-        latencies, so the resulting ``RunStats`` are bit-identical to
-        the per-access path for the default parameters (and agree to
-        float round-off for any others).
+        (the caches are the only sequential state), while page homes
+        are resolved in bulk and every resource charge is settled from
+        per-(requester, home) pair tables (:class:`_PlanTable`).  All
+        aggregated quantities are integer byte counts, and each access's
+        latency is the serial path's sum in the serial path's order, so
+        the resulting ``RunStats`` are bit-identical to the per-access
+        path.
 
         The bank invocations themselves are *yielded* as
         :class:`BankProbe` requests rather than called inline, so the
@@ -644,56 +774,33 @@ class SimulationEngine:
         :meth:`run` invokes each probe immediately) and stacked runs
         (the driver batches co-resident lanes into one call).
 
-        An epoch the bank declines runs on :meth:`_run_epoch_serial`
+        A uniform single-stage table takes the grouped kernel and the
+        L1.5 table the staged one; an epoch under any other table, or
+        one the bank declines, runs on :meth:`_run_epoch_serial`
         instead.  Nothing is charged before the bank call, and the page
         homes resolved here were allocated in first-touch order, so the
         serial rerun finds the same homes and counts nothing twice.
         """
         bank = self._llc_bank
         assert bank is not None
-        params = self.params
         config = self.config
         num_chips = config.num_chips
-        n = len(epoch)
-        chips_np = epoch.chips
-        writes_np = epoch.writes
+        llc_slices = config.chip.llc_slices
         addrs_np = epoch.addrs
+        writes_np = epoch.writes
         slices_np = self._vectorized_slices(addrs_np, epoch.derived)
-        channels_np = self._vectorized_channels(addrs_np, epoch.derived)
         homes_np = self._batched_homes(epoch)
-        pair_np = chips_np * num_chips + homes_np
-
+        pair_np = epoch.chips * np.int64(num_chips) + homes_np
         org = self.organization
-        num_pairs = num_chips * num_chips
-        plans = [org.plan(p // num_chips, p % num_chips)
-                 for p in range(num_pairs)]
-
-        # Per-(requester, home) pair stage decomposition.
-        st0_chip = [plan.stages[0].chip for plan in plans]
-        st0_part = [plan.stages[0].partition for plan in plans]
-        st0_alloc = [plan.stages[0].allocate for plan in plans]
-        st1 = [(plan.stages[1].chip, plan.stages[1].partition,
-                plan.stages[1].allocate) if len(plan.stages) > 1 else None
-               for plan in plans]
+        pt = self._plan_table_now()
 
         # Cache probes: the only sequentially-stateful work in the epoch.
-        # Uniform single-stage epochs are resolved with one grouped
-        # kernel call, partitioned plans of up to two
-        # allocate-on-miss stages with one staged call.
-        llc_slices = config.chip.llc_slices
-        serve0_np = np.array(st0_chip, dtype=np.int64)[pair_np]
-        idx0_np = serve0_np * llc_slices + slices_np
-        uniform = (all(s is None for s in st1)
-                   and len(set(st0_part)) == 1 and len(set(st0_alloc)) == 1)
-        two_stage = np.array([s is not None for s in st1],
-                             dtype=bool)[pair_np]
-        serve1 = np.array([s[0] if s is not None else 0 for s in st1],
-                          dtype=np.int64)[pair_np]
-        batch: Optional[BatchResult] = None
-        staged: Optional[StagedResult] = None
+        idx0_np = pt.serve0[pair_np] * np.int64(llc_slices) + slices_np
         base = self._bank_base
         lane = (base, base + config.total_llc_slices)
-        if uniform and st0_part[0] == UNPARTITIONED and st0_alloc[0]:
+        batch: Optional[BatchResult] = None
+        staged: Optional[StagedResult] = None
+        if pt.grouped:
             probe = BankProbe(
                 bank=bank, kind="grouped", base=base, lane=lane,
                 addrs=addrs_np, writes=writes_np, idx0=idx0_np,
@@ -708,18 +815,18 @@ class SimulationEngine:
                 batch = cast(Optional[BatchResult], (yield probe))
         if batch is not None:
             hs = np.where(batch.hits, np.int64(0), np.int64(-1))
+            dirty_sel = batch.evicted_dirty
+            ev_serve = pt.serve0[pair_np[dirty_sel]]
+            ev_addr = batch.evicted_addr[dirty_sel]
         else:
-            if self._staged_shape_ok(plans):
-                part0_np = np.array(st0_part, dtype=np.int64)[pair_np]
-                part1_np = np.array(
-                    [s[1] if s is not None else 0 for s in st1],
-                    dtype=np.int64)[pair_np]
-                idx1_np = serve1 * llc_slices + slices_np
+            if pt.l15:
                 probe = BankProbe(
-                    bank=bank, kind="staged", base=base,
-                    lane=lane, addrs=addrs_np, writes=writes_np,
-                    idx0=idx0_np, part0=part0_np, two_stage=two_stage,
-                    idx1=idx1_np, part1=part1_np, fault_key=org.name)
+                    bank=bank, kind="staged", base=base, lane=lane,
+                    addrs=addrs_np, writes=writes_np, idx0=idx0_np,
+                    part0=pt.part0[pair_np], two_stage=pt.two[pair_np],
+                    idx1=pt.serve1[pair_np] * np.int64(llc_slices)
+                    + slices_np,
+                    part1=pt.part1[pair_np], fault_key=org.name)
                 if org.profiling:
                     # Same round-alignment rationale as the grouped
                     # branch above.
@@ -727,372 +834,219 @@ class SimulationEngine:
                 else:
                     staged = cast(Optional[StagedResult], (yield probe))
             if staged is None:
-                # The bank declined: resolve the whole epoch serially.
+                # Another table, or the bank declined: resolve the whole
+                # epoch serially.
                 self.stats.scalar_epochs += 1
                 self._run_epoch_serial(epoch, kstats)
                 return
             hs = staged.hit_stage
+            ev_serve = staged.evicted_cache // np.int64(llc_slices)
+            ev_addr = staged.evicted_addr
         self.stats.vector_epochs += 1
-
-        # Everything below is pure accounting over the recorded outcomes.
-        # Every access probes its stage-0 slice.
-        probed0 = np.ones(n, dtype=bool)
-        kstats.accesses += n
-        kstats.llc_lookups += n
-        kstats.llc_hits += int((hs >= 0).sum())
-        req_np = params.request_bytes + \
-            params.write_data_bytes * writes_np.astype(np.int64)
-        rsp = self.line_size + params.response_header_bytes
-        dedicated = bool(getattr(org, "dedicated_memory_network", False))
-        total_slices = config.total_llc_slices
-
-        serve0 = serve0_np
-        probed1 = probed0 & two_stage & (hs != 0)
-
-        # Per-slice request counts and LLC service bytes.
-        slice_counts = np.zeros(total_slices, dtype=np.int64)
-        for probed, serve_np in ((probed0, serve0), (probed1, serve1)):
-            if probed.any():
-                idx = serve_np[probed] * llc_slices + slices_np[probed]
-                slice_counts += np.bincount(idx, minlength=total_slices)
-        requests = self.stats.slice_requests
-        for g in np.flatnonzero(slice_counts).tolist():
-            count = int(slice_counts[g])
-            requests[g] += count
-            self._slice_bytes[g // llc_slices][g % llc_slices] += \
-                count * self.line_size
-
-        # Request/response legs of every probed stage.
-        for k, (probed, serve_np) in enumerate(((probed0, serve0),
-                                                (probed1, serve1))):
-            if not probed.any():
-                continue
-            pidx = np.flatnonzero(probed)
-            chips_s = chips_np.take(pidx)
-            serve_s = serve_np.take(pidx)
-            slices_s = slices_np.take(pidx)
-            req_s = req_np.take(pidx)
-            local = serve_s == chips_s
-            lidx = np.flatnonzero(local)
-            if lidx.size:
-                self._charge_local_stages(chips_s.take(lidx),
-                                          slices_s.take(lidx),
-                                          req_s.take(lidx), rsp)
-            ridx = np.flatnonzero(~local)
-            if ridx.size:
-                self._charge_remote_stages(chips_s.take(ridx),
-                                           serve_s.take(ridx),
-                                           slices_s.take(ridx),
-                                           req_s.take(ridx), rsp,
-                                           skip_crossbar=dedicated and k > 0)
-
-        # Full misses: the last probed chip forwards to the home memory.
-        miss = hs == -1
-        if miss.any():
-            last_np = np.array([plan.stages[-1].chip for plan in plans],
-                               dtype=np.int64)[pair_np]
-            self._charge_memory_legs(miss, last_np, homes_np, channels_np,
-                                     writes_np, req_np, rsp, dedicated)
-
-        # Dirty evictions collected during the probe phase.
-        if batch is not None:
-            dirty_sel = batch.evicted_dirty
-            if dirty_sel.any():
-                self._charge_eviction_writebacks(
-                    serve0_np[dirty_sel], batch.evicted_addr[dirty_sel])
-        elif staged is not None and staged.evicted_addr.size:
-            self._charge_eviction_writebacks(
-                staged.evicted_cache // llc_slices, staged.evicted_addr)
-
-        # Response origins (relative to the requesting chip).
-        hits = hs >= 0
-        origins = self.stats.responses_by_origin
-        if hits.any():
-            hit_serve = np.where(hs == 1, serve1, serve0)
-            local_hits = int((hits & (hit_serve == chips_np)).sum())
-            origins[ORIGIN_LOCAL_LLC] += local_hits
-            origins[ORIGIN_REMOTE_LLC] += int(hits.sum()) - local_hits
-        if miss.any():
-            local_mem = int((miss & (homes_np == chips_np)).sum())
-            origins[ORIGIN_LOCAL_MEM] += local_mem
-            origins[ORIGIN_REMOTE_MEM] += int(miss.sum()) - local_mem
-
-        # Per-access latency for the MLP bound, grouped by requester chip.
-        self._accumulate_latency(plans, pair_np, chips_np, probed0, probed1,
-                                 miss)
+        self._charge_epoch(pt, epoch, pair_np, hs, ev_serve, ev_addr,
+                           kstats)
         if (org.profiling or not org.observe_is_passive) and \
                 hasattr(org, "observe_batch"):
             # Replicate the serial path's per-access observe_access
             # stream in one batched call (profiling counters).
-            org.observe_batch(self, chips_np, addrs_np, homes_np,
+            org.observe_batch(self, epoch.chips, addrs_np, homes_np,
                               slices_np, hs)
         self._settle_epoch(epoch, kstats)
 
-    @staticmethod
-    def _staged_shape_ok(plans: List[RoutePlan]) -> bool:
-        """Whether the epoch's route plans fit the staged vector solver.
-
-        The two-phase decomposition in
-        :meth:`VectorBank.access_many_staged` reproduces the serial
-        probe order exactly for plans of at most two allocate-on-miss
-        stages; the solver itself verifies at runtime that the phases
-        share no row and that every probed row fits its drain model,
-        and declines (returning ``None``) when either does not hold.
-        """
-        for plan in plans:
-            if len(plan.stages) > 2:
-                return False
-            for stage in plan.stages:
-                if not stage.allocate:
-                    return False
-        return True
+    def _plan_table_now(self) -> "_PlanTable":
+        """The :class:`_PlanTable` of the organization's current plans,
+        built once per distinct table."""
+        org = self.organization
+        num_chips = self.config.num_chips
+        plans = tuple(org.plan(p // num_chips, p % num_chips)
+                      for p in range(num_chips * num_chips))
+        dedicated = bool(getattr(org, "dedicated_memory_network", False))
+        key = (dedicated, plans)
+        table = self._plan_tables.get(key)
+        if table is None:
+            table = self._plan_tables[key] = _PlanTable(plans, dedicated,
+                                                        self)
+        return table
 
     def _batched_homes(self, epoch: EpochTrace) -> np.ndarray:
         """Vectorized first-touch home resolution for one epoch.
 
-        Unique pages are resolved (and allocated) through the page table
-        in order of first touch, so round-robin allocation assigns the
-        same homes as the per-access path.  The page decomposition
-        (unique pages in first-touch order plus the scatter indices) is
-        a pure function of the epoch's arrays and is memoized on the
-        epoch, so lanes sharing the trace sort it once; the page-table
-        resolution itself stays per-lane — each lane allocates its own
-        table and organizations may migrate pages mid-run.
+        Distinct pages are resolved (and allocated) through the page
+        table in order of first touch, so round-robin allocation assigns
+        the same homes as the per-access path.  The page decomposition
+        (distinct pages in first-touch order, their first toucher and
+        each access's index into them) is a pure function of the
+        epoch's arrays and is memoized on the epoch, so lanes sharing
+        the trace sort it once; the page-table resolution itself stays
+        per-lane — each lane allocates its own table.
         """
         key = ("pages", self._page_shift)
         prep = epoch.derived.get(key)
         if prep is None:
             pages = epoch.addrs >> np.int64(self._page_shift)
-            uniq, first_idx, inverse = np.unique(
-                pages, return_index=True, return_inverse=True)
-            order = np.argsort(first_idx, kind="stable")
-            order.setflags(write=False)
-            inverse.setflags(write=False)
-            prep = (uniq[order].tolist(),
-                    epoch.chips[first_idx[order]].tolist(),
-                    order, inverse)
-            epoch.derived[key] = prep
-        pages_ft, chips_ft, order, inverse = cast(
-            Tuple[List[int], List[int], np.ndarray, np.ndarray], prep)
-        homes = self.page_table.bulk_home(pages_ft, chips_ft)
-        homes_by_uniq = np.empty(len(pages_ft), dtype=np.int64)
-        homes_by_uniq[order] = homes
-        return homes_by_uniq[inverse]
+            n = pages.size
+            # A stable sort by page keeps each page's first touch first;
+            # pages of an epoch span few page numbers, so the offsets
+            # usually take the int16 radix sort.
+            rel = pages - pages.min() if n else pages
+            by_page = _stable_order(rel, int(rel.max()) + 1 if n else 0)
+            sp = pages[by_page]
+            head = np.ones(n, dtype=bool)
+            head[1:] = sp[1:] != sp[:-1]
+            first = by_page[head]
+            distinct = np.empty(n, dtype=np.int64)
+            distinct[by_page] = np.cumsum(head) - 1
+            order = np.argsort(first)
+            rank = np.empty(order.size, dtype=np.int64)
+            rank[order] = np.arange(order.size, dtype=np.int64)
+            fresh = (pages[first[order]], epoch.chips[first[order]],
+                     rank[distinct])
+            for arr in fresh:
+                arr.setflags(write=False)
+            epoch.derived[key] = prep = fresh
+        pages_ft, chips_ft, at = cast(
+            Tuple[np.ndarray, np.ndarray, np.ndarray], prep)
+        return self.page_table.bulk_home(pages_ft, chips_ft)[at]
 
-    def _charge_local_stages(self, chips_s: np.ndarray,
-                             slices_s: np.ndarray, req_s: np.ndarray,
-                             rsp: int) -> None:
-        """Aggregate same-chip stage legs onto the local crossbars.
+    def _charge_epoch(self, pt: "_PlanTable", epoch: EpochTrace,
+                      pair_np: np.ndarray, hs: np.ndarray,
+                      ev_serve: np.ndarray, ev_addr: np.ndarray,
+                      kstats: KernelStats) -> None:
+        """Settle one vector epoch's traffic from its probe outcomes.
 
-        All array arguments are pre-compacted to the selected accesses
-        (one ``flatnonzero``/``take`` at the call site instead of a
-        boolean re-mask per array here).
-        """
-        llc_slices = self.config.chip.llc_slices
-        idx = chips_s * llc_slices + slices_s
-        total = self.config.total_llc_slices
-        counts = np.bincount(idx, minlength=total)
-        req_sums = np.bincount(idx, weights=req_s, minlength=total)
-        for g in np.flatnonzero(counts).tolist():
-            xbar = self.crossbars[g // llc_slices]
-            port = xbar.llc_port(g % llc_slices)
-            xbar.charge_request(port, int(req_sums[g]))
-            xbar.charge_response(port, rsp * int(counts[g]))
-
-    def _charge_remote_stages(self, chips_s: np.ndarray,
-                              serve_s: np.ndarray, slices_s: np.ndarray,
-                              req_s: np.ndarray, rsp: int,
-                              skip_crossbar: bool) -> None:
-        """Aggregate cross-chip stage legs onto the ring and crossbars.
-
-        Arguments are pre-compacted like :meth:`_charge_local_stages`.
-        """
-        num_chips = self.config.num_chips
-        num_pairs = num_chips * num_chips
-        pairs = chips_s * num_chips + serve_s
-        counts = np.bincount(pairs, minlength=num_pairs)
-        req_sums = np.bincount(pairs, weights=req_s,
-                               minlength=num_pairs)
-        for p in np.flatnonzero(counts).tolist():
-            src, dst = divmod(p, num_chips)
-            messages = int(counts[p])
-            req_total = int(req_sums[p])
-            rsp_total = rsp * messages
-            self.ring.charge_bulk(src, dst, req_total, messages)
-            self.ring.charge_bulk(dst, src, rsp_total, messages)
-            self.stats.inter_chip_bytes += req_total + rsp_total
-        if skip_crossbar:
-            return
-        ip = self.config.chip.noc.inter_chip_ports
-        links = slices_s % ip
-        self._charge_xbar_ports(chips_s * ip + links, ip, True,
-                                req_s, rsp)
-        llc_slices = self.config.chip.llc_slices
-        self._charge_xbar_ports(serve_s * llc_slices + slices_s,
-                                llc_slices, False, req_s, rsp)
-
-    def _charge_xbar_ports(self, idx: np.ndarray, ports_per_chip: int,
-                           inter_chip: bool, req_sel: np.ndarray,
-                           rsp: int) -> None:
-        """Charge grouped request/response bytes to crossbar ports.
-
-        ``idx`` encodes ``chip * ports_per_chip + port``; ``inter_chip``
-        selects the inter-chip port bank instead of the LLC ports.
-        """
-        nbins = self.config.num_chips * ports_per_chip
-        counts = np.bincount(idx, minlength=nbins)
-        req_sums = np.bincount(idx, weights=req_sel, minlength=nbins)
-        for g in np.flatnonzero(counts).tolist():
-            xbar = self.crossbars[g // ports_per_chip]
-            port = g % ports_per_chip
-            port = xbar.inter_chip_port(port) if inter_chip else \
-                xbar.llc_port(port)
-            xbar.charge_request(port, int(req_sums[g]))
-            xbar.charge_response(port, rsp * int(counts[g]))
-
-    def _charge_memory_legs(self, miss: np.ndarray, last_np: np.ndarray,
-                            homes_np: np.ndarray, channels_np: np.ndarray,
-                            writes_np: np.ndarray, req_np: np.ndarray,
-                            rsp: int, dedicated: bool) -> None:
-        """Aggregate the LLC-miss -> home-DRAM legs."""
-        config = self.config
-        num_chips = config.num_chips
-        midx = np.flatnonzero(miss)
-        last_s = last_np.take(midx)
-        homes_s = homes_np.take(midx)
-        channels_s = channels_np.take(midx)
-        writes_s = writes_np.take(midx)
-        req_s = req_np.take(midx)
-        tot_s = req_s + rsp
-        channels_per_chip = config.chip.memory.channels_per_chip
-        nbins = num_chips * channels_per_chip
-        didx = homes_s * channels_per_chip + channels_s
-        for is_write, ix in ((True, np.flatnonzero(writes_s)),
-                             (False, np.flatnonzero(~writes_s))):
-            if not ix.size:
-                continue
-            d = didx.take(ix)
-            counts = np.bincount(d, minlength=nbins)
-            sums = np.bincount(d, weights=tot_s.take(ix),
-                               minlength=nbins)
-            for g in np.flatnonzero(counts).tolist():
-                self.dram[g // channels_per_chip].charge_bulk(
-                    g % channels_per_chip, int(sums[g]), int(counts[g]),
-                    is_write)
-        self.stats.dram_bytes += int(tot_s.sum())
-        ridx = np.flatnonzero(last_s != homes_s)
-        if not ridx.size:
-            return
-        last_r = last_s.take(ridx)
-        homes_r = homes_s.take(ridx)
-        req_r = req_s.take(ridx)
-        num_pairs = num_chips * num_chips
-        pairs = last_r * num_chips + homes_r
-        counts = np.bincount(pairs, minlength=num_pairs)
-        req_sums = np.bincount(pairs, weights=req_r,
-                               minlength=num_pairs)
-        for p in np.flatnonzero(counts).tolist():
-            last, home = divmod(p, num_chips)
-            messages = int(counts[p])
-            req_total = int(req_sums[p])
-            rsp_total = rsp * messages
-            self.ring.charge_bulk(last, home, req_total, messages)
-            self.ring.charge_bulk(home, last, rsp_total, messages)
-            self.stats.inter_chip_bytes += req_total + rsp_total
-        if dedicated:
-            return
-        ip = config.chip.noc.inter_chip_ports
-        links = channels_s.take(ridx) % ip
-        for side_r in (last_r, homes_r):
-            self._charge_xbar_ports(side_r * ip + links, ip, True,
-                                    req_r, rsp)
-
-    def _charge_eviction_writebacks(self, serves_np: np.ndarray,
-                                    addrs_np: np.ndarray) -> None:
-        """Aggregate dirty-eviction write-backs collected by the fast path.
-
-        ``serves_np``/``addrs_np`` give each dirty eviction's serving
-        chip and line address.
-        """
-        num_chips = self.config.num_chips
-        wb = self.line_size + self.params.response_header_bytes
-        channels = self._vectorized_channels(addrs_np)
-        home_of = self.page_table._home.get
-        shift = self.page_table._page_shift
-        pages, inverse = np.unique(addrs_np >> shift, return_inverse=True)
-        page_home = np.empty(pages.size, dtype=np.int64)
-        for i, page in enumerate(pages.tolist()):
-            home = home_of(page)
-            page_home[i] = -1 if home is None else home
-        homes_np = page_home[inverse]
-        homes_np = np.where(homes_np < 0, serves_np, homes_np)
-        channels_per_chip = self.config.chip.memory.channels_per_chip
-        didx = homes_np * channels_per_chip + channels
-        counts = np.bincount(didx,
-                             minlength=num_chips * channels_per_chip)
-        for g in np.flatnonzero(counts).tolist():
-            self.dram[g // channels_per_chip].charge_bulk(
-                g % channels_per_chip, wb * int(counts[g]), int(counts[g]),
-                is_write=True)
-        self.stats.dram_bytes += wb * len(addrs_np)
-        remote = homes_np != serves_np
-        if not remote.any():
-            return
-        pairs = serves_np[remote] * num_chips + homes_np[remote]
-        counts = np.bincount(pairs, minlength=num_chips * num_chips)
-        for p in np.flatnonzero(counts).tolist():
-            src, dst = divmod(p, num_chips)
-            total = wb * int(counts[p])
-            self.ring.charge_bulk(src, dst, total, int(counts[p]))
-            self.stats.inter_chip_bytes += total
-
-    def _accumulate_latency(self, plans: List, pair_np: np.ndarray,
-                            chips_np: np.ndarray, probed0: np.ndarray,
-                            probed1: np.ndarray, miss: np.ndarray) -> None:
-        """Accumulate the per-access latency sums used by the MLP bound.
-
-        Per-pair leg latencies are computed with the same scalar
-        expressions as :meth:`_charge_leg`/:meth:`_charge_memory_leg` and
-        summed per requesting chip in access order, so the result matches
-        the serial path exactly.
+        Two bincounts, over (pair, hit stage, slice, write) and (pair,
+        hit stage, channel, write), give every leg's message count;
+        products with the plan table's per-pair maps turn them into
+        slice, crossbar-port, ring and DRAM charges, handed to each
+        resource in one call.  ``ev_serve`` and ``ev_addr`` are the
+        dirty evictions' serving chips and lines.
         """
         params = self.params
-        num_chips = self.config.num_chips
-        hops = self.ring.hops
+        config = self.config
+        K = config.num_chips
+        P = K * K
+        L = config.chip.llc_slices
+        Ch = config.chip.memory.channels_per_chip
+        n = hs.shape[0]
+        rq = params.request_bytes
+        wd = params.write_data_bytes
+        rsp = self.line_size + params.response_header_bytes
+        # Messages per (pair, hit stage, slice, write) and, for full
+        # misses, per (pair, channel, write).
+        hk = pair_np * np.int64(3) + hs + np.int64(1)
+        writes_np = epoch.writes
+        slices_np = self._vectorized_slices(epoch.addrs, epoch.derived)
+        channels_np = self._vectorized_channels(epoch.addrs, epoch.derived)
+        by_slice = np.bincount(
+            (hk * np.int64(L) + slices_np) * np.int64(2) + writes_np,
+            minlength=P * 3 * L * 2).reshape(P, 3, L, 2)
+        miss = np.bincount(
+            (hk * np.int64(Ch) + channels_np) * np.int64(2) + writes_np,
+            minlength=P * 3 * Ch * 2).reshape(P, 3, Ch, 2)[:, 0]
+        by_pair = by_slice.sum(axis=(2, 3))              # (P, 3)
+        # Stage-0 legs: every access; stage-1 legs: two-stage accesses
+        # that missed stage 0 (they then miss or hit stage 1).
+        st0 = by_slice.sum(axis=1)                       # (P, L, 2)
+        st1 = (by_slice[:, 0] + by_slice[:, 2]) * pt.two[:, None, None]
+        legs: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for st in (st0, st1):
+            cnt = st.sum(axis=2)
+            req = cnt * np.int64(rq) + st[:, :, 1] * np.int64(wd)
+            legs.append((cnt, req, cnt * np.int64(rsp)))
+        (cnt0, req0, rsp0), (cnt1, req1, rsp1) = legs
+        cntm = miss.sum(axis=2)
+        wrm = miss[:, :, 1]
+        reqm = cntm * np.int64(rq) + wrm * np.int64(wd)
+        rspm = cntm * np.int64(rsp)
 
-        def leg_latency(src: int, dst: int) -> float:
-            if src == dst:
-                return 2 * params.latency_noc
-            return 2 * params.latency_noc + \
-                hops(src, dst) * params.latency_ring_hop
+        # LLC slices and crossbar ports: LLC ports, then inter-chip.
+        slice_counts = pt.slice0 @ cnt0 + pt.slice1 @ cnt1     # (K, L)
+        fold_l = pt.fold_slices
+        fold_c = pt.fold_channels
+        port_req = np.concatenate(
+            (pt.slice0 @ req0 + pt.llc1 @ req1,
+             (pt.ic0 @ req0 + pt.ic1 @ req1) @ fold_l
+             + pt.icm @ (reqm @ fold_c)), axis=1)
+        port_rsp = np.concatenate(
+            (pt.slice0 @ rsp0 + pt.llc1 @ rsp1,
+             (pt.ic0 @ rsp0 + pt.ic1 @ rsp1) @ fold_l
+             + pt.icm @ (rspm @ fold_c)), axis=1)
 
-        leg0 = []
-        leg1 = []
-        mem = []
-        for p, plan in enumerate(plans):
-            requester, home = divmod(p, num_chips)
-            leg0.append(leg_latency(requester, plan.stages[0].chip))
-            leg1.append(leg_latency(requester, plan.stages[1].chip)
-                        if len(plan.stages) > 1 else 0.0)
-            last = plan.stages[-1].chip
-            mem_latency = params.latency_dram
-            if last != home:
-                mem_latency += 2 * params.latency_noc + \
-                    hops(last, home) * params.latency_ring_hop
-            mem.append(mem_latency)
-        # Full-length gathers from the tiny per-pair tables, zeroed by the
-        # stage masks, add in the same per-element order as the masked
-        # scatter-adds they replace (leg first, then the LLC latency).
-        lat = np.array(leg0, dtype=np.float64)[pair_np] * probed0
-        lat += params.latency_llc * probed0
-        if probed1.any():
-            lat += np.array(leg1, dtype=np.float64)[pair_np] * probed1
-            lat += params.latency_llc * probed1
-        midx = np.flatnonzero(miss)
-        if midx.size:
-            lat[midx] += np.array(mem, dtype=np.float64)[pair_np.take(midx)]
-        sums = np.bincount(chips_np, weights=lat, minlength=num_chips)
-        for chip in range(num_chips):
+        # Ring messages per directed chip pair, and DRAM per channel.
+        ring_bytes = (pt.fwd0 @ req0.sum(axis=1) + pt.bwd0 @ rsp0.sum(axis=1)
+                      + pt.fwd1 @ req1.sum(axis=1)
+                      + pt.bwd1 @ rsp1.sum(axis=1)
+                      + pt.fwdm @ reqm.sum(axis=1)
+                      + pt.bwdm @ rspm.sum(axis=1))
+        ring_msgs = ((pt.fwd0 + pt.bwd0) @ cnt0.sum(axis=1)
+                     + (pt.fwd1 + pt.bwd1) @ cnt1.sum(axis=1)
+                     + (pt.fwdm + pt.bwdm) @ cntm.sum(axis=1))
+        dram_reads = pt.dram @ (cntm - wrm)                   # (K, Ch)
+        dram_writes = pt.dram @ wrm
+        read_bytes = dram_reads * np.int64(rq + rsp)
+        write_bytes = dram_writes * np.int64(rq + wd + rsp)
+        dram_bytes = int(read_bytes.sum() + write_bytes.sum())
+
+        # Dirty-eviction write-backs: serving chip -> home memory.
+        if ev_addr.size:
+            wb = self.line_size + params.response_header_bytes
+            ev_home = self.page_table.homes_of(
+                ev_addr >> np.int64(self._page_shift))
+            ev_home = np.where(ev_home < 0, ev_serve, ev_home)
+            per = np.bincount(
+                (ev_serve * np.int64(K) + ev_home) * np.int64(Ch)
+                + self._vectorized_channels(ev_addr),
+                minlength=P * Ch).reshape(K, K, Ch)
+            wb_writes = per.sum(axis=0)
+            dram_writes = dram_writes + wb_writes
+            write_bytes = write_bytes + wb_writes * np.int64(wb)
+            dram_bytes += wb * int(ev_addr.size)
+            wb_msgs = per.sum(axis=2).reshape(-1) * pt.off_diagonal
+            ring_msgs = ring_msgs + wb_msgs
+            ring_bytes = ring_bytes + wb_msgs * np.int64(wb)
+
+        stats = self.stats
+        for xbar, req_row, rsp_row in zip(self.crossbars, port_req.tolist(),
+                                          port_rsp.tolist()):
+            xbar.charge_ports(req_row, rsp_row)
+        for part, charges in zip(self.dram, zip(
+                read_bytes.tolist(), dram_reads.tolist(),
+                write_bytes.tolist(), dram_writes.tolist())):
+            part.charge_channels(*charges)
+        ring_b = ring_bytes.tolist()
+        ring_m = ring_msgs.tolist()
+        for d in np.flatnonzero(ring_msgs).tolist():
+            self.ring.charge_bulk(d // K, d % K, ring_b[d], ring_m[d])
+        stats.inter_chip_bytes += int(ring_bytes.sum())
+        stats.dram_bytes += dram_bytes
+        requests = stats.slice_requests
+        requests[:] = [a + b for a, b in
+                       zip(requests, slice_counts.reshape(-1).tolist())]
+        line = self.line_size
+        self._slice_bytes = [
+            [a + b * line for a, b in zip(row, counts)]
+            for row, counts in zip(self._slice_bytes, slice_counts.tolist())]
+
+        # Lookups, hits and response origins, relative to the requester.
+        hits0 = by_pair[:, 1]
+        hits1 = by_pair[:, 2]
+        misses = by_pair[:, 0]
+        hits = int(hits0.sum() + hits1.sum())
+        kstats.accesses += n
+        kstats.llc_lookups += n
+        kstats.llc_hits += hits
+        origins = stats.responses_by_origin
+        local_llc = int(hits0 @ pt.local0 + hits1 @ pt.local1)
+        origins[ORIGIN_LOCAL_LLC] += local_llc
+        origins[ORIGIN_REMOTE_LLC] += hits - local_llc
+        local_mem = int(misses @ pt.home_local)
+        origins[ORIGIN_LOCAL_MEM] += local_mem
+        origins[ORIGIN_REMOTE_MEM] += int(misses.sum()) - local_mem
+
+        # Per-access latency for the MLP bound, summed per requester in
+        # access order (see ``_PlanTable.latency``).
+        sums = np.bincount(epoch.chips, weights=pt.latency[hk], minlength=K)
+        for chip in range(K):
             if sums[chip]:
                 self._latency_sum[chip] += float(sums[chip])
 
@@ -1384,31 +1338,18 @@ class SimulationEngine:
                             remote += 1
         else:
             # Vector path: one bank-wide listing of the lane's resident
-            # lines, homed against a sorted snapshot of the page table
-            # in one searchsorted; unallocated pages count as local (as
+            # lines, homed in bulk; unallocated pages count as local (as
             # the serial path's None does).
             per_chip = self.config.chip.llc_slices
             lo = self._bank_base
             cache_idx, addrs = bank.resident_addrs(
                 lo, lo + self.config.num_chips * per_chip)
             if addrs.size:
-                ptab = self.page_table._home
-                pt_pages = np.fromiter(ptab.keys(), dtype=np.int64,
-                                       count=len(ptab))
-                pt_homes = np.fromiter(ptab.values(), dtype=np.int64,
-                                       count=len(ptab))
-                psort = np.argsort(pt_pages)
-                pt_pages = pt_pages[psort]
-                pt_homes = pt_homes[psort]
                 owner = (cache_idx - np.int64(lo)) // np.int64(per_chip)
-                homes = owner
-                if pt_pages.size:
-                    pages = addrs >> np.int64(self.page_table._page_shift)
-                    pos = np.minimum(np.searchsorted(pt_pages, pages),
-                                     pt_pages.size - 1)
-                    homes = np.where(pt_pages[pos] == pages, pt_homes[pos],
-                                     owner)
-                remote = int(np.count_nonzero(homes != owner))
+                homes = self.page_table.homes_of(
+                    addrs >> np.int64(self.page_table._page_shift))
+                remote = int(np.count_nonzero((homes >= 0)
+                                              & (homes != owner)))
                 local = int(addrs.size) - remote
         total = local + remote
         if total == 0 or weight <= 0:

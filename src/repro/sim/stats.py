@@ -260,6 +260,64 @@ class RunStats:
         }
 
 
+def check_invariants(stats: RunStats, single_stage: bool = False) -> None:
+    """Raise ``AssertionError`` unless ``stats`` keeps the accounting
+    identities every figure relies on.
+
+    They hold for any workload, organization and execution path: one
+    response per access and one top-level lookup per access; kernel
+    records tile the run; epoch time attributed to bottlenecks plus the
+    per-kernel overheads (which include flushes) is the run's cycles;
+    the allocation fractions partition the resident lines; and every
+    access probes at least one slice, exactly one when every route plan
+    of the run is ``single_stage``.
+    """
+    errors: List[str] = []
+
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            errors.append(what)
+
+    responses = sum(stats.responses_by_origin.values())
+    need(responses == stats.accesses,
+         f"response origins sum to {responses}, not {stats.accesses}")
+    need(stats.llc_lookups == stats.accesses,
+         f"{stats.llc_lookups} lookups for {stats.accesses} accesses")
+    need(0 <= stats.llc_hits <= stats.llc_lookups,
+         f"{stats.llc_hits} hits for {stats.llc_lookups} lookups")
+    accesses = sum(k.accesses for k in stats.kernels)
+    need(accesses == stats.accesses,
+         f"kernel accesses sum to {accesses}, not {stats.accesses}")
+    cycles = sum(k.cycles for k in stats.kernels)
+    need(abs(cycles - stats.cycles) <= 1e-9 * abs(stats.cycles),
+         f"kernel cycles sum to {cycles!r}, not {stats.cycles!r}")
+    overheads = sum(k.reconfig_cycles for k in stats.kernels)
+    attributed = sum(stats.bottleneck_cycles.values())
+    need(abs(attributed + overheads - stats.cycles)
+         < 1e-6 * stats.cycles + 1e-6,
+         f"bottlenecks {attributed!r} + overheads {overheads!r} != "
+         f"cycles {stats.cycles!r}")
+    need(stats.flush_cycles <= overheads + 1e-9,
+         f"flush cycles {stats.flush_cycles!r} exceed the overheads "
+         f"{overheads!r}")
+    local, remote = stats.llc_local_fraction, stats.llc_remote_fraction
+    need(0.0 <= remote <= 1.0,
+         f"remote allocation fraction {remote!r} outside [0, 1]")
+    # Each Figure 9 sample adds ``weight * local / total``, which for an
+    # all-local sample can round one ulp above ``weight``, so the local
+    # fraction may read 1.0000000000000002; allow that rounding only.
+    need(0.0 <= local <= 1.0 + 1e-9,
+         f"local allocation fraction {local!r} outside [0, 1 + 1e-9]")
+    need(not (local or remote) or abs(local + remote - 1.0) < 1e-9,
+         f"allocation fractions {local!r} + {remote!r} != 1")
+    probes = sum(stats.slice_requests)
+    need(probes == stats.llc_lookups if single_stage
+         else probes >= stats.llc_lookups,
+         f"{probes} slice requests for {stats.llc_lookups} lookups")
+    if errors:
+        raise AssertionError("; ".join(errors))
+
+
 def speedup(baseline: RunStats, candidate: RunStats) -> float:
     """Speedup of ``candidate`` over ``baseline`` (cycles ratio)."""
     if candidate.cycles <= 0:

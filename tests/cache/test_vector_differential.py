@@ -8,10 +8,13 @@ dirty bit), the final ``CacheStats`` and the final resident state
 (including LRU order) must be identical.  Single-cache batches run on a
 one-cache :class:`VectorBank`, as the engine drives it: the grouped
 kernel when unpartitioned, a single-stage staged call when partitioned.
-Streams the bank declines (foreign-partition residents, a tag resident
-in another partition's ways, a zero-way partition still holding lines)
-run through the scalar ``VectorCache.access`` loop, which is what the
-serial engine executes for them.
+Partitioned streams draw each line's partition from its address (see
+:func:`line_partitions`), as the engine's plan table does: the staged
+solver never looks for a tag in another partition's ways.  Streams the
+bank declines (foreign-partition residents, over-allotted rows the
+drain model cannot describe) run through the scalar
+``VectorCache.access`` loop, which is what the serial engine executes
+for them.
 """
 
 import numpy as np
@@ -55,10 +58,20 @@ def random_stream(rng, num_sets, assoc, n, write_frac, base=0):
     return addrs.astype(np.int64), writes
 
 
+def line_partitions(addrs, num_sets, num_partitions=2):
+    """Each access's partition as a function of its line's tag bits, the
+    way the engine's homes follow pages: one line, one partition."""
+    return ((addrs // LINE // num_sets) % num_partitions).astype(np.int64)
+
+
 def reference_outcomes(cache, addrs, writes, partition=UNPARTITIONED,
                        allocate_on_miss=True):
-    """Per-access outcomes from the scalar model, as BatchResult arrays."""
+    """Per-access outcomes from the scalar model, as BatchResult arrays.
+
+    ``partition`` is one partition id or a per-access array of them.
+    """
     n = len(addrs)
+    parts = np.broadcast_to(np.asarray(partition, dtype=np.int64), (n,))
     hits = np.zeros(n, dtype=bool)
     ev_addr = np.full(n, -1, dtype=np.int64)
     ev_dirty = np.zeros(n, dtype=bool)
@@ -66,7 +79,7 @@ def reference_outcomes(cache, addrs, writes, partition=UNPARTITIONED,
     for i in range(n):
         try:
             result = cache.access(int(addrs[i]), bool(writes[i]),
-                                  partition=partition,
+                                  partition=int(parts[i]),
                                   allocate_on_miss=allocate_on_miss)
         except PartitionFullError:
             continue
@@ -94,16 +107,18 @@ def bank_batch(bank, addrs, writes, partition=UNPARTITIONED):
     """Resolve one batch on a one-cache bank the way the engine does.
 
     Unpartitioned caches take the grouped kernel; partitioned ones a
-    single-stage staged call probing ``partition``.  ``None`` means the
-    bank declined.
+    single-stage staged call probing ``partition`` (one id or one per
+    access).  ``None`` means the bank declined.
     """
     n = len(addrs)
     idx = np.zeros(n, dtype=np.int64)
     if bank.caches[0].partition_ways is None:
         return bank.access_many_grouped(idx, addrs, writes)
+    parts = np.broadcast_to(np.asarray(partition, dtype=np.int64),
+                            (n,)).copy()
     return bank.access_many_staged(
-        addrs, writes, idx, np.full(n, partition, dtype=np.int64),
-        np.zeros(n, dtype=bool), idx, np.zeros(n, dtype=np.int64))
+        addrs, writes, idx, parts, np.zeros(n, dtype=bool), idx,
+        np.zeros(n, dtype=np.int64))
 
 
 def engine_batch(bank, addrs, writes, partition=UNPARTITIONED):
@@ -202,10 +217,11 @@ def test_scalar_interludes_stay_bit_identical():
 
 def test_partitioned_batches_match_reference():
     """Way-partitioned batches resolve natively, including repartition
-    mid-stream and a final ``set_partition(None)`` round.  Both
-    partitions draw from one address range, so later batches probe tags
-    resident in the other partition's ways: the bank declines those and
-    the scalar loop resolves them."""
+    mid-stream and a final ``set_partition(None)`` round.  Each line's
+    partition follows its address, so a batch after a repartition
+    probes both the over-full and the growing partition of a row: the
+    bank declines the rows its drain model cannot describe and the
+    scalar loop resolves them."""
     rng = np.random.default_rng(19)
     config = make_config(16, 4)
     ref = SetAssociativeCache(config, "ref")
@@ -215,13 +231,14 @@ def test_partitioned_batches_match_reference():
         ref.set_partition(ways)
         vec.set_partition(ways)
         assert vec.partition_ways == ref.partition_ways == ways
-        for partition in (0, 1, 0):
+        for _ in range(3):
             addrs, writes = random_stream(rng, 16, 4, 150, 0.4)
+            parts = line_partitions(addrs, 16)
             vec_out, declined = engine_batch(bank, addrs, writes,
-                                             partition=partition)
+                                             partition=parts)
             on_kernel += not declined
             assert_identical(
-                reference_outcomes(ref, addrs, writes, partition=partition),
+                reference_outcomes(ref, addrs, writes, partition=parts),
                 vec_out, ref, vec)
     assert on_kernel >= 1
     # Unpartitioning: resident lines keep their partition ids.  The
@@ -250,15 +267,17 @@ def test_partitioned_batch_scalar_interleaved():
     ref.set_partition({0: 2, 1: 1})
     vec.set_partition({0: 2, 1: 1})
     for round_ in range(3):
-        for partition in (0, 1):
+        for _ in range(2):
             addrs, writes = random_stream(rng, 12, 3, 120, 0.4)
+            parts = line_partitions(addrs, 12)
             assert_identical(
-                reference_outcomes(ref, addrs, writes, partition=partition),
-                engine_batch(bank, addrs, writes, partition=partition)[0],
+                reference_outcomes(ref, addrs, writes, partition=parts),
+                engine_batch(bank, addrs, writes, partition=parts)[0],
                 ref, vec)
         addrs, writes = random_stream(rng, 12, 3, 40, 0.4)
+        parts = line_partitions(addrs, 12)
         for i in range(len(addrs)):
-            part = int(addrs[i]) % 2
+            part = int(parts[i])
             ref_r = ref.access(int(addrs[i]), bool(writes[i]),
                                partition=part)
             vec_r = vec.access(int(addrs[i]), bool(writes[i]),
@@ -278,12 +297,16 @@ def test_partition_full_batches_match_reference():
     ways = {0: 3, 1: 1, 2: 0}
     ref.set_partition(ways)
     vec.set_partition(ways)
-    for partition in (0, 2, 1, 2):
+    zero_way = 0
+    for _ in range(4):
         addrs, writes = random_stream(rng, 16, 4, 100, 0.4)
+        parts = line_partitions(addrs, 16, num_partitions=3)
+        zero_way += int((parts == 2).sum())
         assert_identical(
-            reference_outcomes(ref, addrs, writes, partition=partition),
-            engine_batch(bank, addrs, writes, partition=partition)[0],
+            reference_outcomes(ref, addrs, writes, partition=parts),
+            engine_batch(bank, addrs, writes, partition=parts)[0],
             ref, vec)
+    assert zero_way > 0
     # A partition id absent from the map also raises in both models.
     with pytest.raises(PartitionFullError):
         ref.access(9_999 * LINE, False, partition=5)
@@ -392,6 +415,43 @@ def test_drain_and_residency_native_paths():
     assert ref.occupancy() == vec.occupancy() == 0
 
 
+@pytest.mark.parametrize("sectored", [False, True])
+@pytest.mark.parametrize("partition", [None, 0, 1])
+@pytest.mark.parametrize("dirty_only", [False, True])
+def test_bank_drain_matches_per_cache_drains(sectored, partition,
+                                             dirty_only):
+    """``VectorBank.drain`` over a cache range == ``VectorCache.drain``
+    on each cache of it: same dirty lines and counts, same state left."""
+    config = make_config(16, 4, sectored=sectored)
+    banks = [VectorBank(config, [f"s{i}" for i in range(5)])
+             for _ in range(2)]
+    rng = np.random.default_rng(31)
+    for bank in banks:
+        for cache in bank.caches:
+            cache.set_partition({0: 2, 1: 2})
+    for _ in range(3):
+        addrs, writes = random_stream(rng, 16, 4, 600, 0.5)
+        idx = rng.integers(0, 5, size=600).astype(np.int64)
+        parts = line_partitions(addrs, 16)
+        zeros = np.zeros(600, dtype=np.int64)
+        for bank in banks:
+            assert bank.access_many_staged(
+                addrs, writes, idx, parts, np.zeros(600, dtype=bool),
+                idx, zeros) is not None
+    bulk, ref = banks
+    dirty_addrs, lines, dirty = bulk.drain(1, 4, partition=partition,
+                                           dirty_only=dirty_only)
+    per_cache = [ref.caches[i].drain(partition=partition,
+                                     dirty_only=dirty_only)
+                 for i in range(1, 4)]
+    assert sorted(dirty_addrs.tolist()) == sorted(
+        a for addrs_i, _, _ in per_cache for a in addrs_i.tolist())
+    assert lines == sum(n for _, n, _ in per_cache) > 0
+    assert dirty == sum(d for _, _, d in per_cache) == dirty_addrs.size > 0
+    for a, b in zip(bulk.caches, ref.caches):
+        assert final_state(a) == final_state(b)
+
+
 @pytest.mark.parametrize("num_sets,assoc", [(64, 4), (48, 8), (12, 3)])
 @pytest.mark.parametrize("write_frac", [0.0, 0.4])
 def test_sectored_batches_match_reference(num_sets, assoc, write_frac):
@@ -444,16 +504,21 @@ def test_sectored_partitioned_with_scalar_interludes():
     ref.set_partition({0: 3, 1: 1})
     vec.set_partition({0: 3, 1: 1})
     for round_ in range(3):
-        for partition in (0, 1):
+        for _ in range(2):
             addrs, writes = random_stream(rng, 16, 4, 150, 0.3)
+            parts = line_partitions(addrs, 16)
             assert_identical(
-                reference_outcomes(ref, addrs, writes, partition=partition),
-                engine_batch(bank, addrs, writes, partition=partition)[0],
+                reference_outcomes(ref, addrs, writes, partition=parts),
+                engine_batch(bank, addrs, writes, partition=parts)[0],
                 ref, vec)
         addrs, writes = random_stream(rng, 16, 4, 30, 0.3)
+        parts = line_partitions(addrs, 16)
         for i in range(len(addrs)):
-            ref_r = ref.access(int(addrs[i]), bool(writes[i]), partition=1)
-            vec_r = vec.access(int(addrs[i]), bool(writes[i]), partition=1)
+            part = int(parts[i])
+            ref_r = ref.access(int(addrs[i]), bool(writes[i]),
+                               partition=part)
+            vec_r = vec.access(int(addrs[i]), bool(writes[i]),
+                               partition=part)
             assert (ref_r.hit, ref_r.sector_miss, ref_r.evicted_addr) == \
                 (vec_r.hit, vec_r.sector_miss, vec_r.evicted_addr)
     assert ref.stats == vec.stats

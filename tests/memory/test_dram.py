@@ -1,6 +1,9 @@
 """Unit tests for the DRAM partition bandwidth model."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import MemoryConfig
 from repro.memory import DramPartition, DramSystem
@@ -81,3 +84,34 @@ class TestEpochBytes:
         assert partition.epoch_bytes() == 150.0
         partition.end_epoch()
         assert partition.epoch_bytes() == 0.0
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4096),
+                          st.booleans()), max_size=80))
+@settings(max_examples=100, deadline=None)
+def test_charge_channels_matches_per_request_charges(requests):
+    """One ``charge_channels`` call == one ``charge`` per request."""
+    bulk, ref = make_partition(), make_partition()
+    read_bytes, reads = [0] * 4, [0] * 4
+    write_bytes, writes = [0] * 4, [0] * 4
+    for channel, num_bytes, is_write in requests:
+        ref.charge(channel, num_bytes, is_write)
+        if is_write:
+            write_bytes[channel] += num_bytes
+            writes[channel] += 1
+        else:
+            read_bytes[channel] += num_bytes
+            reads[channel] += 1
+    bulk.charge_channels(np.array(read_bytes, dtype=np.int64), reads,
+                         write_bytes, np.array(writes, dtype=np.int64))
+    assert bulk.epoch_bytes() == ref.epoch_bytes()
+    assert bulk.epoch_cycles() == ref.epoch_cycles()
+    assert bulk.stats == ref.stats
+
+
+def test_charge_channels_rejects_bad_shapes_and_negatives():
+    partition = make_partition()
+    with pytest.raises(IndexError):
+        partition.charge_channels([0] * 3, [0] * 3, [0] * 3, [0] * 3)
+    with pytest.raises(ValueError):
+        partition.charge_channels([0, -1, 0, 0], [0] * 4, [0] * 4, [0] * 4)

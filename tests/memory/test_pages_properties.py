@@ -1,5 +1,6 @@
 """Property-based tests for the page table."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,3 +56,46 @@ def test_round_robin_is_balanced(stream):
         table.home_chip(addr, chip)
     counts = [table.stats.pages_per_chip.get(c, 0) for c in range(4)]
     assert max(counts) - min(counts) <= 1
+
+
+#: A bulk call (distinct pages with their first toucher), a scalar
+#: access, or a migration of an allocated page.
+steps = st.lists(st.one_of(
+    st.tuples(st.just("bulk"),
+              st.lists(st.tuples(st.integers(0, 300), st.integers(0, 3)),
+                       max_size=40)),
+    st.tuples(st.just("scalar"), st.integers(0, 300), st.integers(0, 3)),
+    st.tuples(st.just("migrate"), st.integers(0, 300), st.integers(0, 3)),
+), min_size=1, max_size=25)
+
+
+@given(steps, st.sampled_from(["first-touch", "round-robin"]))
+@settings(max_examples=150, deadline=None)
+def test_bulk_home_matches_per_access_home_chip(script, policy):
+    """``bulk_home``/``homes_of`` == per-access ``home_chip``/``lookup``,
+    with scalar allocations and migrations interleaved."""
+    bulk = PageTable(page_size=4096, num_chips=4, policy=policy)
+    ref = PageTable(page_size=4096, num_chips=4, policy=policy)
+    for step in script:
+        if step[0] == "bulk":
+            first = dict(step[1])          # distinct pages, touch order
+            pages = np.array(list(first), dtype=np.int64)
+            chips = np.array(list(first.values()), dtype=np.int64)
+            homes = bulk.bulk_home(pages, chips)
+            assert homes.dtype == np.int64
+            assert homes.tolist() == [ref.home_chip(p << 12, c)
+                                      for p, c in first.items()]
+        elif step[0] == "scalar":
+            _, page, chip = step
+            assert bulk.home_chip(page << 12, chip) == \
+                ref.home_chip(page << 12, chip)
+        elif ref.lookup(step[1] << 12) is not None:
+            _, page, chip = step
+            assert bulk.migrate(page, chip) == ref.migrate(page, chip)
+        probe = np.arange(0, 302, dtype=np.int64)
+        expect = [ref.lookup(p << 12) for p in probe.tolist()]
+        assert bulk.homes_of(probe).tolist() == \
+            [-1 if h is None else h for h in expect]
+    assert dict(bulk.pages()) == dict(ref.pages())
+    assert list(bulk.pages()) == list(ref.pages())
+    assert bulk.stats == ref.stats

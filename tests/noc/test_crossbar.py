@@ -1,6 +1,9 @@
 """Unit tests for the intra-chip crossbar model."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import NoCConfig
 from repro.noc import Crossbar
@@ -86,3 +89,25 @@ class TestDiagnostics:
         xbar.reset()
         assert xbar.stats.total_bytes == 0
         assert xbar.epoch_cycles() == 0.0
+
+
+@given(st.lists(st.tuples(st.integers(0, 21), st.integers(0, 5000),
+                          st.integers(0, 5000)), max_size=60))
+@settings(max_examples=100, deadline=None)
+def test_charge_ports_matches_per_port_charges(charges):
+    """One ``charge_ports`` call == one request/response charge per
+    message: same epoch loads, totals, epoch cycles and stats."""
+    bulk, ref = make_crossbar(), make_crossbar()
+    ports = len(ref.port_loads()["request"])
+    req = [0] * ports
+    rsp = [0] * ports
+    for port, req_bytes, rsp_bytes in charges:
+        ref.charge_request(port, req_bytes)
+        ref.charge_response(port, rsp_bytes)
+        req[port] += req_bytes
+        rsp[port] += rsp_bytes
+    bulk.charge_ports(np.array(req, dtype=np.int64), rsp)
+    assert bulk.port_loads() == ref.port_loads()
+    assert bulk.epoch_bytes() == ref.epoch_bytes()
+    assert bulk.epoch_cycles() == ref.epoch_cycles()
+    assert bulk.stats == ref.stats

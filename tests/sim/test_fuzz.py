@@ -9,6 +9,8 @@ from its domain.
 
 import dataclasses
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +23,12 @@ from repro.arch import (
     with_sectored_llc,
 )
 from repro.sim import EngineParams, simulate
-from repro.sim.run import ORGANIZATIONS
+from repro.sim.engine import SimulationEngine
+from repro.sim.run import ORGANIZATIONS, make_organization, scaled_config
+from repro.sim.stats import check_invariants
 from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
+from repro.workloads.generator import EpochTrace, KernelTrace, TraceGenerator
+from repro.workloads.suite import get
 
 SCALE = 1.0 / 64
 
@@ -45,6 +51,9 @@ VECTOR_CONFIGS = {
 #: so those draws run longer kernels.
 VECTOR_ORGS = [(org, {}, 3) for org in ORGANIZATIONS] + [
     ("dynamic", {"min_remote_ways": 0}, 16)]
+
+#: Organizations whose every route plan probes one slice.
+SINGLE_STAGE = ("memory-side", "sm-side", "sac")
 
 
 @st.composite
@@ -78,26 +87,9 @@ def workload_specs(draw, max_epochs=3):
 def test_accounting_invariants(spec, organization):
     stats = simulate(spec, organization, scale=SCALE,
                      accesses_per_epoch=256)
-    # One response per access; one top-level lookup per access.
-    assert sum(stats.responses_by_origin.values()) == stats.accesses
-    assert stats.llc_lookups == stats.accesses
-    assert 0 <= stats.llc_hits <= stats.llc_lookups
-    # Time moves forward and every epoch is attributed to a bottleneck.
-    # Non-epoch time is exactly the per-kernel overhead charges (which
-    # include flush cycles — flush_cycles is a subset, not additive).
+    # Time moves forward; the identities every figure relies on hold.
     assert stats.cycles > 0
-    overheads = sum(k.reconfig_cycles for k in stats.kernels)
-    attributed = sum(stats.bottleneck_cycles.values())
-    assert abs(attributed + overheads - stats.cycles) < 1e-6 * stats.cycles \
-        + 1e-6
-    assert stats.flush_cycles <= overheads + 1e-9
-    # Allocation fractions are a partition of the resident lines.
-    assert 0.0 <= stats.llc_remote_fraction <= 1.0
-    if stats.llc_local_fraction or stats.llc_remote_fraction:
-        total = stats.llc_local_fraction + stats.llc_remote_fraction
-        assert abs(total - 1.0) < 1e-9
-    # Kernel records tile the run.
-    assert sum(k.accesses for k in stats.kernels) == stats.accesses
+    check_invariants(stats, single_stage=organization in SINGLE_STAGE)
 
 
 @given(workload_specs())
@@ -173,5 +165,51 @@ def test_vector_path_matches_serial_oracle(run_args):
     oracle = run(EngineParams(vectorized=False))
     assert vector.slow_epochs == 0
     assert vector.comparable_dict() == oracle.comparable_dict()
+    check_invariants(vector, single_stage=organization in SINGLE_STAGE)
     if not org_kwargs:
         assert vector.scalar_epochs == 0
+
+
+def _with_line_offsets(kernels, line_size, sector_size):
+    """The kernels with each access moved to a deterministic sector of
+    its line.  Generated addresses are line-aligned, so every access
+    would touch sector 0 and no sector miss could occur."""
+    sectors = line_size // sector_size
+    out = []
+    for kernel in kernels:
+        epochs = []
+        for epoch in kernel.epochs:
+            i = np.arange(len(epoch), dtype=np.int64)
+            offsets = ((i * 7 + (epoch.addrs >> np.int64(7))) % sectors) \
+                * np.int64(sector_size) + i % np.int64(sector_size)
+            epochs.append(EpochTrace(
+                chips=epoch.chips, clusters=epoch.clusters,
+                addrs=(epoch.addrs & ~np.int64(line_size - 1)) + offsets,
+                writes=epoch.writes, compute_cycles=epoch.compute_cycles))
+        out.append(KernelTrace(kernel.name, tuple(epochs)))
+    return out
+
+
+@pytest.mark.parametrize("organization", ["static", "dynamic", "sac"])
+def test_sector_offsets_match_serial_oracle(organization):
+    """Vector path == serial oracle on a sectored LLC whose accesses
+    spread over every sector of their lines, so sector misses occur."""
+    config = scaled_config(with_sectored_llc(baseline()), SCALE)
+    llc = config.chip.llc_slice
+    generator = TraceGenerator(
+        get("RN"), num_chips=config.num_chips,
+        clusters_per_chip=config.chip.num_clusters,
+        line_size=config.line_size, page_size=config.page_size,
+        accesses_per_epoch_per_chip=256, scale=SCALE)
+    kernels = _with_line_offsets(list(generator.kernels()), llc.line_size,
+                                 llc.line_size // llc.sectors_per_line)
+
+    def run(params):
+        engine = SimulationEngine(
+            config, make_organization(organization, config), params=params)
+        return engine.run(kernels, benchmark="RN+offsets")
+    vector = run(EngineParams())
+    oracle = run(EngineParams(vectorized=False))
+    assert vector.vector_epochs > 0 and vector.scalar_epochs == 0
+    assert vector.comparable_dict() == oracle.comparable_dict()
+    check_invariants(vector, single_stage=organization in SINGLE_STAGE)
