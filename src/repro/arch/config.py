@@ -285,15 +285,15 @@ class SystemConfig:
     sac: SACConfig = field(default_factory=SACConfig)
     clock_ghz: float = 1.0
     page_allocation: str = "first-touch"
-    cta_scheduling: str = "distributed"
 
     def __post_init__(self) -> None:
         _require(self.num_chips >= 1, "need at least one chip")
         _require(self.clock_ghz > 0, "clock must be positive")
         _require(self.page_allocation in ("first-touch", "round-robin"),
                  f"unsupported page allocation: {self.page_allocation!r}")
-        _require(self.cta_scheduling in ("distributed", "round-robin"),
-                 f"unsupported CTA scheduling: {self.cta_scheduling!r}")
+        _require(self.num_chips == 1 or self.chip.noc.inter_chip_ports > 0,
+                 "a multi-chip system needs at least one inter-chip port "
+                 "per chip")
 
     # -- Derived totals -------------------------------------------------
 

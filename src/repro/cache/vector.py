@@ -4,11 +4,11 @@
 slices in one shared set of numpy arrays and resolves whole batches of
 accesses at once, advancing every touched set in numpy steps instead
 of one Python probe per access, so the simulation engine resolves an
-entire epoch across every (chip, slice) pair with a single kernel
-invocation (:meth:`VectorBank.access_many_grouped` for uniform
-single-stage epochs, :meth:`VectorBank.access_many_staged` for the
-partitioned two-stage lookup plans of the static/dynamic/SAC
-organizations).  Each slice is a :class:`VectorCache`: the state view
+entire epoch across every (chip, slice) pair in one kernel call
+(:meth:`VectorBank.access_many_grouped`, uniform single-stage epochs)
+or two (:meth:`VectorBank.access_many_staged`, the partitioned
+two-stage L1.5 plan table of the static and dynamic organizations).
+Each slice is a :class:`VectorCache`: the state view
 of its rows that the organizations repartition, the engine drains at
 kernel boundaries and the differential tests compare against
 :class:`SetAssociativeCache`, plus the scalar ``access``/``fill`` the
@@ -33,18 +33,18 @@ bitmask column.  A lazily-created ``stamp`` column (global access
 counter) records every line's last touch so per-set LRU order can be
 merged *across* slots when scalar semantics require a global view.
 
-A partition occupying more ways than its current allotment (after
-``set_partition`` shrinks it) stays on the kernel in the bank's staged
-path: the growing slots' fills drain the over-full slot's LRU lines
-one at a time, with the kernel run in passes between drains — in
-either direction of the two-stage phase split, the mirrored one via a
-fixed point (see :meth:`VectorBank._mirror_drains`).  The staged path
-relies on its callers' domain: a line is only ever probed under one
-partition per cache, and no row is probed in both phases (see
-:meth:`VectorBank.access_many_staged`).  An epoch that probes an
-over-allotted row the drain model cannot describe (a zero-way over
-slot, allotments that do not sum to the associativity, probes on both
-sides of the phase split) is declined whole, before any state
+The staged path takes calls of the L1.5 table's shape only, checked
+per call (see :meth:`VectorBank.access_many_staged`), and resolves an
+epoch in two kernel calls: phase 1 over the REMOTE probes, phase 2
+over the LOCAL ones.  A partition occupying more ways than its current
+allotment (after ``set_partition`` shrinks it) stays on the kernel:
+the growing slot's fills drain the over-full slot's LRU lines one at a
+time, each as a *drain step* in the call that probes the over slot.
+Which slot is over sets the direction; the mirrored one (REMOTE over,
+drained by phase-2 fills) is solved as a fixed point before phase 1
+(see :meth:`VectorBank._mirror_drains`).  An epoch that probes an
+over-allotted row the drain model cannot describe (on the engine's
+tables, a zero-way over slot) is declined whole, before any state
 changes, and the engine reruns it serially.  Scalar ``access``/``fill``
 calls apply exact scalar semantics to one set at a time
 (:class:`_SetReplay`) and write it back into the arrays.
@@ -69,11 +69,13 @@ touched rows advance in lockstep, one access per row per numpy step.
   with a matching tag outranking every key, gives the hit way or else
   the LRU victim.  The old tag and key are the eviction report; the
   new key is ``(r << 1) | write``, keeping the old dirty bit on a hit.
-  Sector masks and stamps ride along.
+  Sector masks and stamps ride along.  A drain step matches no tag, so
+  it takes the LRU line, and keys the slot ``_NEVER``: the row's
+  capacity shrinks by one.
 * *Write-back*: one ``argsort`` per touched row by key restores the
   packed LRU -> MRU layout that :meth:`VectorCache.drain`,
-  :meth:`VectorBank._apply_drain`, :func:`_stack_depths` and
-  :class:`_SetReplay` read.
+  :func:`_stack_depths` and :class:`_SetReplay` read; free and retired
+  slots go last.
 
 A batch costs one step per access of its busiest row, each a handful
 of numpy calls over the rows still live.
@@ -223,7 +225,8 @@ def _geometry_of(config: CacheConfig) -> _Geometry:
 
 
 #: Tag of an empty slot in the kernel's working block.  Line addresses,
-#: hence tags, are non-negative, so no access can match it.
+#: hence tags, are non-negative, so no access can match it.  Tags below
+#: it mark drain steps (see :func:`_batch_resolve`).
 _FREE = -1
 #: Key of a slot at or above its row's capacity: above every other key,
 #: so it is never the LRU choice.  Even, so it reads as clean.
@@ -281,6 +284,27 @@ def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
+def _expect_l15(site: str, call: StagedLaneCall) -> None:
+    """Check a staged call against the L1.5 table's partition shape.
+
+    Single-stage and stage-1 probes are on LOCAL (``UNPARTITIONED``,
+    slot 0); the stage-0 probes of two-stage accesses are on one other
+    partition.  A call outside it is a sanitizer ``contract`` violation,
+    raised before any state changes.
+    """
+    ts = call.two_stage
+    remote = call.part0[ts]
+    _sanitize.require(
+        site,
+        bool((call.part0[~ts] == UNPARTITIONED).all()
+             and (call.part1[ts] == UNPARTITIONED).all()
+             and (remote == remote[:1]).all()
+             and (remote != UNPARTITIONED).all()),
+        "probes outside the L1.5 shape: single-stage and stage-1 probes "
+        "must be on LOCAL, the stage-0 probes of two-stage accesses on "
+        "one other partition")
+
+
 def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
                    geo: _Geometry, rows: np.ndarray, tg: np.ndarray,
                    wr: np.ndarray,
@@ -296,10 +320,15 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
     in LRU -> MRU order.  ``rows``/``tg``/``wr`` give each access's row,
     tag and write flag in stream order.  ``cap`` is the *logical* row
     capacity (defaults to the physical associativity) — a scalar, or a
-    per-access vector that is constant within each row; every touched
-    row must hold at most its cap on entry, and zero-cap rows resolve
-    as misses that neither fill nor evict (the vectorized
-    ``PartitionFullError`` outcome).  For sectored caches, ``sector``
+    per-access vector that is constant within each row.  A row holding
+    more lines than its cap has no free way under it, so it runs as an
+    LRU at its occupancy; zero-cap rows resolve as misses that neither
+    fill nor evict (the vectorized ``PartitionFullError`` outcome).  An
+    entry whose tag is below ``_FREE`` is a *drain step*: it evicts its
+    row's LRU line, reported like a fill's eviction, and retires the
+    slot, so the row's occupancy drops by one.  Every drain step needs
+    a tag of its own, so that no later entry matches a retired slot.
+    For sectored caches, ``sector``
     is the ``(R, A)`` sector-valid bitmask column, ``sec`` each
     access's sector index, and the returned ``sector_miss`` marks
     tag-hits whose sector was absent.  ``stamp`` (with per-access
@@ -350,9 +379,11 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
     acc = pos[sched]
     t_s = tg[acc]
     # Step r stamps its touches (A + 1 + r) << 1 | write: above every
-    # resident line's key, in rank order.
+    # resident line's key, in rank order.  A drain step retires the
+    # slot it empties: keyed _NEVER, it is never chosen again.
     code = (np.repeat(np.arange(A + 1, A + 1 + steps, dtype=np.int64),
                       live) << np.int64(1)) | wr[acc]
+    code[t_s < _FREE] = _NEVER
 
     # State block: the touched rows' lines keyed (last touch << 1) |
     # dirty.  Resident lines keep their LRU order below every in-batch
@@ -441,8 +472,8 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
         ev_dirty[ea] = (old_k[ev] & 1) != 0
 
     # Write-back: sorting each row by key restores the packed LRU ->
-    # MRU layout, free slots last.
-    occupied = blk_t != _FREE
+    # MRU layout, free and retired slots last.
+    occupied = blk_t >= 0
     order = np.argsort(np.where(occupied, key, np.int64(_NEVER)), axis=1)
     tags[trow, :W] = np.take_along_axis(blk_t, order, axis=1)
     dirty[trow, :W] = (np.take_along_axis(key, order, axis=1) & 1) != 0
@@ -529,43 +560,55 @@ def _stack_depths(rows: np.ndarray, tg: np.ndarray, tags: np.ndarray,
     return np.maximum(-pi - 1, 0) + dom, fway
 
 
-class _MirrorDrains(NamedTuple):
-    """Phase-1 schedule of one plan's mirrored over-allotment drains.
+def _drains_of(urow: np.ndarray, rid: np.ndarray, headroom: np.ndarray,
+               free: np.ndarray) -> np.ndarray:
+    """Which growth-fill candidates of under slots drain their row.
 
-    ``cap`` is each access's stage-0 capacity: at a mirrored row, the
-    over slot's occupancy less the drains before the probe.  Rows where
-    a stage-0 probe follows a drain run in passes, one per drain count:
-    ``staged`` lists those rows' probes (stream positions) and
-    ``pass_of`` their drain counts; every other stage-0 probe takes the
-    ordinary phase-1 pass.  The drains themselves are the under slots'
-    growth fills past each row's free ways: stream position of the
-    draining phase-2 access, over-slot kernel row and drain index
-    within the row.
+    The candidates are fills of under-slot kernel rows ``urow`` in
+    (cache, set) rows ``rid``, in stream order.  While below its
+    allotment an under slot never loses a line, so the first
+    ``headroom`` fills of each under row (its allotment less its
+    occupancy) grow it; past the row's ``free`` ways each growth fill
+    evicts the over slot's LRU line.  Returns the indices of the
+    candidates that drain.
+    """
+    g = np.flatnonzero(_seg_rank(urow) < headroom)
+    rg = rid[g]
+    return g[_seg_rank(rg) >= free[rg]]
+
+
+class _OverRows(NamedTuple):
+    """One round's over-allotted rows, read before any call runs.
+
+    Per flat (cache, set) row: ``slot`` is the over slot (the one
+    holding more lines than its allotment), ``cap`` and ``occ`` its
+    allotment and occupancy, ``free`` the row's free ways.  ``cand``
+    (``(C, S)``) marks the rows that can drain; ``count`` is the
+    occupancy snapshot by flat kernel row.  Lanes own disjoint rows, so
+    one snapshot serves every plan of the round.
     """
 
-    cap: np.ndarray       # int64 (n,)
-    staged: np.ndarray    # int64 (m,)
-    pass_of: np.ndarray   # int64 (m,)
-    pos: np.ndarray       # int64 (k,)
-    row: np.ndarray       # int64 (k,)
-    t: np.ndarray         # int64 (k,)
+    cand: np.ndarray
+    slot: np.ndarray
+    cap: np.ndarray
+    occ: np.ndarray
+    free: np.ndarray
+    count: np.ndarray
 
 
 class _StagedPlan(NamedTuple):
-    """One lane's staged epoch, decomposed into two row-disjoint phases.
+    """One lane's staged epoch: the probes of its two kernel calls.
 
-    ``krow0``/``krow1`` are lane-local kernel rows (the lane's cache
-    offset applies as a row offset of ``lo * S``); ``idx0a``/``idx1a``
-    are absolute cache indices.  ``drains`` marks the (cache, set) rows
-    whose over slot is probed in phase 2 (drained by phase-1 growth
-    fills); ``mirror`` schedules the rows whose over slot is probed in
-    phase 1 (drained by phase-2 growth fills).
+    Cache indices (``idx0a``/``idx1a``) and kernel rows are absolute.
+    ``grow`` marks the flat (cache, set) rows whose over slot is LOCAL:
+    phase-1 fills drain them.  ``mirror`` holds the drains of the rows
+    whose over slot is the remote one (draining stream position, flat
+    (cache, set) row), solved before phase 1.
     """
 
     k: int
     call: StagedLaneCall
     ranges: Tuple[Tuple[int, int], ...]
-    lo: int
     idx0a: np.ndarray
     idx1a: np.ndarray
     sets: np.ndarray
@@ -575,13 +618,8 @@ class _StagedPlan(NamedTuple):
     cap1: np.ndarray
     krow0: np.ndarray
     krow1: np.ndarray
-    drains: Optional[np.ndarray]
-    mirror: Optional[_MirrorDrains]
-
-    @property
-    def cap_p1(self) -> np.ndarray:
-        """Stage-0 capacities of the phase-1 probes."""
-        return self.mirror.cap if self.mirror is not None else self.cap0
+    grow: Optional[np.ndarray]
+    mirror: Optional[Tuple[np.ndarray, np.ndarray]]
 
 
 class _SlotStore:
@@ -1062,20 +1100,19 @@ class VectorBank:
 
     The engine builds a bank only for runs that take the vector path;
     it groups an epoch's accesses by flat cache index and resolves them
-    against the shared arrays in one kernel invocation:
-    :meth:`access_many_grouped` for uniform single-stage epochs, and
-    :meth:`access_many_staged` for the L1.5 two-stage plan table
-    (static, dynamic), which decomposes the epoch into two row-disjoint
-    phases — the stage-0 kernel, then the stage-1 + single-stage
-    kernel — each exact because, on that table, no row is touched by
-    both (see its precondition).  Rows left over-allotted by a
-    repartition drain inside those phases.  Each entry point is the
-    one-call case of the body its ``*_shared`` twin runs with one call
-    per stacked lane.  An epoch either entry point declines — a gate,
-    or a staged epoch that probes an over-allotted row the drain model
-    cannot describe — comes back ``None`` before any state changes;
-    the engine resolves it serially.  :meth:`drain` invalidates a
-    range of caches in one pass.
+    against the shared arrays: :meth:`access_many_grouped` in one
+    kernel call for uniform single-stage epochs, and
+    :meth:`access_many_staged` in two for the L1.5 two-stage plan table
+    (static, dynamic) — phase 1 over the REMOTE slot's stage-0 probes,
+    phase 2 over the LOCAL slot's single-stage and stage-1 probes,
+    each exact because, on that checked shape, no kernel row is probed
+    in both.  Rows left over-allotted by a repartition drain inside
+    those two calls, as drain steps.  Each entry point is the one-call
+    case of the body its ``*_shared`` twin runs with one call per
+    stacked lane.  An epoch either entry point declines — a gate, or a
+    staged epoch that probes a zero-way over slot — comes back ``None``
+    before any state changes; the engine resolves it serially.
+    :meth:`drain` invalidates a range of caches in one pass.
     """
 
     def __init__(self, config: CacheConfig, names: Sequence[str]) -> None:
@@ -1266,148 +1303,25 @@ class VectorBank:
             live.append(k)
         return live, cap_of
 
-    def _slots_for(self, parts: np.ndarray) -> np.ndarray:
-        """Map per-access partition ids to store slot indices (-1: none).
+    def _drain_rows_static(self, cap_of: np.ndarray) -> _OverRows:
+        """The round's over-allotted rows (see :class:`_OverRows`).
 
-        Iterates the slot map (a handful of partitions) instead of the
-        access array's unique values — no 32k-element sort per epoch.
-        """
-        out = np.full(parts.shape, -1, dtype=np.int64)
-        for pid, slot in self._store.slot_of.items():
-            out[parts == pid] = slot
-        return out
-
-    def _drain_rows_static(self, cap_of: np.ndarray, count0: np.ndarray
-                           ) -> Tuple[np.ndarray, np.ndarray]:
-        """State-side drain eligibility per (cache, set) row.
-
-        A row qualifies when exactly one slot holds more lines than its
-        allotment (the *over* slot), the cache's allotments sum to the
-        associativity (so under-slot growth and over-slot surplus are
-        two views of one quantity) and the over slot keeps at least one
-        way.  Returns the candidate table and the per-row over slot.
+        A row can drain when exactly one slot holds more lines than its
+        allotment (the *over* slot) and that slot keeps at least one
+        way.  Allotments sum to the associativity
+        (``validate_partition_ways``), so the under slots' headroom is
+        the over slot's surplus plus the row's free ways.
         """
         A = self._geo.associativity
-        C = len(self.caches)
-        over = count0 > cap_of.T[:, :, None]          # (P, C, S)
-        o_slot = over.argmax(axis=0)                  # (C, S)
-        cand = over.sum(axis=0) == 1
-        cand &= (cap_of.sum(axis=1) == A)[:, None]
-        cand &= np.take_along_axis(
-            cap_of, o_slot.reshape(C, -1), axis=1).reshape(o_slot.shape) \
-            > 0
-        return cand, o_slot
-
-    def _drain_viol(self, o_slot: np.ndarray, idx0: np.ndarray,
-                    sets: np.ndarray, slot0: np.ndarray,
-                    idx1: np.ndarray, slot1: np.ndarray,
-                    two_stage: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Stream-side drain disqualifications per (cache, set) row.
-
-        A drained row must put its over slot on one side of the phase
-        split and its under slots on the other.  In the *growth*
-        direction stage-0 probes target under slots (phase 1, whose
-        fills drain) and single-stage/stage-1 probes target the over
-        slot (phase 2, run in passes between drains).  The *mirrored*
-        direction swaps the sides: stage-0 probes target the over slot
-        (phase 1 in passes) and phase-2 probes the under slots.
-        Returns the rows each direction rules out.
-        """
-        S = np.int64(o_slot.shape[1])
-        over = o_slot.reshape(-1)
-        rid0 = idx0 * S + sets
-        rid1 = idx1[two_stage] * S + sets[two_stage]
-        on1 = slot1[two_stage] == over[rid1]
-        # A stage-0 probe runs in phase 1 iff its access is two-stage.
-        # Growth wants the over slot in phase 2, so it rules out a probe
-        # that is in phase 1 iff it is on the over slot; the mirrored
-        # direction rules out every other stage-0 probe.  Stage-1 probes
-        # run in phase 2: growth rules out the under slots', mirrored
-        # the over slot's.
-        phase_is_side = two_stage == (slot0 == over[rid0])
-        viol_g = np.zeros(over.size, dtype=bool)
-        viol_m = np.zeros(over.size, dtype=bool)
-        viol_g[rid0[phase_is_side]] = True
-        viol_m[rid0[~phase_is_side]] = True
-        viol_g[rid1[~on1]] = True
-        viol_m[rid1[on1]] = True
-        return viol_g.reshape(o_slot.shape), viol_m.reshape(o_slot.shape)
-
-    def _drain_events(self, drains: np.ndarray, o_slot: np.ndarray,
-                      count0: np.ndarray, cap0: np.ndarray,
-                      idx0: np.ndarray, sets: np.ndarray,
-                      two_stage: np.ndarray, f0: np.ndarray,
-                      krow0_abs: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 np.ndarray, np.ndarray]:
-        """Order one epoch's over-slot drains from phase-1 growth fills.
-
-        An under-slot fill that lands in a *full* row (total occupancy
-        at the associativity) evicts the over slot's LRU line instead
-        of appending — the scalar model's over-eviction.  Phase 1
-        has already solved the under slots natively; this derives, per
-        drained row, which of its fills grew occupancy (rank among the
-        row's fills below the allotment headroom), splits them into
-        free appends and drains at the row's free-slot cutoff, and
-        returns the drain events as (stream position, over kernel row,
-        row id, drain index) plus the per-row over-slot occupancy
-        snapshot that phase 2 uses as its pass-0 capacity.
-        """
-        geo = self._geo
-        S = geo.num_sets
-        A = geo.associativity
-        C = len(self.caches)
-        store = self._store
-        fcount0 = count0.reshape(-1)
-        rid_all = np.arange(C * S, dtype=np.int64)
-        occ_over = np.take_along_axis(
-            count0.reshape(store.num_slots, C * S),
-            o_slot.reshape(1, C * S), axis=0)[0]
-        over_krow = o_slot.reshape(-1) * np.int64(C * S) + rid_all
-        empty = np.zeros(0, dtype=np.int64)
-        gf = np.flatnonzero(f0 & two_stage & drains[idx0, sets])
-        if not gf.size:
-            return empty, empty, empty, empty, occ_over
-
-        # Growth fills: the first (cap - occupancy) fills per under
-        # kernel row raise its occupancy; later fills replace in-slot.
-        rows_u = krow0_abs[gf]
-        growth = _seg_rank(rows_u) < cap0[gf] - fcount0[rows_u]
-        gfi = gf[growth]
-        if not gfi.size:
-            return empty, empty, empty, empty, occ_over
-        # Merge growth fills per (cache, set) row: below the row's free
-        # space they append; past it each one drains the over slot.
-        rid_g = idx0[gfi] * np.int64(S) + sets[gfi]
-        cut = A - count0.sum(axis=0).reshape(-1)[rid_g]
-        t_of = _seg_rank(rid_g) - cut
-        dsel = t_of >= 0
-        return (gfi[dsel], over_krow[rid_g[dsel]], rid_g[dsel],
-                t_of[dsel], occ_over)
-
-    def _apply_drain(self, rows_d: np.ndarray, pos_d: np.ndarray,
-                     ea0: np.ndarray, ed0: np.ndarray) -> None:
-        """Evict each row's over-slot LRU line into its draining access.
-
-        Kernel rows keep physical order as recency order (index 0 is
-        the LRU side), so the drain is a one-line shift: report line 0
-        as the eviction of the under-slot fill at ``pos_d``, slide the
-        row down and shrink its count.
-        """
-        store = self._store
-        geo = self._geo
-        ftags, fdirty, fcount, fsector, fstamp = store.flat()
-        ea0[pos_d] = geo.rebuild(rows_d % np.int64(geo.num_sets),
-                                 ftags[rows_d, 0])
-        ed0[pos_d] = fdirty[rows_d, 0]
-        ftags[rows_d, :-1] = ftags[rows_d, 1:]
-        fdirty[rows_d, :-1] = fdirty[rows_d, 1:]
-        if fsector is not None:
-            fsector[rows_d, :-1] = fsector[rows_d, 1:]
-        if fstamp is not None:
-            fstamp[rows_d, :-1] = fstamp[rows_d, 1:]
-        fcount[rows_d] -= 1
+        count = self._store.count.copy()              # (P, C, S)
+        over = count > cap_of.T[:, :, None]
+        slot = over.argmax(axis=0)                    # (C, S)
+        cap = np.take_along_axis(cap_of, slot, axis=1)
+        occ = np.take_along_axis(count, slot[None], axis=0)[0]
+        return _OverRows(
+            (over.sum(axis=0) == 1) & (cap > 0), slot.reshape(-1),
+            cap.reshape(-1), occ.reshape(-1),
+            A - count.sum(axis=0).reshape(-1), count.reshape(-1))
 
     def _staged_outcome(self, ranges: Sequence[Tuple[int, int]],
                         idx0: np.ndarray, idx1: np.ndarray,
@@ -1437,49 +1351,40 @@ class VectorBank:
         return StagedResult(hs, keys[ev], ev_a[ev])
 
     def _mirror_drains(self, plan: _StagedPlan, mir: np.ndarray,
-                       o_slot: np.ndarray, count0: np.ndarray
-                       ) -> _MirrorDrains:
+                       over: _OverRows) -> Tuple[np.ndarray, np.ndarray]:
         """Schedule the mirrored drains of one plan.
 
         At a mirrored row the over slot R is probed in phase 1 and the
-        under slots regain their ways in phase 2.  While below its
-        allotment an under slot never loses a line (R's misses replace
-        within R), so its growth fills are the first touches of tags it
-        does not hold, up to its headroom; past the row's free ways
-        each one drains R's LRU line.  R itself stays a full LRU that
-        shrinks by one line per drain, so by inclusion a stage-0 probe
-        hits iff its stack depth is below R's occupancy less the drains
-        before it.  Drains depend on which stage-0 probes miss (only
-        misses probe stage 1) and stage-0 verdicts on earlier drains;
-        the coupling is causal and monotone, so iterating from "no
-        drains" reaches the one fixed point, which is the scalar
-        outcome.  Only probes of depth in ``[cap_R, occ_R)`` can change
-        between rounds.  It runs before any phase touches state; the
-        ordinary rows feeding stage-1 probes into mirrored rows are
-        plain LRUs at their allotment, read off the same stack depths.
+        under slots regain their ways in phase 2: their growth-fill
+        candidates are the first touches of tags they do not hold
+        (:func:`_drains_of`).  R itself stays a full LRU that shrinks by
+        one line per drain, so by inclusion a stage-0 probe hits iff its
+        stack depth is below R's occupancy less the drains before it.
+        Drains depend on which stage-0 probes miss (only misses probe
+        stage 1) and stage-0 verdicts on earlier drains; the coupling
+        is causal and monotone, so iterating from "no drains" reaches
+        the one fixed point, which is the scalar outcome.  Only probes
+        of depth in ``[cap_R, occ_R)`` can change between rounds.  It
+        runs before any call touches state; the ordinary rows feeding
+        stage-1 probes into mirrored rows are plain LRUs at their
+        allotment, read off the same stack depths.  Returns each
+        drain's stream position (its draining phase-2 access) and flat
+        (cache, set) row.
         """
         geo = self._geo
         A = geo.associativity
-        S = geo.num_sets
-        CS = len(self.caches) * S
+        S = np.int64(geo.num_sets)
         call = plan.call
         two_stage = call.two_stage
         sets = plan.sets
         tg = plan.tg
         sec = plan.sec
         n = sets.size
-        off = np.int64(plan.lo * S)
-        krow0 = plan.krow0 + off
-        krow1 = plan.krow1 + off
-        rid0 = plan.idx0a * np.int64(S) + sets
-        rid1 = plan.idx1a * np.int64(S) + sets
+        krow0, krow1 = plan.krow0, plan.krow1
+        rid0 = plan.idx0a * S + sets
+        rid1 = plan.idx1a * S + sets
         mirf = mir.reshape(-1)
         ftags, _, fcount, fsector, _ = self._store.flat()
-        ostf = o_slot.reshape(-1)
-        cnt = count0.reshape(count0.shape[0], CS)
-        rid_all = np.arange(CS, dtype=np.int64)
-        occ = cnt[ostf, rid_all]
-        free = A - cnt.sum(axis=0)
 
         # Stage-0 probes of mirrored rows (capacity: R's occupancy less
         # the drains before them) and of the ordinary rows feeding their
@@ -1488,7 +1393,7 @@ class VectorBank:
         rows[rid0[two_stage & mirf[rid1]]] = True
         rp = np.flatnonzero(two_stage & rows[rid0])
         depth, fway = _stack_depths(krow0[rp], tg[rp], ftags, fcount)
-        cap_r = np.where(mirf[rid0[rp]], occ[rid0[rp]], plan.cap0[rp])
+        cap_r = np.where(mirf[rid0[rp]], over.occ[rid0[rp]], plan.cap0[rp])
         # Phase-2 probes of the under slots at mirrored rows, in stream
         # order: single-stage ones always probe, stage-1 ones only when
         # their stage-0 probe misses.
@@ -1555,9 +1460,7 @@ class VectorBank:
             hit[rp] = stage0_hits(d)
             a = np.flatnonzero(~c1 | ~hit[cpos])
             g = a[(_seg_rank(cpair[a]) == 0) & ~cres[a]]
-            g = g[_seg_rank(ckrow[g]) < headroom[g]]
-            t = _seg_rank(crow[g]) - free[crow[g]]
-            dr = g[t >= 0]
+            dr = g[_drains_of(ckrow[g], crow[g], headroom[g], over.free)]
             dkey = np.sort(crow[dr] * np.int64(n + 1) + cpos[dr])
             d_next = np.searchsorted(dkey, base + rp) - \
                 np.searchsorted(dkey, base)
@@ -1566,14 +1469,7 @@ class VectorBank:
             d = d_next
         else:
             raise AssertionError("mirrored drain fixed point diverged")
-        cap = plan.cap0.copy()
-        cap[rp] = cap_r - d
-        split = np.zeros(CS, dtype=bool)
-        split[rid0[rp[d > 0]]] = True
-        staged = split[rid0[rp]]
-        drow = crow[dr]
-        return _MirrorDrains(cap, rp[staged], d[staged], cpos[dr],
-                             ostf[drow] * np.int64(CS) + drow, t[t >= 0])
+        return cpos[dr], crow[dr]
 
     def access_many_staged(self, addrs: np.ndarray, writes: np.ndarray,
                            idx0: np.ndarray, part0: np.ndarray,
@@ -1581,26 +1477,30 @@ class VectorBank:
                            part1: np.ndarray,
                            lanes: Optional[Sequence[Tuple[int, int]]] = None
                            ) -> Optional[StagedResult]:
-        """Resolve one partitioned two-stage epoch on the kernel.
+        """Resolve one partitioned two-stage epoch in two kernel calls.
 
         Every access probes cache ``idx0`` with partition ``part0``;
         where ``two_stage`` and the first probe misses, it then probes
         ``idx1`` with ``part1``.  All caches must be way-partitioned.
 
-        Precondition (not checked): within each cache, a line is only
+        The call must have the L1.5 table's shape (``StaticLLC._build``,
+        the only table the engine sends): single-stage and stage-1
+        probes are on LOCAL (``UNPARTITIONED``), and the stage-0 probes
+        of two-stage accesses are on one other partition.  A call
+        outside it raises a sanitizer ``contract`` violation before any
+        state changes.  Not checked: within each cache a line is only
         ever probed under one partition, so no probe finds its tag in
-        another slot; and no (slot, cache, set) row is probed both by a
-        stage-0 probe of a two-stage access (phase 1) and by a
-        single-stage or stage-1 probe (phase 2).  The engine calls it
-        only on the L1.5 plan table (``StaticLLC._build``) without page
-        migration: a line's slot is then LOCAL exactly where the cache's
-        chip is the line's home, so phase 1 touches only REMOTE rows and
-        phase 2 only LOCAL rows.
+        another slot.  Without page migration a line's slot in a cache
+        is LOCAL exactly where the cache's chip is the line's home, so
+        the engine's epochs keep it.
 
-        Returns None when the epoch probes an over-allotted row the
-        drain model cannot describe (an over slot with no ways,
-        allotments that do not sum to the associativity, or probes that
-        straddle the phase split); the engine then resolves it serially.
+        Phase 1 runs the stage-0 probes of two-stage accesses, phase 2
+        the single-stage probes and the stage-1 probes of stage-0
+        misses, one kernel call each.  Rows left over-allotted by a
+        repartition drain inside those calls, as drain steps.  Returns
+        None when the epoch probes an over-allotted row the drain model
+        cannot describe (on the engine's tables, an over slot with no
+        ways); the engine then resolves it serially.
 
         ``lanes`` narrows the all-partitioned requirement (and the stats
         update) to the probed ``[lo, hi)`` cache ranges of a stacked
@@ -1621,6 +1521,7 @@ class VectorBank:
         _sanitize.expect(site, "two_stage", two_stage, "bool", n)
         _sanitize.expect(site, "idx1", idx1, "int64", n)
         _sanitize.expect(site, "part1", part1, "int64", n)
+        _expect_l15(site, call)
         with _sanitize.guarded(site):
             return self._staged_lanes([call], [ranges])[0]
 
@@ -1629,13 +1530,13 @@ class VectorBank:
     ) -> List[Optional[StagedResult]]:
         """Resolve several lanes' two-stage epochs in one bank call.
 
-        Each lane runs its own phases and kernel calls, under the same
-        unchecked precondition as :meth:`access_many_staged` (one
-        partition per line within a cache, no row probed in both
-        phases); a lane that breaks it resolves wrongly, not ``None``.
-        Only the all-partitioned gate and the drain model decline: such
-        lanes come back as ``None`` and fall back, the others still
-        resolve.
+        Each lane runs its own two kernel calls, under the same checked
+        shape and unchecked precondition as :meth:`access_many_staged`:
+        a call outside the L1.5 shape raises before any lane runs, and
+        a lane that probes one line under two partitions of a cache
+        resolves wrongly, not ``None``.  Only the all-partitioned gate
+        and the drain model decline: such lanes come back as ``None``
+        and fall back, the others still resolve.
         """
         ranges = [(call.lane,) for call in calls]
         site = "VectorBank.access_many_staged_shared"
@@ -1648,6 +1549,7 @@ class VectorBank:
             _sanitize.expect(site, "two_stage", call.two_stage, "bool", n)
             _sanitize.expect(site, "idx1", call.idx1, "int64", n)
             _sanitize.expect(site, "part1", call.part1, "int64", n)
+            _expect_l15(site, call)
         with _sanitize.guarded(site):
             return self._staged_lanes(calls, ranges)
 
@@ -1661,103 +1563,93 @@ class VectorBank:
         cover.  A standalone epoch is the one-call case (offset zero,
         the caller's ranges).  A call that probes an over-allotted row
         the drain model cannot describe comes back ``None`` before any
-        phase touches state.
+        kernel call touches state.
         """
         results: List[Optional[StagedResult]] = [None] * len(calls)
         if not self.caches:
             return results
         store = self._store
         geo = self._geo
-        C = len(self.caches)
-        S = geo.num_sets
+        C = np.int64(len(self.caches))
+        S = np.int64(geo.num_sets)
         live, cap_of = self._lane_caps(ranges_of)
         if not live:
             return results
         store.ensure_stamps()
         flagged = (store.count > cap_of.T[:, :, None]).any(axis=0)
-        count0: Optional[np.ndarray] = None
-        cand0 = o_slot = None
-        if flagged.any():
-            # Occupancy snapshot for the drain model: lanes own
-            # disjoint rows, so one round-start copy serves every plan.
-            count0 = store.count.copy()
-            cand0, o_slot = self._drain_rows_static(cap_of, count0)
+        over = self._drain_rows_static(cap_of) if flagged.any() else None
 
-        # Per-call setup runs before any phase touches state.
+        # Per-call setup runs before any kernel call touches state.
         plans: List[_StagedPlan] = []
         for k in live:
             call = calls[k]
-            ranges = ranges_of[k]
-            lo = call.lane[0]
+            ts = call.two_stage
             sets, tg = geo.split(call.addrs)
-            sec = geo.sector_of(call.addrs) if geo.sectored else None
-            slot0 = self._slots_for(call.part0)
-            slot1 = self._slots_for(call.part1)
-            idx0a = call.idx0 + lo
-            idx1a = call.idx1 + lo
-            cap0 = np.where(slot0 >= 0,
-                            cap_of[idx0a, np.maximum(slot0, 0)], 0)
-            cap1 = np.where(slot1 >= 0,
-                            cap_of[idx1a, np.maximum(slot1, 0)], 0)
-            # Drain-eligible rows of *this lane* leave the flagged
-            # table; a probe of a row still flagged declines the call.
-            # Other lanes' rows stay untouched — their plans judge their
-            # own.
+            idx0a = call.idx0 + np.int64(call.lane[0])
+            idx1a = call.idx1 + np.int64(call.lane[0])
+            # On the L1.5 shape a probe's slot follows from its stage:
+            # LOCAL (slot 0), except the stage-0 probes of two-stage
+            # accesses, which take the remote partition's slot.  A
+            # partition that never had ways has none: its probes are
+            # fill-less misses.
+            remote = call.part0[ts]
+            rslot = store.slot_of.get(int(remote[0]), -1) \
+                if remote.size else -1
+            slot0 = ts * np.int64(max(rslot, 0))
+            cap0 = cap_of[idx0a, slot0]
+            if rslot < 0:
+                cap0[ts] = 0
             grow: Optional[np.ndarray] = None
             mir: Optional[np.ndarray] = None
-            if cand0 is not None:
-                assert o_slot is not None
-                cand = np.zeros_like(cand0)
-                for a, b in ranges:
-                    cand[a:b] = cand0[a:b]
-                viol_g, viol_m = self._drain_viol(
-                    o_slot, idx0a, sets, slot0, idx1a, slot1,
-                    call.two_stage)
-                grow = cand & ~viol_g
-                mir = cand & ~viol_m & ~grow
+            if over is not None:
+                # The over slot sets the direction: a LOCAL one drains by
+                # growth, the remote one mirrored.  This lane's drainable
+                # rows leave the flagged table; a probe of a row still
+                # flagged declines the call.  Other lanes' rows stay
+                # untouched: their plans judge their own.
+                cand = np.zeros_like(over.cand)
+                for a, b in ranges_of[k]:
+                    cand[a:b] = over.cand[a:b]
+                o_slot = over.slot.reshape(cand.shape)
+                grow = cand & (o_slot == 0)
+                mir = cand & (o_slot != 0)
+                if remote.size:
+                    mir &= o_slot == rslot
                 flagged &= ~(grow | mir)
-                ts = call.two_stage
                 if flagged[idx0a, sets].any() or \
                         flagged[idx1a[ts], sets[ts]].any():
                     continue
-            # Lane-local kernel rows; the lane's cache offset is applied
-            # as a row offset (a multiple of S) at solve time.
-            krow0 = (np.maximum(slot0, 0) * np.int64(C) + call.idx0) * \
-                np.int64(S) + sets
-            krow1 = (np.maximum(slot1, 0) * np.int64(C) + call.idx1) * \
-                np.int64(S) + sets
             plan = _StagedPlan(
-                k, call, ranges, lo, idx0a, idx1a, sets, tg, sec, cap0,
-                cap1, krow0, krow1,
-                grow if grow is not None and grow.any() else None, None)
+                k, call, ranges_of[k], idx0a, idx1a, sets, tg,
+                geo.sector_of(call.addrs) if geo.sectored else None,
+                cap0, cap_of[idx1a, 0], (slot0 * C + idx0a) * S + sets,
+                idx1a * S + sets,
+                grow.reshape(-1) if grow is not None and grow.any()
+                else None, None)
             if mir is not None and mir.any():
-                assert count0 is not None and o_slot is not None
+                assert over is not None
                 plan = plan._replace(
-                    mirror=self._mirror_drains(plan, mir, o_slot, count0))
+                    mirror=self._mirror_drains(plan, mir, over))
             plans.append(plan)
 
         # Per-plan clock windows, in plan order.
         for p in plans:
             clock0 = store.clock
             store.clock += p.call.addrs.shape[0]
-            results[p.k] = self._staged_run(p, clock0, count0, o_slot)
+            results[p.k] = self._staged_run(p, clock0, over)
         return results
 
     def _staged_run(self, plan: _StagedPlan, clock0: int,
-                    count0: Optional[np.ndarray],
-                    o_slot: Optional[np.ndarray]) -> StagedResult:
-        """Run one plan's two phases and assemble its outcome."""
+                    over: Optional[_OverRows]) -> StagedResult:
+        """Run one plan's two kernel calls and assemble its outcome."""
         store = self._store
         geo = self._geo
-        C = len(self.caches)
-        S = geo.num_sets
+        CS = np.int64(len(self.caches) * geo.num_sets)
         call = plan.call
-        sets, tg, sec = plan.sets, plan.tg, plan.sec
-        idx0a, idx1a = plan.idx0a, plan.idx1a
+        tg, sec = plan.tg, plan.sec
         two_stage = call.two_stage
         writes = call.writes
         n = call.addrs.shape[0]
-        off = np.int64(plan.lo * S)
         sv = np.arange(clock0, clock0 + n, dtype=np.int64)
         # Stage-major outcomes: entry ``i`` is access i's stage-0 probe,
         # entry ``n + i`` its stage-1 probe.
@@ -1766,126 +1658,85 @@ class VectorBank:
         fill = np.zeros(2 * n, dtype=bool)
         ev_a = np.full(2 * n, -1, dtype=np.int64)
         ev_d = np.zeros(2 * n, dtype=bool)
-        h0 = hit[:n]
-        f0 = fill[:n]
-        ea0, ea1 = ev_a[:n], ev_a[n:]
-        ed0, ed1 = ev_d[:n], ev_d[n:]
+        empty = np.zeros(0, dtype=np.int64)
 
-        def solve(bi: np.ndarray, krows: np.ndarray, caps: np.ndarray,
-                  u1: np.ndarray) -> None:
-            # One kernel call over stream positions ``bi`` (``u1``
-            # marks stage-1 probes).  Zero-way partitions come back as
-            # fill-less misses (the vectorized PartitionFullError
-            # outcome) straight from the kernel's mask.  Fresh views
-            # every call: slot growth can reallocate the arrays.
+        def solve(pos: np.ndarray, krows: np.ndarray, caps: np.ndarray,
+                  at: np.ndarray, dpos: np.ndarray, drid: np.ndarray,
+                  dat: np.ndarray) -> None:
+            # One kernel call over the probes at stream positions
+            # ``pos`` (outcome entries ``at``) and one drain step per
+            # ``dpos`` on the over slot of flat (cache, set) row
+            # ``drid``, reported on entry ``dat``.  The steps merge in
+            # by stream position; a step and its own access's probe
+            # never share a row, as an access's two stages probe
+            # different caches.  Zero-way partitions come back as
+            # fill-less misses straight from the kernel's mask.  Fresh
+            # views every call: slot growth can reallocate the arrays.
+            probe: Union[slice, np.ndarray] = slice(None)
+            t = tg[pos]
+            if dpos.size:
+                assert over is not None
+                m = pos.size
+                order = _stable_order(np.concatenate((pos, dpos)), n)
+                probe = order < m
+                pos = np.concatenate((pos, dpos))[order]
+                krows = np.concatenate(
+                    (krows, over.slot[drid] * CS + drid))[order]
+                caps = np.concatenate((caps, over.cap[drid]))[order]
+                at = np.concatenate((at, dat))[order]
+                # A tag of its own per drain step: its stream position.
+                t = np.where(probe, tg[pos], -2 - pos)
             ftags, fdirty, fcount, fsector, fstamp = store.flat()
             res = _batch_resolve(
-                ftags, fdirty, fcount, geo, krows, tg[bi], writes[bi],
+                ftags, fdirty, fcount, geo, krows, t, writes[pos],
                 cap=caps, sector=fsector,
-                sec=sec[bi] if sec is not None else None,
-                stamp=fstamp, stamp_vals=sv[bi])
-            at = bi + u1 * np.int64(n)
-            fl = ~res.hits & (caps > 0)
+                sec=sec[pos] if sec is not None else None,
+                stamp=fstamp, stamp_vals=sv[pos])
+            ap = at[probe]
+            hits = res.hits[probe]
+            fl = ~hits & (caps[probe] > 0)
             if res.sector_miss is not None:
-                fl &= ~res.sector_miss
-                smiss[at] = res.sector_miss
-            hit[at] = res.hits
-            fill[at] = fl
-            ev_a[at] = res.evicted_addr
-            ev_d[at] = res.evicted_dirty
+                sm = res.sector_miss[probe]
+                fl &= ~sm
+                smiss[ap] = sm
+            hit[ap] = hits
+            fill[ap] = fl
+            # Evictions only: a draining fill reports none of its own,
+            # and must not erase its drain's report.
+            ev = np.flatnonzero(res.evicted_addr >= 0)
+            ev_a[at[ev]] = res.evicted_addr[ev]
+            ev_d[at[ev]] = res.evicted_dirty[ev]
 
-        # Phase 1: stage-0 probes of two-stage accesses, in the first
-        # drain pass below.  Mirrored rows where a stage-0 probe follows
-        # a drain run in passes, each capped at the over slot's
-        # occupancy and followed by the next drain.  The drained lines
-        # are reported on the draining phase-2 accesses once phase 2
-        # has written those.
-        mirror = plan.mirror
-        ok = two_stage & (plan.cap_p1 > 0)
-        if mirror is not None:
-            ok[mirror.staged] = False
-        rest = np.flatnonzero(ok)
-        dea = np.full(n, -1, dtype=np.int64)
-        ded = np.zeros(n, dtype=bool)
-        npass = ndrain = 0
-        if mirror is not None:
-            npass = int(mirror.pass_of.max()) + 1 \
-                if mirror.pass_of.size else 0
-            ndrain = int(mirror.t.max()) + 1 if mirror.t.size else 0
-        for t in range(max(npass, ndrain, 1)):
-            bi = rest if t == 0 else np.zeros(0, dtype=np.int64)
-            if mirror is not None:
-                bi = np.sort(np.concatenate(
-                    (bi, mirror.staged[mirror.pass_of == t])))
-            if bi.size:
-                solve(bi, plan.krow0[bi] + off, plan.cap_p1[bi],
-                      np.zeros(bi.size, dtype=bool))
-            if mirror is not None:
-                sel_t = mirror.t == t
-                if sel_t.any():
-                    self._apply_drain(mirror.row[sel_t], mirror.pos[sel_t],
-                                      dea, ded)
+        # Phase 1: the stage-0 probes of two-stage accesses, with the
+        # mirrored rows' drain steps, each reported where its access
+        # fills.
+        b1 = np.flatnonzero(two_stage & (plan.cap0 > 0))
+        mpos, mrid = plan.mirror if plan.mirror is not None else \
+            (empty, empty)
+        if b1.size or mpos.size:
+            solve(b1, plan.krow0[b1], plan.cap0[b1], b1, mpos, mrid,
+                  np.where(two_stage[mpos], mpos + n, mpos))
 
-        # Growth-direction rows: phase 1 solved their under slots
-        # natively; derive which of those fills evict the over slot's
-        # LRU.
-        dr = None
-        if plan.drains is not None:
-            assert count0 is not None and o_slot is not None
-            dr = self._drain_events(plan.drains, o_slot, count0, plan.cap0,
-                                    idx0a, sets, two_stage, f0,
-                                    plan.krow0 + off)
+        # Phase 2: single-stage probes and the stage-1 probes of
+        # stage-0 misses, with the growth rows' drain steps: phase 1's
+        # fills that drain, each reported on its own stage-0 entry.
+        p1k = two_stage & ~hit[:n]
+        b2 = np.flatnonzero(~two_stage | p1k)
+        use1 = p1k[b2]
+        gpos = grid = empty
+        if plan.grow is not None:
+            assert over is not None
+            rid0 = plan.idx0a * np.int64(geo.num_sets) + plan.sets
+            gf = np.flatnonzero(fill[:n] & plan.grow[rid0])
+            urow = plan.krow0[gf]
+            gpos = gf[_drains_of(urow, rid0[gf],
+                                 plan.cap0[gf] - over.count[urow],
+                                 over.free)]
+            grid = rid0[gpos]
+        if b2.size or gpos.size:
+            solve(b2, np.where(use1, plan.krow1[b2], plan.krow0[b2]),
+                  np.where(use1, plan.cap1[b2], plan.cap0[b2]),
+                  np.where(use1, b2 + n, b2), gpos, grid, gpos)
 
-        # Phase 2: single-stage probes + stage-1 probes of stage-0
-        # misses, interleaved in stream order (the stream depends on
-        # this plan's stage-0 hits).  At growth rows the over slot
-        # behaves as a plain LRU of its current occupancy, so its probes
-        # run in passes between drain applications, each pass capped at
-        # the occupancy it observes.
-        p1k = two_stage & ~h0
-        ib = np.flatnonzero(~two_stage | p1k)
-        if ib.size or (dr is not None and dr[0].size):
-            use1 = p1k[ib]
-            krow_b = np.where(use1, plan.krow1[ib], plan.krow0[ib]) + off
-            cap_b = np.where(use1, plan.cap1[ib], plan.cap0[ib])
-            if dr is None:
-                if ib.size:
-                    solve(ib, krow_b, cap_b, use1)
-            else:
-                assert plan.drains is not None
-                dr_pos, dr_row, dr_rid, dr_t, occ_over = dr
-                rid_b = np.where(use1, idx1a[ib], idx0a[ib]) * \
-                    np.int64(S) + sets[ib]
-                at_drain = plan.drains.reshape(-1)[rid_b]
-                pass_of = np.zeros(ib.size, dtype=np.int64)
-                max_t = int(dr_t.max()) + 1 if dr_t.size else 0
-                for t in range(max_t):
-                    sel_t = dr_t == t
-                    pos_at = np.full(C * S, n, dtype=np.int64)
-                    pos_at[dr_rid[sel_t]] = dr_pos[sel_t]
-                    pass_of[at_drain] += \
-                        ib[at_drain] > pos_at[rid_b[at_drain]]
-                cap_b = np.where(at_drain, occ_over[rid_b] - pass_of, cap_b)
-                for t in range(max_t + 1):
-                    selp = (pass_of == t) if t else \
-                        (~at_drain | (pass_of == 0))
-                    if selp.any():
-                        solve(ib[selp], krow_b[selp], cap_b[selp],
-                              use1[selp])
-                    if t < max_t:
-                        sel_t = dr_t == t
-                        self._apply_drain(dr_row[sel_t], dr_pos[sel_t],
-                                          ea0, ed0)
-
-        if mirror is not None and mirror.pos.size:
-            # The draining fill's own verdict carries no eviction (the
-            # under slot grew within its allotment); it reports R's line.
-            dp = mirror.pos
-            s1 = two_stage[dp]
-            ea1[dp[s1]] = dea[dp[s1]]
-            ed1[dp[s1]] = ded[dp[s1]]
-            ea0[dp[~s1]] = dea[dp[~s1]]
-            ed0[dp[~s1]] = ded[dp[~s1]]
-
-        return self._staged_outcome(plan.ranges, idx0a, idx1a, two_stage,
-                                    hit, smiss, fill, ev_a, ev_d)
+        return self._staged_outcome(plan.ranges, plan.idx0a, plan.idx1a,
+                                    two_stage, hit, smiss, fill, ev_a, ev_d)

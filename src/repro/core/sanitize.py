@@ -8,9 +8,11 @@ Every vector-bank call runs under three checks:
   a kernel body raises (see :func:`guarded`) instead of corrupting
   every later run that reads it;
 * the vector-bank entry points assert their dtype/shape contracts
-  (:func:`expect`) before touching state — a float address array or a
-  mismatched lane batch fails loudly at the boundary, not as a silently
-  wrong verdict deep in the kernel; and
+  (:func:`expect`), and the staged ones the L1.5 partition shape
+  (:func:`require`), before touching state — a float address array, a
+  mismatched lane batch or a probe on the wrong partition fails loudly
+  at the boundary, not as a silently wrong verdict deep in the kernel;
+  and
 * kernel bodies run under ``np.errstate(all="raise")`` inside
   :func:`guarded`, which translates numpy's read-only ``ValueError``
   and ``FloatingPointError`` into :class:`SanitizerError` after
@@ -39,6 +41,7 @@ __all__ = [
     "expect",
     "guarded",
     "report",
+    "require",
 ]
 
 
@@ -121,6 +124,16 @@ def expect(site: str, name: str, value: object, dtype: str,
         raise _fail("contract", site,
                     f"{name} has length {value.shape[0]}, expected "
                     f"{length}")
+
+
+def require(site: str, condition: bool, detail: str) -> None:
+    """Assert one entry-point contract beyond an array's dtype and shape.
+
+    Raises :class:`SanitizerError` (after recording a ``contract``
+    violation) when ``condition`` is false.
+    """
+    if not condition:
+        raise _fail("contract", site, detail)
 
 
 @contextmanager

@@ -323,9 +323,6 @@ class _PlanTable:
         self.ic1 = by_chip(req, remote1 & xbar)
         self.icm = by_chip(last, mem_remote & xbar) + \
             by_chip(home, mem_remote & xbar)
-        if not ip and (self.ic0.any() or self.ic1.any() or self.icm.any()):
-            # As the serial path's port lookup would.
-            raise IndexError("a remote leg needs an inter-chip port")
         self.dram = by_chip(home, ones)
         #: Requests (forward) and responses (backward) on the ring.
         self.fwd0 = by_route(req, self.serve0, remote0)

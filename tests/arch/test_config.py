@@ -14,6 +14,8 @@ from repro.arch import (
     SystemConfig,
     baseline,
 )
+from repro.sim import EngineParams, simulate
+from repro.workloads.suite import get
 
 MB = 1024 * 1024
 
@@ -116,6 +118,20 @@ class TestSystemConfig:
     def test_chip_requires_matching_noc_ports(self):
         with pytest.raises(ConfigError):
             ChipConfig(noc=NoCConfig(sm_ports=10))
+
+    def test_multi_chip_system_needs_inter_chip_ports(self):
+        portless = ChipConfig(noc=NoCConfig(inter_chip_ports=0))
+        with pytest.raises(ConfigError):
+            SystemConfig(num_chips=4, chip=portless)
+        # One chip has no remote legs, so it needs no port and still
+        # simulates, on the vector path and the serial engine alike.
+        config = SystemConfig(num_chips=1, chip=portless)
+        runs = [simulate(get("RN"), "static", config=config, scale=1 / 64,
+                         accesses_per_epoch=256, params=params)
+                for params in (EngineParams(),
+                               EngineParams(vectorized=False))]
+        assert runs[0].vector_epochs > 0
+        assert runs[0].comparable_dict() == runs[1].comparable_dict()
 
 
 class TestSACConfig:

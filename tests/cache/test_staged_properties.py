@@ -13,7 +13,7 @@ decline only at steps where a partition has zero ways.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.arch.config import CacheConfig
@@ -97,6 +97,17 @@ def _check(out, refs, caches, hs, ev, ways, probe, base=0):
        sectored=st.booleans(), num_sets=st.sampled_from([2, 4, 8]),
        n=st.integers(min_value=1, max_value=240))
 @settings(max_examples=60, deadline=None)
+# Pinned calls that drain.  Growth only: remote 1 -> 3 leaves LOCAL
+# over-full, and the last call's drain steps all run in phase 2.
+# Mirrored only: remote 3 -> 1, every drain step in phase 1.  Mixed:
+# remote 1 -> 3 -> 2 meets rows the second call left LOCAL-over with
+# rows it filled REMOTE-over, so the last call drains both ways.
+@example(seed=1, steps=[1, 3], sectored=False, num_sets=4, n=240)
+@example(seed=1, steps=[1, 3], sectored=True, num_sets=4, n=240)
+@example(seed=1, steps=[3, 1], sectored=False, num_sets=4, n=240)
+@example(seed=1, steps=[3, 1], sectored=True, num_sets=4, n=240)
+@example(seed=3, steps=[1, 3, 2], sectored=False, num_sets=8, n=240)
+@example(seed=3, steps=[1, 3, 2], sectored=True, num_sets=8, n=240)
 def test_staged_matches_probe_loop(seed, steps, sectored, num_sets, n):
     rng = np.random.default_rng(seed)
     assoc = 4

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.arch.config import CacheConfig
-from repro.cache.vector import VectorBank
+from repro.cache.vector import StagedLaneCall, VectorBank
 from repro.core import sanitize
 
 LINE = 128
@@ -105,6 +105,79 @@ class TestEntryPointContracts:
             small_bank().access_many_grouped(cache_idx, addrs, writes[:-1])
         [violation] = sanitize.report().violations
         assert violation.kind == "contract"
+
+
+def l15_call(n=48, seed=7):
+    """A valid L1.5-shaped staged call over ``small_bank``'s two caches:
+    local accesses probe LOCAL on their home, remote ones partition 1 on
+    the requester and then LOCAL on the home."""
+    rng = np.random.default_rng(seed)
+    addrs = (rng.integers(0, 64, size=n) * LINE).astype(np.int64)
+    writes = rng.random(n) < 0.3
+    home = (addrs // LINE // 16 % 2).astype(np.int64)
+    req = rng.integers(0, 2, size=n).astype(np.int64)
+    two_stage = req != home
+    return [addrs, writes, req, two_stage.astype(np.int64), two_stage,
+            home, np.zeros(n, dtype=np.int64)]
+
+
+def _off_shape(args, case):
+    """``args`` with one probe moved off the L1.5 shape."""
+    addrs, writes, idx0, part0, two_stage, idx1, part1 = (
+        a.copy() for a in args)
+    local = int(np.flatnonzero(~two_stage)[0])
+    remote = np.flatnonzero(two_stage)
+    if case == "single-stage-remote":
+        part0[local] = 1
+    elif case == "stage1-remote":
+        part1[remote[0]] = 1
+    elif case == "stage0-local":
+        part0[remote[0]] = 0
+    else:  # two remote partitions
+        part0[remote[0]] = 2
+    return [addrs, writes, idx0, part0, two_stage, idx1, part1]
+
+
+class TestStagedShape:
+    CASES = ["single-stage-remote", "stage1-remote", "stage0-local",
+             "two-remotes"]
+
+    def partitioned_bank(self):
+        bank = small_bank()
+        for cache in bank.caches:
+            cache.set_partition({0: 2, 1: 1, 2: 1})
+        assert bank.access_many_staged(*l15_call()) is not None
+        return bank
+
+    @staticmethod
+    def snapshot(bank):
+        return ([cache.stats for cache in bank.caches],
+                [list(cache.resident_lines()) for cache in bank.caches])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_call_outside_the_shape_is_a_contract_violation(self, case):
+        bank = self.partitioned_bank()
+        before = self.snapshot(bank)
+        with pytest.raises(sanitize.SanitizerError):
+            bank.access_many_staged(*_off_shape(l15_call(seed=9), case))
+        [violation] = sanitize.report().violations
+        assert violation.kind == "contract"
+        assert violation.site == "VectorBank.access_many_staged"
+        assert self.snapshot(bank) == before
+
+    def test_shared_call_outside_the_shape_runs_no_lane(self):
+        bank = self.partitioned_bank()
+        before = self.snapshot(bank)
+        good = StagedLaneCall((0, 2), *l15_call(seed=9), stream=0)
+        bad = StagedLaneCall((0, 2), *_off_shape(l15_call(seed=9),
+                                                 "stage1-remote"),
+                             stream=1)
+        with pytest.raises(sanitize.SanitizerError):
+            bank.access_many_staged_shared([good, bad])
+        [violation] = sanitize.report().violations
+        assert violation.kind == "contract"
+        assert violation.site == "VectorBank.access_many_staged_shared"
+        assert self.snapshot(bank) == before
 
 
 def _unfreezes(tree):

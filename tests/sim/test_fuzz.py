@@ -18,7 +18,9 @@ from repro.arch import (
     baseline,
     with_chip_count,
     with_coherence,
+    with_inter_chip_bandwidth,
     with_llc_capacity_scale,
+    with_memory_interface,
     with_page_size,
     with_sectored_llc,
 )
@@ -34,7 +36,9 @@ SCALE = 1.0 / 64
 
 #: Configurations that keep a run on the vector path.  At ``SCALE`` the
 #: half-capacity LLC has one set per slice, so every access to a slice
-#: lands in one kernel row.
+#: lands in one kernel row.  The two Figure 14 presets move the traffic
+#: balance ``dynamic`` repartitions on, so they draw other drain
+#: sequences.
 VECTOR_CONFIGS = {
     "baseline": baseline(),
     "sectored": with_sectored_llc(baseline()),
@@ -42,6 +46,8 @@ VECTOR_CONFIGS = {
     "64k-pages": with_page_size(baseline(), 65536),
     "half-llc": with_llc_capacity_scale(baseline(), 0.5),
     "sectored-2-chip": with_sectored_llc(with_chip_count(baseline(), 2)),
+    "48gbps-links": with_inter_chip_bandwidth(baseline(), 48),
+    "hbm2": with_memory_interface(baseline(), "HBM2"),
 }
 
 #: ``(organization, org_kwargs, max_epochs)`` draws.  ``dynamic`` with no

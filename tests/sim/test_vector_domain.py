@@ -1,16 +1,18 @@
 """Facts about the vector path's domain that its staged solver relies on.
 
-``VectorBank.access_many_staged`` no longer searches other partitions
-for a probed tag, nor checks that its two phases share no row: on the
-L1.5 plan table without page migration a line's partition in a cache
-is a function of its address, so neither can happen.  These tests pin
-the facts that make that so, and the engine's handling of a table
-outside the domain.
+``VectorBank.access_many_staged`` checks only each call's L1.5 partition
+shape and never searches other partitions for a probed tag: on the L1.5
+plan table without page migration a line's partition in a cache is a
+function of its address, so no probe can find it elsewhere.  These
+tests pin the facts that make that so, the engine's handling of a table
+outside the domain, and the solver's two kernel calls per epoch.
 """
 
 import pytest
 
 from repro.arch import baseline, with_chip_count
+from repro.cache import vector as vector_module
+from repro.cache.vector import VectorBank
 from repro.llc.base import PARTITION_LOCAL, PARTITION_REMOTE, RoutePlan
 from repro.llc.organizations import StaticLLC
 from repro.sim import EngineParams, simulate
@@ -130,3 +132,40 @@ def test_fractional_latencies_round_as_on_the_serial_path(organization):
     assert vector.vector_epochs > 0 and vector.scalar_epochs == 0
     assert vector.bottleneck_cycles.get("latency", 0.0) > 0
     assert vector.comparable_dict() == oracle.comparable_dict()
+
+
+def test_staged_epochs_make_two_kernel_calls(monkeypatch):
+    """A staged epoch is at most two kernel calls however its rows
+    drain: drains are kernel steps, not passes.  DWT under ``dynamic``
+    drains in both directions (growth drain steps land on LOCAL rows,
+    mirrored ones on REMOTE rows), and the run still equals the
+    oracle."""
+    calls = []
+    drains = {"growth": 0, "mirrored": 0}
+    resolve = vector_module._batch_resolve
+    staged = VectorBank.access_many_staged
+
+    def counting_resolve(tags, dirty, count, geo, rows, tg, wr, **kw):
+        if calls:
+            calls[-1] += 1
+        # Two slots: LOCAL rows come first, then REMOTE ones.
+        local = rows[tg < -1] < tags.shape[0] // 2
+        drains["growth"] += int(local.sum())
+        drains["mirrored"] += int((~local).sum())
+        return resolve(tags, dirty, count, geo, rows, tg, wr, **kw)
+
+    def counting_staged(self, *args, **kwargs):
+        calls.append(0)
+        return staged(self, *args, **kwargs)
+
+    monkeypatch.setattr(vector_module, "_batch_resolve", counting_resolve)
+    monkeypatch.setattr(VectorBank, "access_many_staged", counting_staged)
+    spec = get("DWT")
+    stats = simulate(spec, "dynamic", scale=SCALE, accesses_per_epoch=512)
+    assert drains["growth"] > 0 and drains["mirrored"] > 0
+    assert len(calls) == stats.vector_epochs > 0
+    assert max(calls) <= 2
+    monkeypatch.undo()
+    oracle = simulate(spec, "dynamic", scale=SCALE, accesses_per_epoch=512,
+                      params=EngineParams(vectorized=False))
+    assert stats.comparable_dict() == oracle.comparable_dict()
