@@ -131,6 +131,10 @@ class ProfilingCounters:
         """
         num = self.num_chips
         spc = self.slices_per_chip
+        # Trace chip arrays are uint8, and a uint8 array times a Python
+        # int stays uint8 (16 chips x 32 slices would wrap): widen first.
+        chips = chips.astype(np.int64, copy=False)
+        homes = homes.astype(np.int64, copy=False)
         total = np.bincount(chips, minlength=num)
         local = np.bincount(chips[chips == homes], minlength=num)
         sm = np.bincount(chips * spc + slices, minlength=num * spc)

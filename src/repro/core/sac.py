@@ -133,12 +133,16 @@ class SharingAwareCaching(LLCOrganization):
         line_shift = llc.line_size.bit_length() - 1
         self._slice_sets = slice_sets
         self._obs_line_shift = line_shift
+        # The closure holds the mapping's slice hash, not the engine: the
+        # counters live as long as this organization, and an engine
+        # reference here would make every finished run cyclic garbage.
+        slice_of = ctx.mapping.llc_slice_of
 
         def global_set_index(addr: int) -> int:
             # Compose the PAE slice hash with the slice's set index so the
             # CRD samples the chip's global sets exactly as the LLC maps
             # them (capacity fidelity: one CRD set == one real set).
-            return (ctx.slice_of(addr) * slice_sets
+            return (slice_of(addr) * slice_sets
                     + (addr >> line_shift) % slice_sets)
 
         self._counters = ProfilingCounters(
@@ -200,7 +204,8 @@ class SharingAwareCaching(LLCOrganization):
             return
         # Same global set index the ``attach`` closure computes per
         # address: the PAE slice hash composed with the slice-set bits.
-        llc_sets = (slices * self._slice_sets
+        # Widened first: a narrow slice array times 128 sets would wrap.
+        llc_sets = (slices.astype(np.int64, copy=False) * self._slice_sets
                     + ((addrs >> self._obs_line_shift) % self._slice_sets))
         counters.record_batch(chips, homes, slices, addrs, llc_sets,
                               hit_stages != -1)

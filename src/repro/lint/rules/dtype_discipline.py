@@ -6,7 +6,9 @@ while every array carries the dtype the kernel's arithmetic assumes
 (``int64`` tags/indices, ``bool`` masks).  Default dtypes are
 platform-dependent (``np.arange`` yields int32 on Windows) and silently
 shift under refactors, so every numpy array construction in the
-designated modules must say what it means.
+designated modules must say what it means.  The trace modules that
+build the per-access arrays and the SAC modules that compute with them
+are designated too.
 
 Two checks:
 
@@ -33,6 +35,11 @@ from ._common import call_name, module_matches
 DTYPE_MODULES = (
     "repro/cache/vector.py",
     "repro/sim/engine.py",
+    "repro/workloads/generator.py",
+    "repro/workloads/programs.py",
+    "repro/workloads/traceio.py",
+    "repro/core/counters.py",
+    "repro/core/sac.py",
 )
 
 #: numpy constructors that take a ``dtype`` keyword and default it.

@@ -84,11 +84,11 @@ class PageTable:
                   touch_chips: np.ndarray) -> np.ndarray:
         """Resolve many pages at once, allocating unknown ones.
 
-        ``pages`` are distinct page numbers paired with the chip that
-        (first) touches each, both int64 arrays; they must be given in
-        first-touch order so that order-sensitive policies (round-robin)
-        allocate exactly as the per-access path would.  Returns the home
-        chip per page.
+        ``pages`` are distinct int64 page numbers paired with the chip
+        that (first) touches each (any integer width); they must be
+        given in first-touch order so that order-sensitive policies
+        (round-robin) allocate exactly as the per-access path would.
+        Returns the home chip per page.
         """
         homes = self.homes_of(pages)
         new = np.flatnonzero(homes < 0)

@@ -662,16 +662,23 @@ class SimulationEngine:
         cut = max(1, int(len(epoch) * fraction))
         if cut >= len(epoch):
             return epoch, None
-        head = EpochTrace(
-            chips=epoch.chips[:cut], clusters=epoch.clusters[:cut],
-            addrs=epoch.addrs[:cut], writes=epoch.writes[:cut],
-            compute_cycles=epoch.compute_cycles * cut / len(epoch))
-        tail = EpochTrace(
-            chips=epoch.chips[cut:], clusters=epoch.clusters[cut:],
-            addrs=epoch.addrs[cut:], writes=epoch.writes[cut:],
-            compute_cycles=epoch.compute_cycles * (len(epoch) - cut)
-            / len(epoch))
-        return head, tail
+        # The split is a pure function of the epoch and the cut, so it is
+        # memoized on the epoch: every SAC run of a cached trace reuses
+        # the same head and tail, and with them their own memos.
+        key = ("split", cut)
+        split = epoch.derived.get(key)
+        if split is None:
+            head = EpochTrace(
+                chips=epoch.chips[:cut], clusters=epoch.clusters[:cut],
+                addrs=epoch.addrs[:cut], writes=epoch.writes[:cut],
+                compute_cycles=epoch.compute_cycles * cut / len(epoch))
+            tail = EpochTrace(
+                chips=epoch.chips[cut:], clusters=epoch.clusters[cut:],
+                addrs=epoch.addrs[cut:], writes=epoch.writes[cut:],
+                compute_cycles=epoch.compute_cycles * (len(epoch) - cut)
+                / len(epoch))
+            split = epoch.derived[key] = (head, tail)
+        return cast(Tuple[EpochTrace, EpochTrace], split)
 
     def _kernel_boundary_flush(
             self, flush_partitions: List[Tuple[Optional[int], int]],
@@ -803,10 +810,10 @@ class SimulationEngine:
                 addrs=addrs_np, writes=writes_np, idx0=idx0_np,
                 fault_key=org.name)
             if org.profiling:
-                # Profiling slices are lane-private head/tail cuts that
-                # never match another lane's stream; resolving them
-                # inline keeps the stacked driver's round alignment (and
-                # hence stream sharing) intact for the shared epochs.
+                # Profiling slices are head/tail cuts that no other
+                # organization's lane runs; resolving them inline keeps
+                # the stacked driver's round alignment (and hence stream
+                # sharing) intact for the shared epochs.
                 batch = cast(Optional[BatchResult], probe.invoke())
             else:
                 batch = cast(Optional[BatchResult], (yield probe))
@@ -894,8 +901,10 @@ class SimulationEngine:
             distinct = np.empty(n, dtype=np.int64)
             distinct[by_page] = np.cumsum(head) - 1
             order = np.argsort(first)
-            rank = np.empty(order.size, dtype=np.int64)
-            rank[order] = np.arange(order.size, dtype=np.int64)
+            # The per-access index is kept as int32 (an epoch holds far
+            # fewer than 2**31 accesses); it is only ever used to index.
+            rank = np.empty(order.size, dtype=np.int32)
+            rank[order] = np.arange(order.size, dtype=np.int32)
             fresh = (pages[first[order]], epoch.chips[first[order]],
                      rank[distinct])
             for arr in fresh:
@@ -1050,43 +1059,46 @@ class SimulationEngine:
     def _vectorized_slices(
             self, addrs: np.ndarray,
             memo: Optional[Dict[tuple, object]] = None) -> np.ndarray:
-        """Slice hash of ``addrs``; memoized in ``memo`` when given.
+        """Slice hash of ``addrs`` as int64; memoized in ``memo`` when
+        given.
 
         The hash is a pure function of the address array plus the
         mapping parameters in the key, so a shared epoch's memo lets
         every sweep lane (and every best-of-N rep replaying the cached
-        trace) reuse one computation.  Memoized arrays are frozen —
-        consumers only ever read them.
+        trace) reuse one computation.  The memo keeps it frozen at the
+        narrowest unsigned width that holds ``slices_per_chip - 1``
+        (uint8 for every shipped config) and each read widens it back.
         """
-        key = ("slices", self.line_size, self.mapping.seed,
-               self.mapping.slices_per_chip)
-        if memo is not None:
-            hit = memo.get(key)
-            if hit is not None:
-                return cast(np.ndarray, hit)
-        out = _hash_mod(addrs // self.line_size, self.mapping.seed,
-                        self.mapping.slices_per_chip)
-        if memo is not None:
-            out.setflags(write=False)
-            memo[key] = out
-        return out
+        return self._line_hash("slices", addrs, self.mapping.seed,
+                               self.mapping.slices_per_chip, memo)
 
     def _vectorized_channels(
             self, addrs: np.ndarray,
             memo: Optional[Dict[tuple, object]] = None) -> np.ndarray:
         """Channel hash of ``addrs``; memoized like the slice hash."""
         inverted = int(~np.uint64(self.mapping.seed))
-        key = ("channels", self.line_size, inverted,
-               self.mapping.channels_per_chip)
+        return self._line_hash("channels", addrs, inverted,
+                               self.mapping.channels_per_chip, memo)
+
+    def _line_hash(self, kind: str, addrs: np.ndarray, seed: int,
+                   modulus: int, memo: Optional[Dict[tuple, object]]
+                   ) -> np.ndarray:
+        """``_hash_mod`` of the line numbers of ``addrs``, as int64.
+
+        ``memo`` keeps it under ``kind`` and the hash's parameters at the
+        narrowest unsigned width that holds ``modulus - 1``: narrow at
+        rest, int64 at use.
+        """
+        key = (kind, self.line_size, seed, modulus)
         if memo is not None:
             hit = memo.get(key)
             if hit is not None:
-                return cast(np.ndarray, hit)
-        out = _hash_mod(addrs // self.line_size, inverted,
-                        self.mapping.channels_per_chip)
+                return cast(np.ndarray, hit).astype(np.int64)
+        out = _hash_mod(addrs // self.line_size, seed, modulus)
         if memo is not None:
-            out.setflags(write=False)
-            memo[key] = out
+            narrow = out.astype(np.min_scalar_type(modulus - 1))
+            narrow.setflags(write=False)
+            memo[key] = narrow
         return out
 
     def _access(self, chip: int, addr: int, is_write: bool,

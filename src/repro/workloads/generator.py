@@ -52,6 +52,16 @@ class EpochTrace:
     ``chips``, ``clusters``, ``addrs`` and ``writes`` are parallel arrays;
     ``compute_cycles`` is the time the epoch would take with an infinitely
     fast memory system (sets the lower bound on epoch latency).
+
+    Each array is kept at the width its values need: ``chips`` and
+    ``clusters`` are uint8 (construction narrows them and raises
+    ``ValueError`` unless every value is an integer in 0..255), ``addrs``
+    int64 and ``writes`` bool, 11 bytes per access.  The rule for every
+    per-access array of a trace, memos included, is *narrow at rest,
+    int64 at use*: under NumPy 2 a uint8 array times a Python int stays
+    uint8 and wraps, so a consumer that computes with one widens it first
+    (``np.bincount``, indexing and ``.tolist()`` need no widening; a
+    product with a numpy int64 scalar promotes on its own).
     """
 
     chips: np.ndarray
@@ -60,17 +70,35 @@ class EpochTrace:
     writes: np.ndarray
     compute_cycles: float
     #: Memo table for pure derivations of the (immutable) access arrays
-    #: — slice/channel hashes, the page-number decomposition.  Epochs are
-    #: shared across sweep lanes and cached across runs, so consumers key
-    #: entries by every parameter the derivation depends on and store
-    #: only read-only values.  Excluded from comparison: two epochs with
-    #: the same arrays are the same epoch regardless of what has been
-    #: memoized against them.
+    #: — slice/channel hashes, the page-number decomposition, the
+    #: profiling window's head/tail split.  Epochs are shared across sweep
+    #: lanes and cached across runs, so consumers key entries by every
+    #: parameter the derivation depends on and store only read-only
+    #: values, per-access ones at their narrowest width (the engine keeps
+    #: the hashes as uint8 and the page index as int32, and widens them to
+    #: int64 on read).  Excluded from comparison: two epochs with the same
+    #: arrays are the same epoch regardless of what has been memoized
+    #: against them.
     derived: Dict[tuple, object] = field(
         default_factory=dict, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        for name in ("chips", "clusters"):
+            object.__setattr__(self, name,
+                               _as_uint8(name, getattr(self, name)))
+
     def __len__(self) -> int:
         return len(self.addrs)
+
+
+def _as_uint8(name: str, values: np.ndarray) -> np.ndarray:
+    """``values`` as a uint8 array; the array itself when it already is."""
+    if values.dtype == np.uint8:
+        return values
+    narrow = values.astype(np.uint8)
+    if not np.array_equal(narrow, values):
+        raise ValueError(f"EpochTrace.{name} must hold integers in 0..255")
+    return narrow
 
 
 @dataclass(frozen=True)
@@ -193,6 +221,8 @@ class TraceGenerator:
                                 for chip in range(self.num_chips)])
         addrs = np.concatenate([a for a, _ in per_chip])
         writes = np.concatenate([w for _, w in per_chip])
+        # Drawn as int64 because the draw's dtype shapes the RNG stream
+        # (and so every later draw); EpochTrace narrows it to uint8.
         clusters = rng.integers(0, self.clusters_per_chip,
                                 size=len(addrs), dtype=np.int64)
         order = rng.permutation(len(addrs))

@@ -288,7 +288,8 @@ class ProgramWorkload:
         total_accesses = kernel.ctas * kernel.accesses_per_cta
         per_epoch = per_chip * self.num_chips
         num_epochs = max(1, -(-total_accesses // per_epoch))
-        weights = np.array([a.weight for a in kernel.accesses])
+        weights = np.array([a.weight for a in kernel.accesses],
+                           dtype=np.float64)
         weights = weights / weights.sum()
         epochs = []
         for _epoch in range(num_epochs):
@@ -323,7 +324,8 @@ class ProgramWorkload:
                 num_lines = max(1, access.array.size_bytes // self.line_size)
                 base = self._bases[access.array.name]
                 # Batch the pattern sampling by CTA.
-                ctas_drawn = np.asarray(ctas)[cta_choice[mask]]
+                ctas_drawn = np.asarray(ctas, dtype=np.int64)[
+                    cta_choice[mask]]
                 lines = np.empty(count, dtype=np.int64)
                 unique_ctas, inverse = np.unique(ctas_drawn,
                                                  return_inverse=True)

@@ -51,7 +51,7 @@ def save_trace(path: str, kernels: Sequence[KernelTrace]) -> None:
         writes=np.concatenate(writes),
         epoch_lengths=np.asarray(epoch_lengths, dtype=np.int64),
         epoch_compute=np.asarray(epoch_compute, dtype=np.float64),
-        kernel_names=np.asarray(kernel_names),
+        kernel_names=np.asarray(kernel_names, dtype=np.str_),
         kernel_epoch_counts=np.asarray(kernel_epoch_counts, dtype=np.int64))
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the SAC profiling-counter architecture."""
 
+import numpy as np
 import pytest
 
 from repro.arch import SACConfig
@@ -88,3 +89,39 @@ class TestReset:
         assert counters.total_requests == 0
         assert counters.llc_hit_memory_side == 0.0
         assert counters.llc_hit_sm_side == 0.0
+
+
+class TestRecordBatch:
+    @pytest.mark.parametrize("narrow", ["chips", "homes"])
+    def test_uint8_arrays_record_like_int64(self, narrow):
+        # 16 chips x 32 slices: chip * slices_per_chip + slice reaches
+        # 511, so a uint8 array that reached that product unwidened
+        # would wrap (NumPy 2 keeps uint8 * int as uint8).
+        rng = np.random.default_rng(3)
+        n = 4096
+        arrays = {
+            "chips": rng.integers(0, 16, size=n, dtype=np.int64),
+            "homes": rng.integers(0, 16, size=n, dtype=np.int64),
+            "slices": rng.integers(0, 32, size=n, dtype=np.int64),
+            "addrs": rng.integers(0, 1 << 16, size=n, dtype=np.int64) * 128,
+        }
+        # 2048 sets over 32 slices: 64 sets per slice.
+        arrays["llc_sets"] = (arrays["slices"] * 64
+                              + (arrays["addrs"] >> 7) % 64)
+        arrays["hits"] = rng.random(n) < 0.5
+
+        def recorded(**override):
+            counters = make_counters(num_chips=16, slices=32)
+            counters.record_batch(**dict(arrays, **override))
+            return ([(c.total_requests, c.local_requests,
+                      c.sm_side_slice_requests,
+                      c.memory_side_slice_requests)
+                     for c in counters.chips],
+                    [(crd.requests, crd.hits,
+                      [[(tag, block.chip_bits) for tag, block in s.items()]
+                       for s in crd._sets])
+                     for crd in counters.crds])
+
+        wide = recorded()
+        assert sum(crd[0] for crd in wide[1]) > 0
+        assert recorded(**{narrow: arrays[narrow].astype(np.uint8)}) == wide

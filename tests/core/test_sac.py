@@ -6,11 +6,12 @@ import pytest
 
 from repro.arch import baseline
 from repro.core import SharingAwareCaching
-from repro.sim import SimulationEngine, simulate
+from repro.sim import EngineParams, SimulationEngine, simulate
 from repro.sim.run import scaled_config
 from repro.workloads import (
     BenchmarkSpec,
     KernelSpec,
+    KernelTrace,
     PhaseSpec,
     TraceGenerator,
     get,
@@ -136,6 +137,94 @@ class TestReprofiling:
         engine = SimulationEngine(config, sac)
         engine.run(generator.kernels(), benchmark=spec.name)
         assert len(sac.stats.decisions) > 1
+
+
+def profiling_state(counters):
+    """Every counter and CRD entry of ``counters``."""
+    return ([(c.total_requests, c.local_requests, c.sm_side_slice_requests,
+              c.memory_side_slice_requests) for c in counters.chips],
+            counters.memory_side_hits, counters.memory_side_lookups,
+            [(crd.requests, crd.hits,
+              [[(tag, block.chip_bits) for tag, block in blocks.items()]
+               for blocks in crd._sets])
+             for crd in counters.crds])
+
+
+class TestBatchedProfiling:
+    """The vector path's batched profiling against the serial oracle."""
+
+    def test_full_scale_run_profiles_like_the_oracle(self):
+        # At scale 1 a slice has 128 sets, so the CRD's global set index
+        # (slice * 128 + set) passes 255.  A 48-set CRD samples every
+        # 42nd global set.  The default 8-set CRD samples every 256th,
+        # and an index wrapped mod 256 picks the same accesses there, so
+        # only a stride that is not a power of two shows a wrap.
+        config = baseline().with_updates(
+            sac=dataclasses.replace(baseline().sac, crd_sets=48))
+
+        def run(vectorized):
+            sac = SharingAwareCaching(config)
+            stats = simulate(get("RN"), sac, config=config, scale=1.0,
+                             accesses_per_epoch=64,
+                             params=EngineParams(vectorized=vectorized))
+            return sac, stats
+
+        (vec_sac, vector), (oracle_sac, oracle) = run(True), run(False)
+        assert vector.vector_epochs > 0 and oracle.vector_epochs == 0
+        assert vector.comparable_dict() == oracle.comparable_dict()
+        assert ([d.eab_inputs for d in vec_sac.stats.decisions]
+                == [d.eab_inputs for d in oracle_sac.stats.decisions])
+        # The last profiling window's counters, CRDs included.
+        assert sum(crd.requests for crd in oracle_sac.counters.crds) > 0
+        assert (profiling_state(vec_sac.counters)
+                == profiling_state(oracle_sac.counters))
+
+
+class TestProfileSplit:
+    def test_second_run_of_a_cached_trace_reuses_the_split(
+            self, monkeypatch):
+        splits = []
+        split = SimulationEngine._split_profile_window
+
+        def recording(engine, epoch):
+            splits.append(split(engine, epoch))
+            return splits[-1]
+
+        monkeypatch.setattr(SimulationEngine, "_split_profile_window",
+                            recording)
+        spec = sp_like_spec()
+        first = simulate(spec, "sac", scale=SCALE, accesses_per_epoch=2048)
+        count = len(splits)
+        second = simulate(spec, "sac", scale=SCALE, accesses_per_epoch=2048)
+        assert len(splits) == 2 * count
+        assert all(tail is not None for _head, tail in splits)
+        for (head, tail), (again_head, again_tail) in zip(splits[:count],
+                                                          splits[count:]):
+            assert again_head is head and again_tail is tail
+        assert second.comparable_dict() == first.comparable_dict()
+
+    def test_each_window_gets_its_own_split(self):
+        # Runs with two windows share one cached trace; each must run as
+        # it would on a copy of the trace with nothing memoized.
+        config = scaled_config(baseline(), SCALE)
+        kernels = list(TraceGenerator(
+            sp_like_spec(), num_chips=config.num_chips,
+            clusters_per_chip=config.chip.num_clusters,
+            line_size=config.line_size, page_size=config.page_size,
+            accesses_per_epoch_per_chip=2048, scale=SCALE).kernels())
+
+        def run(window, trace):
+            run_config = config.with_updates(sac=dataclasses.replace(
+                config.sac, profile_window_cycles=window))
+            engine = SimulationEngine(run_config,
+                                      SharingAwareCaching(run_config))
+            return engine.run(trace, benchmark="sp-like").comparable_dict()
+
+        for window in (500, 600):
+            fresh = [KernelTrace(k.name, tuple(
+                dataclasses.replace(e, derived={}) for e in k.epochs))
+                for k in kernels]
+            assert run(window, kernels) == run(window, fresh)
 
 
 class TestSACAgainstSuite:

@@ -1,6 +1,8 @@
 """Per-rule fixture pairs: each rule fires on its bad snippet and stays
 silent on the corresponding good one."""
 
+import pytest
+
 from .conftest import lint_text
 
 ENGINE = "repro/sim/engine.py"
@@ -9,6 +11,8 @@ CONFIG = "repro/arch/config.py"
 EVENTSIM = "repro/sim/eventsim.py"
 DISKCACHE = "repro/analysis/diskcache.py"
 ELSEWHERE = "repro/workloads/programs.py"
+#: A module outside the dtype-discipline scope (``ELSEWHERE`` is inside).
+UNTYPED = "repro/analysis/working_set.py"
 
 
 # -- hot-loop ---------------------------------------------------------------
@@ -136,6 +140,17 @@ def test_dtype_fires_on_defaulted_constructor():
     assert "dtype" in findings[0].message
 
 
+@pytest.mark.parametrize("module", [
+    "repro/workloads/generator.py", ELSEWHERE, "repro/workloads/traceio.py",
+    "repro/core/counters.py", "repro/core/sac.py"])
+def test_dtype_covers_the_trace_and_sac_modules(module):
+    findings = lint_text("""\
+        import numpy as np
+        chips = np.asarray([0, 1])
+        """, module, rule="dtype-discipline")
+    assert len(findings) == 1
+
+
 def test_dtype_fires_on_float_tag_arithmetic():
     findings = lint_text("""\
         def probe(tags):
@@ -158,7 +173,7 @@ def test_dtype_silent_outside_designated_modules():
     findings = lint_text("""\
         import numpy as np
         rows = np.arange(8)
-        """, ELSEWHERE, rule="dtype-discipline")
+        """, UNTYPED, rule="dtype-discipline")
     assert findings == []
 
 

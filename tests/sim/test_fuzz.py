@@ -135,11 +135,30 @@ def test_hardware_coherence_accounting(spec):
 
 
 @st.composite
+def sac_knobs(draw):
+    """SAC's θ, profiling window and re-profile interval.
+
+    They replace the scaled config's SAC settings, so neither
+    ``scaled_config``'s 500-cycle window floor nor its 0.08 θ floor
+    applies.  An epoch's compute floor is 28-512 cycles at the harness's
+    density, so most windows cut a kernel's first epoch into a profiled
+    head and a tail; a short interval re-opens the window inside the
+    kernel.
+    """
+    window = draw(st.integers(4, 256))
+    return {"theta": draw(st.floats(0.0, 1.0)),
+            "profile_window_cycles": window,
+            "reprofile_interval_cycles": draw(st.one_of(
+                st.none(), st.integers(window + 1, window + 512)))}
+
+
+@st.composite
 def vector_runs(draw):
     organization, org_kwargs, max_epochs = draw(st.sampled_from(VECTOR_ORGS))
     spec = draw(workload_specs(max_epochs))
     config_name = draw(st.sampled_from(sorted(VECTOR_CONFIGS)))
-    return spec, organization, org_kwargs, config_name
+    sac = draw(sac_knobs()) if organization == "sac" else None
+    return spec, organization, org_kwargs, config_name, sac
 
 
 #: A draw that declines 8 of its 16 epochs, pinned so that every run
@@ -153,27 +172,64 @@ DECLINING_RUN = (
             hot_fraction=1.0, hot_weight=0.0, write_fraction=0.0,
             intensity=500.0)),),
         iterations=2, seed=0),
-    "dynamic", {"min_remote_ways": 0}, "2-chip")
+    "dynamic", {"min_remote_ways": 0}, "2-chip", None)
+
+#: A SAC draw that profiles each of its kernel's three epochs (a 64-cycle
+#: window re-opened after 65 cycles), pinned so that every run checks a
+#: re-profile inside a kernel.
+REPROFILING_RUN = (
+    BenchmarkSpec(
+        name="fuzz", suite="test", num_ctas=16, footprint_mb=5.0,
+        true_shared_mb=1.0, false_shared_mb=1.0, preference="sm-side",
+        kernels=(KernelSpec(name="k", epochs=3, phase=PhaseSpec(
+            weight_true=0.5, weight_false=0.2, weight_private=0.3,
+            hot_fraction=0.3, hot_weight=0.8, write_fraction=0.2,
+            intensity=1000.0)),),
+        iterations=1, seed=0),
+    "sac", {}, "baseline",
+    {"theta": 0.0, "profile_window_cycles": 64,
+     "reprofile_interval_cycles": 65})
+
+
+def generate(spec, config):
+    """``spec``'s kernels as ``simulate`` generates them at ``SCALE``."""
+    return TraceGenerator(
+        spec, num_chips=config.num_chips,
+        clusters_per_chip=config.chip.num_clusters,
+        line_size=config.line_size, page_size=config.page_size,
+        accesses_per_epoch_per_chip=256, scale=SCALE).kernels()
 
 
 @given(vector_runs())
 @example(DECLINING_RUN)
+@example(REPROFILING_RUN)
 @settings(max_examples=100, deadline=None)
 def test_vector_path_matches_serial_oracle(run_args):
-    spec, organization, org_kwargs, config_name = run_args
+    spec, organization, org_kwargs, config_name, sac = run_args
+    config = scaled_config(VECTOR_CONFIGS[config_name], SCALE)
+    if sac is not None:
+        config = config.with_updates(
+            sac=dataclasses.replace(config.sac, **sac))
 
     def run(params):
-        return simulate(spec, organization,
-                        config=VECTOR_CONFIGS[config_name], scale=SCALE,
-                        accesses_per_epoch=256, params=params,
-                        org_kwargs=org_kwargs)
-    vector = run(EngineParams())
-    oracle = run(EngineParams(vectorized=False))
+        org = make_organization(organization, config, **org_kwargs)
+        engine = SimulationEngine(config, org, params=params)
+        return engine.run(generate(spec, config), benchmark=spec.name), org
+    vector, org = run(EngineParams())
+    oracle, oracle_org = run(EngineParams(vectorized=False))
     assert vector.slow_epochs == 0
     assert vector.comparable_dict() == oracle.comparable_dict()
     check_invariants(vector, single_stage=organization in SINGLE_STAGE)
     if not org_kwargs:
         assert vector.scalar_epochs == 0
+    if organization == "sac":
+        # A profile that diverged need not flip a decision, so compare
+        # what each decision saw as well.
+        assert ([d.eab_inputs for d in org.stats.decisions]
+                == [d.eab_inputs for d in oracle_org.stats.decisions])
+    if run_args is REPROFILING_RUN:
+        # One decision per profiling window: more than one per launch.
+        assert len(org.stats.decisions) > len(vector.kernels)
 
 
 def _with_line_offsets(kernels, line_size, sector_size):
@@ -202,12 +258,8 @@ def test_sector_offsets_match_serial_oracle(organization):
     spread over every sector of their lines, so sector misses occur."""
     config = scaled_config(with_sectored_llc(baseline()), SCALE)
     llc = config.chip.llc_slice
-    generator = TraceGenerator(
-        get("RN"), num_chips=config.num_chips,
-        clusters_per_chip=config.chip.num_clusters,
-        line_size=config.line_size, page_size=config.page_size,
-        accesses_per_epoch_per_chip=256, scale=SCALE)
-    kernels = _with_line_offsets(list(generator.kernels()), llc.line_size,
+    kernels = _with_line_offsets(list(generate(get("RN"), config)),
+                                 llc.line_size,
                                  llc.line_size // llc.sectors_per_line)
 
     def run(params):

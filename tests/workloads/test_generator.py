@@ -13,6 +13,7 @@ from repro.workloads import (
     TraceGenerator,
     get,
 )
+from repro.workloads.generator import EpochTrace
 
 LINE = 128
 PAGE = 4096
@@ -46,6 +47,19 @@ class TestShape:
         epoch = trace[0].epochs[0]
         assert len(epoch) == 4 * 512
         assert len(epoch.chips) == len(epoch.addrs) == len(epoch.writes)
+
+    def test_arrays_keep_the_width_their_values_need(self):
+        epoch = make_generator().generate()[0].epochs[0]
+        assert epoch.chips.dtype == epoch.clusters.dtype == np.uint8
+        assert epoch.addrs.dtype == np.int64
+        assert epoch.writes.dtype == bool
+
+    @pytest.mark.parametrize("chips", [[0, 256], [-1, 0], [0.5, 1.0]])
+    def test_chip_outside_uint8_rejected(self, chips):
+        with pytest.raises(ValueError, match="chips"):
+            EpochTrace(chips=np.array(chips), clusters=np.zeros(2, np.int64),
+                       addrs=np.zeros(2, np.int64),
+                       writes=np.zeros(2, bool), compute_cycles=1.0)
 
     def test_compute_cycles_follow_intensity(self):
         spec = make_spec(intensity=1000.0)
