@@ -16,8 +16,11 @@ Three layers, checked in order:
 3. :func:`~repro.sim.run.simulate`, optionally fanned out across a
    supervised process pool (``n_jobs``) for matrix runs.
 
-Matrix results are keyed and ordered deterministically by (benchmark,
-organization) submission order regardless of worker completion order.
+A matrix dispatches one task per benchmark: the task runs that
+benchmark's pending organizations back to back on its one cached
+trace.  Matrix results are keyed and ordered deterministically by
+(benchmark, organization) submission order regardless of worker
+completion order.
 
 Execution is fault-tolerant (see ``docs/resilience.md``): pool tasks run
 under a :class:`~repro.resilience.supervisor.Supervisor` (per-task
@@ -33,7 +36,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union, cast
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..arch.config import SystemConfig
 from ..arch.presets import baseline
@@ -44,7 +47,6 @@ from ..sim.engine import EngineParams
 from ..sim.run import (
     DEFAULT_ACCESSES_PER_EPOCH,
     DEFAULT_SCALE,
-    StackedResult,
     simulate,
     simulate_stacked,
 )
@@ -67,31 +69,20 @@ class RunnerTelemetry:
     #: bank declined and the serial engine resolved instead (see
     #: ``RunStats.scalar_epochs``).
     scalar_epochs: int = 0
-    #: Wall seconds spent *inside* ``simulate``/``simulate_stacked``
-    #: (per-lane simulator time, summed over fresh results).
+    #: Wall seconds spent *inside* ``simulate`` (summed over fresh
+    #: results).
     sim_seconds: float = 0.0
     #: Whole-matrix wall clock of every ``run_matrix`` call, including
     #: cache-hit resolution and dispatch overhead.  Kept separate from
     #: ``sim_seconds`` because the two measure different things (the
     #: old ``wall_seconds`` field mixed them).
     matrix_seconds: float = 0.0
-    #: Stacked dispatch: pending groups routed through
-    #: ``simulate_stacked``, lanes that shared a tag store, and lanes a
-    #: stacked group could not host in a shared bank.
-    stacked_groups: int = 0
-    stacked_lanes: int = 0
-    stacked_fallbacks: int = 0
     #: Supervised execution: task re-dispatches after a failed attempt,
     #: tasks that overran ``REPRO_TASK_TIMEOUT``, and process pools
     #: replaced after a worker death or hang.
     retries: int = 0
     timeouts: int = 0
     respawns: int = 0
-    #: Fault containment inside stacked groups: lanes quarantined
-    #: mid-drive and the subset whose solo re-run was demoted to the
-    #: scalar engine (vector-kernel fault).
-    quarantined_lanes: int = 0
-    demoted_lanes: int = 0
     #: Unreadable disk-cache payloads moved to ``quarantine/``.
     cache_quarantined: int = 0
     #: Disk hits whose key the sweep manifest had journaled — work a
@@ -107,20 +98,11 @@ class RunnerTelemetry:
                 f"{self.disk_hits} disk hits, {self.disk_stores} disk "
                 f"stores in {self.sim_seconds:.1f}s sim "
                 f"({self.matrix_seconds:.1f}s matrix)")
-        if self.stacked_groups:
-            line += (f", {self.stacked_lanes} lanes stacked in "
-                     f"{self.stacked_groups} groups")
-            if self.stacked_fallbacks:
-                line += f" ({self.stacked_fallbacks} unstacked)"
         if self.scalar_epochs:
             line += f", {self.scalar_epochs} scalar epochs"
         if self.retries or self.timeouts or self.respawns:
             line += (f", {self.retries} retries / {self.timeouts} timeouts"
                      f" / {self.respawns} pool respawns")
-        if self.quarantined_lanes:
-            line += f", {self.quarantined_lanes} lanes quarantined"
-            if self.demoted_lanes:
-                line += f" ({self.demoted_lanes} demoted to scalar)"
         if self.cache_quarantined:
             line += f", {self.cache_quarantined} payloads quarantined"
         if self.resumed_pairs:
@@ -199,29 +181,15 @@ def _disk_key(spec: BenchmarkSpec, organization: str, config: SystemConfig,
                        params=params)
 
 
-def _simulate_task(spec: BenchmarkSpec, organization: str,
+def _simulate_task(spec: BenchmarkSpec, organizations: List[str],
                    config: SystemConfig, scale: float,
                    accesses_per_epoch: int,
-                   params: EngineParams) -> RunStats:
-    """Worker-side entry point (module-level so the pool can pickle it)."""
-    return simulate(spec, organization, config=config, scale=scale,
-                    accesses_per_epoch=accesses_per_epoch, params=params)
-
-
-def _simulate_stacked_task(spec: BenchmarkSpec, organizations: List[str],
-                           config: SystemConfig, scale: float,
-                           accesses_per_epoch: int,
-                           params: EngineParams) -> StackedResult:
-    """Worker-side stacked entry point (module-level for pickling)."""
+                   params: EngineParams) -> List[RunStats]:
+    """Worker-side entry point (module-level so the pool can pickle it):
+    one benchmark's organizations, one run after another."""
     return simulate_stacked(spec, organizations, config=config, scale=scale,
                             accesses_per_epoch=accesses_per_epoch,
                             params=params)
-
-
-def _stacked_enabled() -> bool:
-    """Whether ``run_matrix`` stacks same-trace pending groups into one
-    ``simulate_stacked`` dispatch (disable with ``REPRO_STACKED=0``)."""
-    return flags.read("REPRO_STACKED") != "0"
 
 
 def run(spec: BenchmarkSpec, organization: str,
@@ -381,63 +349,38 @@ def run_matrix(specs: Iterable[BenchmarkSpec], organizations: Iterable[str],
         seen_keys.add(dedupe_key)
         dispatch.append((spec, organization))
 
-    # Group the dispatched pairs by benchmark: every organization of one
-    # spec shares the same trace, so a group of >= 2 is dispatched as
-    # one stacked kernel sweep instead of per-pair simulations.
-    stacked_groups: List[Tuple[BenchmarkSpec, List[str]]] = []
-    singles: List[Tuple[BenchmarkSpec, str]] = []
-    if _stacked_enabled():
-        orgs_by_spec: Dict[str, List[str]] = {}
-        for spec, organization in dispatch:
-            orgs_by_spec.setdefault(spec.name, []).append(organization)
-        for name, orgs in orgs_by_spec.items():
-            if len(orgs) > 1:
-                stacked_groups.append((spec_by_name[name], orgs))
-            else:
-                singles.append((spec_by_name[name], orgs[0]))
-    else:
-        singles = list(dispatch)
+    # One task per benchmark.  Its organizations share one cached
+    # trace and run back to back, so the task holds one engine and one
+    # tag store at a time.
+    orgs_by_spec: Dict[str, List[str]] = {}
+    for spec, organization in dispatch:
+        orgs_by_spec.setdefault(spec.name, []).append(organization)
 
-    # Build the supervised task list.  Task keys are the pairs' disk
-    # keys when available (content identity), else the name pairs; the
-    # supervisor treats them as the dedupe/bookkeeping identity.
+    # Task keys are the pairs' disk keys when available (content
+    # identity), else the name pairs; the supervisor treats them as the
+    # dedupe/bookkeeping identity.
     task_meta: Dict[str, Tuple[BenchmarkSpec, List[str]]] = {}
     tasks: List[SupervisedTask] = []
-    for spec, orgs in stacked_groups:
-        tkey = "stacked:" + "+".join(
-            str(dkey_of.get((spec.name, o), f"{spec.name}:{o}"))
-            for o in orgs)
+    for name, orgs in orgs_by_spec.items():
+        spec = spec_by_name[name]
+        tkey = "benchmark:" + "+".join(
+            str(dkey_of.get((name, o), f"{name}:{o}")) for o in orgs)
         task_meta[tkey] = (spec, orgs)
         tasks.append(SupervisedTask(
-            key=tkey, label=f"{spec.name}:{'+'.join(orgs)}",
-            fn=_simulate_stacked_task,
+            key=tkey, label=f"{name}:{'+'.join(orgs)}", fn=_simulate_task,
             args=(spec, orgs, resolved, scale, accesses_per_epoch,
                   resolved_params)))
-    for spec, organization in singles:
-        tkey = "single:" + str(dkey_of.get(
-            (spec.name, organization), f"{spec.name}:{organization}"))
-        task_meta[tkey] = (spec, [organization])
-        tasks.append(SupervisedTask(
-            key=tkey, label=f"{spec.name}:{organization}",
-            fn=_simulate_task,
-            args=(spec, organization, resolved, scale, accesses_per_epoch,
-                  resolved_params)))
 
-    def _install(task: SupervisedTask, result: object) -> None:
-        """Install one completed task in the parent, the moment it
-        lands — partial progress stays durable even if the sweep dies
-        later — then journal its pairs as complete."""
+    def _install(task: SupervisedTask, result: List[RunStats]) -> None:
+        """Install one completed task's runs in the parent, the moment
+        it lands — partial progress stays durable even if the sweep
+        dies later — journaling each pair as complete."""
         spec, orgs = task_meta[task.key]
-        if isinstance(result, StackedResult):
-            _install_stacked(spec, orgs, result, resolved, scale,
-                             accesses_per_epoch, resolved_params,
-                             disk_cache, results)
-        else:
-            _install_single(spec, orgs[0], cast(RunStats, result), resolved,
-                            scale, accesses_per_epoch, resolved_params,
-                            disk_cache, results)
-        if manifest is not None:
-            for organization in orgs:
+        for organization, stats in zip(orgs, result):
+            _install_pair(spec, organization, stats, resolved, scale,
+                          accesses_per_epoch, resolved_params, disk_cache)
+            results[(spec.name, organization)] = stats
+            if manifest is not None:
                 # Journal *after* the disk store above: a journaled key
                 # implies its payload was written.
                 manifest.mark_done(dkey_of[(spec.name, organization)],
@@ -461,53 +404,15 @@ def run_matrix(specs: Iterable[BenchmarkSpec], organizations: Iterable[str],
             if stats is not None}
 
 
-def _install_single(spec: BenchmarkSpec, organization: str, stats: RunStats,
-                    config: SystemConfig, scale: float,
-                    accesses_per_epoch: int, params: EngineParams,
-                    disk_cache: Optional[ResultCache],
-                    results: Dict[Tuple[str, str], Optional[RunStats]]
-                    ) -> None:
-    """Record one fresh per-pair result (telemetry + caches + results)."""
+def _install_pair(spec: BenchmarkSpec, organization: str, stats: RunStats,
+                  config: SystemConfig, scale: float, accesses_per_epoch: int,
+                  params: EngineParams,
+                  disk_cache: Optional[ResultCache]) -> None:
+    """Count one fresh matrix result and install it into the memo and
+    disk layers."""
     _TELEMETRY.simulated += 1
     _TELEMETRY.scalar_epochs += stats.scalar_epochs
     _TELEMETRY.sim_seconds += stats.wall_seconds
-    _finish_pair(spec, organization, stats, config, scale,
-                 accesses_per_epoch, params, disk_cache)
-    results[(spec.name, organization)] = stats
-
-
-def _install_stacked(spec: BenchmarkSpec, organizations: List[str],
-                     stacked: StackedResult, config: SystemConfig,
-                     scale: float, accesses_per_epoch: int,
-                     params: EngineParams,
-                     disk_cache: Optional[ResultCache],
-                     results: Dict[Tuple[str, str], Optional[RunStats]]
-                     ) -> None:
-    """Record one stacked group's per-lane results.
-
-    Each lane's stats go through the same memo/disk installation as a
-    per-pair run (the stacked path is bit-identical, so the cache
-    entries are interchangeable).
-    """
-    _TELEMETRY.stacked_groups += 1
-    _TELEMETRY.stacked_lanes += stacked.telemetry.stacked_lanes
-    _TELEMETRY.stacked_fallbacks += stacked.telemetry.solo_lanes
-    _TELEMETRY.quarantined_lanes += len(stacked.telemetry.quarantined_lanes)
-    _TELEMETRY.demoted_lanes += len(stacked.telemetry.demoted_lanes)
-    _TELEMETRY.sim_seconds += stacked.telemetry.wall_seconds
-    for organization, stats in zip(organizations, stacked.stats):
-        _TELEMETRY.simulated += 1
-        _TELEMETRY.scalar_epochs += stats.scalar_epochs
-        _finish_pair(spec, organization, stats, config, scale,
-                     accesses_per_epoch, params, disk_cache)
-        results[(spec.name, organization)] = stats
-
-
-def _finish_pair(spec: BenchmarkSpec, organization: str, stats: RunStats,
-                 config: SystemConfig, scale: float, accesses_per_epoch: int,
-                 params: EngineParams,
-                 disk_cache: Optional[ResultCache]) -> None:
-    """Install one fresh matrix result into the memo and disk layers."""
     key = _memo_key(spec, organization, config, scale, accesses_per_epoch,
                     params)
     _CACHE[key] = stats

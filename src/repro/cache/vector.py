@@ -134,8 +134,7 @@ class GroupedLaneCall(NamedTuple):
     ``cache_idx`` is lane-local; ``lane`` is the absolute ``[lo, hi)``
     cache range.  ``stream`` labels the lane's (cache_idx, addrs,
     writes) arrays: calls carrying equal ids hold element-identical
-    arrays.  The bank does not read it; ``simulate_stacked`` counts it
-    in ``RunStats.stacked_shared_streams``.
+    arrays.  The bank does not read it.
     """
 
     lane: Tuple[int, int]
@@ -1108,10 +1107,12 @@ class VectorBank:
     each exact because, on that checked shape, no kernel row is probed
     in both.  Rows left over-allotted by a repartition drain inside
     those two calls, as drain steps.  Each entry point is the one-call
-    case of the body its ``*_shared`` twin runs with one call per
-    stacked lane.  An epoch either entry point declines — a gate, or a
-    staged epoch that probes a zero-way over slot — comes back ``None``
-    before any state changes; the engine resolves it serially.
+    case of the body its ``*_shared`` twin runs with one call per lane
+    (a ``[lo, hi)`` cache range; the engine's bank is one lane and uses
+    the single-call entry points).  An epoch either entry point
+    declines — a gate, or a staged epoch that probes a zero-way over
+    slot — comes back ``None`` before any state changes; the engine
+    resolves it serially.
     :meth:`drain` invalidates a range of caches in one pass.
     """
 
@@ -1137,10 +1138,10 @@ class VectorBank:
 
         ``lanes`` restricts the eligibility gate (and the per-cache
         stats update) to the given ``[lo, hi)`` cache ranges — the lanes
-        this call actually probes.  Lanes are row-disjoint in the shared
-        store, so a way-partitioned lane elsewhere in a stacked bank
-        must not force *this* lane off the kernel.  Omitted, the whole
-        bank is one lane (the single-engine behaviour).
+        this call actually probes.  Lanes are row-disjoint in the store,
+        so a way-partitioned lane elsewhere in the bank must not force
+        *this* lane off the kernel.  Omitted, the whole bank is one lane
+        (what the engine passes).
         """
         ranges = tuple(lanes) if lanes is not None else \
             ((0, len(self.caches)),)
@@ -1503,8 +1504,7 @@ class VectorBank:
         ways); the engine then resolves it serially.
 
         ``lanes`` narrows the all-partitioned requirement (and the stats
-        update) to the probed ``[lo, hi)`` cache ranges of a stacked
-        bank.  Out-of-lane caches keep a zero way allotment in the
+        update) to the probed ``[lo, hi)`` cache ranges of the bank.  Out-of-lane caches keep a zero way allotment in the
         capacity table; ``idx0``/``idx1`` never address them, so their
         rows never decline the call.
         """

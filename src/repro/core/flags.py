@@ -68,10 +68,6 @@ FLAGS: Tuple[EnvFlag, ...] = (
         "How many times the supervised runner re-queues a task whose "
         "worker crashed or timed out before quarantining it."),
     EnvFlag(
-        "REPRO_STACKED", "1",
-        "Set to `0` to disable stacked multi-config dispatch in "
-        "`run_matrix` (every pending pair then simulates standalone)."),
-    EnvFlag(
         "REPRO_TASK_TIMEOUT", "",
         "Per-task wall-clock budget (seconds, float) for supervised "
         "pool tasks; a worker exceeding it is treated as hung and its "

@@ -17,7 +17,7 @@ Every vector-bank call runs under three checks:
   :func:`guarded`, which translates numpy's read-only ``ValueError``
   and ``FloatingPointError`` into :class:`SanitizerError` after
   recording a :class:`Violation` in the process-wide
-  :func:`report` (surfaced per run as ``RunStats.sanitizer_violations``).
+  :func:`report`.
 
 The sanitizer never changes verdicts: read-only flags and error traps
 only *observe*, so a clean run computes exactly what the unchecked
@@ -61,10 +61,9 @@ class SanitizerError(RuntimeError):
 class SanitizerReport:
     """Accumulated violations of one process.
 
-    The engine snapshots :attr:`count` around each run and stores the
-    delta in ``RunStats.sanitizer_violations``, so a violation is
-    attributable even when the raising :class:`SanitizerError` is
-    swallowed by a fault-containment layer upstream.
+    Every violation also raises :class:`SanitizerError`, so no run
+    returns stats after one; the report keeps the record for tests and
+    error messages.
     """
 
     violations: List[Violation] = field(default_factory=list)

@@ -37,8 +37,8 @@ def _point(label: str, config: SystemConfig, benchmarks: Sequence[str],
            density: int, starred: bool = False) -> Dict[str, object]:
     speedups: Dict[str, List[float]] = {org: [] for org in ORGS[1:]}
     # One matrix per sweep point: every benchmark's three organizations
-    # share a trace, so the runner dispatches them as one stacked sweep
-    # instead of per-pair simulations (cache semantics are unchanged).
+    # share a trace, so the runner runs them as one task, back to back
+    # (cache semantics are unchanged).
     results = run_matrix([get(name) for name in benchmarks], ORGS,
                          config=config, accesses_per_epoch=density)
     for name in benchmarks:

@@ -26,15 +26,6 @@ left in these modules — the engine's serial reference path, the oracle
 every batched epoch must reproduce, and the SAC counters' sampled
 scalar update — carry an inline ``# repro: noqa(hot-loop)``
 suppression with their justification.
-
-The rule also covers *cooperative drivers* (``_drive``-style generator
-pumps): in the designated driver modules, any loop nested inside a
-pump's round loop (a ``while``) whose iterable mentions a per-lane
-collection — ``probes``/``members``/``outcomes``/``sids`` and friends —
-runs O(rounds x lanes) times and is flagged.  Cheap deliberate
-bookkeeping loops (stats charging, probe regrouping) carry the same
-inline suppressions; anything that does real per-lane *work* there
-belongs in the bank's shared entry points.
 """
 
 from __future__ import annotations
@@ -73,20 +64,6 @@ HOT_MODULES = (
     "repro/workloads/generator.py",
 )
 
-#: Modules hosting cooperative drivers (generator pumps that resolve
-#: many lanes per round): per-lane loops inside their round loops are
-#: subject to the driver arm of this rule.
-DRIVER_MODULES = (
-    "repro/sim/stacked.py",
-)
-
-#: Per-lane collection spellings used by the stacked driver: one entry
-#: per lane (or per group member) each round.  Loop targets like
-#: ``probe``/``member`` stay singular, so they never match.
-_LANE_ARRAY_RE = re.compile(
-    r"^(probes|member_probes|outcomes|sids|reps|steps|members"
-    r"|engines|lanes|gcalls|scalls)$")
-
 #: Per-access array spellings used across the engine and cache kernels.
 #: Deliberately plural-only: ``chip``/``addr``/``slice`` are scalar loop
 #: variables all over the geometry-bounded accounting loops.
@@ -123,13 +100,6 @@ def _mentions_access_array(expr: ast.AST) -> bool:
     return False
 
 
-def _mentions_lane_array(expr: ast.AST) -> bool:
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Name) and _LANE_ARRAY_RE.match(node.id):
-            return True
-    return False
-
-
 def _loop_suspects(node: ast.AST) -> list:
     """The (expr, subject) pairs a loop-ish node iterates or tests."""
     if isinstance(node, ast.For):
@@ -155,8 +125,6 @@ class HotLoopRule(Rule):
                 "and must be explicitly justified")
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        if module_matches(source, DRIVER_MODULES):
-            yield from self._check_driver(source)
         if not module_matches(source, HOT_MODULES):
             return
         for node in source.walk():
@@ -172,30 +140,3 @@ class HotLoopRule(Rule):
                         f"trace/access array); vectorize it or justify "
                         f"with '# repro: noqa(hot-loop)'")
                     break
-
-    def _check_driver(self, source: SourceFile) -> Iterator[Finding]:
-        """Flag per-lane loops inside a cooperative driver's round loop.
-
-        A pump's ``while`` round loop repeats until every lane's
-        generator is exhausted; any loop under it whose iterable names
-        a per-lane collection runs O(rounds x lanes) times in Python.
-        """
-        seen = set()
-        for pump in source.walk():
-            if not isinstance(pump, ast.While):
-                continue
-            for node in ast.walk(pump):
-                if node is pump or not _loop_suspects(node) or \
-                        (node.lineno, node.col_offset) in seen:
-                    continue
-                for expr, subject in _loop_suspects(node):
-                    if _mentions_lane_array(expr):
-                        seen.add((node.lineno, node.col_offset))
-                        yield self.finding(
-                            source, node.lineno, node.col_offset,
-                            f"per-lane Python loop in a cooperative "
-                            f"driver round ({subject} touches a lane "
-                            f"collection); move the work into a shared "
-                            f"bank entry point or justify with "
-                            f"'# repro: noqa(hot-loop)'")
-                        break

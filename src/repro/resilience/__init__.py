@@ -8,9 +8,8 @@ recovery path is testable without real nondeterminism).  See
 ``docs/resilience.md``.
 """
 
-from .faults import (FaultEntry, FaultPlan, InjectedFault,
-                     InjectedLaneFault, KernelSolveError, SITES, active,
-                     armed, fire, install, reset)
+from .faults import (FaultEntry, FaultPlan, SITES, active, armed, fire,
+                     install, reset)
 from .manifest import SweepManifest
 from .supervisor import (SupervisedTask, Supervisor, SupervisorTelemetry,
                          TaskFailedError, TaskTimeoutError, default_retries,
@@ -19,9 +18,6 @@ from .supervisor import (SupervisedTask, Supervisor, SupervisorTelemetry,
 __all__ = [
     "FaultEntry",
     "FaultPlan",
-    "InjectedFault",
-    "InjectedLaneFault",
-    "KernelSolveError",
     "SITES",
     "SupervisedTask",
     "Supervisor",

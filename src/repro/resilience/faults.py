@@ -1,8 +1,7 @@
 """Deterministic fault injection for the execution layer.
 
-Every recovery path in the supervised runner and the stacked driver —
-worker respawns, task retries, lane quarantine, torn-payload
-quarantine, vector-kernel demotion — must be exercised by ordinary
+Every recovery path in the supervised runner — worker respawns, task
+retries, torn-payload quarantine — must be exercised by ordinary
 tier-1 tests, and real nondeterminism (killing processes at random,
 corrupting files with real races) would make those tests flaky by
 construction.  A :class:`FaultPlan` instead *arms* named sites in the
@@ -20,16 +19,6 @@ Site catalog (see ``docs/resilience.md``):
     for the entry's value (default ``30.0`` seconds), long enough to
     trip any reasonable ``REPRO_TASK_TIMEOUT``, but finite so tests
     never leak a truly stuck process.
-``lane.raise``
-    Checked by the stacked driver each time it pumps a lane, keyed by
-    the lane's organization name.  Firing raises
-    :class:`InjectedLaneFault` from inside the cooperative drive,
-    exercising lane quarantine.
-``kernel.solve_error``
-    Checked immediately before every vector-bank invocation, keyed by
-    the owning engine's organization name.  Firing raises
-    :class:`KernelSolveError`, the marker the stacked driver uses to
-    demote a quarantined lane's solo re-run to the scalar engine.
 ``cache.torn_payload``
     Checked after every successful :meth:`ResultCache.store`, keyed by
     the cache key.  Firing truncates the just-written payload,
@@ -69,8 +58,6 @@ from ..core import flags
 SITES = frozenset({
     "worker.crash",
     "worker.hang",
-    "lane.raise",
-    "kernel.solve_error",
     "cache.torn_payload",
 })
 
@@ -82,29 +69,6 @@ _MARKED_SITES = frozenset({"worker.crash", "worker.hang"})
 #: Site-specific default values returned by :meth:`FaultPlan.fire` when
 #: the armed entry carries no explicit ``=value``.
 _DEFAULT_VALUES = {"worker.hang": 30.0}
-
-
-class InjectedFault(RuntimeError):
-    """Base class of every deliberately injected failure."""
-
-    def __init__(self, site: str, key: Optional[str] = None) -> None:
-        self.site = site
-        self.key = key
-        suffix = f" (key={key!r})" if key is not None else ""
-        super().__init__(f"injected fault at site {site!r}{suffix}")
-
-
-class InjectedLaneFault(InjectedFault):
-    """Raised mid-drive by an armed ``lane.raise`` site."""
-
-
-class KernelSolveError(InjectedFault):
-    """Raised by an armed ``kernel.solve_error`` site.
-
-    The stacked driver treats this (and any exception raised while
-    resolving a vector-bank invocation) as a kernel fault: the
-    quarantined lane's solo re-run is demoted to the scalar engine.
-    """
 
 
 @dataclass

@@ -7,8 +7,6 @@ from .run import (
     DEFAULT_ACCESSES_PER_EPOCH,
     DEFAULT_SCALE,
     ORGANIZATIONS,
-    StackedResult,
-    StackedTelemetry,
     make_organization,
     scaled_config,
     simulate,
@@ -37,8 +35,6 @@ __all__ = [
     "DEFAULT_ACCESSES_PER_EPOCH",
     "DEFAULT_SCALE",
     "ORGANIZATIONS",
-    "StackedResult",
-    "StackedTelemetry",
     "make_organization",
     "scaled_config",
     "simulate",

@@ -50,12 +50,10 @@ from ..cache.vector import (
     BatchResult,
     StagedResult,
     VectorBank,
-    VectorCache,
     _stable_order,
 )
 from ..coherence.hardware import HardwareCoherence
 from ..coherence.software import SoftwareCoherence
-from ..core import sanitize as _sanitize
 from ..llc.base import LLCOrganization, RoutePlan
 from ..llc.organizations import StaticLLC
 from ..memory.dram import DramSystem
@@ -63,8 +61,6 @@ from ..memory.mapping import AddressMapping
 from ..memory.pages import PageTable
 from ..noc.crossbar import Crossbar
 from ..noc.ring import InterChipRing
-from ..resilience.faults import KernelSolveError
-from ..resilience.faults import fire as fault_fire
 from ..workloads.generator import EpochTrace, KernelTrace
 from .stats import (
     ORIGIN_LOCAL_LLC,
@@ -150,12 +146,12 @@ def takes_vector_path(config: SystemConfig, params: EngineParams,
                  or hasattr(org_class, "observe_batch")))
 
 
-#: What the driver answers a :class:`BankProbe` with: the bank call's
-#: result, or ``None`` when the bank declined (the engine then resolves
-#: the epoch on its serial per-access path).
+#: What a :class:`BankProbe` resolves to: the bank call's result, or
+#: ``None`` when the bank declined (the engine then resolves the epoch
+#: on its serial per-access path).
 ProbeOutcome = Union[BatchResult, StagedResult, None]
 
-#: The cooperative epoch protocol: :meth:`SimulationEngine.run_steps`
+#: The epoch protocol: :meth:`SimulationEngine.run_steps`
 #: yields each batched epoch's pending bank invocation and receives the
 #: outcome via ``send``.
 ProbeGen = Generator["BankProbe", ProbeOutcome, None]
@@ -165,18 +161,12 @@ ProbeGen = Generator["BankProbe", ProbeOutcome, None]
 class BankProbe:
     """One batched epoch's pending vector-bank invocation.
 
-    Yielded by :meth:`SimulationEngine.run_steps`.  The index arrays are
-    *lane-local* (exactly what a standalone engine would pass);
-    ``base`` is the engine's cache offset within ``bank`` and ``lane``
-    the absolute ``[lo, hi)`` cache range its gate must check, so a
-    driver multiplexing several engines over one stacked bank can
-    concatenate probes and hand each lane back a lane-local result.
+    Yielded by :meth:`SimulationEngine.run_steps`; :meth:`invoke`
+    resolves it against the engine's own bank.
     """
 
     bank: VectorBank
     kind: str  # "grouped" | "staged"
-    base: int
-    lane: Tuple[int, int]
     addrs: np.ndarray
     writes: np.ndarray
     idx0: np.ndarray
@@ -184,43 +174,17 @@ class BankProbe:
     two_stage: Optional[np.ndarray] = None
     idx1: Optional[np.ndarray] = None
     part1: Optional[np.ndarray] = None
-    #: Key for the ``kernel.solve_error`` fault site (the owning
-    #: engine's organization name); ``None`` disables injection.
-    fault_key: Optional[str] = None
-
-    def abs_idx0(self) -> np.ndarray:
-        """Stage-0 cache indices in the bank's absolute numbering."""
-        return self.idx0 + self.base if self.base else self.idx0
-
-    def abs_idx1(self) -> np.ndarray:
-        """Stage-1 cache indices in the bank's absolute numbering."""
-        assert self.idx1 is not None
-        return self.idx1 + self.base if self.base else self.idx1
-
-    def localize(self, staged: Optional[StagedResult]
-                 ) -> Optional[StagedResult]:
-        """Shift a staged result's eviction indices back lane-local."""
-        if staged is None or not self.base:
-            return staged
-        return StagedResult(staged.hit_stage,
-                            staged.evicted_cache - self.base,
-                            staged.evicted_addr)
 
     def invoke(self) -> ProbeOutcome:
-        """Resolve this probe alone (the standalone-run driver)."""
-        if fault_fire("kernel.solve_error", key=self.fault_key) is not None:
-            raise KernelSolveError("kernel.solve_error", key=self.fault_key)
+        """Resolve this probe with one bank call."""
         if self.kind == "grouped":
-            return self.bank.access_many_grouped(
-                self.abs_idx0(), self.addrs, self.writes,
-                lanes=[self.lane])
+            return self.bank.access_many_grouped(self.idx0, self.addrs,
+                                                 self.writes)
         assert self.part0 is not None and self.two_stage is not None \
-            and self.part1 is not None
-        staged = self.bank.access_many_staged(
-            self.addrs, self.writes, self.abs_idx0(), self.part0,
-            self.two_stage, self.abs_idx1(), self.part1,
-            lanes=[self.lane])
-        return self.localize(staged)
+            and self.idx1 is not None and self.part1 is not None
+        return self.bank.access_many_staged(
+            self.addrs, self.writes, self.idx0, self.part0,
+            self.two_stage, self.idx1, self.part1)
 
 
 class _PlanTable:
@@ -355,21 +319,15 @@ class _PlanTable:
 class SimulationEngine:
     """Runs one benchmark trace under one LLC organization.
 
-    An engine owns the full per-lane state of one run — crossbars, ring,
-    DRAM, page table and :class:`RunStats` accumulators.  A run that
-    takes the vector path (:func:`takes_vector_path`) keeps its LLC
-    slices in a :class:`VectorBank`, by default its own; pass
-    ``llc_bank``/``llc_bank_base`` to mount them as one *lane* of a
-    shared stacked bank (see :mod:`repro.sim.stacked`), which changes
-    where the tag rows live but not a single simulated outcome.  Every
-    other run keeps ``SetAssociativeCache`` slices and mounting a bank
-    on it raises ``ValueError``.
+    An engine owns the full state of one run — crossbars, ring, DRAM,
+    page table and :class:`RunStats` accumulators.  A run that takes
+    the vector path (:func:`takes_vector_path`) keeps its LLC slices in
+    a :class:`VectorBank` of its own; every other run keeps
+    ``SetAssociativeCache`` slices.
     """
 
     def __init__(self, config: SystemConfig, organization: LLCOrganization,
-                 params: Optional[EngineParams] = None,
-                 llc_bank: Optional[VectorBank] = None,
-                 llc_bank_base: int = 0) -> None:
+                 params: Optional[EngineParams] = None) -> None:
         self.config = config
         self.organization = organization
         self.params = params or EngineParams()
@@ -385,36 +343,18 @@ class SimulationEngine:
             channels_per_chip=chip_cfg.memory.channels_per_chip)
         llc_cfg = chip_cfg.llc_slice
         self._llc_bank: Optional[VectorBank] = None
-        self._bank_base = 0
         if not takes_vector_path(config, self.params, type(organization)):
-            if llc_bank is not None:
-                raise ValueError(
-                    "a shared llc_bank requires a run that takes the "
-                    "vector path (see takes_vector_path)")
             self.llc = [
                 [SetAssociativeCache(llc_cfg, name=f"llc{c}.{s}")
                  for s in range(chip_cfg.llc_slices)]
                 for c in range(config.num_chips)]
         else:
-            total = config.total_llc_slices
-            if llc_bank is None:
-                llc_bank = VectorBank(
-                    llc_cfg, [f"llc{c}.{s}" for c in range(config.num_chips)
-                              for s in range(chip_cfg.llc_slices)])
-                llc_bank_base = 0
-            elif llc_bank.config != llc_cfg:
-                raise ValueError(
-                    "shared llc_bank geometry does not match this "
-                    "engine's LLC slice config")
-            elif not 0 <= llc_bank_base <= len(llc_bank.caches) - total:
-                raise ValueError(
-                    f"llc_bank_base {llc_bank_base} leaves no room for "
-                    f"{total} slices in a bank of {len(llc_bank.caches)}")
-            # This engine's LLC is one lane of the bank (all of it when
-            # the engine built the bank itself).
-            self._llc_bank = llc_bank
-            self._bank_base = llc_bank_base
-            self.llc = [self._bank_slices(llc_bank, c)
+            bank = VectorBank(
+                llc_cfg, [f"llc{c}.{s}" for c in range(config.num_chips)
+                          for s in range(chip_cfg.llc_slices)])
+            self._llc_bank = bank
+            per_chip = chip_cfg.llc_slices
+            self.llc = [bank.caches[c * per_chip:(c + 1) * per_chip]
                         for c in range(config.num_chips)]
         self.crossbars = [Crossbar(chip_cfg.noc, chip=c)
                           for c in range(config.num_chips)]
@@ -465,12 +405,6 @@ class SimulationEngine:
         """LLC slice index (within a chip) that serves ``addr``."""
         return self.mapping.llc_slice_of(addr)
 
-    def _bank_slices(self, bank: VectorBank, chip: int) -> List[VectorCache]:
-        """Chip ``chip``'s LLC slices: views of this engine's bank lane."""
-        per_chip = self.config.chip.llc_slices
-        lo = self._bank_base + chip * per_chip
-        return bank.caches[lo:lo + per_chip]
-
     def set_llc_partitioning(self, ways: Optional[Dict[int, int]]) -> None:
         """Apply way partitioning to every LLC slice in the system."""
         for chip_slices in self.llc:
@@ -517,7 +451,7 @@ class SimulationEngine:
                 # notify, so the bank drains the chip's slices in one
                 # pass (any partition/dirty_only mode) and the dirty
                 # lines are homed in bulk.
-                lo = self._bank_base + chip * per_chip
+                lo = chip * per_chip
                 drained, invalidated, dirty = bank.drain(
                     lo, lo + per_chip, partition=partition,
                     dirty_only=dirty_only)
@@ -583,9 +517,8 @@ class SimulationEngine:
             benchmark: str = "") -> RunStats:
         """Simulate every kernel launch and return the aggregate stats.
 
-        This is the standalone driver of :meth:`run_steps`: every bank
-        probe the generator yields is resolved immediately against this
-        engine's own lane.
+        This drives :meth:`run_steps`: every bank probe the generator
+        yields is resolved at once against this engine's own bank.
         """
         steps = self.run_steps(kernels, benchmark)
         outcome: ProbeOutcome = None
@@ -598,25 +531,17 @@ class SimulationEngine:
 
     def run_steps(self, kernels: Iterable[KernelTrace],
                   benchmark: str = "") -> ProbeGen:
-        """Cooperative form of :meth:`run`.
+        """Generator form of :meth:`run`.
 
         Yields a :class:`BankProbe` for each batched epoch's pending
         vector-bank invocation and expects the outcome back via
         ``send`` (``None`` means the bank declined and the engine
-        resolves that epoch serially).  A stacked driver
-        multiplexes many engines' generators over shared banks; the
-        control flow is byte-for-byte the one a standalone :meth:`run`
-        executes, which is what keeps stacked lanes bit-identical.
+        resolves that epoch serially).
         """
         self.stats.benchmark = benchmark
-        base_violations = _sanitize.report().count
         for kernel in kernels:
             yield from self._run_kernel(kernel)
         self._finalize_allocation_stats()
-        # Violations recorded while this lane ran (0 unless a kernel
-        # contract broke and the raising error was contained upstream).
-        self.stats.sanitizer_violations = \
-            _sanitize.report().count - base_violations
 
     def _run_kernel(self, kernel: KernelTrace) -> ProbeGen:
         kstats = KernelStats(name=kernel.name)
@@ -773,10 +698,7 @@ class SimulationEngine:
         path.
 
         The bank invocations themselves are *yielded* as
-        :class:`BankProbe` requests rather than called inline, so the
-        same code path serves both standalone runs (the driver in
-        :meth:`run` invokes each probe immediately) and stacked runs
-        (the driver batches co-resident lanes into one call).
+        :class:`BankProbe` requests, which :meth:`run` resolves at once.
 
         A uniform single-stage table takes the grouped kernel and the
         L1.5 table the staged one; an epoch under any other table, or
@@ -800,23 +722,12 @@ class SimulationEngine:
 
         # Cache probes: the only sequentially-stateful work in the epoch.
         idx0_np = pt.serve0[pair_np] * np.int64(llc_slices) + slices_np
-        base = self._bank_base
-        lane = (base, base + config.total_llc_slices)
         batch: Optional[BatchResult] = None
         staged: Optional[StagedResult] = None
         if pt.grouped:
-            probe = BankProbe(
-                bank=bank, kind="grouped", base=base, lane=lane,
-                addrs=addrs_np, writes=writes_np, idx0=idx0_np,
-                fault_key=org.name)
-            if org.profiling:
-                # Profiling slices are head/tail cuts that no other
-                # organization's lane runs; resolving them inline keeps
-                # the stacked driver's round alignment (and hence stream
-                # sharing) intact for the shared epochs.
-                batch = cast(Optional[BatchResult], probe.invoke())
-            else:
-                batch = cast(Optional[BatchResult], (yield probe))
+            batch = cast(Optional[BatchResult], (yield BankProbe(
+                bank=bank, kind="grouped", addrs=addrs_np,
+                writes=writes_np, idx0=idx0_np)))
         if batch is not None:
             hs = np.where(batch.hits, np.int64(0), np.int64(-1))
             dirty_sel = batch.evicted_dirty
@@ -824,19 +735,13 @@ class SimulationEngine:
             ev_addr = batch.evicted_addr[dirty_sel]
         else:
             if pt.l15:
-                probe = BankProbe(
-                    bank=bank, kind="staged", base=base, lane=lane,
-                    addrs=addrs_np, writes=writes_np, idx0=idx0_np,
+                staged = cast(Optional[StagedResult], (yield BankProbe(
+                    bank=bank, kind="staged", addrs=addrs_np,
+                    writes=writes_np, idx0=idx0_np,
                     part0=pt.part0[pair_np], two_stage=pt.two[pair_np],
                     idx1=pt.serve1[pair_np] * np.int64(llc_slices)
                     + slices_np,
-                    part1=pt.part1[pair_np], fault_key=org.name)
-                if org.profiling:
-                    # Same round-alignment rationale as the grouped
-                    # branch above.
-                    staged = cast(Optional[StagedResult], probe.invoke())
-                else:
-                    staged = cast(Optional[StagedResult], (yield probe))
+                    part1=pt.part1[pair_np])))
             if staged is None:
                 # Another table, or the bank declined: resolve the whole
                 # epoch serially.
@@ -880,9 +785,10 @@ class SimulationEngine:
         the same homes as the per-access path.  The page decomposition
         (distinct pages in first-touch order, their first toucher and
         each access's index into them) is a pure function of the
-        epoch's arrays and is memoized on the epoch, so lanes sharing
-        the trace sort it once; the page-table resolution itself stays
-        per-lane — each lane allocates its own table.
+        epoch's arrays and is memoized on the epoch, so every run
+        replaying the cached trace sorts it once; the page-table
+        resolution itself stays per run — each run allocates its own
+        table.
         """
         key = ("pages", self._page_shift)
         prep = epoch.derived.get(key)
@@ -1064,8 +970,7 @@ class SimulationEngine:
 
         The hash is a pure function of the address array plus the
         mapping parameters in the key, so a shared epoch's memo lets
-        every sweep lane (and every best-of-N rep replaying the cached
-        trace) reuse one computation.  The memo keeps it frozen at the
+        every run replaying the cached trace reuse one computation.  The memo keeps it frozen at the
         narrowest unsigned width that holds ``slices_per_chip - 1``
         (uint8 for every shipped config) and each read widens it back.
         """
@@ -1346,15 +1251,14 @@ class SimulationEngine:
                         else:
                             remote += 1
         else:
-            # Vector path: one bank-wide listing of the lane's resident
-            # lines, homed in bulk; unallocated pages count as local (as
-            # the serial path's None does).
+            # Vector path: one bank-wide listing of the resident lines,
+            # homed in bulk; unallocated pages count as local (as the
+            # serial path's None does).
             per_chip = self.config.chip.llc_slices
-            lo = self._bank_base
             cache_idx, addrs = bank.resident_addrs(
-                lo, lo + self.config.num_chips * per_chip)
+                0, self.config.num_chips * per_chip)
             if addrs.size:
-                owner = (cache_idx - np.int64(lo)) // np.int64(per_chip)
+                owner = cache_idx // np.int64(per_chip)
                 homes = self.page_table.homes_of(
                     addrs >> np.int64(self.page_table._page_shift))
                 remote = int(np.count_nonzero((homes >= 0)

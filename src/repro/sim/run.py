@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..arch.config import SystemConfig
 from ..arch.presets import baseline, with_llc_capacity_scale
@@ -57,12 +57,6 @@ def reset_simulate_calls() -> None:
     """Reset the ``simulate`` call counter (for tests)."""
     global _SIMULATE_CALLS
     _SIMULATE_CALLS = 0
-
-
-def _note_simulate_calls(count: int = 1) -> None:
-    """Record fresh simulations (``simulate_stacked`` counts per lane)."""
-    global _SIMULATE_CALLS
-    _SIMULATE_CALLS += count
 
 
 def make_organization(name: str, config: SystemConfig,
@@ -132,7 +126,8 @@ def simulate(spec: BenchmarkSpec,
     ignored and the caller is responsible for matching the scaled
     config).
     """
-    _note_simulate_calls()
+    global _SIMULATE_CALLS
+    _SIMULATE_CALLS += 1
     base = config or baseline()
     run_config = scaled_config(base, scale)
     if isinstance(organization, str):
@@ -155,22 +150,33 @@ def simulate(spec: BenchmarkSpec,
     return stats
 
 
-# Re-exported here so the stacked entry point lives next to ``simulate``
-# (the import sits at module end because ``stacked`` imports the helpers
-# above).
-from .stacked import (  # noqa: E402
-    StackedResult,
-    StackedTelemetry,
-    simulate_stacked,
-)
+def simulate_stacked(spec: BenchmarkSpec,
+                     organizations: Sequence[Union[str, LLCOrganization]],
+                     config: Optional[SystemConfig] = None,
+                     scale: float = DEFAULT_SCALE,
+                     accesses_per_epoch: int = DEFAULT_ACCESSES_PER_EPOCH,
+                     params: Optional[EngineParams] = None
+                     ) -> List[RunStats]:
+    """Simulate ``spec`` under each organization in turn.
+
+    One :func:`simulate` per organization, back to back over the one
+    memoized trace, so each run's engine and tag store are freed before
+    the next run builds its own.  ``stats[i]`` is the run of
+    ``organizations[i]``.  The name is kept while the benchmark's
+    tracer patches it (ROADMAP, item 1); after that it can be renamed.
+    """
+    # ``simulate`` is looked up as this module's global on every call,
+    # so a patched ``repro.sim.run.simulate`` sees each run.
+    return [simulate(spec, organization, config=config, scale=scale,
+                     accesses_per_epoch=accesses_per_epoch, params=params)
+            for organization in organizations]
+
 
 __all__ = [
     "DEFAULT_ACCESSES_PER_EPOCH",
     "DEFAULT_SCALE",
     "EXTRA_ORGANIZATIONS",
     "ORGANIZATIONS",
-    "StackedResult",
-    "StackedTelemetry",
     "make_organization",
     "reset_simulate_calls",
     "scaled_config",

@@ -31,12 +31,6 @@ TELEMETRY_FIELDS = frozenset({
     "slow_epochs",
     "vector_epochs",
     "scalar_epochs",
-    "stacked_lanes",
-    "stacked_probe_calls",
-    "stacked_shared_streams",
-    "lane_quarantined",
-    "lane_demoted",
-    "sanitizer_violations",
 })
 
 
@@ -108,26 +102,6 @@ class RunStats:
     # serial path instead, so a config silently falling off the kernel
     # shows up here.
     scalar_epochs: int = 0
-    # Stacked-run telemetry: how many lanes shared this run's tag store
-    # (0 for standalone runs and for lanes the stacked driver hosted in
-    # their own bank), and how many driver-side bank invocations this
-    # lane's epochs participated in.
-    stacked_lanes: int = 0
-    stacked_probe_calls: int = 0
-    # Stacked rounds in which this lane's probe carried a stream
-    # element-identical to another resolved lane's in the same bank call.
-    stacked_shared_streams: int = 0
-    # Resilience telemetry: 1 when this lane faulted inside a stacked
-    # drive and these stats come from its solo re-run; ``lane_demoted``
-    # additionally marks that the re-run fell back to the serial engine
-    # because the vector kernel itself faulted.
-    lane_quarantined: int = 0
-    lane_demoted: int = 0
-    # Kernel-contract violations the always-on runtime sanitizer
-    # recorded during this run (see ``repro.core.sanitize``).  A nonzero
-    # count survives even when the raising ``SanitizerError`` was
-    # absorbed by a containment layer.
-    sanitizer_violations: int = 0
 
     @property
     def llc_hit_rate(self) -> float:
@@ -211,12 +185,6 @@ class RunStats:
             "slow_epochs": self.slow_epochs,
             "vector_epochs": self.vector_epochs,
             "scalar_epochs": self.scalar_epochs,
-            "stacked_lanes": self.stacked_lanes,
-            "stacked_probe_calls": self.stacked_probe_calls,
-            "stacked_shared_streams": self.stacked_shared_streams,
-            "lane_quarantined": self.lane_quarantined,
-            "lane_demoted": self.lane_demoted,
-            "sanitizer_violations": self.sanitizer_violations,
         }
 
     def comparable_dict(self) -> Dict[str, object]:

@@ -194,39 +194,60 @@ class TestSpecNameCollision:
         assert set(results) == {("same", "memory-side")}
 
 
-class TestStackedDispatch:
+class TestBenchmarkDispatch:
+    """``run_matrix`` sends one supervised task per benchmark; the task
+    runs that benchmark's pending organizations one after another."""
+
     ORGS = ["memory-side", "sm-side", "static", "dynamic", "sac"]
 
-    def test_matrix_matches_per_pair_dispatch(self, monkeypatch):
-        spec = tiny_spec("stack-eq")
-        monkeypatch.setenv("REPRO_STACKED", "0")
-        per_pair = run_matrix([spec], self.ORGS, accesses_per_epoch=256)
-        clear_cache()
-        monkeypatch.setenv("REPRO_STACKED", "1")
-        stacked = run_matrix([spec], self.ORGS, accesses_per_epoch=256)
-        assert list(stacked) == list(per_pair)
-        for key in per_pair:
-            assert stacked[key].comparable_dict() == \
-                per_pair[key].comparable_dict()
+    @pytest.fixture
+    def task_lists(self, monkeypatch):
+        """The task list of every ``Supervisor.run`` the runner makes."""
+        from repro.analysis import runner
+        seen = []
 
-    def test_telemetry_counts_stacked_groups(self):
+        class Recording(runner.Supervisor):
+            def run(self, tasks):
+                seen.append(list(tasks))
+                return super().run(tasks)
+
+        monkeypatch.setattr(runner, "Supervisor", Recording)
+        return seen
+
+    def test_one_task_per_benchmark(self, task_lists):
         from repro.analysis import reset_telemetry, telemetry
         reset_telemetry()
-        run_matrix([tiny_spec("stack-tele")], self.ORGS,
-                   accesses_per_epoch=256)
-        assert telemetry().simulated == 5
-        assert telemetry().stacked_groups == 1
-        assert telemetry().stacked_lanes == 5
-        assert telemetry().stacked_fallbacks == 0
-        assert "5 lanes stacked in 1 groups" in telemetry().summary()
+        specs = [tiny_spec(f"bench-{i}") for i in range(3)]
+        run_matrix(specs, self.ORGS, accesses_per_epoch=256)
+        assert telemetry().simulated == 15
+        (tasks,) = task_lists
+        assert [t.label for t in tasks] == [
+            f"bench-{i}:{'+'.join(self.ORGS)}" for i in range(3)]
 
-    def test_lone_pending_pair_stays_unstacked(self):
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_matrix_matches_per_pair_simulate(self, n_jobs):
+        from repro.sim import simulate
+        specs = [tiny_spec(f"pairs-{i}") for i in range(3)]
+        results = run_matrix(specs, self.ORGS, accesses_per_epoch=256,
+                             n_jobs=n_jobs)
+        assert list(results) == [(s.name, o) for s in specs
+                                 for o in self.ORGS]
+        for spec in specs:
+            for org in self.ORGS:
+                solo = simulate(spec, org, accesses_per_epoch=256)
+                assert results[(spec.name, org)].comparable_dict() == \
+                    solo.comparable_dict(), (spec.name, org)
+
+    def test_lone_pending_pair_still_runs(self, task_lists):
         from repro.analysis import reset_telemetry, telemetry
+        spec = tiny_spec("lone")
+        run_matrix([spec], self.ORGS[:-1], accesses_per_epoch=256)
         reset_telemetry()
-        run_matrix([tiny_spec("stack-lone")], ["memory-side"],
-                   accesses_per_epoch=256)
+        results = run_matrix([spec], self.ORGS, accesses_per_epoch=256)
+        assert len(results) == 5
+        assert telemetry().memo_hits == 4
         assert telemetry().simulated == 1
-        assert telemetry().stacked_groups == 0
+        assert [t.label for t in task_lists[-1]] == ["lone:sac"]
 
 
 class TestTelemetrySeconds:
@@ -285,26 +306,33 @@ class TestSupervisedMatrix:
 
     def test_interrupted_sweep_resumes_incomplete_pairs_only(
             self, tmp_path, monkeypatch):
-        # First pass: both sm-side pairs fail terminally (an unbounded
-        # injected kernel fault, zero retries).  The supervisor still
-        # completes and journals the memory-side pairs before raising.
+        # First pass: res-b's sm-side run fails (zero retries), which
+        # fails res-b's whole task, memory-side included.  The
+        # supervisor still completes and journals res-a's pairs before
+        # raising.
         from repro.analysis import reset_telemetry, telemetry
-        from repro.resilience import faults
         from repro.resilience.supervisor import TaskFailedError
+        from repro.sim import run as sim_run
         from repro.sim.run import reset_simulate_calls, simulate_calls
-        monkeypatch.setenv("REPRO_STACKED", "0")
         monkeypatch.setenv("REPRO_RETRIES", "0")
         specs = [tiny_spec("res-a"), tiny_spec("res-b")]
         orgs = ["memory-side", "sm-side"]
-        with faults.armed("kernel.solve_error:sm-side@1*"):
-            with pytest.raises(TaskFailedError) as excinfo:
-                run_matrix(specs, orgs, accesses_per_epoch=256,
-                           cache_dir=tmp_path)
-        assert set(excinfo.value.failures) == {"res-a:sm-side",
-                                               "res-b:sm-side"}
-        # Second pass, fault disarmed, memo dropped: the journaled pairs
+        real = sim_run.simulate
+
+        def failing(spec, organization, **kwargs):
+            if (spec.name, organization) == ("res-b", "sm-side"):
+                raise RuntimeError("res-b/sm-side fails")
+            return real(spec, organization, **kwargs)
+
+        monkeypatch.setattr(sim_run, "simulate", failing)
+        with pytest.raises(TaskFailedError) as excinfo:
+            run_matrix(specs, orgs, accesses_per_epoch=256,
+                       cache_dir=tmp_path)
+        assert set(excinfo.value.failures) == {"res-b:memory-side+sm-side"}
+        # Second pass, failure gone, memo dropped: the journaled pairs
         # come back from disk as resumed, only the two incomplete pairs
         # re-simulate.
+        monkeypatch.setattr(sim_run, "simulate", real)
         clear_cache()
         reset_telemetry()
         reset_simulate_calls()
@@ -324,7 +352,6 @@ class TestSupervisedMatrix:
         from repro.analysis import reset_telemetry, runner, telemetry
         from repro.analysis.diskcache import ResultCache
         from repro.sim.run import reset_simulate_calls, simulate_calls
-        monkeypatch.setenv("REPRO_STACKED", "0")
         specs = [tiny_spec("res-c")]
         orgs = ["memory-side", "sm-side"]
         run_matrix(specs, orgs, accesses_per_epoch=256, cache_dir=tmp_path)
@@ -348,9 +375,8 @@ class TestSupervisedMatrix:
             self, tmp_path, monkeypatch):
         from repro.analysis import reset_telemetry, telemetry
         from repro.resilience import faults
-        monkeypatch.setenv("REPRO_STACKED", "0")
         monkeypatch.setenv(
-            "REPRO_FAULTS", "worker.crash:crash-a:memory-side")
+            "REPRO_FAULTS", "worker.crash:crash-a:memory-side+sm-side")
         monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "state"))
         faults.reset()
         reset_telemetry()

@@ -4,7 +4,7 @@ from repro.lint import REGISTRY, run
 from repro.lint.rules.config_validation import CONFIG_MODULES
 from repro.lint.rules.dtype_discipline import DTYPE_MODULES
 from repro.lint.rules.float_eq import TIMING_MODULES
-from repro.lint.rules.hot_loop import DRIVER_MODULES, HOT_MODULES
+from repro.lint.rules.hot_loop import HOT_MODULES
 from repro.lint.rules.nondeterminism import KEY_MODULES
 
 #: The module list of every path-scoped rule.
@@ -13,7 +13,6 @@ SCOPES = {
     "DTYPE_MODULES": DTYPE_MODULES,
     "TIMING_MODULES": TIMING_MODULES,
     "HOT_MODULES": HOT_MODULES,
-    "DRIVER_MODULES": DRIVER_MODULES,
     "KEY_MODULES": KEY_MODULES,
 }
 

@@ -3,13 +3,13 @@
 The rule is scoped by a fixed module list, so a per-access loop moved
 into a helper module would escape it.  This test records which
 ``repro`` modules actually run while a vector-path epoch is live and
-fails if ``HOT_MODULES`` (plus the driver modules) misses any.
+fails if ``HOT_MODULES`` misses any.
 
 A module counts as executed when a ``call`` event for one of its code
-objects fires while a root frame — the batched epoch kernel or the
-stacked driver's round loop — is live.  A generator resume is a
-``call`` event and each ``yield`` a ``return``, so counting root
-frames in and out is exact across the cooperative drive.
+objects fires while a root frame — the engine's per-kernel body, or
+the bank call that resolves a probe it yields — is live.  A generator
+resume is a ``call`` event and each ``yield`` a ``return``, so counting
+root frames in and out is exact across the yielded bank probes.
 """
 
 import sys
@@ -17,8 +17,8 @@ from pathlib import Path
 
 import repro
 from repro.arch import baseline, presets
-from repro.lint.rules.hot_loop import DRIVER_MODULES, HOT_MODULES
-from repro.sim import ORGANIZATIONS, simulate, simulate_stacked
+from repro.lint.rules.hot_loop import HOT_MODULES
+from repro.sim import ORGANIZATIONS, simulate
 from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
 from repro.workloads.suite import get
 
@@ -27,8 +27,8 @@ DENSITY = 512
 
 #: ``(module suffix, function name)`` of each root frame.
 ROOTS = frozenset({
-    ("repro/sim/engine.py", "_run_epoch_batched"),
-    ("repro/sim/stacked.py", "_drive"),
+    ("repro/sim/engine.py", "_run_kernel"),
+    ("repro/sim/engine.py", "invoke"),
 })
 
 PACKAGE = Path(repro.__file__).resolve().parent
@@ -89,8 +89,6 @@ def vector_path_runs():
     for org in ORGANIZATIONS:
         stats = simulate(spec, org, scale=SCALE, accesses_per_epoch=DENSITY)
         assert stats.vector_epochs > 0, org
-    simulate_stacked(spec, list(ORGANIZATIONS), scale=SCALE,
-                     accesses_per_epoch=DENSITY)
     # No floor on the remote allotment: staged epochs decline and rerun
     # on the serial engine from inside the batched kernel.
     declined = simulate(get("SRAD"), "dynamic", scale=SCALE,
@@ -104,8 +102,7 @@ def vector_path_runs():
 def test_hot_modules_cover_the_vector_path():
     seen = executed_modules(vector_path_runs)
     assert "repro/cache/vector.py" in seen
-    assert "repro/sim/stacked.py" in seen
-    missing = sorted(seen - set(HOT_MODULES) - set(DRIVER_MODULES))
+    missing = sorted(seen - set(HOT_MODULES))
     assert missing == [], (
         f"modules the vector path executes but hot-loop does not check: "
         f"{missing}; add them to HOT_MODULES in "

@@ -86,49 +86,6 @@ def test_hot_loop_silent_outside_hot_modules():
     assert findings == []
 
 
-STACKED = "repro/sim/stacked.py"
-
-
-def test_hot_loop_fires_on_per_lane_loop_in_driver_round():
-    findings = lint_text("""\
-        def _drive(steps):
-            probes = [next(s) for s in steps]
-            while True:
-                for i, probe in enumerate(probes):
-                    pump(probe)
-                done = [collect(p) for p in probes]
-                if not done:
-                    break
-        """, STACKED, rule="hot-loop")
-    assert len(findings) == 2
-    assert {f.line for f in findings} == {4, 6}
-    assert all("cooperative driver" in f.message for f in findings)
-
-
-def test_hot_loop_silent_on_driver_loops_outside_the_round_loop():
-    findings = lint_text("""\
-        def _drive(steps):
-            probes = [next(s) for s in steps]
-            for i, probe in enumerate(probes):
-                seed(probe)
-            while True:
-                for g in groups.values():
-                    pump(g)
-                break
-        """, STACKED, rule="hot-loop")
-    assert findings == []
-
-
-def test_hot_loop_silent_on_driver_patterns_outside_driver_modules():
-    findings = lint_text("""\
-        def report(probes):
-            while pending():
-                for p in probes:
-                    render(p)
-        """, ELSEWHERE, rule="hot-loop")
-    assert findings == []
-
-
 # -- dtype-discipline -------------------------------------------------------
 
 def test_dtype_fires_on_defaulted_constructor():

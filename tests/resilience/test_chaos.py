@@ -1,10 +1,12 @@
-"""Chaos smoke: a supervised matrix survives a worker crash, a lane
-fault and a torn cache payload with zero lost results.
+"""Chaos smoke: a supervised matrix survives a worker crash and a torn
+cache payload with zero lost results.
 
-This is the CI resilience gate — one small sweep with all three fault
+This is the CI resilience gate — one small sweep with both fault
 families armed at once, asserting the recovery telemetry is visible and
 that every recovered result is bit-identical to a clean serial run.
 """
+
+import json
 
 import pytest
 
@@ -27,7 +29,6 @@ def tiny_spec(name):
 def clean_slate(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_FAULT_STATE", raising=False)
-    monkeypatch.delenv("REPRO_STACKED", raising=False)
     faults.reset()
     clear_cache()
     reset_telemetry()
@@ -36,18 +37,14 @@ def clean_slate(monkeypatch):
     clear_cache()
 
 
-def test_matrix_survives_crash_lane_fault_and_torn_payload(
-        tmp_path, monkeypatch):
+def test_matrix_survives_crash_and_torn_payload(tmp_path, monkeypatch):
     specs = [tiny_spec("chaos-a"), tiny_spec("chaos-b")]
-    # Three fault families at once:
-    #  * the chaos-a stacked task's first worker dies before any work,
-    #  * every sm-side stacked lane raises on its first pump (the solo
-    #    re-run path is exercised in both tasks),
+    # Two fault families at once:
+    #  * the chaos-a task's first worker dies before any work,
     #  * the first payload written to the disk cache is torn mid-write.
     monkeypatch.setenv(
         "REPRO_FAULTS",
         "worker.crash:chaos-a:memory-side+sm-side,"
-        "lane.raise:sm-side@1*,"
         "cache.torn_payload@1")
     monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "state"))
     faults.reset()
@@ -61,10 +58,14 @@ def test_matrix_survives_crash_lane_fault_and_torn_payload(
     # The dead worker cost one pool respawn and one re-dispatch.
     assert chaos_telemetry.respawns == 1
     assert chaos_telemetry.retries >= 1
-    # Each stacked task quarantined its sm-side lane and re-ran it solo.
-    assert chaos_telemetry.quarantined_lanes == 2
-    for spec in specs:
-        assert chaos[(spec.name, "sm-side")].lane_quarantined == 1
+    assert chaos_telemetry.simulated == 4
+    # The re-dispatched task ran both of chaos-a's organizations, and
+    # every pair was journaled exactly once.
+    (journal,) = (tmp_path / "cache" / "manifests").glob("*.jsonl")
+    labels = [json.loads(line)["label"]
+              for line in journal.read_text().splitlines()]
+    assert sorted(labels) == sorted(f"{s.name}:{o}"
+                                    for s in specs for o in ORGS)
 
     # Reload pass: the torn payload is quarantined on read, only that
     # pair re-simulates, the other three resume from the journal.

@@ -15,9 +15,9 @@ def disarm():
 
 class TestParsing:
     def test_site_only(self):
-        entry = FaultEntry.parse("lane.raise")
-        assert entry == FaultEntry(site="lane.raise", key=None, nth=1,
-                                   count=1, value=None)
+        entry = FaultEntry.parse("cache.torn_payload")
+        assert entry == FaultEntry(site="cache.torn_payload", key=None,
+                                   nth=1, count=1, value=None)
 
     def test_full_grammar(self):
         entry = FaultEntry.parse("worker.hang:tiny:sac@3*2=0.5")
@@ -29,7 +29,7 @@ class TestParsing:
         assert entry.value == 0.5
 
     def test_bare_star_means_unbounded(self):
-        assert FaultEntry.parse("lane.raise:static@2*").count is None
+        assert FaultEntry.parse("cache.torn_payload:k2@2*").count is None
 
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="unknown fault site"):
@@ -37,30 +37,30 @@ class TestParsing:
 
     def test_malformed_nth_rejected(self):
         with pytest.raises(ValueError, match="malformed fault entry"):
-            FaultEntry.parse("lane.raise@soon")
+            FaultEntry.parse("cache.torn_payload@soon")
 
     def test_plan_splits_on_commas(self):
-        plan = FaultPlan.parse("worker.crash, lane.raise:sac@2,")
+        plan = FaultPlan.parse("worker.crash, cache.torn_payload:k1@2,")
         assert [e.site for e in plan.entries] == [
-            "worker.crash", "lane.raise"]
+            "worker.crash", "cache.torn_payload"]
 
 
 class TestFiring:
     def test_fires_on_nth_hit_only(self):
-        plan = FaultPlan.parse("lane.raise@2")
-        assert plan.fire("lane.raise") is None
-        assert plan.fire("lane.raise") == 1.0
-        assert plan.fire("lane.raise") is None
-        assert plan.fired == [("lane.raise", None, 0)]
+        plan = FaultPlan.parse("cache.torn_payload@2")
+        assert plan.fire("cache.torn_payload") is None
+        assert plan.fire("cache.torn_payload") == 1.0
+        assert plan.fire("cache.torn_payload") is None
+        assert plan.fired == [("cache.torn_payload", None, 0)]
 
     def test_key_restricts_matches(self):
-        plan = FaultPlan.parse("lane.raise:sac")
-        assert plan.fire("lane.raise", key="static") is None
-        assert plan.fire("lane.raise", key="sac") == 1.0
+        plan = FaultPlan.parse("cache.torn_payload:k1")
+        assert plan.fire("cache.torn_payload", key="k2") is None
+        assert plan.fire("cache.torn_payload", key="k1") == 1.0
 
     def test_unbounded_count_keeps_firing(self):
-        plan = FaultPlan.parse("kernel.solve_error@2*")
-        hits = [plan.fire("kernel.solve_error") for _ in range(5)]
+        plan = FaultPlan.parse("cache.torn_payload@2*")
+        hits = [plan.fire("cache.torn_payload") for _ in range(5)]
         assert hits == [None, 1.0, 1.0, 1.0, 1.0]
 
     def test_value_and_site_default(self):
@@ -68,7 +68,7 @@ class TestFiring:
         assert FaultPlan.parse("worker.hang=0.2").fire("worker.hang") == 0.2
 
     def test_unarmed_site_never_fires(self):
-        plan = FaultPlan.parse("lane.raise")
+        plan = FaultPlan.parse("cache.torn_payload")
         assert plan.fire("worker.crash") is None
 
     def test_marker_coordination_fires_once_across_plans(self, tmp_path):
@@ -80,20 +80,20 @@ class TestFiring:
         assert b.fire("worker.crash") is None
 
     def test_unmarked_site_refires_in_each_plan(self, tmp_path):
-        a = FaultPlan.parse("lane.raise*", state_dir=tmp_path)
-        b = FaultPlan.parse("lane.raise*", state_dir=tmp_path)
-        assert a.fire("lane.raise") == 1.0
-        assert b.fire("lane.raise") == 1.0
+        a = FaultPlan.parse("cache.torn_payload*", state_dir=tmp_path)
+        b = FaultPlan.parse("cache.torn_payload*", state_dir=tmp_path)
+        assert a.fire("cache.torn_payload") == 1.0
+        assert b.fire("cache.torn_payload") == 1.0
 
 
 class TestProcessGlobal:
     def test_unarmed_by_default(self):
         assert faults.active() is None
-        assert faults.fire("lane.raise") is None
+        assert faults.fire("cache.torn_payload") is None
 
     def test_armed_context_manager(self):
-        with faults.armed("lane.raise:sac") as plan:
-            assert faults.fire("lane.raise", key="sac") == 1.0
+        with faults.armed("cache.torn_payload:k1") as plan:
+            assert faults.fire("cache.torn_payload", key="k1") == 1.0
             assert plan.fired
         assert faults.active() is None
 
@@ -104,6 +104,6 @@ class TestProcessGlobal:
         assert faults.fire("cache.torn_payload", key="k1") is None
 
     def test_programmatic_plan_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "lane.raise*")
+        monkeypatch.setenv("REPRO_FAULTS", "cache.torn_payload*")
         with faults.armed("worker.crash"):
-            assert faults.fire("lane.raise") is None
+            assert faults.fire("cache.torn_payload") is None

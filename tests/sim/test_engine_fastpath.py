@@ -18,7 +18,7 @@ from repro.arch import baseline, with_coherence
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.vector import VectorBank
 from repro.sim import EngineParams, SimulationEngine, make_organization
-from repro.sim.run import scaled_config, simulate, simulate_stacked
+from repro.sim.run import scaled_config, simulate
 from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
 from repro.workloads.suite import get
 
@@ -191,7 +191,7 @@ class TestBankDeclines:
     @pytest.mark.parametrize("organization,entry,nth", [
         # The second staged epoch of a partitioned run.
         ("dynamic", "access_many_staged", 2),
-        # SAC's first profiling head, resolved inline on the grouped path.
+        # SAC's first profiling head, on the grouped path.
         ("sac", "access_many_grouped", 1),
     ])
     def test_declined_epoch_runs_serially(self, monkeypatch, organization,
@@ -206,38 +206,6 @@ class TestBankDeclines:
         assert stats.comparable_dict() == \
             oracle(SPECS[0], organization).comparable_dict()
 
-    def test_declined_lane_of_a_stacked_sweep_runs_serially(self,
-                                                            monkeypatch):
-        orgs = list(ORGS)
-        lane = orgs.index("dynamic")
-        original = VectorBank.access_many_staged_shared
-        rounds = []
-
-        def declining(self, calls):
-            # Decline the dynamic lane's second shared staged round as
-            # the bank's gate would: that lane's call is never solved.
-            width = len(self.caches) // len(orgs)
-            target = [c.lane[0] == lane * width for c in calls]
-            if any(target):
-                rounds.append(None)
-                if len(rounds) == 2:
-                    kept = iter(original(self, [
-                        c for c, t in zip(calls, target) if not t]))
-                    return [None if t else next(kept) for t in target]
-            return original(self, calls)
-
-        monkeypatch.setattr(VectorBank, "access_many_staged_shared",
-                            declining)
-        result = simulate_stacked(SPECS[0], orgs, scale=SCALE,
-                                  accesses_per_epoch=DENSITY)
-        assert len(rounds) >= 2
-        assert result.telemetry.stacked_lanes == len(orgs)
-        for org, stats in zip(orgs, result.stats):
-            declined = 1 if org == "dynamic" else 0
-            assert stats.scalar_epochs == declined
-            assert stats.comparable_dict() == \
-                oracle(SPECS[0], org).comparable_dict()
-
     @pytest.mark.parametrize("name,declined", [
         ("SRAD", 2), ("NN", 3), ("BFS", 9)])
     def test_undrainable_rows_decline_to_the_serial_engine(self, name,
@@ -246,8 +214,7 @@ class TestBankDeclines:
         # remote partition to zero ways while it still holds lines: the
         # drain model cannot describe that over slot, so every staged
         # epoch probing one of its rows is declined whole and rerun on
-        # the serial engine — standalone and as a lane of a stacked
-        # sweep alike.
+        # the serial engine.
         kwargs = {"min_remote_ways": 0}
         bench = get(name)
         expected = oracle(bench, "dynamic",
@@ -257,13 +224,35 @@ class TestBankDeclines:
         assert solo.scalar_epochs == declined
         assert solo.vector_epochs > 0
         assert solo.comparable_dict() == expected
+
+
+class TestDrains:
+    """A DynamicLLC repartition leaves rows over-allotted; the staged
+    kernel drains them, so the run never leaves the vector path.  The
+    synthetic spec's traffic only grows the remote partition (the local
+    slot drains); DWT shrinks it (8 -> 7 -> ... -> 2), which drains the
+    remote slot through the mirrored fixed point instead."""
+
+    def test_standalone_repartition_avoids_the_interpreter(self):
+        bench = dataclasses.replace(
+            spec("solo-drain", 0.4, 0.3, 0.3, epochs=8), iterations=2)
         config = scaled_config(baseline(), SCALE)
-        lane = make_organization("dynamic", config, **kwargs)
-        result = simulate_stacked(bench, ["memory-side", "static", lane],
-                                  scale=SCALE, accesses_per_epoch=DENSITY)
-        assert result.telemetry.stacked_lanes == 3
-        assert [s.scalar_epochs for s in result.stats] == [0, 0, declined]
-        assert result.stats[2].comparable_dict() == expected
+        org = make_organization("dynamic", config)
+        stats = simulate(bench, org, scale=SCALE,
+                         accesses_per_epoch=DENSITY)
+        assert org.remote_ways != config.chip.llc_slice.associativity // 2
+        assert stats.vector_epochs > 0
+        assert stats.scalar_epochs == 0
+
+    def test_shrinking_remote_partition_avoids_the_interpreter(self):
+        config = scaled_config(baseline(), SCALE)
+        org = make_organization("dynamic", config)
+        stats = simulate(get("DWT"), org, scale=SCALE,
+                         accesses_per_epoch=DENSITY)
+        assert org.remote_ways < config.chip.llc_slice.associativity // 2
+        assert stats.scalar_epochs == 0
+        assert stats.comparable_dict() == \
+            oracle(get("DWT"), "dynamic").comparable_dict()
 
 
 class TestVectorPathDecision:
@@ -295,23 +284,3 @@ class TestVectorPathDecision:
         assert built == []
         assert all(type(cache) is SetAssociativeCache
                    for chip in engine.llc for cache in chip)
-
-    @pytest.mark.parametrize("organization,wider_slices,extra_base,match", [
-        ("ladm", False, 0, "vector path"),
-        ("memory-side", True, 0, "geometry"),
-        ("memory-side", False, 1, "leaves no room"),
-    ], ids=["unhostable-run", "slice-geometry", "bank-base"])
-    def test_shared_bank_mount_guards(self, organization, wider_slices,
-                                      extra_base, match):
-        run_cfg = scaled_config(baseline(), SCALE)
-        llc_cfg = run_cfg.chip.llc_slice
-        if wider_slices:
-            llc_cfg = dataclasses.replace(
-                llc_cfg, associativity=2 * llc_cfg.associativity,
-                size_bytes=2 * llc_cfg.size_bytes)
-        total = run_cfg.total_llc_slices
-        bank = VectorBank(llc_cfg, [f"s{i}" for i in range(2 * total)])
-        with pytest.raises(ValueError, match=match):
-            SimulationEngine(run_cfg,
-                             make_organization(organization, run_cfg),
-                             llc_bank=bank, llc_bank_base=total + extra_base)

@@ -36,9 +36,10 @@ SCALE = 1.0 / 64
 
 #: Configurations that keep a run on the vector path.  At ``SCALE`` the
 #: half-capacity LLC has one set per slice, so every access to a slice
-#: lands in one kernel row.  The two Figure 14 presets move the traffic
-#: balance ``dynamic`` repartitions on, so they draw other drain
-#: sequences.
+#: lands in one kernel row.  The Figure 14 presets (every link
+#: bandwidth and memory interface the sweep departs to from the
+#: baseline's 96 GB/s and GDDR6) move the traffic balance ``dynamic``
+#: repartitions on, so they draw other drain sequences.
 VECTOR_CONFIGS = {
     "baseline": baseline(),
     "sectored": with_sectored_llc(baseline()),
@@ -47,6 +48,10 @@ VECTOR_CONFIGS = {
     "half-llc": with_llc_capacity_scale(baseline(), 0.5),
     "sectored-2-chip": with_sectored_llc(with_chip_count(baseline(), 2)),
     "48gbps-links": with_inter_chip_bandwidth(baseline(), 48),
+    "192gbps-links": with_inter_chip_bandwidth(baseline(), 192),
+    "384gbps-links": with_inter_chip_bandwidth(baseline(), 384),
+    "768gbps-links": with_inter_chip_bandwidth(baseline(), 768),
+    "gddr5": with_memory_interface(baseline(), "GDDR5"),
     "hbm2": with_memory_interface(baseline(), "HBM2"),
 }
 

@@ -1,16 +1,17 @@
-"""Sanitized stacked sweeps: clean, bit-identical, violation-free.
+"""Sanitized sweeps: clean, bit-identical, violation-free.
 
 The sanitizer is always on and its contract is that it only *observes*:
-the five-organization stacked sweep must produce the exact bits of the
-standalone runs, with zero recorded violations in every lane.  (The
+the five-organization matrix must produce the exact bits of the
+standalone runs, with zero violations in the process-wide report.  (The
 detection half — that a seeded encoding write IS caught — lives in
 ``tests/core/test_sanitize.py``.)
 """
 
 import pytest
 
+from repro.analysis import clear_cache, run_matrix
 from repro.core import sanitize
-from repro.sim import ORGANIZATIONS, simulate, simulate_stacked
+from repro.sim import ORGANIZATIONS, simulate
 from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
 
 SCALE = 1.0 / 64
@@ -20,8 +21,10 @@ DENSITY = 512
 @pytest.fixture(autouse=True)
 def clean_report():
     sanitize.report().clear()
+    clear_cache()
     yield
     sanitize.report().clear()
+    clear_cache()
 
 
 def tiny_spec(name="sanitized-tiny", epochs=4):
@@ -39,28 +42,17 @@ def test_sanitized_five_org_sweep_is_bit_identical():
     solo = {org: simulate(spec, org, scale=SCALE,
                           accesses_per_epoch=DENSITY)
             for org in ORGANIZATIONS}
-    result = simulate_stacked(spec, list(ORGANIZATIONS), scale=SCALE,
-                              accesses_per_epoch=DENSITY)
+    results = run_matrix([spec], ORGANIZATIONS, scale=SCALE,
+                         accesses_per_epoch=DENSITY, n_jobs=1)
+    # The shared encodings were frozen and nothing wrote to them.
     assert sanitize.report().count == 0
-    for org, stats in zip(ORGANIZATIONS, result.stats):
-        # The shared encodings were frozen and nothing wrote to them.
-        assert stats.sanitizer_violations == 0, org
-        assert stats.comparable_dict() == solo[org].comparable_dict(), org
+    assert list(results) == [(spec.name, org) for org in ORGANIZATIONS]
+    for org in ORGANIZATIONS:
+        assert results[(spec.name, org)].comparable_dict() == \
+            solo[org].comparable_dict(), org
 
 
 def test_sanitized_standalone_runs_are_clean():
     spec = tiny_spec(name="sanitized-solo")
-    stats = simulate(spec, "sac", scale=SCALE, accesses_per_epoch=DENSITY)
-    assert stats.sanitizer_violations == 0
+    simulate(spec, "sac", scale=SCALE, accesses_per_epoch=DENSITY)
     assert sanitize.report().count == 0
-
-
-def test_violation_delta_lands_in_run_stats():
-    # Violations recorded before a run must not leak into its stats —
-    # the engine stores the per-run delta, not the process total.
-    sanitize.report().record("contract", "earlier-run", "stale")
-    spec = tiny_spec(name="sanitized-delta", epochs=2)
-    stats = simulate(spec, "memory-side", scale=SCALE,
-                     accesses_per_epoch=DENSITY)
-    assert stats.sanitizer_violations == 0
-    assert sanitize.report().count == 1

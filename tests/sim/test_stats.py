@@ -4,8 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.sim import KernelStats, RunStats, StackedTelemetry, \
-    harmonic_mean, speedup
+from repro.sim import KernelStats, RunStats, harmonic_mean, speedup
 from repro.sim.stats import ORIGINS, TELEMETRY_FIELDS
 
 
@@ -55,8 +54,7 @@ class TestFieldContract:
         assert set(physics["kernels"][0]) == {
             f.name for f in dataclasses.fields(KernelStats)}
 
-    @pytest.mark.parametrize("cls", [RunStats, KernelStats,
-                                     StackedTelemetry])
+    @pytest.mark.parametrize("cls", [RunStats, KernelStats])
     def test_undeclared_attributes_cannot_be_written(self, cls):
         record = cls(name="k") if cls is KernelStats else cls()
         with pytest.raises(AttributeError):
