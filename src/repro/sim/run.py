@@ -165,6 +165,8 @@ def simulate_stacked(spec: BenchmarkSpec,
     ``organizations[i]``.  The name is kept while the benchmark's
     tracer patches it (ROADMAP, item 1); after that it can be renamed.
     """
+    if not organizations:
+        raise ValueError("simulate_stacked needs at least one organization")
     # ``simulate`` is looked up as this module's global on every call,
     # so a patched ``repro.sim.run.simulate`` sees each run.
     return [simulate(spec, organization, config=config, scale=scale,

@@ -194,9 +194,10 @@ class TestSpecNameCollision:
         assert set(results) == {("same", "memory-side")}
 
 
-class TestBenchmarkDispatch:
-    """``run_matrix`` sends one supervised task per benchmark; the task
-    runs that benchmark's pending organizations one after another."""
+class TestStackedDispatch:
+    """``run_matrix`` sends one supervised task per benchmark through
+    ``simulate_stacked``, which runs that benchmark's pending
+    organizations one after another; nothing shares an engine."""
 
     ORGS = ["memory-side", "sm-side", "static", "dynamic", "sac"]
 
@@ -224,21 +225,25 @@ class TestBenchmarkDispatch:
         assert [t.label for t in tasks] == [
             f"bench-{i}:{'+'.join(self.ORGS)}" for i in range(3)]
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_matrix_matches_per_pair_simulate(self, n_jobs):
+    def test_matrix_matches_per_pair_dispatch(self):
+        # Per-pair dispatch is one simulate() per pair; the matrix must
+        # give its results, in submission order, in-process and in a
+        # two-worker pool alike.
         from repro.sim import simulate
         specs = [tiny_spec(f"pairs-{i}") for i in range(3)]
-        results = run_matrix(specs, self.ORGS, accesses_per_epoch=256,
-                             n_jobs=n_jobs)
-        assert list(results) == [(s.name, o) for s in specs
-                                 for o in self.ORGS]
-        for spec in specs:
-            for org in self.ORGS:
-                solo = simulate(spec, org, accesses_per_epoch=256)
-                assert results[(spec.name, org)].comparable_dict() == \
-                    solo.comparable_dict(), (spec.name, org)
+        solo = {(spec.name, org): simulate(
+                    spec, org, accesses_per_epoch=256).comparable_dict()
+                for spec in specs for org in self.ORGS}
+        for n_jobs in (1, 2):
+            clear_cache()
+            results = run_matrix(specs, self.ORGS, accesses_per_epoch=256,
+                                 n_jobs=n_jobs)
+            assert list(results) == list(solo), n_jobs
+            for key, expected in solo.items():
+                assert results[key].comparable_dict() == expected, \
+                    (n_jobs, key)
 
-    def test_lone_pending_pair_still_runs(self, task_lists):
+    def test_lone_pending_pair_stays_unstacked(self, task_lists):
         from repro.analysis import reset_telemetry, telemetry
         spec = tiny_spec("lone")
         run_matrix([spec], self.ORGS[:-1], accesses_per_epoch=256)

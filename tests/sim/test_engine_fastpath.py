@@ -10,15 +10,14 @@ the vector path build no bank and run the serial engine over
 serial engine too.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.arch import baseline, with_coherence
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.vector import VectorBank
 from repro.sim import EngineParams, SimulationEngine, make_organization
-from repro.sim.run import scaled_config, simulate
+from repro.sim import run as sim_run
+from repro.sim.run import scaled_config, simulate, simulate_stacked
 from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
 from repro.workloads.suite import get
 
@@ -206,6 +205,30 @@ class TestBankDeclines:
         assert stats.comparable_dict() == \
             oracle(SPECS[0], organization).comparable_dict()
 
+    def test_declined_lane_of_a_stacked_sweep_runs_serially(self,
+                                                            monkeypatch):
+        # Decline the dynamic run's second staged epoch: that run
+        # resolves the epoch serially, and the sweep's other runs,
+        # static's staged epochs included, never see a decline.
+        run = sim_run.simulate
+        staged = VectorBank.access_many_staged
+
+        def declining_dynamic(bench, organization, **kwargs):
+            entry = _declining(staged, 2) if organization == "dynamic" \
+                else staged
+            monkeypatch.setattr(VectorBank, "access_many_staged", entry)
+            return run(bench, organization, **kwargs)
+
+        monkeypatch.setattr(sim_run, "simulate", declining_dynamic)
+        stats = simulate_stacked(SPECS[0], list(ORGS), scale=SCALE,
+                                 accesses_per_epoch=DENSITY)
+        for org, run_stats in zip(ORGS, stats):
+            declined = 1 if org == "dynamic" else 0
+            assert run_stats.scalar_epochs == declined, org
+            assert run_stats.vector_epochs > 0, org
+            assert run_stats.comparable_dict() == \
+                oracle(SPECS[0], org).comparable_dict()
+
     @pytest.mark.parametrize("name,declined", [
         ("SRAD", 2), ("NN", 3), ("BFS", 9)])
     def test_undrainable_rows_decline_to_the_serial_engine(self, name,
@@ -224,35 +247,6 @@ class TestBankDeclines:
         assert solo.scalar_epochs == declined
         assert solo.vector_epochs > 0
         assert solo.comparable_dict() == expected
-
-
-class TestDrains:
-    """A DynamicLLC repartition leaves rows over-allotted; the staged
-    kernel drains them, so the run never leaves the vector path.  The
-    synthetic spec's traffic only grows the remote partition (the local
-    slot drains); DWT shrinks it (8 -> 7 -> ... -> 2), which drains the
-    remote slot through the mirrored fixed point instead."""
-
-    def test_standalone_repartition_avoids_the_interpreter(self):
-        bench = dataclasses.replace(
-            spec("solo-drain", 0.4, 0.3, 0.3, epochs=8), iterations=2)
-        config = scaled_config(baseline(), SCALE)
-        org = make_organization("dynamic", config)
-        stats = simulate(bench, org, scale=SCALE,
-                         accesses_per_epoch=DENSITY)
-        assert org.remote_ways != config.chip.llc_slice.associativity // 2
-        assert stats.vector_epochs > 0
-        assert stats.scalar_epochs == 0
-
-    def test_shrinking_remote_partition_avoids_the_interpreter(self):
-        config = scaled_config(baseline(), SCALE)
-        org = make_organization("dynamic", config)
-        stats = simulate(get("DWT"), org, scale=SCALE,
-                         accesses_per_epoch=DENSITY)
-        assert org.remote_ways < config.chip.llc_slice.associativity // 2
-        assert stats.scalar_epochs == 0
-        assert stats.comparable_dict() == \
-            oracle(get("DWT"), "dynamic").comparable_dict()
 
 
 class TestVectorPathDecision:
