@@ -87,11 +87,8 @@ class RunnerTelemetry:
     cache_quarantined: int = 0
     #: Disk hits whose key the sweep manifest had journaled — work a
     #: previous (interrupted or completed) run of this matrix already
-    #: finished — and dispatch submissions dropped by the duplicate-
-    #: submission guard (a resumed-manifest entry overlapping the
-    #: in-process pending set).
+    #: finished.
     resumed_pairs: int = 0
-    deduped_submissions: int = 0
 
     def summary(self) -> str:
         line = (f"{self.simulated} simulated, {self.memo_hits} memo hits, "
@@ -107,8 +104,6 @@ class RunnerTelemetry:
             line += f", {self.cache_quarantined} payloads quarantined"
         if self.resumed_pairs:
             line += f", {self.resumed_pairs} pairs resumed"
-        if self.deduped_submissions:
-            line += f", {self.deduped_submissions} submissions deduped"
         return line
 
 
@@ -300,7 +295,9 @@ def run_matrix(specs: Iterable[BenchmarkSpec], organizations: Iterable[str],
     # Resolve the cheap layers (memo, then disk) in-process first; only
     # genuinely new work is worth a worker.  ``queued`` also dedupes
     # pairs that miss every cache layer (``results`` only catches
-    # duplicates that were resolved by the time the copy is seen).
+    # duplicates that were resolved by the time the copy is seen).  A
+    # journaled pair whose payload is gone (evicted, or quarantined as
+    # torn) misses the disk layer, so it is pending like any other.
     pending: List[Tuple[BenchmarkSpec, str]] = []
     queued: Set[Tuple[str, str]] = set()
     for spec, organization in pairs:
@@ -326,34 +323,11 @@ def run_matrix(specs: Iterable[BenchmarkSpec], organizations: Iterable[str],
         pending.append((spec, organization))
         queued.add(name_key)
 
-    # Pairs the manifest journaled as complete but whose payload is gone
-    # (evicted, quarantined as torn): the journal says to re-dispatch
-    # them.  They also missed every cache layer above, so the naive
-    # union would submit each of them twice — the duplicate-submission
-    # guard collapses the overlap by cache key.
-    lost: List[Tuple[BenchmarkSpec, str]] = []
-    if manifest is not None:
-        for spec, organization in pairs:
-            name_key = (spec.name, organization)
-            if (results[name_key] is None
-                    and dkey_of[name_key] in journaled):
-                lost.append((spec, organization))
-    dispatch: List[Tuple[BenchmarkSpec, str]] = []
-    seen_keys: Set[object] = set()
-    for spec, organization in pending + lost:
-        dedupe_key: object = dkey_of.get(
-            (spec.name, organization), (spec.name, organization))
-        if dedupe_key in seen_keys:
-            _TELEMETRY.deduped_submissions += 1
-            continue
-        seen_keys.add(dedupe_key)
-        dispatch.append((spec, organization))
-
     # One task per benchmark.  Its organizations share one cached
     # trace and run back to back, so the task holds one engine and one
     # tag store at a time.
     orgs_by_spec: Dict[str, List[str]] = {}
-    for spec, organization in dispatch:
+    for spec, organization in pending:
         orgs_by_spec.setdefault(spec.name, []).append(organization)
 
     # Task keys are the pairs' disk keys when available (content

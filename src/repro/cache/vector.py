@@ -131,25 +131,21 @@ class StagedResult(NamedTuple):
 class GroupedLaneCall(NamedTuple):
     """One lane's uniform epoch in a shared bank call.
 
-    ``cache_idx`` is lane-local; ``lane`` is the absolute ``[lo, hi)``
-    cache range.  ``stream`` labels the lane's (cache_idx, addrs,
-    writes) arrays: calls carrying equal ids hold element-identical
-    arrays.  The bank does not read it.
+    ``lane`` is the absolute ``[lo, hi)`` cache range the call's gate
+    and stats cover; ``cache_idx`` is relative to ``lo``.
     """
 
     lane: Tuple[int, int]
     cache_idx: np.ndarray
     addrs: np.ndarray
     writes: np.ndarray
-    stream: int
 
 
 class StagedLaneCall(NamedTuple):
     """One lane's two-stage epoch in a shared bank call.
 
-    ``stream`` ids follow the same contract as
-    :class:`GroupedLaneCall`, over all seven per-access arrays.
-    ``idx0``/``idx1`` are lane-local cache indices.
+    ``lane`` is as in :class:`GroupedLaneCall`; ``idx0``/``idx1`` are
+    relative to its ``lo``.
     """
 
     lane: Tuple[int, int]
@@ -160,7 +156,6 @@ class StagedLaneCall(NamedTuple):
     two_stage: np.ndarray
     idx1: np.ndarray
     part1: np.ndarray
-    stream: int
 
 
 class _Geometry(NamedTuple):
@@ -283,14 +278,31 @@ def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def _expect_l15(site: str, call: StagedLaneCall) -> None:
-    """Check a staged call against the L1.5 table's partition shape.
+def _expect_grouped(site: str, call: GroupedLaneCall) -> None:
+    """Check a grouped call's array contracts."""
+    n = call.addrs.shape[0]
+    _sanitize.expect(site, "addrs", call.addrs, "int64", n)
+    _sanitize.expect(site, "writes", call.writes, "bool", n)
+    _sanitize.expect(site, "cache_idx", call.cache_idx, "int64", n)
+
+
+def _expect_staged(site: str, call: StagedLaneCall) -> None:
+    """Check a staged call's array contracts and the L1.5 table's
+    partition shape.
 
     Single-stage and stage-1 probes are on LOCAL (``UNPARTITIONED``,
     slot 0); the stage-0 probes of two-stage accesses are on one other
     partition.  A call outside it is a sanitizer ``contract`` violation,
     raised before any state changes.
     """
+    n = call.addrs.shape[0]
+    _sanitize.expect(site, "addrs", call.addrs, "int64", n)
+    _sanitize.expect(site, "writes", call.writes, "bool", n)
+    _sanitize.expect(site, "idx0", call.idx0, "int64", n)
+    _sanitize.expect(site, "part0", call.part0, "int64", n)
+    _sanitize.expect(site, "two_stage", call.two_stage, "bool", n)
+    _sanitize.expect(site, "idx1", call.idx1, "int64", n)
+    _sanitize.expect(site, "part1", call.part1, "int64", n)
     ts = call.two_stage
     remote = call.part0[ts]
     _sanitize.require(
@@ -577,14 +589,13 @@ def _drains_of(urow: np.ndarray, rid: np.ndarray, headroom: np.ndarray,
 
 
 class _OverRows(NamedTuple):
-    """One round's over-allotted rows, read before any call runs.
+    """One call's over-allotted rows, read before its kernel calls run.
 
     Per flat (cache, set) row: ``slot`` is the over slot (the one
     holding more lines than its allotment), ``cap`` and ``occ`` its
     allotment and occupancy, ``free`` the row's free ways.  ``cand``
     (``(C, S)``) marks the rows that can drain; ``count`` is the
-    occupancy snapshot by flat kernel row.  Lanes own disjoint rows, so
-    one snapshot serves every plan of the round.
+    occupancy snapshot by flat kernel row.
     """
 
     cand: np.ndarray
@@ -596,7 +607,7 @@ class _OverRows(NamedTuple):
 
 
 class _StagedPlan(NamedTuple):
-    """One lane's staged epoch: the probes of its two kernel calls.
+    """One staged call's epoch: the probes of its two kernel calls.
 
     Cache indices (``idx0a``/``idx1a``) and kernel rows are absolute.
     ``grow`` marks the flat (cache, set) rows whose over slot is LOCAL:
@@ -605,9 +616,7 @@ class _StagedPlan(NamedTuple):
     (cache, set) row), solved before phase 1.
     """
 
-    k: int
     call: StagedLaneCall
-    ranges: Tuple[Tuple[int, int], ...]
     idx0a: np.ndarray
     idx1a: np.ndarray
     sets: np.ndarray
@@ -1106,14 +1115,15 @@ class VectorBank:
     phase 2 over the LOCAL slot's single-stage and stage-1 probes,
     each exact because, on that checked shape, no kernel row is probed
     in both.  Rows left over-allotted by a repartition drain inside
-    those two calls, as drain steps.  Each entry point is the one-call
-    case of the body its ``*_shared`` twin runs with one call per lane
-    (a ``[lo, hi)`` cache range; the engine's bank is one lane and uses
-    the single-call entry points).  An epoch either entry point
-    declines — a gate, or a staged epoch that probes a zero-way over
-    slot — comes back ``None`` before any state changes; the engine
-    resolves it serially.
-    :meth:`drain` invalidates a range of caches in one pass.
+    those two calls, as drain steps.  Each entry point checks its call
+    and runs a one-lane body (:meth:`_grouped`, :meth:`_staged`) whose
+    gate, capacity table and stats cover exactly the call's ``lane``, a
+    ``[lo, hi)`` cache range; the engine's call is the whole bank.  The
+    ``*_shared`` twins run the same body once per lane call.  An epoch
+    either entry point declines — a gate, or a staged epoch that probes
+    a zero-way over slot — comes back ``None`` before any state
+    changes; the engine resolves it serially.  :meth:`drain`
+    invalidates a range of caches in one pass.
     """
 
     def __init__(self, config: CacheConfig, names: Sequence[str]) -> None:
@@ -1125,9 +1135,7 @@ class VectorBank:
         self._geo = _geometry_of(config)
 
     def access_many_grouped(self, cache_idx: np.ndarray, addrs: np.ndarray,
-                            writes: np.ndarray,
-                            lanes: Optional[Sequence[Tuple[int, int]]] = None
-                            ) -> Optional[BatchResult]:
+                            writes: np.ndarray) -> Optional[BatchResult]:
         """Resolve one uniform epoch across every cache of the bank.
 
         ``cache_idx`` maps each access to its flat cache index.  Returns
@@ -1135,82 +1143,64 @@ class VectorBank:
         cannot take the plain batch path — partitioned ways or
         foreign-slot residents — so behaviour always matches the scalar
         model.
-
-        ``lanes`` restricts the eligibility gate (and the per-cache
-        stats update) to the given ``[lo, hi)`` cache ranges — the lanes
-        this call actually probes.  Lanes are row-disjoint in the store,
-        so a way-partitioned lane elsewhere in the bank must not force
-        *this* lane off the kernel.  Omitted, the whole bank is one lane
-        (what the engine passes).
         """
-        ranges = tuple(lanes) if lanes is not None else \
-            ((0, len(self.caches)),)
-        call = GroupedLaneCall((0, len(self.caches)), cache_idx, addrs,
-                               writes, stream=0)
         site = "VectorBank.access_many_grouped"
-        n = addrs.shape[0]
-        _sanitize.expect(site, "addrs", addrs, "int64", n)
-        _sanitize.expect(site, "writes", writes, "bool", n)
-        _sanitize.expect(site, "cache_idx", cache_idx, "int64", n)
+        call = GroupedLaneCall((0, len(self.caches)), cache_idx, addrs,
+                               writes)
+        _expect_grouped(site, call)
         with _sanitize.guarded(site):
-            return self._grouped_lanes([call], [ranges])[0]
+            return self._grouped(call)
 
     def access_many_grouped_shared(
             self, calls: Sequence[GroupedLaneCall]
     ) -> List[Optional[BatchResult]]:
         """Resolve several lanes' uniform epochs in one bank call.
 
-        Each lane is one kernel call at its own row offset.  Entries
-        that fail the plain-batch gate come back as ``None`` (the
-        caller falls back for those lanes only); the other lanes still
-        resolve.
+        Checks every call, then runs :meth:`_grouped` once per call, in
+        call order.  A lane that fails the plain-batch gate comes back
+        as ``None``; the other lanes still resolve.  The name is kept
+        while the benchmark's tracer patches it (ROADMAP, item 1).
         """
-        ranges = [(call.lane,) for call in calls]
         site = "VectorBank.access_many_grouped_shared"
         for call in calls:
-            n = call.addrs.shape[0]
-            _sanitize.expect(site, "addrs", call.addrs, "int64", n)
-            _sanitize.expect(site, "writes", call.writes, "bool", n)
-            _sanitize.expect(site, "cache_idx", call.cache_idx, "int64", n)
+            _expect_grouped(site, call)
         with _sanitize.guarded(site):
-            return self._grouped_lanes(calls, ranges)
+            return [self._grouped(call) for call in calls]
 
-    def _grouped_lanes(self, calls: Sequence[GroupedLaneCall],
-                       ranges_of: Sequence[Tuple[Tuple[int, int], ...]]
-                       ) -> List[Optional[BatchResult]]:
-        """Kernel body of both grouped entry points.
+    def _grouped(self, call: GroupedLaneCall) -> Optional[BatchResult]:
+        """One lane's uniform epoch in one kernel call.
 
-        Each call's cache indices are relative to ``call.lane[0]``;
-        ``ranges_of`` holds the absolute cache ranges its gate and stats
-        cover.  A standalone epoch is the one-call case (offset zero,
-        the caller's ranges).  Every call that passes its gate is one
-        kernel call; stamp windows follow call order.
+        None when a cache of ``call.lane`` fails the plain-batch gate;
+        caches outside the lane neither decline the call nor see stats.
         """
+        lo, hi = call.lane
+        if not self._plain(lo, hi):
+            return None
         geo = self._geo
         store = self._store
-        S = np.int64(geo.num_sets)
-        results: List[Optional[BatchResult]] = [None] * len(calls)
-        for k, call in enumerate(calls):
-            if not all(self._plain(lo, hi) for lo, hi in ranges_of[k]):
-                continue
-            n = call.addrs.shape[0]
-            ftags, fdirty, fcount, fsector, fstamp = store.flat()
-            stamp_vals = None
-            if fstamp is not None:
-                stamp_vals = np.arange(store.clock, store.clock + n,
-                                       dtype=np.int64)
-                store.clock += n
-            sets, tg = geo.split(call.addrs)
-            rows = (call.cache_idx + np.int64(call.lane[0])) * S + sets
-            result = _batch_resolve(
-                ftags, fdirty, fcount, geo, rows, tg, call.writes,
-                sector=fsector,
-                sec=geo.sector_of(call.addrs) if geo.sectored else None,
-                stamp=fstamp, stamp_vals=stamp_vals)
-            self._charge_lane_stats(ranges_of[k], call.lane[0],
-                                    call.cache_idx, result)
-            results[k] = result
-        return results
+        n = call.addrs.shape[0]
+        ftags, fdirty, fcount, fsector, fstamp = store.flat()
+        stamp_vals = None
+        if fstamp is not None:
+            stamp_vals = np.arange(store.clock, store.clock + n,
+                                   dtype=np.int64)
+            store.clock += n
+        sets, tg = geo.split(call.addrs)
+        rows = (call.cache_idx + np.int64(lo)) * np.int64(geo.num_sets) \
+            + sets
+        result = _batch_resolve(
+            ftags, fdirty, fcount, geo, rows, tg, call.writes,
+            sector=fsector,
+            sec=geo.sector_of(call.addrs) if geo.sectored else None,
+            stamp=fstamp, stamp_vals=stamp_vals)
+        filled = ~result.hits
+        if result.sector_miss is not None:
+            filled &= ~result.sector_miss
+        self._charge_classes(call.lane, call.cache_idx + np.int64(lo),
+                             _outcome_class(result.hits, result.sector_miss,
+                                            filled, result.evicted_addr,
+                                            result.evicted_dirty))
+        return result
 
     def resident_addrs(self, lo: int, hi: int
                        ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1250,62 +1240,40 @@ class VectorBank:
         store = self._store
         return store.num_slots == 1 or not store.count[1:, lo:hi].any()
 
-    def _charge_lane_stats(self, ranges: Sequence[Tuple[int, int]],
-                           lo: int, cache_idx: np.ndarray,
-                           result: BatchResult) -> None:
-        """Fold one call's batch outcome into the counter block.
-
-        ``cache_idx`` is relative to cache ``lo``; only the caches of
-        the absolute ``ranges`` are charged.
-        """
-        filled = ~result.hits
-        if result.sector_miss is not None:
-            filled &= ~result.sector_miss
-        self._charge_classes(ranges, cache_idx + np.int64(lo), _outcome_class(
-            result.hits, result.sector_miss, filled, result.evicted_addr,
-            result.evicted_dirty))
-
-    def _charge_classes(self, ranges: Sequence[Tuple[int, int]],
-                        keys: np.ndarray, cls: np.ndarray) -> None:
+    def _charge_classes(self, lane: Tuple[int, int], keys: np.ndarray,
+                        cls: np.ndarray) -> None:
         """Charge probes of absolute caches ``keys`` with outcome classes
         ``cls``: one ``bincount`` and one product with
-        :data:`_CLASS_STATS`, added to the rows of ``ranges``."""
+        :data:`_CLASS_STATS`, added to the counter rows of ``lane``."""
         C = len(self.caches)
         per = np.bincount(keys * np.int64(_CLASSES) + cls,
                           minlength=C * _CLASSES)[:C * _CLASSES]
-        add = per.reshape(C, _CLASSES) @ _CLASS_STATS
-        block = self._store.stats
-        for a, b in ranges:
-            block[a:b] += add[a:b]
+        lo, hi = lane
+        self._store.stats[lo:hi] += \
+            per.reshape(C, _CLASSES)[lo:hi] @ _CLASS_STATS
 
-    def _lane_caps(self, ranges_of: Sequence[Tuple[Tuple[int, int], ...]]
-                   ) -> Tuple[List[int], np.ndarray]:
-        """The lanes whose caches are all way-partitioned, and their
-        pooled (cache, slot) way-allotment table.
+    def _lane_caps(self, lo: int, hi: int) -> Optional[np.ndarray]:
+        """The (cache, slot) way-allotment table of caches ``[lo, hi)``,
+        or None when one of them is unpartitioned.
 
-        Out-of-lane caches keep zero capacity: they are never addressed
-        by the call building the table.
+        Caches outside the lane keep zero capacity: the call building
+        the table never addresses them.
         """
         store = self._store
         cap_of = np.zeros((len(self.caches), store.num_slots),
                           dtype=np.int64)
-        live: List[int] = []
-        for k, ranges in enumerate(ranges_of):
-            lane = [ci for lo, hi in ranges for ci in range(lo, hi)]
-            if any(self.caches[ci]._ways is None for ci in lane):
-                continue
-            for ci in lane:
-                ways = self.caches[ci]._ways
-                assert ways is not None
-                for pid, ww in ways.items():
-                    sl = store.slot_of.get(pid, -1)
-                    if sl >= 0:
-                        cap_of[ci, sl] = ww
-            live.append(k)
-        return live, cap_of
+        for ci in range(lo, hi):
+            ways = self.caches[ci]._ways
+            if ways is None:
+                return None
+            for pid, ww in ways.items():
+                sl = store.slot_of.get(pid, -1)
+                if sl >= 0:
+                    cap_of[ci, sl] = ww
+        return cap_of
 
     def _drain_rows_static(self, cap_of: np.ndarray) -> _OverRows:
-        """The round's over-allotted rows (see :class:`_OverRows`).
+        """The call's over-allotted rows (see :class:`_OverRows`).
 
         A row can drain when exactly one slot holds more lines than its
         allotment (the *over* slot) and that slot keeps at least one
@@ -1324,7 +1292,7 @@ class VectorBank:
             cap.reshape(-1), occ.reshape(-1),
             A - count.sum(axis=0).reshape(-1), count.reshape(-1))
 
-    def _staged_outcome(self, ranges: Sequence[Tuple[int, int]],
+    def _staged_outcome(self, lane: Tuple[int, int],
                         idx0: np.ndarray, idx1: np.ndarray,
                         two_stage: np.ndarray, hit: np.ndarray,
                         smiss: np.ndarray, fill: np.ndarray,
@@ -1344,7 +1312,7 @@ class VectorBank:
         # charged.
         keys = np.concatenate(
             (idx0, np.where(two_stage & ~h0, idx1, np.int64(C))))
-        self._charge_classes(ranges, keys, _outcome_class(
+        self._charge_classes(lane, keys, _outcome_class(
             hit, smiss if self._geo.sectored else None, fill, ev_a, ev_d))
         hs = hit[n:] * np.int64(2) - np.int64(1)
         hs[h0] = 0
@@ -1475,9 +1443,7 @@ class VectorBank:
     def access_many_staged(self, addrs: np.ndarray, writes: np.ndarray,
                            idx0: np.ndarray, part0: np.ndarray,
                            two_stage: np.ndarray, idx1: np.ndarray,
-                           part1: np.ndarray,
-                           lanes: Optional[Sequence[Tuple[int, int]]] = None
-                           ) -> Optional[StagedResult]:
+                           part1: np.ndarray) -> Optional[StagedResult]:
         """Resolve one partitioned two-stage epoch in two kernel calls.
 
         Every access probes cache ``idx0`` with partition ``part0``;
@@ -1502,142 +1468,100 @@ class VectorBank:
         None when the epoch probes an over-allotted row the drain model
         cannot describe (on the engine's tables, an over slot with no
         ways); the engine then resolves it serially.
-
-        ``lanes`` narrows the all-partitioned requirement (and the stats
-        update) to the probed ``[lo, hi)`` cache ranges of the bank.  Out-of-lane caches keep a zero way allotment in the
-        capacity table; ``idx0``/``idx1`` never address them, so their
-        rows never decline the call.
         """
-        ranges = tuple(lanes) if lanes is not None else \
-            ((0, len(self.caches)),)
-        call = StagedLaneCall((0, len(self.caches)), addrs, writes, idx0,
-                              part0, two_stage, idx1, part1, stream=0)
         site = "VectorBank.access_many_staged"
-        n = addrs.shape[0]
-        _sanitize.expect(site, "addrs", addrs, "int64", n)
-        _sanitize.expect(site, "writes", writes, "bool", n)
-        _sanitize.expect(site, "idx0", idx0, "int64", n)
-        _sanitize.expect(site, "part0", part0, "int64", n)
-        _sanitize.expect(site, "two_stage", two_stage, "bool", n)
-        _sanitize.expect(site, "idx1", idx1, "int64", n)
-        _sanitize.expect(site, "part1", part1, "int64", n)
-        _expect_l15(site, call)
+        call = StagedLaneCall((0, len(self.caches)), addrs, writes, idx0,
+                              part0, two_stage, idx1, part1)
+        _expect_staged(site, call)
         with _sanitize.guarded(site):
-            return self._staged_lanes([call], [ranges])[0]
+            return self._staged(call)
 
     def access_many_staged_shared(
             self, calls: Sequence[StagedLaneCall]
     ) -> List[Optional[StagedResult]]:
         """Resolve several lanes' two-stage epochs in one bank call.
 
-        Each lane runs its own two kernel calls, under the same checked
-        shape and unchecked precondition as :meth:`access_many_staged`:
-        a call outside the L1.5 shape raises before any lane runs, and
-        a lane that probes one line under two partitions of a cache
-        resolves wrongly, not ``None``.  Only the all-partitioned gate
-        and the drain model decline: such lanes come back as ``None``
-        and fall back, the others still resolve.
+        Checks every call, then runs :meth:`_staged` once per call, in
+        call order, under the same checked shape and unchecked
+        precondition as :meth:`access_many_staged`: a call outside the
+        L1.5 shape raises before any lane runs, and a lane that probes
+        one line under two partitions of a cache resolves wrongly, not
+        ``None``.  Only the all-partitioned gate and the drain model
+        decline: such lanes come back as ``None``, the others still
+        resolve.  The name is kept while the benchmark's tracer patches
+        it (ROADMAP, item 1).
         """
-        ranges = [(call.lane,) for call in calls]
         site = "VectorBank.access_many_staged_shared"
         for call in calls:
-            n = call.addrs.shape[0]
-            _sanitize.expect(site, "addrs", call.addrs, "int64", n)
-            _sanitize.expect(site, "writes", call.writes, "bool", n)
-            _sanitize.expect(site, "idx0", call.idx0, "int64", n)
-            _sanitize.expect(site, "part0", call.part0, "int64", n)
-            _sanitize.expect(site, "two_stage", call.two_stage, "bool", n)
-            _sanitize.expect(site, "idx1", call.idx1, "int64", n)
-            _sanitize.expect(site, "part1", call.part1, "int64", n)
-            _expect_l15(site, call)
+            _expect_staged(site, call)
         with _sanitize.guarded(site):
-            return self._staged_lanes(calls, ranges)
+            return [self._staged(call) for call in calls]
 
-    def _staged_lanes(self, calls: Sequence[StagedLaneCall],
-                      ranges_of: Sequence[Tuple[Tuple[int, int], ...]]
-                      ) -> List[Optional[StagedResult]]:
-        """Kernel body of both staged entry points.
+    def _staged(self, call: StagedLaneCall) -> Optional[StagedResult]:
+        """One lane's two-stage epoch in two kernel calls.
 
-        Each call's cache indices are relative to ``call.lane[0]``;
-        ``ranges_of`` holds the absolute cache ranges its gate and stats
-        cover.  A standalone epoch is the one-call case (offset zero,
-        the caller's ranges).  A call that probes an over-allotted row
-        the drain model cannot describe comes back ``None`` before any
-        kernel call touches state.
+        The gate, the capacity table and the stats cover exactly the
+        caches of ``call.lane``.  A call that probes an over-allotted
+        row the drain model cannot describe comes back ``None`` before
+        any kernel call touches state.  Returned eviction indices are
+        absolute.
         """
-        results: List[Optional[StagedResult]] = [None] * len(calls)
-        if not self.caches:
-            return results
+        lo, hi = call.lane
+        cap_of = self._lane_caps(lo, hi)
+        if cap_of is None:
+            return None
         store = self._store
         geo = self._geo
         C = np.int64(len(self.caches))
         S = np.int64(geo.num_sets)
-        live, cap_of = self._lane_caps(ranges_of)
-        if not live:
-            return results
         store.ensure_stamps()
         flagged = (store.count > cap_of.T[:, :, None]).any(axis=0)
         over = self._drain_rows_static(cap_of) if flagged.any() else None
-
-        # Per-call setup runs before any kernel call touches state.
-        plans: List[_StagedPlan] = []
-        for k in live:
-            call = calls[k]
-            ts = call.two_stage
-            sets, tg = geo.split(call.addrs)
-            idx0a = call.idx0 + np.int64(call.lane[0])
-            idx1a = call.idx1 + np.int64(call.lane[0])
-            # On the L1.5 shape a probe's slot follows from its stage:
-            # LOCAL (slot 0), except the stage-0 probes of two-stage
-            # accesses, which take the remote partition's slot.  A
-            # partition that never had ways has none: its probes are
-            # fill-less misses.
-            remote = call.part0[ts]
-            rslot = store.slot_of.get(int(remote[0]), -1) \
-                if remote.size else -1
-            slot0 = ts * np.int64(max(rslot, 0))
-            cap0 = cap_of[idx0a, slot0]
-            if rslot < 0:
-                cap0[ts] = 0
-            grow: Optional[np.ndarray] = None
-            mir: Optional[np.ndarray] = None
-            if over is not None:
-                # The over slot sets the direction: a LOCAL one drains by
-                # growth, the remote one mirrored.  This lane's drainable
-                # rows leave the flagged table; a probe of a row still
-                # flagged declines the call.  Other lanes' rows stay
-                # untouched: their plans judge their own.
-                cand = np.zeros_like(over.cand)
-                for a, b in ranges_of[k]:
-                    cand[a:b] = over.cand[a:b]
-                o_slot = over.slot.reshape(cand.shape)
-                grow = cand & (o_slot == 0)
-                mir = cand & (o_slot != 0)
-                if remote.size:
-                    mir &= o_slot == rslot
-                flagged &= ~(grow | mir)
-                if flagged[idx0a, sets].any() or \
-                        flagged[idx1a[ts], sets[ts]].any():
-                    continue
-            plan = _StagedPlan(
-                k, call, ranges_of[k], idx0a, idx1a, sets, tg,
-                geo.sector_of(call.addrs) if geo.sectored else None,
-                cap0, cap_of[idx1a, 0], (slot0 * C + idx0a) * S + sets,
-                idx1a * S + sets,
-                grow.reshape(-1) if grow is not None and grow.any()
-                else None, None)
-            if mir is not None and mir.any():
-                assert over is not None
-                plan = plan._replace(
-                    mirror=self._mirror_drains(plan, mir, over))
-            plans.append(plan)
-
-        # Per-plan clock windows, in plan order.
-        for p in plans:
-            clock0 = store.clock
-            store.clock += p.call.addrs.shape[0]
-            results[p.k] = self._staged_run(p, clock0, over)
-        return results
+        ts = call.two_stage
+        sets, tg = geo.split(call.addrs)
+        idx0a = call.idx0 + np.int64(lo)
+        idx1a = call.idx1 + np.int64(lo)
+        # On the L1.5 shape a probe's slot follows from its stage:
+        # LOCAL (slot 0), except the stage-0 probes of two-stage
+        # accesses, which take the remote partition's slot.  A
+        # partition that never had ways has none: its probes are
+        # fill-less misses.
+        remote = call.part0[ts]
+        rslot = store.slot_of.get(int(remote[0]), -1) if remote.size else -1
+        slot0 = ts * np.int64(max(rslot, 0))
+        cap0 = cap_of[idx0a, slot0]
+        if rslot < 0:
+            cap0[ts] = 0
+        grow: Optional[np.ndarray] = None
+        mir: Optional[np.ndarray] = None
+        if over is not None:
+            # The over slot sets the direction: a LOCAL one drains by
+            # growth, the remote one mirrored.  Drainable rows leave the
+            # flagged table; a probe of a row still flagged declines
+            # the call.  Out-of-lane rows have no allotment, so none of
+            # them can drain.
+            o_slot = over.slot.reshape(over.cand.shape)
+            grow = over.cand & (o_slot == 0)
+            mir = over.cand & (o_slot != 0)
+            if remote.size:
+                mir &= o_slot == rslot
+            flagged &= ~(grow | mir)
+            if flagged[idx0a, sets].any() or \
+                    flagged[idx1a[ts], sets[ts]].any():
+                return None
+        plan = _StagedPlan(
+            call, idx0a, idx1a, sets, tg,
+            geo.sector_of(call.addrs) if geo.sectored else None,
+            cap0, cap_of[idx1a, 0], (slot0 * C + idx0a) * S + sets,
+            idx1a * S + sets,
+            grow.reshape(-1) if grow is not None and grow.any() else None,
+            None)
+        if mir is not None and mir.any():
+            assert over is not None
+            plan = plan._replace(mirror=self._mirror_drains(plan, mir, over))
+        clock0 = store.clock
+        store.clock += call.addrs.shape[0]
+        return self._staged_run(plan, clock0, over)
 
     def _staged_run(self, plan: _StagedPlan, clock0: int,
                     over: Optional[_OverRows]) -> StagedResult:
@@ -1738,5 +1662,5 @@ class VectorBank:
                   np.where(use1, plan.cap1[b2], plan.cap0[b2]),
                   np.where(use1, b2 + n, b2), gpos, grid, gpos)
 
-        return self._staged_outcome(plan.ranges, plan.idx0a, plan.idx1a,
+        return self._staged_outcome(call.lane, plan.idx0a, plan.idx1a,
                                     two_stage, hit, smiss, fill, ev_a, ev_d)

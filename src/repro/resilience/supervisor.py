@@ -19,7 +19,9 @@ first occurrence.  The :class:`Supervisor` contains all three:
 * **Respawns** — a broken or abandoned pool is replaced and only the
   incomplete tasks are re-dispatched; results collected before the
   failure are kept (the ``on_result`` callback runs in the parent as
-  each task completes, so progress is durable even mid-failure).
+  each task completes, so progress is durable even mid-failure).  A
+  respawn charges no attempt to the tasks the pool held: only a task's
+  own exception or timeout spends its retry budget.
 
 Failures that survive every retry are collected and raised together as
 :class:`TaskFailedError` *after* the remaining tasks complete —
@@ -249,9 +251,6 @@ class Supervisor:
             future_of: Dict[Future[Any], SupervisedTask] = {}
             deadline_of: Dict[Future[Any], Optional[float]] = {}
             for task in batch:
-                attempts[task.key] += 1
-                if attempts[task.key] > 1:
-                    self.telemetry.retries += 1
                 future = pool.submit(run_supervised, task.fn, task.args,
                                      task.label)
                 future_of[future] = task
@@ -311,10 +310,7 @@ class Supervisor:
             task = future_of[future]
             if future.cancel():
                 # Never started — it sat in the queue behind slower
-                # work.  Requeue without charging an attempt.
-                attempts[task.key] -= 1
-                self.telemetry.retries -= 1 if attempts[task.key] >= 1 \
-                    else 0
+                # work.  Requeue it with the rest of the pool.
                 outstanding.discard(future)
                 hung = True
                 continue
@@ -338,11 +334,19 @@ class Supervisor:
                       attempts: Dict[str, int],
                       todo: Dict[str, SupervisedTask],
                       failures: Dict[str, BaseException]) -> None:
-        """Retire a failed attempt: keep the task queued while it has
-        retry budget, else record the terminal failure."""
+        """Charge the task's own failed attempt: keep it queued while it
+        has retry budget, else record the terminal failure.
+
+        Only the task's own exception or timeout is an attempt; a pool
+        that breaks under it (another task's worker died) is a respawn,
+        bounded by ``_MAX_RESPAWNS``.
+        """
+        attempts[task.key] += 1
         if attempts[task.key] > self.retries:
             failures[task.label] = error
             todo.pop(task.key, None)
+        else:
+            self.telemetry.retries += 1
 
     def _sleep_backoff(self, round_no: int) -> None:
         """Capped exponential backoff with seeded deterministic jitter."""

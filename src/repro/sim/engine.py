@@ -27,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Dict,
-    Generator,
     Iterable,
+    Iterator,
     List,
     Optional,
     Tuple,
     Type,
-    Union,
     cast,
 )
 
@@ -46,12 +45,7 @@ from ..cache.cache import (
     PartitionFullError,
     SetAssociativeCache,
 )
-from ..cache.vector import (
-    BatchResult,
-    StagedResult,
-    VectorBank,
-    _stable_order,
-)
+from ..cache.vector import VectorBank, _stable_order
 from ..coherence.hardware import HardwareCoherence
 from ..coherence.software import SoftwareCoherence
 from ..llc.base import LLCOrganization, RoutePlan
@@ -144,47 +138,6 @@ def takes_vector_path(config: SystemConfig, params: EngineParams,
             and not hasattr(org_class, "remote_allocate")
             and (org_class.observe_access is LLCOrganization.observe_access
                  or hasattr(org_class, "observe_batch")))
-
-
-#: What a :class:`BankProbe` resolves to: the bank call's result, or
-#: ``None`` when the bank declined (the engine then resolves the epoch
-#: on its serial per-access path).
-ProbeOutcome = Union[BatchResult, StagedResult, None]
-
-#: The epoch protocol: :meth:`SimulationEngine.run_steps`
-#: yields each batched epoch's pending bank invocation and receives the
-#: outcome via ``send``.
-ProbeGen = Generator["BankProbe", ProbeOutcome, None]
-
-
-@dataclass
-class BankProbe:
-    """One batched epoch's pending vector-bank invocation.
-
-    Yielded by :meth:`SimulationEngine.run_steps`; :meth:`invoke`
-    resolves it against the engine's own bank.
-    """
-
-    bank: VectorBank
-    kind: str  # "grouped" | "staged"
-    addrs: np.ndarray
-    writes: np.ndarray
-    idx0: np.ndarray
-    part0: Optional[np.ndarray] = None
-    two_stage: Optional[np.ndarray] = None
-    idx1: Optional[np.ndarray] = None
-    part1: Optional[np.ndarray] = None
-
-    def invoke(self) -> ProbeOutcome:
-        """Resolve this probe with one bank call."""
-        if self.kind == "grouped":
-            return self.bank.access_many_grouped(self.idx0, self.addrs,
-                                                 self.writes)
-        assert self.part0 is not None and self.two_stage is not None \
-            and self.idx1 is not None and self.part1 is not None
-        return self.bank.access_many_staged(
-            self.addrs, self.writes, self.idx0, self.part0,
-            self.two_stage, self.idx1, self.part1)
 
 
 class _PlanTable:
@@ -515,47 +468,34 @@ class SimulationEngine:
 
     def run(self, kernels: Iterable[KernelTrace],
             benchmark: str = "") -> RunStats:
-        """Simulate every kernel launch and return the aggregate stats.
-
-        This drives :meth:`run_steps`: every bank probe the generator
-        yields is resolved at once against this engine's own bank.
-        """
-        steps = self.run_steps(kernels, benchmark)
-        outcome: ProbeOutcome = None
-        while True:
-            try:
-                probe = steps.send(outcome)
-            except StopIteration:
-                return self.stats
-            outcome = probe.invoke()
+        """Simulate every kernel launch and return the aggregate stats."""
+        for _kstats in self.run_steps(kernels, benchmark):
+            pass
+        return self.stats
 
     def run_steps(self, kernels: Iterable[KernelTrace],
-                  benchmark: str = "") -> ProbeGen:
-        """Generator form of :meth:`run`.
-
-        Yields a :class:`BankProbe` for each batched epoch's pending
-        vector-bank invocation and expects the outcome back via
-        ``send`` (``None`` means the bank declined and the engine
-        resolves that epoch serially).
-        """
+                  benchmark: str = "") -> Iterator[KernelStats]:
+        """Generator form of :meth:`run`: yields each kernel launch's
+        :class:`KernelStats` as it retires (already merged into
+        ``self.stats``)."""
         self.stats.benchmark = benchmark
         for kernel in kernels:
-            yield from self._run_kernel(kernel)
+            yield self._run_kernel(kernel)
         self._finalize_allocation_stats()
 
-    def _run_kernel(self, kernel: KernelTrace) -> ProbeGen:
+    def _run_kernel(self, kernel: KernelTrace) -> KernelStats:
         kstats = KernelStats(name=kernel.name)
         self.organization.begin_kernel(self, kernel.name)
         for index, epoch in enumerate(kernel.epochs):
             self.organization.begin_epoch(self, index)
             if self.organization.profiling:
                 head, tail = self._split_profile_window(epoch)
-                yield from self._run_epoch(head, kstats)
+                self._run_epoch(head, kstats)
                 self.organization.profile_boundary(self)
                 if tail is not None:
-                    yield from self._run_epoch(tail, kstats)
+                    self._run_epoch(tail, kstats)
             else:
-                yield from self._run_epoch(epoch, kstats)
+                self._run_epoch(epoch, kstats)
             self.organization.end_epoch(self, index)
         self._sample_allocation(kstats.cycles)
         # Capture the mode the kernel actually ran in (and the coherence
@@ -572,6 +512,7 @@ class SimulationEngine:
             self._pending_cycles = 0.0
         kstats.reconfigured = kstats.reconfig_cycles > 0
         self.stats.merge_kernel(kstats)
+        return kstats
 
     def _split_profile_window(self, epoch: EpochTrace
                               ) -> Tuple[EpochTrace, Optional[EpochTrace]]:
@@ -659,9 +600,9 @@ class SimulationEngine:
     # Epoch execution.
     # ------------------------------------------------------------------
 
-    def _run_epoch(self, epoch: EpochTrace, kstats: KernelStats) -> ProbeGen:
+    def _run_epoch(self, epoch: EpochTrace, kstats: KernelStats) -> None:
         if self._llc_bank is not None:
-            yield from self._run_epoch_batched(epoch, kstats)
+            self._run_epoch_batched(epoch, kstats)
         else:
             self._run_epoch_serial(epoch, kstats)
             self.stats.slow_epochs += 1
@@ -684,7 +625,7 @@ class SimulationEngine:
     # -- Batched epoch fast path -------------------------------------------
 
     def _run_epoch_batched(self, epoch: EpochTrace, kstats: KernelStats
-                           ) -> ProbeGen:
+                           ) -> None:
         """Batched epoch execution.
 
         Functionally identical to :meth:`_run_epoch_serial`: one
@@ -696,9 +637,6 @@ class SimulationEngine:
         latency is the serial path's sum in the serial path's order, so
         the resulting ``RunStats`` are bit-identical to the per-access
         path.
-
-        The bank invocations themselves are *yielded* as
-        :class:`BankProbe` requests, which :meth:`run` resolves at once.
 
         A uniform single-stage table takes the grouped kernel and the
         L1.5 table the staged one; an epoch under any other table, or
@@ -722,26 +660,19 @@ class SimulationEngine:
 
         # Cache probes: the only sequentially-stateful work in the epoch.
         idx0_np = pt.serve0[pair_np] * np.int64(llc_slices) + slices_np
-        batch: Optional[BatchResult] = None
-        staged: Optional[StagedResult] = None
-        if pt.grouped:
-            batch = cast(Optional[BatchResult], (yield BankProbe(
-                bank=bank, kind="grouped", addrs=addrs_np,
-                writes=writes_np, idx0=idx0_np)))
+        batch = bank.access_many_grouped(idx0_np, addrs_np, writes_np) \
+            if pt.grouped else None
         if batch is not None:
             hs = np.where(batch.hits, np.int64(0), np.int64(-1))
             dirty_sel = batch.evicted_dirty
             ev_serve = pt.serve0[pair_np[dirty_sel]]
             ev_addr = batch.evicted_addr[dirty_sel]
         else:
-            if pt.l15:
-                staged = cast(Optional[StagedResult], (yield BankProbe(
-                    bank=bank, kind="staged", addrs=addrs_np,
-                    writes=writes_np, idx0=idx0_np,
-                    part0=pt.part0[pair_np], two_stage=pt.two[pair_np],
-                    idx1=pt.serve1[pair_np] * np.int64(llc_slices)
-                    + slices_np,
-                    part1=pt.part1[pair_np])))
+            staged = bank.access_many_staged(
+                addrs_np, writes_np, idx0_np, pt.part0[pair_np],
+                pt.two[pair_np],
+                pt.serve1[pair_np] * np.int64(llc_slices) + slices_np,
+                pt.part1[pair_np]) if pt.l15 else None
             if staged is None:
                 # Another table, or the bank declined: resolve the whole
                 # epoch serially.

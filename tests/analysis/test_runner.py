@@ -349,11 +349,11 @@ class TestSupervisedMatrix:
         assert telemetry().resumed_pairs == 2
         assert telemetry().simulated == 2
 
-    def test_duplicate_submission_guard_dedupes_lost_pairs(
+    def test_journaled_pair_with_lost_payload_simulates_once(
             self, tmp_path, monkeypatch):
         # A pair the manifest journaled as done but whose payload went
-        # missing lands in both the pending scan and the manifest's
-        # re-dispatch list; without the guard it would simulate twice.
+        # missing misses the disk cache, so the pending scan re-runs it,
+        # once.
         from repro.analysis import reset_telemetry, runner, telemetry
         from repro.analysis.diskcache import ResultCache
         from repro.sim.run import reset_simulate_calls, simulate_calls
@@ -372,7 +372,6 @@ class TestSupervisedMatrix:
         results = run_matrix(specs, orgs, accesses_per_epoch=256,
                              cache_dir=tmp_path)
         assert len(results) == 2
-        assert telemetry().deduped_submissions == 1
         assert telemetry().simulated == 1
         assert simulate_calls() == 1
 
@@ -389,8 +388,9 @@ class TestSupervisedMatrix:
         orgs = ["memory-side", "sm-side"]
         results = run_matrix(specs, orgs, accesses_per_epoch=256, n_jobs=2)
         assert len(results) == 4
+        # The crash is a respawn; no task failed an attempt of its own.
         assert telemetry().respawns == 1
-        assert telemetry().retries >= 1
+        assert telemetry().retries == 0
         # Survivor-equivalence: the crashed-and-retried matrix matches a
         # clean serial run bit for bit.
         monkeypatch.delenv("REPRO_FAULTS")

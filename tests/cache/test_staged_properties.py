@@ -157,7 +157,7 @@ def test_two_lane_shared_matches_probe_loop(seed, steps, other, sectored,
             rng, num_sets, assoc, n)
         calls = [StagedLaneCall((k * CACHES, (k + 1) * CACHES), addrs,
                                 writes, idx0, part0, two_stage, home,
-                                np.zeros(n, dtype=np.int64), stream=0)
+                                np.zeros(n, dtype=np.int64))
                  for k in range(2)]
         outs = bank.access_many_staged_shared(calls)
 

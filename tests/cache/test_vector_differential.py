@@ -448,9 +448,9 @@ def test_bank_grouped_declines_when_partitioned():
 
 
 def test_bank_grouped_lane_gate_covers_only_its_lanes():
-    """A standalone grouped call on a stacked bank gates (and charges)
-    only the lanes it names: a partitioned lane elsewhere in the bank
-    neither declines it nor sees stats."""
+    """A lane's grouped call on a stacked bank gates (and charges) only
+    its own lane: a partitioned lane elsewhere in the bank neither
+    declines it nor sees stats."""
     rng = np.random.default_rng(53)
     spl = 2
     config = make_config(16, 4)
@@ -462,8 +462,8 @@ def test_bank_grouped_lane_gate_covers_only_its_lanes():
     addrs, writes = random_stream(rng, 16, 4, 300, 0.4)
     idx = rng.integers(0, spl, size=300).astype(np.int64)
     assert bank.access_many_grouped(idx + spl, addrs, writes) is None
-    out = bank.access_many_grouped(idx + spl, addrs, writes,
-                                   lanes=[(spl, 2 * spl)])
+    [out] = bank.access_many_grouped_shared(
+        [GroupedLaneCall((spl, 2 * spl), idx, addrs, writes)])
     ref_out = solo.access_many_grouped(idx, addrs, writes)
     assert out is not None and ref_out is not None
     np.testing.assert_array_equal(ref_out.hits, out.hits)
@@ -685,7 +685,7 @@ def test_grouped_shared_lanes_match_their_own_calls(sectored):
         addrs, writes = random_stream(rng, 48, 8, n, 0.3)
         cache_idx = rng.integers(0, spl, size=n).astype(np.int64)
         calls = [GroupedLaneCall((i * spl, (i + 1) * spl), cache_idx,
-                                 addrs, writes, stream=0)
+                                 addrs, writes)
                  for i in range(num_lanes)]
         outs = bank.access_many_grouped_shared(calls)
         for i, out in enumerate(outs):
@@ -714,8 +714,8 @@ def test_grouped_shared_distinct_streams_stay_isolated():
     a0, w0 = random_stream(rng, 16, 4, 400, 0.4)
     a1, w1 = random_stream(rng, 16, 4, 400, 0.4, base=1 << 20)
     ci = rng.integers(0, spl, size=400).astype(np.int64)
-    calls = [GroupedLaneCall((0, spl), ci, a0, w0, stream=0),
-             GroupedLaneCall((spl, 2 * spl), ci, a1, w1, stream=1)]
+    calls = [GroupedLaneCall((0, spl), ci, a0, w0),
+             GroupedLaneCall((spl, 2 * spl), ci, a1, w1)]
     outs = bank.access_many_grouped_shared(calls)
     for i, (addrs, writes) in enumerate(((a0, w0), (a1, w1))):
         ref_out = solo[i].access_many_grouped(ci, addrs, writes)
@@ -753,8 +753,7 @@ def test_staged_shared_mixed_partition_caps_over_one_stream():
         idx1 = home
         part1 = np.zeros(n, dtype=np.int64)
         calls = [StagedLaneCall((i * spl, (i + 1) * spl), addrs, writes,
-                                idx0, part0, two_stage, idx1, part1,
-                                stream=0)
+                                idx0, part0, two_stage, idx1, part1)
                  for i in range(num_lanes)]
         outs = bank.access_many_staged_shared(calls)
         for i, out in enumerate(outs):
@@ -763,8 +762,7 @@ def test_staged_shared_mixed_partition_caps_over_one_stream():
                                              two_stage, idx1, part1)
             assert ref is not None
             np.testing.assert_array_equal(ref.hit_stage, out.hit_stage)
-            # Shared staged results carry bank-absolute cache indices;
-            # the driver localizes them per lane (BankProbe.localize).
+            # Shared staged results carry bank-absolute cache indices.
             np.testing.assert_array_equal(ref.evicted_cache,
                                           out.evicted_cache - i * spl)
             np.testing.assert_array_equal(ref.evicted_addr, out.evicted_addr)
@@ -794,7 +792,7 @@ def test_staged_shared_unpartitioned_lane_falls_back_alone():
     part0 = np.where(two_stage, 1, 0).astype(np.int64)
     part1 = np.zeros(n, dtype=np.int64)
     calls = [StagedLaneCall((i * spl, (i + 1) * spl), addrs, writes,
-                            idx0, part0, two_stage, home, part1, stream=0)
+                            idx0, part0, two_stage, home, part1)
              for i in range(3)]
     outs = bank.access_many_staged_shared(calls)
     assert outs[0] is not None and outs[1] is not None

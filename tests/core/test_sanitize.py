@@ -168,10 +168,9 @@ class TestStagedShape:
     def test_shared_call_outside_the_shape_runs_no_lane(self):
         bank = self.partitioned_bank()
         before = self.snapshot(bank)
-        good = StagedLaneCall((0, 2), *l15_call(seed=9), stream=0)
+        good = StagedLaneCall((0, 2), *l15_call(seed=9))
         bad = StagedLaneCall((0, 2), *_off_shape(l15_call(seed=9),
-                                                 "stage1-remote"),
-                             stream=1)
+                                                 "stage1-remote"))
         with pytest.raises(sanitize.SanitizerError):
             bank.access_many_staged_shared([good, bad])
         [violation] = sanitize.report().violations

@@ -6,10 +6,8 @@ into a helper module would escape it.  This test records which
 fails if ``HOT_MODULES`` misses any.
 
 A module counts as executed when a ``call`` event for one of its code
-objects fires while a root frame — the engine's per-kernel body, or
-the bank call that resolves a probe it yields — is live.  A generator
-resume is a ``call`` event and each ``yield`` a ``return``, so counting
-root frames in and out is exact across the yielded bank probes.
+objects fires while the root frame — the engine's per-kernel body,
+which makes every epoch's bank call itself — is live.
 """
 
 import sys
@@ -26,10 +24,7 @@ SCALE = 1.0 / 64
 DENSITY = 512
 
 #: ``(module suffix, function name)`` of each root frame.
-ROOTS = frozenset({
-    ("repro/sim/engine.py", "_run_kernel"),
-    ("repro/sim/engine.py", "invoke"),
-})
+ROOTS = frozenset({("repro/sim/engine.py", "_run_kernel")})
 
 PACKAGE = Path(repro.__file__).resolve().parent
 

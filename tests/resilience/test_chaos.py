@@ -55,9 +55,10 @@ def test_matrix_survives_crash_and_torn_payload(tmp_path, monkeypatch):
 
     # Zero lost results despite the crash.
     assert set(chaos) == {(s.name, o) for s in specs for o in ORGS}
-    # The dead worker cost one pool respawn and one re-dispatch.
+    # The dead worker cost one pool respawn; no task failed an attempt
+    # of its own, so no retry budget was spent.
     assert chaos_telemetry.respawns == 1
-    assert chaos_telemetry.retries >= 1
+    assert chaos_telemetry.retries == 0
     assert chaos_telemetry.simulated == 4
     # The re-dispatched task ran both of chaos-a's organizations, and
     # every pair was journaled exactly once.
@@ -80,7 +81,6 @@ def test_matrix_survives_crash_and_torn_payload(tmp_path, monkeypatch):
     assert reload_telemetry.disk_hits == 3
     assert reload_telemetry.resumed_pairs == 3
     assert reload_telemetry.simulated == 1
-    assert reload_telemetry.deduped_submissions == 1
 
     # Bit-identity: both recovered matrices match a clean serial run.
     clear_cache()

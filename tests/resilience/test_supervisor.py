@@ -6,6 +6,7 @@ stays fast; deterministic crashes/hangs come from the fault sites in
 """
 
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,12 @@ def _fail_once_then_succeed(marker):
     except FileExistsError:
         return "recovered"
     raise RuntimeError("first attempt fails")
+
+
+def _sleep_then_fail_once(marker):
+    """Sleeps half a second, then fails on its first completed call."""
+    time.sleep(0.5)
+    return _fail_once_then_succeed(marker)
 
 
 def _always_fail(label):
@@ -141,6 +148,24 @@ class TestPool:
             SupervisedTask("b", "b", _quick, ("b",)),
         ])
         assert results == {"a": "a", "b": "b"}
+        assert sup.telemetry.respawns == 1
+
+    def test_crash_elsewhere_spends_no_retry_budget(self, tmp_path,
+                                                    monkeypatch):
+        # Task a's worker dies while b sleeps, and the broken pool takes
+        # b down with it.  That is a respawn, not an attempt of b's:
+        # b keeps its one retry for the failure of its own that follows.
+        monkeypatch.setenv("REPRO_FAULTS", "worker.crash:a")
+        monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "state"))
+        faults.reset()
+        sup = Supervisor(max_workers=2, retries=1, backoff_base=0.001)
+        results = sup.run([
+            SupervisedTask("a", "a", _quick, ("a",)),
+            SupervisedTask("b", "b", _sleep_then_fail_once,
+                           (str(tmp_path / "m"),)),
+        ])
+        assert results == {"a": "a", "b": "recovered"}
+        assert sup.telemetry.retries == 1
         assert sup.telemetry.respawns == 1
 
     def test_worker_hang_times_out_and_recovers(self, tmp_path,

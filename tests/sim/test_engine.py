@@ -176,6 +176,42 @@ class TestEngineContext:
         assert vectorized == scalar
 
 
+class TestRunSteps:
+    @staticmethod
+    def engine_and_kernels(organization):
+        config = scaled_config(baseline(), SCALE)
+        engine = SimulationEngine(
+            config, make_organization(organization, config))
+        generator = TraceGenerator(
+            tiny_spec(iterations=3), num_chips=config.num_chips,
+            clusters_per_chip=config.chip.num_clusters,
+            line_size=config.line_size, page_size=config.page_size,
+            accesses_per_epoch_per_chip=256, scale=SCALE)
+        return engine, list(generator.kernels())
+
+    @pytest.mark.parametrize("organization", ["memory-side", "static", "sac"])
+    def test_yields_each_launch_as_it_retires(self, organization):
+        engine, kernels = self.engine_and_kernels(organization)
+        yielded = []
+        for kstats in engine.run_steps(kernels, benchmark="tiny"):
+            # A launch is merged into the run before it is yielded.
+            assert engine.stats.kernels[-1] is kstats
+            yielded.append(kstats)
+        assert [k.name for k in yielded] == [k.name for k in kernels]
+        assert len(engine.stats.kernels) == len(kernels)
+        assert all(a is b for a, b in zip(yielded, engine.stats.kernels))
+
+    def test_run_returns_what_draining_run_steps_leaves(self):
+        engine, kernels = self.engine_and_kernels("sac")
+        stats = engine.run(kernels, benchmark="tiny")
+        assert stats is engine.stats
+        drained, kernels = self.engine_and_kernels("sac")
+        for _kstats in drained.run_steps(kernels, benchmark="tiny"):
+            pass
+        assert drained.stats.llc_local_fraction > 0
+        assert stats.comparable_dict() == drained.stats.comparable_dict()
+
+
 class TestEngineParamsValidation:
     @pytest.mark.parametrize("field,value", [
         ("request_bytes", 0),
