@@ -721,9 +721,6 @@ class _SlotStore:
                 self.stamp.reshape(-1, A) if self.stamp is not None
                 else None)
 
-    def row_base(self, slot: int, cache_idx: int) -> int:
-        return (slot * self.num_caches + cache_idx) * self.num_sets
-
 
 def _drain(store: _SlotStore, geo: _Geometry, lo: int, hi: int,
            partition: Optional[int], dirty_only: bool

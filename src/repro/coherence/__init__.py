@@ -1,12 +1,14 @@
-"""Coherence substrate: software flush-based and hardware directory protocols."""
+"""Hardware directory coherence.
+
+Software coherence is the engine's kernel-boundary flush of each
+organization's declared ``remote_scope``
+(:meth:`repro.sim.engine.SimulationEngine.flush_llc`).
+"""
 
 from .hardware import DirectoryEntry, DirectoryStats, HardwareCoherence
-from .software import FlushCost, SoftwareCoherence
 
 __all__ = [
     "DirectoryEntry",
     "DirectoryStats",
-    "FlushCost",
     "HardwareCoherence",
-    "SoftwareCoherence",
 ]

@@ -25,14 +25,13 @@ hit rate for the CRD estimate, ``use_lsu=False`` pins both LSUs to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from ..arch.config import SystemConfig
 from ..llc.base import (
     MEMORY_SIDE_MODE,
-    PARTITION_LOCAL,
     SM_SIDE_MODE,
     LLCOrganization,
     RoutePlan,
@@ -63,13 +62,15 @@ class SACStats:
     reconfigurations: int = 0
     drain_cycles_total: float = 0.0
 
-    def chosen_for(self, kernel_prefix: str) -> List[str]:
-        return [d.chosen for d in self.decisions
-                if d.kernel.startswith(kernel_prefix)]
-
 
 class SharingAwareCaching(LLCOrganization):
-    """The SAC organization: profiling window + EAB-driven reconfiguration."""
+    """The SAC organization: profiling window + EAB-driven reconfiguration.
+
+    It keeps the inherited ``dedicated_memory_network = False``: SAC
+    reuses the single memory-side NoC even in SM-side mode (Figure 6: the
+    same physical inter-chip link is logically on both sides), so
+    remote-miss traffic shares the primary crossbar.
+    """
 
     name = "sac"
 
@@ -107,22 +108,10 @@ class SharingAwareCaching(LLCOrganization):
     def counters(self) -> Optional[ProfilingCounters]:
         return self._counters
 
-    @property
-    def dedicated_memory_network(self) -> bool:
-        """SAC reuses the single memory-side NoC even in SM-side mode
-        (Figure 6: the same physical inter-chip link is logically on both
-        sides), so remote-miss traffic shares the primary crossbar."""
-        return False
-
     # -- Routing -------------------------------------------------------------
 
     def plan(self, chip: int, home: int) -> RoutePlan:
         return self._active.plan(chip, home)
-
-    def flush_partitions(self) -> List[Tuple[Optional[int], int]]:
-        if self._active.mode == SM_SIDE_MODE:
-            return [(None, PARTITION_LOCAL)]
-        return []
 
     # -- Lifecycle -------------------------------------------------------------
 
@@ -169,12 +158,6 @@ class SharingAwareCaching(LLCOrganization):
         self._profiling = True
         self._cycles_since_profile = 0.0
 
-    @property
-    def observe_is_passive(self) -> bool:
-        # Counters only accumulate while the profiling window is open;
-        # outside it the engine may batch epochs.
-        return not self._profiling
-
     def observe_access(self, ctx: "EngineContext", chip: int, addr: int,
                        home: int, hit_stage: Optional[int]) -> None:
         if not self._profiling:
@@ -191,13 +174,12 @@ class SharingAwareCaching(LLCOrganization):
                       slices: np.ndarray, hit_stages: np.ndarray) -> None:
         """Vectorized :meth:`observe_access` for one batched epoch.
 
-        The engine calls this once per batched epoch instead of the
-        per-access hook; the final counter state is identical because
-        every chip counter is an order-independent sum and the CRDs
-        still see their sampled addresses in access order.
+        The engine calls this once per batched epoch of the profiling
+        window, instead of the per-access hook; the final counter state
+        is identical because every chip counter is an order-independent
+        sum and the CRDs still see their sampled addresses in access
+        order.
         """
-        if not self._profiling:
-            return
         counters = self._counters
         assert counters is not None
         if not len(addrs):
@@ -215,10 +197,6 @@ class SharingAwareCaching(LLCOrganization):
             self._decide(ctx)
 
     def end_epoch(self, ctx: "EngineContext", epoch_index: int) -> None:
-        if self._profiling:
-            # Fallback for engines that do not split the profiling epoch.
-            self._decide(ctx)
-            return
         interval = self.config.sac.reprofile_interval_cycles
         if interval is not None:
             self._cycles_since_profile += ctx.last_epoch_cycles

@@ -5,6 +5,7 @@ from .base import (
     PARTITION_LOCAL,
     PARTITION_REMOTE,
     SM_SIDE_MODE,
+    WHOLE_LLC,
     LLCOrganization,
     LookupStage,
     RoutePlan,
@@ -17,6 +18,7 @@ __all__ = [
     "PARTITION_LOCAL",
     "PARTITION_REMOTE",
     "SM_SIDE_MODE",
+    "WHOLE_LLC",
     "LLCOrganization",
     "LookupStage",
     "RoutePlan",

@@ -14,14 +14,20 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    import numpy as np
+
     from ..sim.engine import EngineContext
 
 #: Way-partition ids used by the Static and Dynamic organizations.
 PARTITION_LOCAL = 0
 PARTITION_REMOTE = 1
+
+#: :attr:`LLCOrganization.remote_scope` of an organization whose remote
+#: data may sit in any way of any slice.
+WHOLE_LLC = -1
 
 MEMORY_SIDE_MODE = "memory-side"
 SM_SIDE_MODE = "sm-side"
@@ -59,19 +65,31 @@ class LLCOrganization(abc.ABC):
     #: Display name used in reports (overridden per subclass).
     name: str = "llc"
 
+    #: Whether inter-chip traffic past the LLC rides a secondary network
+    #: of its own, exempt from the primary crossbar (two-NoC SM-side).
+    dedicated_memory_network: bool = False
+
     @property
     @abc.abstractmethod
     def mode(self) -> str:
         """Current behaviour: ``"memory-side"`` or ``"sm-side"``.
 
-        Used by coherence (SM-side data needs LLC flushes / directory
-        tracking) and by the Figure 9 local/remote classification.
+        Recorded per kernel launch; the default :attr:`remote_scope`
+        follows it.
         """
 
     @property
-    def caches_remote_data(self) -> bool:
-        """Whether any LLC slice may hold data homed on another chip."""
-        return self.mode == SM_SIDE_MODE
+    def remote_scope(self) -> Optional[int]:
+        """Where LLC lines homed on another chip may live.
+
+        ``None`` when no line can hold such data, :data:`WHOLE_LLC` when
+        it may sit in any way of any slice, else the one partition that
+        holds it.  Software coherence flushes exactly this scope at each
+        kernel boundary, and hardware coherence tracks sharers while it
+        is not ``None``.  By default SM-side caches remote data anywhere
+        and memory-side caches none.
+        """
+        return WHOLE_LLC if self.mode == SM_SIDE_MODE else None
 
     @abc.abstractmethod
     def plan(self, chip: int, home: int) -> RoutePlan:
@@ -108,32 +126,27 @@ class LLCOrganization(abc.ABC):
 
     def observe_access(self, ctx: "EngineContext", chip: int, addr: int,
                        home: int, hit_stage: Optional[int]) -> None:
-        """Called per access (profiling hooks; default no-op)."""
+        """Called per access on the serial engine (default no-op)."""
 
-    @property
-    def observe_is_passive(self) -> bool:
-        """True when :meth:`observe_access` is currently a no-op.
+    def observe_batch(self, ctx: "EngineContext", chips: "np.ndarray",
+                      addrs: "np.ndarray", homes: "np.ndarray",
+                      slices: "np.ndarray", hit_stages: "np.ndarray") -> None:
+        """One vector epoch's :meth:`observe_access` stream in one call.
 
-        The engine's vector path skips the per-access ``observe_access``
-        callback entirely, so a run takes it only when the class keeps
-        the base no-op or provides an ``observe_batch`` that reproduces
-        it (see :func:`repro.sim.engine.takes_vector_path`); the engine
-        calls ``observe_batch`` on the epochs where this is False.
-        Organizations that override ``observe_access`` but only act
-        during certain windows (e.g. SAC while profiling) should
-        override this to reflect the current state.
+        The vector path calls it in place of the per-access hook, only
+        while :attr:`profiling` is set, with ``-1`` in ``hit_stages`` for
+        a full miss.  A class that overrides :meth:`observe_access` must
+        override this too to run there.
         """
-        return type(self).observe_access is LLCOrganization.observe_access
 
-    def flush_partitions(self) -> List[Tuple[Optional[int], int]]:
-        """Partitions that software coherence must flush at kernel end.
+    def remote_allocate(self, chip: int, addr: int) -> bool:
+        """Whether a remote-partition probe by ``chip`` may install
+        ``addr`` on a miss (default: always, as the plan says).
 
-        Returns ``(chip, partition)`` pairs; ``chip=None`` means every
-        chip.  Memory-side organizations return nothing; SM-side returns
-        every chip's whole cache (partition ``PARTITION_LOCAL`` — they do
-        not partition); Static/Dynamic return the remote partitions.
+        Overriding it is a per-access insertion filter (LADM), which
+        keeps a run on the serial engine.
         """
-        return []
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

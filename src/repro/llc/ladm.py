@@ -22,15 +22,10 @@ workloads that fundamentally prefer one extreme.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
-from .base import (
-    MEMORY_SIDE_MODE,
-    PARTITION_REMOTE,
-    LookupStage,
-    RoutePlan,
-)
-from .organizations import DynamicLLC, StaticLLC
+from .base import WHOLE_LLC
+from .organizations import DynamicLLC
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import EngineContext
@@ -78,37 +73,21 @@ class LADMLLC(DynamicLLC):
                  filter_capacity: int = 4096) -> None:
         super().__init__(num_chips, min_local_ways=min_local_ways,
                          min_remote_ways=min_remote_ways)
-        self.num_chips = num_chips
         self._filters = [TouchFilter(filter_capacity)
                          for _ in range(num_chips)]
         self._line_shift: Optional[int] = None
 
     @property
-    def caches_remote_data(self) -> bool:
-        # LADM always reserves at least min_remote_ways for remote data.
-        return True
+    def remote_scope(self) -> Optional[int]:
+        # LADM's remote data lives only in PARTITION_REMOTE, but it
+        # declares the whole LLC, so each kernel boundary flushes all of
+        # it.  Inheriting DynamicLLC's scope fixes that and changes every
+        # ``ladm`` result (ROADMAP, item 1).
+        return WHOLE_LLC
 
     def attach(self, ctx: "EngineContext") -> None:
         super().attach(ctx)
         self._line_shift = ctx.line_size.bit_length() - 1
-
-    def plan(self, chip: int, home: int) -> RoutePlan:
-        # The base plan table is static; allocation is decided per access
-        # in plan_for_addr (the engine calls plan(), so we override the
-        # allocate flag by returning a fresh plan when needed).
-        return super().plan(chip, home)
-
-    def observe_access(self, ctx: "EngineContext", chip: int, addr: int,
-                       home: int, hit_stage: Optional[int]) -> None:
-        # Touch bookkeeping happens in the engine's routing via
-        # remote_allocate(); nothing to do here.
-        pass
-
-    @property
-    def observe_is_passive(self) -> bool:
-        # observe_access is a no-op, but remote_allocate() still forces
-        # the engine's per-access path (the touch filter is stateful).
-        return True
 
     def remote_allocate(self, chip: int, addr: int) -> bool:
         """Whether this remote access may install into the L1.5 partition.
@@ -120,10 +99,7 @@ class LADMLLC(DynamicLLC):
         return self._filters[chip].touch(addr >> shift)
 
     def begin_kernel(self, ctx: "EngineContext", kernel_name: str) -> None:
-        # Kernel boundaries flush the remote partitions (software
-        # coherence); reuse knowledge from the previous kernel is stale.
+        # Kernel boundaries flush remote data (software coherence);
+        # reuse knowledge from the previous kernel is stale.
         for touch_filter in self._filters:
             touch_filter.clear()
-
-    def flush_partitions(self) -> List[Tuple[Optional[int], int]]:
-        return [(None, PARTITION_REMOTE)]

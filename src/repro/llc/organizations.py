@@ -17,7 +17,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from .base import (
     MEMORY_SIDE_MODE,
@@ -86,10 +86,6 @@ class SMSideLLC(LLCOrganization):
     def plan(self, chip: int, home: int) -> RoutePlan:
         return self._table[(chip, home)]
 
-    def flush_partitions(self) -> List[Tuple[Optional[int], int]]:
-        # Software coherence must flush the whole LLC at kernel end.
-        return [(None, PARTITION_LOCAL)]
-
 
 class StaticLLC(LLCOrganization):
     """The L1.5 static organization: fixed half-local / half-remote ways."""
@@ -114,13 +110,12 @@ class StaticLLC(LLCOrganization):
     @property
     def mode(self) -> str:
         # The local half behaves memory-side; the remote half caches
-        # remote data like an SM-side cache.  For coherence purposes it
-        # counts as caching remote data.
+        # remote data like an SM-side cache (see ``remote_scope``).
         return MEMORY_SIDE_MODE
 
     @property
-    def caches_remote_data(self) -> bool:
-        return self.remote_way_fraction > 0.0
+    def remote_scope(self) -> Optional[int]:
+        return PARTITION_REMOTE if self.remote_way_fraction > 0.0 else None
 
     def attach(self, ctx: "EngineContext") -> None:
         ways = ctx.config.chip.llc_slice.associativity
@@ -131,11 +126,6 @@ class StaticLLC(LLCOrganization):
 
     def plan(self, chip: int, home: int) -> RoutePlan:
         return self._table[(chip, home)]
-
-    def flush_partitions(self) -> List[Tuple[Optional[int], int]]:
-        if self.remote_way_fraction <= 0.0:
-            return []
-        return [(None, PARTITION_REMOTE)]
 
 
 class DynamicLLC(LLCOrganization):
@@ -177,8 +167,8 @@ class DynamicLLC(LLCOrganization):
         return MEMORY_SIDE_MODE
 
     @property
-    def caches_remote_data(self) -> bool:
-        return self._remote_ways > 0
+    def remote_scope(self) -> Optional[int]:
+        return PARTITION_REMOTE if self._remote_ways > 0 else None
 
     @property
     def remote_ways(self) -> int:
@@ -222,8 +212,3 @@ class DynamicLLC(LLCOrganization):
         if new_remote != self._remote_ways:
             self._remote_ways = new_remote
             self._apply(ctx)
-
-    def flush_partitions(self) -> List[Tuple[Optional[int], int]]:
-        if self._remote_ways <= 0:
-            return []
-        return [(None, PARTITION_REMOTE)]

@@ -12,10 +12,11 @@ first occurrence.  The :class:`Supervisor` contains all three:
   thundering-herd in lockstep yet every run of the same sweep sleeps
   the same schedule.
 * **Timeouts** — ``REPRO_TASK_TIMEOUT`` (seconds, default off) bounds
-  each task's wall clock from dispatch.  Queued-but-unstarted tasks are
-  requeued without penalty; a running task that overruns is treated as
-  hung, counted, and its pool is abandoned (a truly stuck worker cannot
-  be reclaimed through ``concurrent.futures``) and respawned.
+  each task's wall clock from its start.  A task is submitted only when
+  a worker is free for it, so no task spends its budget queued behind
+  others.  A task that overruns is treated as hung, counted, and its
+  pool is abandoned (a truly stuck worker cannot be reclaimed through
+  ``concurrent.futures``) and respawned.
 * **Respawns** — a broken or abandoned pool is replaced and only the
   incomplete tasks are re-dispatched; results collected before the
   failure are kept (the ``on_result`` callback runs in the parent as
@@ -39,6 +40,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, \
     wait
 from concurrent.futures.process import BrokenProcessPool
@@ -240,24 +242,31 @@ class Supervisor:
                     attempts: Dict[str, int],
                     results: Dict[str, Any],
                     failures: Dict[str, BaseException]) -> bool:
-        """Dispatch every incomplete task on a fresh pool, collecting
-        until the batch drains or the pool must be abandoned.  Returns
-        True when the pool was abandoned (caller respawns)."""
+        """Dispatch every incomplete task on a fresh pool, one per free
+        worker, collecting until the batch drains or the pool must be
+        abandoned.  Returns True when the pool was abandoned (caller
+        respawns)."""
         batch = list(todo.values())
-        pool = ProcessPoolExecutor(max_workers=min(self.max_workers,
-                                                   len(batch)))
+        workers = min(self.max_workers, len(batch))
+        pool = ProcessPoolExecutor(max_workers=workers)
         abandon = False
         try:
             future_of: Dict[Future[Any], SupervisedTask] = {}
             deadline_of: Dict[Future[Any], Optional[float]] = {}
-            for task in batch:
-                future = pool.submit(run_supervised, task.fn, task.args,
-                                     task.label)
-                future_of[future] = task
-                deadline_of[future] = (time.monotonic() + self.timeout) \
-                    if self.timeout is not None else None
-            outstanding: Set[Future[Any]] = set(future_of)
-            while outstanding:
+            waiting = deque(batch)
+            outstanding: Set[Future[Any]] = set()
+            while waiting or outstanding:
+                # At most one task per worker is in flight, so a task
+                # starts when it is submitted and its deadline runs from
+                # its start.
+                while waiting and len(outstanding) < workers:
+                    task = waiting.popleft()
+                    future = pool.submit(run_supervised, task.fn,
+                                         task.args, task.label)
+                    future_of[future] = task
+                    deadline_of[future] = None if self.timeout is None \
+                        else time.monotonic() + self.timeout
+                    outstanding.add(future)
                 done, outstanding = wait(outstanding, timeout=self._POLL,
                                          return_when=FIRST_COMPLETED)
                 for future in done:
@@ -308,12 +317,6 @@ class Supervisor:
             if deadline is None or now <= deadline or future.done():
                 continue
             task = future_of[future]
-            if future.cancel():
-                # Never started — it sat in the queue behind slower
-                # work.  Requeue it with the rest of the pool.
-                outstanding.discard(future)
-                hung = True
-                continue
             self.telemetry.timeouts += 1
             self._note_failure(
                 task,

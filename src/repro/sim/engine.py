@@ -17,22 +17,23 @@ compute time and by an MLP-limited latency bound.  This models the
 paper's central quantity — *effective bandwidth ahead of the LLC* —
 without cycle-level simulation.
 
-Software coherence flushes the LLC of organizations that cache remote
-data at kernel boundaries; hardware coherence tracks sharers in a
-directory and invalidates replicas on writes.
+At each kernel boundary, software coherence flushes the part of the LLC
+that the organization declares may hold remote data (its
+``remote_scope``); hardware coherence tracks sharers in a directory and
+invalidates replicas on writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
     Optional,
     Tuple,
-    Type,
     cast,
 )
 
@@ -47,8 +48,7 @@ from ..cache.cache import (
 )
 from ..cache.vector import VectorBank, _stable_order
 from ..coherence.hardware import HardwareCoherence
-from ..coherence.software import SoftwareCoherence
-from ..llc.base import LLCOrganization, RoutePlan
+from ..llc.base import WHOLE_LLC, LLCOrganization, RoutePlan
 from ..llc.organizations import StaticLLC
 from ..memory.dram import DramSystem
 from ..memory.mapping import AddressMapping
@@ -117,27 +117,29 @@ class EngineParams:
 
 
 def takes_vector_path(config: SystemConfig, params: EngineParams,
-                      org_class: Type[LLCOrganization]) -> bool:
+                      organization: LLCOrganization) -> bool:
     """Whether a run resolves its epochs on the vector bank.
 
     Decided once, when the engine is built, from the config, the params
-    and the organization's class.  The vector path precomputes homes,
-    route plans and traffic totals with numpy and resolves every probe
-    with one bank call, so it needs ``batched`` and ``vectorized`` and
-    no component that needs a per-access side effect beyond the cache
+    and the organization.  The vector path precomputes homes, route
+    plans and traffic totals with numpy and resolves every probe with
+    one bank call, so it needs ``batched`` and ``vectorized`` and no
+    component that needs a per-access side effect beyond the cache
     probes themselves: no page migration, no coherence directory, no
-    per-access insertion filter (LADM's ``remote_allocate``), and an
-    ``observe_access`` that is either the base no-op or reproduced by
-    an ``observe_batch`` (SAC's profiling counters).  Every other run
-    builds ``SetAssociativeCache`` slices and runs the serial engine,
-    the oracle.
+    per-access insertion filter (an override of ``remote_allocate``,
+    LADM's), and an ``observe_access`` that is either the base no-op or
+    reproduced by an override of ``observe_batch`` (SAC's profiling
+    counters).  Every other run builds ``SetAssociativeCache`` slices
+    and runs the serial engine, the oracle.
     """
+    cls = type(organization)
+    base = LLCOrganization
     return (params.batched and params.vectorized
             and not params.page_migration
             and config.coherence.protocol == "software"
-            and not hasattr(org_class, "remote_allocate")
-            and (org_class.observe_access is LLCOrganization.observe_access
-                 or hasattr(org_class, "observe_batch")))
+            and cls.remote_allocate is base.remote_allocate
+            and (cls.observe_access is base.observe_access
+                 or cls.observe_batch is not base.observe_batch))
 
 
 class _PlanTable:
@@ -152,7 +154,7 @@ class _PlanTable:
     per distinct plan table (SAC alternates between two).
     """
 
-    def __init__(self, plans: Tuple[RoutePlan, ...], dedicated: bool,
+    def __init__(self, plans: Tuple[RoutePlan, ...],
                  engine: "SimulationEngine") -> None:
         config = engine.config
         params = engine.params
@@ -160,8 +162,6 @@ class _PlanTable:
         P = K * K
         ip = config.chip.noc.inter_chip_ports
         hops = engine.ring.hops
-        #: Kept alive so the engine's cache key (their ids) stays unique.
-        self.plans = plans
         cols = np.arange(P, dtype=np.int64)
         req = cols // K
         home = cols % K
@@ -229,7 +229,7 @@ class _PlanTable:
         mem_remote = last != home
         # SM-side's dedicated network carries remote stage-1 legs past
         # both crossbars and remote memory legs past the crossbars.
-        xbar = not dedicated
+        xbar = not engine.dedicated_memory_network
         #: Slice requests (and LLC-port traffic) of each stage's probes.
         self.slice0 = by_chip(self.serve0, ones)
         self.slice1 = by_chip(self.serve1, self.two)
@@ -296,7 +296,7 @@ class SimulationEngine:
             channels_per_chip=chip_cfg.memory.channels_per_chip)
         llc_cfg = chip_cfg.llc_slice
         self._llc_bank: Optional[VectorBank] = None
-        if not takes_vector_path(config, self.params, type(organization)):
+        if not takes_vector_path(config, self.params, organization):
             self.llc = [
                 [SetAssociativeCache(llc_cfg, name=f"llc{c}.{s}")
                  for s in range(chip_cfg.llc_slices)]
@@ -313,14 +313,17 @@ class SimulationEngine:
                           for c in range(config.num_chips)]
         self.ring = InterChipRing(config.inter_chip, config.num_chips)
         self.dram = DramSystem(chip_cfg.memory, config.num_chips)
-        self.software_coherence: Optional[SoftwareCoherence] = None
         self.hardware_coherence: Optional[HardwareCoherence] = None
-        if config.coherence.protocol == "software":
-            self.software_coherence = SoftwareCoherence(
-                config.coherence, self.line_size)
-        else:
+        if config.coherence.protocol == "hardware":
             self.hardware_coherence = HardwareCoherence(
                 config.coherence, config.num_chips)
+        self.dedicated_memory_network = organization.dedicated_memory_network
+        # The organization's insertion filter, or None for the base's
+        # allocate-always (so the serial engine skips the call).
+        self._remote_allocate: Optional[Callable[[int, int], bool]] = (
+            None if type(organization).remote_allocate
+            is LLCOrganization.remote_allocate
+            else organization.remote_allocate)
         # Per-epoch LLC slice service bytes, [chip][slice].
         self._slice_bytes = [[0.0] * chip_cfg.llc_slices
                              for _ in range(config.num_chips)]
@@ -331,7 +334,7 @@ class SimulationEngine:
         self.last_epoch_cycles = 0.0
         self.stats.slice_requests = [0] * config.total_llc_slices
         # Vector-path plan tables, keyed by their plans.
-        self._plan_tables: Dict[tuple, _PlanTable] = {}
+        self._plan_tables: Dict[Tuple[RoutePlan, ...], _PlanTable] = {}
         # Figure 9 sampling accumulators (cycle-weighted).
         self._alloc_weight = 0.0
         self._alloc_local = 0.0
@@ -498,13 +501,12 @@ class SimulationEngine:
                 self._run_epoch(epoch, kstats)
             self.organization.end_epoch(self, index)
         self._sample_allocation(kstats.cycles)
-        # Capture the mode the kernel actually ran in (and the coherence
-        # obligations it accrued) before SAC reverts to memory-side.
+        # Capture the mode the kernel actually ran in (and where it may
+        # have left remote data) before SAC reverts to memory-side.
         kstats.organization = self.organization.mode
-        flush_partitions = self.organization.flush_partitions()
-        cached_remote_data = self.organization.caches_remote_data
+        scope = self.organization.remote_scope
         self.organization.end_kernel(self)
-        self._kernel_boundary_flush(flush_partitions, cached_remote_data)
+        self._kernel_boundary_flush(scope)
         # Reconfiguration/flush overhead charged during the kernel.
         if self._pending_cycles:
             kstats.cycles += self._pending_cycles
@@ -546,25 +548,19 @@ class SimulationEngine:
             split = epoch.derived[key] = (head, tail)
         return cast(Tuple[EpochTrace, EpochTrace], split)
 
-    def _kernel_boundary_flush(
-            self, flush_partitions: List[Tuple[Optional[int], int]],
-            cached_remote_data: bool) -> None:
-        """Kernel-boundary coherence flush of remote-caching LLC partitions.
+    def _kernel_boundary_flush(self, scope: Optional[int]) -> None:
+        """Kernel-boundary coherence flush of the organization's
+        ``remote_scope``.
 
-        ``flush_partitions`` and ``cached_remote_data`` are captured from
-        the organization *before* its ``end_kernel`` hook so that SAC's
-        revert-to-memory-side does not erase the coherence obligations of
-        the mode the kernel actually ran in.
+        ``scope`` is captured *before* the organization's ``end_kernel``
+        hook, so that SAC's revert to memory-side does not erase the
+        coherence obligations of the mode the kernel actually ran in.
         """
-        if self.software_coherence is not None:
-            for chip, partition in flush_partitions:
-                chips = None if chip is None else [chip]
-                if partition is not None and \
-                        self.organization.name in ("static", "dynamic"):
-                    self.flush_llc(partition=partition, chips=chips)
-                else:
-                    self.flush_llc(partition=None, chips=chips)
-        elif self.hardware_coherence is not None and cached_remote_data:
+        if scope is None:
+            return
+        if self.hardware_coherence is None:
+            self.flush_llc(partition=None if scope == WHOLE_LLC else scope)
+        else:
             # Hardware coherence keeps data consistent during execution,
             # but remote replicas must still be written back before the
             # next kernel's placement decisions (cheaper than a full
@@ -685,8 +681,7 @@ class SimulationEngine:
         self.stats.vector_epochs += 1
         self._charge_epoch(pt, epoch, pair_np, hs, ev_serve, ev_addr,
                            kstats)
-        if (org.profiling or not org.observe_is_passive) and \
-                hasattr(org, "observe_batch"):
+        if org.profiling:
             # Replicate the serial path's per-access observe_access
             # stream in one batched call (profiling counters).
             org.observe_batch(self, epoch.chips, addrs_np, homes_np,
@@ -700,12 +695,9 @@ class SimulationEngine:
         num_chips = self.config.num_chips
         plans = tuple(org.plan(p // num_chips, p % num_chips)
                       for p in range(num_chips * num_chips))
-        dedicated = bool(getattr(org, "dedicated_memory_network", False))
-        key = (dedicated, plans)
-        table = self._plan_tables.get(key)
+        table = self._plan_tables.get(plans)
         if table is None:
-            table = self._plan_tables[key] = _PlanTable(plans, dedicated,
-                                                        self)
+            table = self._plan_tables[plans] = _PlanTable(plans, self)
         return table
 
     def _batched_homes(self, epoch: EpochTrace) -> np.ndarray:
@@ -948,8 +940,7 @@ class SimulationEngine:
         req_bytes = params.request_bytes + (
             params.write_data_bytes if is_write else 0)
         rsp_bytes = self.line_size + params.response_header_bytes
-        dedicated = getattr(self.organization, "dedicated_memory_network",
-                            False)
+        dedicated = self.dedicated_memory_network
         latency = 0.0
         hit_stage: Optional[int] = None
         kstats.llc_lookups += 1
@@ -967,10 +958,10 @@ class SimulationEngine:
             self._slice_bytes[serve][slice_index] += self.line_size
             allocate = stage.allocate
             if allocate and stage.partition and \
-                    hasattr(self.organization, "remote_allocate"):
+                    self._remote_allocate is not None:
                 # Insertion-policy organizations (LADM) decide per access
                 # whether a remote line may enter the remote partition.
-                allocate = self.organization.remote_allocate(chip, addr)
+                allocate = self._remote_allocate(chip, addr)
             result = self._llc_access(cache, serve, addr, line_addr, is_write,
                                       stage.partition, allocate)
             latency += params.latency_llc
@@ -993,7 +984,7 @@ class SimulationEngine:
         self.stats.responses_by_origin[origin] += 1
         self._latency_sum[chip] += latency
         if is_write and self.hardware_coherence is not None and \
-                self.organization.caches_remote_data:
+                self.organization.remote_scope is not None:
             self._propagate_write_invalidations(chip, line_addr, slice_index)
         self.organization.observe_access(self, chip, addr, home, hit_stage)
 
@@ -1002,7 +993,7 @@ class SimulationEngine:
                     allocate: bool) -> bool:
         """Probe (and fill) one LLC slice; returns True on a hit."""
         directory = self.hardware_coherence \
-            if self.organization.caches_remote_data else None
+            if self.organization.remote_scope is not None else None
         try:
             result = cache.access(addr, is_write, partition=partition,
                                   allocate_on_miss=allocate)

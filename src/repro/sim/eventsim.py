@@ -190,7 +190,7 @@ class EventDrivenEngine:
                 # The next epoch injects after this one's compute time
                 # and after the system drained (closed kernel boundary).
                 now = max(now + epoch.compute_cycles, finish)
-            if software and self.organization.flush_partitions():
+            if software and self.organization.remote_scope is not None:
                 # Software coherence: write back + invalidate the LLC at
                 # the kernel boundary (whole-cache flush; the per-
                 # partition distinction does not change the event model's

@@ -189,9 +189,3 @@ class BenchmarkSpec:
             "false_shared_mb": round(self.false_shared_mb),
             "preference": self.preference,
         }
-
-
-def single_kernel(name: str, phase: PhaseSpec, epochs: int = 8,
-                  iterations: int = 1) -> Tuple[KernelSpec, ...]:
-    """Convenience: a benchmark with one repeated kernel."""
-    return (KernelSpec(name=f"{name}.K1", phase=phase, epochs=epochs),)

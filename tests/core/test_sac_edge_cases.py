@@ -5,7 +5,7 @@ import pytest
 from repro.arch import baseline
 from repro.core import SharingAwareCaching
 from repro.core.crd import modular_set_index
-from repro.llc import MemorySideLLC
+from repro.llc import WHOLE_LLC, MemorySideLLC
 from repro.llc.base import LLCOrganization, LookupStage, RoutePlan
 from repro.sim.run import scaled_config
 
@@ -20,8 +20,12 @@ class TestSACErrorPaths:
         sac = SharingAwareCaching(scaled_config(baseline(), 1.0 / 16))
         assert sac.mode == "memory-side"
         assert not sac.profiling
-        assert not sac.caches_remote_data
-        assert sac.flush_partitions() == []
+        assert sac.remote_scope is None
+
+    def test_sm_side_mode_declares_the_whole_llc(self):
+        sac = SharingAwareCaching(scaled_config(baseline(), 1.0 / 16))
+        sac._active = sac._sm_side
+        assert sac.remote_scope == WHOLE_LLC
 
     def test_plan_delegates_to_active_mode(self):
         sac = SharingAwareCaching(scaled_config(baseline(), 1.0 / 16))
@@ -62,9 +66,11 @@ class TestBaseOrganizationHooks:
         org.end_kernel(None)
         org.profile_boundary(None)
         org.observe_access(None, 0, 0, 0, None)
-        assert org.flush_partitions() == []
+        org.observe_batch(None, None, None, None, None, None)
+        assert org.remote_allocate(0, 0) is True
         assert org.profiling is False
-        assert not org.caches_remote_data
+        assert org.remote_scope is None
+        assert org.dedicated_memory_network is False
 
     def test_memory_side_plan_table_is_complete(self):
         org = MemorySideLLC(4)

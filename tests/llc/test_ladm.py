@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.llc import WHOLE_LLC
 from repro.llc.ladm import LADMLLC, TouchFilter
 from repro.sim import make_organization, simulate
 from repro.arch import baseline
@@ -62,7 +63,7 @@ class TestLADMOrganization:
     def test_mode_is_memory_side_with_remote_caching(self):
         org = LADMLLC(4)
         assert org.mode == "memory-side"
-        assert org.caches_remote_data
+        assert org.remote_scope == WHOLE_LLC
 
 
 def tiny_spec(weight_false=0.6):

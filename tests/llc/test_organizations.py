@@ -5,6 +5,7 @@ import pytest
 from repro.llc import (
     PARTITION_LOCAL,
     PARTITION_REMOTE,
+    WHOLE_LLC,
     DynamicLLC,
     LookupStage,
     MemorySideLLC,
@@ -27,8 +28,7 @@ class TestMemorySide:
     def test_mode_and_flush(self):
         org = MemorySideLLC(4)
         assert org.mode == "memory-side"
-        assert not org.caches_remote_data
-        assert org.flush_partitions() == []
+        assert org.remote_scope is None
 
 
 class TestSMSide:
@@ -40,8 +40,7 @@ class TestSMSide:
     def test_mode_and_flush(self):
         org = SMSideLLC(4)
         assert org.mode == "sm-side"
-        assert org.caches_remote_data
-        assert org.flush_partitions() == [(None, PARTITION_LOCAL)]
+        assert org.remote_scope == WHOLE_LLC
 
     def test_has_dedicated_memory_network(self):
         assert SMSideLLC(4).dedicated_memory_network
@@ -64,12 +63,11 @@ class TestStatic:
                                              partition=PARTITION_LOCAL)
 
     def test_flushes_remote_partition(self):
-        assert StaticLLC(4).flush_partitions() == [(None, PARTITION_REMOTE)]
+        assert StaticLLC(4).remote_scope == PARTITION_REMOTE
 
     def test_zero_remote_fraction_is_memory_side_like(self):
         org = StaticLLC(4, remote_way_fraction=0.0)
-        assert not org.caches_remote_data
-        assert org.flush_partitions() == []
+        assert org.remote_scope is None
 
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
@@ -91,9 +89,11 @@ class TestDynamic:
                 self.ways = ways
 
         ctx = FakeCtx()
+        assert org.remote_scope is None
         org.attach(ctx)
         assert ctx.ways == {PARTITION_LOCAL: 8, PARTITION_REMOTE: 8}
         assert org.remote_ways == 8
+        assert org.remote_scope == PARTITION_REMOTE
 
     def test_routing_matches_static_shape(self):
         org = DynamicLLC(4)

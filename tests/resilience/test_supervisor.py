@@ -60,6 +60,11 @@ def _quick(tag):
     return tag
 
 
+def _nap(tag):
+    time.sleep(0.4)
+    return tag
+
+
 class TestEnvKnobs:
     def test_default_retries(self, monkeypatch):
         monkeypatch.delenv("REPRO_RETRIES", raising=False)
@@ -182,6 +187,18 @@ class TestPool:
         assert sup.telemetry.timeouts >= 1
         assert sup.telemetry.respawns >= 1
         assert sup.telemetry.retries >= 1
+
+    def test_timeout_runs_from_each_task_start(self):
+        # Six 0.4 s tasks on two workers: the last pair starts about
+        # 0.8 s after the first, so a deadline set when the whole batch
+        # is queued would expire while they wait.
+        sup = Supervisor(max_workers=2, timeout=1.0, retries=0,
+                         backoff_base=0.001)
+        tags = "abcdef"
+        results = sup.run([SupervisedTask(t, t, _nap, (t,)) for t in tags])
+        assert results == {t: t for t in tags}
+        assert sup.telemetry.timeouts == 0
+        assert sup.telemetry.respawns == 0
 
     def test_pool_terminal_failure_raises_with_label(self):
         sup = Supervisor(max_workers=2, retries=0, backoff_base=0.001)

@@ -1,16 +1,20 @@
 """Integration tests for the simulation engine."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.arch import baseline, with_coherence
+from repro.llc import WHOLE_LLC
 from repro.sim import EngineParams, SimulationEngine, make_organization
-from repro.sim.run import scaled_config
+from repro.sim.run import EXTRA_ORGANIZATIONS, ORGANIZATIONS, scaled_config
 from repro.workloads import (
     BenchmarkSpec,
     KernelSpec,
     PhaseSpec,
     TraceGenerator,
+    get,
 )
 
 SCALE = 1.0 / 64
@@ -105,6 +109,43 @@ class TestCoherence:
     def test_software_coherence_has_no_invalidation_traffic(self):
         _engine, stats = run_engine("sm-side")
         assert stats.coherence_invalidations == 0
+
+    @pytest.mark.parametrize("vectorized", (True, False))
+    @pytest.mark.parametrize("organization",
+                             ORGANIZATIONS + EXTRA_ORGANIZATIONS)
+    def test_kernel_boundary_flush_empties_the_declared_scope(
+            self, organization, vectorized, monkeypatch):
+        config = scaled_config(baseline(), SCALE)
+        engine = SimulationEngine(
+            config, make_organization(organization, config),
+            params=EngineParams(vectorized=vectorized))
+        flush = engine._kernel_boundary_flush
+        after = []
+
+        def spy(scope):
+            flush(scope)
+            lines = Counter()
+            for chip_slices in engine.llc:
+                for cache in chip_slices:
+                    lines.update(cache.occupancy_by_partition())
+            after.append((scope, lines))
+
+        monkeypatch.setattr(engine, "_kernel_boundary_flush", spy)
+        generator = TraceGenerator(
+            get("RN"), num_chips=config.num_chips,
+            clusters_per_chip=config.chip.num_clusters,
+            line_size=config.line_size, page_size=config.page_size,
+            accesses_per_epoch_per_chip=512, scale=SCALE)
+        stats = engine.run(generator.kernels(), benchmark="RN")
+        assert len(after) == len(stats.kernels)
+        for scope, lines in after:
+            if scope == WHOLE_LLC:
+                assert sum(lines.values()) == 0
+            elif scope is not None:
+                assert lines[scope] == 0
+            if organization in ("memory-side", "static", "dynamic"):
+                assert sum(n for partition, n in lines.items()
+                           if partition != scope) > 0
 
 
 class TestAllocationSampling:

@@ -80,7 +80,7 @@ PATHS = [(name, vectorized)
          for name in ORGANIZATIONS + EXTRA_ORGANIZATIONS
          for vectorized in (True, False)
          if not vectorized or takes_vector_path(
-             CONFIG, EngineParams(), type(make_organization(name, CONFIG)))]
+             CONFIG, EngineParams(), make_organization(name, CONFIG))]
 
 
 @pytest.mark.parametrize("organization,vectorized", PATHS)

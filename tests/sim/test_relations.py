@@ -3,9 +3,16 @@
 Some settings turn one organization into another: a ``DynamicLLC``
 whose floors both sit at half the ways can never move its split, so it
 is ``static``; a SAC whose θ no EAB gap can exceed never picks SM-side,
-so it is ``memory-side``.  Each relation is checked on random workloads
-at the baseline config.  "Equal" means equal ``comparable_dict()``
-apart from the organization names, the run's and each kernel's.
+so it is ``memory-side``; an LADM whose touch filter lets every remote
+access allocate is ``dynamic``.  Each relation is checked on random
+workloads at the baseline config.  "Equal" means equal
+``comparable_dict()`` apart from the organization names, the run's and
+each kernel's.
+
+The LADM relation holds only under Dynamic's flush scope.  LADM
+declares the whole LLC as its ``remote_scope``, so each kernel boundary
+flushes its local partition too (a strict ``xfail`` pins that; ROADMAP,
+item 1).
 
 The SAC relation has one known gap.  When SAC's profiling window ends
 inside an epoch, the engine settles the profiled head and the tail as
@@ -21,9 +28,10 @@ from hypothesis import given, settings
 from test_fuzz import workload_specs
 
 from repro.arch import baseline
+from repro.llc import DynamicLLC, LADMLLC
 from repro.sim import simulate
 from repro.sim.run import scaled_config
-from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
+from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec, get
 
 SCALE = 1.0 / 64
 DENSITY = 256
@@ -60,6 +68,29 @@ def untimed(fields):
          if k not in ("cycles", "epoch_cycles")}
         for kernel in fields["kernels"]]
     return kept
+
+
+class AllocatingLADM(LADMLLC):
+    """LADM whose touch filter lets every remote access allocate."""
+
+    def remote_allocate(self, chip, addr):
+        return True
+
+
+class AllocatingLADMUnderDynamicScope(AllocatingLADM):
+    """The same, flushing only the remote partition, as Dynamic does."""
+
+    remote_scope = DynamicLLC.remote_scope
+
+
+def against_dynamic(spec, ladm_class):
+    """``spec`` under an LADM of ``ladm_class``, and under dynamic."""
+    num_chips = scaled_config(baseline(), SCALE).num_chips
+    ladm = simulate(spec, ladm_class(num_chips), scale=SCALE,
+                    accesses_per_epoch=DENSITY)
+    dynamic = simulate(spec, "dynamic", scale=SCALE,
+                       accesses_per_epoch=DENSITY)
+    return physics(ladm), physics(dynamic)
 
 
 def never_sm_side(spec):
@@ -106,3 +137,19 @@ def test_sac_with_unreachable_theta_is_memory_side(spec):
 def test_cut_epoch_is_timed_as_one():
     sac, memory_side = never_sm_side(CUT_EPOCH)
     assert sac == memory_side
+
+
+@given(workload_specs())
+@settings(max_examples=20, deadline=None)
+def test_ladm_that_always_allocates_is_dynamic(spec):
+    ladm, dynamic = against_dynamic(spec, AllocatingLADMUnderDynamicScope)
+    assert ladm == dynamic
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="LADM declares the whole LLC as its remote "
+                   "scope, so each kernel boundary flushes its local "
+                   "partition too (ROADMAP, item 1)")
+def test_ladm_flushes_only_its_remote_partition():
+    ladm, dynamic = against_dynamic(get("RN"), AllocatingLADM)
+    assert ladm == dynamic

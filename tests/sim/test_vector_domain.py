@@ -81,9 +81,9 @@ def test_single_stage_organizations_use_grouped_tables(organization, mode,
 @pytest.mark.parametrize("organization", ORGANIZATIONS + EXTRA_ORGANIZATIONS)
 def test_page_migration_leaves_the_vector_path(organization):
     config = baseline()
-    org_class = type(make_organization(organization, config))
+    org = make_organization(organization, config)
     assert not takes_vector_path(config, EngineParams(page_migration=True),
-                                 org_class)
+                                 org)
 
 
 class HomeFirstLLC(StaticLLC):
