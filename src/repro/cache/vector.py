@@ -59,7 +59,7 @@ touched rows advance in lockstep, one access per row per numpy step.
 
 * *Schedule* (stream only): the touched rows are sorted busiest first,
   so the rows still active at within-row rank ``r`` are a prefix, and
-  the accesses are ordered rank-major.
+  one scatter orders the accesses rank-major.
 * *State block*: the touched rows' tags are gathered once and every
   slot is keyed ``(last touch << 1) | dirty``.  Resident lines keep
   their LRU order below every in-batch touch; free slots under the
@@ -72,10 +72,10 @@ touched rows advance in lockstep, one access per row per numpy step.
   Sector masks and stamps ride along.  A drain step matches no tag, so
   it takes the LRU line, and keys the slot ``_NEVER``: the row's
   capacity shrinks by one.
-* *Write-back*: one ``argsort`` per touched row by key restores the
-  packed LRU -> MRU layout that :meth:`VectorCache.drain`,
-  :func:`_stack_depths` and :class:`_SetReplay` read; free and retired
-  slots go last.
+* *Write-back*: one ``argsort`` per touched row by key, applied as a
+  flat gather per column, restores the packed LRU -> MRU layout that
+  :meth:`VectorCache.drain`, :func:`_stack_depths` and
+  :class:`_SetReplay` read; free and retired slots go last.
 
 A batch costs one step per access of its busiest row, each a handful
 of numpy calls over the rows still live.
@@ -368,7 +368,9 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
 
     # Schedule (stream only): touched rows busiest first, so the rows
     # still active at within-row rank r are a prefix; accesses
-    # rank-major, in that row order within each rank.
+    # rank-major, in that row order within each rank.  Step r holds
+    # live[r] accesses, so an access of rank r in row group g goes to
+    # slot off[r] + g: one scatter places them all.
     prow = rows[pos]
     per_row = np.bincount(prow, minlength=tags.shape[0])
     touched = np.flatnonzero(per_row)
@@ -385,8 +387,11 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
     np.cumsum(cnt[:-1], out=starts[1:])
     rank = np.empty(n, dtype=np.int64)
     rank[by_row] = np.arange(n, dtype=np.int64) - np.repeat(starts, cnt)
-    sched = by_row[_stable_order(rank[by_row], steps)]
     live = G - np.cumsum(np.bincount(cnt, minlength=steps + 1))[:steps]
+    off = np.zeros(steps, dtype=np.int64)
+    np.cumsum(live[:-1], out=off[1:])
+    sched = np.empty(n, dtype=np.int64)
+    sched[off[rank] + grp] = np.arange(n, dtype=np.int64)
     acc = pos[sched]
     t_s = tg[acc]
     # Step r stamps its touches (A + 1 + r) << 1 | write: above every
@@ -483,19 +488,19 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
         ev_dirty[ea] = (old_k[ev] & 1) != 0
 
     # Write-back: sorting each row by key restores the packed LRU ->
-    # MRU layout, free and retired slots last.
+    # MRU layout, free and retired slots last; each column is one flat
+    # gather of the sorted slots.
     occupied = blk_t >= 0
-    order = np.argsort(np.where(occupied, key, np.int64(_NEVER)), axis=1)
-    tags[trow, :W] = np.take_along_axis(blk_t, order, axis=1)
-    dirty[trow, :W] = (np.take_along_axis(key, order, axis=1) & 1) != 0
+    idx = np.argsort(np.where(occupied, key, np.int64(_NEVER)), axis=1) \
+        + base[:, None]
+    tags[trow, :W] = flat_t[idx]
+    dirty[trow, :W] = (flat_k[idx] & 1) != 0
     if sector is not None:
         assert sect is not None
-        sector[trow, :W] = np.take_along_axis(sect[0].reshape(G, W), order,
-                                              axis=1)
+        sector[trow, :W] = sect[0][idx]
     if stamp is not None:
         assert stamps is not None
-        stamp[trow, :W] = np.take_along_axis(stamps[0].reshape(G, W),
-                                             order, axis=1)
+        stamp[trow, :W] = stamps[0][idx]
     count[trow] = occupied.sum(axis=1)
     return BatchResult(hits, ev_addr, ev_dirty, sm_out)
 

@@ -7,8 +7,9 @@ while every array carries the dtype the kernel's arithmetic assumes
 platform-dependent (``np.arange`` yields int32 on Windows) and silently
 shift under refactors, so every numpy array construction in the
 designated modules must say what it means.  The trace modules that
-build the per-access arrays and the SAC modules that compute with them
-are designated too.
+build the per-access arrays, the SAC modules that compute with them and
+the page table, whose int16 home-per-page table is part of its
+contract, are designated too.
 
 Two checks:
 
@@ -40,6 +41,7 @@ DTYPE_MODULES = (
     "repro/workloads/traceio.py",
     "repro/core/counters.py",
     "repro/core/sac.py",
+    "repro/memory/pages.py",
 )
 
 #: numpy constructors that take a ``dtype`` keyword and default it.

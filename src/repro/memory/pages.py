@@ -35,6 +35,14 @@ class PageTableStats:
             per[chip] = per.get(chip, 0) + counts[chip]
 
 
+#: The bulk view is a dense table while the allocated page span is no
+#: wider than this many pages, or than ``_DENSE_PER_PAGE`` pages per
+#: allocated page: at 2 bytes per page of span the table then takes no
+#: more memory than a sorted index's 10 bytes per allocated page.
+_DENSE_MIN_SPAN = 1 << 15
+_DENSE_PER_PAGE = 5
+
+
 class PageTable:
     """Maps pages to home memory partitions.
 
@@ -42,17 +50,21 @@ class PageTable:
     are identified by page number (``addr >> page_shift``).
 
     The ``(page -> home)`` dict serves per-access lookups.  Beside it the
-    table keeps a sorted (page, home) array index for the bulk calls
-    (:meth:`bulk_home`, :meth:`homes_of`); scalar allocations,
-    migrations and resets drop it, and the next bulk call rebuilds it.
+    table keeps a bulk view for :meth:`bulk_home` and :meth:`homes_of`:
+    a dense int16 home per page (-1 where unallocated) over the
+    allocated page span, so a lookup is one gather.  A span too sparse
+    for a table (a trace of a real address stream, say) keeps a sorted
+    (page, int16 home) index instead.  Scalar allocations, migrations
+    and resets drop the view, and the next bulk call rebuilds it from
+    the dict.
     """
 
     def __init__(self, page_size: int, num_chips: int,
                  policy: str = "first-touch") -> None:
         if page_size <= 0 or page_size & (page_size - 1):
             raise ValueError("page size must be a positive power of two")
-        if num_chips < 1:
-            raise ValueError("need at least one chip")
+        if not 1 <= num_chips <= np.iinfo(np.int16).max:
+            raise ValueError("need 1..32767 chips (homes are int16)")
         if policy not in ("first-touch", "round-robin"):
             raise ValueError(f"unknown page allocation policy: {policy!r}")
         self.page_size = page_size
@@ -62,7 +74,10 @@ class PageTable:
         self._page_shift = page_size.bit_length() - 1
         self._home: Dict[int, int] = {}
         self._next_rr = 0
-        #: Sorted page numbers and their homes, or None when stale.
+        #: The bulk view: either the dense homes of pages ``_base ..``,
+        #: or the sorted pages and their homes; neither when dropped.
+        self._table: Optional[np.ndarray] = None
+        self._base = 0
         self._index: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def page_of(self, addr: int) -> int:
@@ -103,22 +118,37 @@ class PageTable:
             self._next_rr = (self._next_rr + int(new.size)) % self.num_chips
         homes[new] = new_homes
         # Dict and stats in first-touch order, as per-access allocation
-        # would leave them; the index is re-sorted with the new pages.
+        # would leave them.
         self._home.update(zip(new_pages.tolist(), new_homes.tolist()))
         self.stats.record_many(new_homes)
-        idx_pages, idx_homes = self._sorted_index()
-        all_pages = np.concatenate((idx_pages, new_pages))
-        order = np.argsort(all_pages)
-        self._index = (all_pages[order],
-                       np.concatenate((idx_homes, new_homes))[order])
+        # The dense table takes the new pages in place when it spans
+        # them; otherwise the view is rebuilt (a matrix run does so a
+        # few times, as its traces first reach new pages).
+        table = self._table
+        if table is not None:
+            rel = new_pages - np.int64(self._base)
+            if rel.min() >= 0 and rel.max() < table.size:
+                table[rel] = new_homes
+                return homes
+        self._drop_view()
         return homes
 
     def homes_of(self, pages: np.ndarray) -> np.ndarray:
-        """Home chip of each page number, -1 where unallocated (no side
-        effects)."""
-        idx_pages, idx_homes = self._sorted_index()
-        if not idx_pages.size:
+        """Home chip of each page number as int64, -1 where unallocated
+        (no side effects)."""
+        if not self._home:
             return np.full(pages.shape, -1, dtype=np.int64)
+        if self._table is None and self._index is None:
+            self._rebuild()
+        table = self._table
+        if table is not None:
+            rel = pages - np.int64(self._base)
+            homes = table.take(rel, mode="clip").astype(np.int64)
+            # Pages outside the span (negative offsets wrap high).
+            homes[rel.view(np.uint64) >= np.uint64(table.size)] = -1
+            return homes
+        assert self._index is not None
+        idx_pages, idx_homes = self._index
         # Binary search runs about 5x faster over sorted needles.
         order = np.argsort(pages)
         needles = pages[order]
@@ -126,20 +156,27 @@ class PageTable:
                          idx_pages.size - 1)
         out = np.empty(pages.shape, dtype=np.int64)
         out[order] = np.where(idx_pages[pos] == needles, idx_homes[pos],
-                              np.int64(-1))
+                              np.int16(-1))
         return out
 
-    def _sorted_index(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The sorted (page, home) arrays, rebuilt from the dict when a
-        scalar change dropped them."""
-        if self._index is None:
-            home = self._home
-            pages = np.fromiter(home.keys(), dtype=np.int64, count=len(home))
-            homes = np.fromiter(home.values(), dtype=np.int64,
-                                count=len(home))
+    def _rebuild(self) -> None:
+        """Build the bulk view from the dict: the dense table when the
+        span allows it, else the sorted index."""
+        home = self._home
+        pages = np.fromiter(home.keys(), dtype=np.int64, count=len(home))
+        homes = np.fromiter(home.values(), dtype=np.int16, count=len(home))
+        lo = int(pages.min())
+        span = int(pages.max()) + 1 - lo
+        if span <= max(_DENSE_MIN_SPAN, _DENSE_PER_PAGE * pages.size):
+            table = np.full(span, -1, dtype=np.int16)
+            table[pages - np.int64(lo)] = homes
+            self._table, self._base = table, lo
+        else:
             order = np.argsort(pages)
             self._index = (pages[order], homes[order])
-        return self._index
+
+    def _drop_view(self) -> None:
+        self._table = self._index = None
 
     def _allocate(self, page: int, requesting_chip: int) -> int:
         if self.policy == "first-touch":
@@ -148,7 +185,7 @@ class PageTable:
             home = self._next_rr
             self._next_rr = (self._next_rr + 1) % self.num_chips
         self._home[page] = home
-        self._index = None
+        self._drop_view()
         self.stats.record(home)
         return home
 
@@ -160,7 +197,7 @@ class PageTable:
             raise KeyError(f"page {page} is not allocated")
         old_home = self._home[page]
         self._home[page] = new_home
-        self._index = None
+        self._drop_view()
         return old_home
 
     def __len__(self) -> int:
@@ -176,6 +213,6 @@ class PageTable:
 
     def reset(self) -> None:
         self._home.clear()
-        self._index = None
+        self._drop_view()
         self._next_rr = 0
         self.stats = PageTableStats()

@@ -41,14 +41,15 @@ import os
 import random
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, \
-    wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, \
+    Tuple
 
 from ..core import flags
 from .faults import fire
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 
 def default_retries() -> int:
@@ -246,6 +247,15 @@ class Supervisor:
         worker, collecting until the batch drains or the pool must be
         abandoned.  Returns True when the pool was abandoned (caller
         respawns)."""
+        # Imported here, so that a serial sweep never loads the pool
+        # machinery (and with it ``multiprocessing``).
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait,
+        )
+        from concurrent.futures.process import BrokenProcessPool
+
         batch = list(todo.values())
         workers = min(self.max_workers, len(batch))
         pool = ProcessPoolExecutor(max_workers=workers)

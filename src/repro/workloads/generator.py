@@ -55,13 +55,17 @@ class EpochTrace:
 
     Each array is kept at the width its values need: ``chips`` and
     ``clusters`` are uint8 (construction narrows them and raises
-    ``ValueError`` unless every value is an integer in 0..255), ``addrs``
-    int64 and ``writes`` bool, 11 bytes per access.  The rule for every
+    ``ValueError`` unless every value is an integer in 0..255), ``writes``
+    bool, and ``addrs`` uint32 while every address is below 2**32 (int64
+    otherwise; a negative address raises ``ValueError``), so a generated
+    epoch holds 7 bytes of arrays per access.  The rule for every
     per-access array of a trace, memos included, is *narrow at rest,
     int64 at use*: under NumPy 2 a uint8 array times a Python int stays
     uint8 and wraps, so a consumer that computes with one widens it first
-    (``np.bincount``, indexing and ``.tolist()`` need no widening; a
-    product with a numpy int64 scalar promotes on its own).
+    (``np.bincount``, indexing, ``.tolist()``, a shift or a floor
+    division need no widening; a product with a numpy int64 scalar
+    promotes on its own).  The engine widens ``addrs`` once per epoch,
+    where the bank's int64 contract and SAC's counters need it.
     """
 
     chips: np.ndarray
@@ -70,15 +74,16 @@ class EpochTrace:
     writes: np.ndarray
     compute_cycles: float
     #: Memo table for pure derivations of the (immutable) access arrays
-    #: — slice/channel hashes, the page-number decomposition, the
-    #: profiling window's head/tail split.  Epochs are shared across sweep
-    #: lanes and cached across runs, so consumers key entries by every
-    #: parameter the derivation depends on and store only read-only
-    #: values, per-access ones at their narrowest width (the engine keeps
-    #: the hashes as uint8 and the page index as int32, and widens them to
-    #: int64 on read).  Excluded from comparison: two epochs with the same
-    #: arrays are the same epoch regardless of what has been memoized
-    #: against them.
+    #: — slice/channel hashes, the epoch's distinct pages in first-touch
+    #: order, the profiling window's head/tail split.  Epochs are shared
+    #: across sweep lanes and cached across runs, so consumers key
+    #: entries by every parameter the derivation depends on and store
+    #: only read-only values, per-access ones at their narrowest width
+    #: (the engine keeps the hashes as uint8 and widens them to int64 on
+    #: read; it keeps no per-access page index, since the page table
+    #: homes every access with one gather).  Excluded from comparison:
+    #: two epochs with the same arrays are the same epoch regardless of
+    #: what has been memoized against them.
     derived: Dict[tuple, object] = field(
         default_factory=dict, repr=False, compare=False)
 
@@ -86,6 +91,7 @@ class EpochTrace:
         for name in ("chips", "clusters"):
             object.__setattr__(self, name,
                                _as_uint8(name, getattr(self, name)))
+        object.__setattr__(self, "addrs", _as_addrs(self.addrs))
 
     def __len__(self) -> int:
         return len(self.addrs)
@@ -99,6 +105,22 @@ def _as_uint8(name: str, values: np.ndarray) -> np.ndarray:
     if not np.array_equal(narrow, values):
         raise ValueError(f"EpochTrace.{name} must hold integers in 0..255")
     return narrow
+
+
+def _as_addrs(values: np.ndarray) -> np.ndarray:
+    """``values`` as uint32 when every address is below 2**32, else as
+    int64; the array itself when it already has that width."""
+    if values.dtype == np.uint32:
+        return values
+    if values.dtype.kind not in "iu":
+        raise ValueError("EpochTrace.addrs must hold integers")
+    if values.size and values.min() < 0:
+        raise ValueError("EpochTrace.addrs must be non-negative")
+    if values.size and values.max() >= 2**32:
+        if values.dtype.kind == "u" and values.max() >= 2**63:
+            raise ValueError("EpochTrace.addrs must be below 2**63")
+        return values.astype(np.int64, copy=False)
+    return values.astype(np.uint32)
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,7 @@ def test_dtype_fires_on_defaulted_constructor():
 
 @pytest.mark.parametrize("module", [
     "repro/workloads/generator.py", ELSEWHERE, "repro/workloads/traceio.py",
-    "repro/core/counters.py", "repro/core/sac.py"])
+    "repro/core/counters.py", "repro/core/sac.py", "repro/memory/pages.py"])
 def test_dtype_covers_the_trace_and_sac_modules(module):
     findings = lint_text("""\
         import numpy as np

@@ -1,10 +1,13 @@
 """Property-based tests for the page table."""
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.memory import PageTable
+from repro.memory import pages as pages_module
 
 accesses = st.lists(
     st.tuples(st.integers(0, 1 << 24), st.integers(0, 3)),
@@ -58,24 +61,51 @@ def test_round_robin_is_balanced(stream):
     assert max(counts) - min(counts) <= 1
 
 
-#: A bulk call (distinct pages with their first toucher), a scalar
-#: access, or a migration of an allocated page.
-steps = st.lists(st.one_of(
-    st.tuples(st.just("bulk"),
-              st.lists(st.tuples(st.integers(0, 300), st.integers(0, 3)),
-                       max_size=40)),
-    st.tuples(st.just("scalar"), st.integers(0, 300), st.integers(0, 3)),
-    st.tuples(st.just("migrate"), st.integers(0, 300), st.integers(0, 3)),
-), min_size=1, max_size=25)
+#: Pages far past any dense table: a span that wide keeps only a
+#: sorted index.
+FAR = 2**40
+
+NEAR = st.integers(0, 100)
 
 
-@given(steps, st.sampled_from(["first-touch", "round-robin"]))
+def scripts(page_numbers):
+    """Steps over ``page_numbers``: a bulk call (distinct pages with
+    their first toucher), a scalar access, or a migration of an
+    allocated page."""
+    return st.lists(st.one_of(
+        st.tuples(st.just("bulk"),
+                  st.lists(st.tuples(page_numbers, st.integers(0, 3)),
+                           max_size=40)),
+        st.tuples(st.just("scalar"), page_numbers, st.integers(0, 3)),
+        st.tuples(st.just("migrate"), page_numbers, st.integers(0, 3)),
+    ), min_size=1, max_size=25)
+
+
+#: Scripts over near pages alone, or mixed with far ones.
+steps = st.sampled_from(
+    [NEAR, NEAR | st.integers(FAR, FAR + 3)]).flatmap(scripts)
+
+
+@given(steps, st.sampled_from(["first-touch", "round-robin"]),
+       st.sampled_from([16, pages_module._DENSE_MIN_SPAN]))
+# New pages just past either end of a dense table.
+@example([("bulk", [(1, 0), (2, 1)]), ("bulk", [(3, 2)]),
+          ("bulk", [(0, 3)])], "first-touch", 16)
 @settings(max_examples=150, deadline=None)
-def test_bulk_home_matches_per_access_home_chip(script, policy):
+def test_bulk_home_matches_per_access_home_chip(script, policy, min_span):
     """``bulk_home``/``homes_of`` == per-access ``home_chip``/``lookup``,
-    with scalar allocations and migrations interleaved."""
+    with scalar allocations and migrations interleaved.  A small
+    ``min_span`` lets the near pages alone switch the bulk view between
+    the dense table and the sorted index; far pages force the index."""
+    with mock.patch.object(pages_module, "_DENSE_MIN_SPAN", min_span):
+        _check_bulk_against_scalar(script, policy)
+
+
+def _check_bulk_against_scalar(script, policy):
     bulk = PageTable(page_size=4096, num_chips=4, policy=policy)
     ref = PageTable(page_size=4096, num_chips=4, policy=policy)
+    probe = np.concatenate((np.arange(0, 102, dtype=np.int64),
+                            np.arange(FAR - 1, FAR + 5, dtype=np.int64)))
     for step in script:
         if step[0] == "bulk":
             first = dict(step[1])          # distinct pages, touch order
@@ -92,7 +122,6 @@ def test_bulk_home_matches_per_access_home_chip(script, policy):
         elif ref.lookup(step[1] << 12) is not None:
             _, page, chip = step
             assert bulk.migrate(page, chip) == ref.migrate(page, chip)
-        probe = np.arange(0, 302, dtype=np.int64)
         expect = [ref.lookup(p << 12) for p in probe.tolist()]
         assert bulk.homes_of(probe).tolist() == \
             [-1 if h is None else h for h in expect]

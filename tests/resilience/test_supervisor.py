@@ -6,11 +6,14 @@ stays fast; deterministic crashes/hangs come from the fault sites in
 """
 
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.resilience import faults
 from repro.resilience.supervisor import (
     SupervisedTask,
@@ -224,3 +227,16 @@ class TestPool:
                 SupervisedTask("b", "b", _quick, ("b",)),
             ])
         assert isinstance(excinfo.value.failures["a"], TaskTimeoutError)
+
+
+def test_serial_import_loads_no_pool_machinery():
+    # A serial sweep never starts a pool, so importing the runner must
+    # not pay for concurrent.futures and multiprocessing.
+    probe = ("import sys, repro.analysis.runner; print(sorted(m for m in "
+             "sys.modules if m.split('.')[0] in "
+             "('concurrent', 'multiprocessing')))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -53,25 +53,48 @@ def test_epoch_arrays_and_memos_keep_narrow_widths():
     kernels = generate(dataclasses.replace(get("RN"), name="RN-footprint"))
     epochs = [epoch for kernel in kernels for epoch in kernel.epochs]
     accesses = sum(len(epoch) for epoch in epochs)
-    arrays = sum(epoch.chips.nbytes + epoch.clusters.nbytes
-                 + epoch.addrs.nbytes + epoch.writes.nbytes
-                 for epoch in epochs)
-    # uint8 chips and clusters, int64 addresses, bool writes.
-    assert arrays <= 11 * accesses
+    arrays = sum(array_bytes(epoch) for epoch in epochs)
+    # uint8 chips and clusters, uint32 addresses, bool writes.
+    assert arrays <= 7 * accesses
 
     stats = SimulationEngine(
         CONFIG, make_organization("memory-side", CONFIG)).run(kernels)
     assert stats.vector_epochs == len(epochs)
-    memos = sum(array.nbytes for epoch in epochs
-                for value in epoch.derived.values()
-                for array in memo_arrays(value))
-    # Per access: the uint8 slice and channel hashes and the int32 page
-    # index.  Per distinct page of an epoch: its int64 page number and
-    # the uint8 chip that touched it first.
+    memos = sum(memo_bytes(epoch) for epoch in epochs)
+    # Per access: the uint8 slice and channel hashes.  Per distinct page
+    # of an epoch: its int64 page number and the uint8 chip that touched
+    # it first.
+    pages = sum(distinct_pages(epoch) for epoch in epochs)
+    assert 0 < memos <= 2 * accesses + 9 * pages
+
+
+def test_cached_epoch_holds_9_bytes_per_access_and_9_per_page():
+    """What a cached epoch holds after a vector-path run, to the byte:
+    7 bytes of arrays and 2 of memoized hashes per access, and 9 bytes
+    per distinct page; no per-access page index."""
+    kernels = generate(dataclasses.replace(get("SRAD"), name="SRAD-bytes"))
+    epochs = [epoch for kernel in kernels for epoch in kernel.epochs]
+    stats = SimulationEngine(
+        CONFIG, make_organization("sac", CONFIG)).run(kernels)
+    assert stats.vector_epochs == len(epochs)
+    for epoch in epochs:
+        assert array_bytes(epoch) + memo_bytes(epoch) == \
+            9 * len(epoch) + 9 * distinct_pages(epoch)
+
+
+def array_bytes(epoch):
+    return (epoch.chips.nbytes + epoch.clusters.nbytes
+            + epoch.addrs.nbytes + epoch.writes.nbytes)
+
+
+def memo_bytes(epoch):
+    return sum(array.nbytes for value in epoch.derived.values()
+               for array in memo_arrays(value))
+
+
+def distinct_pages(epoch):
     shift = CONFIG.page_size.bit_length() - 1
-    pages = sum(np.unique(epoch.addrs >> np.int64(shift)).size
-                for epoch in epochs)
-    assert 0 < memos <= 6 * accesses + 9 * pages
+    return np.unique(epoch.addrs >> shift).size
 
 
 #: Every organization on each path it can take: the vector path where
