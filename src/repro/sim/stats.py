@@ -271,11 +271,8 @@ def check_invariants(stats: RunStats, single_stage: bool = False) -> None:
     local, remote = stats.llc_local_fraction, stats.llc_remote_fraction
     need(0.0 <= remote <= 1.0,
          f"remote allocation fraction {remote!r} outside [0, 1]")
-    # Each Figure 9 sample adds ``weight * local / total``, which for an
-    # all-local sample can round one ulp above ``weight``, so the local
-    # fraction may read 1.0000000000000002; allow that rounding only.
-    need(0.0 <= local <= 1.0 + 1e-9,
-         f"local allocation fraction {local!r} outside [0, 1 + 1e-9]")
+    need(0.0 <= local <= 1.0,
+         f"local allocation fraction {local!r} outside [0, 1]")
     need(not (local or remote) or abs(local + remote - 1.0) < 1e-9,
          f"allocation fractions {local!r} + {remote!r} != 1")
     probes = sum(stats.slice_requests)

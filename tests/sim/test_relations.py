@@ -24,7 +24,7 @@ epoch records two entries and can take longer than memory-side's one
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from test_fuzz import workload_specs
 
 from repro.arch import baseline
@@ -48,6 +48,20 @@ CUT_EPOCH = BenchmarkSpec(
         hot_fraction=0.5, hot_weight=0.0, write_fraction=0.0,
         intensity=500.0, true_affinity=0.5)),),
     iterations=1, seed=1)
+
+
+#: A three-epoch kernel whose LLC holds only local lines.  The profiling
+#: window cuts its first epoch, so SAC's kernel takes 1536.17 cycles;
+#: weighting the all-local sample by that once rounded the local
+#: fraction to 1.0000000000000002.
+ALL_LOCAL_CUT = BenchmarkSpec(
+    name="fuzz", suite="test", num_ctas=16, footprint_mb=2.5625,
+    true_shared_mb=1.0625, false_shared_mb=0.5, preference="sm-side",
+    kernels=(KernelSpec(name="k", epochs=3, phase=PhaseSpec(
+        weight_true=0.96484375, weight_false=0.03515625, weight_private=0.0,
+        hot_fraction=1.0, hot_weight=0.0, write_fraction=0.0,
+        intensity=500.0, true_affinity=0.0)),),
+    iterations=1, seed=86)
 
 
 def physics(stats):
@@ -120,6 +134,7 @@ def test_dynamic_with_both_floors_at_half_is_static(spec):
 
 
 @given(workload_specs())
+@example(ALL_LOCAL_CUT)
 @settings(max_examples=50, deadline=None)
 def test_sac_with_unreachable_theta_is_memory_side(spec):
     sac, memory_side = never_sm_side(spec)
