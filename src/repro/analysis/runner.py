@@ -18,9 +18,10 @@ Three layers, checked in order:
 
 A matrix dispatches one task per benchmark: the task runs that
 benchmark's pending organizations back to back on its one cached
-trace.  Matrix results are keyed and ordered deterministically by
-(benchmark, organization) submission order regardless of worker
-completion order.
+trace, and drops that trace as it ends when the matrix has more
+benchmarks than the trace cache has slots.  Matrix results are keyed
+and ordered deterministically by (benchmark, organization) submission
+order regardless of worker completion order.
 
 Execution is fault-tolerant (see ``docs/resilience.md``): pool tasks run
 under a :class:`~repro.resilience.supervisor.Supervisor` (per-task
@@ -51,6 +52,7 @@ from ..sim.run import (
     simulate_stacked,
 )
 from ..sim.stats import RunStats, harmonic_mean
+from ..workloads.generator import _TRACE_CACHE_MAX, release_trace
 from ..workloads.spec import BenchmarkSpec
 from .diskcache import ResultCache, content_key
 
@@ -178,13 +180,20 @@ def _disk_key(spec: BenchmarkSpec, organization: str, config: SystemConfig,
 
 def _simulate_task(spec: BenchmarkSpec, organizations: List[str],
                    config: SystemConfig, scale: float,
-                   accesses_per_epoch: int,
-                   params: EngineParams) -> List[RunStats]:
+                   accesses_per_epoch: int, params: EngineParams,
+                   release: bool) -> List[RunStats]:
     """Worker-side entry point (module-level so the pool can pickle it):
-    one benchmark's organizations, one run after another."""
-    return simulate_stacked(spec, organizations, config=config, scale=scale,
-                            accesses_per_epoch=accesses_per_epoch,
-                            params=params)
+    one benchmark's organizations, one run after another.  With
+    ``release``, the benchmark's trace leaves the generator's cache when
+    the task ends."""
+    try:
+        return simulate_stacked(spec, organizations, config=config,
+                                scale=scale,
+                                accesses_per_epoch=accesses_per_epoch,
+                                params=params)
+    finally:
+        if release:
+            release_trace(spec)
 
 
 def run(spec: BenchmarkSpec, organization: str,
@@ -325,10 +334,14 @@ def run_matrix(specs: Iterable[BenchmarkSpec], organizations: Iterable[str],
 
     # One task per benchmark.  Its organizations share one cached
     # trace and run back to back, so the task holds one engine and one
-    # tag store at a time.
+    # tag store at a time.  No later task replays that trace, so when
+    # the tasks outnumber the trace cache's slots (the cache could not
+    # keep them all for a later call anyway) each task drops its trace
+    # as it ends, and the matrix holds one trace at a time.
     orgs_by_spec: Dict[str, List[str]] = {}
     for spec, organization in pending:
         orgs_by_spec.setdefault(spec.name, []).append(organization)
+    release = len(orgs_by_spec) > _TRACE_CACHE_MAX
 
     # Task keys are the pairs' disk keys when available (content
     # identity), else the name pairs; the supervisor treats them as the
@@ -343,7 +356,7 @@ def run_matrix(specs: Iterable[BenchmarkSpec], organizations: Iterable[str],
         tasks.append(SupervisedTask(
             key=tkey, label=f"{name}:{'+'.join(orgs)}", fn=_simulate_task,
             args=(spec, orgs, resolved, scale, accesses_per_epoch,
-                  resolved_params)))
+                  resolved_params, release)))
 
     def _install(task: SupervisedTask, result: List[RunStats]) -> None:
         """Install one completed task's runs in the parent, the moment

@@ -161,7 +161,9 @@ def simulate_stacked(spec: BenchmarkSpec,
 
     One :func:`simulate` per organization, back to back over the one
     memoized trace, so each run's engine and tag store are freed before
-    the next run builds its own.  ``stats[i]`` is the run of
+    the next run builds its own.  The trace stays in the generator's
+    cache; a ``run_matrix`` over more benchmarks than that cache has
+    slots drops it once this returns.  ``stats[i]`` is the run of
     ``organizations[i]``.  The name is kept while the benchmark's
     tracer patches it (ROADMAP, item 1); after that it can be renamed.
     """

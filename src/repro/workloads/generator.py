@@ -37,12 +37,24 @@ REGION_TRUE = 0
 REGION_FALSE = 1
 REGION_PRIVATE = 2
 
-#: Generated traces keyed by (spec, system shape).  Generation is
-#: deterministic and the epoch arrays are frozen read-only, so replaying
-#: the same benchmark (a run matrix sweeping organizations, best-of-N
-#: benchmarking) reuses the trace instead of regenerating it.
+#: Generated traces keyed by (spec, system shape), least recently used
+#: first.  Generation is deterministic and the epoch arrays are frozen
+#: read-only, so replaying the same benchmark (a run matrix sweeping
+#: organizations, a sweep over configs, best-of-N benchmarking) reuses
+#: the trace instead of regenerating it.  A cached trace keeps its
+#: engine memos alive too, so ``run_matrix`` drops each benchmark's
+#: trace (:func:`release_trace`) as soon as its runs end when the matrix
+#: has more benchmarks than the cache has slots: no later run replays
+#: it.  A smaller matrix, such as a Figure 14 sweep point, keeps its
+#: traces for the next call.
 _TRACE_CACHE: "OrderedDict[tuple, Tuple[KernelTrace, ...]]" = OrderedDict()
 _TRACE_CACHE_MAX = 4
+
+
+def release_trace(spec: BenchmarkSpec) -> None:
+    """Drop every cached trace of ``spec``, whatever its system shape."""
+    for key in [key for key in _TRACE_CACHE if key[0] == spec]:
+        del _TRACE_CACHE[key]
 
 
 @dataclass(frozen=True)
@@ -203,10 +215,12 @@ class TraceGenerator:
                self.scale)
         traces = _TRACE_CACHE.get(key)
         if traces is None:
+            # Evict first, so the new trace is never built alongside a
+            # full cache.
+            while len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
+                _TRACE_CACHE.popitem(last=False)
             traces = tuple(self._generate_all())
             _TRACE_CACHE[key] = traces
-            while len(_TRACE_CACHE) > _TRACE_CACHE_MAX:
-                _TRACE_CACHE.popitem(last=False)
         else:
             _TRACE_CACHE.move_to_end(key)
         yield from traces

@@ -10,7 +10,8 @@ from repro.analysis import (
     run_matrix,
     speedups_vs_baseline,
 )
-from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
+from repro.arch import baseline, with_inter_chip_bandwidth
+from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec, generator
 
 
 def tiny_spec(name="runner-tiny"):
@@ -253,6 +254,65 @@ class TestStackedDispatch:
         assert telemetry().memo_hits == 4
         assert telemetry().simulated == 1
         assert [t.label for t in task_lists[-1]] == ["lone:sac"]
+
+
+class TestTraceRelease:
+    """A matrix over more benchmarks than the trace cache has slots
+    drops each benchmark's trace as its task ends; a smaller one keeps
+    its traces for the next call."""
+
+    ORGS = ["memory-side", "sm-side"]
+
+    @pytest.fixture(autouse=True)
+    def empty_trace_cache(self):
+        generator._TRACE_CACHE.clear()
+        yield
+        generator._TRACE_CACHE.clear()
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """The benchmark name of every trace the generator builds."""
+        names = []
+        real = generator.TraceGenerator._generate_all
+
+        def recording(self):
+            names.append(self.spec.name)
+            return real(self)
+
+        monkeypatch.setattr(generator.TraceGenerator, "_generate_all",
+                            recording)
+        return names
+
+    def test_a_large_matrix_holds_one_trace_at_a_time(
+            self, generated, monkeypatch):
+        from repro.sim import run as sim_run
+        cached = []
+        real = sim_run.simulate
+
+        def recording(*args, **kwargs):
+            cached.append(len(generator._TRACE_CACHE))
+            stats = real(*args, **kwargs)
+            cached.append(len(generator._TRACE_CACHE))
+            return stats
+
+        monkeypatch.setattr(sim_run, "simulate", recording)
+        specs = [tiny_spec(f"release-{i}")
+                 for i in range(generator._TRACE_CACHE_MAX + 1)]
+        run_matrix(specs, self.ORGS, accesses_per_epoch=256)
+        assert len(cached) == 2 * len(self.ORGS) * len(specs)
+        assert max(cached) == 1
+        assert not generator._TRACE_CACHE
+        assert generated == [spec.name for spec in specs]
+
+    def test_a_small_matrix_keeps_its_traces_across_calls(self, generated):
+        # Figure 14's pattern: the same benchmarks under configs that
+        # differ only in a bandwidth, which the trace does not depend on.
+        specs = [tiny_spec(f"keep-{i}") for i in range(3)]
+        for gbps in (48, 96):
+            run_matrix(specs, self.ORGS, accesses_per_epoch=256,
+                       config=with_inter_chip_bandwidth(baseline(), gbps))
+        assert generated == [spec.name for spec in specs]
+        assert len(generator._TRACE_CACHE) == len(specs)
 
 
 class TestTelemetrySeconds:

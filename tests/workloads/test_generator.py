@@ -1,5 +1,7 @@
 """Unit tests for the synthetic trace generator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.workloads import (
     TraceGenerator,
     get,
 )
+from repro.workloads import generator
 from repro.workloads.generator import EpochTrace
 
 LINE = 128
@@ -220,3 +223,38 @@ class TestSuiteTraces:
         assert names[0].startswith("BFS.K1")
         assert names[1].startswith("BFS.K2")
         assert len(names) == 2 * get("BFS").iterations
+
+
+class TestTraceCache:
+    @pytest.fixture(autouse=True)
+    def empty_trace_cache(self):
+        generator._TRACE_CACHE.clear()
+        yield
+        generator._TRACE_CACHE.clear()
+
+    def test_a_miss_evicts_before_it_generates(self, monkeypatch):
+        specs = [dataclasses.replace(make_spec(epochs=1), seed=seed)
+                 for seed in range(generator._TRACE_CACHE_MAX + 1)]
+        for spec in specs[:-1]:
+            make_generator(spec).generate()
+        cached = []
+        real = TraceGenerator._generate_all
+
+        def recording(self):
+            cached.append(len(generator._TRACE_CACHE))
+            return real(self)
+
+        monkeypatch.setattr(TraceGenerator, "_generate_all", recording)
+        make_generator(specs[-1]).generate()
+        assert cached == [generator._TRACE_CACHE_MAX - 1]
+        # The cache ends as it would have: the oldest trace is gone.
+        assert [key[0] for key in generator._TRACE_CACHE] == specs[1:]
+
+    def test_release_drops_only_that_spec(self):
+        kept, dropped = (dataclasses.replace(make_spec(epochs=1), seed=seed)
+                         for seed in (1, 2))
+        for spec in (kept, dropped):
+            make_generator(spec).generate()
+            make_generator(spec, accesses=256).generate()
+        generator.release_trace(dropped)
+        assert [key[0] for key in generator._TRACE_CACHE] == [kept, kept]
