@@ -253,18 +253,24 @@ _EVICTIONS, _DIRTY_EVICTIONS, _FILLS = (
 
 
 def _outcome_class(hits: np.ndarray, sector_miss: Optional[np.ndarray],
-                   filled: np.ndarray, ev_addr: np.ndarray,
+                   filled: np.ndarray, evicted: np.ndarray,
                    ev_dirty: np.ndarray) -> np.ndarray:
     """Each probe's outcome class (a row of :data:`_CLASS_STATS`).
 
     ``hits``, ``sector_miss`` and ``filled`` are mutually exclusive; an
-    eviction only ever rides on a fill.
+    eviction (``evicted``) only ever rides on a fill.
     """
     cls = hits.astype(np.int64)
     if sector_miss is not None:
         cls += sector_miss * np.int64(2)
-    cls += filled * (np.int64(3) + (ev_addr >= 0) + ev_dirty)
+    cls += filled * (np.int64(3) + evicted + ev_dirty)
     return cls
+
+
+def _absolute(idx: np.ndarray, lo: int) -> np.ndarray:
+    """Lane-relative cache indices ``idx`` made absolute: the array
+    itself on a lane starting at cache 0, as the engine's call does."""
+    return idx + np.int64(lo) if lo else idx
 
 
 def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -378,21 +384,34 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
     steps = int(cnt.max())
     trow = touched[_stable_order(steps - cnt, steps + 1)]
     cnt = per_row[trow]
+    del per_row, touched
     G = trow.size
     lut = np.empty(tags.shape[0], dtype=np.int64)
     lut[trow] = np.arange(G, dtype=np.int64)
     grp = lut[prow]
+    del lut, prow
+    # Each touched row's cap (constant within a row), read while the
+    # accesses' groups are still at hand.
+    capg: Optional[np.ndarray] = None
+    if isinstance(cap, np.ndarray):
+        capg = np.empty(G, dtype=np.int64)
+        capg[grp] = cap[pos]
     by_row = _stable_order(grp, G)
     starts = np.zeros(G, dtype=np.int64)
     np.cumsum(cnt[:-1], out=starts[1:])
     rank = np.empty(n, dtype=np.int64)
     rank[by_row] = np.arange(n, dtype=np.int64) - np.repeat(starts, cnt)
+    del by_row, starts
     live = G - np.cumsum(np.bincount(cnt, minlength=steps + 1))[:steps]
     off = np.zeros(steps, dtype=np.int64)
     np.cumsum(live[:-1], out=off[1:])
     sched = np.empty(n, dtype=np.int64)
     sched[off[rank] + grp] = np.arange(n, dtype=np.int64)
+    del rank, grp
     acc = pos[sched]
+    # The schedule's scratch is dead from here on: ``acc`` alone maps
+    # each step slot to its access.
+    del sched, pos
     t_s = tg[acc]
     # Step r stamps its touches (A + 1 + r) << 1 | write: above every
     # resident line's key, in rank order.  A drain step retires the
@@ -408,22 +427,23 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
     # The block is W columns wide, W the widest cap (or fill) among the
     # touched rows: the columns past it are free and never chosen.
     c0 = count[trow]
-    if isinstance(cap, np.ndarray):
-        capg = np.empty(G, dtype=np.int64)
-        capg[grp] = cap[pos]
+    if capg is not None:
         W = min(A, max(int(capg.max()), int(c0.max())))
     else:
+        assert not isinstance(cap, np.ndarray)
         W = min(A, max(cap, int(c0.max())))
     slot = np.arange(W, dtype=np.int64)
     blk_t = tags[trow, :W]
     resident = slot[None, :] < c0[:, None]
-    if isinstance(cap, np.ndarray):
+    if capg is not None:
         below = slot[None, :] < capg[:, None]
     else:
         below = np.broadcast_to(slot < cap, (G, W))
     key = np.where(resident, ((slot + 1) << np.int64(1)) | dirty[trow, :W],
                    np.where(below, np.int64(0), np.int64(_NEVER)))
+    del below
     blk_t[~resident] = _FREE
+    del resident
     flat_t = blk_t.reshape(-1)
     flat_k = key.reshape(-1)
     base = np.arange(0, G * W, W, dtype=np.int64)
@@ -461,46 +481,58 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
         flat_t[f] = t
         flat_k[f] = code[lo:hi] | (ok & hit)
         if sect is not None:
-            flat_s, bit, old_s = sect
-            os_ = flat_s[f]
-            old_s[lo:hi] = os_
-            flat_s[f] = bit[lo:hi] | (os_ * hit)
+            os_ = sect[0][f]
+            sect[2][lo:hi] = os_
+            sect[0][f] = sect[1][lo:hi] | (os_ * hit)
         if stamps is not None:
             stamps[0][f] = stamps[1][lo:hi]
         lo = hi
+    # Past the steps the step codes and stamp values are dead (``t`` is
+    # a view of ``t_s``, which the verdicts still read).
+    del code, t
+    blk_s = sect[0] if sect is not None else None
+    blk_st = stamps[0] if stamps is not None else None
+    stamps = None
 
     # Verdicts: a tag hit whose sector bit was clear is a sector miss
     # (the step above set the bit); a miss that replaced a line evicts
     # it with the line's dirty bit.
     tag_hit = old_t == t_s
+    del t_s
     if sect is not None:
         assert sm_out is not None
         present = (sect[2] & sect[1]) != 0
+        sect = None
         hits[acc] = tag_hit & present
         sm_out[acc] = tag_hit & ~present
+        del present
     else:
         hits[acc] = tag_hit
     ev = np.flatnonzero(~tag_hit & (old_k != 0))
+    del tag_hit
     if ev.size:
         ea = acc[ev]
         ev_addr[ea] = geo.rebuild(rows[ea] % np.int64(geo.num_sets),
                                   old_t[ev])
         ev_dirty[ea] = (old_k[ev] & 1) != 0
+    del old_t, old_k, acc
 
     # Write-back: sorting each row by key restores the packed LRU ->
     # MRU layout, free and retired slots last; each column is one flat
-    # gather of the sorted slots.
+    # gather of the sorted slots.  Unoccupied slots hold even keys, so
+    # rekeying them _NEVER in place keeps every dirty bit.
     occupied = blk_t >= 0
-    idx = np.argsort(np.where(occupied, key, np.int64(_NEVER)), axis=1) \
-        + base[:, None]
+    key[~occupied] = _NEVER
+    idx = np.argsort(key, axis=1)
+    idx += base[:, None]
     tags[trow, :W] = flat_t[idx]
     dirty[trow, :W] = (flat_k[idx] & 1) != 0
     if sector is not None:
-        assert sect is not None
-        sector[trow, :W] = sect[0][idx]
+        assert blk_s is not None
+        sector[trow, :W] = blk_s[idx]
     if stamp is not None:
-        assert stamps is not None
-        stamp[trow, :W] = stamps[0][idx]
+        assert blk_st is not None
+        stamp[trow, :W] = blk_st[idx]
     count[trow] = occupied.sum(axis=1)
     return BatchResult(hits, ev_addr, ev_dirty, sm_out)
 
@@ -518,6 +550,35 @@ def _seg_rank(keys: np.ndarray) -> np.ndarray:
     out = np.empty(m, dtype=np.int64)
     out[order] = pos - np.maximum.accumulate(starts)
     return out
+
+
+#: Probes per chunk of a ``(probes, ways)`` gather of kernel rows
+#: (:func:`_resident_way`): its scratch stays near 512 x A int64
+#: values whatever the epoch's length.
+_GATHER_ROWS = 512
+#: Elements per chunk of :func:`_stack_depths`' dominance count.
+_DOMINANCE_ELEMS = 1 << 16
+
+
+def _resident_way(tags: np.ndarray, count: np.ndarray, rows: np.ndarray,
+                  tg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Way of tag ``tg[i]`` among the ``count`` resident lines of kernel
+    row ``rows[i]`` (0 where absent), and whether it is resident.
+
+    Gathers the rows :data:`_GATHER_ROWS` probes at a time.
+    """
+    m = rows.size
+    ways = np.arange(tags.shape[1], dtype=np.int64)
+    way = np.empty(m, dtype=np.int64)
+    found = np.empty(m, dtype=bool)
+    for lo in range(0, m, _GATHER_ROWS):
+        hi = min(lo + _GATHER_ROWS, m)
+        r = rows[lo:hi]
+        eq = (tags[r] == tg[lo:hi, None]) & (ways < count[r][:, None])
+        w = np.argmax(eq, axis=1)
+        way[lo:hi] = w
+        found[lo:hi] = eq[np.arange(hi - lo, dtype=np.int64), w]
+    return way, found
 
 
 def _stack_depths(rows: np.ndarray, tg: np.ndarray, tags: np.ndarray,
@@ -546,21 +607,22 @@ def _stack_depths(rows: np.ndarray, tg: np.ndarray, tags: np.ndarray,
     rank[order] = pos - np.maximum.accumulate(np.where(new, pos, 0))
     gid = np.empty(m, dtype=np.int64)
     gid[order] = np.cumsum(new) - 1
+    del order, ro, new, pos
     o2 = np.lexsort((tg, rows))
     same = (rows[o2][1:] == rows[o2][:-1]) & (tg[o2][1:] == tg[o2][:-1])
     pi = np.empty(m, dtype=np.int64)
     first = np.ones(m, dtype=bool)
     first[o2[1:][same]] = False
     pi[o2[1:][same]] = rank[o2[:-1][same]]
+    del o2, same
     fi = np.flatnonzero(first)
+    del first
     fr = rows[fi]
-    eq = (tags[fr] == tg[fi][:, None]) & \
-        (np.arange(A, dtype=np.int64)[None, :] < count[fr][:, None])
-    way = np.argmax(eq, axis=1)
-    found = eq[np.arange(fi.size, dtype=np.int64), way]
+    way, found = _resident_way(tags, count, fr, tg[fi])
     pi[fi] = np.where(found, way - count[fr], -(A + 1))
     fway = np.full(m, -1, dtype=np.int64)
     fway[fi[found]] = way[found]
+    del fi, fr, way, found
     # Same dominance count as the kernel's hit test: later accesses of
     # the group whose link does not pass this access's own link.
     W = int(rank.max()) + 1
@@ -568,7 +630,7 @@ def _stack_depths(rows: np.ndarray, tg: np.ndarray, tags: np.ndarray,
     tab[gid, rank] = pi
     cols = np.arange(W, dtype=np.int64)[None, :]
     dom = np.empty(m, dtype=np.int64)
-    step = max(1, (1 << 22) // W)
+    step = max(1, _DOMINANCE_ELEMS // W)
     for lo in range(0, m, step):
         p = pi[lo:lo + step, None]
         dom[lo:lo + step] = ((cols > p) & (cols < rank[lo:lo + step, None])
@@ -615,6 +677,8 @@ class _StagedPlan(NamedTuple):
     """One staged call's epoch: the probes of its two kernel calls.
 
     Cache indices (``idx0a``/``idx1a``) and kernel rows are absolute.
+    A stage-1 probe's kernel row (``krow1``, slot 0) is its flat (cache,
+    set) row; a stage-0 probe's flat row is ``krow0 % (C * S)``.
     ``grow`` marks the flat (cache, set) rows whose over slot is LOCAL:
     phase-1 fills drain them.  ``mirror`` holds the drains of the rows
     whose over slot is the remote one (draining stream position, flat
@@ -624,7 +688,6 @@ class _StagedPlan(NamedTuple):
     call: StagedLaneCall
     idx0a: np.ndarray
     idx1a: np.ndarray
-    sets: np.ndarray
     tg: np.ndarray
     sec: Optional[np.ndarray]
     cap0: np.ndarray
@@ -1187,20 +1250,23 @@ class VectorBank:
             stamp_vals = np.arange(store.clock, store.clock + n,
                                    dtype=np.int64)
             store.clock += n
+        cache_idx = _absolute(call.cache_idx, lo)
         sets, tg = geo.split(call.addrs)
-        rows = (call.cache_idx + np.int64(lo)) * np.int64(geo.num_sets) \
-            + sets
+        rows = cache_idx * np.int64(geo.num_sets) + sets
+        del sets
         result = _batch_resolve(
             ftags, fdirty, fcount, geo, rows, tg, call.writes,
             sector=fsector,
             sec=geo.sector_of(call.addrs) if geo.sectored else None,
             stamp=fstamp, stamp_vals=stamp_vals)
+        del rows, tg, stamp_vals
         filled = ~result.hits
         if result.sector_miss is not None:
             filled &= ~result.sector_miss
-        self._charge_classes(call.lane, call.cache_idx + np.int64(lo),
+        self._charge_classes(call.lane, cache_idx,
                              _outcome_class(result.hits, result.sector_miss,
-                                            filled, result.evicted_addr,
+                                            filled,
+                                            result.evicted_addr >= 0,
                                             result.evicted_dirty))
         return result
 
@@ -1298,14 +1364,18 @@ class VectorBank:
                         idx0: np.ndarray, idx1: np.ndarray,
                         two_stage: np.ndarray, hit: np.ndarray,
                         smiss: np.ndarray, fill: np.ndarray,
-                        ev_a: np.ndarray, ev_d: np.ndarray) -> StagedResult:
+                        evicted: np.ndarray, ev_d: np.ndarray,
+                        dirty_at: np.ndarray,
+                        dirty_addr: np.ndarray) -> StagedResult:
         """Charge the counter block and assemble one epoch's outcome.
 
         The outcome arrays are stage-major (entry ``n + i`` is access
         i's stage-1 probe).  Stage 0 probes every access at ``idx0``;
         stage 1 probes two-stage accesses whose stage-0 probe missed.
-        Cache indices are absolute; the returned eviction indices are
-        too.
+        ``dirty_at`` and ``dirty_addr`` pair each dirty eviction's
+        entry with its line address, an entry at most once.  Cache
+        indices are absolute; the returned eviction indices are too,
+        in entry order.
         """
         n = idx0.shape[0]
         C = len(self.caches)
@@ -1315,11 +1385,12 @@ class VectorBank:
         keys = np.concatenate(
             (idx0, np.where(two_stage & ~h0, idx1, np.int64(C))))
         self._charge_classes(lane, keys, _outcome_class(
-            hit, smiss if self._geo.sectored else None, fill, ev_a, ev_d))
+            hit, smiss if self._geo.sectored else None, fill, evicted,
+            ev_d))
         hs = hit[n:] * np.int64(2) - np.int64(1)
         hs[h0] = 0
-        ev = np.flatnonzero(ev_d)
-        return StagedResult(hs, keys[ev], ev_a[ev])
+        order = np.argsort(dirty_at)
+        return StagedResult(hs, keys[dirty_at[order]], dirty_addr[order])
 
     def _mirror_drains(self, plan: _StagedPlan, mir: np.ndarray,
                        over: _OverRows) -> Tuple[np.ndarray, np.ndarray]:
@@ -1343,17 +1414,15 @@ class VectorBank:
         (cache, set) row.
         """
         geo = self._geo
-        A = geo.associativity
-        S = np.int64(geo.num_sets)
         call = plan.call
         two_stage = call.two_stage
-        sets = plan.sets
         tg = plan.tg
         sec = plan.sec
-        n = sets.size
+        n = tg.size
         krow0, krow1 = plan.krow0, plan.krow1
-        rid0 = plan.idx0a * S + sets
-        rid1 = plan.idx1a * S + sets
+        # Flat (cache, set) rows of each access's two probes.
+        rid0 = krow0 % np.int64(len(self.caches) * geo.num_sets)
+        rid1 = krow1
         mirf = mir.reshape(-1)
         ftags, _, fcount, fsector, _ = self._store.flat()
 
@@ -1363,19 +1432,24 @@ class VectorBank:
         rows = mirf.copy()
         rows[rid0[two_stage & mirf[rid1]]] = True
         rp = np.flatnonzero(two_stage & rows[rid0])
+        del rows
         depth, fway = _stack_depths(krow0[rp], tg[rp], ftags, fcount)
-        cap_r = np.where(mirf[rid0[rp]], over.occ[rid0[rp]], plan.cap0[rp])
+        r0 = rid0[rp]
+        cap_r = np.where(mirf[r0], over.occ[r0], plan.cap0[rp])
+        # A drain's key is its flat row * (n + 1) + its stream position;
+        # a stage-0 probe's row's keys start at ``base``.
+        base = r0 * np.int64(n + 1)
+        del r0
         # Phase-2 probes of the under slots at mirrored rows, in stream
         # order: single-stage ones always probe, stage-1 ones only when
         # their stage-0 probe misses.
         cpos = np.flatnonzero(np.where(two_stage, mirf[rid1], mirf[rid0]))
         c1 = two_stage[cpos]
         crow = np.where(c1, rid1[cpos], rid0[cpos])
+        del rid0, rid1
         ckrow = np.where(c1, krow1[cpos], krow0[cpos])
         ctag = tg[cpos]
-        cres = ((ftags[ckrow] == ctag[:, None])
-                & (np.arange(A, dtype=np.int64)[None, :]
-                   < fcount[ckrow][:, None])).any(axis=1)
+        cres = _resident_way(ftags, fcount, ckrow, ctag)[1]
         headroom = np.where(c1, plan.cap1[cpos], plan.cap0[cpos]) - \
             fcount[ckrow]
         po = np.lexsort((ctag, ckrow))
@@ -1384,6 +1458,7 @@ class VectorBank:
             np.zeros(0, dtype=bool)
         cpair = np.empty(cpos.size, dtype=np.int64)
         cpair[po] = np.cumsum(pnew) - 1
+        del ctag, po, pnew
 
         hit = np.zeros(n, dtype=bool)
 
@@ -1399,6 +1474,7 @@ class VectorBank:
             fw = fway[oc]
             seed = np.where(fw >= 0, fsector[kr, np.maximum(fw, 0)], 0)
             sec_o = sec[rp][oc]
+        del fway
 
         def stage0_hits(d: np.ndarray) -> np.ndarray:
             th = depth < cap_r - d
@@ -1425,7 +1501,6 @@ class VectorBank:
         # A round only turns stage-0 hits into misses, each at most
         # once, and a round that turns none is followed by the one that
         # confirms the fixed point: rp.size + 2 rounds always suffice.
-        base = rid0[rp] * np.int64(n + 1)
         d = np.zeros(rp.size, dtype=np.int64)
         for _ in range(rp.size + 2):
             hit[rp] = stage0_hits(d)
@@ -1521,19 +1596,24 @@ class VectorBank:
         over = self._drain_rows_static(cap_of) if flagged.any() else None
         ts = call.two_stage
         sets, tg = geo.split(call.addrs)
-        idx0a = call.idx0 + np.int64(lo)
-        idx1a = call.idx1 + np.int64(lo)
+        idx0a = _absolute(call.idx0, lo)
+        idx1a = _absolute(call.idx1, lo)
         # On the L1.5 shape a probe's slot follows from its stage:
         # LOCAL (slot 0), except the stage-0 probes of two-stage
         # accesses, which take the remote partition's slot.  A
         # partition that never had ways has none: its probes are
         # fill-less misses.
-        remote = call.part0[ts]
-        rslot = store.slot_of.get(int(remote[0]), -1) if remote.size else -1
+        two = bool(ts.any())
+        rslot = store.slot_of.get(int(call.part0[int(np.argmax(ts))]), -1) \
+            if two else -1
         slot0 = ts * np.int64(max(rslot, 0))
         cap0 = cap_of[idx0a, slot0]
         if rslot < 0:
             cap0[ts] = 0
+        krow0 = (slot0 * C + idx0a) * S + sets
+        del slot0
+        krow1 = idx1a * S + sets
+        del sets
         grow: Optional[np.ndarray] = None
         mir: Optional[np.ndarray] = None
         if over is not None:
@@ -1545,17 +1625,16 @@ class VectorBank:
             o_slot = over.slot.reshape(over.cand.shape)
             grow = over.cand & (o_slot == 0)
             mir = over.cand & (o_slot != 0)
-            if remote.size:
+            if two:
                 mir &= o_slot == rslot
             flagged &= ~(grow | mir)
-            if flagged[idx0a, sets].any() or \
-                    flagged[idx1a[ts], sets[ts]].any():
+            flat = flagged.reshape(-1)
+            if flat[krow0 % (C * S)].any() or flat[krow1[ts]].any():
                 return None
         plan = _StagedPlan(
-            call, idx0a, idx1a, sets, tg,
+            call, idx0a, idx1a, tg,
             geo.sector_of(call.addrs) if geo.sectored else None,
-            cap0, cap_of[idx1a, 0], (slot0 * C + idx0a) * S + sets,
-            idx1a * S + sets,
+            cap0, cap_of[idx1a, 0], krow0, krow1,
             grow.reshape(-1) if grow is not None and grow.any() else None,
             None)
         if mir is not None and mir.any():
@@ -1576,14 +1655,16 @@ class VectorBank:
         two_stage = call.two_stage
         writes = call.writes
         n = call.addrs.shape[0]
-        sv = np.arange(clock0, clock0 + n, dtype=np.int64)
         # Stage-major outcomes: entry ``i`` is access i's stage-0 probe,
         # entry ``n + i`` its stage-1 probe.
         hit = np.zeros(2 * n, dtype=bool)
         smiss = np.zeros(2 * n, dtype=bool)
         fill = np.zeros(2 * n, dtype=bool)
-        ev_a = np.full(2 * n, -1, dtype=np.int64)
+        evicted = np.zeros(2 * n, dtype=bool)
         ev_d = np.zeros(2 * n, dtype=bool)
+        # (entry, line address) of each dirty eviction, per kernel call.
+        dirty_at: List[np.ndarray] = []
+        dirty_addr: List[np.ndarray] = []
         empty = np.zeros(0, dtype=np.int64)
 
         def solve(pos: np.ndarray, krows: np.ndarray, caps: np.ndarray,
@@ -1599,7 +1680,6 @@ class VectorBank:
             # fill-less misses straight from the kernel's mask.  Fresh
             # views every call: slot growth can reallocate the arrays.
             probe: Union[slice, np.ndarray] = slice(None)
-            t = tg[pos]
             if dpos.size:
                 assert over is not None
                 m = pos.size
@@ -1610,14 +1690,19 @@ class VectorBank:
                     (krows, over.slot[drid] * CS + drid))[order]
                 caps = np.concatenate((caps, over.cap[drid]))[order]
                 at = np.concatenate((at, dat))[order]
+                del order
                 # A tag of its own per drain step: its stream position.
                 t = np.where(probe, tg[pos], -2 - pos)
+            else:
+                t = tg[pos]
             ftags, fdirty, fcount, fsector, fstamp = store.flat()
+            # Stamps follow the stream: access i is stamped clock0 + i.
             res = _batch_resolve(
                 ftags, fdirty, fcount, geo, krows, t, writes[pos],
                 cap=caps, sector=fsector,
                 sec=sec[pos] if sec is not None else None,
-                stamp=fstamp, stamp_vals=sv[pos])
+                stamp=fstamp, stamp_vals=pos + np.int64(clock0))
+            del t, krows
             ap = at[probe]
             hits = res.hits[probe]
             fl = ~hits & (caps[probe] > 0)
@@ -1628,10 +1713,14 @@ class VectorBank:
             hit[ap] = hits
             fill[ap] = fl
             # Evictions only: a draining fill reports none of its own,
-            # and must not erase its drain's report.
+            # so no entry is reported twice.
             ev = np.flatnonzero(res.evicted_addr >= 0)
-            ev_a[at[ev]] = res.evicted_addr[ev]
-            ev_d[at[ev]] = res.evicted_dirty[ev]
+            entry = at[ev]
+            evicted[entry] = True
+            dirty = res.evicted_dirty[ev]
+            ev_d[entry] = dirty
+            dirty_at.append(entry[dirty])
+            dirty_addr.append(res.evicted_addr[ev[dirty]])
 
         # Phase 1: the stage-0 probes of two-stage accesses, with the
         # mirrored rows' drain steps, each reported where its access
@@ -1642,6 +1731,7 @@ class VectorBank:
         if b1.size or mpos.size:
             solve(b1, plan.krow0[b1], plan.cap0[b1], b1, mpos, mrid,
                   np.where(two_stage[mpos], mpos + n, mpos))
+        del b1
 
         # Phase 2: single-stage probes and the stage-1 probes of
         # stage-0 misses, with the growth rows' drain steps: phase 1's
@@ -1649,20 +1739,26 @@ class VectorBank:
         p1k = two_stage & ~hit[:n]
         b2 = np.flatnonzero(~two_stage | p1k)
         use1 = p1k[b2]
+        del p1k
         gpos = grid = empty
         if plan.grow is not None:
             assert over is not None
-            rid0 = plan.idx0a * np.int64(geo.num_sets) + plan.sets
+            rid0 = plan.krow0 % CS
             gf = np.flatnonzero(fill[:n] & plan.grow[rid0])
             urow = plan.krow0[gf]
             gpos = gf[_drains_of(urow, rid0[gf],
                                  plan.cap0[gf] - over.count[urow],
                                  over.free)]
             grid = rid0[gpos]
+            del rid0, gf, urow
         if b2.size or gpos.size:
             solve(b2, np.where(use1, plan.krow1[b2], plan.krow0[b2]),
                   np.where(use1, plan.cap1[b2], plan.cap0[b2]),
                   np.where(use1, b2 + n, b2), gpos, grid, gpos)
+        del b2, use1
 
-        return self._staged_outcome(call.lane, plan.idx0a, plan.idx1a,
-                                    two_stage, hit, smiss, fill, ev_a, ev_d)
+        return self._staged_outcome(
+            call.lane, plan.idx0a, plan.idx1a, two_stage, hit, smiss, fill,
+            evicted, ev_d,
+            np.concatenate(dirty_at) if dirty_at else empty,
+            np.concatenate(dirty_addr) if dirty_addr else empty)

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arch.config import SystemConfig
 from ..arch.presets import baseline
@@ -23,6 +23,7 @@ from ..core.sac import SharingAwareCaching
 from ..sim.run import DEFAULT_SCALE, scaled_config, simulate
 from ..sim.stats import harmonic_mean
 from ..analysis.runner import run
+from ..workloads.spec import BenchmarkSpec
 from ..workloads.suite import get
 from .common import trace_density
 
@@ -32,21 +33,17 @@ THETA_SWEEP = (0.0, 0.05, 0.08, 0.15, 0.30, 1.0)
 WINDOW_SWEEP = (125, 250, 500, 1000, 2000)
 
 
-def _sac_speedups(config: SystemConfig, sac_overrides: Dict[str, object],
-                  benchmarks: Sequence[str], density: int) -> float:
+def _sac_speedup(spec: BenchmarkSpec, config: SystemConfig,
+                 sac_overrides: Dict[str, object], density: int) -> float:
+    """SAC's speedup over memory-side on ``spec`` at one sweep point."""
     base_scaled = scaled_config(config, DEFAULT_SCALE)
     sac_cfg = dataclasses.replace(base_scaled.sac, **sac_overrides)
     run_config = base_scaled.with_updates(sac=sac_cfg)
-    speedups: List[float] = []
-    for name in benchmarks:
-        spec = get(name)
-        mem = run(spec, "memory-side", config=config,
-                  accesses_per_epoch=density)
-        org = SharingAwareCaching(run_config)
-        stats = simulate(spec, org, config=config,
-                         accesses_per_epoch=density)
-        speedups.append(mem.cycles / stats.cycles)
-    return harmonic_mean(speedups)
+    mem = run(spec, "memory-side", config=config,
+              accesses_per_epoch=density)
+    org = SharingAwareCaching(run_config)
+    stats = simulate(spec, org, config=config, accesses_per_epoch=density)
+    return mem.cycles / stats.cycles
 
 
 def run_experiment(config: Optional[SystemConfig] = None,
@@ -54,16 +51,23 @@ def run_experiment(config: Optional[SystemConfig] = None,
                    fast: bool = False) -> Dict[str, object]:
     base = config or baseline()
     density = trace_density(fast)
-    theta_points = [
-        {"theta": theta,
-         "sac": _sac_speedups(base, {"theta": theta}, benchmarks, density)}
-        for theta in THETA_SWEEP]
-    window_points = [
-        {"window_cycles": window,
-         "sac": _sac_speedups(base, {"profile_window_cycles": window},
-                              benchmarks, density)}
-        for window in WINDOW_SWEEP]
-    return {"theta": theta_points, "window": window_points,
+    points: List[Tuple[str, object, Dict[str, object]]] = [
+        ("theta", theta, {"theta": theta}) for theta in THETA_SWEEP]
+    points += [("window_cycles", window, {"profile_window_cycles": window})
+               for window in WINDOW_SWEEP]
+    # Benchmarks outermost: each trace is generated once and replayed by
+    # every sweep point, where a point-major loop over more benchmarks
+    # than the trace cache holds would regenerate every trace per point.
+    speedups: List[List[float]] = [[] for _ in points]
+    for name in benchmarks:
+        spec = get(name)
+        for per_point, (_, _, overrides) in zip(speedups, points):
+            per_point.append(_sac_speedup(spec, base, overrides, density))
+    # Each point's mean runs over the benchmarks in the given order.
+    rows = [{field: value, "sac": harmonic_mean(per_point)}
+            for (field, value, _), per_point in zip(points, speedups)]
+    return {"theta": rows[:len(THETA_SWEEP)],
+            "window": rows[len(THETA_SWEEP):],
             "benchmarks": list(benchmarks)}
 
 

@@ -5,8 +5,8 @@ with numpy kernels, so per-access Python loops must never creep back
 into it.  This rule flags ``for``/``while`` loops in every module the
 vector path executes (:data:`HOT_MODULES`) whose iterable (or loop
 condition) mentions a per-access trace array —
-``addrs``/``writes``/``chips``/``clusters``/``slices``/``channels``/
-``homes``/``pairs`` and their ``_np``/``_l``/``_s``/``_r`` spellings,
+``addrs``/``writes``/``chips``/``slices``/``channels``/``homes``/
+``pairs`` and their ``_np``/``_l``/``_s``/``_r`` spellings,
 ``epoch.<field>`` attributes, or the conventional batch length
 ``n``/``range(len(...))`` forms.  ``tests/lint/test_hot_modules.py``
 runs vector-path simulations under a profiler and fails if a module
@@ -68,14 +68,14 @@ HOT_MODULES = (
 #: Deliberately plural-only: ``chip``/``addr``/``slice`` are scalar loop
 #: variables all over the geometry-bounded accounting loops.
 _ACCESS_ARRAY_RE = re.compile(
-    r"^(addrs|writes|chips|clusters|slices|channels|homes|pairs"
+    r"^(addrs|writes|chips|slices|channels|homes|pairs"
     r"|hit_stages|accesses)(_np|_l|_s|_r|_e|_big)?$")
 
 #: Bare batch-length names that only ever mean "number of accesses".
 _LENGTH_NAMES = frozenset({"n", "num_accesses"})
 
 #: ``epoch.<attr>`` attributes that are per-access arrays.
-_EPOCH_ARRAYS = frozenset({"addrs", "writes", "chips", "clusters"})
+_EPOCH_ARRAYS = frozenset({"addrs", "writes", "chips"})
 
 
 def _mentions_access_array(expr: ast.AST) -> bool:

@@ -135,8 +135,11 @@ class LLCOrganization(abc.ABC):
 
         The vector path calls it in place of the per-access hook, only
         while :attr:`profiling` is set, with ``-1`` in ``hit_stages`` for
-        a full miss.  A class that overrides :meth:`observe_access` must
-        override this too to run there.
+        a full miss.  ``slices`` is the epoch's read-only slice-hash
+        memo at its narrow width (uint8 for every shipped config), so a
+        product with a Python int must widen it first.  A class that
+        overrides :meth:`observe_access` must override this too to run
+        there.
         """
 
     def remote_allocate(self, chip: int, addr: int) -> bool:

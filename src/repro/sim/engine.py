@@ -537,12 +537,12 @@ class SimulationEngine:
         split = epoch.derived.get(key)
         if split is None:
             head = EpochTrace(
-                chips=epoch.chips[:cut], clusters=epoch.clusters[:cut],
-                addrs=epoch.addrs[:cut], writes=epoch.writes[:cut],
+                chips=epoch.chips[:cut], addrs=epoch.addrs[:cut],
+                writes=epoch.writes[:cut],
                 compute_cycles=epoch.compute_cycles * cut / len(epoch))
             tail = EpochTrace(
-                chips=epoch.chips[cut:], clusters=epoch.clusters[cut:],
-                addrs=epoch.addrs[cut:], writes=epoch.writes[cut:],
+                chips=epoch.chips[cut:], addrs=epoch.addrs[cut:],
+                writes=epoch.writes[cut:],
                 compute_cycles=epoch.compute_cycles * (len(epoch) - cut)
                 / len(epoch))
             split = epoch.derived[key] = (head, tail)
@@ -647,44 +647,56 @@ class SimulationEngine:
         num_chips = config.num_chips
         llc_slices = config.chip.llc_slices
         # The trace keeps addresses narrow; the bank and SAC take int64.
+        # The slice hashes stay the epoch's narrow memo: the products
+        # below are with int64 arrays, which promote.
         addrs_np = epoch.addrs.astype(np.int64)
         writes_np = epoch.writes
         slices_np = self._vectorized_slices(addrs_np, epoch.derived)
         homes_np = self._batched_homes(epoch, addrs_np)
         pair_np = epoch.chips * np.int64(num_chips) + homes_np
         org = self.organization
+        # Only a profiling window reads the addresses and homes after
+        # the bank call (SAC's observe_batch); otherwise they die with it.
+        observed = (addrs_np, homes_np) if org.profiling else None
+        del homes_np
         pt = self._plan_table_now()
 
         # Cache probes: the only sequentially-stateful work in the epoch.
+        # A declined call falls through to the staged call or to the
+        # serial rerun, which recomputes what it needs from the epoch.
         idx0_np = pt.serve0[pair_np] * np.int64(llc_slices) + slices_np
         batch = bank.access_many_grouped(idx0_np, addrs_np, writes_np) \
             if pt.grouped else None
+        staged = bank.access_many_staged(
+            addrs_np, writes_np, idx0_np, pt.part0[pair_np],
+            pt.two[pair_np],
+            pt.serve1[pair_np] * np.int64(llc_slices) + slices_np,
+            pt.part1[pair_np]) if batch is None and pt.l15 else None
+        del idx0_np, addrs_np
         if batch is not None:
             hs = np.where(batch.hits, np.int64(0), np.int64(-1))
             dirty_sel = batch.evicted_dirty
             ev_serve = pt.serve0[pair_np[dirty_sel]]
             ev_addr = batch.evicted_addr[dirty_sel]
-        else:
-            staged = bank.access_many_staged(
-                addrs_np, writes_np, idx0_np, pt.part0[pair_np],
-                pt.two[pair_np],
-                pt.serve1[pair_np] * np.int64(llc_slices) + slices_np,
-                pt.part1[pair_np]) if pt.l15 else None
-            if staged is None:
-                # Another table, or the bank declined: resolve the whole
-                # epoch serially.
-                self.stats.scalar_epochs += 1
-                self._run_epoch_serial(epoch, kstats)
-                return
+            del batch, dirty_sel
+        elif staged is not None:
             hs = staged.hit_stage
             ev_serve = staged.evicted_cache // np.int64(llc_slices)
             ev_addr = staged.evicted_addr
+            del staged
+        else:
+            # Another table, or the bank declined: resolve the whole
+            # epoch serially.
+            self.stats.scalar_epochs += 1
+            self._run_epoch_serial(epoch, kstats)
+            return
         self.stats.vector_epochs += 1
         self._charge_epoch(pt, epoch, pair_np, hs, ev_serve, ev_addr,
                            kstats)
-        if org.profiling:
+        if observed is not None:
             # Replicate the serial path's per-access observe_access
             # stream in one batched call (profiling counters).
+            addrs_np, homes_np = observed
             org.observe_batch(self, epoch.chips, addrs_np, homes_np,
                               slices_np, hs)
         self._settle_epoch(epoch, kstats)
@@ -884,14 +896,14 @@ class SimulationEngine:
     def _vectorized_slices(
             self, addrs: np.ndarray,
             memo: Optional[Dict[tuple, object]] = None) -> np.ndarray:
-        """Slice hash of ``addrs`` as int64; memoized in ``memo`` when
-        given.
+        """Slice hash of ``addrs``; memoized in ``memo`` when given.
 
         The hash is a pure function of the address array plus the
         mapping parameters in the key, so a shared epoch's memo lets
-        every run replaying the cached trace reuse one computation.  The memo keeps it frozen at the
-        narrowest unsigned width that holds ``slices_per_chip - 1``
-        (uint8 for every shipped config) and each read widens it back.
+        every run replaying the cached trace reuse one computation.  The
+        memo keeps it frozen at the narrowest unsigned width that holds
+        ``slices_per_chip - 1`` (uint8 for every shipped config), and a
+        memoized read returns that array itself; see :meth:`_line_hash`.
         """
         return self._line_hash("slices", addrs, self.mapping.seed,
                                self.mapping.slices_per_chip, memo)
@@ -907,23 +919,27 @@ class SimulationEngine:
     def _line_hash(self, kind: str, addrs: np.ndarray, seed: int,
                    modulus: int, memo: Optional[Dict[tuple, object]]
                    ) -> np.ndarray:
-        """``_hash_mod`` of the line numbers of ``addrs``, as int64.
+        """``_hash_mod`` of the line numbers of ``addrs``.
 
-        ``memo`` keeps it under ``kind`` and the hash's parameters at the
-        narrowest unsigned width that holds ``modulus - 1``: narrow at
-        rest, int64 at use.
+        Without ``memo`` the result is int64.  With one, it is kept
+        under ``kind`` and the hash's parameters at the narrowest
+        unsigned width that holds ``modulus - 1``, read-only, and every
+        call returns that narrow array: a sum or product with an int64
+        array or numpy int64 scalar promotes on its own, while one with
+        a Python int stays narrow and wraps (see ``EpochTrace``).
         """
         key = (kind, self.line_size, seed, modulus)
         if memo is not None:
             hit = memo.get(key)
             if hit is not None:
-                return cast(np.ndarray, hit).astype(np.int64)
+                return cast(np.ndarray, hit)
         out = _hash_mod(addrs // self.line_size, seed, modulus)
-        if memo is not None:
-            narrow = out.astype(np.min_scalar_type(modulus - 1))
-            narrow.setflags(write=False)
-            memo[key] = narrow
-        return out
+        if memo is None:
+            return out
+        narrow = out.astype(np.min_scalar_type(modulus - 1))
+        narrow.setflags(write=False)
+        memo[key] = narrow
+        return narrow
 
     def _access(self, chip: int, addr: int, is_write: bool,
                 slice_index: int, channel: int, kstats: KernelStats) -> None:

@@ -61,27 +61,30 @@ def release_trace(spec: BenchmarkSpec) -> None:
 class EpochTrace:
     """One epoch of accesses plus its compute floor.
 
-    ``chips``, ``clusters``, ``addrs`` and ``writes`` are parallel arrays;
+    ``chips``, ``addrs`` and ``writes`` are parallel arrays;
     ``compute_cycles`` is the time the epoch would take with an infinitely
-    fast memory system (sets the lower bound on epoch latency).
+    fast memory system (sets the lower bound on epoch latency).  No
+    simulator reads which SM cluster issued an access, so an epoch does
+    not store it.
 
-    Each array is kept at the width its values need: ``chips`` and
-    ``clusters`` are uint8 (construction narrows them and raises
-    ``ValueError`` unless every value is an integer in 0..255), ``writes``
-    bool, and ``addrs`` uint32 while every address is below 2**32 (int64
-    otherwise; a negative address raises ``ValueError``), so a generated
-    epoch holds 7 bytes of arrays per access.  The rule for every
-    per-access array of a trace, memos included, is *narrow at rest,
-    int64 at use*: under NumPy 2 a uint8 array times a Python int stays
-    uint8 and wraps, so a consumer that computes with one widens it first
-    (``np.bincount``, indexing, ``.tolist()``, a shift or a floor
-    division need no widening; a product with a numpy int64 scalar
-    promotes on its own).  The engine widens ``addrs`` once per epoch,
-    where the bank's int64 contract and SAC's counters need it.
+    Each array is kept at the width its values need: ``chips`` is uint8
+    (construction narrows it and raises ``ValueError`` unless every value
+    is an integer in 0..255), ``writes`` bool, and ``addrs`` uint32 while
+    every address is below 2**32 (int64 otherwise; a negative address
+    raises ``ValueError``), so a generated epoch holds 6 bytes of arrays
+    per access.  The rule for every per-access array of a trace, memos
+    included, is *narrow at rest, int64 at use*: under NumPy 2 a uint8
+    array times a Python int stays uint8 and wraps, so a consumer that
+    computes with one widens it first (``np.bincount``, indexing,
+    ``.tolist()``, a shift or a floor division need no widening; a sum or
+    product with an int64 array or a numpy int64 scalar promotes on its
+    own, so the engine reads its uint8 hash memos as they are).  The
+    engine widens ``addrs`` once per epoch, where the bank's int64
+    contract and SAC's counters need it, and drops the copy after the
+    bank call unless SAC is profiling.
     """
 
     chips: np.ndarray
-    clusters: np.ndarray
     addrs: np.ndarray
     writes: np.ndarray
     compute_cycles: float
@@ -100,9 +103,7 @@ class EpochTrace:
         default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("chips", "clusters"):
-            object.__setattr__(self, name,
-                               _as_uint8(name, getattr(self, name)))
+        object.__setattr__(self, "chips", _as_uint8("chips", self.chips))
         object.__setattr__(self, "addrs", _as_addrs(self.addrs))
 
     def __len__(self) -> int:
@@ -257,19 +258,20 @@ class TraceGenerator:
                                 for chip in range(self.num_chips)])
         addrs = np.concatenate([a for a, _ in per_chip])
         writes = np.concatenate([w for _, w in per_chip])
-        # Drawn as int64 because the draw's dtype shapes the RNG stream
-        # (and so every later draw); EpochTrace narrows it to uint8.
-        clusters = rng.integers(0, self.clusters_per_chip,
-                                size=len(addrs), dtype=np.int64)
+        # Each access's SM cluster is drawn and discarded: no simulator
+        # reads it, but the draw (int64, whose dtype shapes the stream)
+        # advances the RNG that every later draw depends on.  ROADMAP
+        # item 1 removes it together with the next golden digests.
+        rng.integers(0, self.clusters_per_chip, size=len(addrs),
+                     dtype=np.int64)
         order = rng.permutation(len(addrs))
         compute = n / phase.intensity * 1000.0
-        trace = EpochTrace(chips=chips[order], clusters=clusters,
-                           addrs=addrs[order], writes=writes[order],
-                           compute_cycles=compute)
+        trace = EpochTrace(chips=chips[order], addrs=addrs[order],
+                           writes=writes[order], compute_cycles=compute)
         # Cached epochs are shared across runs: freeze the arrays so any
         # accidental in-place mutation fails loudly instead of corrupting
         # a later replay.
-        for arr in (trace.chips, trace.clusters, trace.addrs, trace.writes):
+        for arr in (trace.chips, trace.addrs, trace.writes):
             arr.flags.writeable = False
         return trace
 

@@ -343,12 +343,14 @@ class ProgramWorkload:
         addrs = np.concatenate(addrs_list)
         writes = np.concatenate(writes_list)
         order = rng.permutation(len(addrs))
-        clusters = rng.integers(0, self.clusters_per_chip, size=len(addrs),
-                                dtype=np.int64)
+        # Each access's SM cluster is drawn and discarded, as in
+        # TraceGenerator: no simulator reads it, and dropping the draw
+        # would shift the RNG stream.
+        rng.integers(0, self.clusters_per_chip, size=len(addrs),
+                     dtype=np.int64)
         compute = per_chip / kernel.intensity * 1000.0
-        return EpochTrace(chips=chips[order], clusters=clusters,
-                          addrs=addrs[order], writes=writes[order],
-                          compute_cycles=compute)
+        return EpochTrace(chips=chips[order], addrs=addrs[order],
+                          writes=writes[order], compute_cycles=compute)
 
 
 def simulate_program(workload: ProgramWorkload,

@@ -28,7 +28,7 @@ def save_trace(path: str, kernels: Sequence[KernelTrace]) -> None:
     kernels = list(kernels)
     if not kernels:
         raise ValueError("cannot save an empty trace")
-    chips, clusters, addrs, writes = [], [], [], []
+    chips, addrs, writes = [], [], []
     epoch_lengths, epoch_compute = [], []
     kernel_names: List[str] = []
     kernel_epoch_counts: List[int] = []
@@ -37,7 +37,6 @@ def save_trace(path: str, kernels: Sequence[KernelTrace]) -> None:
         kernel_epoch_counts.append(len(kernel.epochs))
         for epoch in kernel.epochs:
             chips.append(epoch.chips)
-            clusters.append(epoch.clusters)
             addrs.append(epoch.addrs)
             writes.append(epoch.writes)
             epoch_lengths.append(len(epoch))
@@ -46,7 +45,6 @@ def save_trace(path: str, kernels: Sequence[KernelTrace]) -> None:
         path,
         version=np.int64(_FORMAT_VERSION),
         chips=np.concatenate(chips),
-        clusters=np.concatenate(clusters),
         addrs=np.concatenate(addrs),
         writes=np.concatenate(writes),
         epoch_lengths=np.asarray(epoch_lengths, dtype=np.int64),
@@ -56,13 +54,16 @@ def save_trace(path: str, kernels: Sequence[KernelTrace]) -> None:
 
 
 def load_trace(path: str) -> List[KernelTrace]:
-    """Read a kernel-trace sequence written by :func:`save_trace`."""
+    """Read a kernel-trace sequence written by :func:`save_trace`.
+
+    Files written before epochs stopped storing each access's SM
+    cluster still hold a ``clusters`` column; it is not read.
+    """
     with np.load(path, allow_pickle=False) as data:
         version = int(data["version"])
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported trace format version {version}")
         chips = data["chips"]
-        clusters = data["clusters"]
         addrs = data["addrs"]
         writes = data["writes"]
         epoch_lengths = data["epoch_lengths"].tolist()
@@ -74,8 +75,7 @@ def load_trace(path: str) -> List[KernelTrace]:
     for i, compute in enumerate(epoch_compute):
         lo, hi = boundaries[i], boundaries[i + 1]
         epochs.append(EpochTrace(
-            chips=chips[lo:hi], clusters=clusters[lo:hi],
-            addrs=addrs[lo:hi], writes=writes[lo:hi],
+            chips=chips[lo:hi], addrs=addrs[lo:hi], writes=writes[lo:hi],
             compute_cycles=float(compute)))
     kernels: List[KernelTrace] = []
     cursor = 0

@@ -250,7 +250,7 @@ def _with_line_offsets(kernels, line_size, sector_size):
             offsets = ((i * 7 + (epoch.addrs >> np.int64(7))) % sectors) \
                 * np.int64(sector_size) + i % np.int64(sector_size)
             epochs.append(EpochTrace(
-                chips=epoch.chips, clusters=epoch.clusters,
+                chips=epoch.chips,
                 addrs=(epoch.addrs & ~np.int64(line_size - 1)) + offsets,
                 writes=epoch.writes, compute_cycles=epoch.compute_cycles))
         out.append(KernelTrace(kernel.name, tuple(epochs)))

@@ -53,7 +53,7 @@ class TestShape:
 
     def test_arrays_keep_the_width_their_values_need(self):
         epoch = make_generator().generate()[0].epochs[0]
-        assert epoch.chips.dtype == epoch.clusters.dtype == np.uint8
+        assert epoch.chips.dtype == np.uint8
         assert epoch.addrs.dtype == np.uint32
         assert epoch.writes.dtype == bool
 
@@ -61,7 +61,6 @@ class TestShape:
         ([0, 2**32 - 1], np.uint32), ([0, 2**32], np.int64)])
     def test_addrs_narrow_below_2_to_the_32(self, addrs, dtype):
         epoch = EpochTrace(chips=np.zeros(2, np.int64),
-                           clusters=np.zeros(2, np.int64),
                            addrs=np.array(addrs, np.int64),
                            writes=np.zeros(2, bool), compute_cycles=1.0)
         assert epoch.addrs.dtype == dtype
@@ -70,8 +69,7 @@ class TestShape:
     @pytest.mark.parametrize("chips", [[0, 256], [-1, 0], [0.5, 1.0]])
     def test_chip_outside_uint8_rejected(self, chips):
         with pytest.raises(ValueError, match="chips"):
-            EpochTrace(chips=np.array(chips), clusters=np.zeros(2, np.int64),
-                       addrs=np.zeros(2, np.int64),
+            EpochTrace(chips=np.array(chips), addrs=np.zeros(2, np.int64),
                        writes=np.zeros(2, bool), compute_cycles=1.0)
 
     @pytest.mark.parametrize("addrs", [
@@ -79,8 +77,7 @@ class TestShape:
         np.array([0.5, 1.0], np.float64)], ids=["negative", "2**63", "float"])
     def test_address_outside_int64_or_fractional_rejected(self, addrs):
         with pytest.raises(ValueError, match="addrs"):
-            EpochTrace(chips=np.zeros(2, np.int64),
-                       clusters=np.zeros(2, np.int64), addrs=addrs,
+            EpochTrace(chips=np.zeros(2, np.int64), addrs=addrs,
                        writes=np.zeros(2, bool), compute_cycles=1.0)
 
     def test_compute_cycles_follow_intensity(self):

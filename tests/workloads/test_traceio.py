@@ -34,8 +34,7 @@ class TestSaveLoad:
             assert len(original.epochs) == len(restored.epochs)
             for a, b in zip(original.epochs, restored.epochs):
                 assert np.array_equal(a.chips, b.chips)
-                assert np.array_equal(a.clusters, b.clusters)
-                assert b.chips.dtype == b.clusters.dtype == np.uint8
+                assert b.chips.dtype == np.uint8
                 assert np.array_equal(a.addrs, b.addrs)
                 assert np.array_equal(a.writes, b.writes)
                 assert a.compute_cycles == pytest.approx(b.compute_cycles)
@@ -57,20 +56,28 @@ class TestSaveLoad:
         assert direct.llc_hits == replayed.llc_hits
 
     def test_file_with_int64_chips_still_loads(self, tmp_path):
-        # Files saved while traces kept int64 chips and clusters.
+        # Files saved while traces kept int64 chips and an int64
+        # clusters column, which is no longer read.
         kernels = make_trace()
         path = tmp_path / "int64.npz"
         save_trace(str(path), kernels)
         with np.load(path) as data:
             arrays = dict(data)
-        for name in ("chips", "clusters"):
-            arrays[name] = arrays[name].astype(np.int64)
+        arrays["chips"] = arrays["chips"].astype(np.int64)
+        arrays["clusters"] = np.zeros_like(arrays["chips"])
         np.savez_compressed(path, **arrays)
         for original, restored in zip(kernels, load_trace(str(path))):
             for a, b in zip(original.epochs, restored.epochs):
-                assert b.chips.dtype == b.clusters.dtype == np.uint8
+                assert b.chips.dtype == np.uint8
                 assert np.array_equal(a.chips, b.chips)
-                assert np.array_equal(a.clusters, b.clusters)
+                assert np.array_equal(a.addrs, b.addrs)
+
+    def test_saved_file_holds_no_clusters_column(self, tmp_path):
+        path = tmp_path / "trace.npz"
+        save_trace(str(path), make_trace())
+        with np.load(path) as data:
+            assert "clusters" not in data.files
+            assert {"chips", "addrs", "writes"} <= set(data.files)
 
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ValueError):
