@@ -2,11 +2,11 @@
 
 Every vector-bank call runs under three checks:
 
-* arrays shared across runs are read-only: the trace generator marks
-  its memoized trace arrays, and the engine its per-epoch memos,
-  ``writeable=False`` when it builds them, so a write into one inside
-  a kernel body raises (see :func:`guarded`) instead of corrupting
-  every later run that reads it;
+* arrays shared across runs are read-only: every trace epoch freezes
+  the copy of its accesses it stores, and the engine its per-epoch
+  memos, ``writeable=False`` when it builds them, so a write into one
+  inside a kernel body raises (see :func:`guarded`) instead of
+  corrupting every later run that reads it;
 * the vector-bank entry points assert their dtype/shape contracts
   (:func:`expect`), and the staged ones the L1.5 partition shape
   (:func:`require`), before touching state — a float address array, a

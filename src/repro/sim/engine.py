@@ -341,6 +341,12 @@ class SimulationEngine:
         self._alloc_remote = 0.0
         self._line_mask = ~(self.line_size - 1)
         self._page_shift = chip_cfg.memory.page_size.bit_length() - 1
+        # The channel hash's seed, and the channel count at the route
+        # memo's width (see ``_routes``).
+        self._channel_seed = int(~np.uint64(self.mapping.seed))
+        channels = chip_cfg.memory.channels_per_chip
+        self._route_channels = np.min_scalar_type(
+            max(chip_cfg.llc_slices * channels - 1, channels)).type(channels)
         self.migration = None
         if self.params.page_migration:
             from ..memory.migration import DominantAccessorMigration
@@ -532,20 +538,12 @@ class SimulationEngine:
             return epoch, None
         # The split is a pure function of the epoch and the cut, so it is
         # memoized on the epoch: every SAC run of a cached trace reuses
-        # the same head and tail, and with them their own memos.
+        # the same head and tail, and with them their own memos.  Both
+        # parts view the epoch's stored arrays (``EpochTrace.split``).
         key = ("split", cut)
         split = epoch.derived.get(key)
         if split is None:
-            head = EpochTrace(
-                chips=epoch.chips[:cut], addrs=epoch.addrs[:cut],
-                writes=epoch.writes[:cut],
-                compute_cycles=epoch.compute_cycles * cut / len(epoch))
-            tail = EpochTrace(
-                chips=epoch.chips[cut:], addrs=epoch.addrs[cut:],
-                writes=epoch.writes[cut:],
-                compute_cycles=epoch.compute_cycles * (len(epoch) - cut)
-                / len(epoch))
-            split = epoch.derived[key] = (head, tail)
+            split = epoch.derived[key] = epoch.split(cut)
         return cast(Tuple[EpochTrace, EpochTrace], split)
 
     def _kernel_boundary_flush(self, scope: Optional[int]) -> None:
@@ -603,14 +601,20 @@ class SimulationEngine:
             self._run_epoch_serial(epoch, kstats)
             self.stats.slow_epochs += 1
 
-    def _run_epoch_serial(self, epoch: EpochTrace, kstats: KernelStats
-                          ) -> None:
+    def _run_epoch_serial(
+            self, epoch: EpochTrace, kstats: KernelStats,
+            decoded: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> None:
+        """Run one epoch access by access.  ``decoded`` is the epoch's
+        ``(addrs, writes)`` when the caller has already decoded them."""
+        addrs_np, writes_np = decoded or (epoch.addrs, epoch.writes)
+        slices_np, channels_np = self._route_parts(
+            self._routes(epoch, addrs_np))
         chips = epoch.chips.tolist()
-        addrs = epoch.addrs.tolist()
-        writes = epoch.writes.tolist()
-        slices = self._vectorized_slices(epoch.addrs, epoch.derived).tolist()
-        channels = self._vectorized_channels(
-            epoch.addrs, epoch.derived).tolist()
+        addrs = addrs_np.tolist()
+        writes = writes_np.tolist()
+        slices = slices_np.tolist()
+        channels = channels_np.tolist()
+        del addrs_np, writes_np, slices_np, channels_np
         # The serial reference path IS the per-access loop: it defines
         # the semantics the batched/vectorized paths must reproduce.
         for i in range(len(addrs)):  # repro: noqa(hot-loop)
@@ -640,18 +644,23 @@ class SimulationEngine:
         instead.  Nothing is charged before the bank call, and the page
         homes resolved here were allocated in first-touch order, so the
         serial rerun finds the same homes and counts nothing twice.
+
+        The epoch's addresses and writes are decoded once, here, and
+        handed with the decoded route hashes to every step that reads
+        them, the serial rerun included.
         """
         bank = self._llc_bank
         assert bank is not None
         config = self.config
         num_chips = config.num_chips
         llc_slices = config.chip.llc_slices
-        # The trace keeps addresses narrow; the bank and SAC take int64.
-        # The slice hashes stay the epoch's narrow memo: the products
-        # below are with int64 arrays, which promote.
-        addrs_np = epoch.addrs.astype(np.int64)
+        # Decoding yields the int64 addresses the bank and SAC take.  The
+        # slices and channels stay as narrow as the route memo: the
+        # products below are with int64 arrays, which promote.
+        addrs_np = epoch.addrs
         writes_np = epoch.writes
-        slices_np = self._vectorized_slices(addrs_np, epoch.derived)
+        slices_np, channels_np = self._route_parts(
+            self._routes(epoch, addrs_np))
         homes_np = self._batched_homes(epoch, addrs_np)
         pair_np = epoch.chips * np.int64(num_chips) + homes_np
         org = self.organization
@@ -663,7 +672,7 @@ class SimulationEngine:
 
         # Cache probes: the only sequentially-stateful work in the epoch.
         # A declined call falls through to the staged call or to the
-        # serial rerun, which recomputes what it needs from the epoch.
+        # serial rerun.
         idx0_np = pt.serve0[pair_np] * np.int64(llc_slices) + slices_np
         batch = bank.access_many_grouped(idx0_np, addrs_np, writes_np) \
             if pt.grouped else None
@@ -672,26 +681,29 @@ class SimulationEngine:
             pt.two[pair_np],
             pt.serve1[pair_np] * np.int64(llc_slices) + slices_np,
             pt.part1[pair_np]) if batch is None and pt.l15 else None
-        del idx0_np, addrs_np
+        del idx0_np
+        if batch is None and staged is None:
+            # Another table, or the bank declined: resolve the whole
+            # epoch serially.
+            self.stats.scalar_epochs += 1
+            self._run_epoch_serial(epoch, kstats, (addrs_np, writes_np))
+            return
+        del addrs_np
         if batch is not None:
             hs = np.where(batch.hits, np.int64(0), np.int64(-1))
             dirty_sel = batch.evicted_dirty
             ev_serve = pt.serve0[pair_np[dirty_sel]]
             ev_addr = batch.evicted_addr[dirty_sel]
             del batch, dirty_sel
-        elif staged is not None:
+        else:
+            assert staged is not None
             hs = staged.hit_stage
             ev_serve = staged.evicted_cache // np.int64(llc_slices)
             ev_addr = staged.evicted_addr
             del staged
-        else:
-            # Another table, or the bank declined: resolve the whole
-            # epoch serially.
-            self.stats.scalar_epochs += 1
-            self._run_epoch_serial(epoch, kstats)
-            return
         self.stats.vector_epochs += 1
-        self._charge_epoch(pt, epoch, pair_np, hs, ev_serve, ev_addr,
+        self._charge_epoch(pt, epoch.chips, writes_np, slices_np,
+                           channels_np, pair_np, hs, ev_serve, ev_addr,
                            kstats)
         if observed is not None:
             # Replicate the serial path's per-access observe_access
@@ -717,7 +729,7 @@ class SimulationEngine:
                        addrs: np.ndarray) -> np.ndarray:
         """Vectorized first-touch home resolution for one epoch.
 
-        ``addrs`` is the epoch's address array widened to int64.  The
+        ``addrs`` is the epoch's decoded int64 address array.  The
         epoch's distinct pages are allocated through the page table in
         order of first touch, so round-robin allocation assigns the same
         homes as the per-access path; then every access is homed with
@@ -725,8 +737,11 @@ class SimulationEngine:
         distinct pages and their first touchers are a pure function of
         the epoch's arrays and are memoized on the epoch, so every run
         replaying the cached trace sorts them once; nothing per access
-        is memoized.  The page-table resolution itself stays per run —
-        each run allocates its own table.
+        is memoized.  The memo keeps the pages as the trace keeps its
+        addresses: offsets from the epoch's lowest page at the narrowest
+        unsigned width, next to that page as an int.  The page-table
+        resolution itself stays per run — each run allocates its own
+        table.
         """
         pages = addrs >> np.int64(self._page_shift)
         key = ("pages", self._page_shift)
@@ -736,29 +751,37 @@ class SimulationEngine:
             # A stable sort by page keeps each page's first touch first;
             # pages of an epoch span few page numbers, so the offsets
             # usually take the int16 radix sort.
-            rel = pages - pages.min() if n else pages
-            by_page = _stable_order(rel, int(rel.max()) + 1 if n else 0)
-            sp = pages[by_page]
+            low = int(pages.min()) if n else 0
+            rel = pages - np.int64(low)
+            span = int(rel.max()) if n else 0
+            by_page = _stable_order(rel, span + 1 if n else 0)
+            sp = rel[by_page]
             head = np.ones(n, dtype=bool)
             head[1:] = sp[1:] != sp[:-1]
             first = np.sort(by_page[head])
-            fresh = (pages[first], epoch.chips[first])
-            for arr in fresh:
+            rel_ft = rel[first].astype(np.min_scalar_type(span))
+            chips_ft = epoch.chips[first]
+            for arr in (rel_ft, chips_ft):
                 arr.setflags(write=False)
-            epoch.derived[key] = prep = fresh
-        pages_ft, chips_ft = cast(Tuple[np.ndarray, np.ndarray], prep)
+            epoch.derived[key] = prep = (low, rel_ft, chips_ft)
+        low, rel_ft, chips_ft = cast(Tuple[int, np.ndarray, np.ndarray], prep)
+        pages_ft = rel_ft.astype(np.int64)
+        pages_ft += low
         table = self.page_table
         table.bulk_home(pages_ft, chips_ft)
         return table.homes_of(pages)
 
-    def _charge_epoch(self, pt: "_PlanTable", epoch: EpochTrace,
-                      pair_np: np.ndarray, hs: np.ndarray,
-                      ev_serve: np.ndarray, ev_addr: np.ndarray,
-                      kstats: KernelStats) -> None:
+    def _charge_epoch(self, pt: "_PlanTable", chips: np.ndarray,
+                      writes_np: np.ndarray, slices_np: np.ndarray,
+                      channels_np: np.ndarray, pair_np: np.ndarray,
+                      hs: np.ndarray, ev_serve: np.ndarray,
+                      ev_addr: np.ndarray, kstats: KernelStats) -> None:
         """Settle one vector epoch's traffic from its probe outcomes.
 
-        Two bincounts, over (pair, hit stage, slice, write) and (pair,
-        hit stage, channel, write), give every leg's message count;
+        ``chips``, ``writes_np``, ``slices_np`` and ``channels_np`` are
+        the epoch's requesters, writes and decoded route hashes.  Two
+        bincounts, over (pair, hit stage, slice, write) and (pair, hit
+        stage, channel, write), give every leg's message count;
         products with the plan table's per-pair maps turn them into
         slice, crossbar-port, ring and DRAM charges, handed to each
         resource in one call.  ``ev_serve`` and ``ev_addr`` are the
@@ -777,9 +800,6 @@ class SimulationEngine:
         # Messages per (pair, hit stage, slice, write) and, for full
         # misses, per (pair, channel, write).
         hk = pair_np * np.int64(3) + hs + np.int64(1)
-        writes_np = epoch.writes
-        slices_np = self._vectorized_slices(epoch.addrs, epoch.derived)
-        channels_np = self._vectorized_channels(epoch.addrs, epoch.derived)
         by_slice = np.bincount(
             (hk * np.int64(L) + slices_np) * np.int64(2) + writes_np,
             minlength=P * 3 * L * 2).reshape(P, 3, L, 2)
@@ -888,58 +908,50 @@ class SimulationEngine:
 
         # Per-access latency for the MLP bound, summed per requester in
         # access order (see ``_PlanTable.latency``).
-        sums = np.bincount(epoch.chips, weights=pt.latency[hk], minlength=K)
+        sums = np.bincount(chips, weights=pt.latency[hk], minlength=K)
         for chip in range(K):
             if sums[chip]:
                 self._latency_sum[chip] += float(sums[chip])
 
-    def _vectorized_slices(
-            self, addrs: np.ndarray,
-            memo: Optional[Dict[tuple, object]] = None) -> np.ndarray:
-        """Slice hash of ``addrs``; memoized in ``memo`` when given.
+    def _vectorized_slices(self, addrs: np.ndarray) -> np.ndarray:
+        """Slice hash of int64 ``addrs``, as int64."""
+        return _hash_mod(addrs // self.line_size, self.mapping.seed,
+                         self.mapping.slices_per_chip)
 
-        The hash is a pure function of the address array plus the
-        mapping parameters in the key, so a shared epoch's memo lets
-        every run replaying the cached trace reuse one computation.  The
-        memo keeps it frozen at the narrowest unsigned width that holds
-        ``slices_per_chip - 1`` (uint8 for every shipped config), and a
-        memoized read returns that array itself; see :meth:`_line_hash`.
+    def _vectorized_channels(self, addrs: np.ndarray) -> np.ndarray:
+        """Channel hash of int64 ``addrs``, as int64."""
+        return _hash_mod(addrs // self.line_size, self._channel_seed,
+                         self.mapping.channels_per_chip)
+
+    def _routes(self, epoch: EpochTrace, addrs: np.ndarray) -> np.ndarray:
+        """The epoch's route memo: ``slice * channels_per_chip +
+        channel`` of every access, ``addrs`` being its decoded addresses.
+
+        Both hashes are a pure function of the addresses and the mapping
+        parameters in the key, so one memo on the shared epoch serves
+        every run that replays the cached trace.  It is kept read-only
+        at the narrowest unsigned width that holds every route and the
+        channel count (uint8 at every preset: 16 slices x 8 channels),
+        and :meth:`_route_parts` splits it once per epoch-run.
         """
-        return self._line_hash("slices", addrs, self.mapping.seed,
-                               self.mapping.slices_per_chip, memo)
+        mapping = self.mapping
+        key = ("route", self.line_size, mapping.seed,
+               mapping.slices_per_chip, mapping.channels_per_chip)
+        route = epoch.derived.get(key)
+        if route is None:
+            wide = self._vectorized_slices(addrs)
+            wide *= np.int64(mapping.channels_per_chip)
+            wide += self._vectorized_channels(addrs)
+            route = wide.astype(self._route_channels.dtype)
+            route.setflags(write=False)
+            epoch.derived[key] = route
+        return cast(np.ndarray, route)
 
-    def _vectorized_channels(
-            self, addrs: np.ndarray,
-            memo: Optional[Dict[tuple, object]] = None) -> np.ndarray:
-        """Channel hash of ``addrs``; memoized like the slice hash."""
-        inverted = int(~np.uint64(self.mapping.seed))
-        return self._line_hash("channels", addrs, inverted,
-                               self.mapping.channels_per_chip, memo)
-
-    def _line_hash(self, kind: str, addrs: np.ndarray, seed: int,
-                   modulus: int, memo: Optional[Dict[tuple, object]]
-                   ) -> np.ndarray:
-        """``_hash_mod`` of the line numbers of ``addrs``.
-
-        Without ``memo`` the result is int64.  With one, it is kept
-        under ``kind`` and the hash's parameters at the narrowest
-        unsigned width that holds ``modulus - 1``, read-only, and every
-        call returns that narrow array: a sum or product with an int64
-        array or numpy int64 scalar promotes on its own, while one with
-        a Python int stays narrow and wraps (see ``EpochTrace``).
-        """
-        key = (kind, self.line_size, seed, modulus)
-        if memo is not None:
-            hit = memo.get(key)
-            if hit is not None:
-                return cast(np.ndarray, hit)
-        out = _hash_mod(addrs // self.line_size, seed, modulus)
-        if memo is None:
-            return out
-        narrow = out.astype(np.min_scalar_type(modulus - 1))
-        narrow.setflags(write=False)
-        memo[key] = narrow
-        return narrow
+    def _route_parts(self, route: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(slices, channels)`` of a route memo, as narrow as it is."""
+        slices, channels = np.divmod(route, self._route_channels)
+        return slices, channels
 
     def _access(self, chip: int, addr: int, is_write: bool,
                 slice_index: int, channel: int, kstats: KernelStats) -> None:

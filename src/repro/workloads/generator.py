@@ -26,7 +26,7 @@ so that first-touch page allocation spreads shared pages across chips.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -57,83 +57,169 @@ def release_trace(spec: BenchmarkSpec) -> None:
         del _TRACE_CACHE[key]
 
 
-@dataclass(frozen=True)
 class EpochTrace:
     """One epoch of accesses plus its compute floor.
 
-    ``chips``, ``addrs`` and ``writes`` are parallel arrays;
+    ``chips``, ``addrs`` and ``writes`` are parallel arrays of one length;
     ``compute_cycles`` is the time the epoch would take with an infinitely
     fast memory system (sets the lower bound on epoch latency).  No
     simulator reads which SM cluster issued an access, so an epoch does
     not store it.
 
-    Each array is kept at the width its values need: ``chips`` is uint8
-    (construction narrows it and raises ``ValueError`` unless every value
-    is an integer in 0..255), ``writes`` bool, and ``addrs`` uint32 while
-    every address is below 2**32 (int64 otherwise; a negative address
-    raises ``ValueError``), so a generated epoch holds 6 bytes of arrays
-    per access.  The rule for every per-access array of a trace, memos
-    included, is *narrow at rest, int64 at use*: under NumPy 2 a uint8
-    array times a Python int stays uint8 and wraps, so a consumer that
-    computes with one widens it first (``np.bincount``, indexing,
-    ``.tolist()``, a shift or a floor division need no widening; a sum or
-    product with an int64 array or a numpy int64 scalar promotes on its
-    own, so the engine reads its uint8 hash memos as they are).  The
-    engine widens ``addrs`` once per epoch, where the bank's int64
-    contract and SAC's counters need it, and drops the copy after the
-    bank call unless SAC is profiling.
+    Every run of a trace replays the same cached epochs, so an epoch keeps
+    its own copy of the accesses, frozen read-only when it is built: a
+    caller that later writes into the arrays it passed in, or a consumer
+    that writes into one it reads, cannot change a replay.  The copy is
+    stored compactly (:attr:`stored`, :attr:`nbytes`):
+
+    * chips as uint8 (construction raises ``ValueError`` unless every
+      value is an integer in 0..255);
+    * addresses as offsets from the epoch's smallest address, in units of
+      their largest common power-of-two stride (the line size, for a
+      generated trace), at the narrowest unsigned width that holds them
+      (``np.min_scalar_type``).  Construction raises ``ValueError``
+      unless every address is an integer in 0..2**63-1;
+    * writes bit-packed (``np.packbits``).
+
+    An epoch that spans fewer than 65,536 strides therefore holds about
+    3.1 bytes per access, and about 5.1 with 32-bit offsets.  ``chips``
+    reads the stored array; ``addrs`` decodes a fresh int64 array and
+    ``writes`` a fresh bool array, so a consumer decodes once per use and
+    keeps the result.  The rule for every per-access array of a trace,
+    memos included, is *narrow at rest, int64 at use*, and for the
+    epoch's own arrays it holds by construction.  A consumer that
+    computes with a narrow array widens it first: under NumPy 2 a uint16
+    array shifted or multiplied by a Python int stays uint16 and wraps,
+    which is why decoding widens the offsets before it shifts them
+    (``np.bincount``, indexing, ``.tolist()`` and a floor division need
+    no widening; a sum or product with an int64 array or a numpy int64
+    scalar promotes on its own, so the engine reads its narrow memos as
+    they are).
     """
 
-    chips: np.ndarray
-    addrs: np.ndarray
-    writes: np.ndarray
-    compute_cycles: float
-    #: Memo table for pure derivations of the (immutable) access arrays
-    #: — slice/channel hashes, the epoch's distinct pages in first-touch
-    #: order, the profiling window's head/tail split.  Epochs are shared
-    #: across sweep lanes and cached across runs, so consumers key
-    #: entries by every parameter the derivation depends on and store
-    #: only read-only values, per-access ones at their narrowest width
-    #: (the engine keeps the hashes as uint8 and widens them to int64 on
-    #: read; it keeps no per-access page index, since the page table
-    #: homes every access with one gather).  Excluded from comparison:
-    #: two epochs with the same arrays are the same epoch regardless of
-    #: what has been memoized against them.
-    derived: Dict[tuple, object] = field(
-        default_factory=dict, repr=False, compare=False)
+    __slots__ = ("compute_cycles", "derived", "_chips", "_offsets", "_base",
+                 "_shift", "_writes", "_len")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chips", _as_uint8("chips", self.chips))
-        object.__setattr__(self, "addrs", _as_addrs(self.addrs))
+    def __init__(self, chips: np.ndarray, addrs: np.ndarray,
+                 writes: np.ndarray, compute_cycles: float) -> None:
+        chips = _as_uint8("chips", chips)
+        base, shift, offsets = _encode_addrs(addrs)
+        if not len(chips) == len(offsets) == len(writes):
+            raise ValueError("EpochTrace.chips, addrs and writes must have "
+                             "one length")
+        self._init(chips, offsets, base, shift, np.packbits(writes),
+                   len(writes), compute_cycles)
+
+    def _init(self, chips: np.ndarray, offsets: np.ndarray, base: int,
+              shift: int, packed: np.ndarray, length: int,
+              compute_cycles: float) -> None:
+        for array in (chips, offsets, packed):
+            array.setflags(write=False)
+        self._chips = chips
+        self._offsets = offsets
+        self._base = base
+        self._shift = shift
+        self._writes = packed
+        self._len = length
+        self.compute_cycles = compute_cycles
+        #: Memo table for pure derivations of the (immutable) accesses —
+        #: the slice/channel route hashes, the epoch's distinct pages in
+        #: first-touch order, the profiling window's head/tail split.
+        #: Epochs are shared across runs and cached across calls, so
+        #: consumers key entries by every parameter the derivation
+        #: depends on and store only read-only values, per-access ones at
+        #: their narrowest width (the engine keeps no per-access page
+        #: index, since the page table homes every access with one
+        #: gather).
+        self.derived: Dict[tuple, object] = {}
 
     def __len__(self) -> int:
-        return len(self.addrs)
+        return self._len
+
+    def __repr__(self) -> str:
+        return (f"EpochTrace({self._len} accesses, "
+                f"compute_cycles={self.compute_cycles})")
+
+    @property
+    def chips(self) -> np.ndarray:
+        """The requesting chip of each access (the stored uint8 array)."""
+        return self._chips
+
+    @property
+    def addrs(self) -> np.ndarray:
+        """The addresses, decoded into a fresh int64 array."""
+        out = self._offsets.astype(np.int64)  # widened before the shift
+        out <<= self._shift
+        out += self._base
+        return out
+
+    @property
+    def writes(self) -> np.ndarray:
+        """Whether each access writes, decoded into a fresh bool array."""
+        return np.unpackbits(self._writes, count=self._len).view(bool)
+
+    @property
+    def stored(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only arrays the epoch holds at rest: uint8 chips,
+        address offsets and packed writes."""
+        return self._chips, self._offsets, self._writes
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of :attr:`stored` (memos not included)."""
+        return sum(array.nbytes for array in self.stored)
+
+    def split(self, cut: int) -> Tuple["EpochTrace", "EpochTrace"]:
+        """The first ``cut`` accesses and the rest, each with its share
+        of the compute floor.
+
+        Both parts keep this epoch's encoding: their chips and offsets
+        are views of its arrays, and only the writes are packed again, so
+        a part adds its own memos and an eighth of a byte per access.
+        """
+        n = self._len
+        writes = self.writes
+        return (self._part(0, cut, writes, self.compute_cycles * cut / n),
+                self._part(cut, n, writes,
+                           self.compute_cycles * (n - cut) / n))
+
+    def _part(self, lo: int, hi: int, writes: np.ndarray,
+              compute_cycles: float) -> "EpochTrace":
+        part = EpochTrace.__new__(EpochTrace)
+        part._init(self._chips[lo:hi], self._offsets[lo:hi], self._base,
+                   self._shift, np.packbits(writes[lo:hi]), hi - lo,
+                   compute_cycles)
+        return part
 
 
 def _as_uint8(name: str, values: np.ndarray) -> np.ndarray:
-    """``values`` as a uint8 array; the array itself when it already is."""
-    if values.dtype == np.uint8:
-        return values
+    """A uint8 copy of ``values``."""
     narrow = values.astype(np.uint8)
-    if not np.array_equal(narrow, values):
+    if values.dtype != np.uint8 and not np.array_equal(narrow, values):
         raise ValueError(f"EpochTrace.{name} must hold integers in 0..255")
     return narrow
 
 
-def _as_addrs(values: np.ndarray) -> np.ndarray:
-    """``values`` as uint32 when every address is below 2**32, else as
-    int64; the array itself when it already has that width."""
-    if values.dtype == np.uint32:
-        return values
+def _encode_addrs(values: np.ndarray) -> Tuple[int, int, np.ndarray]:
+    """``(base, shift, offsets)`` with ``values == base + (offsets <<
+    shift)``: ``base`` is the smallest address, ``1 << shift`` the
+    largest power of two dividing every difference from it, and
+    ``offsets`` a new array at the narrowest unsigned width."""
     if values.dtype.kind not in "iu":
         raise ValueError("EpochTrace.addrs must hold integers")
-    if values.size and values.min() < 0:
+    if not values.size:
+        return 0, 0, np.zeros(0, dtype=np.uint8)
+    base, top = int(values.min()), int(values.max())
+    if base < 0:
         raise ValueError("EpochTrace.addrs must be non-negative")
-    if values.size and values.max() >= 2**32:
-        if values.dtype.kind == "u" and values.max() >= 2**63:
-            raise ValueError("EpochTrace.addrs must be below 2**63")
-        return values.astype(np.int64, copy=False)
-    return values.astype(np.uint32)
+    if top >= 2**63:
+        raise ValueError("EpochTrace.addrs must be below 2**63")
+    rel = values.astype(np.int64)
+    rel -= base
+    common = int(np.bitwise_or.reduce(rel))
+    shift = (common & -common).bit_length() - 1 if common else 0
+    rel >>= shift
+    return base, shift, rel.astype(np.min_scalar_type((top - base) >> shift))
 
 
 @dataclass(frozen=True)
@@ -266,14 +352,8 @@ class TraceGenerator:
                      dtype=np.int64)
         order = rng.permutation(len(addrs))
         compute = n / phase.intensity * 1000.0
-        trace = EpochTrace(chips=chips[order], addrs=addrs[order],
-                           writes=writes[order], compute_cycles=compute)
-        # Cached epochs are shared across runs: freeze the arrays so any
-        # accidental in-place mutation fails loudly instead of corrupting
-        # a later replay.
-        for arr in (trace.chips, trace.addrs, trace.writes):
-            arr.flags.writeable = False
-        return trace
+        return EpochTrace(chips=chips[order], addrs=addrs[order],
+                          writes=writes[order], compute_cycles=compute)
 
     def _chip_accesses(self, chip: int, n: int, phase: PhaseSpec,
                        rng: np.random.Generator

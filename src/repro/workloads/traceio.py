@@ -24,7 +24,11 @@ _FORMAT_VERSION = 1
 
 
 def save_trace(path: str, kernels: Sequence[KernelTrace]) -> None:
-    """Write a kernel-trace sequence to ``path`` (compressed .npz)."""
+    """Write a kernel-trace sequence to ``path`` (compressed .npz).
+
+    The file holds uint8 chips, bool writes and the decoded addresses,
+    as uint32 while every address is below 2**32 (int64 otherwise).
+    """
     kernels = list(kernels)
     if not kernels:
         raise ValueError("cannot save an empty trace")
@@ -41,11 +45,14 @@ def save_trace(path: str, kernels: Sequence[KernelTrace]) -> None:
             writes.append(epoch.writes)
             epoch_lengths.append(len(epoch))
             epoch_compute.append(epoch.compute_cycles)
+    all_addrs = np.concatenate(addrs)
+    if not all_addrs.size or int(all_addrs.max()) < 2**32:
+        all_addrs = all_addrs.astype(np.uint32)
     np.savez_compressed(
         path,
         version=np.int64(_FORMAT_VERSION),
         chips=np.concatenate(chips),
-        addrs=np.concatenate(addrs),
+        addrs=all_addrs,
         writes=np.concatenate(writes),
         epoch_lengths=np.asarray(epoch_lengths, dtype=np.int64),
         epoch_compute=np.asarray(epoch_compute, dtype=np.float64),

@@ -10,6 +10,7 @@ from repro.sim import EngineParams, SimulationEngine, simulate
 from repro.sim.run import scaled_config
 from repro.workloads import (
     BenchmarkSpec,
+    EpochTrace,
     KernelSpec,
     KernelTrace,
     PhaseSpec,
@@ -222,7 +223,9 @@ class TestProfileSplit:
 
         for window in (500, 600):
             fresh = [KernelTrace(k.name, tuple(
-                dataclasses.replace(e, derived={}) for e in k.epochs))
+                EpochTrace(chips=e.chips, addrs=e.addrs, writes=e.writes,
+                           compute_cycles=e.compute_cycles)
+                for e in k.epochs))
                 for k in kernels]
             assert run(window, kernels) == run(window, fresh)
 

@@ -4,7 +4,7 @@ Small random workload specs run through every organization; the
 invariants checked are the accounting identities every figure relies
 on, so this acts as a catch-all harness for the whole stack.  The
 vector path is also checked against the serial oracle on random draws
-from its domain.
+from its domain, over generated traces and over CTA programs.
 """
 
 import dataclasses
@@ -28,7 +28,20 @@ from repro.sim import EngineParams, simulate
 from repro.sim.engine import SimulationEngine
 from repro.sim.run import ORGANIZATIONS, make_organization, scaled_config
 from repro.sim.stats import check_invariants
-from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
+from repro.workloads import (
+    Array,
+    ArrayAccess,
+    BenchmarkSpec,
+    Broadcast,
+    Halo,
+    KernelProgram,
+    KernelSpec,
+    Partitioned,
+    PhaseSpec,
+    ProgramWorkload,
+    Strided,
+    simulate_program,
+)
 from repro.workloads.generator import EpochTrace, KernelTrace, TraceGenerator
 from repro.workloads.suite import get
 
@@ -276,3 +289,57 @@ def test_sector_offsets_match_serial_oracle(organization):
     assert vector.vector_epochs > 0 and vector.scalar_epochs == 0
     assert vector.comparable_dict() == oracle.comparable_dict()
     check_invariants(vector, single_stage=organization in SINGLE_STAGE)
+
+
+#: Access patterns of a drawn program operand.
+PATTERNS = st.one_of(
+    st.builds(Partitioned, hot_fraction=st.floats(0.05, 1.0),
+              hot_weight=st.floats(0.0, 1.0)),
+    st.builds(Broadcast, hot_fraction=st.floats(0.05, 1.0),
+              hot_weight=st.floats(0.0, 1.0)),
+    st.builds(Strided, interleave=st.integers(1, 64),
+              hot_fraction=st.floats(0.05, 1.0),
+              hot_weight=st.floats(0.0, 1.0)),
+    st.builds(Halo, halo_fraction=st.floats(0.0, 0.5),
+              hot_fraction=st.floats(0.05, 1.0),
+              hot_weight=st.floats(0.0, 1.0)))
+
+
+@st.composite
+def program_workloads(draw):
+    """A small ``ProgramWorkload``: one to three arrays, one or two
+    kernels whose operands draw an array, a pattern and a write
+    fraction each, and either CTA scheduling."""
+    arrays = [Array(f"a{i}", draw(st.integers(16, 512)) * 1024)
+              for i in range(draw(st.integers(1, 3)))]
+    kernels = []
+    for k in range(draw(st.integers(1, 2))):
+        operands = draw(st.lists(st.sampled_from(arrays), min_size=1,
+                                 max_size=3))
+        kernels.append(KernelProgram(
+            f"k{k}",
+            [ArrayAccess(array, draw(PATTERNS),
+                         weight=draw(st.floats(0.1, 1.0)),
+                         write_fraction=draw(st.floats(0.0, 0.6)))
+             for array in operands],
+            ctas=draw(st.integers(4, 32)),
+            accesses_per_cta=draw(st.integers(16, 64)),
+            intensity=draw(st.floats(500.0, 9000.0))))
+    return ProgramWorkload(
+        "fuzz-program", kernels, num_chips=4,
+        cta_scheduling=draw(st.sampled_from(["distributed", "round-robin"])),
+        accesses_per_epoch_per_chip=256,
+        seed=draw(st.integers(0, 2 ** 31 - 1)))
+
+
+@given(program_workloads())
+@settings(max_examples=15, deadline=None)
+def test_program_vector_path_matches_serial_oracle(workload):
+    """``simulate_program`` on the vector path equals the serial oracle
+    under every organization, on epochs compiled from CTA programs."""
+    for organization in ORGANIZATIONS:
+        vector = simulate_program(workload, organization, scale=SCALE)
+        oracle = simulate_program(workload, organization, scale=SCALE,
+                                  params=EngineParams(vectorized=False))
+        assert vector.vector_epochs > 0 and vector.scalar_epochs == 0
+        assert vector.comparable_dict() == oracle.comparable_dict()

@@ -53,17 +53,28 @@ class TestShape:
 
     def test_arrays_keep_the_width_their_values_need(self):
         epoch = make_generator().generate()[0].epochs[0]
-        assert epoch.chips.dtype == np.uint8
-        assert epoch.addrs.dtype == np.uint32
+        chips, offsets, writes = epoch.stored
+        assert chips.dtype == np.uint8
+        # Line offsets: this epoch spans more than 2**8 lines and fewer
+        # than 2**16.
+        lines = (epoch.addrs.max() - epoch.addrs.min()) // LINE
+        assert 2**8 <= lines < 2**16 and offsets.dtype == np.uint16
+        assert writes.dtype == np.uint8 and writes.size == len(epoch) // 8
+        # Reads decode: int64 addresses, bool writes.
+        assert epoch.addrs.dtype == np.int64
         assert epoch.writes.dtype == bool
 
     @pytest.mark.parametrize("addrs,dtype", [
-        ([0, 2**32 - 1], np.uint32), ([0, 2**32], np.int64)])
+        ([0, 2**32 - 1], np.uint32), ([0, 2**32 + LINE], np.int64)])
     def test_addrs_narrow_below_2_to_the_32(self, addrs, dtype):
+        # Offsets below 2**32 keep 32 bits whatever the input's dtype,
+        # here once the common stride (1 and 128 bytes) is divided out
+        # of an address past 2**32; reads decode to int64.
         epoch = EpochTrace(chips=np.zeros(2, np.int64),
-                           addrs=np.array(addrs, np.int64),
+                           addrs=np.array(addrs, dtype),
                            writes=np.zeros(2, bool), compute_cycles=1.0)
-        assert epoch.addrs.dtype == dtype
+        assert epoch.stored[1].dtype == np.uint32
+        assert epoch.addrs.dtype == np.int64
         assert epoch.addrs.tolist() == addrs
 
     @pytest.mark.parametrize("chips", [[0, 256], [-1, 0], [0.5, 1.0]])
@@ -79,6 +90,16 @@ class TestShape:
         with pytest.raises(ValueError, match="addrs"):
             EpochTrace(chips=np.zeros(2, np.int64), addrs=addrs,
                        writes=np.zeros(2, bool), compute_cycles=1.0)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_largest_address_round_trips(self, dtype):
+        addrs = [0, 2**63 - 1]
+        epoch = EpochTrace(chips=np.zeros(2, np.int64),
+                           addrs=np.array(addrs, dtype),
+                           writes=np.zeros(2, bool), compute_cycles=1.0)
+        assert epoch.stored[1].dtype == np.uint64
+        assert epoch.addrs.dtype == np.int64
+        assert epoch.addrs.tolist() == addrs
 
     def test_compute_cycles_follow_intensity(self):
         spec = make_spec(intensity=1000.0)

@@ -6,6 +6,7 @@ import pytest
 from repro.sim import SimulationEngine, make_organization, scaled_config
 from repro.arch import baseline
 from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec, TraceGenerator
+from repro.workloads.generator import EpochTrace, KernelTrace
 from repro.workloads.traceio import load_trace, save_trace, trace_statistics
 
 
@@ -78,6 +79,35 @@ class TestSaveLoad:
         with np.load(path) as data:
             assert "clusters" not in data.files
             assert {"chips", "addrs", "writes"} <= set(data.files)
+
+    def test_saved_file_keeps_the_version_1_layout(self, tmp_path):
+        # Epochs store encoded addresses and packed writes; the file
+        # holds them decoded, at the widths it always had.
+        path = tmp_path / "trace.npz"
+        save_trace(str(path), make_trace())
+        with np.load(path) as data:
+            assert set(data.files) == {
+                "version", "chips", "addrs", "writes", "epoch_lengths",
+                "epoch_compute", "kernel_names", "kernel_epoch_counts"}
+            assert int(data["version"]) == 1
+            assert data["chips"].dtype == np.uint8
+            assert data["addrs"].dtype == np.uint32
+            assert data["writes"].dtype == bool
+            assert data["epoch_lengths"].dtype == np.int64
+            assert data["epoch_compute"].dtype == np.float64
+
+    def test_addresses_past_2_to_the_32_are_saved_as_int64(self, tmp_path):
+        epoch = EpochTrace(chips=np.array([0, 1], np.uint8),
+                           addrs=np.array([5, 2**40 + 5], np.int64),
+                           writes=np.array([True, False]),
+                           compute_cycles=2.0)
+        path = tmp_path / "wide.npz"
+        save_trace(str(path), [KernelTrace("k#0", (epoch,))])
+        with np.load(path) as data:
+            assert data["addrs"].dtype == np.int64
+        (restored,) = load_trace(str(path))[0].epochs
+        assert restored.addrs.tolist() == [5, 2**40 + 5]
+        assert restored.writes.tolist() == [True, False]
 
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ValueError):
