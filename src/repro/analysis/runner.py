@@ -12,7 +12,8 @@ Three layers, checked in order:
 
 1. the in-process memo (``_CACHE``), free within one process;
 2. the optional on-disk :class:`~repro.analysis.diskcache.ResultCache`,
-   which survives process boundaries (pass ``cache_dir``);
+   which survives process boundaries (``set_default_cache_dir``, or a
+   matrix's ``cache_dir``);
 3. :func:`~repro.sim.run.simulate`, optionally fanned out across a
    supervised process pool (``n_jobs``) for matrix runs.
 
@@ -143,10 +144,10 @@ _DEFAULT_CACHE_DIR: Optional[Path] = None
 
 
 def set_default_cache_dir(path: Optional[Union[str, Path]]) -> None:
-    """Disk-cache root used by ``run_matrix`` calls that do not pass
-    ``cache_dir`` themselves (``None`` disables it again).  Lets the CLI
-    turn on persistence without threading a parameter through every
-    experiment module."""
+    """Disk-cache root used by :func:`run` and by ``run_matrix`` calls
+    that do not pass ``cache_dir`` themselves (``None`` disables it
+    again).  Lets the CLI turn on persistence without threading a
+    parameter through every experiment module."""
     global _DEFAULT_CACHE_DIR
     _DEFAULT_CACHE_DIR = Path(path) if path is not None else None
 
@@ -200,41 +201,35 @@ def run(spec: BenchmarkSpec, organization: str,
         config: Optional[SystemConfig] = None,
         scale: float = DEFAULT_SCALE,
         accesses_per_epoch: int = DEFAULT_ACCESSES_PER_EPOCH,
-        use_cache: bool = True,
-        params: Optional[EngineParams] = None,
-        disk_cache: Optional[ResultCache] = None) -> RunStats:
-    """Simulate (or recall) one benchmark under one organization."""
+        params: Optional[EngineParams] = None) -> RunStats:
+    """Simulate (or recall) one benchmark under one organization.
+
+    Checks the memo, then the disk cache of ``set_default_cache_dir``
+    when one is set; a fresh result is installed in both.
+    """
     resolved = _resolve_config(config)
     resolved_params = _resolve_params(params)
     key = _memo_key(spec, organization, resolved, scale, accesses_per_epoch,
                     resolved_params)
-    if use_cache and key in _CACHE:
+    if key in _CACHE:
         _TELEMETRY.memo_hits += 1
         return _CACHE[key]
-    dkey: Optional[str] = None
-    if use_cache and disk_cache is not None:
-        dkey = _disk_key(spec, organization, resolved, scale,
-                         accesses_per_epoch, resolved_params)
-        quarantined_before = disk_cache.quarantined
-        stats = disk_cache.load(dkey)
-        _TELEMETRY.cache_quarantined += (disk_cache.quarantined
-                                         - quarantined_before)
+    disk_cache = ResultCache(_DEFAULT_CACHE_DIR) \
+        if _DEFAULT_CACHE_DIR is not None else None
+    if disk_cache is not None:
+        stats = disk_cache.load(_disk_key(spec, organization, resolved,
+                                          scale, accesses_per_epoch,
+                                          resolved_params))
+        _TELEMETRY.cache_quarantined += disk_cache.quarantined
         if stats is not None:
             _TELEMETRY.disk_hits += 1
             _CACHE[key] = stats
             return stats
-    started = time.perf_counter()
     stats = simulate(spec, organization, config=resolved, scale=scale,
                      accesses_per_epoch=accesses_per_epoch,
                      params=resolved_params)
-    _TELEMETRY.simulated += 1
-    _TELEMETRY.scalar_epochs += stats.scalar_epochs
-    _TELEMETRY.sim_seconds += time.perf_counter() - started
-    if use_cache:
-        _CACHE[key] = stats
-        if disk_cache is not None and dkey is not None:
-            disk_cache.store(dkey, stats)
-            _TELEMETRY.disk_stores += 1
+    _install_pair(spec, organization, stats, resolved, scale,
+                  accesses_per_epoch, resolved_params, disk_cache)
     return stats
 
 
@@ -395,8 +390,8 @@ def _install_pair(spec: BenchmarkSpec, organization: str, stats: RunStats,
                   config: SystemConfig, scale: float, accesses_per_epoch: int,
                   params: EngineParams,
                   disk_cache: Optional[ResultCache]) -> None:
-    """Count one fresh matrix result and install it into the memo and
-    disk layers."""
+    """Count one fresh result and install it into the memo and disk
+    layers."""
     _TELEMETRY.simulated += 1
     _TELEMETRY.scalar_epochs += stats.scalar_epochs
     _TELEMETRY.sim_seconds += stats.wall_seconds

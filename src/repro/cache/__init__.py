@@ -4,7 +4,6 @@ from .cache import (
     UNPARTITIONED,
     AccessResult,
     CacheLine,
-    CacheStats,
     PartitionFullError,
     SetAssociativeCache,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "UNPARTITIONED",
     "AccessResult",
     "CacheLine",
-    "CacheStats",
     "PartitionFullError",
     "SetAssociativeCache",
 ]

@@ -77,40 +77,6 @@ _MISS = AccessResult(hit=False)
 _SECTOR_MISS = AccessResult(hit=False, sector_miss=True)
 
 
-@dataclass
-class CacheStats:
-    """Running hit/miss/eviction counters."""
-
-    accesses: int = 0
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    dirty_evictions: int = 0
-    fills: int = 0
-    sector_misses: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
-
-    @property
-    def miss_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
-    def reset(self) -> None:
-        self.accesses = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.dirty_evictions = 0
-        self.fills = 0
-        self.sector_misses = 0
-
-
 class SetAssociativeCache:
     """A set-associative, write-back, write-allocate cache with true LRU
     replacement.
@@ -123,7 +89,6 @@ class SetAssociativeCache:
     def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         self.config = config
         self.name = name
-        self.stats = CacheStats()
         # One OrderedDict per set, ordered LRU -> MRU, keyed by tag.
         self._sets: List["OrderedDict[int, CacheLine]"] = [
             OrderedDict() for _ in range(config.num_sets)]
@@ -207,7 +172,7 @@ class SetAssociativeCache:
     # -- Core operations ---------------------------------------------------
 
     def probe(self, addr: int) -> bool:
-        """Check residency without updating LRU or stats."""
+        """Check residency without updating LRU."""
         index, tag = self._index_tag(addr)
         line = self._sets[index].get(tag)
         if line is None:
@@ -220,8 +185,6 @@ class SetAssociativeCache:
                partition: int = UNPARTITIONED,
                allocate_on_miss: bool = True) -> AccessResult:
         """Access byte ``addr``; fill on miss unless ``allocate_on_miss`` is False."""
-        stats = self.stats
-        stats.accesses += 1
         line_no = addr >> self._line_shift
         if self._sets_pow2:
             index = line_no & self._set_mask
@@ -244,13 +207,9 @@ class SetAssociativeCache:
                 line.dirty = True
             if sector_miss:
                 # A sector miss costs a memory fetch but not a tag fill.
-                stats.misses += 1
-                stats.sector_misses += 1
                 return _SECTOR_MISS
-            stats.hits += 1
             return _HIT
 
-        stats.misses += 1
         if not allocate_on_miss:
             return _MISS
         evicted_dirty, evicted_addr = self._fill(index, tag, is_write, partition,
@@ -262,7 +221,7 @@ class SetAssociativeCache:
 
     def fill(self, addr: int, is_write: bool = False,
              partition: int = UNPARTITIONED) -> AccessResult:
-        """Insert a line without counting a lookup (e.g. response-path fill)."""
+        """Insert a line (e.g. response-path fill)."""
         index, tag = self._index_tag(addr)
         if tag in self._sets[index]:
             line = self._sets[index][tag]
@@ -288,10 +247,7 @@ class SetAssociativeCache:
             del cache_set[victim_tag]
             if self._part_occ is not None:
                 self._drop_line_partition(index, victim.partition)
-            self.stats.evictions += 1
-            if victim.dirty:
-                self.stats.dirty_evictions += 1
-                evicted_dirty = True
+            evicted_dirty = victim.dirty
             evicted_addr = self._rebuild_addr(index, victim_tag)
         sector_valid = 0
         if self._sectored:
@@ -304,7 +260,6 @@ class SetAssociativeCache:
         if self._part_occ is not None:
             counts = self._part_occ[index]
             counts[partition] = counts.get(partition, 0) + 1
-        self.stats.fills += 1
         return evicted_dirty, evicted_addr
 
     def _select_victim(self, index: int,
@@ -413,13 +368,12 @@ class SetAssociativeCache:
                 yield self._rebuild_addr(index, tag), line
 
     def reset(self) -> None:
-        """Clear contents and statistics."""
+        """Clear contents (and the per-set partition occupancy)."""
         for cache_set in self._sets:
             cache_set.clear()
         if self._part_occ is not None:
             for counts in self._part_occ:
                 counts.clear()
-        self.stats.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SetAssociativeCache(name={self.name!r}, "

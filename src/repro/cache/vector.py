@@ -19,8 +19,7 @@ take the vector path never builds a bank: it runs on
 The batch kernel is *bit-identical* to :class:`SetAssociativeCache`
 for every cache configuration, **including way-partitioned and
 sectored caches**: same per-access hit/miss/sector-miss outcomes, same
-eviction addresses and dirty bits, same ``CacheStats``, same final
-state.
+eviction addresses and dirty bits, same final state.
 
 State layout (the *slot store*): one ``(C, S, A)`` block of
 tags/dirty bits per *partition slot*, where a line's slot is its
@@ -48,11 +47,6 @@ tables, a zero-way over slot) is declined whole, before any state
 changes, and the engine reruns it serially.  Scalar ``access``/``fill``
 calls apply exact scalar semantics to one set at a time
 (:class:`_SetReplay`) and write it back into the arrays.
-
-Per-slice ``CacheStats`` live in one ``(C, 7)`` counter block on the
-slot store, in ``CacheStats`` field order: a bank call charges it with
-one ``bincount`` over (cache, outcome class) per stage, and
-:attr:`VectorCache.stats` reads its row.
 
 How the kernel works (:func:`_batch_resolve`): an exact LRU whose
 touched rows advance in lockstep, one access per row per numpy step.
@@ -83,7 +77,6 @@ of numpy calls over the rows still live.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import (
     Dict,
     Iterator,
@@ -103,7 +96,6 @@ from .cache import (
     UNPARTITIONED,
     AccessResult,
     CacheLine,
-    CacheStats,
     PartitionFullError,
     _HIT,
     _MISS,
@@ -132,7 +124,7 @@ class GroupedLaneCall(NamedTuple):
     """One lane's uniform epoch in a shared bank call.
 
     ``lane`` is the absolute ``[lo, hi)`` cache range the call's gate
-    and stats cover; ``cache_idx`` is relative to ``lo``.
+    covers; ``cache_idx`` is relative to ``lo``.
     """
 
     lane: Tuple[int, int]
@@ -225,47 +217,6 @@ _FREE = -1
 #: Key of a slot at or above its row's capacity: above every other key,
 #: so it is never the LRU choice.  Even, so it reads as clean.
 _NEVER = 1 << 62
-
-#: Counter-block columns, one per ``CacheStats`` field, in field order.
-_STAT_NAMES = tuple(f.name for f in dataclasses.fields(CacheStats))
-#: The ``CacheStats`` fields one probe of each outcome class counts
-#: (see :func:`_outcome_class`).
-_CLASS_FIELDS = (
-    # 0: a miss that cannot fill (zero-way partition, or no allocation).
-    ("accesses", "misses"),
-    # 1: a hit.
-    ("accesses", "hits"),
-    # 2: a sector miss.
-    ("accesses", "misses", "sector_misses"),
-    # 3/4/5: a fill evicting nothing, a clean line or a dirty line.
-    ("accesses", "misses", "fills"),
-    ("accesses", "misses", "fills", "evictions"),
-    ("accesses", "misses", "fills", "evictions", "dirty_evictions"),
-)
-#: Row k: what one probe of outcome class k adds to the counter block.
-_CLASS_STATS = np.array([[name in fields for name in _STAT_NAMES]
-                         for fields in _CLASS_FIELDS], dtype=np.int64)
-_CLASSES = _CLASS_STATS.shape[0]
-#: Counter-block columns a response-path fill charges.
-_EVICTIONS, _DIRTY_EVICTIONS, _FILLS = (
-    _STAT_NAMES.index(name)
-    for name in ("evictions", "dirty_evictions", "fills"))
-
-
-def _outcome_class(hits: np.ndarray, sector_miss: Optional[np.ndarray],
-                   filled: np.ndarray, evicted: np.ndarray,
-                   ev_dirty: np.ndarray) -> np.ndarray:
-    """Each probe's outcome class (a row of :data:`_CLASS_STATS`).
-
-    ``hits``, ``sector_miss`` and ``filled`` are mutually exclusive; an
-    eviction (``evicted``) only ever rides on a fill.
-    """
-    cls = hits.astype(np.int64)
-    if sector_miss is not None:
-        cls += sector_miss * np.int64(2)
-    cls += filled * (np.int64(3) + evicted + ev_dirty)
-    return cls
-
 
 def _absolute(idx: np.ndarray, lo: int) -> np.ndarray:
     """Lane-relative cache indices ``idx`` made absolute: the array
@@ -724,9 +675,6 @@ class _SlotStore:
         #: first time multi-slot state needs a cross-slot LRU order.
         self.stamp: Optional[np.ndarray] = None
         self.clock = 0
-        #: Per-cache counters, one row per cache in ``CacheStats`` field
-        #: order (see :data:`_STAT_NAMES`).
-        self.stats = np.zeros((C, len(_STAT_NAMES)), dtype=np.int64)
         #: slot index -> partition id (slot 0 is always UNPARTITIONED).
         self.slot_ids: List[int] = [UNPARTITIONED]
         #: partition id -> slot index.
@@ -893,9 +841,9 @@ class _SetReplay:
     def touch(self, tag: int, is_write: bool, partition: int,
               allocate: bool, sector_idx: int,
               ways: Optional[Dict[int, int]], stamp: int
-              ) -> Tuple[bool, bool, bool, int, int]:
-        """One scalar access; returns (hit, sector_miss, filled,
-        evicted_addr or -1, evicted_dirty)."""
+              ) -> Tuple[bool, bool, int, int]:
+        """One scalar access; returns (hit, sector_miss, evicted_addr or
+        -1, evicted_dirty)."""
         geo = self._geo
         e = self._find(tag)
         if e is not None:
@@ -904,12 +852,12 @@ class _SetReplay:
                 sector_miss = True
                 e[2] |= 1 << sector_idx
             self._touch_line(e, is_write, stamp)
-            return (not sector_miss, sector_miss, False, -1, 0)
+            return (not sector_miss, sector_miss, -1, 0)
         if not allocate:
-            return (False, False, False, -1, 0)
+            return (False, False, -1, 0)
         ev_addr, ev_dirty = self._fill(tag, is_write, partition,
                                        sector_idx, ways, stamp)
-        return (False, False, True, ev_addr, ev_dirty)
+        return (False, False, ev_addr, ev_dirty)
 
     def fill_touch(self, tag: int, is_write: bool, partition: int,
                    sector_idx: int, ways: Optional[Dict[int, int]],
@@ -989,8 +937,7 @@ class VectorCache:
     The bank's kernel calls resolve its batches.  The slice itself
     holds the way allotment (:meth:`set_partition`), the state view the
     differential tests compare against :class:`SetAssociativeCache`
-    (``stats``, a row of the store's counter block;
-    :meth:`resident_lines`; occupancy), :meth:`drain`, and scalar
+    (:meth:`resident_lines`, occupancy), :meth:`drain`, and scalar
     :meth:`access`/:meth:`fill` with exact scalar semantics — what the
     serial engine runs for an epoch the bank declines or the engine
     keeps off the kernel.  A standalone instance owns a one-cache
@@ -1022,12 +969,6 @@ class VectorCache:
         rep = _SetReplay(self._store, geo, self._index, index)
         return rep, tag, sec_idx
 
-    @property
-    def stats(self) -> CacheStats:
-        """This slice's counters, read from the store's counter block."""
-        row = self._store.stats[self._index].tolist()
-        return CacheStats(**dict(zip(_STAT_NAMES, row)))
-
     # -- Scalar operations -----------------------------------------------
 
     def access(self, addr: int, is_write: bool = False,
@@ -1035,28 +976,17 @@ class VectorCache:
                allocate_on_miss: bool = True) -> AccessResult:
         """Access byte ``addr`` with :class:`SetAssociativeCache`
         semantics; fill on miss unless ``allocate_on_miss`` is False."""
-        row = self._store.stats[self._index]
         store = self._store
         rep, tag, sec_idx = self._set_of(addr)
-        try:
-            hit, sector_miss, filled, ev_addr, ev_dirty = rep.touch(
-                tag, is_write, partition, allocate_on_miss, sec_idx,
-                self._ways, store.clock)
-        except PartitionFullError:
-            row += _CLASS_STATS[0]
-            raise
+        hit, sector_miss, ev_addr, ev_dirty = rep.touch(
+            tag, is_write, partition, allocate_on_miss, sec_idx,
+            self._ways, store.clock)
         rep.flush_back()
         store.clock += 1
         if hit:
-            row += _CLASS_STATS[1]
             return _HIT
         if sector_miss:
-            row += _CLASS_STATS[2]
             return _SECTOR_MISS
-        if not filled:
-            row += _CLASS_STATS[0]
-            return _MISS
-        row += _CLASS_STATS[3 + (ev_addr >= 0) + ev_dirty]
         if ev_addr >= 0:
             return AccessResult(hit=False, evicted_dirty=bool(ev_dirty),
                                 evicted_addr=ev_addr)
@@ -1064,8 +994,7 @@ class VectorCache:
 
     def fill(self, addr: int, is_write: bool = False,
              partition: int = UNPARTITIONED) -> AccessResult:
-        """Insert a line without counting a lookup (response-path fill)."""
-        row = self._store.stats[self._index]
+        """Insert a line (response-path fill)."""
         store = self._store
         rep, tag, sec_idx = self._set_of(addr)
         hit, ev_addr, ev_dirty = rep.fill_touch(
@@ -1074,13 +1003,8 @@ class VectorCache:
         store.clock += 1
         if hit:
             return AccessResult(hit=True)
-        evicted = ev_addr >= 0
-        row[_FILLS] += 1
-        if evicted:
-            row[_EVICTIONS] += 1
-            row[_DIRTY_EVICTIONS] += ev_dirty
         return AccessResult(hit=False, evicted_dirty=bool(ev_dirty),
-                            evicted_addr=ev_addr if evicted else None)
+                            evicted_addr=ev_addr if ev_addr >= 0 else None)
 
     # -- Partitioning ----------------------------------------------------
 
@@ -1182,7 +1106,7 @@ class VectorBank:
     in both.  Rows left over-allotted by a repartition drain inside
     those two calls, as drain steps.  Each entry point checks its call
     and runs a one-lane body (:meth:`_grouped`, :meth:`_staged`) whose
-    gate, capacity table and stats cover exactly the call's ``lane``, a
+    gate and capacity table cover exactly the call's ``lane``, a
     ``[lo, hi)`` cache range; the engine's call is the whole bank.  The
     ``*_shared`` twins run the same body once per lane call.  An epoch
     either entry point declines — a gate, or a staged epoch that probes
@@ -1236,7 +1160,7 @@ class VectorBank:
         """One lane's uniform epoch in one kernel call.
 
         None when a cache of ``call.lane`` fails the plain-batch gate;
-        caches outside the lane neither decline the call nor see stats.
+        caches outside the lane do not decline the call.
         """
         lo, hi = call.lane
         if not self._plain(lo, hi):
@@ -1254,21 +1178,11 @@ class VectorBank:
         sets, tg = geo.split(call.addrs)
         rows = cache_idx * np.int64(geo.num_sets) + sets
         del sets
-        result = _batch_resolve(
+        return _batch_resolve(
             ftags, fdirty, fcount, geo, rows, tg, call.writes,
             sector=fsector,
             sec=geo.sector_of(call.addrs) if geo.sectored else None,
             stamp=fstamp, stamp_vals=stamp_vals)
-        del rows, tg, stamp_vals
-        filled = ~result.hits
-        if result.sector_miss is not None:
-            filled &= ~result.sector_miss
-        self._charge_classes(call.lane, cache_idx,
-                             _outcome_class(result.hits, result.sector_miss,
-                                            filled,
-                                            result.evicted_addr >= 0,
-                                            result.evicted_dirty))
-        return result
 
     def resident_addrs(self, lo: int, hi: int
                        ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1307,18 +1221,6 @@ class VectorBank:
             return False
         store = self._store
         return store.num_slots == 1 or not store.count[1:, lo:hi].any()
-
-    def _charge_classes(self, lane: Tuple[int, int], keys: np.ndarray,
-                        cls: np.ndarray) -> None:
-        """Charge probes of absolute caches ``keys`` with outcome classes
-        ``cls``: one ``bincount`` and one product with
-        :data:`_CLASS_STATS`, added to the counter rows of ``lane``."""
-        C = len(self.caches)
-        per = np.bincount(keys * np.int64(_CLASSES) + cls,
-                          minlength=C * _CLASSES)[:C * _CLASSES]
-        lo, hi = lane
-        self._store.stats[lo:hi] += \
-            per.reshape(C, _CLASSES)[lo:hi] @ _CLASS_STATS
 
     def _lane_caps(self, lo: int, hi: int) -> Optional[np.ndarray]:
         """The (cache, slot) way-allotment table of caches ``[lo, hi)``,
@@ -1360,37 +1262,26 @@ class VectorBank:
             cap.reshape(-1), occ.reshape(-1),
             A - count.sum(axis=0).reshape(-1), count.reshape(-1))
 
-    def _staged_outcome(self, lane: Tuple[int, int],
-                        idx0: np.ndarray, idx1: np.ndarray,
-                        two_stage: np.ndarray, hit: np.ndarray,
-                        smiss: np.ndarray, fill: np.ndarray,
-                        evicted: np.ndarray, ev_d: np.ndarray,
-                        dirty_at: np.ndarray,
+    @staticmethod
+    def _staged_outcome(idx0: np.ndarray, idx1: np.ndarray,
+                        hit: np.ndarray, dirty_at: np.ndarray,
                         dirty_addr: np.ndarray) -> StagedResult:
-        """Charge the counter block and assemble one epoch's outcome.
+        """Assemble one epoch's outcome.
 
-        The outcome arrays are stage-major (entry ``n + i`` is access
-        i's stage-1 probe).  Stage 0 probes every access at ``idx0``;
-        stage 1 probes two-stage accesses whose stage-0 probe missed.
+        ``hit`` is stage-major (entry ``n + i`` is access i's stage-1
+        probe).  Stage 0 probes every access at ``idx0``; stage 1 probes
+        two-stage accesses whose stage-0 probe missed, at ``idx1``.
         ``dirty_at`` and ``dirty_addr`` pair each dirty eviction's
-        entry with its line address, an entry at most once.  Cache
-        indices are absolute; the returned eviction indices are too,
-        in entry order.
+        entry, always a probe that ran, with its line address, an entry
+        at most once.  Cache indices are absolute; the returned eviction
+        indices are too, in entry order.
         """
         n = idx0.shape[0]
-        C = len(self.caches)
-        h0 = hit[:n]
-        # Unprobed stage-1 entries land in cache C, which is never
-        # charged.
-        keys = np.concatenate(
-            (idx0, np.where(two_stage & ~h0, idx1, np.int64(C))))
-        self._charge_classes(lane, keys, _outcome_class(
-            hit, smiss if self._geo.sectored else None, fill, evicted,
-            ev_d))
         hs = hit[n:] * np.int64(2) - np.int64(1)
-        hs[h0] = 0
+        hs[hit[:n]] = 0
         order = np.argsort(dirty_at)
-        return StagedResult(hs, keys[dirty_at[order]], dirty_addr[order])
+        return StagedResult(hs, np.concatenate((idx0, idx1))[dirty_at[order]],
+                            dirty_addr[order])
 
     def _mirror_drains(self, plan: _StagedPlan, mir: np.ndarray,
                        over: _OverRows) -> Tuple[np.ndarray, np.ndarray]:
@@ -1577,8 +1468,8 @@ class VectorBank:
     def _staged(self, call: StagedLaneCall) -> Optional[StagedResult]:
         """One lane's two-stage epoch in two kernel calls.
 
-        The gate, the capacity table and the stats cover exactly the
-        caches of ``call.lane``.  A call that probes an over-allotted
+        The gate and the capacity table cover exactly the caches of
+        ``call.lane``.  A call that probes an over-allotted
         row the drain model cannot describe comes back ``None`` before
         any kernel call touches state.  Returned eviction indices are
         absolute.
@@ -1658,10 +1549,7 @@ class VectorBank:
         # Stage-major outcomes: entry ``i`` is access i's stage-0 probe,
         # entry ``n + i`` its stage-1 probe.
         hit = np.zeros(2 * n, dtype=bool)
-        smiss = np.zeros(2 * n, dtype=bool)
         fill = np.zeros(2 * n, dtype=bool)
-        evicted = np.zeros(2 * n, dtype=bool)
-        ev_d = np.zeros(2 * n, dtype=bool)
         # (entry, line address) of each dirty eviction, per kernel call.
         dirty_at: List[np.ndarray] = []
         dirty_addr: List[np.ndarray] = []
@@ -1707,20 +1595,14 @@ class VectorBank:
             hits = res.hits[probe]
             fl = ~hits & (caps[probe] > 0)
             if res.sector_miss is not None:
-                sm = res.sector_miss[probe]
-                fl &= ~sm
-                smiss[ap] = sm
+                fl &= ~res.sector_miss[probe]
             hit[ap] = hits
             fill[ap] = fl
-            # Evictions only: a draining fill reports none of its own,
-            # so no entry is reported twice.
-            ev = np.flatnonzero(res.evicted_addr >= 0)
-            entry = at[ev]
-            evicted[entry] = True
-            dirty = res.evicted_dirty[ev]
-            ev_d[entry] = dirty
-            dirty_at.append(entry[dirty])
-            dirty_addr.append(res.evicted_addr[ev[dirty]])
+            # Dirty evictions only: a draining fill reports none of its
+            # own, so no entry is reported twice.
+            ev = np.flatnonzero(res.evicted_dirty)
+            dirty_at.append(at[ev])
+            dirty_addr.append(res.evicted_addr[ev])
 
         # Phase 1: the stage-0 probes of two-stage accesses, with the
         # mirrored rows' drain steps, each reported where its access
@@ -1758,7 +1640,6 @@ class VectorBank:
         del b2, use1
 
         return self._staged_outcome(
-            call.lane, plan.idx0a, plan.idx1a, two_stage, hit, smiss, fill,
-            evicted, ev_d,
+            plan.idx0a, plan.idx1a, hit,
             np.concatenate(dirty_at) if dirty_at else empty,
             np.concatenate(dirty_addr) if dirty_addr else empty)

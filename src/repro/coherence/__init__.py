@@ -5,10 +5,9 @@ organization's declared ``remote_scope``
 (:meth:`repro.sim.engine.SimulationEngine.flush_llc`).
 """
 
-from .hardware import DirectoryEntry, DirectoryStats, HardwareCoherence
+from .hardware import DirectoryEntry, HardwareCoherence
 
 __all__ = [
     "DirectoryEntry",
-    "DirectoryStats",
     "HardwareCoherence",
 ]

@@ -13,19 +13,10 @@ engine charges them through :meth:`HardwareCoherence.pop_epoch_messages`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..arch.config import CoherenceConfig
-
-
-@dataclass
-class DirectoryStats:
-    """Cumulative directory activity."""
-
-    writes_observed: int = 0
-    invalidations_sent: int = 0
-    lines_tracked_peak: int = 0
 
 
 @dataclass
@@ -46,7 +37,6 @@ class HardwareCoherence:
             raise ValueError("HardwareCoherence requires protocol='hardware'")
         self.config = config
         self.num_chips = num_chips
-        self.stats = DirectoryStats()
         self._entries: Dict[int, DirectoryEntry] = {}
         # Invalidation messages produced this epoch: (src, dst) pairs.
         self._epoch_messages: List[Tuple[int, int]] = []
@@ -67,8 +57,6 @@ class HardwareCoherence:
         if entry is None:
             entry = DirectoryEntry()
             self._entries[line_addr] = entry
-            if len(self._entries) > self.stats.lines_tracked_peak:
-                self.stats.lines_tracked_peak = len(self._entries)
         entry.sharers |= 1 << chip
 
     def on_evict(self, line_addr: int, chip: int) -> None:
@@ -88,7 +76,6 @@ class HardwareCoherence:
         the caller.  One invalidation message per victim chip is queued
         for this epoch's inter-chip accounting.
         """
-        self.stats.writes_observed += 1
         entry = self._entries.get(line_addr)
         if entry is None:
             return []
@@ -97,7 +84,6 @@ class HardwareCoherence:
         for victim in victims:
             entry.sharers &= ~(1 << victim)
             self._epoch_messages.append((chip, victim))
-            self.stats.invalidations_sent += 1
         entry.dirty = True
         if entry.sharers == 0:
             del self._entries[line_addr]
@@ -116,4 +102,3 @@ class HardwareCoherence:
     def reset(self) -> None:
         self._entries.clear()
         self._epoch_messages.clear()
-        self.stats = DirectoryStats()

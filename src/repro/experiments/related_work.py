@@ -27,7 +27,6 @@ from ..analysis.runner import run
 from ..arch.config import SystemConfig
 from ..arch.presets import baseline
 from ..sim.engine import EngineParams
-from ..sim.run import simulate
 from ..sim.stats import harmonic_mean
 from ..workloads.suite import get
 from .common import trace_density
@@ -45,9 +44,9 @@ def run_experiment(config: Optional[SystemConfig] = None,
         spec = get(name)
         mem = run(spec, "memory-side", config=base,
                   accesses_per_epoch=density)
-        migrated = simulate(spec, "memory-side", config=base,
-                            accesses_per_epoch=density,
-                            params=EngineParams(page_migration=True))
+        migrated = run(spec, "memory-side", config=base,
+                       accesses_per_epoch=density,
+                       params=EngineParams(page_migration=True))
         ladm = run(spec, "ladm", config=base, accesses_per_epoch=density)
         sac = run(spec, "sac", config=base, accesses_per_epoch=density)
         rows[name] = {

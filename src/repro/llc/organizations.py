@@ -168,7 +168,9 @@ class DynamicLLC(LLCOrganization):
 
     @property
     def remote_scope(self) -> Optional[int]:
-        return PARTITION_REMOTE if self._remote_ways > 0 else None
+        # Even at zero ways: a shrunk partition drains lazily, so it can
+        # still hold remote lines.  Flushing an empty one costs nothing.
+        return PARTITION_REMOTE
 
     @property
     def remote_ways(self) -> int:

@@ -1,17 +1,14 @@
 """Memory substrate: page table, PAE address mapping and DRAM partitions."""
 
-from .dram import DramPartition, DramStats, DramSystem
+from .dram import DramPartition, DramSystem
 from .mapping import AddressMapping
-from .migration import DominantAccessorMigration, MigrationStats
-from .pages import PageTable, PageTableStats
+from .migration import DominantAccessorMigration
+from .pages import PageTable
 
 __all__ = [
     "AddressMapping",
     "DominantAccessorMigration",
     "DramPartition",
-    "DramStats",
     "DramSystem",
-    "MigrationStats",
     "PageTable",
-    "PageTableStats",
 ]

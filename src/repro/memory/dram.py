@@ -12,24 +12,9 @@ channel bandwidth is the binding constraint (paper Section 3.3, B_mem).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 from ..arch.config import MemoryConfig
-
-
-@dataclass
-class DramStats:
-    """Cumulative DRAM traffic counters for one partition."""
-
-    reads: int = 0
-    writes: int = 0
-    read_bytes: int = 0
-    write_bytes: int = 0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.read_bytes + self.write_bytes
 
 
 class DramPartition:
@@ -38,48 +23,30 @@ class DramPartition:
     def __init__(self, config: MemoryConfig, chip: int) -> None:
         self.config = config
         self.chip = chip
-        self.stats = DramStats()
         # Bytes charged in the current epoch, by channel.
         self._epoch_channel_bytes: List[float] = [0.0] * config.channels_per_chip
 
-    def charge(self, channel: int, num_bytes: int, is_write: bool) -> None:
+    def charge(self, channel: int, num_bytes: int) -> None:
         """Account ``num_bytes`` of traffic to ``channel``."""
         if not 0 <= channel < self.config.channels_per_chip:
             raise IndexError(f"channel {channel} out of range")
         if num_bytes < 0:
             raise ValueError("cannot charge negative bytes")
         self._epoch_channel_bytes[channel] += num_bytes
-        if is_write:
-            self.stats.writes += 1
-            self.stats.write_bytes += num_bytes
-        else:
-            self.stats.reads += 1
-            self.stats.read_bytes += num_bytes
 
-    def charge_channels(self, read_bytes: Sequence[int],
-                        read_count: Sequence[int],
-                        write_bytes: Sequence[int],
-                        write_count: Sequence[int]) -> None:
-        """Account per-channel read and write traffic in one call.
+    def charge_channels(self, channel_bytes: Sequence[int]) -> None:
+        """Account every channel's traffic in one call.
 
-        Each argument holds one integer per channel: the bytes and the
-        request count of that channel's reads and writes.  Equivalent
-        to one :meth:`charge` per request.
+        ``channel_bytes`` holds one integer byte count per channel;
+        equivalent to one :meth:`charge` per channel.
         """
-        rb = [int(b) for b in read_bytes]
-        wb = [int(b) for b in write_bytes]
-        nr = sum(int(c) for c in read_count)
-        nw = sum(int(c) for c in write_count)
-        if not len(rb) == len(wb) == len(self._epoch_channel_bytes):
+        cb = [int(b) for b in channel_bytes]
+        if len(cb) != len(self._epoch_channel_bytes):
             raise IndexError("need one entry per channel")
-        if min(rb + wb) < 0 or nr < 0 or nw < 0:
-            raise ValueError("cannot charge negative bytes or counts")
+        if min(cb) < 0:
+            raise ValueError("cannot charge negative bytes")
         self._epoch_channel_bytes = [
-            a + r + w for a, r, w in zip(self._epoch_channel_bytes, rb, wb)]
-        self.stats.reads += nr
-        self.stats.read_bytes += sum(rb)
-        self.stats.writes += nw
-        self.stats.write_bytes += sum(wb)
+            a + b for a, b in zip(self._epoch_channel_bytes, cb)]
 
     def epoch_cycles(self) -> float:
         """Cycles needed to drain this epoch's traffic (bottleneck channel)."""
@@ -94,10 +61,6 @@ class DramPartition:
         """Reset the per-epoch charge counters."""
         for i in range(len(self._epoch_channel_bytes)):
             self._epoch_channel_bytes[i] = 0.0
-
-    def reset(self) -> None:
-        self.stats = DramStats()
-        self.end_epoch()
 
 
 class DramSystem:
@@ -116,13 +79,3 @@ class DramSystem:
     def end_epoch(self) -> None:
         for partition in self.partitions:
             partition.end_epoch()
-
-    def reset(self) -> None:
-        for partition in self.partitions:
-            partition.reset()
-
-    def total_bytes(self) -> int:
-        return sum(p.stats.total_bytes for p in self.partitions)
-
-    def bytes_by_chip(self) -> Dict[int, int]:
-        return {p.chip: p.stats.total_bytes for p in self.partitions}

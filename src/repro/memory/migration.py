@@ -18,19 +18,10 @@ related-work experiment compares memory-side + migration against SAC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .pages import PageTable
-
-
-@dataclass
-class MigrationStats:
-    """Cumulative migration activity."""
-
-    migrations: int = 0
-    bytes_moved: int = 0
-    pages_considered: int = 0
 
 
 @dataclass
@@ -56,7 +47,6 @@ class DominantAccessorMigration:
         self.min_accesses = min_accesses
         self.min_share = min_share
         self.cooldown_epochs = cooldown_epochs
-        self.stats = MigrationStats()
         self._pages: Dict[int, _PageCounters] = {}
 
     def observe(self, page: int, chip: int) -> None:
@@ -83,7 +73,6 @@ class DominantAccessorMigration:
             total = sum(entry.counts)
             if total < self.min_accesses:
                 continue
-            self.stats.pages_considered += 1
             dominant = max(range(self.num_chips),
                            key=lambda chip: entry.counts[chip])
             if entry.counts[dominant] < total * self.min_share:
@@ -93,8 +82,6 @@ class DominantAccessorMigration:
                 continue
             page_table.migrate(page, dominant)
             entry.cooldown = self.cooldown_epochs
-            self.stats.migrations += 1
-            self.stats.bytes_moved += self.page_size
             moves.append((page, old_home, dominant))
         for entry in self._pages.values():
             for chip in range(self.num_chips):
@@ -103,4 +90,3 @@ class DominantAccessorMigration:
 
     def reset(self) -> None:
         self._pages.clear()
-        self.stats = MigrationStats()

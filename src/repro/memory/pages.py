@@ -8,31 +8,9 @@ round-robin policy is provided for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
-
-
-@dataclass
-class PageTableStats:
-    """Allocation counters, by chip."""
-
-    pages_allocated: int = 0
-    pages_per_chip: Dict[int, int] = field(default_factory=dict)
-
-    def record(self, chip: int) -> None:
-        self.pages_allocated += 1
-        self.pages_per_chip[chip] = self.pages_per_chip.get(chip, 0) + 1
-
-    def record_many(self, owners: np.ndarray) -> None:
-        """``record`` each of ``owners``; keys enter in first-seen order."""
-        counts = np.bincount(owners).tolist()
-        self.pages_allocated += int(owners.size)
-        per = self.pages_per_chip
-        # One iteration per distinct chip.
-        for chip in dict.fromkeys(owners.tolist()):
-            per[chip] = per.get(chip, 0) + counts[chip]
 
 
 #: The bulk view is a dense table while the allocated page span is no
@@ -70,7 +48,6 @@ class PageTable:
         self.page_size = page_size
         self.num_chips = num_chips
         self.policy = policy
-        self.stats = PageTableStats()
         self._page_shift = page_size.bit_length() - 1
         self._home: Dict[int, int] = {}
         self._next_rr = 0
@@ -117,10 +94,9 @@ class PageTable:
                          ) % np.int64(self.num_chips)
             self._next_rr = (self._next_rr + int(new.size)) % self.num_chips
         homes[new] = new_homes
-        # Dict and stats in first-touch order, as per-access allocation
-        # would leave them.
+        # The dict in first-touch order, as per-access allocation would
+        # leave it.
         self._home.update(zip(new_pages.tolist(), new_homes.tolist()))
-        self.stats.record_many(new_homes)
         # The dense table takes the new pages in place when it spans
         # them; otherwise the view is rebuilt (a matrix run does so a
         # few times, as its traces first reach new pages).
@@ -186,7 +162,6 @@ class PageTable:
             self._next_rr = (self._next_rr + 1) % self.num_chips
         self._home[page] = home
         self._drop_view()
-        self.stats.record(home)
         return home
 
     def migrate(self, page: int, new_home: int) -> int:
@@ -215,4 +190,3 @@ class PageTable:
         self._home.clear()
         self._drop_view()
         self._next_rr = 0
-        self.stats = PageTableStats()

@@ -1,6 +1,6 @@
 """NoC substrate: intra-chip crossbar, inter-chip ring and power/area model."""
 
-from .crossbar import Crossbar, CrossbarStats
+from .crossbar import Crossbar
 from .power import (
     NoCCost,
     crossbar_cost,
@@ -9,13 +9,11 @@ from .power import (
     sac_noc_cost,
     sm_side_noc_cost,
 )
-from .ring import InterChipRing, RingStats
+from .ring import InterChipRing
 
 __all__ = [
     "Crossbar",
-    "CrossbarStats",
     "InterChipRing",
-    "RingStats",
     "NoCCost",
     "crossbar_cost",
     "memory_side_noc_cost",

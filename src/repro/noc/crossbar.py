@@ -13,22 +13,9 @@ bisection bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..arch.config import NoCConfig
-
-
-@dataclass
-class CrossbarStats:
-    """Cumulative traffic counters for one chip's crossbar."""
-
-    request_bytes: int = 0
-    response_bytes: int = 0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.request_bytes + self.response_bytes
 
 
 class Crossbar:
@@ -44,7 +31,6 @@ class Crossbar:
     def __init__(self, config: NoCConfig, chip: int) -> None:
         self.config = config
         self.chip = chip
-        self.stats = CrossbarStats()
         ports = config.llc_ports + config.inter_chip_ports
         # Per-epoch byte charges on output-side ports, request/response nets.
         self._epoch_req: List[float] = [0.0] * ports
@@ -67,13 +53,11 @@ class Crossbar:
         """Charge request-network bytes headed to output ``port``."""
         self._epoch_req[port] += num_bytes
         self._epoch_req_total += num_bytes
-        self.stats.request_bytes += int(num_bytes)
 
     def charge_response(self, port: int, num_bytes: float) -> None:
         """Charge response-network bytes sourced from output-side ``port``."""
         self._epoch_rsp[port] += num_bytes
         self._epoch_rsp_total += num_bytes
-        self.stats.response_bytes += int(num_bytes)
 
     def charge_ports(self, req: Sequence[int], rsp: Sequence[int]) -> None:
         """Charge request/response bytes to every output port at once.
@@ -88,12 +72,8 @@ class Crossbar:
             raise IndexError("need one entry per output port")
         self._epoch_req = [a + b for a, b in zip(self._epoch_req, req_l)]
         self._epoch_rsp = [a + b for a, b in zip(self._epoch_rsp, rsp_l)]
-        req_total = sum(req_l)
-        rsp_total = sum(rsp_l)
-        self._epoch_req_total += req_total
-        self._epoch_rsp_total += rsp_total
-        self.stats.request_bytes += req_total
-        self.stats.response_bytes += rsp_total
+        self._epoch_req_total += sum(req_l)
+        self._epoch_rsp_total += sum(rsp_l)
 
     def epoch_cycles(self) -> float:
         """Cycles to drain this epoch's traffic through this crossbar.
@@ -126,7 +106,3 @@ class Crossbar:
             self._epoch_rsp[i] = 0.0
         self._epoch_req_total = 0.0
         self._epoch_rsp_total = 0.0
-
-    def reset(self) -> None:
-        self.stats = CrossbarStats()
-        self.end_epoch()

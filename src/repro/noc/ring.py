@@ -10,19 +10,9 @@ optimizes around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..arch.config import InterChipConfig
-
-
-@dataclass
-class RingStats:
-    """Cumulative inter-chip traffic counters."""
-
-    messages: int = 0
-    bytes_sent: int = 0
-    hop_bytes: int = 0  # bytes x hops actually placed on links
 
 
 class InterChipRing:
@@ -39,7 +29,6 @@ class InterChipRing:
             raise ValueError("need at least one chip")
         self.config = config
         self.num_chips = num_chips
-        self.stats = RingStats()
         self._pair_bw = config.pair_bw(num_chips)
         # Per-epoch byte charges per directed segment (src -> next).
         self._epoch_segment: Dict[Tuple[int, int], float] = {}
@@ -72,32 +61,13 @@ class InterChipRing:
         return segments
 
     def charge(self, src: int, dst: int, num_bytes: float) -> None:
-        """Charge a ``num_bytes`` message from chip ``src`` to chip ``dst``."""
+        """Charge ``num_bytes`` from chip ``src`` to chip ``dst`` to every
+        segment of the route: one message, or an epoch's total on it."""
         if src == dst:
             return
-        self.stats.messages += 1
-        self.stats.bytes_sent += int(num_bytes)
         for segment in self.path(src, dst):
             self._epoch_segment[segment] = \
                 self._epoch_segment.get(segment, 0.0) + num_bytes
-            self.stats.hop_bytes += int(num_bytes)
-
-    def charge_bulk(self, src: int, dst: int, num_bytes: float,
-                    messages: int) -> None:
-        """Charge ``messages`` same-route messages totalling ``num_bytes``.
-
-        Equivalent to ``messages`` individual :meth:`charge` calls whose
-        byte counts sum to ``num_bytes`` (used by the engine's batched
-        epoch fast path).
-        """
-        if src == dst or messages == 0:
-            return
-        self.stats.messages += messages
-        self.stats.bytes_sent += int(num_bytes)
-        for segment in self.path(src, dst):
-            self._epoch_segment[segment] = \
-                self._epoch_segment.get(segment, 0.0) + num_bytes
-            self.stats.hop_bytes += int(num_bytes)
 
     def epoch_cycles(self) -> float:
         """Cycles to drain this epoch's traffic (bottleneck segment)."""
@@ -115,7 +85,3 @@ class InterChipRing:
 
     def end_epoch(self) -> None:
         self._epoch_segment.clear()
-
-    def reset(self) -> None:
-        self.stats = RingStats()
-        self.end_epoch()

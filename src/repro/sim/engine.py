@@ -341,9 +341,7 @@ class SimulationEngine:
         self._alloc_remote = 0.0
         self._line_mask = ~(self.line_size - 1)
         self._page_shift = chip_cfg.memory.page_size.bit_length() - 1
-        # The channel hash's seed, and the channel count at the route
-        # memo's width (see ``_routes``).
-        self._channel_seed = int(~np.uint64(self.mapping.seed))
+        # The channel count at the route memo's width (see ``_routes``).
         channels = chip_cfg.memory.channels_per_chip
         self._route_channels = np.min_scalar_type(
             max(chip_cfg.llc_slices * channels - 1, channels)).type(channels)
@@ -835,20 +833,14 @@ class SimulationEngine:
              (pt.ic0 @ rsp0 + pt.ic1 @ rsp1) @ fold_l
              + pt.icm @ (rspm @ fold_c)), axis=1)
 
-        # Ring messages per directed chip pair, and DRAM per channel.
+        # Ring bytes per directed chip pair, and DRAM bytes per channel.
         ring_bytes = (pt.fwd0 @ req0.sum(axis=1) + pt.bwd0 @ rsp0.sum(axis=1)
                       + pt.fwd1 @ req1.sum(axis=1)
                       + pt.bwd1 @ rsp1.sum(axis=1)
                       + pt.fwdm @ reqm.sum(axis=1)
                       + pt.bwdm @ rspm.sum(axis=1))
-        ring_msgs = ((pt.fwd0 + pt.bwd0) @ cnt0.sum(axis=1)
-                     + (pt.fwd1 + pt.bwd1) @ cnt1.sum(axis=1)
-                     + (pt.fwdm + pt.bwdm) @ cntm.sum(axis=1))
-        dram_reads = pt.dram @ (cntm - wrm)                   # (K, Ch)
-        dram_writes = pt.dram @ wrm
-        read_bytes = dram_reads * np.int64(rq + rsp)
-        write_bytes = dram_writes * np.int64(rq + wd + rsp)
-        dram_bytes = int(read_bytes.sum() + write_bytes.sum())
+        channel_bytes = pt.dram @ (reqm + rspm)               # (K, Ch)
+        dram_bytes = int(channel_bytes.sum())
 
         # Dirty-eviction write-backs: serving chip -> home memory.
         if ev_addr.size:
@@ -858,28 +850,22 @@ class SimulationEngine:
             ev_home = np.where(ev_home < 0, ev_serve, ev_home)
             per = np.bincount(
                 (ev_serve * np.int64(K) + ev_home) * np.int64(Ch)
-                + self._vectorized_channels(ev_addr),
-                minlength=P * Ch).reshape(K, K, Ch)
-            wb_writes = per.sum(axis=0)
-            dram_writes = dram_writes + wb_writes
-            write_bytes = write_bytes + wb_writes * np.int64(wb)
+                + self.mapping.channels_of(ev_addr),
+                minlength=P * Ch).reshape(K, K, Ch) * np.int64(wb)
+            channel_bytes = channel_bytes + per.sum(axis=0)
             dram_bytes += wb * int(ev_addr.size)
-            wb_msgs = per.sum(axis=2).reshape(-1) * pt.off_diagonal
-            ring_msgs = ring_msgs + wb_msgs
-            ring_bytes = ring_bytes + wb_msgs * np.int64(wb)
+            ring_bytes = ring_bytes + \
+                per.sum(axis=2).reshape(-1) * pt.off_diagonal
 
         stats = self.stats
         for xbar, req_row, rsp_row in zip(self.crossbars, port_req.tolist(),
                                           port_rsp.tolist()):
             xbar.charge_ports(req_row, rsp_row)
-        for part, charges in zip(self.dram, zip(
-                read_bytes.tolist(), dram_reads.tolist(),
-                write_bytes.tolist(), dram_writes.tolist())):
-            part.charge_channels(*charges)
+        for part, row in zip(self.dram, channel_bytes.tolist()):
+            part.charge_channels(row)
         ring_b = ring_bytes.tolist()
-        ring_m = ring_msgs.tolist()
-        for d in np.flatnonzero(ring_msgs).tolist():
-            self.ring.charge_bulk(d // K, d % K, ring_b[d], ring_m[d])
+        for d in np.flatnonzero(ring_bytes).tolist():
+            self.ring.charge(d // K, d % K, ring_b[d])
         stats.inter_chip_bytes += int(ring_bytes.sum())
         stats.dram_bytes += dram_bytes
         requests = stats.slice_requests
@@ -913,16 +899,6 @@ class SimulationEngine:
             if sums[chip]:
                 self._latency_sum[chip] += float(sums[chip])
 
-    def _vectorized_slices(self, addrs: np.ndarray) -> np.ndarray:
-        """Slice hash of int64 ``addrs``, as int64."""
-        return _hash_mod(addrs // self.line_size, self.mapping.seed,
-                         self.mapping.slices_per_chip)
-
-    def _vectorized_channels(self, addrs: np.ndarray) -> np.ndarray:
-        """Channel hash of int64 ``addrs``, as int64."""
-        return _hash_mod(addrs // self.line_size, self._channel_seed,
-                         self.mapping.channels_per_chip)
-
     def _routes(self, epoch: EpochTrace, addrs: np.ndarray) -> np.ndarray:
         """The epoch's route memo: ``slice * channels_per_chip +
         channel`` of every access, ``addrs`` being its decoded addresses.
@@ -939,9 +915,9 @@ class SimulationEngine:
                mapping.slices_per_chip, mapping.channels_per_chip)
         route = epoch.derived.get(key)
         if route is None:
-            wide = self._vectorized_slices(addrs)
+            wide = mapping.llc_slices_of(addrs)
             wide *= np.int64(mapping.channels_per_chip)
-            wide += self._vectorized_channels(addrs)
+            wide += mapping.channels_of(addrs)
             route = wide.astype(self._route_channels.dtype)
             route.setflags(write=False)
             epoch.derived[key] = route
@@ -1002,8 +978,7 @@ class SimulationEngine:
             # Full miss: the last probed chip forwards to the home memory.
             last = plan.stages[-1].chip
             latency += self._charge_memory_leg(chip, last, home, channel,
-                                               req_bytes, rsp_bytes, is_write,
-                                               dedicated)
+                                               req_bytes, rsp_bytes, dedicated)
             origin = ORIGIN_LOCAL_MEM if home == chip else ORIGIN_REMOTE_MEM
         self.stats.responses_by_origin[origin] += 1
         self._latency_sum[chip] += latency
@@ -1043,8 +1018,7 @@ class SimulationEngine:
             home = chip
         wb_bytes = self.line_size + self.params.response_header_bytes
         self.dram[home].charge(
-            self.mapping.channel_of(result.evicted_addr), wb_bytes,
-            is_write=True)
+            self.mapping.channel_of(result.evicted_addr), wb_bytes)
         self.stats.dram_bytes += wb_bytes
         if home != chip:
             self.ring.charge(chip, home, wb_bytes)
@@ -1094,11 +1068,11 @@ class SimulationEngine:
 
     def _charge_memory_leg(self, requester: int, last: int, home: int,
                            channel: int, req_bytes: int, rsp_bytes: int,
-                           is_write: bool, dedicated: bool) -> float:
+                           dedicated: bool) -> float:
         """Charge the LLC-miss -> home-DRAM leg; returns its latency."""
         params = self.params
         latency = params.latency_dram
-        self.dram[home].charge(channel, req_bytes + rsp_bytes, is_write)
+        self.dram[home].charge(channel, req_bytes + rsp_bytes)
         self.stats.dram_bytes += req_bytes + rsp_bytes
         if last != home:
             # SM-side remote miss (SR): local slice -> inter-chip link ->
@@ -1133,10 +1107,8 @@ class SimulationEngine:
                 self.ring.charge(old_home, new_home, page_bytes)
                 self.stats.inter_chip_bytes += page_bytes
                 channel = _page % self.config.chip.memory.channels_per_chip
-                self.dram[old_home].charge(channel, page_bytes,
-                                           is_write=False)
-                self.dram[new_home].charge(channel, page_bytes,
-                                           is_write=True)
+                self.dram[old_home].charge(channel, page_bytes)
+                self.dram[new_home].charge(channel, page_bytes)
                 self.stats.dram_bytes += 2 * page_bytes
         if self.hardware_coherence is not None:
             messages = self.hardware_coherence.pop_epoch_messages()
@@ -1226,17 +1198,6 @@ class SimulationEngine:
                 self._alloc_local / self._alloc_weight
             self.stats.llc_remote_fraction = \
                 self._alloc_remote / self._alloc_weight
-
-
-def _hash_mod(lines: np.ndarray, seed: int, modulus: int) -> np.ndarray:
-    """Vectorized splitmix64 finalizer mod ``modulus`` (matches
-    :func:`repro.memory.mapping._mix`)."""
-    v = lines.astype(np.uint64) ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):
-        v = (v ^ (v >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        v = (v ^ (v >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        v = v ^ (v >> np.uint64(31))
-    return (v % np.uint64(modulus)).astype(np.int64)
 
 
 #: Alias used by organizations' type hints.

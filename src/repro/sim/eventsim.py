@@ -32,7 +32,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
-    List,
     NoReturn,
     Optional,
     Sequence,
@@ -44,6 +43,7 @@ from ..cache.cache import PartitionFullError, SetAssociativeCache
 from ..llc.base import LLCOrganization
 from ..memory.mapping import AddressMapping
 from ..memory.pages import PageTable
+from ..noc.ring import InterChipRing
 from ..workloads.generator import KernelTrace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -114,9 +114,9 @@ class EventDrivenEngine:
         self._noc_ports = [
             [_Server(port_bw) for _ in range(chip.noc.output_ports)]
             for _ in range(config.num_chips)]
-        pair_bw = config.inter_chip.pair_bw(config.num_chips)
+        self._ring = InterChipRing(config.inter_chip, config.num_chips)
         self._segments: Dict[Tuple[int, int], _Server] = {}
-        self._pair_bw = pair_bw
+        self._pair_bw = config.inter_chip.pair_bw(config.num_chips)
         slice_bw = chip.llc_slice_bw_bytes_per_cycle
         self._slices = [
             [_Server(slice_bw) for _ in range(chip.llc_slices)]
@@ -147,23 +147,6 @@ class EventDrivenEngine:
             server = _Server(self._pair_bw)
             self._segments[(src, dst)] = server
         return server
-
-    def _ring_path(self, src: int, dst: int) -> List[Tuple[int, int]]:
-        chips = self.config.num_chips
-        if src == dst:
-            return []
-        if self.config.inter_chip.topology == "fully-connected":
-            return [(src, dst)]
-        forward = (dst - src) % chips
-        backward = (src - dst) % chips
-        step = 1 if forward <= backward else -1
-        path = []
-        node = src
-        while node != dst:
-            nxt = (node + step) % chips
-            path.append((node, nxt))
-            node = nxt
-        return path
 
     # -- Replay ------------------------------------------------------------
 
@@ -234,7 +217,7 @@ class EventDrivenEngine:
             serve = stage.chip
             # Request leg: ring segments when crossing chips, then the
             # serving chip's NoC port into the LLC slice.
-            for src, dst in self._ring_path(last, serve):
+            for src, dst in self._ring.path(last, serve):
                 t = self._segment(src, dst).serve(t, req)
             t = self._noc_ports[serve][slice_index].serve(t, req)
             t = self._slices[serve][slice_index].serve(t, self.line_size)
@@ -254,13 +237,13 @@ class EventDrivenEngine:
             stats.llc_hits += 1
         else:
             # Miss: traverse to the home chip's DRAM channel.
-            for src, dst in self._ring_path(last, home):
+            for src, dst in self._ring.path(last, home):
                 t = self._segment(src, dst).serve(t, req)
             channel = self.mapping.channel_of(addr)
             t = self._channels[home][channel].serve(t, req + rsp)
             last = home
         # Response leg back to the requester.
-        for src, dst in self._ring_path(last, chip):
+        for src, dst in self._ring.path(last, chip):
             t = self._segment(src, dst).serve(t, rsp)
         t = self._noc_ports[chip][slice_index % len(self._noc_ports[chip])] \
             .serve(t, rsp)

@@ -43,13 +43,11 @@ class TestCaching:
         run(spec, "sm-side", accesses_per_epoch=256)
         assert cache_size() == 2
 
-    def test_use_cache_false_bypasses(self):
+    def test_cleared_memo_simulates_again(self):
         spec = tiny_spec()
-        first = run(spec, "memory-side", accesses_per_epoch=256,
-                    use_cache=False)
-        assert cache_size() == 0
-        second = run(spec, "memory-side", accesses_per_epoch=256,
-                     use_cache=False)
+        first = run(spec, "memory-side", accesses_per_epoch=256)
+        clear_cache()
+        second = run(spec, "memory-side", accesses_per_epoch=256)
         assert second is not first
         assert second.cycles == first.cycles
 

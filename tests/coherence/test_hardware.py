@@ -68,12 +68,12 @@ class TestWriteInvalidate:
         assert directory.pop_epoch_messages() == []
 
     def test_stats_count_invalidations(self):
+        # One write's invalidations: its victims, one message each.
         directory = make()
         for chip in range(4):
             directory.on_fill(0x1000, chip)
-        directory.on_write(0x1000, 0)
-        assert directory.stats.invalidations_sent == 3
-        assert directory.stats.writes_observed == 1
+        assert directory.on_write(0x1000, 0) == [1, 2, 3]
+        assert directory.pop_epoch_messages() == [(0, 1), (0, 2), (0, 3)]
 
 
 class TestLifecycle:
@@ -81,9 +81,9 @@ class TestLifecycle:
         directory = make()
         for i in range(10):
             directory.on_fill(i * 128, 0)
+        assert len(directory) == 10
         for i in range(10):
             directory.on_evict(i * 128, 0)
-        assert directory.stats.lines_tracked_peak == 10
         assert len(directory) == 0
 
     def test_reset(self):
@@ -94,7 +94,6 @@ class TestLifecycle:
         directory.reset()
         assert len(directory) == 0
         assert directory.pop_epoch_messages() == []
-        assert directory.stats.writes_observed == 0
 
     def test_rejects_software_protocol(self):
         with pytest.raises(ValueError):

@@ -151,7 +151,9 @@ class TestStagedShape:
 
     @staticmethod
     def snapshot(bank):
-        return ([cache.stats for cache in bank.caches],
+        store = bank._store
+        arrays = (store.tags, store.dirty, store.count, store.stamp)
+        return ([a.tolist() for a in arrays if a is not None], store.clock,
                 [list(cache.resident_lines()) for cache in bank.caches])
 
     @pytest.mark.parametrize("case", CASES)

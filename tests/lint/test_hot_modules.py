@@ -86,7 +86,7 @@ def vector_path_runs():
         assert stats.vector_epochs > 0, org
     # No floor on the remote allotment: staged epochs decline and rerun
     # on the serial engine from inside the batched kernel.
-    declined = simulate(get("SRAD"), "dynamic", scale=SCALE,
+    declined = simulate(get("BFS"), "dynamic", scale=SCALE,
                         accesses_per_epoch=DENSITY,
                         org_kwargs={"min_remote_ways": 0})
     assert declined.scalar_epochs > 0

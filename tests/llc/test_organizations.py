@@ -89,7 +89,8 @@ class TestDynamic:
                 self.ways = ways
 
         ctx = FakeCtx()
-        assert org.remote_scope is None
+        # Declared whatever the allotment, zero ways included.
+        assert org.remote_scope == PARTITION_REMOTE
         org.attach(ctx)
         assert ctx.ways == {PARTITION_LOCAL: 8, PARTITION_REMOTE: 8}
         assert org.remote_ways == 8

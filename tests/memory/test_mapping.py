@@ -1,6 +1,9 @@
 """Unit tests for the PAE-style randomized address mapping."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memory import AddressMapping
 
@@ -54,6 +57,24 @@ class TestUniformity:
         mapping = make_mapping()
         slices = {mapping.llc_slice_of(i * 128) for i in range(64)}
         assert len(slices) >= 12
+
+
+@given(addrs=st.lists(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**62),
+                      min_size=1, max_size=64),
+       slices=st.integers(1, 32), channels=st.integers(1, 16),
+       seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=100, deadline=None)
+def test_array_hashes_match_scalar(addrs, slices, channels, seed):
+    """``llc_slices_of``/``channels_of`` over an int64 array equal
+    ``llc_slice_of``/``channel_of`` per address, below and above 2**32."""
+    mapping = make_mapping(slices_per_chip=slices,
+                           channels_per_chip=channels, seed=seed)
+    arr = np.array(addrs, dtype=np.int64)
+    slices_of = mapping.llc_slices_of(arr)
+    channels_of = mapping.channels_of(arr)
+    assert slices_of.dtype == channels_of.dtype == np.int64
+    assert slices_of.tolist() == [mapping.llc_slice_of(a) for a in addrs]
+    assert channels_of.tolist() == [mapping.channel_of(a) for a in addrs]
 
 
 class TestGlobalSlice:

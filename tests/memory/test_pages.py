@@ -1,5 +1,7 @@
 """Unit tests for the page table (first-touch allocation)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.memory import PageTable
@@ -38,8 +40,9 @@ class TestFirstTouch:
         table.home_chip(0, 0)
         table.home_chip(4096, 0)
         table.home_chip(8192, 1)
-        assert table.stats.pages_allocated == 3
-        assert table.stats.pages_per_chip == {0: 2, 1: 1}
+        assert len(table) == 3
+        assert Counter(home for _page, home in table.pages()) == \
+            {0: 2, 1: 1}
 
 
 class TestRoundRobin:
@@ -64,4 +67,3 @@ class TestValidation:
         table.home_chip(0, 1)
         table.reset()
         assert len(table) == 0
-        assert table.stats.pages_allocated == 0

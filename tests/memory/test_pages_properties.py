@@ -1,5 +1,6 @@
 """Property-based tests for the page table."""
 
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -42,22 +43,13 @@ def test_lookup_agrees_with_home_chip(stream):
 
 
 @given(accesses)
-@settings(max_examples=100, deadline=None)
-def test_allocation_stats_sum(stream):
-    table = PageTable(page_size=4096, num_chips=4)
-    for addr, chip in stream:
-        table.home_chip(addr, chip)
-    assert table.stats.pages_allocated == len(table)
-    assert sum(table.stats.pages_per_chip.values()) == len(table)
-
-
-@given(accesses)
 @settings(max_examples=50, deadline=None)
 def test_round_robin_is_balanced(stream):
     table = PageTable(page_size=4096, num_chips=4, policy="round-robin")
     for addr, chip in stream:
         table.home_chip(addr, chip)
-    counts = [table.stats.pages_per_chip.get(c, 0) for c in range(4)]
+    homes = Counter(home for _page, home in table.pages())
+    counts = [homes[c] for c in range(4)]
     assert max(counts) - min(counts) <= 1
 
 
@@ -127,4 +119,3 @@ def _check_bulk_against_scalar(script, policy):
             [-1 if h is None else h for h in expect]
     assert dict(bulk.pages()) == dict(ref.pages())
     assert list(bulk.pages()) == list(ref.pages())
-    assert bulk.stats == ref.stats

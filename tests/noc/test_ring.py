@@ -41,14 +41,12 @@ class TestCharging:
         ring.charge(0, 2, 96)
         loads = ring.segment_loads()
         assert sum(loads.values()) == pytest.approx(192)
-        assert ring.stats.hop_bytes == 192
-        assert ring.stats.bytes_sent == 96
 
     def test_self_messages_are_free(self):
         ring = make_ring()
         ring.charge(1, 1, 1000)
         assert ring.epoch_cycles() == 0.0
-        assert ring.stats.messages == 0
+        assert ring.segment_loads() == {}
 
     def test_epoch_cycles_follow_hottest_segment(self):
         ring = make_ring()
@@ -70,7 +68,6 @@ class TestCharging:
         ring.charge(0, 1, 100)
         ring.end_epoch()
         assert ring.epoch_cycles() == 0.0
-        assert ring.stats.bytes_sent == 100
 
 
 class TestFullyConnected:
@@ -95,7 +92,6 @@ class TestFullyConnected:
         mesh = self.make()
         mesh.charge(0, 2, 100)
         assert mesh.segment_loads() == {(0, 2): 100.0}
-        assert mesh.stats.hop_bytes == 100
 
 
 class TestValidation:

@@ -52,6 +52,23 @@ def test_charge_conservation(num_chips, messages):
     assert ring.epoch_cycles() >= 0.0
 
 
+@given(chip_counts, st.integers(0, 7), st.integers(0, 7),
+       st.lists(st.integers(1, 10_000), min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_route_total_charges_like_its_messages(num_chips, src, dst, sizes):
+    """One charge of a route's total == one charge per message on it:
+    the engine's vector path charges each route's epoch total."""
+    src %= num_chips
+    dst %= num_chips
+    bulk = InterChipRing(InterChipConfig(), num_chips)
+    ref = InterChipRing(InterChipConfig(), num_chips)
+    for num_bytes in sizes:
+        ref.charge(src, dst, num_bytes)
+    bulk.charge(src, dst, sum(sizes))
+    assert bulk.segment_loads() == ref.segment_loads()
+    assert bulk.epoch_cycles() == ref.epoch_cycles()
+
+
 @given(chip_counts, st.integers(0, 7), st.integers(0, 7))
 @settings(max_examples=100, deadline=None)
 def test_more_traffic_never_reduces_epoch_time(num_chips, src, dst):

@@ -15,6 +15,7 @@ import pytest
 from repro.arch import baseline, with_coherence
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.vector import VectorBank
+from repro.llc.base import PARTITION_REMOTE
 from repro.sim import EngineParams, SimulationEngine, make_organization
 from repro.sim import run as sim_run
 from repro.sim.run import scaled_config, simulate, simulate_stacked
@@ -229,15 +230,17 @@ class TestBankDeclines:
             assert run_stats.comparable_dict() == \
                 oracle(SPECS[0], org).comparable_dict()
 
-    @pytest.mark.parametrize("name,declined", [
-        ("SRAD", 2), ("NN", 3), ("BFS", 9)])
+    @pytest.mark.parametrize("name,declined", [("BFS", 6)])
     def test_undrainable_rows_decline_to_the_serial_engine(self, name,
                                                            declined):
         # With no floor on the remote allotment, DynamicLLC shrinks the
         # remote partition to zero ways while it still holds lines: the
         # drain model cannot describe that over slot, so every staged
         # epoch probing one of its rows is declined whole and rerun on
-        # the serial engine.
+        # the serial engine.  Each kernel-boundary flush empties the
+        # partition, so only a kernel that shrinks it to zero ways and
+        # then probes it declines (BFS at this size; SRAD and NN no
+        # longer do).
         kwargs = {"min_remote_ways": 0}
         bench = get(name)
         expected = oracle(bench, "dynamic",
@@ -247,6 +250,53 @@ class TestBankDeclines:
         assert solo.scalar_epochs == declined
         assert solo.vector_epochs > 0
         assert solo.comparable_dict() == expected
+
+
+class TestZeroRemoteFloor:
+    """With ``min_remote_ways=0`` DynamicLLC's remote partition can
+    reach zero ways while it still holds lines, since a shrunk
+    partition drains lazily; each kernel-boundary flush must still
+    empty it, on both paths."""
+
+    @staticmethod
+    def boundaries(monkeypatch, run):
+        """``(remote ways, REMOTE lines before, after)`` at each
+        kernel-boundary flush of ``run()``."""
+        flush = SimulationEngine._kernel_boundary_flush
+        seen = []
+
+        def remote_lines(engine):
+            return sum(cache.occupancy_by_partition().get(
+                PARTITION_REMOTE, 0) for chip in engine.llc for cache in chip)
+
+        def observed(engine, scope):
+            before = remote_lines(engine)
+            flush(engine, scope)
+            seen.append((engine.organization.remote_ways, before,
+                         remote_lines(engine)))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SimulationEngine, "_kernel_boundary_flush",
+                          observed)
+            stats = run()
+        return stats, seen
+
+    @pytest.mark.parametrize("name", ["SRAD", "BFS"])
+    def test_boundary_flush_empties_a_zero_way_remote_partition(
+            self, monkeypatch, name):
+        kwargs = {"min_remote_ways": 0}
+        bench = get(name)
+        vector, on_vector = self.boundaries(monkeypatch, lambda: simulate(
+            bench, "dynamic", scale=SCALE, accesses_per_epoch=DENSITY,
+            org_kwargs=kwargs))
+        serial, on_serial = self.boundaries(
+            monkeypatch, lambda: oracle(bench, "dynamic", org_kwargs=kwargs))
+        assert vector.vector_epochs > 0 and serial.vector_epochs == 0
+        assert vector.comparable_dict() == serial.comparable_dict()
+        for seen in (on_vector, on_serial):
+            assert all(after == 0 for _ways, _before, after in seen)
+            # Some kernel ends with zero remote ways and REMOTE lines.
+            assert any(ways == 0 and before for ways, before, _ in seen)
 
 
 class TestVectorPathDecision:

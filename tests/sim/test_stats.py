@@ -1,11 +1,21 @@
 """Unit tests for run statistics and aggregation helpers."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.sim import KernelStats, RunStats, harmonic_mean, speedup
 from repro.sim.stats import ORIGINS, TELEMETRY_FIELDS
+
+PACKAGE = Path(repro.__file__).resolve().parent
+
+#: ``(module, class)`` of the two classes that keep a ``self.stats``:
+#: the engine's ``RunStats`` and SAC's decision record (``SACStats``).
+LEDGER_OWNERS = frozenset({("sim/engine.py", "SimulationEngine"),
+                           ("core/sac.py", "SharingAwareCaching")})
 
 
 class TestRunStats:
@@ -134,3 +144,52 @@ class TestAggregation:
             harmonic_mean([])
         with pytest.raises(ValueError):
             harmonic_mean([1.0, 0.0])
+
+
+def _stats_assignments(tree):
+    """``(class name, line)`` of every assignment to ``self.stats`` in
+    ``tree``, plain, annotated, augmented or unpacked, by the innermost
+    enclosing class."""
+
+    def targets(node):
+        if isinstance(node, ast.Assign):
+            pending = list(node.targets)
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            pending = [node.target]
+        else:
+            return
+        while pending:
+            target = pending.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                pending.extend(target.elts)
+            elif isinstance(target, ast.Starred):
+                pending.append(target.value)
+            else:
+                yield target
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        for target in targets(node):
+            if isinstance(target, ast.Attribute) and target.attr == "stats" \
+                    and isinstance(target.value, ast.Name) \
+                    and target.value.id == "self":
+                yield owner, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    yield from visit(tree, None)
+
+
+def test_a_run_keeps_one_ledger():
+    # Component models keep only the state their timing and behaviour
+    # read; a run's counts live in the engine's RunStats.
+    offenders = [
+        f"{path.relative_to(PACKAGE).as_posix()}:{line} ({owner})"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for owner, line in _stats_assignments(
+            ast.parse(path.read_text(encoding="utf-8")))
+        if (path.relative_to(PACKAGE).as_posix(), owner) not in LEDGER_OWNERS]
+    assert offenders == [], (
+        "count a run's events in the engine's RunStats, not in a "
+        "component's own self.stats: " + ", ".join(offenders))

@@ -1,8 +1,11 @@
 """Tests for the `python -m repro` command-line entry point."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
+from repro.analysis import runner
 from repro.experiments import REGISTRY
 
 
@@ -22,6 +25,25 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Figure 12" in out
         assert "completed in" in out
+
+    def test_cache_dir_serves_single_runs(self, tmp_path, capsys):
+        # Figure 12 calls ``runner.run`` (not ``run_matrix``): a warm
+        # ``--cache-dir`` rerun with a cold memo simulates nothing.
+        counts = []
+        try:
+            for _ in range(2):
+                runner.clear_cache()
+                runner.reset_telemetry()
+                assert main(["fig12", "--fast", "--cache-dir",
+                             str(tmp_path)]) == 0
+                out = capsys.readouterr().out
+                counts.append(tuple(int(n) for n in re.search(
+                    r"runs: (\d+) simulated, \d+ memo hits, (\d+) disk "
+                    r"hits, (\d+) disk stores", out).groups()))
+        finally:
+            runner.set_default_cache_dir(None)
+            runner.clear_cache()
+        assert counts == [(3, 0, 3), (0, 3, 0)]
 
 
 class TestRegistry:
