@@ -1,8 +1,7 @@
 """Analysis: working-set profiling, cached experiment running, tables,
 terminal charts and CSV export."""
 
-from .charts import bar_chart, grouped_bar_chart, series_chart, \
-    stacked_bar_chart
+from .charts import bar_chart
 from .diskcache import SCHEMA_VERSION, ResultCache, content_key
 from .export import (
     export_experiment,
@@ -35,9 +34,6 @@ from .working_set import (
 
 __all__ = [
     "bar_chart",
-    "grouped_bar_chart",
-    "series_chart",
-    "stacked_bar_chart",
     "export_experiment",
     "flatten_run_summaries",
     "write_csv",

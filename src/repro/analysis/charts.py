@@ -1,15 +1,12 @@
 """Terminal bar charts for experiment reports.
 
-Dependency-free rendering of the paper's figure shapes in a terminal:
-grouped horizontal bars (Figure 8-style speedups), simple series bars
-(Figure 14-style sweeps), and stacked bars (Figure 10/11-style
-breakdowns).  All renderers return strings; the CLI and benches print
-them.
+Dependency-free horizontal bars (Figure 8's speedups) for a terminal.
+The renderer returns a string; the experiment report prints it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 FULL = "#"
 PARTIAL = "-"
@@ -55,79 +52,3 @@ def bar_chart(values: Mapping[str, float], width: int = 40,
         lines.append(f"{str(key).ljust(label_width)}  {bar} {rendered_value}")
     return "\n".join(lines)
 
-
-def grouped_bar_chart(groups: Mapping[str, Mapping[str, float]],
-                      width: int = 40,
-                      reference: Optional[float] = None) -> str:
-    """One block of bars per group (Figure 8-style)."""
-    if not groups:
-        raise ValueError("nothing to chart")
-    blocks = []
-    for group, values in groups.items():
-        blocks.append(f"{group}:")
-        chart = bar_chart(values, width=width, reference=reference)
-        blocks.extend("  " + line for line in chart.splitlines())
-    return "\n".join(blocks)
-
-
-def stacked_bar_chart(rows: Mapping[str, Mapping[str, float]],
-                      symbols: Optional[Dict[str, str]] = None,
-                      width: int = 40) -> str:
-    """Stacked horizontal bars (Figure 10-style breakdowns).
-
-    Each row is a mapping of component -> value; components are drawn
-    with distinct symbols in insertion order.  A legend line is
-    appended.
-    """
-    if not rows:
-        raise ValueError("nothing to chart")
-    components: List[str] = []
-    for values in rows.values():
-        for name in values:
-            if name not in components:
-                components.append(name)
-    default_symbols = "#=+:.%@*"
-    symbol_of = {}
-    for i, name in enumerate(components):
-        if symbols and name in symbols:
-            symbol_of[name] = symbols[name]
-        else:
-            symbol_of[name] = default_symbols[i % len(default_symbols)]
-    peak = max(sum(values.values()) for values in rows.values())
-    if peak <= 0:
-        raise ValueError("chart needs a positive total")
-    label_width = max(len(str(k)) for k in rows)
-    lines = []
-    for key, values in rows.items():
-        bar = ""
-        for name in components:
-            value = values.get(name, 0.0)
-            cells = int(round(value / peak * width))
-            bar += symbol_of[name] * cells
-        total = sum(values.values())
-        lines.append(f"{str(key).ljust(label_width)}  {bar.ljust(width)} "
-                     f"{total:.2f}")
-    legend = "  ".join(f"{symbol_of[name]}={name}" for name in components)
-    lines.append(f"legend: {legend}")
-    return "\n".join(lines)
-
-
-def series_chart(points: Sequence[Mapping[str, object]], x_key: str,
-                 y_keys: Sequence[str], width: int = 40) -> str:
-    """Bars per x-point and series (Figure 13/14-style sweeps)."""
-    if not points:
-        raise ValueError("nothing to chart")
-    peak = max(float(p[y]) for p in points for y in y_keys)
-    if peak <= 0:
-        raise ValueError("chart needs a positive value")
-    label_width = max(len(f"{p[x_key]}") for p in points)
-    key_width = max(len(y) for y in y_keys)
-    lines = []
-    for point in points:
-        for y in y_keys:
-            value = float(point[y])
-            bar = _bar(value, peak, width)
-            lines.append(f"{str(point[x_key]).ljust(label_width)} "
-                         f"{y.ljust(key_width)}  {bar} {value:.2f}")
-        lines.append("")
-    return "\n".join(lines[:-1])

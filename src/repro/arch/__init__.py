@@ -15,9 +15,6 @@ from .presets import (
     INTER_CHIP_SWEEP_GBPS,
     MEMORY_INTERFACE_GBPS,
     baseline,
-    inter_chip_sweep,
-    llc_capacity_sweep,
-    memory_interface_sweep,
     with_chip_count,
     with_coherence,
     with_inter_chip_bandwidth,
@@ -40,9 +37,6 @@ __all__ = [
     "INTER_CHIP_SWEEP_GBPS",
     "MEMORY_INTERFACE_GBPS",
     "baseline",
-    "inter_chip_sweep",
-    "llc_capacity_sweep",
-    "memory_interface_sweep",
     "with_chip_count",
     "with_coherence",
     "with_inter_chip_bandwidth",

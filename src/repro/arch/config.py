@@ -5,9 +5,10 @@ Table 3 of the SAC paper: a 4-chip GPU with 64 SMs, 4 MB of LLC and 8
 memory channels per chip, an intra-chip concentrated hierarchical crossbar
 and an inter-chip ring built from NVLink-style bidirectional links.
 
-Bandwidth values are stored in bytes per cycle at the GPU clock (1 GHz in
-the baseline), so ``bytes/cycle == GB/s`` numerically at 1 GHz.  Helper
-properties expose GB/s for readability in reports.
+Bandwidth values are stored in bytes per cycle at the 1 GHz GPU clock, so
+``bytes/cycle == GB/s`` numerically.  The clock is not a setting: every
+configuration runs at 1 GHz, and reports print the stored bandwidths as
+GB/s.
 """
 
 from __future__ import annotations
@@ -134,13 +135,10 @@ class InterChipConfig:
 
     links_per_chip: int = 6
     link_bw_bytes_per_cycle: int = 32  # 32 GB/s per direction at 1 GHz
-    topology: str = "ring"
 
     def __post_init__(self) -> None:
         _require(self.links_per_chip > 0, "need at least one inter-chip link")
         _require(self.link_bw_bytes_per_cycle > 0, "link bandwidth must be positive")
-        _require(self.topology in ("ring", "fully-connected"),
-                 f"unsupported inter-chip topology: {self.topology!r}")
 
     def chip_egress_bw(self) -> float:
         """Total unidirectional bandwidth leaving one chip (bytes/cycle)."""
@@ -150,12 +148,10 @@ class InterChipConfig:
         """Unidirectional bandwidth between one chip pair (bytes/cycle)."""
         if num_chips <= 1:
             return float("inf")
-        if self.topology == "ring":
-            # A ring splits a chip's links evenly between its neighbours;
-            # the baseline has 3 links between each pair of adjacent chips.
-            neighbours = min(2, num_chips - 1)
-            return self.chip_egress_bw() / neighbours
-        return self.chip_egress_bw() / (num_chips - 1)
+        # A ring splits a chip's links evenly between its neighbours; the
+        # baseline has 3 links between each pair of adjacent chips.
+        neighbours = min(2, num_chips - 1)
+        return self.chip_egress_bw() / neighbours
 
 
 @dataclass(frozen=True)
@@ -283,14 +279,9 @@ class SystemConfig:
     inter_chip: InterChipConfig = field(default_factory=InterChipConfig)
     coherence: CoherenceConfig = field(default_factory=CoherenceConfig)
     sac: SACConfig = field(default_factory=SACConfig)
-    clock_ghz: float = 1.0
-    page_allocation: str = "first-touch"
 
     def __post_init__(self) -> None:
         _require(self.num_chips >= 1, "need at least one chip")
-        _require(self.clock_ghz > 0, "clock must be positive")
-        _require(self.page_allocation in ("first-touch", "round-robin"),
-                 f"unsupported page allocation: {self.page_allocation!r}")
         _require(self.num_chips == 1 or self.chip.noc.inter_chip_ports > 0,
                  "a multi-chip system needs at least one inter-chip port "
                  "per chip")
@@ -327,10 +318,6 @@ class SystemConfig:
     def page_size(self) -> int:
         return self.chip.memory.page_size
 
-    def bytes_per_cycle_to_gbps(self, bytes_per_cycle: float) -> float:
-        """Convert bytes/cycle to GB/s at the configured clock."""
-        return bytes_per_cycle * self.clock_ghz
-
     def describe(self) -> Dict[str, object]:
         """Summarize the configuration as a flat dict (for reports)."""
         return {
@@ -338,11 +325,9 @@ class SystemConfig:
             "sms_total": self.total_sms,
             "llc_total_mb": self.total_llc_bytes / MB,
             "llc_slices_total": self.total_llc_slices,
-            "llc_bw_gbps": self.bytes_per_cycle_to_gbps(
-                self.num_chips * self.chip.llc_bw_bytes_per_cycle),
-            "dram_bw_gbps": self.bytes_per_cycle_to_gbps(self.total_memory_bw),
-            "inter_chip_bw_gbps": self.bytes_per_cycle_to_gbps(
-                self.total_inter_chip_bw),
+            "llc_bw_gbps": self.num_chips * self.chip.llc_bw_bytes_per_cycle,
+            "dram_bw_gbps": self.total_memory_bw,
+            "inter_chip_bw_gbps": self.total_inter_chip_bw,
             "memory_interface": self.chip.memory.interface,
             "coherence": self.coherence.protocol,
             "page_size": self.page_size,

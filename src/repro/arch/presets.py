@@ -10,16 +10,9 @@ caches, hardware coherence and page-size variants.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Tuple
 
-from .config import (
-    CacheConfig,
-    ChipConfig,
-    CoherenceConfig,
-    InterChipConfig,
-    MemoryConfig,
-    SystemConfig,
-)
+from .config import SystemConfig
 
 #: Unidirectional per-chip-pair bandwidth (GB/s) of each interconnect
 #: generation swept in Figure 14.  The baseline (96 GB/s) sits between
@@ -51,7 +44,7 @@ def with_inter_chip_bandwidth(config: SystemConfig,
     links = config.inter_chip.links_per_chip
     neighbours = min(2, max(1, config.num_chips - 1))
     links_per_pair = links / neighbours
-    per_link = pair_gbps / links_per_pair / config.clock_ghz
+    per_link = pair_gbps / links_per_pair
     inter = dataclasses.replace(
         config.inter_chip, link_bw_bytes_per_cycle=max(1, round(per_link)))
     return config.with_updates(inter_chip=inter)
@@ -66,7 +59,7 @@ def with_memory_interface(config: SystemConfig, interface: str) -> SystemConfig:
             f"unknown memory interface {interface!r}; "
             f"choose from {sorted(MEMORY_INTERFACE_GBPS)}") from None
     channels = config.num_chips * config.chip.memory.channels_per_chip
-    per_channel = total_gbps / channels / config.clock_ghz
+    per_channel = total_gbps / channels
     memory = dataclasses.replace(
         config.chip.memory,
         channel_bw_bytes_per_cycle=per_channel,
@@ -120,37 +113,3 @@ def with_page_size(config: SystemConfig, page_size: int) -> SystemConfig:
     chip = dataclasses.replace(config.chip, memory=memory)
     return config.with_updates(chip=chip)
 
-
-def inter_chip_sweep(config: SystemConfig | None = None
-                     ) -> List[Tuple[str, SystemConfig]]:
-    """Labelled configs for the Figure 14 inter-chip bandwidth sweep."""
-    base = config or baseline()
-    sweep = []
-    for gbps in INTER_CHIP_SWEEP_GBPS:
-        label = f"inter-chip {gbps} GB/s" + (" *" if gbps == 96 else "")
-        sweep.append((label, with_inter_chip_bandwidth(base, gbps)))
-    return sweep
-
-
-def memory_interface_sweep(config: SystemConfig | None = None
-                           ) -> List[Tuple[str, SystemConfig]]:
-    """Labelled configs for the Figure 14 memory-interface sweep."""
-    base = config or baseline()
-    sweep = []
-    for name in ("GDDR5", "GDDR6", "HBM2"):
-        label = name + (" *" if name == "GDDR6" else "")
-        sweep.append((label, with_memory_interface(base, name)))
-    return sweep
-
-
-def llc_capacity_sweep(factors: Iterable[float] = (0.5, 1.0, 2.0),
-                       config: SystemConfig | None = None
-                       ) -> List[Tuple[str, SystemConfig]]:
-    """Labelled configs for the Figure 14 LLC-capacity sweep."""
-    base = config or baseline()
-    sweep = []
-    for factor in factors:
-        mb = base.chip.llc_capacity_bytes * factor / (1024 * 1024)
-        label = f"LLC {mb:g} MB/chip" + (" *" if factor == 1.0 else "")
-        sweep.append((label, with_llc_capacity_scale(base, factor)))
-    return sweep

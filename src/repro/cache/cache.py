@@ -367,14 +367,6 @@ class SetAssociativeCache:
             for tag, line in cache_set.items():
                 yield self._rebuild_addr(index, tag), line
 
-    def reset(self) -> None:
-        """Clear contents (and the per-set partition occupancy)."""
-        for cache_set in self._sets:
-            cache_set.clear()
-        if self._part_occ is not None:
-            for counts in self._part_occ:
-                counts.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SetAssociativeCache(name={self.name!r}, "
                 f"size={self.config.size_bytes}, "

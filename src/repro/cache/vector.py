@@ -1549,7 +1549,8 @@ class VectorBank:
         # Stage-major outcomes: entry ``i`` is access i's stage-0 probe,
         # entry ``n + i`` its stage-1 probe.
         hit = np.zeros(2 * n, dtype=bool)
-        fill = np.zeros(2 * n, dtype=bool)
+        # Which phase-1 probes fill: the growth rows' drains read them.
+        fill = np.zeros(n, dtype=bool)
         # (entry, line address) of each dirty eviction, per kernel call.
         dirty_at: List[np.ndarray] = []
         dirty_addr: List[np.ndarray] = []
@@ -1557,11 +1558,12 @@ class VectorBank:
 
         def solve(pos: np.ndarray, krows: np.ndarray, caps: np.ndarray,
                   at: np.ndarray, dpos: np.ndarray, drid: np.ndarray,
-                  dat: np.ndarray) -> None:
+                  dat: np.ndarray, fills: bool) -> None:
             # One kernel call over the probes at stream positions
             # ``pos`` (outcome entries ``at``) and one drain step per
             # ``dpos`` on the over slot of flat (cache, set) row
-            # ``drid``, reported on entry ``dat``.  The steps merge in
+            # ``drid``, reported on entry ``dat``; ``fills`` records
+            # which probes fill.  The steps merge in
             # by stream position; a step and its own access's probe
             # never share a row, as an access's two stages probe
             # different caches.  Zero-way partitions come back as
@@ -1593,11 +1595,12 @@ class VectorBank:
             del t, krows
             ap = at[probe]
             hits = res.hits[probe]
-            fl = ~hits & (caps[probe] > 0)
-            if res.sector_miss is not None:
-                fl &= ~res.sector_miss[probe]
             hit[ap] = hits
-            fill[ap] = fl
+            if fills:
+                fl = ~hits & (caps[probe] > 0)
+                if res.sector_miss is not None:
+                    fl &= ~res.sector_miss[probe]
+                fill[ap] = fl
             # Dirty evictions only: a draining fill reports none of its
             # own, so no entry is reported twice.
             ev = np.flatnonzero(res.evicted_dirty)
@@ -1612,7 +1615,7 @@ class VectorBank:
             (empty, empty)
         if b1.size or mpos.size:
             solve(b1, plan.krow0[b1], plan.cap0[b1], b1, mpos, mrid,
-                  np.where(two_stage[mpos], mpos + n, mpos))
+                  np.where(two_stage[mpos], mpos + n, mpos), fills=True)
         del b1
 
         # Phase 2: single-stage probes and the stage-1 probes of
@@ -1626,7 +1629,7 @@ class VectorBank:
         if plan.grow is not None:
             assert over is not None
             rid0 = plan.krow0 % CS
-            gf = np.flatnonzero(fill[:n] & plan.grow[rid0])
+            gf = np.flatnonzero(fill & plan.grow[rid0])
             urow = plan.krow0[gf]
             gpos = gf[_drains_of(urow, rid0[gf],
                                  plan.cap0[gf] - over.count[urow],
@@ -1636,7 +1639,8 @@ class VectorBank:
         if b2.size or gpos.size:
             solve(b2, np.where(use1, plan.krow1[b2], plan.krow0[b2]),
                   np.where(use1, plan.cap1[b2], plan.cap0[b2]),
-                  np.where(use1, b2 + n, b2), gpos, grid, gpos)
+                  np.where(use1, b2 + n, b2), gpos, grid, gpos,
+                  fills=False)
         del b2, use1
 
         return self._staged_outcome(

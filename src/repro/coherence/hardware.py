@@ -98,7 +98,3 @@ class HardwareCoherence:
     @property
     def message_bytes(self) -> int:
         return self.config.invalidation_message_bytes
-
-    def reset(self) -> None:
-        self._entries.clear()
-        self._epoch_messages.clear()

@@ -13,11 +13,7 @@ Each chip carries:
 Together these provide every workload-dependent EAB input: R_local, the
 LSU of both configurations, and both hit rates (the memory-side hit rate
 comes from the existing LLC counters; the SM-side one from the CRD).
-
-``storage_bytes`` reproduces the paper's overhead accounting: 16-bit LSU
-counters (64 B/chip for both configurations in the 4-chip baseline) plus
-four 24-bit counters (12 B), plus the CRD (544 B conventional / 736 B
-sectored), totalling 620 / 812 bytes per chip.
+Their SRAM budget is accounted in :mod:`repro.core.overhead`.
 """
 
 from __future__ import annotations
@@ -30,11 +26,6 @@ import numpy as np
 from ..arch.config import SACConfig
 from .crd import ChipRequestDirectory
 from .eab import llc_slice_uniformity
-
-LSU_COUNTER_BITS = 16
-SCALAR_COUNTER_BITS = 24
-#: total, local, CRD-hits and CRD-requests counters per chip.
-SCALAR_COUNTERS = 4
 
 
 @dataclass
@@ -198,14 +189,6 @@ class ProfilingCounters:
         requests = [count for chip in self.chips
                     for count in chip.sm_side_slice_requests]
         return llc_slice_uniformity(requests)
-
-    # -- Overhead accounting ---------------------------------------------------
-
-    def storage_bytes_per_chip(self) -> int:
-        """Counter + CRD SRAM per chip (620 B conventional, 812 B sectored)."""
-        lsu_bytes = 2 * self.slices_per_chip * LSU_COUNTER_BITS // 8
-        scalar_bytes = SCALAR_COUNTERS * SCALAR_COUNTER_BITS // 8
-        return lsu_bytes + scalar_bytes + self.crds[0].storage_bytes()
 
     def reset(self) -> None:
         for chip in self.chips:

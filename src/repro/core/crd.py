@@ -83,7 +83,7 @@ class ChipRequestDirectory:
         if sectored:
             self._sector_shift = (line_size // sectors_per_line).bit_length() - 1
 
-    # -- Geometry / overhead ------------------------------------------------
+    # -- Geometry -----------------------------------------------------------
 
     @property
     def num_sets(self) -> int:
@@ -96,15 +96,6 @@ class ChipRequestDirectory:
     @property
     def sample_stride(self) -> int:
         return self._stride
-
-    def storage_bits(self) -> int:
-        """Total SRAM bits (tag + chip bits per block)."""
-        bits_per_chip = self.sectors_per_line if self.sectored else 1
-        block_bits = self.config.crd_tag_bits + self.num_chips * bits_per_chip
-        return self.num_sets * self.num_ways * block_bits
-
-    def storage_bytes(self) -> int:
-        return self.storage_bits() // 8
 
     # -- Profiling ----------------------------------------------------------
 

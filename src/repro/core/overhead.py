@@ -14,7 +14,11 @@ from dataclasses import dataclass
 
 from ..arch.config import SACConfig, SystemConfig
 from ..noc import power as noc_power
-from .counters import LSU_COUNTER_BITS, SCALAR_COUNTER_BITS, SCALAR_COUNTERS
+
+LSU_COUNTER_BITS = 16
+SCALAR_COUNTER_BITS = 24
+#: total, local, CRD-hits and CRD-requests counters per chip.
+SCALAR_COUNTERS = 4
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ class LookupStage:
 
     chip: int
     partition: int = PARTITION_LOCAL
-    allocate: bool = True
 
 
 @dataclass(frozen=True)
@@ -105,9 +104,6 @@ class LLCOrganization(abc.ABC):
 
     def end_kernel(self, ctx: "EngineContext") -> None:
         """Called when a kernel retires (before the coherence flush)."""
-
-    def begin_epoch(self, ctx: "EngineContext", epoch_index: int) -> None:
-        """Called before each epoch of the current kernel."""
 
     @property
     def profiling(self) -> bool:

@@ -87,6 +87,3 @@ class DominantAccessorMigration:
             for chip in range(self.num_chips):
                 entry.counts[chip] = 0
         return moves
-
-    def reset(self) -> None:
-        self._pages.clear()

@@ -2,8 +2,7 @@
 
 Multi-chip GPUs map each memory page to the partition of the chip that
 first touches it (Arunkumar et al.; paper Section 4).  The page table
-records that mapping and exposes the home chip of any byte address.  A
-round-robin policy is provided for comparison.
+records that mapping and exposes the home chip of any byte address.
 """
 
 from __future__ import annotations
@@ -22,35 +21,29 @@ _DENSE_PER_PAGE = 5
 
 
 class PageTable:
-    """Maps pages to home memory partitions.
+    """Maps pages to home memory partitions by first touch.
 
-    ``policy`` is ``"first-touch"`` (default) or ``"round-robin"``.  Pages
-    are identified by page number (``addr >> page_shift``).
+    Pages are identified by page number (``addr >> page_shift``).
 
     The ``(page -> home)`` dict serves per-access lookups.  Beside it the
     table keeps a bulk view for :meth:`bulk_home` and :meth:`homes_of`:
     a dense int16 home per page (-1 where unallocated) over the
     allocated page span, so a lookup is one gather.  A span too sparse
     for a table (a trace of a real address stream, say) keeps a sorted
-    (page, int16 home) index instead.  Scalar allocations, migrations
-    and resets drop the view, and the next bulk call rebuilds it from
+    (page, int16 home) index instead.  Scalar allocations and
+    migrations drop the view, and the next bulk call rebuilds it from
     the dict.
     """
 
-    def __init__(self, page_size: int, num_chips: int,
-                 policy: str = "first-touch") -> None:
+    def __init__(self, page_size: int, num_chips: int) -> None:
         if page_size <= 0 or page_size & (page_size - 1):
             raise ValueError("page size must be a positive power of two")
         if not 1 <= num_chips <= np.iinfo(np.int16).max:
             raise ValueError("need 1..32767 chips (homes are int16)")
-        if policy not in ("first-touch", "round-robin"):
-            raise ValueError(f"unknown page allocation policy: {policy!r}")
         self.page_size = page_size
         self.num_chips = num_chips
-        self.policy = policy
         self._page_shift = page_size.bit_length() - 1
         self._home: Dict[int, int] = {}
-        self._next_rr = 0
         #: The bulk view: either the dense homes of pages ``_base ..``,
         #: or the sorted pages and their homes; neither when dropped.
         self._table: Optional[np.ndarray] = None
@@ -77,22 +70,16 @@ class PageTable:
         """Resolve many pages at once, allocating unknown ones.
 
         ``pages`` are distinct int64 page numbers paired with the chip
-        that (first) touches each (any integer width); they must be
-        given in first-touch order so that order-sensitive policies
-        (round-robin) allocate exactly as the per-access path would.
-        Returns the home chip per page.
+        that (first) touches each (any integer width), given in
+        first-touch order so that the dict keeps the order per-access
+        allocation would give it.  Returns the home chip per page.
         """
         homes = self.homes_of(pages)
         new = np.flatnonzero(homes < 0)
         if not new.size:
             return homes
         new_pages = pages[new]
-        if self.policy == "first-touch":
-            new_homes = touch_chips[new].astype(np.int64)
-        else:
-            new_homes = (self._next_rr + np.arange(new.size, dtype=np.int64)
-                         ) % np.int64(self.num_chips)
-            self._next_rr = (self._next_rr + int(new.size)) % self.num_chips
+        new_homes = touch_chips[new].astype(np.int64)
         homes[new] = new_homes
         # The dict in first-touch order, as per-access allocation would
         # leave it.
@@ -155,14 +142,9 @@ class PageTable:
         self._table = self._index = None
 
     def _allocate(self, page: int, requesting_chip: int) -> int:
-        if self.policy == "first-touch":
-            home = requesting_chip
-        else:
-            home = self._next_rr
-            self._next_rr = (self._next_rr + 1) % self.num_chips
-        self._home[page] = home
+        self._home[page] = requesting_chip
         self._drop_view()
-        return home
+        return requesting_chip
 
     def migrate(self, page: int, new_home: int) -> int:
         """Move an allocated page to ``new_home``; returns the old home."""
@@ -185,8 +167,3 @@ class PageTable:
     def footprint_bytes(self) -> int:
         """Total bytes of allocated pages."""
         return len(self._home) * self.page_size
-
-    def reset(self) -> None:
-        self._home.clear()
-        self._drop_view()
-        self._next_rr = 0

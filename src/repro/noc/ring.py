@@ -34,11 +34,9 @@ class InterChipRing:
         self._epoch_segment: Dict[Tuple[int, int], float] = {}
 
     def hops(self, src: int, dst: int) -> int:
-        """Distance from ``src`` to ``dst`` (1 on a full mesh)."""
+        """Ring distance from ``src`` to ``dst``."""
         if src == dst:
             return 0
-        if self.config.topology == "fully-connected":
-            return 1
         forward = (dst - src) % self.num_chips
         backward = (src - dst) % self.num_chips
         return min(forward, backward)
@@ -47,8 +45,6 @@ class InterChipRing:
         """Directed segments traversed from ``src`` to ``dst``."""
         if src == dst:
             return []
-        if self.config.topology == "fully-connected":
-            return [(src, dst)]
         forward = (dst - src) % self.num_chips
         backward = (src - dst) % self.num_chips
         step = 1 if forward <= backward else -1

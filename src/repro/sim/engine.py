@@ -177,10 +177,10 @@ class _PlanTable:
                                for s in second], dtype=np.int64)
         last = np.array([plan.stages[-1].chip for plan in plans],
                         dtype=np.int64)
-        #: One unpartitioned allocate-on-miss probe per access: the
-        #: grouped kernel's shape.
+        #: One unpartitioned probe per access: the grouped kernel's
+        #: shape.
         self.grouped = not self.two.any() and all(
-            s.partition == UNPARTITIONED and s.allocate for s in first)
+            s.partition == UNPARTITIONED for s in first)
         #: The L1.5 table, the staged kernel's domain (see
         #: ``VectorBank.access_many_staged``).
         self.l15 = all(plan == StaticLLC._build(int(c), int(h))
@@ -288,8 +288,7 @@ class SimulationEngine:
         chip_cfg = config.chip
         self.line_size = chip_cfg.llc_slice.line_size
         self.page_table = PageTable(chip_cfg.memory.page_size,
-                                    config.num_chips,
-                                    policy=config.page_allocation)
+                                    config.num_chips)
         self.mapping = AddressMapping(
             line_size=self.line_size,
             slices_per_chip=chip_cfg.llc_slices,
@@ -378,9 +377,9 @@ class SimulationEngine:
         self._pending_cycles += cycles
 
     def flush_llc(self, partition: Optional[int] = None,
-                  chips: Optional[Iterable[int]] = None,
                   dirty_only: bool = False) -> None:
-        """Write back + invalidate LLC contents, charging the cost.
+        """Write back + invalidate every chip's LLC contents, charging
+        the cost.
 
         ``partition=None`` flushes everything; otherwise only lines of
         that way-partition.  ``dirty_only=True`` writes back and
@@ -390,8 +389,6 @@ class SimulationEngine:
         (serialized at the chip's DRAM bandwidth) plus the coherence
         per-line bookkeeping cost.
         """
-        chip_list = list(chips) if chips is not None else \
-            list(range(self.config.num_chips))
         coherence_cfg = self.config.coherence
         dram_bw = self.config.chip.memory.chip_bw()
         shift = np.int64(self.page_table._page_shift)
@@ -399,7 +396,7 @@ class SimulationEngine:
         per_chip = self.config.chip.llc_slices
         # Chips flush concurrently: the run is delayed by the slowest one.
         worst_cycles = 0.0
-        for chip in chip_list:
+        for chip in range(self.config.num_chips):
             # Dirty lines written back, and those homed on another chip
             # (an unallocated page counts as the chip's own).
             wb_lines = 0
@@ -494,7 +491,6 @@ class SimulationEngine:
         kstats = KernelStats(name=kernel.name)
         self.organization.begin_kernel(self, kernel.name)
         for index, epoch in enumerate(kernel.epochs):
-            self.organization.begin_epoch(self, index)
             if self.organization.profiling:
                 head, tail = self._split_profile_window(epoch)
                 self._run_epoch(head, kstats)
@@ -729,8 +725,8 @@ class SimulationEngine:
 
         ``addrs`` is the epoch's decoded int64 address array.  The
         epoch's distinct pages are allocated through the page table in
-        order of first touch, so round-robin allocation assigns the same
-        homes as the per-access path; then every access is homed with
+        order of first touch, so the table's dict keeps the order the
+        per-access path gives it; then every access is homed with
         one :meth:`~repro.memory.pages.PageTable.homes_of` lookup.  The
         distinct pages and their first touchers are a pure function of
         the epoch's arrays and are memoized on the epoch, so every run
@@ -956,9 +952,8 @@ class SimulationEngine:
                                         rsp_bytes, dedicated and
                                         stage_index > 0)
             self._slice_bytes[serve][slice_index] += self.line_size
-            allocate = stage.allocate
-            if allocate and stage.partition and \
-                    self._remote_allocate is not None:
+            allocate = True
+            if stage.partition and self._remote_allocate is not None:
                 # Insertion-policy organizations (LADM) decide per access
                 # whether a remote line may enter the remote partition.
                 allocate = self._remote_allocate(chip, addr)

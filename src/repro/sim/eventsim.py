@@ -44,7 +44,8 @@ from ..llc.base import LLCOrganization
 from ..memory.mapping import AddressMapping
 from ..memory.pages import PageTable
 from ..noc.ring import InterChipRing
-from ..workloads.generator import KernelTrace
+from ..workloads.generator import KernelTrace, TraceGenerator
+from .engine import EngineParams
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..workloads.spec import BenchmarkSpec
@@ -90,10 +91,12 @@ class _Server:
 
 
 class EventDrivenEngine:
-    """Queueing-network replay of a trace under one LLC organization."""
+    """Queueing-network replay of a trace under one LLC organization.
 
-    REQUEST_BYTES = 32.0
-    RESPONSE_BYTES = 144.0
+    Messages have the epoch engine's default sizes
+    (:class:`~repro.sim.engine.EngineParams`): a request, plus the write
+    data on a write, and a response of one line plus its header.
+    """
 
     def __init__(self, config: SystemConfig,
                  organization: LLCOrganization) -> None:
@@ -101,8 +104,12 @@ class EventDrivenEngine:
         self.organization = organization
         chip = config.chip
         self.line_size = chip.llc_slice.line_size
-        self.page_table = PageTable(chip.memory.page_size, config.num_chips,
-                                    policy=config.page_allocation)
+        params = EngineParams()
+        self._request_bytes = float(params.request_bytes)
+        self._write_bytes = float(params.write_data_bytes)
+        self._response_bytes = float(
+            self.line_size + params.response_header_bytes)
+        self.page_table = PageTable(chip.memory.page_size, config.num_chips)
         self.mapping = AddressMapping(
             line_size=self.line_size, slices_per_chip=chip.llc_slices,
             channels_per_chip=chip.memory.channels_per_chip)
@@ -208,8 +215,8 @@ class EventDrivenEngine:
         home = self.page_table.home_chip(addr, chip)
         plan = self.organization.plan(chip, home)
         slice_index = self.mapping.llc_slice_of(addr)
-        req = self.REQUEST_BYTES + (32.0 if is_write else 0.0)
-        rsp = self.RESPONSE_BYTES
+        req = self._request_bytes + (self._write_bytes if is_write else 0.0)
+        rsp = self._response_bytes
         t = issue
         hit = False
         last = chip
@@ -224,8 +231,7 @@ class EventDrivenEngine:
             cache = self.llc[serve][slice_index]
             try:
                 result = cache.access(addr, is_write,
-                                      partition=stage.partition,
-                                      allocate_on_miss=stage.allocate)
+                                      partition=stage.partition)
             except PartitionFullError:
                 result = None
             if result is not None and result.hit:
@@ -274,31 +280,22 @@ def validate_against_epoch_model(
     same organization.
     """
     from ..arch.presets import baseline
-    from ..workloads.generator import TraceGenerator
-    from .engine import SimulationEngine
-    from .run import make_organization, scaled_config
+    from .run import make_organization, scaled_config, simulate
 
-    run_config = scaled_config(config or baseline(), scale)
+    base = config or baseline()
+    run_config = scaled_config(base, scale)
+    generator = TraceGenerator(
+        spec, num_chips=run_config.num_chips,
+        clusters_per_chip=run_config.chip.num_clusters,
+        line_size=run_config.line_size,
+        page_size=run_config.page_size,
+        accesses_per_epoch_per_chip=accesses_per_epoch, scale=scale)
     results = {}
     for name in organizations:
-        generator = TraceGenerator(
-            spec, num_chips=run_config.num_chips,
-            clusters_per_chip=run_config.chip.num_clusters,
-            line_size=run_config.line_size,
-            page_size=run_config.page_size,
-            accesses_per_epoch_per_chip=accesses_per_epoch, scale=scale)
-        epoch_engine = SimulationEngine(
-            run_config, make_organization(name, run_config))
-        epoch_stats = epoch_engine.run(generator.kernels(),
-                                       benchmark=spec.name)
-        generator2 = TraceGenerator(
-            spec, num_chips=run_config.num_chips,
-            clusters_per_chip=run_config.chip.num_clusters,
-            line_size=run_config.line_size,
-            page_size=run_config.page_size,
-            accesses_per_epoch_per_chip=accesses_per_epoch, scale=scale)
+        epoch_stats = simulate(spec, name, config=base, scale=scale,
+                               accesses_per_epoch=accesses_per_epoch)
         event_engine = EventDrivenEngine(
             run_config, make_organization(name, run_config))
-        event_stats = event_engine.run(generator2.kernels())
+        event_stats = event_engine.run(generator.kernels())
         results[name] = (epoch_stats.cycles, event_stats.cycles)
     return results

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from ..arch.config import SystemConfig
 from ..arch.presets import baseline, with_llc_capacity_scale
@@ -117,22 +117,20 @@ def simulate(spec: BenchmarkSpec,
              config: Optional[SystemConfig] = None,
              scale: float = DEFAULT_SCALE,
              accesses_per_epoch: int = DEFAULT_ACCESSES_PER_EPOCH,
-             params: Optional[EngineParams] = None,
-             org_kwargs: Optional[Dict[str, object]] = None) -> RunStats:
+             params: Optional[EngineParams] = None) -> RunStats:
     """Simulate ``spec`` under ``organization`` and return the run stats.
 
     ``organization`` is an organization name (see ``ORGANIZATIONS``) or a
-    pre-built :class:`LLCOrganization` (in which case ``org_kwargs`` is
-    ignored and the caller is responsible for matching the scaled
-    config).
+    pre-built :class:`LLCOrganization`, which the caller builds for the
+    scaled config (``make_organization(name, scaled_config(config,
+    scale), **kwargs)``).
     """
     global _SIMULATE_CALLS
     _SIMULATE_CALLS += 1
     base = config or baseline()
     run_config = scaled_config(base, scale)
     if isinstance(organization, str):
-        org = make_organization(organization, run_config,
-                                **(org_kwargs or {}))
+        org = make_organization(organization, run_config)
     else:
         org = organization
     generator = TraceGenerator(

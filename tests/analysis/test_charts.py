@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis.charts import (
-    bar_chart,
-    grouped_bar_chart,
-    series_chart,
-    stacked_bar_chart,
-)
+from repro.analysis.charts import bar_chart
 
 
 class TestBarChart:
@@ -39,41 +34,3 @@ class TestBarChart:
         lines = chart.splitlines()
         assert lines[0].index("#") == lines[1].index("#")
 
-
-class TestGroupedBarChart:
-    def test_groups_render_as_blocks(self):
-        chart = grouped_bar_chart({"SP": {"sac": 1.6},
-                                   "MP": {"sac": 1.0}})
-        assert "SP:" in chart
-        assert "MP:" in chart
-
-
-class TestStackedBarChart:
-    def test_components_use_distinct_symbols_with_legend(self):
-        chart = stacked_bar_chart({
-            "bench": {"local": 2.0, "remote": 1.0}})
-        assert "legend:" in chart
-        assert "local" in chart
-        assert "remote" in chart
-
-    def test_custom_symbols(self):
-        chart = stacked_bar_chart(
-            {"x": {"a": 1.0}}, symbols={"a": "@"})
-        assert "@" in chart
-
-    def test_totals_are_printed(self):
-        chart = stacked_bar_chart({"x": {"a": 1.0, "b": 2.0}})
-        assert "3.00" in chart
-
-
-class TestSeriesChart:
-    def test_renders_all_points_and_series(self):
-        points = [{"x": "48GB/s", "sm": 2.0, "sac": 1.9},
-                  {"x": "768GB/s", "sm": 1.0, "sac": 1.1}]
-        chart = series_chart(points, "x", ["sm", "sac"])
-        assert chart.count("48GB/s") == 2
-        assert "sac" in chart
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            series_chart([], "x", ["y"])

@@ -4,9 +4,6 @@ import pytest
 
 from repro.arch import (
     baseline,
-    inter_chip_sweep,
-    llc_capacity_sweep,
-    memory_interface_sweep,
     with_chip_count,
     with_coherence,
     with_inter_chip_bandwidth,
@@ -30,12 +27,6 @@ class TestInterChipBandwidth:
         with pytest.raises(ValueError):
             with_inter_chip_bandwidth(baseline(), 0)
 
-    def test_sweep_is_labelled_and_starred(self):
-        sweep = inter_chip_sweep()
-        labels = [label for label, _ in sweep]
-        assert any("*" in label for label in labels)
-        assert len(sweep) == 5
-
 
 class TestMemoryInterface:
     def test_gddr5_total_bandwidth(self):
@@ -51,9 +42,6 @@ class TestMemoryInterface:
         with pytest.raises(ValueError):
             with_memory_interface(baseline(), "DDR3")
 
-    def test_sweep_covers_three_generations(self):
-        assert len(memory_interface_sweep()) == 3
-
 
 class TestLLCCapacity:
     def test_doubling(self):
@@ -63,9 +51,6 @@ class TestLLCCapacity:
     def test_halving(self):
         config = with_llc_capacity_scale(baseline(), 0.5)
         assert config.total_llc_bytes == baseline().total_llc_bytes // 2
-
-    def test_sweep_default_factors(self):
-        assert len(llc_capacity_sweep()) == 3
 
 
 class TestChipCount:

@@ -163,12 +163,6 @@ class TestInvalidate:
         assert not cache.invalidate(0x1000)
         assert cache.access(0x1000).miss
 
-    def test_reset_clears_contents_and_stats(self):
-        cache = make_cache()
-        cache.access(0)
-        cache.reset()
-        assert cache.occupancy() == 0
-
     def test_resident_lines_roundtrip_addresses(self):
         cache = make_cache(size=4096, ways=4, line=128)
         addrs = [0, 0x80, 0x1000, 0x2480]

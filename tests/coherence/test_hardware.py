@@ -86,15 +86,6 @@ class TestLifecycle:
             directory.on_evict(i * 128, 0)
         assert len(directory) == 0
 
-    def test_reset(self):
-        directory = make()
-        directory.on_fill(0, 0)
-        directory.on_fill(0, 1)
-        directory.on_write(0, 0)
-        directory.reset()
-        assert len(directory) == 0
-        assert directory.pop_epoch_messages() == []
-
     def test_rejects_software_protocol(self):
         with pytest.raises(ValueError):
             HardwareCoherence(CoherenceConfig(protocol="software"), 4)

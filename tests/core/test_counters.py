@@ -69,16 +69,6 @@ class TestLSU:
         assert counters.lsu_sm_side == pytest.approx(1.0)
 
 
-class TestStorage:
-    def test_paper_620_bytes_conventional(self):
-        counters = make_counters()
-        assert counters.storage_bytes_per_chip() == 620
-
-    def test_paper_812_bytes_sectored(self):
-        counters = make_counters(sectored=True, sectors_per_line=4)
-        assert counters.storage_bytes_per_chip() == 812
-
-
 class TestReset:
     def test_reset_clears_everything(self):
         counters = make_counters()

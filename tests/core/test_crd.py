@@ -70,23 +70,6 @@ class TestSampling:
         assert crd.observe(0, 0x54321) is not None
 
 
-class TestStorage:
-    def test_paper_conventional_budget(self):
-        """8 sets x 16 ways x (30-bit tag + 4 chip bits) = 544 bytes."""
-        sac = SACConfig()
-        crd = ChipRequestDirectory(sac, num_chips=4, llc_num_sets=2048,
-                                   line_size=128)
-        assert crd.storage_bytes() == 544
-
-    def test_paper_sectored_budget(self):
-        """Sectored: 4 bits per chip -> 736 bytes."""
-        sac = SACConfig()
-        crd = ChipRequestDirectory(sac, num_chips=4, llc_num_sets=2048,
-                                   line_size=128, sectored=True,
-                                   sectors_per_line=4)
-        assert crd.storage_bytes() == 736
-
-
 class TestSectored:
     def test_sectors_tracked_independently(self):
         crd = make_crd(sectored=True, sectors_per_line=4)

@@ -61,7 +61,6 @@ class TestBaseOrganizationHooks:
         org = self.Minimal()
         org.attach(None)
         org.begin_kernel(None, "k")
-        org.begin_epoch(None, 0)
         org.end_epoch(None, 0)
         org.end_kernel(None)
         org.profile_boundary(None)

@@ -16,6 +16,7 @@ from pathlib import Path
 import repro
 from repro.arch import baseline, presets
 from repro.lint.rules.hot_loop import HOT_MODULES
+from repro.llc import DynamicLLC
 from repro.sim import ORGANIZATIONS, simulate
 from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
 from repro.workloads.suite import get
@@ -86,9 +87,9 @@ def vector_path_runs():
         assert stats.vector_epochs > 0, org
     # No floor on the remote allotment: staged epochs decline and rerun
     # on the serial engine from inside the batched kernel.
-    declined = simulate(get("BFS"), "dynamic", scale=SCALE,
-                        accesses_per_epoch=DENSITY,
-                        org_kwargs={"min_remote_ways": 0})
+    num_chips = baseline().num_chips
+    declined = simulate(get("BFS"), DynamicLLC(num_chips, min_remote_ways=0),
+                        scale=SCALE, accesses_per_epoch=DENSITY)
     assert declined.scalar_epochs > 0
     simulate(spec, "sac", config=presets.with_sectored_llc(baseline()),
              scale=SCALE, accesses_per_epoch=DENSITY)

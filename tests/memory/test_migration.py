@@ -101,26 +101,36 @@ class TestDominantAccessorMigration:
 
 class TestEngineIntegration:
     def test_migration_reduces_remote_traffic_for_misplaced_pages(self):
-        """Round-robin placement misplaces private pages; migration
-        repatriates them and cuts inter-chip traffic."""
-        import dataclasses
+        """First touch misplaces pages that chip 0 touches once and chip
+        1 then dominates; migration repatriates them and cuts
+        inter-chip traffic."""
+        import numpy as np
         from repro.arch import baseline
-        from repro.sim import EngineParams, simulate
-        from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
+        from repro.sim import EngineParams, SimulationEngine, \
+            make_organization
+        from repro.workloads.generator import EpochTrace, KernelTrace
 
-        phase = PhaseSpec(weight_true=0.0, weight_false=0.0,
-                          weight_private=1.0, hot_fraction=0.3,
-                          hot_weight=0.9, intensity=4000.0)
-        spec = BenchmarkSpec(
-            name="misplaced", suite="test", num_ctas=16, footprint_mb=8,
-            true_shared_mb=0, false_shared_mb=0, preference="memory-side",
-            kernels=(KernelSpec(name="k", phase=phase, epochs=6),),
-            iterations=2, seed=41)
-        config = baseline().with_updates(page_allocation="round-robin")
-        plain = simulate(spec, "memory-side", config=config,
-                         accesses_per_epoch=1024)
-        migrated = simulate(spec, "memory-side", config=config,
-                            accesses_per_epoch=1024,
-                            params=EngineParams(page_migration=True))
+        pages, page_size, line_size = 16, 4096, 128
+        starts = np.arange(pages, dtype=np.int64) * page_size
+        lines = (starts[:, None] + np.arange(
+            page_size // line_size, dtype=np.int64) * line_size).ravel()
+        touch = EpochTrace(chips=np.zeros(pages, dtype=np.int64),
+                           addrs=starts, writes=np.zeros(pages, dtype=bool),
+                           compute_cycles=100.0)
+        reuse = np.tile(lines, 2)
+        dominate = EpochTrace(chips=np.ones(reuse.size, dtype=np.int64),
+                              addrs=reuse,
+                              writes=np.zeros(reuse.size, dtype=bool),
+                              compute_cycles=1000.0)
+        trace = [KernelTrace("k", (touch,) + (dominate,) * 4)]
+        config = baseline()
+
+        def run(params):
+            engine = SimulationEngine(
+                config, make_organization("memory-side", config),
+                params=params)
+            return engine.run(trace, benchmark="misplaced")
+        plain = run(EngineParams())
+        migrated = run(EngineParams(page_migration=True))
         assert migrated.inter_chip_bytes < plain.inter_chip_bytes
         assert migrated.cycles <= plain.cycles * 1.02

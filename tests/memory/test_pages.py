@@ -45,25 +45,7 @@ class TestFirstTouch:
             {0: 2, 1: 1}
 
 
-class TestRoundRobin:
-    def test_cycles_through_chips(self):
-        table = PageTable(page_size=4096, num_chips=3, policy="round-robin")
-        homes = [table.home_chip(i * 4096, requesting_chip=0)
-                 for i in range(6)]
-        assert homes == [0, 1, 2, 0, 1, 2]
-
-
 class TestValidation:
     def test_rejects_bad_page_size(self):
         with pytest.raises(ValueError):
             PageTable(page_size=1000, num_chips=4)
-
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            PageTable(page_size=4096, num_chips=4, policy="numa")
-
-    def test_reset_clears_everything(self):
-        table = PageTable(page_size=4096, num_chips=4)
-        table.home_chip(0, 1)
-        table.reset()
-        assert len(table) == 0

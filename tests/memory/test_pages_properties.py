@@ -1,6 +1,5 @@
 """Property-based tests for the page table."""
 
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -42,17 +41,6 @@ def test_lookup_agrees_with_home_chip(stream):
         assert table.lookup(addr ^ 0x7) == home
 
 
-@given(accesses)
-@settings(max_examples=50, deadline=None)
-def test_round_robin_is_balanced(stream):
-    table = PageTable(page_size=4096, num_chips=4, policy="round-robin")
-    for addr, chip in stream:
-        table.home_chip(addr, chip)
-    homes = Counter(home for _page, home in table.pages())
-    counts = [homes[c] for c in range(4)]
-    assert max(counts) - min(counts) <= 1
-
-
 #: Pages far past any dense table: a span that wide keeps only a
 #: sorted index.
 FAR = 2**40
@@ -78,24 +66,23 @@ steps = st.sampled_from(
     [NEAR, NEAR | st.integers(FAR, FAR + 3)]).flatmap(scripts)
 
 
-@given(steps, st.sampled_from(["first-touch", "round-robin"]),
-       st.sampled_from([16, pages_module._DENSE_MIN_SPAN]))
+@given(steps, st.sampled_from([16, pages_module._DENSE_MIN_SPAN]))
 # New pages just past either end of a dense table.
 @example([("bulk", [(1, 0), (2, 1)]), ("bulk", [(3, 2)]),
-          ("bulk", [(0, 3)])], "first-touch", 16)
+          ("bulk", [(0, 3)])], 16)
 @settings(max_examples=150, deadline=None)
-def test_bulk_home_matches_per_access_home_chip(script, policy, min_span):
+def test_bulk_home_matches_per_access_home_chip(script, min_span):
     """``bulk_home``/``homes_of`` == per-access ``home_chip``/``lookup``,
     with scalar allocations and migrations interleaved.  A small
     ``min_span`` lets the near pages alone switch the bulk view between
     the dense table and the sorted index; far pages force the index."""
     with mock.patch.object(pages_module, "_DENSE_MIN_SPAN", min_span):
-        _check_bulk_against_scalar(script, policy)
+        _check_bulk_against_scalar(script)
 
 
-def _check_bulk_against_scalar(script, policy):
-    bulk = PageTable(page_size=4096, num_chips=4, policy=policy)
-    ref = PageTable(page_size=4096, num_chips=4, policy=policy)
+def _check_bulk_against_scalar(script):
+    bulk = PageTable(page_size=4096, num_chips=4)
+    ref = PageTable(page_size=4096, num_chips=4)
     probe = np.concatenate((np.arange(0, 102, dtype=np.int64),
                             np.arange(FAR - 1, FAR + 5, dtype=np.int64)))
     for step in script:

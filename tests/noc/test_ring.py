@@ -70,30 +70,6 @@ class TestCharging:
         assert ring.epoch_cycles() == 0.0
 
 
-class TestFullyConnected:
-    def make(self, num_chips=4):
-        return InterChipRing(
-            InterChipConfig(topology="fully-connected"), num_chips)
-
-    def test_every_pair_is_one_hop(self):
-        mesh = self.make()
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    assert mesh.hops(src, dst) == 1
-                    assert mesh.path(src, dst) == [(src, dst)]
-
-    def test_pair_bandwidth_splits_over_peers(self):
-        mesh = self.make()
-        # 6 links x 32 B/cyc over 3 peers = 64 B/cyc per pair.
-        assert mesh.config.pair_bw(4) == pytest.approx(64.0)
-
-    def test_charge_uses_direct_segment(self):
-        mesh = self.make()
-        mesh.charge(0, 2, 100)
-        assert mesh.segment_loads() == {(0, 2): 100.0}
-
-
 class TestValidation:
     def test_single_chip_ring_is_trivial(self):
         ring = make_ring(num_chips=1)

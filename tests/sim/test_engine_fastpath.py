@@ -51,13 +51,18 @@ SPECS = (
 KERNEL_SPECS = SPECS + (get("RN"),)
 
 
-def oracle(bench, organization, config=None, params_kwargs=None,
-           org_kwargs=None):
+def oracle(bench, organization, config=None, params_kwargs=None):
     """The serial engine over ``SetAssociativeCache`` slices."""
     kwargs = dict(params_kwargs or {}, batched=False, vectorized=False)
     return simulate(bench, organization, config=config, scale=SCALE,
-                    accesses_per_epoch=DENSITY, params=EngineParams(**kwargs),
-                    org_kwargs=org_kwargs)
+                    accesses_per_epoch=DENSITY, params=EngineParams(**kwargs))
+
+
+def floorless_dynamic():
+    """A ``DynamicLLC`` with no floor on its remote allotment, built for
+    the scaled baseline."""
+    config = scaled_config(baseline(), SCALE)
+    return make_organization("dynamic", config, min_remote_ways=0)
 
 
 def both_paths(bench, organization, config=None, params_kwargs=None):
@@ -241,12 +246,10 @@ class TestBankDeclines:
         # partition, so only a kernel that shrinks it to zero ways and
         # then probes it declines (BFS at this size; SRAD and NN no
         # longer do).
-        kwargs = {"min_remote_ways": 0}
         bench = get(name)
-        expected = oracle(bench, "dynamic",
-                          org_kwargs=kwargs).comparable_dict()
-        solo = simulate(bench, "dynamic", scale=SCALE,
-                        accesses_per_epoch=DENSITY, org_kwargs=kwargs)
+        expected = oracle(bench, floorless_dynamic()).comparable_dict()
+        solo = simulate(bench, floorless_dynamic(), scale=SCALE,
+                        accesses_per_epoch=DENSITY)
         assert solo.scalar_epochs == declined
         assert solo.vector_epochs > 0
         assert solo.comparable_dict() == expected
@@ -284,13 +287,12 @@ class TestZeroRemoteFloor:
     @pytest.mark.parametrize("name", ["SRAD", "BFS"])
     def test_boundary_flush_empties_a_zero_way_remote_partition(
             self, monkeypatch, name):
-        kwargs = {"min_remote_ways": 0}
         bench = get(name)
         vector, on_vector = self.boundaries(monkeypatch, lambda: simulate(
-            bench, "dynamic", scale=SCALE, accesses_per_epoch=DENSITY,
-            org_kwargs=kwargs))
+            bench, floorless_dynamic(), scale=SCALE,
+            accesses_per_epoch=DENSITY))
         serial, on_serial = self.boundaries(
-            monkeypatch, lambda: oracle(bench, "dynamic", org_kwargs=kwargs))
+            monkeypatch, lambda: oracle(bench, floorless_dynamic()))
         assert vector.vector_epochs > 0 and serial.vector_epochs == 0
         assert vector.comparable_dict() == serial.comparable_dict()
         for seen in (on_vector, on_serial):

@@ -80,6 +80,32 @@ class TestReplay:
             stats = run_event(org)
             assert stats.cycles > 0
 
+    def test_message_sizes_follow_the_line_size(self):
+        """A full miss carries the epoch model's request to DRAM and
+        the line plus its response header back."""
+        import dataclasses
+
+        import numpy as np
+        from repro.sim import EngineParams
+        from repro.workloads.generator import EpochTrace, KernelTrace
+
+        base = baseline()
+        llc = dataclasses.replace(base.chip.llc_slice, line_size=64)
+        config = base.with_updates(
+            chip=dataclasses.replace(base.chip, llc_slice=llc))
+        engine = EventDrivenEngine(config,
+                                   make_organization("memory-side", config))
+        miss = EpochTrace(chips=np.zeros(1, dtype=np.int64),
+                          addrs=np.zeros(1, dtype=np.int64),
+                          writes=np.zeros(1, dtype=bool),
+                          compute_cycles=1.0)
+        stats = engine.run([KernelTrace("k", (miss,))])
+        params = EngineParams()
+        message = params.request_bytes + 64 + params.response_header_bytes
+        assert stats.llc_hits == 0
+        assert stats.busy["dram"] == pytest.approx(
+            message / config.chip.memory.channel_bw_bytes_per_cycle)
+
 
 class TestCrossModelValidation:
     def test_models_agree_on_the_winner_sp(self):

@@ -198,11 +198,11 @@ def never_sm_side(spec):
 @given(workload_specs())
 @settings(max_examples=50, deadline=None)
 def test_dynamic_with_both_floors_at_half_is_static(spec):
-    half = scaled_config(baseline(), SCALE).chip.llc_slice.associativity // 2
-    pinned = simulate(spec, "dynamic", scale=SCALE,
-                      accesses_per_epoch=DENSITY,
-                      org_kwargs={"min_local_ways": half,
-                                  "min_remote_ways": half})
+    config = scaled_config(baseline(), SCALE)
+    half = config.chip.llc_slice.associativity // 2
+    pinned = simulate(spec, DynamicLLC(config.num_chips, min_local_ways=half,
+                                       min_remote_ways=half),
+                      scale=SCALE, accesses_per_epoch=DENSITY)
     static = simulate(spec, "static", scale=SCALE,
                       accesses_per_epoch=DENSITY)
     assert physics(pinned) == physics(static)

@@ -88,11 +88,6 @@ class TestSimulate:
 
 
 class TestOrgKwargs:
-    def test_simulate_forwards_org_kwargs(self):
-        stats = simulate(tiny_spec(), "static", accesses_per_epoch=256,
-                         org_kwargs={"remote_way_fraction": 0.25})
-        assert stats.organization == "static"
-
     def test_ladm_is_constructible_through_simulate(self):
         stats = simulate(tiny_spec(), "ladm", accesses_per_epoch=256)
         assert stats.organization == "ladm"
